@@ -1,0 +1,94 @@
+"""Byte-identity guard: the exit code and the sha256 of stdout of seeded
+``pla`` runs on the P/R, remark and P/S/E networks.
+
+A refactor must leave every entry unchanged, under one worker and several.
+An entry changes only with a deliberate change of output, noted in
+CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from pla.cli import main
+
+from conftest import PR_DOC, REMARK_DOC
+
+PSE_DOC = {
+    "relations": [
+        {"name": "P", "arity": 1, "parents": [], "theta": "0.3"},
+        {"name": "S", "arity": 1, "parents": ["P"], "theta": "wm(P(x1); 0.7; 0.2)"},
+        {"name": "E", "arity": 2, "parents": ["P"], "theta": "wm(P(x1) & P(x2); 0.8; 0.1)"},
+    ]
+}
+
+NETWORKS = {"pr": PR_DOC, "remark": REMARK_DOC, "pse": PSE_DOC}
+
+# (id, argv with {net} for the network file, network, exit code, sha256 of stdout)
+GOLDEN = [
+    ("converge-csv",
+     ["converge", "--net", "{net}", "--formula", "am[R(y) : y : y != x]",
+      "--n-grid", "5,9", "--epsilon", "0.2", "--samples", "40", "--seed", "3"],
+     "pr", 0, "0389e7d111dfb6e92e8e9e4efa60818c66fa93d6ee9dee590b7346d842bd7e9f"),
+    ("converge-json-workers2",
+     ["converge", "--net", "{net}", "--formula", "am[R(y) : y : y != x]",
+      "--n-grid", "6", "--epsilon", "0.2", "--samples", "30", "--seed", "4",
+      "--workers", "2", "--format", "json"],
+     "pr", 0, "229f4b1bdac029f7aee803f8c56b887e38350664ee224fb1c9a46e8d78d60518"),
+    ("converge-value-set",
+     ["converge", "--net", "{net}", "--formula", "R(x)", "--n-grid", "5,10",
+      "--samples", "60", "--seed", "5", "--value-set", "1"],
+     "remark", 0, "8f8ec9460f717a8da671f03c76c7fd79553fcfb5e2348eba1d940be90d6bf979"),
+    ("infer-mc-workers1",
+     ["infer", "mc", "--net", "{net}", "--n", "4", "--formula", "am[R(y) : y : y != x]",
+      "--assign", "x=1", "--value-set", "0.5:1", "--samples", "50", "--seed", "6"],
+     "pr", 0, "237e153c2d41b6e23e9e21594b97332b202c10c96e96f552da2ce14fa314ab24"),
+    ("infer-mc-workers3",
+     ["infer", "mc", "--net", "{net}", "--n", "4", "--formula", "E(x, y)",
+      "--assign", "x=1,y=2", "--value-set", "1", "--samples", "50", "--seed", "7",
+      "--workers", "3"],
+     "pse", 0, "81d1f1bf7bb581462c9e0f0379ce5e7ede12f57f393c8c7219a4e464fadba05e"),
+    ("infer-exact-aggregate",
+     ["infer", "exact", "--net", "{net}", "--n", "3",
+      "--formula", "max[R(x) : x : x = x]", "--value-set", "1"],
+     "pr", 0, "d8f3038f6cdbc4bc7dc9e18cf21f5cf55a3164c3715dc239b59f24893d974c28"),
+    ("infer-exact-assigned",
+     ["infer", "exact", "--net", "{net}", "--n", "2", "--formula", "R(x) -> P(x)",
+      "--assign", "x=2", "--value-set", "0:0.5"],
+     "pr", 0, "6f856c87a5453c1f0aad25c06821ec6a138fb03caf16765410f011b174b4dbc2"),
+    ("eliminate-am-edge",
+     ["eliminate", "--net", "{net}", "--formula", "am[E(x, y) : y : y != x]"],
+     "pse", 0, "2b6b72272af89ba0776c1ec98d73aa1fdd22cebb384e4c74e82b78cbf21e436e"),
+    ("eliminate-connectives",
+     ["eliminate", "--net", "{net}", "--formula",
+      "!am[S(y) & E(y, x) : y : y != x] | wm(P(x); max[E(x, y) : y : y != x]; 0.25)"],
+     "pse", 0, "f722240048fd57cd349266593d891d28370720438bedd83cadef1a8dfd8c56dc"),
+    ("eliminate-implies-gm",
+     ["eliminate", "--net", "{net}", "--formula",
+      "(am[R(y) : y : y != x] -> R(x)) & gm[R(y) | P(x) : y : distinct]"],
+     "pr", 0, "c608deac2498b2ec74fa460729853c0bc9385aa95e0a087cd69af2ce5674f6c1"),
+    ("eliminate-dimension-0",
+     ["eliminate", "--net", "{net}", "--formula", "am[R(y) : y : y = x]"],
+     "pr", 0, "eb2712dabb468298afb194a360a12219178e2cedd4dfd45fd5673a0bff80e298"),
+    ("eliminate-aggregation-free",
+     ["eliminate", "--net", "{net}", "--formula", "wm(P(x); R(x); 0.4) -> !R(x)"],
+     "pr", 0, "718201e78d4c3dc5291d7eb57f904338bc2881742e8e7c9a3b2a80eca749df50"),
+    ("check",
+     ["check", "--net", "{net}", "--formula",
+      "am[S(y) & E(y, x) : y : y != x] -> P(x)"],
+     "pse", 0, "f8ef8248e88791884f0d6ebc46b2561fce39d9c5bef8e67fe607629d8ee47137"),
+    ("sample",
+     ["sample", "--net", "{net}", "--n", "4", "--seed", "8"],
+     "pse", 0, "5ebf41bd3f0114132d5605068d28038bc94aebbf3816dc77e987cc9ad9709791"),
+]
+
+
+@pytest.mark.parametrize("argv, net, code, digest",
+                         [g[1:] for g in GOLDEN], ids=[g[0] for g in GOLDEN])
+def test_seeded_output_is_unchanged(capsys, tmp_path, argv, net, code, digest):
+    path = tmp_path / ("%s.json" % net)
+    path.write_text(json.dumps(NETWORKS[net]))
+    assert main([a.format(net=path) for a in argv]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
