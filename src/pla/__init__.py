@@ -60,7 +60,6 @@ from .logic import (
     fold_to_bpf,
     free_vars,
     function_rank,
-    realizes,
 )
 from .network import (
     PlaNetwork,

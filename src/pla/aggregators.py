@@ -16,6 +16,7 @@ from .errors import PlaError
 MERGE_TOL = 1e-9
 NUMERIC_LIMIT_TOL = 1e-4
 NUMERIC_LIMIT_MAX_N = 2 ** 20
+LIMIT_CLAMP_TOL = 1e-12
 
 
 class EmptyInput(PlaError):
@@ -314,10 +315,16 @@ def limit(
             "%s takes %d spectra, got %d" % (func.name, func.arity, len(spectra))
         )
     if func.limit_method == "closed_form":
-        return func.closed_form(spectra)
-    if func.limit_method == "numeric":
-        return _numeric_limit(func, spectra)
-    raise NoLimitMethod("%s has no limit method" % func.name)
+        out = func.closed_form(spectra)
+    elif func.limit_method == "numeric":
+        out = _numeric_limit(func, spectra)
+    else:
+        raise NoLimitMethod("%s has no limit method" % func.name)
+    # merged proportions may sum to 1 plus an ulp, so a limit may stray
+    # just outside [0, 1]; that much is rounding, more is an error
+    if not (-LIMIT_CLAMP_TOL <= out <= 1.0 + LIMIT_CLAMP_TOL):
+        raise ValueError("%s limit %r outside [0, 1]" % (func.name, out))
+    return min(max(out, 0.0), 1.0)
 
 
 def _numeric_limit(func: AggregationFunction, spectra: tuple[SupportSpectrum, ...]) -> float:

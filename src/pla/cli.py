@@ -249,7 +249,9 @@ def main(argv=None) -> int:
         return 1
     try:
         payload = args.fn(args)
-    except (PlaError, ValueError, OSError, KeyError) as exc:
+    except (PlaError, ValueError, OSError, KeyError, RecursionError) as exc:
+        # RecursionError: the evaluator recurses once per connective, so a
+        # chain of thousands of & or | exhausts the stack
         print("error: %s" % exc, file=sys.stderr)
         return 1
     _emit(args, payload)

@@ -8,6 +8,7 @@ saturation empirically.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -19,16 +20,13 @@ from .aggregators import SupportSpectrum
 from .errors import PlaError
 from .logic import (
     Agg,
-    And,
     AtomicType,
     BasicProbabilityFormula,
+    Const,
     EqualityType,
     Formula,
-    Implies,
-    Not,
-    Or,
     Variable,
-    WeightedMean,
+    children,
     enumerate_complete_types,
     equality_pattern,
     evaluate,
@@ -37,7 +35,7 @@ from .logic import (
     has_aggregation,
     satisfying_bound_tuples,
 )
-from .network import PlaNetwork, ValueSet, WorldSampler, validate
+from .network import PlaNetwork, ValueSet, WorldSampler, ci_halfwidth, sharded_counts, validate
 from .parser import format_formula
 
 COLLAPSE_TOL = 1e-12
@@ -58,13 +56,16 @@ def dim_y(p_eq: EqualityType, xs: Sequence[Variable], ys: Sequence[Variable]) ->
     return sum(1 for block in p_eq.blocks if all(v in ys_set for v in block))
 
 
+def _require_aggregation_free(net: PlaNetwork) -> None:
+    if not validate(net).aggregation_free:
+        raise NetworkHasAggregation("network formulas contain aggregation functions")
+
+
 def limit_prob_type(net: PlaNetwork, p: AtomicType, registry=None) -> float:
     """Limit probability that a tuple with the type's equality pattern
     realizes the type; for aggregation-free networks this is an n-independent
     product of network formula values and their complements."""
-    strat = validate(net)
-    if not strat.aggregation_free:
-        raise NetworkHasAggregation("network formulas contain aggregation functions")
+    _require_aggregation_free(net)
     return _limit_prob_type(net, p, registry)
 
 
@@ -157,9 +158,7 @@ def alphas(
     grouped by their restriction to the parameters; each extension carries
     its limit probability, its proportion alpha relative to the group, and
     the constant each body takes on it."""
-    strat = validate(net)
-    if not strat.aggregation_free:
-        raise NetworkHasAggregation("network formulas contain aggregation functions")
+    _require_aggregation_free(net)
     dim = dim_y(p_eq, xs, ys)
     if dim == 0:
         raise PlaError("degenerate aggregation (dimension 0) has no alpha table")
@@ -243,37 +242,17 @@ class EliminationReport:
         }
 
 
-def _luk_not(v):
-    return 1.0 - v[0]
-
-
-def _luk_and(v):
-    return min(v[0], v[1])
-
-
-def _luk_or(v):
-    return max(v[0], v[1])
-
-
-def _luk_implies(v):
-    return min(1.0, 1.0 - v[0] + v[1])
-
-
-def _luk_wm(v):
-    return v[0] * v[1] + (1.0 - v[0]) * v[2]
-
-
-def _combine(op, children: list[BasicProbabilityFormula], signature) -> BasicProbabilityFormula:
-    """Fold a propositional connective over compiled children by per-type
-    arithmetic on their constants."""
+def _combine(node: Formula, parts: list[BasicProbabilityFormula], signature) -> BasicProbabilityFormula:
+    """Fold a propositional connective over its compiled children: on each
+    complete type, evaluate the connective over the children's constants."""
     variables = tuple(
-        sorted(set().union(*(c.variables for c in children)), key=lambda v: v.name)
+        sorted(set().union(*(c.variables for c in parts)), key=lambda v: v.name)
     )
     conjuncts = []
     for atype in enumerate_complete_types(signature, variables):
         struct, assignment = atype.canonical_structure()
-        values = [c.value_on(struct, assignment) for c in children]
-        conjuncts.append((atype, op(values)))
+        consts = [Const(c.value_on(struct, assignment)) for c in parts]
+        conjuncts.append((atype, evaluate(struct, type(node)(*consts), assignment)))
     return BasicProbabilityFormula(variables, tuple(conjuncts))
 
 
@@ -289,11 +268,7 @@ def eliminate(
     """
     if registry is None:
         registry = aggregators.DEFAULT_REGISTRY
-    strat = validate(net)
-    if not strat.aggregation_free:
-        raise NetworkHasAggregation(
-            "elimination requires aggregation-free network formulas"
-        )
+    _require_aggregation_free(net)
     sig = net.signature
     warnings: list[str] = []
     agg_nodes: list[AggNodeRecord] = []
@@ -301,20 +276,9 @@ def eliminate(
     def compile_node(node: Formula) -> BasicProbabilityFormula:
         if not has_aggregation(node):
             return fold_to_bpf(node, sig)
-        if isinstance(node, Not):
-            return _combine(_luk_not, [compile_node(node.sub)], sig)
-        if isinstance(node, And):
-            return _combine(_luk_and, [compile_node(node.left), compile_node(node.right)], sig)
-        if isinstance(node, Or):
-            return _combine(_luk_or, [compile_node(node.left), compile_node(node.right)], sig)
-        if isinstance(node, Implies):
-            return _combine(_luk_implies, [compile_node(node.left), compile_node(node.right)], sig)
-        if isinstance(node, WeightedMean):
-            children = [compile_node(node.weight), compile_node(node.left), compile_node(node.right)]
-            return _combine(_luk_wm, children, sig)
         if isinstance(node, Agg):
             return compile_agg(node)
-        raise TypeError("not a formula: %r" % (node,))
+        return _combine(node, [compile_node(c) for c in children(node)], sig)
 
     def compile_agg(node: Agg) -> BasicProbabilityFormula:
         func = registry.get(node.func)
@@ -465,15 +429,11 @@ class ExperimentTable:
         }
 
 
-def _ci(p_hat: float, samples: int) -> float:
-    return 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / samples)
-
-
 def _experiment_counts(
-    net, phi, psi, n, epsilon, samples, seed, value_set, registry,
-    variables, constants,
-) -> tuple[int, list[int], int]:
-    """Hit counts for one shard: exceedance, near each constant, in the set."""
+    net, phi, psi, n, epsilon, value_set, registry, variables, constants,
+    samples, seed,
+) -> tuple[int, ...]:
+    """Hit counts for one shard: exceedance, in the set, near each constant."""
     k = len(variables)
     sampler = WorldSampler(net, n, registry)
     rng = random.Random(seed)
@@ -502,7 +462,7 @@ def _experiment_counts(
                 near_hits[i] += 1
         if value_set is not None and value_set.contains(value_at_canonical):
             set_hits += 1
-    return exceed_hits, near_hits, set_hits
+    return (exceed_hits, set_hits, *near_hits)
 
 
 def convergence_experiment(
@@ -533,44 +493,26 @@ def convergence_experiment(
     for n in n_grid:
         if n < k:
             raise ValueError("domain size %d cannot host %d distinct parameters" % (n, k))
-        base_seed = seed * 1_000_003 + n
-        if workers <= 1:
-            exceed_hits, near_hits, set_hits = _experiment_counts(
-                net, phi, psi, n, epsilon, samples, base_seed, value_set,
-                registry, variables, constants,
-            )
-        else:
-            chunks = [samples // workers] * workers
-            for i in range(samples - sum(chunks)):
-                chunks[i] += 1
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(
-                        _experiment_counts, net, phi, psi, n, epsilon, chunk,
-                        base_seed + 0x9E3779B9 * (i + 1), value_set, registry,
-                        variables, constants,
-                    )
-                    for i, chunk in enumerate(chunks) if chunk
-                ]
-                parts = [f.result() for f in futures]
-            exceed_hits = sum(p[0] for p in parts)
-            near_hits = [sum(p[1][i] for p in parts) for i in range(len(constants))]
-            set_hits = sum(p[2] for p in parts)
+        count = functools.partial(
+            _experiment_counts, net, phi, psi, n, epsilon, value_set, registry,
+            variables, constants,
+        )
+        exceed_hits, set_hits, *near_hits = sharded_counts(
+            count, samples, seed * 1_000_003 + n, workers
+        )
         p_exceed = exceed_hits / samples if psi is not None else None
         rows.append(
             ExperimentRow(
                 n=n,
                 epsilon=epsilon,
                 p_exceed=p_exceed,
-                ci_exceed=_ci(p_exceed, samples) if psi is not None else None,
+                ci_exceed=ci_halfwidth(p_exceed, samples) if psi is not None else None,
                 near=[
-                    (d, near_hits[i] / samples, _ci(near_hits[i] / samples, samples))
+                    (d, near_hits[i] / samples, ci_halfwidth(near_hits[i] / samples, samples))
                     for i, d in enumerate(constants)
                 ],
                 p_in_set=set_hits / samples if value_set is not None else None,
-                ci_in_set=_ci(set_hits / samples, samples) if value_set is not None else None,
+                ci_in_set=ci_halfwidth(set_hits / samples, samples) if value_set is not None else None,
             )
         )
     return ExperimentTable(rows, constants, value_set)
@@ -615,9 +557,7 @@ def saturation_diagnostic(
     """Empirical probability that a sampled world has, for every parameter
     tuple realizing the base type, an extension count within the band
     [alpha/(1+delta), alpha*(1+delta)] * n^dim."""
-    strat = validate(net)
-    if not strat.aggregation_free:
-        raise NetworkHasAggregation("network formulas contain aggregation functions")
+    _require_aggregation_free(net)
     xs = q.variables
     ys = tuple(v for v in p.variables if v not in set(xs))
     if p.restrict(xs) != q:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import PlaError
@@ -349,17 +349,7 @@ class AtomicType:
         for (name, ctuple), sign in self.literals:
             atom = Atom(name, tuple(reps[c] for c in ctuple))
             parts.append(atom if sign else Not(atom))
-        if not parts:
-            return Const(1.0)
-        out = parts[0]
-        for p in parts[1:]:
-            out = And(out, p)
-        return out
-
-
-def realizes(structure: Structure, atype: AtomicType, assignment: Assignment) -> bool:
-    """True iff every literal of the type holds under the assignment."""
-    return atype.realized_by(structure, assignment)
+        return conjunction(parts)
 
 
 def enumerate_complete_types(
@@ -508,38 +498,49 @@ class Agg:
 Formula = Union[Const, Eq, Atom, Not, And, Or, Implies, WeightedMean, Agg]
 
 
-def free_vars(phi: Formula) -> frozenset[Variable]:
-    if isinstance(phi, Const):
-        return frozenset()
-    if isinstance(phi, Eq):
-        return frozenset((phi.left, phi.right))
-    if isinstance(phi, Atom):
-        return frozenset(phi.args)
+def children(phi: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas, in constructor-argument order."""
+    if isinstance(phi, (Const, Eq, Atom)):
+        return ()
     if isinstance(phi, Not):
-        return free_vars(phi.sub)
+        return (phi.sub,)
     if isinstance(phi, (And, Or, Implies)):
-        return free_vars(phi.left) | free_vars(phi.right)
+        return (phi.left, phi.right)
     if isinstance(phi, WeightedMean):
-        return free_vars(phi.weight) | free_vars(phi.left) | free_vars(phi.right)
+        return (phi.weight, phi.left, phi.right)
     if isinstance(phi, Agg):
-        return frozenset(phi.params)
+        return phi.bodies
     raise TypeError("not a formula: %r" % (phi,))
 
 
+def conjunction(parts: Sequence[Formula]) -> Formula:
+    """The left-nested conjunction of the parts; the constant 1 when empty."""
+    return reduce(And, parts) if parts else Const(1.0)
+
+
+def free_vars(phi: Formula) -> frozenset[Variable]:
+    out: set[Variable] = set()
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, Eq):
+            out.update((f.left, f.right))
+        elif isinstance(f, Atom):
+            out.update(f.args)
+        elif isinstance(f, Agg):
+            out.update(f.params)
+        else:
+            stack.extend(children(f))
+    return frozenset(out)
+
+
 def subformulas(phi: Formula) -> Iterator[Formula]:
-    yield phi
-    if isinstance(phi, Not):
-        yield from subformulas(phi.sub)
-    elif isinstance(phi, (And, Or, Implies)):
-        yield from subformulas(phi.left)
-        yield from subformulas(phi.right)
-    elif isinstance(phi, WeightedMean):
-        yield from subformulas(phi.weight)
-        yield from subformulas(phi.left)
-        yield from subformulas(phi.right)
-    elif isinstance(phi, Agg):
-        for body in phi.bodies:
-            yield from subformulas(body)
+    """Every subformula, in preorder, left to right."""
+    stack = [phi]
+    while stack:
+        f = stack.pop()
+        yield f
+        stack.extend(reversed(children(f)))
 
 
 def relation_symbols(phi: Formula) -> set[str]:
@@ -553,19 +554,15 @@ def has_aggregation(phi: Formula) -> bool:
 def function_rank(phi: Formula) -> int:
     """0 for aggregation-free formulas; an aggregation node adds the number
     of variables it binds on top of its deepest body."""
-    if isinstance(phi, (Const, Eq, Atom)):
-        return 0
-    if isinstance(phi, Not):
-        return function_rank(phi.sub)
-    if isinstance(phi, (And, Or, Implies)):
-        return max(function_rank(phi.left), function_rank(phi.right))
-    if isinstance(phi, WeightedMean):
-        return max(
-            function_rank(phi.weight), function_rank(phi.left), function_rank(phi.right)
-        )
-    if isinstance(phi, Agg):
-        return max(function_rank(b) for b in phi.bodies) + len(phi.bound)
-    raise TypeError("not a formula: %r" % (phi,))
+    rank = 0
+    stack = [(phi, 0)]
+    while stack:
+        f, above = stack.pop()
+        if isinstance(f, Agg):
+            above += len(f.bound)
+        rank = max(rank, above)
+        stack.extend((c, above) for c in children(f))
+    return rank
 
 
 def minimal_signature(phi: Formula) -> Signature:
@@ -721,16 +718,7 @@ class BasicProbabilityFormula:
         return out
 
     def to_formula(self) -> Formula:
-        if not self.conjuncts:
-            return Const(1.0)
-        parts = []
-        for atype, c in self.conjuncts:
-            antecedent = atype.to_formula()
-            parts.append(Implies(antecedent, Const(c)))
-        out = parts[0]
-        for p in parts[1:]:
-            out = And(out, p)
-        return out
+        return conjunction([Implies(atype.to_formula(), Const(c)) for atype, c in self.conjuncts])
 
 
 def fold_to_bpf(

@@ -10,13 +10,14 @@ the lower strata.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+from . import aggregators
 from . import parser as formula_parser
 from .errors import PlaError
 from .logic import (
@@ -168,6 +169,18 @@ class WorldSampler:
                     chosen.add(args)
         return structure
 
+    def probability(self, structure: Structure) -> float:
+        """The probability of drawing this world: the product, stratum by
+        stratum and over tuples in lexicographic order, of theta for each
+        present tuple and 1 - theta for each absent one."""
+        prob = 1.0
+        for name, theta, variables, tuples, is_root in self._plan:
+            members = structure.interp[name]
+            for args in tuples:
+                p = self._prob(structure, name, theta, variables, args, is_root)
+                prob *= p if args in members else 1.0 - p
+        return prob
+
 
 def sample(net: PlaNetwork, n: int, seed, registry=None) -> Structure:
     """One world drawn from the induced distribution; deterministic given
@@ -196,16 +209,12 @@ def exact_distribution(
 ) -> list[WorldWeight]:
     """Every world with its exact probability.  Worlds are enumerated by
     relation bitmask in signature order, tuples in lexicographic order."""
-    strat = validate(net)
     total = world_count(net, n)
     if total > world_cap:
         raise TooManyWorlds("%d worlds exceed the cap %d" % (total, world_cap))
+    sampler = WorldSampler(net, n, registry)
     names = net.signature.names()
-    tuple_lists = {
-        name: list(itertools.product(range(1, n + 1), repeat=net.signature.arity(name)))
-        for name in names
-    }
-    theta_vars = {name: net.theta_variables(name) for name in names}
+    tuple_lists = {name: tuples for name, _, _, tuples, _ in sampler._plan}
     out = []
     for masks in itertools.product(*[range(2 ** len(tuple_lists[name])) for name in names]):
         interp = {}
@@ -213,15 +222,7 @@ def exact_distribution(
             tuples = tuple_lists[name]
             interp[name] = {tuples[i] for i in range(len(tuples)) if mask >> i & 1}
         structure = Structure(net.signature, n, interp)
-        prob = 1.0
-        for name in strat.order:  # theta only sees parents, i.e. lower strata
-            theta = net.theta[name]
-            variables = theta_vars[name]
-            members = structure.interp[name]
-            for args in tuple_lists[name]:
-                v = evaluate(structure, theta, dict(zip(variables, args)), registry)
-                prob *= v if args in members else 1.0 - v
-        out.append(WorldWeight(structure, prob))
+        out.append(WorldWeight(structure, sampler.probability(structure)))
     return out
 
 
@@ -288,11 +289,34 @@ def exact_event_probability(
     return total
 
 
-def _ci_halfwidth(p_hat: float, samples: int) -> float:
+def ci_halfwidth(p_hat: float, samples: int) -> float:
+    """Half-width of the 95% normal confidence interval of a proportion."""
     return 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / samples)
 
 
-def _mc_count(net, n, phi, assignment, value_set, samples, seed, registry) -> int:
+def sharded_counts(count, samples: int, seed, workers: int) -> tuple[int, ...]:
+    """The hit counts ``count(samples, seed)``, summed column by column over
+    shards.  With one worker this is a single call; otherwise the samples
+    are split into ``workers`` near-equal chunks, chunk i running in its own
+    process with seed ``seed + 0x9E3779B9 * (i + 1)``.  ``count`` must be
+    picklable, e.g. a ``functools.partial`` of a module-level function."""
+    if workers <= 1:
+        return tuple(count(samples, seed))
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunks = [samples // workers] * workers
+    for i in range(samples - sum(chunks)):
+        chunks[i] += 1
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(count, chunk, seed + 0x9E3779B9 * (i + 1))
+            for i, chunk in enumerate(chunks) if chunk
+        ]
+        parts = [f.result() for f in futures]
+    return tuple(sum(column) for column in zip(*parts))
+
+
+def _mc_count(net, n, phi, assignment, value_set, registry, samples, seed) -> tuple[int]:
     sampler = WorldSampler(net, n, registry)
     rng = random.Random(seed)
     hits = 0
@@ -300,7 +324,7 @@ def _mc_count(net, n, phi, assignment, value_set, samples, seed, registry) -> in
         world = sampler.sample(rng)
         if value_set.contains(evaluate(world, phi, assignment, registry)):
             hits += 1
-    return hits
+    return (hits,)
 
 
 def mc_event_probability(
@@ -321,21 +345,10 @@ def mc_event_probability(
         raise ValueError("samples must be >= 1")
     if value_set is None:
         value_set = ValueSet.full()
-    if workers <= 1:
-        hits = _mc_count(net, n, phi, assignment, value_set, samples, seed, registry)
-    else:
-        chunks = [samples // workers] * workers
-        for i in range(samples - sum(chunks)):
-            chunks[i] += 1
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_mc_count, net, n, phi, assignment, value_set,
-                            chunk, seed + 0x9E3779B9 * (i + 1), registry)
-                for i, chunk in enumerate(chunks) if chunk
-            ]
-            hits = sum(f.result() for f in futures)
+    count = functools.partial(_mc_count, net, n, phi, assignment, value_set, registry)
+    (hits,) = sharded_counts(count, samples, seed, workers)
     p_hat = hits / samples
-    return p_hat, _ci_halfwidth(p_hat, samples)
+    return p_hat, ci_halfwidth(p_hat, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +356,27 @@ def mc_event_probability(
 # ---------------------------------------------------------------------------
 
 
+def _relations(doc, fields: dict) -> list[dict]:
+    """The 'relations' list of a network or structure document, checked to
+    hold objects whose fields, where present, have the given types."""
+    relations = doc.get("relations") if isinstance(doc, dict) else None
+    if not isinstance(relations, list):
+        raise PlaError("document needs a 'relations' list")
+    for i, rel in enumerate(relations):
+        if not isinstance(rel, dict):
+            raise PlaError("relation %d is not an object: %r" % (i, rel))
+        for key, kind in fields.items():
+            if key in rel and not isinstance(rel[key], kind):
+                raise PlaError("relation %d: %r must be a %s" % (i, key, kind.__name__))
+    return relations
+
+
 def network_from_doc(doc: dict, registry=None) -> PlaNetwork:
     """Build a network from its document form: a list of relations, each
     with name, arity, parents and formula text (free variables x1..xk)."""
-    relations = doc.get("relations")
-    if not isinstance(relations, list):
-        raise PlaError("network document needs a 'relations' list")
+    relations = _relations(doc, {"name": str, "parents": list, "theta": str})
+    if registry is None:
+        registry = aggregators.DEFAULT_REGISTRY
     symbols = []
     parents = {}
     theta = {}
@@ -356,12 +384,7 @@ def network_from_doc(doc: dict, registry=None) -> PlaNetwork:
         name, arity = rel["name"], int(rel["arity"])
         symbols.append((name, arity))
         parents[name] = tuple(rel.get("parents", ()))
-        reg = registry
-        if reg is None:
-            from . import aggregators
-
-            reg = aggregators.DEFAULT_REGISTRY
-        theta[name] = formula_parser.parse_formula(rel["theta"], reg)
+        theta[name] = formula_parser.parse_formula(rel["theta"], registry)
     return PlaNetwork(Signature(tuple(symbols)), parents, theta)
 
 
@@ -399,10 +422,13 @@ def structure_to_doc(structure: Structure) -> dict:
 
 
 def structure_from_doc(doc: dict) -> Structure:
-    symbols = tuple((rel["name"], int(rel["arity"])) for rel in doc["relations"])
-    interp = {
-        rel["name"]: {tuple(t) for t in rel["tuples"]} for rel in doc["relations"]
-    }
+    relations = _relations(doc, {"name": str, "tuples": list})
+    for rel in relations:
+        if not all(isinstance(t, list) and all(isinstance(e, int) for e in t)
+                   for t in rel["tuples"]):
+            raise PlaError("relation %r: every tuple must be a list of elements" % rel["name"])
+    symbols = tuple((rel["name"], int(rel["arity"])) for rel in relations)
+    interp = {rel["name"]: {tuple(t) for t in rel["tuples"]} for rel in relations}
     structure = Structure(Signature(symbols), int(doc["domain_size"]), interp)
     structure.validate()
     return structure

@@ -38,6 +38,7 @@ from .logic import (
     Or,
     Variable,
     WeightedMean,
+    children,
     free_vars,
 )
 
@@ -310,27 +311,20 @@ class _Parser:
         return EqualityType.from_blocks(ordered_vars, list(blocks.values()))
 
 
-def _check_shadowing(phi: Formula, enclosing: frozenset[Variable]) -> None:
-    if isinstance(phi, Agg):
-        clash = set(phi.bound) & enclosing
-        if clash:
-            raise ParseError(
-                "bound variable %s shadows an enclosing binder"
-                % sorted(clash, key=lambda v: v.name)[0].name,
-                1, 1,
-            )
-        inner = enclosing | set(phi.bound)
-        for body in phi.bodies:
-            _check_shadowing(body, inner)
-    elif isinstance(phi, Not):
-        _check_shadowing(phi.sub, enclosing)
-    elif isinstance(phi, (And, Or, Implies)):
-        _check_shadowing(phi.left, enclosing)
-        _check_shadowing(phi.right, enclosing)
-    elif isinstance(phi, WeightedMean):
-        _check_shadowing(phi.weight, enclosing)
-        _check_shadowing(phi.left, enclosing)
-        _check_shadowing(phi.right, enclosing)
+def _check_shadowing(phi: Formula) -> None:
+    stack = [(phi, frozenset())]
+    while stack:
+        f, enclosing = stack.pop()
+        if isinstance(f, Agg):
+            clash = set(f.bound) & enclosing
+            if clash:
+                raise ParseError(
+                    "bound variable %s shadows an enclosing binder"
+                    % sorted(clash, key=lambda v: v.name)[0].name,
+                    1, 1,
+                )
+            enclosing = enclosing | set(f.bound)
+        stack.extend((c, enclosing) for c in reversed(children(f)))
 
 
 def parse_formula(text: str, registry=aggregators.DEFAULT_REGISTRY) -> Formula:
@@ -342,7 +336,7 @@ def parse_formula(text: str, registry=aggregators.DEFAULT_REGISTRY) -> Formula:
     eof = parser.peek()
     if eof.kind != "EOF":
         raise ParseError("trailing input %r" % eof.text, eof.line, eof.col)
-    _check_shadowing(out, frozenset())
+    _check_shadowing(out)
     return out
 
 
@@ -408,10 +402,17 @@ def _fmt_node(phi: Formula) -> str:
         if isinstance(sub, Eq):
             return "!(%s)" % _fmt_node(sub)
         return "!%s" % _fmt(sub, _LEVEL_UNARY)
-    if isinstance(phi, And):
-        return "%s & %s" % (_fmt(phi.left, _LEVEL_AND), _fmt(phi.right, _LEVEL_AND + 1))
-    if isinstance(phi, Or):
-        return "%s | %s" % (_fmt(phi.left, _LEVEL_OR), _fmt(phi.right, _LEVEL_OR + 1))
+    if isinstance(phi, (And, Or)):
+        # walk the left spine iteratively: compiled formulas chain thousands
+        # of conjuncts
+        kind = type(phi)
+        op, level = (" & ", _LEVEL_AND) if kind is And else (" | ", _LEVEL_OR)
+        rights = []
+        while isinstance(phi, kind):
+            rights.append(phi.right)
+            phi = phi.left
+        parts = [_fmt(phi, level)] + [_fmt(r, level + 1) for r in reversed(rights)]
+        return op.join(parts)
     if isinstance(phi, Implies):
         return "%s -> %s" % (_fmt(phi.left, _LEVEL_IMPLIES + 1), _fmt(phi.right, _LEVEL_IMPLIES))
     if isinstance(phi, WeightedMean):

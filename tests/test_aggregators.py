@@ -128,6 +128,20 @@ class TestLimit:
         with pytest.raises(NumericNonConvergence):
             limit(flip, SupportSpectrum.of((0.5, 1.0)))
 
+    @pytest.mark.parametrize("value, expected", [(1.0 + 2 ** -52, 1.0), (-1e-13, 0.0),
+                                                 (1.1, None), (-0.1, None)])
+    def test_limit_clamps_rounding_and_rejects_the_rest(self, value, expected):
+        func = AggregationFunction(
+            "const", 1, lambda r: 0.5, limit_method="closed_form",
+            closed_form=lambda spectra: value,
+        )
+        spectrum = SupportSpectrum.of((0.5, 1.0))
+        if expected is None:
+            with pytest.raises(ValueError, match="outside"):
+                limit(func, spectrum)
+        else:
+            assert limit(func, spectrum) == expected
+
     def test_limit_apply_consistency(self):
         spectrum = SupportSpectrum.of((0.1, 1 / 3), (0.5, 1 / 3), (0.9, 1 / 3))
         for name in ("am", "gm", "max", "min"):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from pla.cli import main
+from pla.parser import format_formula, parse_formula
 
 from conftest import PR_DOC, REMARK_DOC
 
@@ -214,3 +215,50 @@ class TestParseErrors:
     def test_missing_network_file(self, capsys):
         code, _, err = run(capsys, "check", "--net", "does-not-exist.json")
         assert code == 1
+
+
+class TestRobustness:
+    @pytest.mark.parametrize("command, option, doc", [
+        ("check", "--net", {"relations": [1]}),
+        ("check", "--net", [1, 2]),
+        ("eval", "--structure", {"domain_size": 2, "relations": [1]}),
+        ("eval", "--structure", [1]),
+    ])
+    def test_malformed_document_is_an_error(self, capsys, tmp_path, command, option, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, option, str(path)]
+        if command == "eval":
+            argv += ["--formula", "P(x)", "--assign", "x=1"]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "relation" in err
+
+    def test_long_chain(self, capsys, tmp_path, pr_file):
+        chain = " & ".join(["P(x)"] * 5000)
+        payload = run_json(capsys, "check", "--net", pr_file, "--formula", chain)
+        assert payload["formula"]["text"] == chain
+        world = tmp_path / "world.json"
+        world.write_text(json.dumps(
+            {"domain_size": 1, "relations": [{"name": "P", "arity": 1, "tuples": [[1]]}]}
+        ))
+        code, _, err = run(capsys, "eval", "--structure", str(world),
+                           "--formula", chain, "--assign", "x=1")
+        assert code == 1
+        assert err.startswith("error: ")
+
+    def test_long_compiled_report_parses_back(self, capsys, tmp_path):
+        doc = {
+            "relations": [
+                {"name": "P", "arity": 1, "parents": [], "theta": "0.3"},
+                {"name": "Q", "arity": 2, "parents": ["P"], "theta": "wm(P(x1); 0.6; 0.2)"},
+                {"name": "E", "arity": 2, "parents": ["P"], "theta": "wm(P(x2); 0.7; 0.1)"},
+            ]
+        }
+        path = tmp_path / "pqe.json"
+        path.write_text(json.dumps(doc))
+        payload = run_json(capsys, "eliminate", "--net", str(path),
+                           "--formula", "E(x, y) & Q(y, x)")
+        assert len(payload["output_conjuncts"]) == 1032
+        text = payload["output"]
+        assert format_formula(parse_formula(text)) == text

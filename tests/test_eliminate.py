@@ -312,6 +312,25 @@ class TestEliminate:
         for row in zero_rows:
             assert compiled[row.base] == 1.0
 
+    def test_merged_proportions_past_one_compile_to_one(self):
+        # the merged spectrum of R(y) | !R(y) sums to 1 + 1 ulp here
+        doc = {
+            "relations": [
+                {"name": "P", "arity": 1, "parents": [], "theta": "0.5"},
+                {
+                    "name": "R",
+                    "arity": 1,
+                    "parents": ["P"],
+                    "theta": "(P(x1) -> 0.45) & (!P(x1) -> 0.2)",
+                },
+            ]
+        }
+        net = network_from_doc(doc)
+        bpf, report = eliminate(net, parse_formula("am[R(y) | !R(y) : y : y != x]"))
+        assert [c for _, c in bpf.conjuncts] == [1.0]
+        assert all(d == 1.0 for _, d in report.agg_nodes[0].limits)
+        assert report.to_dict()["output_conjuncts"] == [{"type": "1.0", "value": 1.0}]
+
     def test_incompatible_equality_types_complete_to_one(self, pr_net):
         # parameters forced distinct: the x1 = x2 type cannot occur and is
         # completed with value 1 plus a warning

@@ -24,7 +24,6 @@ from pla import (
     fold_to_bpf,
     free_vars,
     function_rank,
-    realizes,
 )
 from pla.logic import EmptyAggregationRange, NotAggregationFree
 
@@ -181,7 +180,7 @@ class TestTypeEnumeration:
             realized = [
                 t
                 for t in enumerate_complete_types(TEST_SIG, [X, Y])
-                if realizes(A, t, assignment)
+                if t.realized_by(A, assignment)
             ]
             assert len(realized) == 1
 
@@ -196,19 +195,19 @@ class TestRealizes:
     def test_positive(self):
         A = Structure(SIG_R, 2, {"R": {(1,)}})
         p = AtomicType.complete(SIG_R, [X], [[X]], positive=[("R", (X,))])
-        assert realizes(A, p, {X: 1})
-        assert not realizes(A, p, {X: 2})
+        assert p.realized_by(A, {X: 1})
+        assert not p.realized_by(A, {X: 2})
 
     def test_negative(self):
         A = Structure(SIG_R, 2, {"R": {(1,)}})
         p = AtomicType.complete(SIG_R, [X], [[X]])
-        assert not realizes(A, p, {X: 1})
-        assert realizes(A, p, {X: 2})
+        assert not p.realized_by(A, {X: 1})
+        assert p.realized_by(A, {X: 2})
 
     def test_equality_violation(self):
         A = Structure(SIG_R, 2)
         p = AtomicType.complete(SIG_R, [X, Y], [[X, Y]], positive=[])
-        assert not realizes(A, p, {X: 1, Y: 2})
+        assert not p.realized_by(A, {X: 1, Y: 2})
 
 
 class TestFold:
