@@ -250,8 +250,9 @@ def main(argv=None) -> int:
     try:
         payload = args.fn(args)
     except (PlaError, ValueError, OSError, KeyError, RecursionError) as exc:
-        # RecursionError: the evaluator recurses once per connective, so a
-        # chain of thousands of & or | exhausts the stack
+        # RecursionError: the evaluator walks &/| chains in a loop but
+        # recurses into other connectives, so thousands of nested ! or ->
+        # exhaust the stack
         print("error: %s" % exc, file=sys.stderr)
         return 1
     _emit(args, payload)

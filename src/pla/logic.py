@@ -639,8 +639,12 @@ def _eval(structure: Structure, phi: Formula, a: dict, registry) -> float:
     if isinstance(phi, Const):
         return phi.value
     if isinstance(phi, And):
+        if isinstance(phi.left, And):
+            return _eval_spine(structure, phi, a, registry, And, min)
         return min(_eval(structure, phi.left, a, registry), _eval(structure, phi.right, a, registry))
     if isinstance(phi, Or):
+        if isinstance(phi.left, Or):
+            return _eval_spine(structure, phi, a, registry, Or, max)
         return max(_eval(structure, phi.left, a, registry), _eval(structure, phi.right, a, registry))
     if isinstance(phi, Not):
         return 1.0 - _eval(structure, phi.sub, a, registry)
@@ -687,6 +691,21 @@ def _eval(structure: Structure, phi: Formula, a: dict, registry) -> float:
     raise TypeError("not a formula: %r" % (phi,))
 
 
+def _eval_spine(structure: Structure, phi: Formula, a: dict, registry, kind, combine) -> float:
+    """A left-nested chain of one connective (the parser's shape for
+    ``p & q & ...``), walked in a loop so its length costs no stack depth.
+    Operands are evaluated and combined left to right, as the recursion
+    would."""
+    rights = []
+    while isinstance(phi, kind):
+        rights.append(phi.right)
+        phi = phi.left
+    value = _eval(structure, phi, a, registry)
+    for right in reversed(rights):
+        value = combine(value, _eval(structure, right, a, registry))
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Basic probability formulas and folding
 # ---------------------------------------------------------------------------
@@ -707,15 +726,71 @@ class BasicProbabilityFormula:
                 seen.append(c)
         return tuple(sorted(seen))
 
+    @cached_property
+    def _type_index(self) -> Optional[tuple[Signature, dict, dict]]:
+        """``(signature, index, slots)`` when every conjunct's type is complete
+        over ``variables`` and one signature, else None.
+
+        ``index`` maps a type's key, its equality pattern and its sign vector
+        over the slots, to the least constant of the conjuncts of that type
+        below 1.  ``slots[k]`` lists the slots over k classes in the literal
+        order of ``AtomicType.make``.
+        """
+        if not self.conjuncts:
+            return None
+        signature = self.conjuncts[0][0].signature
+        index: dict = {}
+        slots: dict[int, tuple[Literal, ...]] = {}
+        for atype, c in self.conjuncts:
+            pattern = atype.eq.pattern()
+            # the lookup numbers classes by first occurrence, as from_blocks does
+            if (atype.signature != signature or atype.variables != self.variables
+                    or pattern != equality_pattern(pattern)):
+                return None
+            k = len(atype.eq.blocks)
+            if k not in slots:
+                slots[k] = tuple(
+                    (name, ctuple)
+                    for name, arity in signature.symbols
+                    for ctuple in itertools.product(range(k), repeat=arity)
+                )
+            if tuple(literal for literal, _ in atype.literals) != slots[k]:
+                return None  # incomplete, or literals not in canonical order
+            key = (pattern, tuple(sign for _, sign in atype.literals))
+            if c < index.get(key, 1.0):
+                index[key] = c
+        return signature, index, slots
+
     def value_on(self, structure: Structure, assignment: Assignment) -> float:
         """Same value as evaluating ``to_formula()``: the minimum over
         conjuncts, an implication being its constant when the type is
-        realized and 1 otherwise."""
-        out = 1.0
-        for atype, c in self.conjuncts:
-            if c < out and atype.realized_by(structure, assignment):
-                out = c
-        return out
+        realized and 1 otherwise.
+
+        When the conjuncts' types are complete over ``variables`` and share
+        the structure's signature, exactly one type is realized, so the
+        value is a dictionary lookup keyed by the tuple's equality pattern
+        and one membership test per slot of its type.  Otherwise (e.g. a
+        hand-built formula, or the one-conjunct output of a collapsed
+        elimination) every conjunct's type is tested in turn.
+        """
+        typed = self._type_index
+        if typed is None or structure.signature != typed[0]:
+            out = 1.0
+            for atype, c in self.conjuncts:
+                if c < out and atype.realized_by(structure, assignment):
+                    out = c
+            return out
+        _, index, slots_by_k = typed
+        values = [assignment[v] for v in self.variables]
+        reps = tuple(dict.fromkeys(values))  # one element per equality class
+        slots = slots_by_k.get(len(reps))
+        if slots is None:
+            return 1.0
+        interp = structure.interp
+        signs = tuple(
+            tuple(reps[c] for c in ctuple) in interp[name] for name, ctuple in slots
+        )
+        return index.get((equality_pattern(values), signs), 1.0)
 
     def to_formula(self) -> Formula:
         return conjunction([Implies(atype.to_formula(), Const(c)) for atype, c in self.conjuncts])

@@ -356,9 +356,10 @@ def mc_event_probability(
 # ---------------------------------------------------------------------------
 
 
-def _relations(doc, fields: dict) -> list[dict]:
+def _relations(doc, fields: dict, required: tuple[str, ...]) -> list[dict]:
     """The 'relations' list of a network or structure document, checked to
-    hold objects whose fields, where present, have the given types."""
+    hold objects that have the required keys and whose fields, where
+    present, have the given types."""
     relations = doc.get("relations") if isinstance(doc, dict) else None
     if not isinstance(relations, list):
         raise PlaError("document needs a 'relations' list")
@@ -368,13 +369,19 @@ def _relations(doc, fields: dict) -> list[dict]:
         for key, kind in fields.items():
             if key in rel and not isinstance(rel[key], kind):
                 raise PlaError("relation %d: %r must be a %s" % (i, key, kind.__name__))
+        missing = [key for key in required if key not in rel]
+        if missing:
+            named = " (%s)" % rel["name"] if "name" in rel else ""
+            raise PlaError("relation %d%s: missing required key %s"
+                           % (i, named, ", ".join(repr(key) for key in missing)))
     return relations
 
 
 def network_from_doc(doc: dict, registry=None) -> PlaNetwork:
     """Build a network from its document form: a list of relations, each
     with name, arity, parents and formula text (free variables x1..xk)."""
-    relations = _relations(doc, {"name": str, "parents": list, "theta": str})
+    relations = _relations(doc, {"name": str, "parents": list, "theta": str},
+                           ("name", "arity", "theta"))
     if registry is None:
         registry = aggregators.DEFAULT_REGISTRY
     symbols = []
@@ -422,7 +429,9 @@ def structure_to_doc(structure: Structure) -> dict:
 
 
 def structure_from_doc(doc: dict) -> Structure:
-    relations = _relations(doc, {"name": str, "tuples": list})
+    relations = _relations(doc, {"name": str, "tuples": list}, ("name", "arity", "tuples"))
+    if "domain_size" not in doc:
+        raise PlaError("structure document: missing required key 'domain_size'")
     for rel in relations:
         if not all(isinstance(t, list) and all(isinstance(e, int) for e in t)
                    for t in rel["tuples"]):

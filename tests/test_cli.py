@@ -30,6 +30,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_on_document(capsys, tmp_path, command, option, doc):
+    """Run ``check --net`` or ``eval --structure`` on the given document."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, option, str(path)]
+    if command == "eval":
+        argv += ["--formula", "P(x)", "--assign", "x=1"]
+    return run(capsys, *argv)
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
@@ -225,12 +235,7 @@ class TestRobustness:
         ("eval", "--structure", [1]),
     ])
     def test_malformed_document_is_an_error(self, capsys, tmp_path, command, option, doc):
-        path = tmp_path / "doc.json"
-        path.write_text(json.dumps(doc))
-        argv = [command, option, str(path)]
-        if command == "eval":
-            argv += ["--formula", "P(x)", "--assign", "x=1"]
-        code, _, err = run(capsys, *argv)
+        code, _, err = run_on_document(capsys, tmp_path, command, option, doc)
         assert code == 1
         assert "relation" in err
 
@@ -242,10 +247,28 @@ class TestRobustness:
         world.write_text(json.dumps(
             {"domain_size": 1, "relations": [{"name": "P", "arity": 1, "tuples": [[1]]}]}
         ))
-        code, _, err = run(capsys, "eval", "--structure", str(world),
+        payload = run_json(capsys, "eval", "--structure", str(world),
                            "--formula", chain, "--assign", "x=1")
+        assert payload["value"] == 1.0
+
+    @pytest.mark.parametrize("command, option, doc, words", [
+        ("check", "--net", {"relations": [{"name": "P", "parents": [], "theta": "0.5"}]},
+         ("P", "arity")),
+        ("check", "--net", {"relations": [{"name": "P", "arity": 1, "parents": []}]},
+         ("P", "theta")),
+        ("check", "--net", {"relations": [{"arity": 1, "parents": [], "theta": "0.5"}]},
+         ("relation 0", "name")),
+        ("eval", "--structure", {"domain_size": 2, "relations": [{"name": "P", "arity": 1}]},
+         ("P", "tuples")),
+        ("eval", "--structure", {"relations": [{"name": "P", "arity": 1, "tuples": [[1]]}]},
+         ("domain_size",)),
+    ])
+    def test_missing_required_key_is_named(self, capsys, tmp_path, command, option, doc, words):
+        code, _, err = run_on_document(capsys, tmp_path, command, option, doc)
         assert code == 1
         assert err.startswith("error: ")
+        for word in words:
+            assert word in err
 
     def test_long_compiled_report_parses_back(self, capsys, tmp_path):
         doc = {

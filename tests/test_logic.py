@@ -10,6 +10,7 @@ from pla import (
     And,
     Atom,
     AtomicType,
+    BasicProbabilityFormula,
     Const,
     Eq,
     EqualityType,
@@ -25,7 +26,9 @@ from pla import (
     free_vars,
     function_rank,
 )
+from pla.eliminate import eliminate
 from pla.logic import EmptyAggregationRange, NotAggregationFree
+from pla.parser import parse_formula
 
 from conftest import TEST_SIG, X, Y, random_agg_free, random_formula, random_structure
 
@@ -252,3 +255,82 @@ class TestFold:
                 a = {X: rng.randint(1, n), Y: rng.randint(1, n)}
                 assert abs(evaluate(A, phi, a) - evaluate(A, psi, a)) <= 1e-12
                 assert evaluate(A, psi, a) == bpf.value_on(A, a)
+
+
+def scan_value(bpf, structure, assignment):
+    """The value of a basic probability formula by its definition: the
+    least constant of the conjuncts whose type the assignment realizes,
+    and 1 when that is smaller or none is realized."""
+    return min([1.0] + [c for t, c in bpf.conjuncts if t.realized_by(structure, assignment)])
+
+
+def all_assignments(variables, n):
+    for args in itertools.product(range(1, n + 1), repeat=len(variables)):
+        yield dict(zip(variables, args))
+
+
+class TestValueOn:
+    """``value_on`` looks up the one realized complete type when it can and
+    scans the conjuncts otherwise; both must agree with the definition."""
+
+    def assert_matches_scan(self, bpf, structures):
+        for A in structures:
+            for a in all_assignments(bpf.variables, A.domain_size):
+                assert bpf.value_on(A, a) == scan_value(bpf, A, a)
+
+    def test_folded_formulas_take_the_lookup(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            bpf = fold_to_bpf(random_agg_free(rng, TEST_SIG, [X, Y], 3), TEST_SIG)
+            assert bpf._type_index is not None
+            self.assert_matches_scan(
+                bpf, [random_structure(rng, TEST_SIG, rng.randint(1, 4)) for _ in range(4)]
+            )
+
+    def test_eliminate_outputs(self, pr_net):
+        rng = random.Random(8)
+        structures = [random_structure(rng, pr_net.signature, n) for n in (1, 2, 3, 4)]
+        for text, lookup in (
+            ("am[R(y) : y : y != x] & P(x)", True),
+            ("wm(P(x); max[R(y) : y : y != x]; 0.2) | R(z)", True),
+            ("am[R(y) : y : y != x]", False),  # collapsed to one conjunct
+        ):
+            bpf, _ = eliminate(pr_net, parse_formula(text))
+            assert (bpf._type_index is not None) == lookup
+            assert lookup or len(bpf.conjuncts) == 1
+            self.assert_matches_scan(bpf, structures)
+
+    def test_type_listed_twice_takes_its_least_constant(self):
+        bpf = fold_to_bpf(Atom("E", (X, Y)), TEST_SIG)
+        atype, _ = bpf.conjuncts[7]
+        doubled = BasicProbabilityFormula(
+            bpf.variables, bpf.conjuncts + ((atype, 0.6), (atype, 0.25), (atype, 1.5))
+        )
+        assert doubled._type_index is not None
+        rng = random.Random(2)
+        self.assert_matches_scan(doubled, [random_structure(rng, TEST_SIG, 3) for _ in range(8)])
+        struct, assignment = atype.canonical_structure()
+        assert doubled.value_on(struct, assignment) == min(0.25, bpf.conjuncts[7][1])
+
+    def test_incomplete_type_takes_the_scan(self):
+        bpf = fold_to_bpf(Or(Atom("P", (X,)), Atom("Q", (Y,))), TEST_SIG)
+        partial = AtomicType.make(TEST_SIG, EqualityType.all_distinct([X, Y]), {("E", (0, 1)): True})
+        mixed = BasicProbabilityFormula(bpf.variables, bpf.conjuncts + ((partial, 0.1),))
+        assert mixed._type_index is None
+        rng = random.Random(4)
+        self.assert_matches_scan(mixed, [random_structure(rng, TEST_SIG, 3) for _ in range(6)])
+
+    def test_no_variables(self):
+        rng = random.Random(6)
+        for sig in (TEST_SIG, Signature(())):
+            bpf = fold_to_bpf(Const(0.4), sig)
+            assert bpf.variables == () and bpf._type_index is not None
+            self.assert_matches_scan(bpf, [random_structure(rng, sig, 2)])
+            assert bpf.value_on(random_structure(rng, sig, 2), {}) == 0.4
+
+    def test_structure_over_another_signature_takes_the_scan(self):
+        wider = Signature.of(("P", 1), ("Q", 1), ("E", 2), ("R", 1))
+        rng = random.Random(9)
+        for _ in range(10):
+            bpf = fold_to_bpf(random_agg_free(rng, TEST_SIG, [X, Y], 3), TEST_SIG)
+            self.assert_matches_scan(bpf, [random_structure(rng, wider, 3)])
