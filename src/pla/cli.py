@@ -250,9 +250,9 @@ def main(argv=None) -> int:
     try:
         payload = args.fn(args)
     except (PlaError, ValueError, OSError, KeyError, RecursionError) as exc:
-        # RecursionError: the evaluator walks &/| chains in a loop but
-        # recurses into other connectives, so thousands of nested ! or ->
-        # exhaust the stack
+        # RecursionError: the parser and the evaluator walk &/| chains in a
+        # loop but recurse into other connectives, so thousands of nested !
+        # or -> exhaust the stack
         print("error: %s" % exc, file=sys.stderr)
         return 1
     _emit(args, payload)

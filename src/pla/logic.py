@@ -639,13 +639,9 @@ def _eval(structure: Structure, phi: Formula, a: dict, registry) -> float:
     if isinstance(phi, Const):
         return phi.value
     if isinstance(phi, And):
-        if isinstance(phi.left, And):
-            return _eval_spine(structure, phi, a, registry, And, min)
-        return min(_eval(structure, phi.left, a, registry), _eval(structure, phi.right, a, registry))
+        return _eval_spine(structure, phi, a, registry, And, min)
     if isinstance(phi, Or):
-        if isinstance(phi.left, Or):
-            return _eval_spine(structure, phi, a, registry, Or, max)
-        return max(_eval(structure, phi.left, a, registry), _eval(structure, phi.right, a, registry))
+        return _eval_spine(structure, phi, a, registry, Or, max)
     if isinstance(phi, Not):
         return 1.0 - _eval(structure, phi.sub, a, registry)
     if isinstance(phi, Implies):
@@ -692,10 +688,11 @@ def _eval(structure: Structure, phi: Formula, a: dict, registry) -> float:
 
 
 def _eval_spine(structure: Structure, phi: Formula, a: dict, registry, kind, combine) -> float:
-    """A left-nested chain of one connective (the parser's shape for
-    ``p & q & ...``), walked in a loop so its length costs no stack depth.
-    Operands are evaluated and combined left to right, as the recursion
-    would."""
+    """An ``&`` or ``|`` node with the left-nested chain of the same
+    connective below it (the parser's shape for ``p & q & ...``), walked in
+    a loop so its length costs no stack depth.  Operands are evaluated and
+    combined left to right, so values match the nested binary definition
+    bit for bit."""
     rights = []
     while isinstance(phi, kind):
         rights.append(phi.right)
@@ -727,9 +724,9 @@ class BasicProbabilityFormula:
         return tuple(sorted(seen))
 
     @cached_property
-    def _type_index(self) -> Optional[tuple[Signature, dict, dict]]:
-        """``(signature, index, slots)`` when every conjunct's type is complete
-        over ``variables`` and one signature, else None.
+    def _type_index(self) -> Optional[tuple[dict, dict]]:
+        """``(index, slots)`` when every conjunct's type is complete over
+        ``variables`` and one signature, else None.
 
         ``index`` maps a type's key, its equality pattern and its sign vector
         over the slots, to the least constant of the conjuncts of that type
@@ -742,10 +739,7 @@ class BasicProbabilityFormula:
         index: dict = {}
         slots: dict[int, tuple[Literal, ...]] = {}
         for atype, c in self.conjuncts:
-            pattern = atype.eq.pattern()
-            # the lookup numbers classes by first occurrence, as from_blocks does
-            if (atype.signature != signature or atype.variables != self.variables
-                    or pattern != equality_pattern(pattern)):
+            if atype.signature != signature or atype.variables != self.variables:
                 return None
             k = len(atype.eq.blocks)
             if k not in slots:
@@ -756,10 +750,10 @@ class BasicProbabilityFormula:
                 )
             if tuple(literal for literal, _ in atype.literals) != slots[k]:
                 return None  # incomplete, or literals not in canonical order
-            key = (pattern, tuple(sign for _, sign in atype.literals))
+            key = (atype.eq.pattern(), tuple(sign for _, sign in atype.literals))
             if c < index.get(key, 1.0):
                 index[key] = c
-        return signature, index, slots
+        return index, slots
 
     def value_on(self, structure: Structure, assignment: Assignment) -> float:
         """Same value as evaluating ``to_formula()``: the minimum over
@@ -767,20 +761,20 @@ class BasicProbabilityFormula:
         realized and 1 otherwise.
 
         When the conjuncts' types are complete over ``variables`` and share
-        the structure's signature, exactly one type is realized, so the
-        value is a dictionary lookup keyed by the tuple's equality pattern
-        and one membership test per slot of its type.  Otherwise (e.g. a
-        hand-built formula, or the one-conjunct output of a collapsed
-        elimination) every conjunct's type is tested in turn.
+        one signature, exactly one type is realized, so the value is a
+        dictionary lookup keyed by the tuple's equality pattern and one
+        membership test per slot of its type.  Otherwise (e.g. a hand-built
+        formula, or the one-conjunct output of a collapsed elimination)
+        every conjunct's type is tested in turn.
         """
         typed = self._type_index
-        if typed is None or structure.signature != typed[0]:
+        if typed is None:
             out = 1.0
             for atype, c in self.conjuncts:
                 if c < out and atype.realized_by(structure, assignment):
                     out = c
             return out
-        _, index, slots_by_k = typed
+        index, slots_by_k = typed
         values = [assignment[v] for v in self.variables]
         reps = tuple(dict.fromkeys(values))  # one element per equality class
         slots = slots_by_k.get(len(reps))

@@ -251,6 +251,17 @@ class TestRobustness:
                            "--formula", chain, "--assign", "x=1")
         assert payload["value"] == 1.0
 
+    def test_deep_nesting_is_an_error(self, capsys, tmp_path):
+        # only &/| chains are walked in a loop; thousands of nested ! overflow
+        world = tmp_path / "world.json"
+        world.write_text(json.dumps(
+            {"domain_size": 1, "relations": [{"name": "P", "arity": 1, "tuples": [[1]]}]}
+        ))
+        code, _, err = run(capsys, "eval", "--structure", str(world),
+                           "--formula", "!" * 5000 + "P(x)", "--assign", "x=1")
+        assert code == 1
+        assert err.startswith("error: ")
+
     @pytest.mark.parametrize("command, option, doc, words", [
         ("check", "--net", {"relations": [{"name": "P", "parents": [], "theta": "0.5"}]},
          ("P", "arity")),

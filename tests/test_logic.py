@@ -279,12 +279,16 @@ class TestValueOn:
                 assert bpf.value_on(A, a) == scan_value(bpf, A, a)
 
     def test_folded_formulas_take_the_lookup(self):
+        # a structure over a wider signature reads only the formula's symbols
+        wider = Signature.of(("P", 1), ("Q", 1), ("E", 2), ("R", 1))
         rng = random.Random(5)
         for _ in range(30):
             bpf = fold_to_bpf(random_agg_free(rng, TEST_SIG, [X, Y], 3), TEST_SIG)
             assert bpf._type_index is not None
             self.assert_matches_scan(
-                bpf, [random_structure(rng, TEST_SIG, rng.randint(1, 4)) for _ in range(4)]
+                bpf,
+                [random_structure(rng, TEST_SIG, rng.randint(1, 4)) for _ in range(4)]
+                + [random_structure(rng, wider, 3)],
             )
 
     def test_eliminate_outputs(self, pr_net):
@@ -327,10 +331,3 @@ class TestValueOn:
             assert bpf.variables == () and bpf._type_index is not None
             self.assert_matches_scan(bpf, [random_structure(rng, sig, 2)])
             assert bpf.value_on(random_structure(rng, sig, 2), {}) == 0.4
-
-    def test_structure_over_another_signature_takes_the_scan(self):
-        wider = Signature.of(("P", 1), ("Q", 1), ("E", 2), ("R", 1))
-        rng = random.Random(9)
-        for _ in range(10):
-            bpf = fold_to_bpf(random_agg_free(rng, TEST_SIG, [X, Y], 3), TEST_SIG)
-            self.assert_matches_scan(bpf, [random_structure(rng, wider, 3)])
