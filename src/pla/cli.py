@@ -61,6 +61,20 @@ def _parse_assignment(text: Optional[str]) -> dict:
     return assignment
 
 
+def _check_assignment(phi, assignment: dict, n: int) -> None:
+    """Every assigned value is a domain element and every free variable of
+    the formula has one."""
+    if n < 1:
+        raise PlaError("domain size must be >= 1, got %d" % n)
+    for var, value in assignment.items():
+        if not 1 <= value <= n:
+            raise PlaError("%s=%d is outside the domain [1, %d]" % (var.name, value, n))
+    missing = sorted(v.name for v in free_vars(phi) - set(assignment))
+    if missing:
+        raise PlaError("no value for free variable %s; assign one in the domain [1, %d] "
+                       "with --assign" % (", ".join(missing), n))
+
+
 def _emit(args, payload):
     if isinstance(payload, str):
         text = payload
@@ -96,6 +110,7 @@ def cmd_eval(args) -> dict:
     structure = load_structure(args.structure)
     phi = _read_formula(args.formula)
     assignment = _parse_assignment(args.assign)
+    _check_assignment(phi, assignment, structure.domain_size)
     value = evaluate(structure, phi, assignment)
     return {"value": value}
 
@@ -110,6 +125,7 @@ def cmd_infer(args) -> dict:
     network = load_network(args.net)
     phi = _read_formula(args.formula)
     assignment = _parse_assignment(args.assign)
+    _check_assignment(phi, assignment, args.n)
     value_set = ValueSet.parse(args.value_set) if args.value_set else ValueSet.full()
     if args.mode == "exact":
         prob = net_mod.exact_event_probability(

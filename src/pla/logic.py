@@ -206,11 +206,9 @@ class EqualityType:
         return len(set(values)) == len(values)
 
     def restrict(self, variables: Sequence[Variable]) -> "EqualityType":
-        keep = [v for v in self.variables if v in set(variables)]
-        blocks = [
-            [v for v in block if v in set(keep)]
-            for block in self.blocks
-        ]
+        wanted = set(variables)
+        keep = [v for v in self.variables if v in wanted]
+        blocks = [[v for v in block if v in wanted] for block in self.blocks]
         return EqualityType.from_blocks(keep, [b for b in blocks if b])
 
     def pattern(self) -> tuple[int, ...]:
@@ -606,10 +604,10 @@ def satisfying_bound_tuples(
             pinned.append((i, vals.pop()))
         else:
             open_classes.append(i)
-    pinned_values = [val for _, val in pinned]
-    if len(set(pinned_values)) != len(pinned_values):
+    pinned_values = {val for _, val in pinned}
+    if len(pinned_values) != len(pinned):
         return  # two distinct classes forced to the same element
-    available = [e for e in range(1, n + 1) if e not in set(pinned_values)]
+    available = [e for e in range(1, n + 1) if e not in pinned_values]
     class_value = dict(pinned)
     for combo in itertools.permutations(available, len(open_classes)):
         for cls, val in zip(open_classes, combo):

@@ -14,13 +14,16 @@ import functools
 import itertools
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from . import aggregators
 from . import parser as formula_parser
 from .errors import PlaError
 from .logic import (
+    Atom,
     Formula,
     Signature,
     Structure,
@@ -30,6 +33,7 @@ from .logic import (
     free_vars,
     has_aggregation,
     relation_symbols,
+    subformulas,
 )
 
 DEFAULT_WORLD_CAP = 2 ** 20
@@ -119,12 +123,37 @@ def validate(net: PlaNetwork) -> Stratification:
     return Stratification(rank, strata, order, aggregation_free)
 
 
+class _Step(NamedTuple):
+    """One symbol of a sampler's plan, in stratification order.
+
+    ``rows`` holds, per tuple in lexicographic order, ``(args, pattern,
+    probes)``: the tuple, its equality pattern (one shared object per
+    pattern) and, per distinct atom of theta, its arguments at the tuple;
+    ``symbols`` names each atom's relation.  ``cache`` maps ``(pattern,
+    *truth values of the atoms)`` to theta; it is None for a symbol with
+    parents whose formula aggregates, which is evaluated at every tuple.
+    """
+
+    name: str
+    theta: Formula
+    variables: tuple[Variable, ...]
+    tuples: list[tuple[int, ...]]
+    symbols: tuple[str, ...]
+    rows: list[tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]]
+    cache: Optional[dict]
+
+
 class WorldSampler:
     """Draws worlds from the induced distribution at a fixed domain size.
 
-    Formulas of root symbols see no relations, so their value depends only
-    on the equality pattern of the argument tuple; those values are cached
-    across samples.
+    An aggregation-free theta_R at a tuple depends only on the tuple's
+    equality pattern and the truth values there of the distinct atoms it
+    reads; a root's theta reads no atoms, so it depends on the pattern
+    alone, with or without aggregation.  Those thetas are cached per symbol
+    under that key across tuples, samples and worlds: after the first
+    evaluation per key, a tuple costs one membership test per atom plus one
+    dictionary lookup.  Only a non-root theta that contains aggregation is
+    evaluated at every tuple.
     """
 
     def __init__(self, net: PlaNetwork, n: int, registry=None):
@@ -134,38 +163,57 @@ class WorldSampler:
         self.n = n
         self.registry = registry
         strat = validate(net)
-        self._plan = []
+        patterns: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._plan: list[_Step] = []
         for name in strat.order:
-            arity = net.signature.arity(name)
-            tuples = list(itertools.product(range(1, n + 1), repeat=arity))
-            self._plan.append((name, net.theta[name], net.theta_variables(name),
-                               tuples, not net.parents[name]))
-        self._root_cache: dict[tuple[str, tuple[int, ...]], float] = {}
+            theta = net.theta[name]
+            variables = net.theta_variables(name)
+            tuples = list(itertools.product(range(1, n + 1), repeat=len(variables)))
+            cached = not net.parents[name] or not has_aggregation(theta)
+            atoms = tuple(dict.fromkeys(
+                f for f in subformulas(theta) if isinstance(f, Atom))) if cached else ()
+            positions = [tuple(variables.index(v) for v in atom.args) for atom in atoms]
+            rows = []
+            for args in tuples:
+                pattern = equality_pattern(args)
+                rows.append((args, patterns.setdefault(pattern, pattern),
+                             tuple(tuple(args[i] for i in pos) for pos in positions)))
+            self._plan.append(_Step(name, theta, variables, tuples,
+                                    tuple(atom.symbol for atom in atoms), rows,
+                                    {} if cached else None))
 
-    def _prob(self, structure, name, theta, variables, args, is_root) -> float:
-        if is_root:
-            key = (name, equality_pattern(args))
-            cached = self._root_cache.get(key)
-            if cached is not None:
-                return cached
-        assignment = dict(zip(variables, args))
+    def _evaluate(self, structure: Structure, step: _Step, args) -> float:
         try:
-            value = evaluate(structure, theta, assignment, self.registry)
+            return evaluate(structure, step.theta, dict(zip(step.variables, args)),
+                            self.registry)
         except PlaError as exc:
             raise PlaError(
-                "evaluating formula of %s at %s with n=%d: %s" % (name, args, self.n, exc)
+                "evaluating formula of %s at %s with n=%d: %s" % (step.name, args, self.n, exc)
             ) from exc
-        if is_root:
-            self._root_cache[(name, equality_pattern(args))] = value
-        return value
+
+    def _thetas(self, structure: Structure, step: _Step) -> list[float]:
+        """Theta of the step's symbol at each of its tuples, in order, on a
+        structure that interprets the symbols of lower strata."""
+        cache = step.cache
+        if cache is None:
+            return [self._evaluate(structure, step, args) for args in step.tuples]
+        sets = [structure.interp[symbol] for symbol in step.symbols]
+        out = []
+        for args, pattern, probes in step.rows:
+            key = (pattern, *map(operator.contains, sets, probes))
+            p = cache.get(key)
+            if p is None:
+                p = cache[key] = self._evaluate(structure, step, args)
+            out.append(p)
+        return out
 
     def sample(self, rng: random.Random) -> Structure:
         structure = Structure(self.net.signature, self.n)
-        for name, theta, variables, tuples, is_root in self._plan:
-            chosen = structure.interp[name]
-            for args in tuples:
-                p = self._prob(structure, name, theta, variables, args, is_root)
-                if rng.random() < p:
+        draw = rng.random
+        for step in self._plan:
+            chosen = structure.interp[step.name]
+            for args, p in zip(step.tuples, self._thetas(structure, step)):
+                if draw() < p:
                     chosen.add(args)
         return structure
 
@@ -174,10 +222,9 @@ class WorldSampler:
         stratum and over tuples in lexicographic order, of theta for each
         present tuple and 1 - theta for each absent one."""
         prob = 1.0
-        for name, theta, variables, tuples, is_root in self._plan:
-            members = structure.interp[name]
-            for args in tuples:
-                p = self._prob(structure, name, theta, variables, args, is_root)
+        for step in self._plan:
+            members = structure.interp[step.name]
+            for args, p in zip(step.tuples, self._thetas(structure, step)):
                 prob *= p if args in members else 1.0 - p
         return prob
 
@@ -214,7 +261,7 @@ def exact_distribution(
         raise TooManyWorlds("%d worlds exceed the cap %d" % (total, world_cap))
     sampler = WorldSampler(net, n, registry)
     names = net.signature.names()
-    tuple_lists = {name: tuples for name, _, _, tuples, _ in sampler._plan}
+    tuple_lists = {step.name: step.tuples for step in sampler._plan}
     out = []
     for masks in itertools.product(*[range(2 ** len(tuple_lists[name])) for name in names]):
         interp = {}

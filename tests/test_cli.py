@@ -114,6 +114,44 @@ class TestSampleEvalInfer:
         assert code == 1
         assert "seed" in err
 
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    @pytest.mark.parametrize("n, assign, words", [
+        ("3", "x=7", ("x=7", "[1, 3]")),
+        ("3", "x=0", ("x=0", "[1, 3]")),
+        ("3", "x=1,y=4", ("y=4", "[1, 3]")),
+        ("3", None, ("no value for free variable x", "[1, 3]")),
+        ("0", "x=1", ("domain size", "got 0")),
+    ])
+    def test_infer_rejects_bad_assignment(self, capsys, pr_file, mode, n, assign, words):
+        argv = ["infer", mode, "--net", pr_file, "--n", n, "--formula", "R(x)",
+                "--seed", "1", "--samples", "10"]
+        if assign is not None:
+            argv += ["--assign", assign]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        for word in words:
+            assert word in err
+
+    @pytest.mark.parametrize("assign, words", [
+        ("x=3", ("x=3", "[1, 2]")),
+        (None, ("no value for free variable x", "[1, 2]")),
+    ])
+    def test_eval_rejects_bad_assignment(self, capsys, tmp_path, assign, words):
+        world = tmp_path / "world.json"
+        world.write_text(json.dumps(
+            {"domain_size": 2, "relations": [{"name": "P", "arity": 1, "tuples": [[1]]}]}
+        ))
+        argv = ["eval", "--structure", str(world), "--formula", "!P(x)"]
+        if assign is not None:
+            argv += ["--assign", assign]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        for word in words:
+            assert word in err
+
     def test_world_cap_env(self, capsys, pr_file, monkeypatch):
         monkeypatch.setenv("PLA_WORLD_CAP", "3")
         code, _, err = run(

@@ -1,5 +1,5 @@
 """Byte-identity guard: the exit code and the sha256 of stdout of seeded
-``pla`` runs on the P/R, remark and P/S/E networks.
+``pla`` runs on the P/R, remark, P/S/E and P/E/F networks.
 
 A refactor must leave every entry unchanged, under one worker and several.
 An entry changes only with a deliberate change of output, noted in
@@ -23,7 +23,19 @@ PSE_DOC = {
     ]
 }
 
-NETWORKS = {"pr": PR_DOC, "remark": REMARK_DOC, "pse": PSE_DOC}
+# F reads its binary parent E at swapped arguments and tests an equality,
+# so the sampler's theta cache must key on argument order and on the
+# equality pattern
+PEF_DOC = {
+    "relations": [
+        {"name": "P", "arity": 1, "parents": [], "theta": "0.4"},
+        {"name": "E", "arity": 2, "parents": [], "theta": "wm(x1 = x2; 0.6; 0.3)"},
+        {"name": "F", "arity": 2, "parents": ["E", "P"],
+         "theta": "wm(E(x2, x1) & !(x1 = x2); 0.9; wm(P(x2); 0.5; 0.1))"},
+    ]
+}
+
+NETWORKS = {"pr": PR_DOC, "remark": REMARK_DOC, "pse": PSE_DOC, "pef": PEF_DOC}
 
 # (id, argv with {net} for the network file, network, exit code, sha256 of stdout)
 GOLDEN = [
@@ -81,6 +93,13 @@ GOLDEN = [
     ("sample",
      ["sample", "--net", "{net}", "--n", "4", "--seed", "8"],
      "pse", 0, "5ebf41bd3f0114132d5605068d28038bc94aebbf3816dc77e987cc9ad9709791"),
+    ("sample-swapped-parent",
+     ["sample", "--net", "{net}", "--n", "4", "--seed", "9"],
+     "pef", 0, "f0a0ed1937a114047e094c5b2a77f5bcdf0330eac7f1fd681d0c0670b0e869c2"),
+    ("infer-exact-swapped-parent",
+     ["infer", "exact", "--net", "{net}", "--n", "2", "--formula", "am[F(x, y) : y : y != x]",
+      "--assign", "x=1", "--value-set", "1"],
+     "pef", 0, "45b535db4399fa2b76315fa735c08d70edf99755a340f020d55b048079208ea3"),
 ]
 
 

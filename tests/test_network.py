@@ -1,5 +1,6 @@
 """Networks: validation, sampling, exact enumeration, event probabilities."""
 
+import itertools
 import math
 import random
 
@@ -34,7 +35,7 @@ from pla.network import (
     world_count,
 )
 
-from conftest import X
+from conftest import REMARK_DOC, X, random_structure
 
 
 def binom_sigma(n, p):
@@ -124,6 +125,79 @@ class TestSample:
         hits = sum(sampler.sample(rng).holds("R", (1,)) for _ in range(worlds))
         target = 1.0 / (n - 1)
         assert abs(hits / worlds - target) <= 3 * binom_sigma(worlds, target) / worlds
+
+
+# networks whose thetas stress the sampler's cache key: a parent read at
+# swapped arguments, a repeated atom, an equality in a non-root theta, and
+# aggregation in a non-root and in a root theta
+CACHE_DOCS = {
+    "swapped-args": {"relations": [
+        {"name": "P", "arity": 1, "parents": [], "theta": "0.4"},
+        {"name": "E", "arity": 2, "parents": [], "theta": "wm(x1 = x2; 0.6; 0.3)"},
+        {"name": "F", "arity": 2, "parents": ["E", "P"],
+         "theta": "wm(E(x2, x1); 0.9; wm(P(x2); 0.5; 0.1))"},
+    ]},
+    "repeated-atom": {"relations": [
+        {"name": "P", "arity": 1, "parents": [], "theta": "0.5"},
+        {"name": "R", "arity": 2, "parents": ["P"],
+         "theta": "wm(P(x2) & P(x2); 0.7; 0.2) | (P(x1) -> 0.4) | !P(x2)"},
+    ]},
+    "non-root-equality": {"relations": [
+        {"name": "P", "arity": 1, "parents": [], "theta": "0.5"},
+        {"name": "G", "arity": 2, "parents": ["P"],
+         "theta": "wm(x1 = x2; wm(P(x1); 0.8; 0.3); 0.25)"},
+    ]},
+    "non-root-aggregation": {"relations": [
+        {"name": "P", "arity": 1, "parents": [], "theta": "0.5"},
+        {"name": "R", "arity": 1, "parents": ["P"],
+         "theta": "wm(P(x1); am[P(y) : y : y != x1]; 0.1)"},
+    ]},
+    "counterexample": REMARK_DOC,
+}
+
+
+def theta_product(net, world):
+    """The probability of the world written out from the definition: theta
+    evaluated afresh at every tuple, in the sampler's order."""
+    prob = 1.0
+    for name in validate(net).order:
+        variables = net.theta_variables(name)
+        for args in itertools.product(range(1, world.domain_size + 1), repeat=len(variables)):
+            p = evaluate(world, net.theta[name], dict(zip(variables, args)))
+            prob *= p if args in world.interp[name] else 1.0 - p
+    return prob
+
+
+def draw_by_definition(net, n, rng):
+    """A world drawn tuple by tuple with theta evaluated afresh each time,
+    consuming ``rng`` in the sampler's order."""
+    world = Structure(net.signature, n)
+    for name in validate(net).order:
+        variables = net.theta_variables(name)
+        for args in itertools.product(range(1, n + 1), repeat=len(variables)):
+            if rng.random() < evaluate(world, net.theta[name], dict(zip(variables, args))):
+                world.interp[name].add(args)
+    return world
+
+
+class TestThetaCache:
+    @pytest.mark.parametrize("doc", CACHE_DOCS.values(), ids=CACHE_DOCS.keys())
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_probability_matches_theta_product(self, doc, n):
+        net = network_from_doc(doc)
+        sampler = WorldSampler(net, n)  # one cache across all worlds
+        rng = random.Random(31 + n)
+        for _ in range(40):
+            world = random_structure(rng, net.signature, n)
+            assert sampler.probability(world) == theta_product(net, world)
+
+    @pytest.mark.parametrize("doc", CACHE_DOCS.values(), ids=CACHE_DOCS.keys())
+    def test_sample_matches_draw_by_definition(self, doc):
+        net = network_from_doc(doc)
+        sampler = WorldSampler(net, 3)
+        for seed in range(20):
+            drawn = sampler.sample(random.Random(seed))
+            assert drawn.key() == draw_by_definition(net, 3, random.Random(seed)).key()
 
 
 class TestExactDistribution:
