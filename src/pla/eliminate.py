@@ -20,12 +20,14 @@ from .aggregators import SupportSpectrum
 from .errors import PlaError
 from .logic import (
     Agg,
+    Atom,
     AtomicType,
     BasicProbabilityFormula,
     Const,
     EqualityType,
     Formula,
     Variable,
+    atom_probes,
     children,
     enumerate_complete_types,
     equality_pattern,
@@ -580,36 +582,36 @@ def saturation_diagnostic(
         for args in itertools.product(range(1, n + 1), repeat=len(xs))
         if equality_pattern(args) == q_pattern
     ]
+    # the literals of p over a class outside xs, as atoms on the classes'
+    # first members, probed on the values of xs + ys
     blocks = p.eq.blocks
     xs_set = set(xs)
     visible = [any(v in xs_set for v in block) for block in blocks]
-    extension_slots = [
-        (name, ctuple, sign)
+    extension = [
+        (Atom(name, tuple(blocks[c][0] for c in ctuple)), sign)
         for (name, ctuple), sign in p.literals
         if any(not visible[c] for c in ctuple)
     ]
-    anchors = [block[0] for block in blocks]
+    symbols, probes = atom_probes([atom for atom, _ in extension], xs + ys)
+    signs = tuple(sign for _, sign in extension)
 
     sampler = WorldSampler(net, n, registry)
     rng = random.Random(seed)
     hits = 0
     for _ in range(samples):
         world = sampler.sample(rng)
-        interp = world.interp
+        tests = [world.interp[symbol].__contains__ for symbol in symbols]
         ok = True
         for args in base_tuples:
             assignment = dict(zip(xs, args))
             if not q.realized_by(world, assignment):
                 continue
-            count = 0
-            for combo in satisfying_bound_tuples(p.eq, ys, assignment, n):
-                full = assignment | combo
-                class_values = [full[a] for a in anchors]
-                if all(
-                    (tuple(class_values[c] for c in ctuple) in interp[name]) == sign
-                    for name, ctuple, sign in extension_slots
-                ):
-                    count += 1
+            values = list(map(args.__add__, satisfying_bound_tuples(p.eq, ys, assignment, n)))
+            if tests:
+                count = list(zip(*[map(test, map(probe, values))
+                                   for test, probe in zip(tests, probes)])).count(signs)
+            else:
+                count = len(values)
             if not (lower <= count <= upper):
                 ok = False
                 break

@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import PlaError
 
@@ -492,6 +493,23 @@ class Agg:
         bound = set(self.bound)
         return tuple(v for v in self.eq_type.variables if v not in bound)
 
+    @cached_property
+    def _body_table(self) -> Optional[tuple[tuple[str, ...], tuple, dict]]:
+        """``(symbols, probes, table)`` when no body aggregates, else None.
+
+        ``eq_type`` is complete over ``params + bound``, so every bound tuple
+        the node visits, at any assignment and domain size, has the same
+        equality pattern, and an aggregation-free body's value there is a
+        function of the truth values of its atoms alone.  ``symbols`` and
+        ``probes`` are the distinct atoms of all bodies (see ``atom_probes``)
+        over ``eq_type.variables``; ``table`` maps their truth values to the
+        tuple of body values and fills as ``_eval`` meets new keys.  Every
+        part pickles, so formulas still travel to worker processes.
+        """
+        if any(has_aggregation(body) for body in self.bodies):
+            return None
+        return (*atom_probes(self.bodies, self.eq_type.variables), {})
+
 
 Formula = Union[Const, Eq, Atom, Not, And, Or, Implies, WeightedMean, Agg]
 
@@ -563,6 +581,25 @@ def function_rank(phi: Formula) -> int:
     return rank
 
 
+def atom_probes(
+    formulas: Sequence[Formula], variables: Sequence[Variable]
+) -> tuple[tuple[str, ...], tuple[Callable[[tuple], tuple], ...]]:
+    """The distinct atoms of the formulas, in preorder, as their relation
+    symbols and their probes: a probe takes the values of ``variables``, as
+    a tuple in that order, to the atom's argument tuple."""
+    variables = tuple(variables)
+    atoms = dict.fromkeys(
+        f for phi in formulas for f in subformulas(phi) if isinstance(f, Atom))
+    probes = []
+    for atom in atoms:
+        positions = [variables.index(v) for v in atom.args]
+        if len(positions) == 1:  # itemgetter of one index gives a bare item
+            probes.append(itemgetter(slice(positions[0], positions[0] + 1)))
+        else:
+            probes.append(itemgetter(*positions))
+    return tuple(atom.symbol for atom in atoms), tuple(probes)
+
+
 def minimal_signature(phi: Formula) -> Signature:
     """Signature consisting of the relation symbols occurring in the formula."""
     arities: dict[str, int] = {}
@@ -584,9 +621,9 @@ def satisfying_bound_tuples(
     bound: Sequence[Variable],
     assignment: Assignment,
     n: int,
-) -> Iterator[dict[Variable, int]]:
-    """Assignments of the bound variables for which the combined assignment
-    satisfies the equality type.
+) -> Iterator[tuple[int, ...]]:
+    """Values of the bound variables, as tuples in ``bound`` order, for
+    which the combined assignment satisfies the equality type.
 
     Classes containing a free variable are pinned to its assigned value
     (the equality type may equate bound with free variables); the remaining
@@ -608,11 +645,15 @@ def satisfying_bound_tuples(
     if len(pinned_values) != len(pinned):
         return  # two distinct classes forced to the same element
     available = [e for e in range(1, n + 1) if e not in pinned_values]
+    combos = itertools.permutations(available, len(open_classes))
+    classes = [eq_type.class_index[v] for v in bound]
+    if classes == open_classes:
+        yield from combos  # each bound variable alone in its class
+        return
     class_value = dict(pinned)
-    for combo in itertools.permutations(available, len(open_classes)):
-        for cls, val in zip(open_classes, combo):
-            class_value[cls] = val
-        yield {v: class_value[eq_type.class_index[v]] for v in bound}
+    for combo in combos:
+        class_value.update(zip(open_classes, combo))
+        yield tuple([class_value[c] for c in classes])
 
 
 def evaluate(
@@ -661,12 +702,16 @@ def _eval(structure: Structure, phi: Formula, a: dict, registry) -> float:
                 "aggregation function %s takes %d sequences, got %d bodies"
                 % (func.name, func.arity, len(phi.bodies))
             )
-        seqs: list[list[float]] = [[] for _ in phi.bodies]
         saved = {v: a.get(v) for v in phi.bound}
-        for combo in satisfying_bound_tuples(phi.eq_type, phi.bound, a, structure.domain_size):
-            a.update(combo)
-            for i, body in enumerate(phi.bodies):
-                seqs[i].append(_eval(structure, body, a, registry))
+        tuples = satisfying_bound_tuples(phi.eq_type, phi.bound, a, structure.domain_size)
+        if phi._body_table is None:
+            seqs: list[list[float]] = [[] for _ in phi.bodies]
+            for combo in tuples:
+                a.update(zip(phi.bound, combo))
+                for i, body in enumerate(phi.bodies):
+                    seqs[i].append(_eval(structure, body, a, registry))
+        else:
+            seqs = _eval_bodies_by_key(structure, phi, tuples, a, registry)
         for v, old in saved.items():
             if old is None:
                 a.pop(v, None)
@@ -683,6 +728,42 @@ def _eval(structure: Structure, phi: Formula, a: dict, registry) -> float:
 
         return aggregators.apply(func, *seqs)
     raise TypeError("not a formula: %r" % (phi,))
+
+
+_BLOCK = 4096  # bound tuples keyed per batch, bounding the memory of a large range
+
+
+def _eval_bodies_by_key(structure: Structure, phi: Agg, tuples, a: dict, registry):
+    """The body values of an aggregation node with aggregation-free bodies
+    at each bound tuple, one list per body, in enumeration order.
+
+    A tuple's key is the truth values of the bodies' distinct atoms there
+    (see ``Agg._body_table``): one membership test per atom, run in C over a
+    batch of tuples, then one table lookup.  A key met for the first time is
+    evaluated by ``_eval`` at its first tuple, and the table keeps exactly
+    the values returned.
+    """
+    symbols, probes, table = phi._body_table
+    tests = [structure.interp[symbol].__contains__ for symbol in symbols]
+    params = tuple(a[v] for v in phi.params)
+    rows: list[tuple[float, ...]] = []
+    for block in iter(lambda: list(itertools.islice(tuples, _BLOCK)), []):
+        values = list(map(params.__add__, block)) if params else block
+        if tests:
+            keys = list(zip(*[map(test, map(probe, values)) for test, probe in zip(tests, probes)]))
+        else:
+            keys = [()] * len(block)
+        found = list(map(table.get, keys))
+        if None in found:  # keys met for the first time, evaluated in order
+            for i, key in enumerate(keys):
+                if found[i] is None:
+                    if key not in table:
+                        a.update(zip(phi.bound, block[i]))
+                        table[key] = tuple(_eval(structure, body, a, registry)
+                                           for body in phi.bodies)
+                    found[i] = table[key]
+        rows += found
+    return [list(map(itemgetter(i), rows)) for i in range(len(phi.bodies))]
 
 
 def _eval_spine(structure: Structure, phi: Formula, a: dict, registry, kind, combine) -> float:

@@ -17,23 +17,22 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import aggregators
 from . import parser as formula_parser
 from .errors import PlaError
 from .logic import (
-    Atom,
     Formula,
     Signature,
     Structure,
     Variable,
+    atom_probes,
     equality_pattern,
     evaluate,
     free_vars,
     has_aggregation,
     relation_symbols,
-    subformulas,
 )
 
 DEFAULT_WORLD_CAP = 2 ** 20
@@ -170,16 +169,13 @@ class WorldSampler:
             variables = net.theta_variables(name)
             tuples = list(itertools.product(range(1, n + 1), repeat=len(variables)))
             cached = not net.parents[name] or not has_aggregation(theta)
-            atoms = tuple(dict.fromkeys(
-                f for f in subformulas(theta) if isinstance(f, Atom))) if cached else ()
-            positions = [tuple(variables.index(v) for v in atom.args) for atom in atoms]
+            symbols, probes = atom_probes((theta,), variables) if cached else ((), ())
             rows = []
             for args in tuples:
                 pattern = equality_pattern(args)
                 rows.append((args, patterns.setdefault(pattern, pattern),
-                             tuple(tuple(args[i] for i in pos) for pos in positions)))
-            self._plan.append(_Step(name, theta, variables, tuples,
-                                    tuple(atom.symbol for atom in atoms), rows,
+                             tuple(probe(args) for probe in probes)))
+            self._plan.append(_Step(name, theta, variables, tuples, symbols, rows,
                                     {} if cached else None))
 
     def _evaluate(self, structure: Structure, step: _Step, args) -> float:
@@ -248,29 +244,40 @@ def world_count(net: PlaNetwork, n: int) -> int:
     return count
 
 
-def exact_distribution(
+def weighted_worlds(
     net: PlaNetwork,
     n: int,
     world_cap: int = DEFAULT_WORLD_CAP,
     registry=None,
-) -> list[WorldWeight]:
-    """Every world with its exact probability.  Worlds are enumerated by
-    relation bitmask in signature order, tuples in lexicographic order."""
+) -> Iterator[WorldWeight]:
+    """Every world with its exact probability, one at a time, so a caller
+    that folds them holds one world at once.  Worlds are enumerated by
+    relation bitmask in signature order, tuples in lexicographic order.  The
+    cap is checked before the first world is built."""
     total = world_count(net, n)
     if total > world_cap:
         raise TooManyWorlds("%d worlds exceed the cap %d" % (total, world_cap))
     sampler = WorldSampler(net, n, registry)
     names = net.signature.names()
     tuple_lists = {step.name: step.tuples for step in sampler._plan}
-    out = []
     for masks in itertools.product(*[range(2 ** len(tuple_lists[name])) for name in names]):
         interp = {}
         for name, mask in zip(names, masks):
             tuples = tuple_lists[name]
             interp[name] = {tuples[i] for i in range(len(tuples)) if mask >> i & 1}
         structure = Structure(net.signature, n, interp)
-        out.append(WorldWeight(structure, sampler.probability(structure)))
-    return out
+        yield WorldWeight(structure, sampler.probability(structure))
+
+
+def exact_distribution(
+    net: PlaNetwork,
+    n: int,
+    world_cap: int = DEFAULT_WORLD_CAP,
+    registry=None,
+) -> list[WorldWeight]:
+    """Every world with its exact probability, in ``weighted_worlds``
+    order."""
+    return list(weighted_worlds(net, n, world_cap, registry))
 
 
 @dataclass(frozen=True)
@@ -330,7 +337,7 @@ def exact_event_probability(
     if value_set is None:
         value_set = ValueSet.full()
     total = 0.0
-    for ww in exact_distribution(net, n, world_cap, registry):
+    for ww in weighted_worlds(net, n, world_cap, registry):
         if value_set.contains(evaluate(ww.structure, phi, assignment, registry)):
             total += ww.probability
     return total

@@ -152,6 +152,35 @@ class TestSampleEvalInfer:
         for word in words:
             assert word in err
 
+    @pytest.mark.parametrize("command", ["infer-exact", "infer-mc", "eval", "converge",
+                                         "eliminate"])
+    @pytest.mark.parametrize("formula, words", [
+        ("Q(x)", ("Q with arity 1", "no symbol Q", "P/1, R/1")),
+        ("R(x, x)", ("R with arity 2", "R has arity 1")),
+        ("am[P(y) & R(x, y) : y : y != x]", ("R with arity 2", "R has arity 1")),
+    ])
+    def test_formula_must_fit_the_signature(self, capsys, tmp_path, pr_file, command,
+                                            formula, words):
+        world = tmp_path / "world.json"
+        world.write_text(json.dumps({"domain_size": 2, "relations": [
+            {"name": "P", "arity": 1, "tuples": [[1]]}, {"name": "R", "arity": 1, "tuples": []},
+        ]}))
+        argv = {
+            "infer-exact": ["infer", "exact", "--net", pr_file, "--n", "2", "--assign", "x=1"],
+            "infer-mc": ["infer", "mc", "--net", pr_file, "--n", "2", "--assign", "x=1",
+                         "--seed", "1", "--samples", "5"],
+            "eval": ["eval", "--structure", str(world), "--assign", "x=1"],
+            "converge": ["converge", "--net", pr_file, "--n-grid", "3", "--samples", "5",
+                         "--seed", "1"],
+            "eliminate": ["eliminate", "--net", pr_file],
+        }[command]
+        code, out, err = run(capsys, *argv, "--formula", formula)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        for word in words:
+            assert word in err
+
     def test_world_cap_env(self, capsys, pr_file, monkeypatch):
         monkeypatch.setenv("PLA_WORLD_CAP", "3")
         code, _, err = run(

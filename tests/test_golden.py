@@ -35,6 +35,13 @@ PEF_DOC = {
     ]
 }
 
+# aggregation shapes whose bodies are evaluated once per key of atom truth
+# values: two bound variables; a bound variable equated with a parameter,
+# with an equality, constants and wm in the body; a nested aggregation
+TWO_BOUND = "am[R(y) & !R(z) | P(x) : y, z : y != x, z != x, y != z]"
+BOUND_IS_PARAMETER = "am[wm(z = y; 0.3; R(y) -> P(z)) & (0.6 | R(z)) : y, z : y = x, z != x]"
+NESTED = "am[max[R(z) & P(y) : z : z != y, z != x, y != x] | P(x) : y : y != x]"
+
 NETWORKS = {"pr": PR_DOC, "remark": REMARK_DOC, "pse": PSE_DOC, "pef": PEF_DOC}
 
 # (id, argv with {net} for the network file, network, exit code, sha256 of stdout)
@@ -100,6 +107,54 @@ GOLDEN = [
      ["infer", "exact", "--net", "{net}", "--n", "2", "--formula", "am[F(x, y) : y : y != x]",
       "--assign", "x=1", "--value-set", "1"],
      "pef", 0, "45b535db4399fa2b76315fa735c08d70edf99755a340f020d55b048079208ea3"),
+    ("converge-two-bound-workers2",
+     ["converge", "--net", "{net}", "--formula", TWO_BOUND, "--n-grid", "4,6",
+      "--epsilon", "0.2", "--samples", "20", "--seed", "10", "--workers", "2"],
+     "pr", 0, "02121fd49073cecfb3dbfb289fddecf66956b258e505316c2a661dc5683051b8"),
+    ("converge-bound-equals-parameter",
+     ["converge", "--net", "{net}", "--formula", BOUND_IS_PARAMETER, "--n-grid", "4,6",
+      "--epsilon", "0.2", "--samples", "20", "--seed", "11"],
+     "pr", 0, "3d2033494f828a67fae593036e5c87371ddaa194956fa3f6fc599b7084b47437"),
+    ("converge-swapped-atoms-workers2",
+     ["converge", "--net", "{net}", "--formula", "max[E(x, y) & !E(y, x) | E(x, y) : y : y != x]",
+      "--n-grid", "4,7", "--epsilon", "0.2", "--samples", "20", "--seed", "12", "--workers", "2"],
+     "pse", 0, "3fb1ebfc9d24e54f9911c928db88dfa8478173e7f82df0bb3bb30e85aabb62d8"),
+    ("converge-exists-at-least-workers2",
+     ["converge", "--net", "{net}", "--formula",
+      "exists_at_least(0.5)[R(y) | R(x), !R(y) : y : y != x]", "--n-grid", "4,7",
+      "--samples", "20", "--seed", "13", "--value-set", "1", "--workers", "2"],
+     "remark", 0, "debb5b51c348e0217aa15a2b8ce397deff7c9335280ce0f72e41b27bef0443d7"),
+    ("converge-nested",
+     ["converge", "--net", "{net}", "--formula", NESTED, "--n-grid", "4,6",
+      "--epsilon", "0.2", "--samples", "20", "--seed", "14"],
+     "pr", 0, "3efa794c6ffe36e78a5f3ba0fde8b048e017ea326413718fe87d10b7d361d711"),
+    ("converge-nested-value-set",
+     ["converge", "--net", "{net}", "--formula",
+      "am[max[R(z) & !R(y) : z : z != y, z != x, y != x] | R(x) : y : y != x]",
+      "--n-grid", "4,6", "--samples", "20", "--seed", "15", "--value-set", "0.5:1"],
+     "remark", 0, "6fbf837111d8e81bf667415d64785852d8b8754103c0c9c9f9191cb0abf4b225"),
+    ("infer-exact-two-bound",
+     ["infer", "exact", "--net", "{net}", "--n", "3", "--formula", TWO_BOUND,
+      "--assign", "x=1", "--value-set", "0:0.5"],
+     "pr", 0, "72e8ad69350f6cf543c463d3a5b25061aa19718900fccfc8b484b22d6c0cfcf4"),
+    ("infer-exact-bound-equals-parameter",
+     ["infer", "exact", "--net", "{net}", "--n", "3", "--formula", BOUND_IS_PARAMETER,
+      "--assign", "x=2", "--value-set", "0.5:0.7"],
+     "pr", 0, "7886d4061fb58271de12b3802055a9576609dfe907cc1ed7a951e1f623fddf7e"),
+    ("infer-exact-swapped-atoms",
+     ["infer", "exact", "--net", "{net}", "--n", "2",
+      "--formula", "max[F(x, y) & !F(y, x) | E(y, x) : y : y != x]",
+      "--assign", "x=2", "--value-set", "1"],
+     "pef", 0, "8d9f15109b23c7856556654162461ea0138d6482c38c914be548b10e51e82117"),
+    ("infer-exact-exists-at-least",
+     ["infer", "exact", "--net", "{net}", "--n", "2",
+      "--formula", "exists_at_least(0.5)[E(x, y), F(y, x) | P(y) : y : y != x]",
+      "--assign", "x=1", "--value-set", "1"],
+     "pef", 0, "9b864d14a5260c35717f78c450cfdbba54110b4b53acabd97546694fc8698878"),
+    ("infer-exact-nested",
+     ["infer", "exact", "--net", "{net}", "--n", "3", "--formula", NESTED,
+      "--assign", "x=3", "--value-set", "0.5:1"],
+     "pr", 0, "dd1c12a9d0f0465366a93d7a0011c686f140ae48f0c4de1c2b90c9529cf7acbe"),
 ]
 
 

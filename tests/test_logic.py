@@ -1,6 +1,7 @@
 """Core logic: free variables, evaluation, type enumeration, folding."""
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from pla import (
     Or,
     Signature,
     Structure,
+    Variable,
     WeightedMean,
     enumerate_complete_types,
     evaluate,
@@ -27,10 +29,10 @@ from pla import (
     function_rank,
 )
 from pla.eliminate import eliminate
-from pla.logic import EmptyAggregationRange, NotAggregationFree
+from pla.logic import EmptyAggregationRange, NotAggregationFree, children, subformulas
 from pla.parser import parse_formula
 
-from conftest import TEST_SIG, X, Y, random_agg_free, random_formula, random_structure
+from conftest import TEST_SIG, X, Y, Z, random_agg_free, random_formula, random_structure
 
 
 SIG_R = Signature.of(("R", 1))
@@ -331,3 +333,118 @@ class TestValueOn:
             assert bpf.variables == () and bpf._type_index is not None
             self.assert_matches_scan(bpf, [random_structure(rng, sig, 2)])
             assert bpf.value_on(random_structure(rng, sig, 2), {}) == 0.4
+
+
+def per_tuple_value(A, phi, a):
+    """The value of the formula with every aggregation node evaluated by its
+    definition: each body at each bound tuple, visited in lexicographic
+    order, that satisfies the equality type."""
+    from pla.aggregators import DEFAULT_REGISTRY, apply
+
+    if isinstance(phi, Agg):
+        seqs = [[] for _ in phi.bodies]
+        for values in itertools.product(range(1, A.domain_size + 1), repeat=len(phi.bound)):
+            full = {**a, **dict(zip(phi.bound, values))}
+            if phi.eq_type.satisfied_by(full):
+                for seq, body in zip(seqs, phi.bodies):
+                    seq.append(per_tuple_value(A, body, full))
+        if not seqs[0]:
+            raise EmptyAggregationRange("no bound tuple")
+        return apply(DEFAULT_REGISTRY.get(phi.func), *seqs)
+    if not any(isinstance(f, Agg) for f in subformulas(phi)):
+        return evaluate(A, phi, a)
+    # a connective over aggregation nodes: its children's values as constants
+    return evaluate(A, type(phi)(*[Const(per_tuple_value(A, c, a)) for c in children(phi)]), a)
+
+
+V = Variable("v")
+
+
+class TestAggregationCache:
+    """An aggregation node whose bodies are aggregation-free evaluates each
+    body once per key of atom truth values; ``evaluate`` must still give
+    the per-tuple definition's value, bit for bit."""
+
+    def assert_matches(self, phi, structures, params):
+        for A in structures:
+            for values in itertools.product(range(1, A.domain_size + 1), repeat=len(params)):
+                a = dict(zip(params, values))
+                try:
+                    expected = per_tuple_value(A, phi, a)
+                except EmptyAggregationRange:
+                    with pytest.raises(EmptyAggregationRange):
+                        evaluate(A, phi, a)
+                    continue
+                assert evaluate(A, phi, a) == expected, (phi, values)
+
+    def random_cases(self, seed, variables, bound, blocks, funcs=("am", "gm", "max", "min")):
+        rng = random.Random(seed)
+        for _ in range(12):
+            body = random_agg_free(rng, TEST_SIG, variables, 3)
+            eq_type = EqualityType.from_blocks(variables, blocks)
+            phi = Agg(rng.choice(funcs), (body,), bound, eq_type)
+            assert phi._body_table is not None
+            structures = [random_structure(rng, TEST_SIG, n) for n in (2, 3, 4)]
+            yield phi, structures
+
+    def test_two_bound_variables(self):
+        for phi, structures in self.random_cases(11, [X, Y, Z], (Y, Z), [[X], [Y], [Z]]):
+            self.assert_matches(phi, structures, [X])
+
+    def test_bound_variable_equated_with_a_parameter(self):
+        for phi, structures in self.random_cases(12, [X, Y, Z], (Y, Z), [[X, Y], [Z]]):
+            self.assert_matches(phi, structures, [X])
+        # two bound variables in one class, and a class of two parameters
+        for phi, structures in self.random_cases(13, [X, V, Y, Z], (Y, Z), [[X, V], [Y, Z]]):
+            self.assert_matches(phi, structures, [X, V])
+
+    def test_repeated_and_swapped_atoms(self):
+        body = parse_formula("wm(E(y, x); E(x, y) & !E(y, y); E(x, y) | Q(y))")
+        phi = Agg("am", (body,), (Y,), EqualityType.all_distinct([X, Y]))
+        symbols, probes = phi._body_table[:2]
+        assert symbols == ("E", "E", "E", "Q")  # E(x, y) once
+        assert [probe((1, 2)) for probe in probes] == [(2, 1), (1, 2), (2, 2), (2,)]
+        rng = random.Random(14)
+        self.assert_matches(phi, [random_structure(rng, TEST_SIG, n) for n in (2, 3, 5)], [X])
+
+    def test_equality_constant_and_weighted_mean_in_a_body(self):
+        body = parse_formula("wm(x = z; 0.3 -> P(z); wm(0.25; E(z, x); y = z))")
+        phi = Agg("max", (body,), (Y, Z), EqualityType.from_blocks([X, Y, Z], [[X], [Y, Z]]))
+        rng = random.Random(15)
+        self.assert_matches(phi, [random_structure(rng, TEST_SIG, n) for n in (2, 3, 4)], [X])
+        for phi, structures in self.random_cases(16, [X, Y], (Y,), [[X], [Y]]):
+            self.assert_matches(phi, structures, [X])
+
+    def test_binary_exists_at_least(self):
+        bodies = (parse_formula("E(x, y)"), parse_formula("P(y) | E(y, x)"))
+        phi = Agg("exists_at_least(0.5)", bodies, (Y,), EqualityType.all_distinct([X, Y]))
+        assert phi._body_table[0] == ("E", "P", "E")
+        rng = random.Random(17)
+        self.assert_matches(phi, [random_structure(rng, TEST_SIG, n) for n in (2, 3, 4, 5)], [X])
+
+    def test_nested_aggregation_takes_the_per_tuple_path(self):
+        phi = parse_formula(
+            "am[max[E(y, z) & P(x) : z : z != y, z != x, y != x] | Q(y) : y : y != x]")
+        inner = next(f for f in subformulas(phi) if isinstance(f, Agg) and f is not phi)
+        assert phi._body_table is None and inner._body_table is not None
+        rng = random.Random(18)
+        self.assert_matches(phi, [random_structure(rng, TEST_SIG, n) for n in (2, 3, 4)], [X])
+        assert inner._body_table[2]  # the inner node filled its table
+
+    def test_one_node_across_domain_sizes(self):
+        phi = parse_formula("gm[E(x, y) -> wm(P(y); 0.9; 0.4) : y : y != x]")
+        rng = random.Random(19)
+        small = [random_structure(rng, TEST_SIG, 3) for _ in range(3)]
+        large = [random_structure(rng, TEST_SIG, 6) for _ in range(3)]
+        for A, B in zip(small, large):  # interleaved, so each size meets the other's table
+            self.assert_matches(phi, [A, B], [X])
+        assert len(phi._body_table[2]) == 4  # (E(x, y), P(y)) truth values
+
+    def test_table_travels_with_the_formula(self):
+        phi = parse_formula("am[E(y, x) & !P(y) : y : y != x]")
+        rng = random.Random(20)
+        A = random_structure(rng, TEST_SIG, 4)
+        before = [evaluate(A, phi, {X: x}) for x in range(1, 5)]
+        copy = pickle.loads(pickle.dumps(phi))
+        assert copy == phi and copy._body_table[2] == phi._body_table[2]
+        assert [evaluate(A, copy, {X: x}) for x in range(1, 5)] == before
