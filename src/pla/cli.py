@@ -113,6 +113,7 @@ def cmd_check(args) -> dict:
     }
     if args.formula:
         phi = _read_formula(args.formula)
+        _check_signature(phi, network.signature)
         payload["formula"] = {
             "text": format_formula(phi),
             "free_variables": sorted(v.name for v in free_vars(phi)),

@@ -30,12 +30,12 @@ from .logic import (
     atom_probes,
     children,
     enumerate_complete_types,
-    equality_pattern,
     evaluate,
     fold_to_bpf,
     free_vars,
     has_aggregation,
     satisfying_bound_tuples,
+    truth_keys,
 )
 from .network import PlaNetwork, ValueSet, WorldSampler, ci_halfwidth, sharded_counts, validate
 from .parser import format_formula
@@ -576,12 +576,7 @@ def saturation_diagnostic(
     lower = alpha / (1.0 + delta) * n ** dim
     upper = alpha * (1.0 + delta) * n ** dim
 
-    q_pattern = q.eq.pattern()
-    base_tuples = [
-        args
-        for args in itertools.product(range(1, n + 1), repeat=len(xs))
-        if equality_pattern(args) == q_pattern
-    ]
+    base_tuples = list(satisfying_bound_tuples(q.eq, xs, {}, n))
     # the literals of p over a class outside xs, as atoms on the classes'
     # first members, probed on the values of xs + ys
     blocks = p.eq.blocks
@@ -600,18 +595,13 @@ def saturation_diagnostic(
     hits = 0
     for _ in range(samples):
         world = sampler.sample(rng)
-        tests = [world.interp[symbol].__contains__ for symbol in symbols]
         ok = True
         for args in base_tuples:
             assignment = dict(zip(xs, args))
             if not q.realized_by(world, assignment):
                 continue
             values = list(map(args.__add__, satisfying_bound_tuples(p.eq, ys, assignment, n)))
-            if tests:
-                count = list(zip(*[map(test, map(probe, values))
-                                   for test, probe in zip(tests, probes)])).count(signs)
-            else:
-                count = len(values)
+            count = truth_keys(world, symbols, probes, values).count(signs)
             if not (lower <= count <= upper):
                 ok = False
                 break

@@ -15,6 +15,7 @@ from functools import cached_property, reduce
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
+from . import aggregators
 from .errors import PlaError
 
 
@@ -283,10 +284,6 @@ class AtomicType:
             decided[(name, ctuple)] = True
         return cls.make(signature, eq, decided)
 
-    @cached_property
-    def literal_map(self) -> dict[Literal, bool]:
-        return dict(self.literals)
-
     @property
     def variables(self) -> tuple[Variable, ...]:
         return self.eq.variables
@@ -502,9 +499,10 @@ class Agg:
         equality pattern, and an aggregation-free body's value there is a
         function of the truth values of its atoms alone.  ``symbols`` and
         ``probes`` are the distinct atoms of all bodies (see ``atom_probes``)
-        over ``eq_type.variables``; ``table`` maps their truth values to the
-        tuple of body values and fills as ``_eval`` meets new keys.  Every
-        part pickles, so formulas still travel to worker processes.
+        over ``eq_type.variables``; ``table`` maps their ``truth_keys`` to
+        the tuple of body values and fills through ``memo_values``: one
+        ``_eval`` per key.  Every part pickles, so formulas still travel to
+        worker processes.
         """
         if any(has_aggregation(body) for body in self.bodies):
             return None
@@ -600,6 +598,31 @@ def atom_probes(
     return tuple(atom.symbol for atom in atoms), tuple(probes)
 
 
+def truth_keys(structure: Structure, symbols, probes, values, prefixes=None) -> list[tuple]:
+    """Per value tuple, ``prefixes[i]`` if given, then the truth value in the
+    structure of each atom of ``atom_probes`` at the tuple: one membership
+    test per atom and tuple, mapped in C over all the tuples."""
+    columns = [map(structure.interp[symbol].__contains__, map(probe, values))
+               for symbol, probe in zip(symbols, probes)]
+    if prefixes is not None:
+        columns.insert(0, prefixes)
+    return list(zip(*columns)) if columns else [()] * len(values)
+
+
+def memo_values(table: dict, keys: Sequence, evaluate_at: Callable[[int], object]) -> list:
+    """The table's value at each key, in order.  A key met for the first
+    time is filled, in index order, by ``evaluate_at`` at its first index;
+    None marks a missing key, so no value may be None."""
+    found = list(map(table.get, keys))
+    if None in found:
+        for i, key in enumerate(keys):
+            if found[i] is None:
+                if key not in table:
+                    table[key] = evaluate_at(i)
+                found[i] = table[key]
+    return found
+
+
 def minimal_signature(phi: Formula) -> Signature:
     """Signature consisting of the relation symbols occurring in the formula."""
     arities: dict[str, int] = {}
@@ -665,8 +688,6 @@ def evaluate(
     """The value of the formula in the structure under the assignment,
     per the [0,1]-valued semantics."""
     if registry is None:
-        from . import aggregators
-
         registry = aggregators.DEFAULT_REGISTRY
     return _eval(structure, phi, dict(assignment or {}), registry)
 
@@ -724,8 +745,6 @@ def _eval(structure: Structure, phi: Formula, a: dict, registry) -> float:
                 "no bound tuple satisfies the equality constraint of %s[...] "
                 "at domain size %d" % (phi.func, structure.domain_size)
             )
-        from . import aggregators
-
         return aggregators.apply(func, *seqs)
     raise TypeError("not a formula: %r" % (phi,))
 
@@ -737,32 +756,22 @@ def _eval_bodies_by_key(structure: Structure, phi: Agg, tuples, a: dict, registr
     """The body values of an aggregation node with aggregation-free bodies
     at each bound tuple, one list per body, in enumeration order.
 
-    A tuple's key is the truth values of the bodies' distinct atoms there
-    (see ``Agg._body_table``): one membership test per atom, run in C over a
-    batch of tuples, then one table lookup.  A key met for the first time is
-    evaluated by ``_eval`` at its first tuple, and the table keeps exactly
-    the values returned.
+    A batch of tuples is keyed by ``truth_keys`` on the bodies' distinct
+    atoms (see ``Agg._body_table``) and looked up by ``memo_values``, which
+    evaluates a new key by ``_eval`` at its first tuple.
     """
     symbols, probes, table = phi._body_table
-    tests = [structure.interp[symbol].__contains__ for symbol in symbols]
     params = tuple(a[v] for v in phi.params)
+
+    def bodies_at(combo):
+        a.update(zip(phi.bound, combo))
+        return tuple(_eval(structure, body, a, registry) for body in phi.bodies)
+
     rows: list[tuple[float, ...]] = []
     for block in iter(lambda: list(itertools.islice(tuples, _BLOCK)), []):
         values = list(map(params.__add__, block)) if params else block
-        if tests:
-            keys = list(zip(*[map(test, map(probe, values)) for test, probe in zip(tests, probes)]))
-        else:
-            keys = [()] * len(block)
-        found = list(map(table.get, keys))
-        if None in found:  # keys met for the first time, evaluated in order
-            for i, key in enumerate(keys):
-                if found[i] is None:
-                    if key not in table:
-                        a.update(zip(phi.bound, block[i]))
-                        table[key] = tuple(_eval(structure, body, a, registry)
-                                           for body in phi.bodies)
-                    found[i] = table[key]
-        rows += found
+        keys = truth_keys(structure, symbols, probes, values)
+        rows += memo_values(table, keys, lambda i: bodies_at(block[i]))
     return [list(map(itemgetter(i), rows)) for i in range(len(phi.bodies))]
 
 

@@ -14,7 +14,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 import random
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
@@ -32,7 +31,9 @@ from .logic import (
     evaluate,
     free_vars,
     has_aggregation,
+    memo_values,
     relation_symbols,
+    truth_keys,
 )
 
 DEFAULT_WORLD_CAP = 2 ** 20
@@ -125,20 +126,20 @@ def validate(net: PlaNetwork) -> Stratification:
 class _Step(NamedTuple):
     """One symbol of a sampler's plan, in stratification order.
 
-    ``rows`` holds, per tuple in lexicographic order, ``(args, pattern,
-    probes)``: the tuple, its equality pattern (one shared object per
-    pattern) and, per distinct atom of theta, its arguments at the tuple;
-    ``symbols`` names each atom's relation.  ``cache`` maps ``(pattern,
-    *truth values of the atoms)`` to theta; it is None for a symbol with
-    parents whose formula aggregates, which is evaluated at every tuple.
+    ``tuples`` are in lexicographic order, ``patterns`` their equality
+    patterns, ``symbols`` and ``probes`` theta's atoms (``atom_probes``).
+    ``cache`` maps ``(pattern, *truth values of the atoms)`` to theta; it is
+    None for a symbol with parents whose formula aggregates, which is
+    evaluated at every tuple.
     """
 
     name: str
     theta: Formula
     variables: tuple[Variable, ...]
     tuples: list[tuple[int, ...]]
+    patterns: list[tuple[int, ...]]
     symbols: tuple[str, ...]
-    rows: list[tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]]
+    probes: tuple
     cache: Optional[dict]
 
 
@@ -149,10 +150,10 @@ class WorldSampler:
     equality pattern and the truth values there of the distinct atoms it
     reads; a root's theta reads no atoms, so it depends on the pattern
     alone, with or without aggregation.  Those thetas are cached per symbol
-    under that key across tuples, samples and worlds: after the first
-    evaluation per key, a tuple costs one membership test per atom plus one
-    dictionary lookup.  Only a non-root theta that contains aggregation is
-    evaluated at every tuple.
+    under that key by ``truth_keys`` and ``memo_values``, the path of
+    aggregation nodes too: after the first evaluation per key, a tuple costs
+    one membership test per atom plus one dictionary lookup.  Only a
+    non-root theta that contains aggregation is evaluated at every tuple.
     """
 
     def __init__(self, net: PlaNetwork, n: int, registry=None):
@@ -162,7 +163,6 @@ class WorldSampler:
         self.n = n
         self.registry = registry
         strat = validate(net)
-        patterns: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._plan: list[_Step] = []
         for name in strat.order:
             theta = net.theta[name]
@@ -170,12 +170,8 @@ class WorldSampler:
             tuples = list(itertools.product(range(1, n + 1), repeat=len(variables)))
             cached = not net.parents[name] or not has_aggregation(theta)
             symbols, probes = atom_probes((theta,), variables) if cached else ((), ())
-            rows = []
-            for args in tuples:
-                pattern = equality_pattern(args)
-                rows.append((args, patterns.setdefault(pattern, pattern),
-                             tuple(probe(args) for probe in probes)))
-            self._plan.append(_Step(name, theta, variables, tuples, symbols, rows,
+            self._plan.append(_Step(name, theta, variables, tuples,
+                                    list(map(equality_pattern, tuples)), symbols, probes,
                                     {} if cached else None))
 
     def _evaluate(self, structure: Structure, step: _Step, args) -> float:
@@ -190,18 +186,11 @@ class WorldSampler:
     def _thetas(self, structure: Structure, step: _Step) -> list[float]:
         """Theta of the step's symbol at each of its tuples, in order, on a
         structure that interprets the symbols of lower strata."""
-        cache = step.cache
-        if cache is None:
+        if step.cache is None:
             return [self._evaluate(structure, step, args) for args in step.tuples]
-        sets = [structure.interp[symbol] for symbol in step.symbols]
-        out = []
-        for args, pattern, probes in step.rows:
-            key = (pattern, *map(operator.contains, sets, probes))
-            p = cache.get(key)
-            if p is None:
-                p = cache[key] = self._evaluate(structure, step, args)
-            out.append(p)
-        return out
+        keys = truth_keys(structure, step.symbols, step.probes, step.tuples, step.patterns)
+        return memo_values(step.cache, keys,
+                           lambda i: self._evaluate(structure, step, step.tuples[i]))
 
     def sample(self, rng: random.Random) -> Structure:
         structure = Structure(self.net.signature, self.n)

@@ -153,7 +153,7 @@ class TestSampleEvalInfer:
             assert word in err
 
     @pytest.mark.parametrize("command", ["infer-exact", "infer-mc", "eval", "converge",
-                                         "eliminate"])
+                                         "eliminate", "check"])
     @pytest.mark.parametrize("formula, words", [
         ("Q(x)", ("Q with arity 1", "no symbol Q", "P/1, R/1")),
         ("R(x, x)", ("R with arity 2", "R has arity 1")),
@@ -173,6 +173,7 @@ class TestSampleEvalInfer:
             "converge": ["converge", "--net", pr_file, "--n-grid", "3", "--samples", "5",
                          "--seed", "1"],
             "eliminate": ["eliminate", "--net", pr_file],
+            "check": ["check", "--net", pr_file],
         }[command]
         code, out, err = run(capsys, *argv, "--formula", formula)
         assert code == 1

@@ -1,6 +1,7 @@
 """Compiler pass: type limit probabilities, alpha tables, elimination,
 convergence experiment, saturation diagnostic."""
 
+import itertools
 import math
 import random
 
@@ -30,6 +31,7 @@ from pla.eliminate import (
 from pla.logic import has_aggregation
 from pla.network import (
     PlaNetwork,
+    WorldSampler,
     exact_distribution,
     exact_event_probability,
     mc_event_probability,
@@ -39,6 +41,14 @@ from pla.network import (
 from conftest import X, Y, random_agg_free
 
 PR_SIG = Signature.of(("P", 1), ("R", 1))
+
+PSE_DOC = {
+    "relations": [
+        {"name": "P", "arity": 1, "parents": [], "theta": "0.3"},
+        {"name": "S", "arity": 1, "parents": ["P"], "theta": "wm(P(x1); 0.7; 0.2)"},
+        {"name": "E", "arity": 2, "parents": ["P"], "theta": "wm(P(x1) & P(x2); 0.8; 0.1)"},
+    ]
+}
 
 
 def pr_type(blocks, positive):
@@ -417,6 +427,43 @@ class TestSaturation:
         vacuous = 0.55 ** 2  # no element satisfies P and R
         sigma = math.sqrt(vacuous * (1 - vacuous) / 2000)
         assert abs(result.frequency - vacuous) <= 3 * sigma
+
+    @pytest.mark.parametrize("case", ["pr", "pse-binary", "no-extension-literals"])
+    def test_frequency_matches_counting_by_realized_by(self, pr_net, case):
+        # the diagnostic keys extensions by atom truth values; the reference
+        # counts, per base tuple, the extension tuples that realize p outright
+        if case == "pr":
+            net = pr_net
+            p = pr_type([[X], [Y]], [("P", (X,)), ("R", (X,)), ("P", (Y,)), ("R", (Y,))])
+            alpha, delta, n, samples, seed = 0.45, 0.5, 8, 60, 21
+        elif case == "pse-binary":
+            net = network_from_doc(PSE_DOC)
+            positive = [("P", (X,)), ("S", (X,)), ("E", (X, X)), ("P", (Y,)), ("S", (Y,)),
+                        ("E", (X, Y)), ("E", (Y, X)), ("E", (Y, Y))]
+            p = AtomicType.complete(net.signature, [X, Y], [[X], [Y]], positive)
+            alpha, delta, n, samples, seed = 0.3 * 0.7 * 0.8 ** 3, 1.0, 10, 60, 22
+        else:
+            net = pr_net
+            p = AtomicType.make(PR_SIG, EqualityType.all_distinct([X, Y]), {("P", (0,)): True})
+            alpha, delta, n, samples, seed = 1.0, 0.1, 4, 200, 23
+        q = p.restrict([X])
+        result = saturation_diagnostic(net, p, q, delta=delta, n=n, samples=samples,
+                                       seed=seed, alpha=alpha)
+        lower, upper = alpha / (1.0 + delta) * n, alpha * (1.0 + delta) * n
+        xs, ys, domain = q.variables, (Y,), range(1, n + 1)
+        sampler, rng, hits = WorldSampler(net, n), random.Random(seed), 0
+        for _ in range(samples):
+            world = sampler.sample(rng)
+            counts = [
+                sum(p.realized_by(world, dict(zip(xs + ys, args + ext)))
+                    for ext in itertools.product(domain, repeat=len(ys)))
+                for args in itertools.product(domain, repeat=len(xs))
+                if q.realized_by(world, dict(zip(xs, args)))
+            ]
+            hits += all(lower <= count <= upper for count in counts)
+        assert (result.lower, result.upper) == (lower, upper)
+        assert result.frequency == hits / samples
+        assert 0 < result.frequency < 1
 
     def test_requires_restriction_relationship(self, pr_net):
         p = pr_type([[X], [Y]], [("P", (X,))])
