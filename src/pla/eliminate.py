@@ -488,6 +488,8 @@ def convergence_experiment(
         raise ValueError("need a compiled formula or a value set to test against")
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if not epsilon >= 0.0:  # false for NaN too
+        raise ValueError("epsilon must be >= 0, got %r" % epsilon)
     variables = tuple(sorted(free_vars(phi), key=lambda v: v.name))
     k = len(variables)
     constants = psi.constants() if psi is not None else ()

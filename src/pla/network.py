@@ -14,6 +14,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
@@ -208,10 +209,18 @@ class WorldSampler:
         present tuple and 1 - theta for each absent one."""
         prob = 1.0
         for step in self._plan:
-            members = structure.interp[step.name]
-            for args, p in zip(step.tuples, self._thetas(structure, step)):
-                prob *= p if args in members else 1.0 - p
+            prob = _weigh(prob, step.tuples, self._thetas(structure, step),
+                          structure.interp[step.name])
         return prob
+
+
+def _weigh(prob: float, tuples, thetas, members) -> float:
+    """``prob`` times, tuple by tuple in order, theta for each member and
+    1 - theta for each other tuple: one step's factors of a world's
+    probability."""
+    for args, p in zip(tuples, thetas):
+        prob *= p if args in members else 1.0 - p
+    return prob
 
 
 def sample(net: PlaNetwork, n: int, seed, registry=None) -> Structure:
@@ -233,6 +242,61 @@ def world_count(net: PlaNetwork, n: int) -> int:
     return count
 
 
+def _check_world_cap(net: PlaNetwork, n: int, world_cap: int) -> None:
+    """Raise TooManyWorlds when the 2^B worlds at domain size n, B the
+    total number of tuples, exceed the cap.  Compares B with the cap's bit
+    length, so no 2^B is ever built: for a cap of at least 1, 2^B > cap
+    exactly when B >= cap.bit_length()."""
+    bits = sum(n ** arity for _, arity in net.signature.symbols)
+    if bits >= max(world_cap, 0).bit_length():
+        raise TooManyWorlds("2^%d worlds exceed the cap %d" % (bits, world_cap))
+
+
+def _enumerate(sampler: WorldSampler) -> Iterator[tuple[tuple[int, ...], list, float]]:
+    """``(masks, sets, probability)`` of every world of the sampler's
+    network at its domain size.  ``masks`` are the relation bitmasks in
+    signature order, the last symbol changing fastest, bit i standing for
+    the i-th tuple in lexicographic order; ``sets`` are the relations, in
+    the same order, and stay valid only until the next world.
+
+    Consecutive worlds share work.  A symbol's set is rebuilt only when its
+    mask changes, and a step's theta list only when the mask of one of its
+    parents changes: ``validate`` guarantees that theta reads no other
+    symbol.  The probability is ``WorldSampler.probability``'s product, the
+    same factors in the same order, so it is the same float."""
+    net, n = sampler.net, sampler.n
+    names = net.signature.names()
+    position = {name: i for i, name in enumerate(names)}
+    tuples = [None] * len(names)
+    for step in sampler._plan:
+        tuples[position[step.name]] = step.tuples
+    # the last signature position among each step's parents; -1 for a root
+    last_parent = [max((position[p] for p in net.parents[step.name]), default=-1)
+                   for step in sampler._plan]
+    sets: list = [None] * len(names)
+    thetas: list = [None] * len(sampler._plan)
+    previous = None
+    for masks in itertools.product(*[range(1 << len(t)) for t in tuples]):
+        # masks at positions >= changed differ from the previous world's
+        changed = 0
+        if previous is not None:
+            while masks[changed] == previous[changed]:
+                changed += 1
+        previous = masks
+        for i in range(changed, len(names)):
+            mask, ts = masks[i], tuples[i]
+            sets[i] = {ts[j] for j in range(len(ts)) if mask >> j & 1}
+        structure = None
+        prob = 1.0
+        for k, step in enumerate(sampler._plan):
+            if thetas[k] is None or last_parent[k] >= changed:
+                if structure is None:
+                    structure = Structure(net.signature, n, dict(zip(names, sets)))
+                thetas[k] = sampler._thetas(structure, step)
+            prob = _weigh(prob, step.tuples, thetas[k], sets[position[step.name]])
+        yield masks, sets, prob
+
+
 def weighted_worlds(
     net: PlaNetwork,
     n: int,
@@ -242,20 +306,16 @@ def weighted_worlds(
     """Every world with its exact probability, one at a time, so a caller
     that folds them holds one world at once.  Worlds are enumerated by
     relation bitmask in signature order, tuples in lexicographic order.  The
-    cap is checked before the first world is built."""
-    total = world_count(net, n)
-    if total > world_cap:
-        raise TooManyWorlds("%d worlds exceed the cap %d" % (total, world_cap))
-    sampler = WorldSampler(net, n, registry)
+    cap is checked before the first world is built.
+
+    Theta lists are reused between consecutive worlds while the masks of
+    the symbol's parents stay the same (see ``_enumerate``); each yielded
+    structure still has sets of its own."""
+    _check_world_cap(net, n, world_cap)
     names = net.signature.names()
-    tuple_lists = {step.name: step.tuples for step in sampler._plan}
-    for masks in itertools.product(*[range(2 ** len(tuple_lists[name])) for name in names]):
-        interp = {}
-        for name, mask in zip(names, masks):
-            tuples = tuple_lists[name]
-            interp[name] = {tuples[i] for i in range(len(tuples)) if mask >> i & 1}
-        structure = Structure(net.signature, n, interp)
-        yield WorldWeight(structure, sampler.probability(structure))
+    for _, sets, prob in _enumerate(WorldSampler(net, n, registry)):
+        interp = {name: set(members) for name, members in zip(names, sets)}
+        yield WorldWeight(Structure(net.signature, n, interp), prob)
 
 
 def exact_distribution(
@@ -278,6 +338,9 @@ class ValueSet:
 
     def __post_init__(self):
         for lo, hi in self.intervals:
+            # false for NaN too
+            if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0):
+                raise PlaError("value set interval [%r, %r] is not within [0, 1]" % (lo, hi))
             if lo > hi:
                 raise ValueError("empty interval [%r, %r]" % (lo, hi))
 
@@ -322,13 +385,36 @@ def exact_event_probability(
     registry=None,
 ) -> float:
     """Probability, under the exact world distribution, that the formula's
-    value lands in the value set."""
+    value lands in the value set: the sum, in ``weighted_worlds`` order, of
+    the probabilities of the worlds where it does.
+
+    The formula's value depends only on the interpretations of the symbols
+    it reads, so whether it lands in the set is memoised by their masks:
+    the formula is evaluated at the first world with each combination, and
+    an error it raises surfaces at the same world as without the memo.  The
+    memo is one byte per combination, indexed by the masks as one
+    mixed-radix number, so it holds at most as many bytes as there are
+    worlds."""
     if value_set is None:
         value_set = ValueSet.full()
+    _check_world_cap(net, n, world_cap)
+    read = relation_symbols(phi)
+    strides = []
+    combinations = 1
+    for name, arity in net.signature.symbols:
+        strides.append(combinations if name in read else 0)
+        if name in read:
+            combinations <<= n ** arity
+    memo = bytearray(combinations)  # 0: not yet evaluated, 1: outside the set, 2: inside
+    names = net.signature.names()
     total = 0.0
-    for ww in weighted_worlds(net, n, world_cap, registry):
-        if value_set.contains(evaluate(ww.structure, phi, assignment, registry)):
-            total += ww.probability
+    for masks, sets, prob in _enumerate(WorldSampler(net, n, registry)):
+        key = sum(map(operator.mul, masks, strides))
+        if not memo[key]:
+            world = Structure(net.signature, n, dict(zip(names, sets)))
+            memo[key] = 2 if value_set.contains(evaluate(world, phi, assignment, registry)) else 1
+        if memo[key] == 2:
+            total += prob
     return total
 
 

@@ -52,6 +52,37 @@ BINARY_DOC = {
     ]
 }
 
+PSE_DOC = {
+    "relations": [
+        {"name": "P", "arity": 1, "parents": [], "theta": "0.3"},
+        {"name": "S", "arity": 1, "parents": ["P"], "theta": "wm(P(x1); 0.7; 0.2)"},
+        {"name": "E", "arity": 2, "parents": ["P"], "theta": "wm(P(x1) & P(x2); 0.8; 0.1)"},
+    ]
+}
+
+# F reads its binary parent E at swapped arguments and tests an equality,
+# so the sampler's theta cache must key on argument order and on the
+# equality pattern
+PEF_DOC = {
+    "relations": [
+        {"name": "P", "arity": 1, "parents": [], "theta": "0.4"},
+        {"name": "E", "arity": 2, "parents": [], "theta": "wm(x1 = x2; 0.6; 0.3)"},
+        {"name": "F", "arity": 2, "parents": ["E", "P"],
+         "theta": "wm(E(x2, x1) & !(x1 = x2); 0.9; wm(P(x2); 0.5; 0.1))"},
+    ]
+}
+
+# the signature lists each child before its parent, so the sampler's plan
+# (P, Q, R) runs against the signature order in which worlds are enumerated
+# (R, Q, P): Q's parent changes at every world, R's only with Q
+CHILD_FIRST_DOC = {
+    "relations": [
+        {"name": "R", "arity": 1, "parents": ["Q"], "theta": "wm(Q(x1); 0.7; 0.2)"},
+        {"name": "Q", "arity": 1, "parents": ["P"], "theta": "wm(P(x1); 0.9; 0.25)"},
+        {"name": "P", "arity": 1, "parents": [], "theta": "0.4"},
+    ]
+}
+
 
 @pytest.fixture
 def pr_net():

@@ -182,6 +182,27 @@ class TestSampleEvalInfer:
         for word in words:
             assert word in err
 
+    def test_world_count_too_large_to_write_out(self, capsys, tmp_path):
+        # 2^(10000^2) worlds: the cap check must not build that number
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps({"relations": [
+            {"name": "E", "arity": 2, "parents": [], "theta": "0.5"}]}))
+        code, out, err = run(
+            capsys, "infer", "exact", "--net", str(path), "--n", "10000",
+            "--formula", "E(x, y)", "--assign", "x=1,y=2",
+        )
+        assert (code, out) == (1, "")
+        assert "2^100000000 worlds exceed the cap" in err
+
+    @pytest.mark.parametrize("value_set", ["nan", "2", "0.5:nan", "0.5:1.5"])
+    def test_value_set_outside_unit_interval(self, capsys, pr_file, value_set):
+        code, out, err = run(
+            capsys, "infer", "exact", "--net", pr_file, "--n", "1",
+            "--formula", "R(x)", "--assign", "x=1", "--value-set", value_set,
+        )
+        assert (code, out) == (1, "")
+        assert "not within [0, 1]" in err
+
     def test_world_cap_env(self, capsys, pr_file, monkeypatch):
         monkeypatch.setenv("PLA_WORLD_CAP", "3")
         code, _, err = run(
@@ -241,6 +262,15 @@ class TestConverge:
         )
         assert code == 1
         assert "value-set" in err
+
+    @pytest.mark.parametrize("epsilon", ["-1", "nan"])
+    def test_negative_or_nan_epsilon_is_an_error(self, capsys, pr_file, epsilon):
+        code, out, err = run(
+            capsys, "converge", "--net", pr_file, "--formula", "am[R(y) : y : distinct]",
+            "--n-grid", "5", "--samples", "10", "--seed", "3", "--epsilon", epsilon,
+        )
+        assert (code, out) == (1, "")
+        assert "epsilon" in err
 
     def test_byte_identical_reruns(self, capsys, pr_file):
         args = (

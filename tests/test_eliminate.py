@@ -402,6 +402,14 @@ class TestConvergenceExperiment:
         assert lines[0] == "n,epsilon,p_exceed,ci_exceed,d_0,p_near_0,ci_0"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("epsilon", [-1.0, -1e-9, math.nan])
+    def test_rejects_negative_or_nan_epsilon(self, pr_net, epsilon):
+        phi = parse_formula("am[R(y) : y : distinct]")
+        psi, _ = eliminate(pr_net, phi)
+        with pytest.raises(ValueError, match="epsilon"):
+            convergence_experiment(pr_net, phi, psi, n_grid=(5,), epsilon=epsilon,
+                                   samples=10, seed=1)
+
 
 class TestSaturation:
     def test_pr_band_holds_at_moderate_size(self, pr_net):

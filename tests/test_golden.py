@@ -1,5 +1,5 @@
 """Byte-identity guard: the exit code and the sha256 of stdout of seeded
-``pla`` runs on the P/R, remark, P/S/E and P/E/F networks.
+``pla`` runs on the P/R, remark, P/S/E, P/E/F and child-first networks.
 
 A refactor must leave every entry unchanged, under one worker and several.
 An entry changes only with a deliberate change of output, noted in
@@ -13,27 +13,7 @@ import pytest
 
 from pla.cli import main
 
-from conftest import PR_DOC, REMARK_DOC
-
-PSE_DOC = {
-    "relations": [
-        {"name": "P", "arity": 1, "parents": [], "theta": "0.3"},
-        {"name": "S", "arity": 1, "parents": ["P"], "theta": "wm(P(x1); 0.7; 0.2)"},
-        {"name": "E", "arity": 2, "parents": ["P"], "theta": "wm(P(x1) & P(x2); 0.8; 0.1)"},
-    ]
-}
-
-# F reads its binary parent E at swapped arguments and tests an equality,
-# so the sampler's theta cache must key on argument order and on the
-# equality pattern
-PEF_DOC = {
-    "relations": [
-        {"name": "P", "arity": 1, "parents": [], "theta": "0.4"},
-        {"name": "E", "arity": 2, "parents": [], "theta": "wm(x1 = x2; 0.6; 0.3)"},
-        {"name": "F", "arity": 2, "parents": ["E", "P"],
-         "theta": "wm(E(x2, x1) & !(x1 = x2); 0.9; wm(P(x2); 0.5; 0.1))"},
-    ]
-}
+from conftest import CHILD_FIRST_DOC, PEF_DOC, PR_DOC, PSE_DOC, REMARK_DOC
 
 # aggregation shapes whose bodies are evaluated once per key of atom truth
 # values: two bound variables; a bound variable equated with a parameter,
@@ -42,7 +22,8 @@ TWO_BOUND = "am[R(y) & !R(z) | P(x) : y, z : y != x, z != x, y != z]"
 BOUND_IS_PARAMETER = "am[wm(z = y; 0.3; R(y) -> P(z)) & (0.6 | R(z)) : y, z : y = x, z != x]"
 NESTED = "am[max[R(z) & P(y) : z : z != y, z != x, y != x] | P(x) : y : y != x]"
 
-NETWORKS = {"pr": PR_DOC, "remark": REMARK_DOC, "pse": PSE_DOC, "pef": PEF_DOC}
+NETWORKS = {"pr": PR_DOC, "remark": REMARK_DOC, "pse": PSE_DOC, "pef": PEF_DOC,
+            "child-first": CHILD_FIRST_DOC}
 
 # (id, argv with {net} for the network file, network, exit code, sha256 of stdout)
 GOLDEN = [
@@ -155,6 +136,17 @@ GOLDEN = [
      ["infer", "exact", "--net", "{net}", "--n", "3", "--formula", NESTED,
       "--assign", "x=3", "--value-set", "0.5:1"],
      "pr", 0, "dd1c12a9d0f0465366a93d7a0011c686f140ae48f0c4de1c2b90c9529cf7acbe"),
+    # exact enumeration reuses theta lists by parent masks and query values
+    # by the masks of the symbols the query reads
+    ("infer-exact-child-first",
+     ["infer", "exact", "--net", "{net}", "--n", "3",
+      "--formula", "max[R(y) & !Q(y) : y : y != x]", "--assign", "x=1", "--value-set", "1"],
+     "child-first", 0, "6174e69356f38ae0966c248882d6cdd54d454858166aef9548ae124c6a96f67b"),
+    ("infer-exact-reads-every-symbol",
+     ["infer", "exact", "--net", "{net}", "--n", "2",
+      "--formula", "wm(P(x); S(x); 0.4) & (E(x, y) | 0.7)", "--assign", "x=1,y=2",
+      "--value-set", "0.3:0.6"],
+     "pse", 0, "bb83571fecea2ff3bbbbacdc6e7dadd9680cf66940851c442f9c7c7edbecbdda"),
 ]
 
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -17,6 +18,8 @@ from pla import (
     parse_formula,
     validate,
 )
+from pla.errors import PlaError
+from pla.logic import EmptyAggregationRange
 from pla.network import (
     ArityMismatch,
     CycleDetected,
@@ -35,7 +38,16 @@ from pla.network import (
     world_count,
 )
 
-from conftest import REMARK_DOC, X, random_structure
+from conftest import (
+    BINARY_DOC,
+    CHILD_FIRST_DOC,
+    PEF_DOC,
+    PR_DOC,
+    PSE_DOC,
+    REMARK_DOC,
+    X,
+    random_structure,
+)
 
 
 def binom_sigma(n, p):
@@ -227,6 +239,102 @@ class TestExactDistribution:
             exact_distribution(pr_net, 3, world_cap=63)
 
 
+def exact_by_definition(net, n, phi, assignment, value_set):
+    """Every world's probability and the event probability, written out:
+    relation masks by ``itertools.product`` in signature order, each world
+    weighed by ``WorldSampler.probability`` and the formula evaluated
+    afresh in it, the event's probabilities summed in world order."""
+    sampler = WorldSampler(net, n)
+    names = net.signature.names()
+    tuples = [list(itertools.product(range(1, n + 1), repeat=arity))
+              for _, arity in net.signature.symbols]
+    worlds, total = [], 0.0
+    for masks in itertools.product(*[range(2 ** len(ts)) for ts in tuples]):
+        interp = {name: {ts[i] for i in range(len(ts)) if mask >> i & 1}
+                  for name, ts, mask in zip(names, tuples, masks)}
+        world = Structure(net.signature, n, interp)
+        prob = sampler.probability(world)
+        worlds.append((world.key(), prob))
+        if value_set.contains(evaluate(world, phi, assignment)):
+            total += prob
+    return worlds, total
+
+
+ENUMERATION_NETWORKS = {"pr": PR_DOC, "pse": PSE_DOC, "pef": PEF_DOC, "remark": REMARK_DOC,
+                        "binary": BINARY_DOC, "child-first": CHILD_FIRST_DOC}
+
+# (network, n, formula, assignment, value set): formulas that read no
+# symbol, a strict subset of the symbols and every symbol, with and
+# without an assignment
+ENUMERATION_CASES = [
+    ("pr", 3, "0.3", "", "0.3"),
+    ("pr", 3, "x = y", "x=1,y=2", "0"),
+    ("pr", 3, "max[R(x) : x : x = x]", "", "1"),
+    ("pr", 3, "R(x) -> P(x)", "x=2", "0:0.5"),
+    ("pse", 2, "am[S(y) & E(y, x) : y : y != x]", "x=1", "1"),
+    ("pse", 2, "wm(P(x); S(x); 0.4) & (E(x, y) | 0.7)", "x=1,y=2", "0.3:0.6"),
+    ("pef", 2, "am[F(x, y) : y : y != x]", "x=1", "0.5:1"),
+    ("pef", 2, "max[F(x, y) & !F(y, x) | E(y, x) & P(y) : y : y != x]", "x=2", "1"),
+    ("remark", 3, "max[R(x) : x : x = x]", "", "1"),
+    ("binary", 2, "E(x, y) & !E(y, x)", "x=1,y=2", "1"),
+    ("child-first", 3, "Q(x)", "x=1", "1"),
+    ("child-first", 3, "max[R(y) & !Q(y) : y : y != x] | P(x)", "x=3", "0:0.5"),
+    ("child-first", 2, "wm(P(x); R(x); 0.3) | Q(y)", "x=1,y=2", "0.3:0.6"),
+]
+
+
+def parse_assignment(text):
+    return {Variable(var): int(value)
+            for var, value in (part.split("=") for part in text.split(",") if part)}
+
+
+class TestEnumerationReuse:
+    """Exact enumeration reuses theta lists and query values across worlds;
+    every probability must still equal the written-out enumeration, float
+    for float."""
+
+    @pytest.mark.parametrize("net_id, n, formula, assign, values", ENUMERATION_CASES,
+                             ids=["%s-%s" % (case[0], case[2]) for case in ENUMERATION_CASES])
+    def test_matches_enumeration_by_definition(self, net_id, n, formula, assign, values):
+        net = network_from_doc(ENUMERATION_NETWORKS[net_id])
+        phi, value_set = parse_formula(formula), ValueSet.parse(values)
+        assignment = parse_assignment(assign)
+        worlds, total = exact_by_definition(net, n, phi, assignment, value_set)
+        assert [(w.structure.key(), w.probability) for w in exact_distribution(net, n)] == worlds
+        assert exact_event_probability(net, n, phi, assignment, value_set) == total
+
+    def test_world_cap_names_the_exponent(self, pr_net):
+        with pytest.raises(TooManyWorlds, match=r"^2\^6 worlds exceed the cap 63$"):
+            exact_event_probability(pr_net, 3, Const(1.0), world_cap=63)
+        assert len(exact_distribution(pr_net, 3, world_cap=64)) == 64
+        for cap in (0, -1):
+            with pytest.raises(TooManyWorlds):
+                exact_distribution(pr_net, 1, world_cap=cap)
+
+    def test_yielded_worlds_own_their_sets(self, pr_net):
+        # P keeps its mask from the first world to the second
+        dist = exact_distribution(pr_net, 2)
+        dist[0].structure.interp["P"].add((1,))
+        assert dist[1].structure.interp["P"] == set()
+
+    def test_empty_aggregation_range_still_raises(self, pr_net):
+        phi = parse_formula("am[R(y) : y : y != x]")
+        with pytest.raises(EmptyAggregationRange):
+            exact_event_probability(pr_net, 1, phi, {X: 1})
+
+    def test_query_memo_stays_small(self, pr_net):
+        # 2^14 worlds, each its own combination of P and R: one byte per
+        # combination is 16 KiB, a dictionary keyed by mask tuples over 1.5 MiB
+        phi = parse_formula("R(x) -> P(x)")
+        tracemalloc.start()
+        try:
+            exact_event_probability(pr_net, 7, phi, {X: 1}, ValueSet.point(1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
 class TestEventProbabilities:
     def test_exact_atom_event(self, pr_net):
         phi = parse_formula("R(x)")
@@ -343,6 +451,15 @@ class TestValueSet:
     def test_str_round_trip(self):
         s = ValueSet.parse("0.25,0.5:0.75")
         assert ValueSet.parse(str(s)) == s
+
+    @pytest.mark.parametrize("text", ["nan", "2", "-0.5:0.5", "0:nan", "0.2,1.5"])
+    def test_rejects_endpoints_outside_the_unit_interval(self, text):
+        with pytest.raises(PlaError, match=r"not within \[0, 1\]"):
+            ValueSet.parse(text)
+
+    def test_rejects_an_empty_interval(self):
+        with pytest.raises(ValueError, match="empty"):
+            ValueSet.parse("0.8:0.2")
 
 
 class TestStructureDocs:
