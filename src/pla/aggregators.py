@@ -65,18 +65,16 @@ class SupportSpectrum:
     def of(cls, *points: tuple[float, float]) -> "SupportSpectrum":
         return cls(tuple(points))
 
-    def merged(self, tol: float = MERGE_TOL, drop_zero: bool = True) -> "SupportSpectrum":
-        """Merge support values closer than ``tol`` (summing proportions) and
-        drop zero-proportion entries."""
+    def merged(self) -> "SupportSpectrum":
+        """Merge support values within ``MERGE_TOL`` of each other (summing
+        proportions) and drop zero-proportion entries."""
         points: list[list[float]] = []
         for c, a in sorted(self.points):
-            if points and abs(points[-1][0] - c) <= tol:
+            if points and abs(points[-1][0] - c) <= MERGE_TOL:
                 points[-1][1] += a
             else:
                 points.append([c, a])
-        if drop_zero:
-            points = [p for p in points if p[1] > 0.0]
-        return SupportSpectrum(tuple((c, a) for c, a in points))
+        return SupportSpectrum(tuple((c, a) for c, a in points if a > 0.0))
 
 
 def largest_remainder_counts(proportions: Sequence[float], total: int) -> list[int]:

@@ -20,7 +20,7 @@ from . import aggregators
 from . import network as net_mod
 from .eliminate import convergence_experiment, eliminate as run_elimination
 from .errors import PlaError
-from .logic import Atom, Variable, evaluate, free_vars, function_rank, has_aggregation, subformulas
+from .logic import Variable, check_signature, evaluate, free_vars, function_rank, has_aggregation
 from .network import (
     DEFAULT_WORLD_CAP,
     ValueSet,
@@ -61,22 +61,6 @@ def _parse_assignment(text: Optional[str]) -> dict:
     return assignment
 
 
-def _check_signature(phi, signature) -> None:
-    """Every atom of the formula names a symbol of the signature and has
-    that symbol's arity."""
-    for atom in subformulas(phi):
-        if not isinstance(atom, Atom):
-            continue
-        used = "the formula uses %s with arity %d" % (atom.symbol, len(atom.args))
-        if atom.symbol not in signature:
-            known = ", ".join("%s/%d" % symbol for symbol in signature.symbols) or "none"
-            raise PlaError("%s, but the signature has no symbol %s (it has %s)"
-                           % (used, atom.symbol, known))
-        arity = signature.arity(atom.symbol)
-        if len(atom.args) != arity:
-            raise PlaError("%s, but %s has arity %d" % (used, atom.symbol, arity))
-
-
 def _check_assignment(phi, assignment: dict, n: int) -> None:
     """Every assigned value is a domain element and every free variable of
     the formula has one."""
@@ -113,7 +97,7 @@ def cmd_check(args) -> dict:
     }
     if args.formula:
         phi = _read_formula(args.formula)
-        _check_signature(phi, network.signature)
+        check_signature(phi, network.signature)
         payload["formula"] = {
             "text": format_formula(phi),
             "free_variables": sorted(v.name for v in free_vars(phi)),
@@ -126,7 +110,7 @@ def cmd_check(args) -> dict:
 def cmd_eval(args) -> dict:
     structure = load_structure(args.structure)
     phi = _read_formula(args.formula)
-    _check_signature(phi, structure.signature)
+    check_signature(phi, structure.signature)
     assignment = _parse_assignment(args.assign)
     _check_assignment(phi, assignment, structure.domain_size)
     value = evaluate(structure, phi, assignment)
@@ -142,7 +126,7 @@ def cmd_sample(args) -> dict:
 def cmd_infer(args) -> dict:
     network = load_network(args.net)
     phi = _read_formula(args.formula)
-    _check_signature(phi, network.signature)
+    check_signature(phi, network.signature)
     assignment = _parse_assignment(args.assign)
     _check_assignment(phi, assignment, args.n)
     value_set = ValueSet.parse(args.value_set) if args.value_set else ValueSet.full()
@@ -168,7 +152,7 @@ def cmd_infer(args) -> dict:
 def cmd_eliminate(args) -> dict:
     network = load_network(args.net)
     phi = _read_formula(args.formula)
-    _check_signature(phi, network.signature)
+    check_signature(phi, network.signature)
     _, report = run_elimination(network, phi)
     return report.to_dict()
 
@@ -176,7 +160,7 @@ def cmd_eliminate(args) -> dict:
 def cmd_converge(args):
     network = load_network(args.net)
     phi = _read_formula(args.formula)
-    _check_signature(phi, network.signature)
+    check_signature(phi, network.signature)
     strat = validate(network)
     value_set = ValueSet.parse(args.value_set) if args.value_set else None
     psi = None

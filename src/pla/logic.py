@@ -623,15 +623,20 @@ def memo_values(table: dict, keys: Sequence, evaluate_at: Callable[[int], object
     return found
 
 
-def minimal_signature(phi: Formula) -> Signature:
-    """Signature consisting of the relation symbols occurring in the formula."""
-    arities: dict[str, int] = {}
-    for f in subformulas(phi):
-        if isinstance(f, Atom):
-            if f.symbol in arities and arities[f.symbol] != len(f.args):
-                raise ValueError("symbol %r used with two arities" % f.symbol)
-            arities[f.symbol] = len(f.args)
-    return Signature(tuple(sorted(arities.items())))
+def check_signature(phi: Formula, signature: Signature) -> None:
+    """Every atom of the formula names a symbol of the signature and has
+    that symbol's arity."""
+    for atom in subformulas(phi):
+        if not isinstance(atom, Atom):
+            continue
+        used = "the formula uses %s with arity %d" % (atom.symbol, len(atom.args))
+        if atom.symbol not in signature:
+            known = ", ".join("%s/%d" % symbol for symbol in signature.symbols) or "none"
+            raise PlaError("%s, but the signature has no symbol %s (it has %s)"
+                           % (used, atom.symbol, known))
+        arity = signature.arity(atom.symbol)
+        if len(atom.args) != arity:
+            raise PlaError("%s, but %s has arity %d" % (used, atom.symbol, arity))
 
 
 # ---------------------------------------------------------------------------
@@ -878,16 +883,12 @@ class BasicProbabilityFormula:
         return conjunction([Implies(atype.to_formula(), Const(c)) for atype, c in self.conjuncts])
 
 
-def fold_to_bpf(
-    phi: Formula, signature: Optional[Signature] = None
-) -> BasicProbabilityFormula:
+def fold_to_bpf(phi: Formula, signature: Signature) -> BasicProbabilityFormula:
     """Fold an aggregation-free formula into an exactly equivalent basic
     probability formula: one conjunct per complete atomic type over the free
     variables, carrying the constant value the formula takes on that type."""
     if has_aggregation(phi):
         raise NotAggregationFree("formula contains aggregation nodes")
-    if signature is None:
-        signature = minimal_signature(phi)
     variables = tuple(sorted(free_vars(phi), key=_var_key))
     conjuncts = []
     for atype in enumerate_complete_types(signature, variables):

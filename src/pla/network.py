@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import operator
+import os
 import random
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
@@ -28,6 +29,7 @@ from .logic import (
     Structure,
     Variable,
     atom_probes,
+    check_signature,
     equality_pattern,
     evaluate,
     free_vars,
@@ -116,6 +118,10 @@ def validate(net: PlaNetwork) -> Stratification:
                 "formula for %s mentions non-parent symbols %s"
                 % (name, sorted(used - set(net.parents[name])))
             )
+        try:
+            check_signature(theta, net.signature)
+        except PlaError as exc:
+            raise ArityMismatch("formula for %s: %s" % (name, exc)) from None
         if has_aggregation(theta):
             aggregation_free = False
     max_rank = max(rank.values(), default=0)
@@ -203,25 +209,6 @@ class WorldSampler:
                     chosen.add(args)
         return structure
 
-    def probability(self, structure: Structure) -> float:
-        """The probability of drawing this world: the product, stratum by
-        stratum and over tuples in lexicographic order, of theta for each
-        present tuple and 1 - theta for each absent one."""
-        prob = 1.0
-        for step in self._plan:
-            prob = _weigh(prob, step.tuples, self._thetas(structure, step),
-                          structure.interp[step.name])
-        return prob
-
-
-def _weigh(prob: float, tuples, thetas, members) -> float:
-    """``prob`` times, tuple by tuple in order, theta for each member and
-    1 - theta for each other tuple: one step's factors of a world's
-    probability."""
-    for args, p in zip(tuples, thetas):
-        prob *= p if args in members else 1.0 - p
-    return prob
-
 
 def sample(net: PlaNetwork, n: int, seed, registry=None) -> Structure:
     """One world drawn from the induced distribution; deterministic given
@@ -233,13 +220,6 @@ def sample(net: PlaNetwork, n: int, seed, registry=None) -> Structure:
 class WorldWeight:
     structure: Structure
     probability: float
-
-
-def world_count(net: PlaNetwork, n: int) -> int:
-    count = 1
-    for name, arity in net.signature.symbols:
-        count *= 2 ** (n ** arity)
-    return count
 
 
 def _check_world_cap(net: PlaNetwork, n: int, world_cap: int) -> None:
@@ -259,11 +239,16 @@ def _enumerate(sampler: WorldSampler) -> Iterator[tuple[tuple[int, ...], list, f
     the i-th tuple in lexicographic order; ``sets`` are the relations, in
     the same order, and stay valid only until the next world.
 
+    The probability of a world is the probability of drawing it: the
+    product, step by step in the sampler's plan order and over each step's
+    tuples in lexicographic order, of theta for each present tuple and
+    1 - theta for each absent one.  This is the only place where a world's
+    probability is multiplied.
+
     Consecutive worlds share work.  A symbol's set is rebuilt only when its
     mask changes, and a step's theta list only when the mask of one of its
     parents changes: ``validate`` guarantees that theta reads no other
-    symbol.  The probability is ``WorldSampler.probability``'s product, the
-    same factors in the same order, so it is the same float."""
+    symbol."""
     net, n = sampler.net, sampler.n
     names = net.signature.names()
     position = {name: i for i, name in enumerate(names)}
@@ -293,29 +278,10 @@ def _enumerate(sampler: WorldSampler) -> Iterator[tuple[tuple[int, ...], list, f
                 if structure is None:
                     structure = Structure(net.signature, n, dict(zip(names, sets)))
                 thetas[k] = sampler._thetas(structure, step)
-            prob = _weigh(prob, step.tuples, thetas[k], sets[position[step.name]])
+            members = sets[position[step.name]]
+            for args, p in zip(step.tuples, thetas[k]):
+                prob *= p if args in members else 1.0 - p
         yield masks, sets, prob
-
-
-def weighted_worlds(
-    net: PlaNetwork,
-    n: int,
-    world_cap: int = DEFAULT_WORLD_CAP,
-    registry=None,
-) -> Iterator[WorldWeight]:
-    """Every world with its exact probability, one at a time, so a caller
-    that folds them holds one world at once.  Worlds are enumerated by
-    relation bitmask in signature order, tuples in lexicographic order.  The
-    cap is checked before the first world is built.
-
-    Theta lists are reused between consecutive worlds while the masks of
-    the symbol's parents stay the same (see ``_enumerate``); each yielded
-    structure still has sets of its own."""
-    _check_world_cap(net, n, world_cap)
-    names = net.signature.names()
-    for _, sets, prob in _enumerate(WorldSampler(net, n, registry)):
-        interp = {name: set(members) for name, members in zip(names, sets)}
-        yield WorldWeight(Structure(net.signature, n, interp), prob)
 
 
 def exact_distribution(
@@ -324,9 +290,17 @@ def exact_distribution(
     world_cap: int = DEFAULT_WORLD_CAP,
     registry=None,
 ) -> list[WorldWeight]:
-    """Every world with its exact probability, in ``weighted_worlds``
-    order."""
-    return list(weighted_worlds(net, n, world_cap, registry))
+    """Every world with its exact probability, in ``_enumerate``'s order:
+    by relation bitmask in signature order, tuples in lexicographic order.
+    The cap is checked before the first world is built, and each world's
+    structure has sets of its own."""
+    _check_world_cap(net, n, world_cap)
+    names = net.signature.names()
+    worlds = []
+    for _, sets, prob in _enumerate(WorldSampler(net, n, registry)):
+        interp = {name: set(members) for name, members in zip(names, sets)}
+        worlds.append(WorldWeight(Structure(net.signature, n, interp), prob))
+    return worlds
 
 
 @dataclass(frozen=True)
@@ -385,7 +359,7 @@ def exact_event_probability(
     registry=None,
 ) -> float:
     """Probability, under the exact world distribution, that the formula's
-    value lands in the value set: the sum, in ``weighted_worlds`` order, of
+    value lands in the value set: the sum, in ``_enumerate``'s order, of
     the probabilities of the worlds where it does.
 
     The formula's value depends only on the interpretations of the symbols
@@ -427,20 +401,23 @@ def sharded_counts(count, samples: int, seed, workers: int) -> tuple[int, ...]:
     """The hit counts ``count(samples, seed)``, summed column by column over
     shards.  With one worker this is a single call; otherwise the samples
     are split into ``workers`` near-equal chunks, chunk i running in its own
-    process with seed ``seed + 0x9E3779B9 * (i + 1)``.  ``count`` must be
-    picklable, e.g. a ``functools.partial`` of a module-level function."""
-    if workers <= 1:
+    task with seed ``seed + 0x9E3779B9 * (i + 1)``.  A process pool starts
+    all its processes at the first submit, so the pool has one per
+    non-empty chunk and no more than there are CPUs; the chunks and their
+    seeds do not depend on the pool size.  ``count`` must be picklable,
+    e.g. a ``functools.partial`` of a module-level function."""
+    if workers < 1:
+        raise ValueError("workers must be >= 1, got %d" % workers)
+    if workers == 1:
         return tuple(count(samples, seed))
     from concurrent.futures import ProcessPoolExecutor
 
     chunks = [samples // workers] * workers
     for i in range(samples - sum(chunks)):
         chunks[i] += 1
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(count, chunk, seed + 0x9E3779B9 * (i + 1))
-            for i, chunk in enumerate(chunks) if chunk
-        ]
+    shards = [(chunk, seed + 0x9E3779B9 * (i + 1)) for i, chunk in enumerate(chunks) if chunk]
+    with ProcessPoolExecutor(max_workers=min(len(shards), os.cpu_count() or 1)) as pool:
+        futures = [pool.submit(count, chunk, shard_seed) for chunk, shard_seed in shards]
         parts = [f.result() for f in futures]
     return tuple(sum(column) for column in zip(*parts))
 
@@ -516,11 +493,14 @@ def network_from_doc(doc: dict, registry=None) -> PlaNetwork:
     symbols = []
     parents = {}
     theta = {}
-    for rel in relations:
+    for i, rel in enumerate(relations):
         name, arity = rel["name"], int(rel["arity"])
         symbols.append((name, arity))
         parents[name] = tuple(rel.get("parents", ()))
-        theta[name] = formula_parser.parse_formula(rel["theta"], registry)
+        try:
+            theta[name] = formula_parser.parse_formula(rel["theta"], registry)
+        except formula_parser.ParseError as exc:
+            raise PlaError("relation %d (%s): theta: %s" % (i, name, exc)) from None
     return PlaNetwork(Signature(tuple(symbols)), parents, theta)
 
 

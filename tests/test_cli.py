@@ -290,6 +290,18 @@ class TestConverge:
         assert code == 0, err
         assert len(out.strip().splitlines()) == 2
 
+    @pytest.mark.parametrize("command", ["infer", "converge"])
+    def test_workers_below_one_are_rejected(self, capsys, pr_file, command):
+        if command == "infer":
+            argv = ["infer", "mc", "--n", "3", "--formula", "R(x)", "--assign", "x=1",
+                    "--samples", "10", "--seed", "1"]
+        else:
+            argv = ["converge", "--formula", "am[R(y) : y : distinct]", "--n-grid", "3",
+                    "--samples", "10", "--seed", "1"]
+        code, out, err = run(capsys, *argv, "--net", pr_file, "--workers", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: workers must be >= 1, got 0\n"
+
 
 class TestAdmissible:
     def test_am_passes(self, capsys):
@@ -371,6 +383,10 @@ class TestRobustness:
          ("P", "tuples")),
         ("eval", "--structure", {"relations": [{"name": "P", "arity": 1, "tuples": [[1]]}]},
          ("domain_size",)),
+        ("check", "--net", {"relations": [
+            {"name": "P", "arity": 1, "parents": [], "theta": "0.5"},
+            {"name": "R", "arity": 1, "parents": ["P"], "theta": "wm(P(x1); 0.9 0.1)"}]},
+         ("relation 1 (R)", "theta", "expected ';'", "column 15")),
     ])
     def test_missing_required_key_is_named(self, capsys, tmp_path, command, option, doc, words):
         code, _, err = run_on_document(capsys, tmp_path, command, option, doc)

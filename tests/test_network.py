@@ -1,7 +1,9 @@
 """Networks: validation, sampling, exact enumeration, event probabilities."""
 
+import concurrent.futures
 import itertools
 import math
+import os
 import random
 import tracemalloc
 
@@ -33,9 +35,9 @@ from pla.network import (
     network_from_doc,
     network_to_doc,
     sample,
+    sharded_counts,
     structure_from_doc,
     structure_to_doc,
-    world_count,
 )
 
 from conftest import (
@@ -46,7 +48,6 @@ from conftest import (
     PSE_DOC,
     REMARK_DOC,
     X,
-    random_structure,
 )
 
 
@@ -96,6 +97,17 @@ class TestValidate:
             {"P": Const(0.5), "R": Atom("P", (Variable("x2"),))},
         )
         with pytest.raises(ArityMismatch):
+            validate(net)
+
+    def test_theta_atoms_must_fit_the_signature(self):
+        # P(x1, x1) with P unary would be false at every tuple
+        net = PlaNetwork(
+            Signature.of(("P", 1), ("R", 1)),
+            {"P": (), "R": ("P",)},
+            {"P": Const(0.5), "R": Atom("P", (Variable("x1"), Variable("x1")))},
+        )
+        with pytest.raises(ArityMismatch, match=r"^formula for R: the formula uses P with "
+                                                r"arity 2, but P has arity 1$"):
             validate(net)
 
     def test_doc_round_trip(self, pr_net):
@@ -192,16 +204,20 @@ def draw_by_definition(net, n, rng):
     return world
 
 
+# every network at n=2; at n=3 those with at most 2^12 worlds
+# (swapped-args has 2^21)
+THETA_PRODUCT_CASES = [(2, name) for name in CACHE_DOCS] + [
+    (3, "repeated-atom"), (3, "non-root-equality"), (3, "non-root-aggregation"),
+    (3, "counterexample")]
+
+
 class TestThetaCache:
-    @pytest.mark.parametrize("doc", CACHE_DOCS.values(), ids=CACHE_DOCS.keys())
-    @pytest.mark.parametrize("n", [2, 3])
-    def test_probability_matches_theta_product(self, doc, n):
-        net = network_from_doc(doc)
-        sampler = WorldSampler(net, n)  # one cache across all worlds
-        rng = random.Random(31 + n)
-        for _ in range(40):
-            world = random_structure(rng, net.signature, n)
-            assert sampler.probability(world) == theta_product(net, world)
+    @pytest.mark.parametrize("n, doc_id", THETA_PRODUCT_CASES,
+                             ids=["%d-%s" % case for case in THETA_PRODUCT_CASES])
+    def test_probability_matches_theta_product(self, n, doc_id):
+        net = network_from_doc(CACHE_DOCS[doc_id])
+        for world in exact_distribution(net, n):
+            assert world.probability == theta_product(net, world.structure)
 
     @pytest.mark.parametrize("doc", CACHE_DOCS.values(), ids=CACHE_DOCS.keys())
     def test_sample_matches_draw_by_definition(self, doc):
@@ -234,7 +250,6 @@ class TestExactDistribution:
         assert dist[0].probability == 1.0
 
     def test_world_cap(self, pr_net):
-        assert world_count(pr_net, 3) == 64
         with pytest.raises(TooManyWorlds):
             exact_distribution(pr_net, 3, world_cap=63)
 
@@ -242,9 +257,8 @@ class TestExactDistribution:
 def exact_by_definition(net, n, phi, assignment, value_set):
     """Every world's probability and the event probability, written out:
     relation masks by ``itertools.product`` in signature order, each world
-    weighed by ``WorldSampler.probability`` and the formula evaluated
-    afresh in it, the event's probabilities summed in world order."""
-    sampler = WorldSampler(net, n)
+    weighed by ``theta_product`` and the formula evaluated afresh in it,
+    the event's probabilities summed in world order."""
     names = net.signature.names()
     tuples = [list(itertools.product(range(1, n + 1), repeat=arity))
               for _, arity in net.signature.symbols]
@@ -253,7 +267,7 @@ def exact_by_definition(net, n, phi, assignment, value_set):
         interp = {name: {ts[i] for i in range(len(ts)) if mask >> i & 1}
                   for name, ts, mask in zip(names, tuples, masks)}
         world = Structure(net.signature, n, interp)
-        prob = sampler.probability(world)
+        prob = theta_product(net, world)
         worlds.append((world.key(), prob))
         if value_set.contains(evaluate(world, phi, assignment)):
             total += prob
@@ -382,6 +396,55 @@ class TestEventProbabilities:
         )
         target = 1.0 - (1.0 - 1.0 / (n - 1)) ** n
         assert abs(est - target) <= 3 * max(ci, 1e-3)
+
+
+class TestShardedCounts:
+    @pytest.mark.parametrize("samples, workers, cpus, size", [
+        (10, 5000, 64, 10),  # one process per non-empty chunk
+        (10, 3, 2, 2),  # no more processes than CPUs
+        (10, 3, None, 1),  # CPU count unknown
+        (2000, 4, 64, 4),
+    ])
+    def test_pool_is_sized_by_the_work(self, monkeypatch, samples, workers, cpus, size):
+        sizes = []
+
+        class InlineExecutor:
+            """Records the pool size and runs each task at submit, here."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        calls = []
+
+        def count(chunk, seed):
+            calls.append((chunk, seed))
+            return chunk, seed % 7
+
+        result = sharded_counts(count, samples, 5, workers)
+        assert sizes == [size]
+        # chunks and seeds do not depend on the pool size
+        shards = [(samples // workers + (i < samples % workers), 5 + 0x9E3779B9 * (i + 1))
+                  for i in range(min(samples, workers))]
+        assert calls == shards
+        assert result == (samples, sum(seed % 7 for _, seed in shards))
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_are_rejected(self, workers):
+        with pytest.raises(ValueError, match=r"^workers must be >= 1, got %d$" % workers):
+            sharded_counts(lambda chunk, seed: (chunk,), 10, 1, workers)
 
 
 class TestInvarianceProperties:
