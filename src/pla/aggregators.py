@@ -268,8 +268,8 @@ class Registry:
         for f in functions:
             self.register(f)
 
-    def register(self, func: AggregationFunction, overwrite: bool = False) -> None:
-        if not overwrite and func.name in self._by_name:
+    def register(self, func: AggregationFunction) -> None:
+        if func.name in self._by_name:
             raise ValueError("aggregation function %r already registered" % func.name)
         self._by_name[func.name] = func
 

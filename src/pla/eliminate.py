@@ -156,7 +156,7 @@ def alphas(
     bodies: Sequence[BasicProbabilityFormula],
     registry=None,
 ) -> AlphaTable:
-    """Enumerate the complete types extending the equality constraint,
+    """Enumerate the complete types with the equality type ``p_eq``,
     grouped by their restriction to the parameters; each extension carries
     its limit probability, its proportion alpha relative to the group, and
     the constant each body takes on it."""
@@ -169,9 +169,8 @@ def alphas(
         if not set(body.variables) <= universe:
             stray = sorted(v.name for v in set(body.variables) - universe)
             raise ValueError("body variables %s outside the aggregation" % stray)
-    constraint = AtomicType.make(net.signature, p_eq, {})
     groups: dict[AtomicType, list[AtomicType]] = {}
-    for p in enumerate_complete_types(net.signature, p_eq.variables, constraint):
+    for p in enumerate_complete_types(net.signature, p_eq.variables, p_eq):
         groups.setdefault(p.restrict(xs), []).append(p)
     rows = []
     for base, extensions in groups.items():
@@ -298,14 +297,12 @@ def eliminate(
             # every bound variable is equated with a parameter: the single
             # matching tuple is a renaming, so the function applies exactly
             # to length-1 value sequences
-            q_eq = eq.restrict(xs)
-            constraint = AtomicType.make(sig, q_eq, {})
             rename = {}
             for block in eq.blocks:
                 anchor = next(v for v in block if v not in set(ys))
                 for v in block:
                     rename[v] = anchor
-            for q in enumerate_complete_types(sig, xs, constraint):
+            for q in enumerate_complete_types(sig, xs, eq.restrict(xs)):
                 struct, assignment = q.canonical_structure()
                 full = dict(assignment)
                 for y in ys:
@@ -359,8 +356,9 @@ def eliminate(
     output = compile_node(phi)
     values = [c for _, c in output.conjuncts]
     if values and max(values) - min(values) <= COLLAPSE_TOL and len(values) > 1:
+        # the one complete type over no variables: no slot, no literal
         top = AtomicType.make(sig, EqualityType.from_blocks((), ()), {})
-        output = BasicProbabilityFormula(output.variables, ((top, values[0]),))
+        output = BasicProbabilityFormula((), ((top, values[0]),))
     report = EliminationReport(phi, output, agg_nodes, warnings)
     return output, report
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -63,8 +63,17 @@ class Signature:
     def __contains__(self, name: str) -> bool:
         return any(sym == name for sym, _ in self.symbols)
 
-
-EMPTY_SIGNATURE = Signature(())
+    @cache
+    def slots(self, k: int) -> tuple[Literal, ...]:
+        """The relation slots over k equality classes: (symbol, class tuple)
+        pairs, ordered by symbol in signature order and then by class tuple,
+        lexicographically.  Every atomic type lists its literals in this
+        order, and a complete type decides all of them."""
+        return tuple(
+            (name, ctuple)
+            for name, arity in self.symbols
+            for ctuple in itertools.product(range(k), repeat=arity)
+        )
 
 
 @dataclass
@@ -248,21 +257,14 @@ class AtomicType:
         eq: EqualityType,
         decided: Mapping[Literal, bool] | None = None,
     ) -> "AtomicType":
-        decided = dict(decided or {})
-        num_classes = len(eq.blocks)
-        names = signature.names()
-        for (name, ctuple), _ in decided.items():
-            if name not in signature:
-                raise ValueError("literal over unknown symbol %r" % name)
-            if len(ctuple) != signature.arity(name):
-                raise ValueError("literal arity mismatch for %r" % name)
-            if any(not (0 <= c < num_classes) for c in ctuple):
-                raise ValueError("literal class index out of range for %r" % name)
-        order = {name: i for i, name in enumerate(names)}
-        lits = tuple(
-            sorted(decided.items(), key=lambda kv: (order[kv[0][0]], kv[0][1]))
-        )
-        return cls(signature, eq, lits)
+        """The type with the decided literals, put in ``signature.slots`` order."""
+        decided = decided or {}
+        slots = signature.slots(len(eq.blocks))
+        stray = [literal for literal in decided if literal not in slots]
+        if stray:
+            raise ValueError("literals %r are not slots over %d classes of the signature"
+                             % (stray, len(eq.blocks)))
+        return cls(signature, eq, tuple((s, decided[s]) for s in slots if s in decided))
 
     @classmethod
     def complete(
@@ -275,10 +277,7 @@ class AtomicType:
         """Build a complete type: the given relation literals are positive,
         every other slot negative."""
         eq = EqualityType.from_blocks(variables, blocks)
-        decided: dict[Literal, bool] = {}
-        for name, arity in signature.symbols:
-            for ctuple in itertools.product(range(len(eq.blocks)), repeat=arity):
-                decided[(name, ctuple)] = False
+        decided = dict.fromkeys(signature.slots(len(eq.blocks)), False)
         for name, args in positive:
             ctuple = tuple(eq.class_index[v] for v in args)
             decided[(name, ctuple)] = True
@@ -288,12 +287,10 @@ class AtomicType:
     def variables(self) -> tuple[Variable, ...]:
         return self.eq.variables
 
-    def slot_count(self) -> int:
-        k = len(self.eq.blocks)
-        return sum(k ** arity for _, arity in self.signature.symbols)
-
     def is_complete(self) -> bool:
-        return len(self.literals) == self.slot_count()
+        """Whether the type decides every slot of ``signature.slots``."""
+        slots = self.signature.slots(len(self.eq.blocks))
+        return tuple(literal for literal, _ in self.literals) == slots
 
     def restrict(self, variables: Sequence[Variable]) -> "AtomicType":
         """All literals whose variables can be chosen inside ``variables``."""
@@ -351,37 +348,25 @@ class AtomicType:
 def enumerate_complete_types(
     signature: Signature,
     variables: Sequence[Variable],
-    constraint: Optional[AtomicType] = None,
+    eq: Optional[EqualityType] = None,
 ) -> list[AtomicType]:
-    """All complete atomic types over ``variables`` extending ``constraint``,
-    enumerated deterministically (equality partition first, then literal
-    sign vector)."""
-    variables = tuple(variables)
-    if constraint is not None:
-        if not set(constraint.variables) <= set(variables):
-            raise ValueError("constraint variables must be a subset")
+    """All complete atomic types over ``variables``, or only those whose
+    equality type is ``eq``, in a deterministic order: equality partition
+    first (as ``EqualityType.all_partitions`` lists them), then the sign
+    vector over the partition's ``signature.slots``, False before True.
+
+    A complete type decides every slot, so its literals are exactly the
+    slots in that order; compiled formulas hold only such types."""
+    partitions = EqualityType.all_partitions(variables)
+    if eq is not None:
+        if eq.variables != tuple(variables):
+            raise ValueError("the equality type must be over the enumerated variables")
+        partitions = [p for p in partitions if p == eq]
     result = []
-    for eq in EqualityType.all_partitions(variables):
-        fixed: dict[Literal, bool] = {}
-        if constraint is not None:
-            if eq.restrict(constraint.variables) != constraint.eq:
-                continue
-            embed = {
-                i: eq.class_index[block[0]]
-                for i, block in enumerate(constraint.eq.blocks)
-            }
-            for (name, ctuple), sign in constraint.literals:
-                fixed[(name, tuple(embed[c] for c in ctuple))] = sign
-        slots = [
-            (name, ctuple)
-            for name, arity in signature.symbols
-            for ctuple in itertools.product(range(len(eq.blocks)), repeat=arity)
-        ]
-        free = [s for s in slots if s not in fixed]
-        for signs in itertools.product((False, True), repeat=len(free)):
-            decided = dict(fixed)
-            decided.update(zip(free, signs))
-            result.append(AtomicType.make(signature, eq, decided))
+    for p in partitions:
+        slots = signature.slots(len(p.blocks))
+        for signs in itertools.product((False, True), repeat=len(slots)):
+            result.append(AtomicType(signature, p, tuple(zip(slots, signs))))
     return result
 
 
@@ -817,32 +802,25 @@ class BasicProbabilityFormula:
         return tuple(sorted(seen))
 
     @cached_property
-    def _type_index(self) -> Optional[tuple[dict, dict]]:
-        """``(index, slots)`` when every conjunct's type is complete over
-        ``variables`` and one signature, else None.
+    def _type_index(self) -> tuple[dict, dict]:
+        """``(index, slots)`` for the lookup of ``value_on``.
 
         ``index`` maps a type's key, its equality pattern and its sign vector
         over the slots, to the least constant of the conjuncts of that type
-        below 1.  ``slots[k]`` lists the slots over k classes in the literal
-        order of ``AtomicType.make``.
+        below 1.  ``slots[k]`` is ``signature.slots(k)`` for each class count
+        k of a conjunct.  Raises ValueError unless every conjunct's type is
+        complete over ``variables`` and all share one signature.
         """
-        if not self.conjuncts:
-            return None
-        signature = self.conjuncts[0][0].signature
         index: dict = {}
         slots: dict[int, tuple[Literal, ...]] = {}
-        for atype, c in self.conjuncts:
-            if atype.signature != signature or atype.variables != self.variables:
-                return None
+        for i, (atype, c) in enumerate(self.conjuncts):
+            if atype.signature != self.conjuncts[0][0].signature:
+                raise ValueError("conjunct %d has another signature than conjunct 0" % i)
+            if atype.variables != self.variables or not atype.is_complete():
+                raise ValueError("the type of conjunct %d is not complete over (%s)"
+                                 % (i, ", ".join(v.name for v in self.variables)))
             k = len(atype.eq.blocks)
-            if k not in slots:
-                slots[k] = tuple(
-                    (name, ctuple)
-                    for name, arity in signature.symbols
-                    for ctuple in itertools.product(range(k), repeat=arity)
-                )
-            if tuple(literal for literal, _ in atype.literals) != slots[k]:
-                return None  # incomplete, or literals not in canonical order
+            slots[k] = atype.signature.slots(k)
             key = (atype.eq.pattern(), tuple(sign for _, sign in atype.literals))
             if c < index.get(key, 1.0):
                 index[key] = c
@@ -853,26 +831,16 @@ class BasicProbabilityFormula:
         conjuncts, an implication being its constant when the type is
         realized and 1 otherwise.
 
-        When the conjuncts' types are complete over ``variables`` and share
-        one signature, exactly one type is realized, so the value is a
-        dictionary lookup keyed by the tuple's equality pattern and one
-        membership test per slot of its type.  Otherwise (e.g. a hand-built
-        formula, or the one-conjunct output of a collapsed elimination)
-        every conjunct's type is tested in turn.
+        Every conjunct's type is complete over ``variables`` (see
+        ``_type_index``), so exactly one type is realized, and the value is
+        a dictionary lookup keyed by the tuple's equality pattern and one
+        membership test per slot of its type.
         """
-        typed = self._type_index
-        if typed is None:
-            out = 1.0
-            for atype, c in self.conjuncts:
-                if c < out and atype.realized_by(structure, assignment):
-                    out = c
-            return out
-        index, slots_by_k = typed
+        index, slots_by_k = self._type_index
         values = [assignment[v] for v in self.variables]
         reps = tuple(dict.fromkeys(values))  # one element per equality class
-        slots = slots_by_k.get(len(reps))
-        if slots is None:
-            return 1.0
+        # no conjunct has this many classes: no key of that pattern, so 1
+        slots = slots_by_k.get(len(reps), ())
         interp = structure.interp
         signs = tuple(
             tuple(reps[c] for c in ctuple) in interp[name] for name, ctuple in slots

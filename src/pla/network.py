@@ -465,19 +465,20 @@ def mc_event_probability(
 def _relations(doc, fields: dict, required: tuple[str, ...]) -> list[dict]:
     """The 'relations' list of a network or structure document, checked to
     hold objects that have the required keys and whose fields, where
-    present, have the given types."""
+    present, have exactly the given types (so true or false is no int)."""
     relations = doc.get("relations") if isinstance(doc, dict) else None
     if not isinstance(relations, list):
         raise PlaError("document needs a 'relations' list")
     for i, rel in enumerate(relations):
         if not isinstance(rel, dict):
             raise PlaError("relation %d is not an object: %r" % (i, rel))
+        named = " (%s)" % rel["name"] if isinstance(rel.get("name"), str) else ""
         for key, kind in fields.items():
-            if key in rel and not isinstance(rel[key], kind):
-                raise PlaError("relation %d: %r must be a %s" % (i, key, kind.__name__))
+            if key in rel and type(rel[key]) is not kind:
+                raise PlaError("relation %d%s: %r must be of type %s, got %r"
+                               % (i, named, key, kind.__name__, rel[key]))
         missing = [key for key in required if key not in rel]
         if missing:
-            named = " (%s)" % rel["name"] if "name" in rel else ""
             raise PlaError("relation %d%s: missing required key %s"
                            % (i, named, ", ".join(repr(key) for key in missing)))
     return relations
@@ -486,7 +487,7 @@ def _relations(doc, fields: dict, required: tuple[str, ...]) -> list[dict]:
 def network_from_doc(doc: dict, registry=None) -> PlaNetwork:
     """Build a network from its document form: a list of relations, each
     with name, arity, parents and formula text (free variables x1..xk)."""
-    relations = _relations(doc, {"name": str, "parents": list, "theta": str},
+    relations = _relations(doc, {"name": str, "arity": int, "parents": list, "theta": str},
                            ("name", "arity", "theta"))
     if registry is None:
         registry = aggregators.DEFAULT_REGISTRY
@@ -494,7 +495,7 @@ def network_from_doc(doc: dict, registry=None) -> PlaNetwork:
     parents = {}
     theta = {}
     for i, rel in enumerate(relations):
-        name, arity = rel["name"], int(rel["arity"])
+        name, arity = rel["name"], rel["arity"]
         symbols.append((name, arity))
         parents[name] = tuple(rel.get("parents", ()))
         try:
@@ -538,16 +539,20 @@ def structure_to_doc(structure: Structure) -> dict:
 
 
 def structure_from_doc(doc: dict) -> Structure:
-    relations = _relations(doc, {"name": str, "tuples": list}, ("name", "arity", "tuples"))
+    relations = _relations(doc, {"name": str, "arity": int, "tuples": list},
+                           ("name", "arity", "tuples"))
     if "domain_size" not in doc:
         raise PlaError("structure document: missing required key 'domain_size'")
+    size = doc["domain_size"]
+    if type(size) is not int:
+        raise PlaError("structure document: 'domain_size' must be of type int, got %r" % (size,))
     for rel in relations:
-        if not all(isinstance(t, list) and all(isinstance(e, int) for e in t)
+        if not all(isinstance(t, list) and all(type(e) is int for e in t)
                    for t in rel["tuples"]):
             raise PlaError("relation %r: every tuple must be a list of elements" % rel["name"])
-    symbols = tuple((rel["name"], int(rel["arity"])) for rel in relations)
+    symbols = tuple((rel["name"], rel["arity"]) for rel in relations)
     interp = {rel["name"]: {tuple(t) for t in rel["tuples"]} for rel in relations}
-    structure = Structure(Signature(symbols), int(doc["domain_size"]), interp)
+    structure = Structure(Signature(symbols), size, interp)
     structure.validate()
     return structure
 

@@ -387,6 +387,22 @@ class TestRobustness:
             {"name": "P", "arity": 1, "parents": [], "theta": "0.5"},
             {"name": "R", "arity": 1, "parents": ["P"], "theta": "wm(P(x1); 0.9 0.1)"}]},
          ("relation 1 (R)", "theta", "expected ';'", "column 15")),
+        # arity and domain_size must be integers, not truncated or parsed
+        ("check", "--net", {"relations": [{"name": "P", "arity": 1.5, "parents": [], "theta": "0.5"}]},
+         ("relation 0 (P)", "'arity'", "int")),
+        ("check", "--net", {"relations": [{"name": "P", "arity": "x", "parents": [], "theta": "0.5"}]},
+         ("relation 0 (P)", "'arity'", "int")),
+        ("check", "--net", {"relations": [{"name": "P", "arity": True, "parents": [], "theta": "0.5"}]},
+         ("relation 0 (P)", "'arity'", "int")),
+        ("eval", "--structure", {"domain_size": 2.5, "relations": [
+            {"name": "P", "arity": 1, "tuples": [[1]]}]},
+         ("'domain_size'", "int")),
+        ("eval", "--structure", {"domain_size": 2, "relations": [
+            {"name": "P", "arity": 1.9, "tuples": [[1]]}]},
+         ("relation 0 (P)", "'arity'", "int")),
+        ("eval", "--structure", {"domain_size": 2, "relations": [
+            {"name": "P", "arity": 1, "tuples": [[True]]}]},
+         ("'P'", "tuple")),
     ])
     def test_missing_required_key_is_named(self, capsys, tmp_path, command, option, doc, words):
         code, _, err = run_on_document(capsys, tmp_path, command, option, doc)

@@ -167,8 +167,7 @@ class TestTypeEnumeration:
 
     def test_two_unary_symbols_distinct_constraint(self):
         sig = Signature.of(("P", 1), ("R", 1))
-        constraint = AtomicType.make(sig, EqualityType.all_distinct([X, Y]), {})
-        types = enumerate_complete_types(sig, [X, Y], constraint)
+        types = enumerate_complete_types(sig, [X, Y], EqualityType.all_distinct([X, Y]))
         assert len(types) == 16
 
     def test_empty_signature(self):
@@ -194,6 +193,65 @@ class TestTypeEnumeration:
             q = t.restrict([X])
             assert q.is_complete()
             assert q.variables == (X,)
+
+    def test_types_list_the_signature_slots(self):
+        for sig in random_signatures(1):
+            names = sig.names()
+            for k in range(4):
+                # the slot order written out: symbols in signature order, then
+                # class tuples lexicographically
+                expected = sorted(
+                    ((name, ctuple) for name, arity in sig.symbols
+                     for ctuple in itertools.product(range(k), repeat=arity)),
+                    key=lambda slot: (names.index(slot[0]), slot[1]))
+                assert sig.slots(k) == tuple(expected)
+            for variables in ([], [X], [X, Y], [X, Y, Z]):
+                types = enumerate_complete_types(sig, variables)
+                for t in types:
+                    assert tuple(lit for lit, _ in t.literals) == sig.slots(len(t.eq.blocks))
+                    assert t.is_complete()
+                # every sign vector once per equality type
+                for eq in EqualityType.all_partitions(variables):
+                    signs = {tuple(sign for _, sign in t.literals) for t in types if t.eq == eq}
+                    assert len(signs) == 2 ** len(sig.slots(len(eq.blocks)))
+
+    def test_complete_and_is_complete_agree_with_slots(self):
+        rng = random.Random(12)
+        for sig in random_signatures(2):
+            for variables in ([], [X], [X, Y], [X, Y, Z]):
+                for eq in EqualityType.all_partitions(variables):
+                    slots = sig.slots(len(eq.blocks))
+                    reps = [block[0] for block in eq.blocks]
+                    positive = [slot for slot in slots if rng.random() < 0.5]
+                    t = AtomicType.complete(sig, variables, eq.blocks, [
+                        (name, [reps[c] for c in ctuple]) for name, ctuple in positive])
+                    assert t.literals == tuple((slot, slot in positive) for slot in slots)
+                    assert t.is_complete()
+                    if slots:
+                        dropped = rng.randrange(len(slots))
+                        partial = AtomicType(sig, eq, t.literals[:dropped] + t.literals[dropped + 1:])
+                        assert not partial.is_complete()
+                    if len(slots) > 1:
+                        swapped = AtomicType(sig, eq, t.literals[1:2] + t.literals[:1] + t.literals[2:])
+                        assert not swapped.is_complete()
+
+    def test_enumeration_with_an_equality_type_filters(self):
+        for sig in random_signatures(3):
+            for variables in ([], [X], [X, Y], [X, Y, Z]):
+                every = enumerate_complete_types(sig, variables)
+                for eq in EqualityType.all_partitions(variables):
+                    assert enumerate_complete_types(sig, variables, eq) == [
+                        t for t in every if t.eq == eq]
+        with pytest.raises(ValueError):
+            enumerate_complete_types(TEST_SIG, [X, Y], EqualityType.all_distinct([X]))
+
+    def test_make_orders_literals_by_slot_and_rejects_others(self):
+        eq = EqualityType.all_distinct([X, Y])
+        t = AtomicType.make(TEST_SIG, eq, {("E", (1, 0)): True, ("P", (1,)): False, ("E", (0, 1)): False})
+        assert t.literals == ((("P", (1,)), False), (("E", (0, 1)), False), (("E", (1, 0)), True))
+        for stray in (("R", (0,)), ("E", (0,)), ("P", (2,))):
+            with pytest.raises(ValueError):
+                AtomicType.make(TEST_SIG, eq, {stray: True})
 
 
 class TestRealizes:
@@ -259,6 +317,20 @@ class TestFold:
                 assert evaluate(A, psi, a) == bpf.value_on(A, a)
 
 
+def random_signatures(seed, count=12):
+    """Random signatures of up to three symbols of arity 1 or 2, small
+    enough to enumerate every complete type over three variables."""
+    rng = random.Random(seed)
+    out = [Signature(())]
+    while len(out) < count:
+        arities = [rng.randint(1, 2) for _ in range(rng.randint(1, 3))]
+        names = rng.sample(["E", "P", "Q", "R"], len(arities))  # not in name order
+        sig = Signature(tuple(zip(names, arities)))
+        if len(sig.slots(3)) <= 12:
+            out.append(sig)
+    return out
+
+
 def scan_value(bpf, structure, assignment):
     """The value of a basic probability formula by its definition: the
     least constant of the conjuncts whose type the assignment realizes,
@@ -272,8 +344,9 @@ def all_assignments(variables, n):
 
 
 class TestValueOn:
-    """``value_on`` looks up the one realized complete type when it can and
-    scans the conjuncts otherwise; both must agree with the definition."""
+    """``value_on`` looks up the one realized complete type; it must agree
+    with the definition, and it rejects a formula whose types are not all
+    complete over one signature."""
 
     def assert_matches_scan(self, bpf, structures):
         for A in structures:
@@ -286,7 +359,6 @@ class TestValueOn:
         rng = random.Random(5)
         for _ in range(30):
             bpf = fold_to_bpf(random_agg_free(rng, TEST_SIG, [X, Y], 3), TEST_SIG)
-            assert bpf._type_index is not None
             self.assert_matches_scan(
                 bpf,
                 [random_structure(rng, TEST_SIG, rng.randint(1, 4)) for _ in range(4)]
@@ -296,15 +368,18 @@ class TestValueOn:
     def test_eliminate_outputs(self, pr_net):
         rng = random.Random(8)
         structures = [random_structure(rng, pr_net.signature, n) for n in (1, 2, 3, 4)]
-        for text, lookup in (
-            ("am[R(y) : y : y != x] & P(x)", True),
-            ("wm(P(x); max[R(y) : y : y != x]; 0.2) | R(z)", True),
-            ("am[R(y) : y : y != x]", False),  # collapsed to one conjunct
+        for text in (
+            "am[R(y) : y : y != x] & P(x)",
+            "wm(P(x); max[R(y) : y : y != x]; 0.2) | R(z)",
+            "am[R(y) : y : y != x]",  # collapsed to one conjunct over no variables
         ):
-            bpf, _ = eliminate(pr_net, parse_formula(text))
-            assert (bpf._type_index is not None) == lookup
-            assert lookup or len(bpf.conjuncts) == 1
-            self.assert_matches_scan(bpf, structures)
+            phi = parse_formula(text)
+            bpf, _ = eliminate(pr_net, phi)
+            variables = sorted(free_vars(phi), key=lambda v: v.name)
+            for A in structures:
+                for a in all_assignments(variables, A.domain_size):
+                    assert bpf.value_on(A, a) == scan_value(bpf, A, a)
+        assert bpf.variables == () and len(bpf.conjuncts) == 1
 
     def test_type_listed_twice_takes_its_least_constant(self):
         bpf = fold_to_bpf(Atom("E", (X, Y)), TEST_SIG)
@@ -312,25 +387,37 @@ class TestValueOn:
         doubled = BasicProbabilityFormula(
             bpf.variables, bpf.conjuncts + ((atype, 0.6), (atype, 0.25), (atype, 1.5))
         )
-        assert doubled._type_index is not None
         rng = random.Random(2)
         self.assert_matches_scan(doubled, [random_structure(rng, TEST_SIG, 3) for _ in range(8)])
         struct, assignment = atype.canonical_structure()
         assert doubled.value_on(struct, assignment) == min(0.25, bpf.conjuncts[7][1])
 
-    def test_incomplete_type_takes_the_scan(self):
-        bpf = fold_to_bpf(Or(Atom("P", (X,)), Atom("Q", (Y,))), TEST_SIG)
+    def test_tuple_whose_class_count_no_conjunct_has_gets_one(self):
+        bpf = fold_to_bpf(Atom("E", (X, Y)), TEST_SIG)
+        distinct = BasicProbabilityFormula(
+            bpf.variables, tuple((t, c) for t, c in bpf.conjuncts if len(t.eq.blocks) == 2))
+        rng = random.Random(3)
+        self.assert_matches_scan(distinct, [random_structure(rng, TEST_SIG, 3) for _ in range(4)])
+        assert distinct.value_on(Structure(TEST_SIG, 2), {X: 1, Y: 1}) == 1.0
+
+    def test_incomplete_type_or_second_signature_is_rejected(self):
+        phi = Or(Atom("P", (X,)), Atom("Q", (Y,)))
+        bpf = fold_to_bpf(phi, TEST_SIG)
         partial = AtomicType.make(TEST_SIG, EqualityType.all_distinct([X, Y]), {("E", (0, 1)): True})
-        mixed = BasicProbabilityFormula(bpf.variables, bpf.conjuncts + ((partial, 0.1),))
-        assert mixed._type_index is None
-        rng = random.Random(4)
-        self.assert_matches_scan(mixed, [random_structure(rng, TEST_SIG, 3) for _ in range(6)])
+        over_x = fold_to_bpf(Atom("P", (X,)), TEST_SIG).conjuncts[0]  # complete over x alone
+        other = fold_to_bpf(phi, Signature.of(("P", 1), ("Q", 1))).conjuncts[0]
+        A = random_structure(random.Random(4), TEST_SIG, 3)
+        for extra, words in (((partial, 0.1), "not complete"), (over_x, "not complete"),
+                             (other, "signature")):
+            mixed = BasicProbabilityFormula(bpf.variables, bpf.conjuncts + (extra,))
+            with pytest.raises(ValueError, match=words):
+                mixed.value_on(A, {X: 1, Y: 2})
 
     def test_no_variables(self):
         rng = random.Random(6)
         for sig in (TEST_SIG, Signature(())):
             bpf = fold_to_bpf(Const(0.4), sig)
-            assert bpf.variables == () and bpf._type_index is not None
+            assert bpf.variables == ()
             self.assert_matches_scan(bpf, [random_structure(rng, sig, 2)])
             assert bpf.value_on(random_structure(rng, sig, 2), {}) == 0.4
 
