@@ -490,6 +490,8 @@ def empirical_admissibility_check(
     means the gap at the largest length stayed below the threshold.
     """
     cases = _normalize_cases(func, spectra)
+    if not lengths or min(lengths) < 1:
+        raise ValueError("lengths must be integers >= 1, got %r" % (list(lengths),))
     rng = random.Random(seed)
     lengths = sorted(lengths)
     rows: list[AdmissibilityRow] = []

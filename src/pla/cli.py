@@ -34,11 +34,12 @@ from .network import (
 from .parser import format_formula, parse_formula
 
 
-def _world_cap(override: Optional[int]) -> int:
-    if override is not None:
-        return override
+def _world_cap() -> int:
     env = os.environ.get("PLA_WORLD_CAP")
-    return int(env) if env else DEFAULT_WORLD_CAP
+    try:
+        return int(env) if env else DEFAULT_WORLD_CAP
+    except ValueError:
+        raise PlaError("PLA_WORLD_CAP must be an integer, got %r" % env) from None
 
 
 def _read_formula(spec: str):
@@ -55,9 +56,10 @@ def _parse_assignment(text: Optional[str]) -> dict:
     assignment = {}
     for chunk in text.split(","):
         name, _, value = chunk.partition("=")
-        if not value:
-            raise PlaError("bad assignment %r; expected var=element" % chunk)
-        assignment[Variable(name.strip())] = int(value)
+        try:
+            assignment[Variable(name.strip())] = int(value)
+        except ValueError:
+            raise PlaError("bad assignment %r; expected var=element" % chunk) from None
     return assignment
 
 
@@ -132,7 +134,7 @@ def cmd_infer(args) -> dict:
     value_set = ValueSet.parse(args.value_set) if args.value_set else ValueSet.full()
     if args.mode == "exact":
         prob = net_mod.exact_event_probability(
-            network, args.n, phi, assignment, value_set, world_cap=_world_cap(args.world_cap)
+            network, args.n, phi, assignment, value_set, world_cap=_world_cap()
         )
         return {"probability": prob, "n": args.n, "value_set": str(value_set)}
     estimate, ci = mc_event_probability(
@@ -235,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--world-cap", dest="world_cap", type=int)
 
     p = add("eliminate", cmd_eliminate, help="compile away aggregation functions")
     p.add_argument("--net", required=True)

@@ -31,6 +31,7 @@ from .logic import (
     children,
     enumerate_complete_types,
     evaluate,
+    fold,
     fold_to_bpf,
     free_vars,
     has_aggregation,
@@ -45,10 +46,6 @@ COLLAPSE_TOL = 1e-12
 
 class NetworkHasAggregation(PlaError):
     """Elimination requires every network formula to be aggregation-free."""
-
-
-class IncompleteType(PlaError):
-    pass
 
 
 def dim_y(p_eq: EqualityType, xs: Sequence[Variable], ys: Sequence[Variable]) -> int:
@@ -74,8 +71,6 @@ def limit_prob_type(net: PlaNetwork, p: AtomicType, registry=None) -> float:
 def _limit_prob_type(net: PlaNetwork, p: AtomicType, registry) -> float:
     if p.signature != net.signature:
         raise ValueError("type signature does not match the network signature")
-    if not p.is_complete():
-        raise IncompleteType("type leaves relation literals undecided")
     struct, _ = p.canonical_structure()
     prob = 1.0
     for (name, ctuple), sign in p.literals:
@@ -187,11 +182,12 @@ def alphas(
 
 
 def _row_spectra(row: AlphaRow, arity: int) -> tuple[SupportSpectrum, ...]:
-    # zero-proportion extensions cannot occur in the limit and are dropped
+    # zero-proportion extensions cannot occur in the limit and are dropped;
+    # aggregators.limit merges close values, and without this filter a
+    # dropped value could anchor a cluster
     entries = [e for e in row.entries if e.alpha > 0.0]
     return tuple(
-        SupportSpectrum(tuple((e.values[m], e.alpha) for e in entries)).merged()
-        for m in range(arity)
+        SupportSpectrum(tuple((e.values[m], e.alpha) for e in entries)) for m in range(arity)
     )
 
 
@@ -243,20 +239,6 @@ class EliminationReport:
         }
 
 
-def _combine(node: Formula, parts: list[BasicProbabilityFormula], signature) -> BasicProbabilityFormula:
-    """Fold a propositional connective over its compiled children: on each
-    complete type, evaluate the connective over the children's constants."""
-    variables = tuple(
-        sorted(set().union(*(c.variables for c in parts)), key=lambda v: v.name)
-    )
-    conjuncts = []
-    for atype in enumerate_complete_types(signature, variables):
-        struct, assignment = atype.canonical_structure()
-        consts = [Const(c.value_on(struct, assignment)) for c in parts]
-        conjuncts.append((atype, evaluate(struct, type(node)(*consts), assignment)))
-    return BasicProbabilityFormula(variables, tuple(conjuncts))
-
-
 def eliminate(
     net: PlaNetwork, phi: Formula, registry=None
 ) -> tuple[BasicProbabilityFormula, EliminationReport]:
@@ -279,7 +261,16 @@ def eliminate(
             return fold_to_bpf(node, sig)
         if isinstance(node, Agg):
             return compile_agg(node)
-        return _combine(node, [compile_node(c) for c in children(node)], sig)
+        # a connective over compiled children: on each complete type,
+        # evaluate the connective over the children's constants
+        parts = [compile_node(c) for c in children(node)]
+        variables = tuple(sorted(set().union(*(c.variables for c in parts)), key=lambda v: v.name))
+
+        def value(struct, assignment):
+            consts = [Const(c.value_on(struct, assignment)) for c in parts]
+            return evaluate(struct, type(node)(*consts), assignment)
+
+        return fold(sig, variables, value)
 
     def compile_agg(node: Agg) -> BasicProbabilityFormula:
         func = registry.get(node.func)
@@ -296,19 +287,16 @@ def eliminate(
         if dim == 0:
             # every bound variable is equated with a parameter: the single
             # matching tuple is a renaming, so the function applies exactly
-            # to length-1 value sequences
-            rename = {}
-            for block in eq.blocks:
-                anchor = next(v for v in block if v not in set(ys))
-                for v in block:
-                    rename[v] = anchor
-            for q in enumerate_complete_types(sig, xs, eq.restrict(xs)):
-                struct, assignment = q.canonical_structure()
-                full = dict(assignment)
-                for y in ys:
-                    full[y] = assignment[rename[y]]
-                seqs = [[b.value_on(struct, full)] for b in bodies]
-                conjuncts.append((q, aggregators.apply(func, *seqs)))
+            # to length-1 value sequences; each variable takes the value of
+            # a parameter in its class
+            anchor = {v: next(u for u in block if u not in ys)
+                      for block in eq.blocks for v in block}
+
+            def value(struct, assignment):
+                full = {v: assignment[u] for v, u in anchor.items()}
+                return aggregators.apply(func, *([b.value_on(struct, full)] for b in bodies))
+
+            conjuncts += fold(sig, xs, value, eq.restrict(xs)).conjuncts
         else:
             if func.limit_method == "none":
                 raise aggregators.NoLimitMethod(
@@ -357,7 +345,7 @@ def eliminate(
     values = [c for _, c in output.conjuncts]
     if values and max(values) - min(values) <= COLLAPSE_TOL and len(values) > 1:
         # the one complete type over no variables: no slot, no literal
-        top = AtomicType.make(sig, EqualityType.from_blocks((), ()), {})
+        top = AtomicType(sig, EqualityType.from_blocks((), ()), ())
         output = BasicProbabilityFormula((), ((top, values[0]),))
     report = EliminationReport(phi, output, agg_nodes, warnings)
     return output, report
@@ -533,16 +521,6 @@ class SaturationResult:
     lower: float
     upper: float
     samples: int
-
-    def to_dict(self) -> dict:
-        return {
-            "frequency": self.frequency,
-            "alpha": self.alpha,
-            "dim": self.dim,
-            "lower": self.lower,
-            "upper": self.upper,
-            "samples": self.samples,
-        }
 
 
 def saturation_diagnostic(

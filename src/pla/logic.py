@@ -67,8 +67,8 @@ class Signature:
     def slots(self, k: int) -> tuple[Literal, ...]:
         """The relation slots over k equality classes: (symbol, class tuple)
         pairs, ordered by symbol in signature order and then by class tuple,
-        lexicographically.  Every atomic type lists its literals in this
-        order, and a complete type decides all of them."""
+        lexicographically.  An atomic type has one sign per slot, in this
+        order."""
         return tuple(
             (name, ctuple)
             for name, arity in self.symbols
@@ -180,32 +180,19 @@ class EqualityType:
         """All complete equality types over ``variables`` in a deterministic
         order (restricted-growth strings, lexicographically)."""
         variables = tuple(variables)
-        if not variables:
-            return [cls.from_blocks((), ())]
-        result = []
-
-        def grow(i: int, blocks: list[list[Variable]]):
-            if i == len(variables):
-                result.append(cls.from_blocks(variables, [list(b) for b in blocks]))
-                return
-            v = variables[i]
-            for b in blocks:
-                b.append(v)
-                grow(i + 1, blocks)
-                b.pop()
-            blocks.append([v])
-            grow(i + 1, blocks)
-            blocks.pop()
-
-        grow(0, [])
-        return result
+        # a prefix with m classes extends by each old class or a new one
+        patterns = [()]
+        for _ in variables:
+            patterns = [p + (c,) for p in patterns for c in range(len(set(p)) + 1)]
+        return [
+            cls.from_blocks(variables, [
+                [v for v, c in zip(variables, p) if c == block] for block in range(len(set(p)))])
+            for p in patterns
+        ]
 
     @cached_property
     def class_index(self) -> dict[Variable, int]:
         return {v: i for i, block in enumerate(self.blocks) for v in block}
-
-    def same_class(self, u: Variable, v: Variable) -> bool:
-        return self.class_index[u] == self.class_index[v]
 
     def satisfied_by(self, assignment: Assignment) -> bool:
         values = []
@@ -241,30 +228,20 @@ Literal = tuple[str, tuple[int, ...]]  # relation name, tuple of class indices
 
 @dataclass(frozen=True)
 class AtomicType:
-    """A consistent set of literals over a signature: an equality type plus,
-    for relation slots (symbol + tuple of equality classes), a three-valued
-    mark (positive / negative / undecided, the latter simply absent).
-    """
+    """A complete atomic type over a signature: an equality type plus one
+    sign per relation slot (symbol + tuple of equality classes) of
+    ``signature.slots``, in that order, True for a positive literal and
+    False for a negative one; no literal is left undecided."""
 
     signature: Signature
     eq: EqualityType
-    literals: tuple[tuple[Literal, bool], ...]
+    signs: tuple[bool, ...]
 
-    @classmethod
-    def make(
-        cls,
-        signature: Signature,
-        eq: EqualityType,
-        decided: Mapping[Literal, bool] | None = None,
-    ) -> "AtomicType":
-        """The type with the decided literals, put in ``signature.slots`` order."""
-        decided = decided or {}
-        slots = signature.slots(len(eq.blocks))
-        stray = [literal for literal in decided if literal not in slots]
-        if stray:
-            raise ValueError("literals %r are not slots over %d classes of the signature"
-                             % (stray, len(eq.blocks)))
-        return cls(signature, eq, tuple((s, decided[s]) for s in slots if s in decided))
+    def __post_init__(self):
+        slots = self.signature.slots(len(self.eq.blocks))
+        if len(self.signs) != len(slots):
+            raise ValueError("%d signs for the %d slots over %d classes of the signature"
+                             % (len(self.signs), len(slots), len(self.eq.blocks)))
 
     @classmethod
     def complete(
@@ -277,33 +254,34 @@ class AtomicType:
         """Build a complete type: the given relation literals are positive,
         every other slot negative."""
         eq = EqualityType.from_blocks(variables, blocks)
-        decided = dict.fromkeys(signature.slots(len(eq.blocks)), False)
-        for name, args in positive:
-            ctuple = tuple(eq.class_index[v] for v in args)
-            decided[(name, ctuple)] = True
-        return cls.make(signature, eq, decided)
+        slots = signature.slots(len(eq.blocks))
+        chosen = {(name, tuple(eq.class_index[v] for v in args)) for name, args in positive}
+        stray = chosen.difference(slots)
+        if stray:
+            raise ValueError("literals %r are not slots over %d classes of the signature"
+                             % (sorted(stray), len(eq.blocks)))
+        return cls(signature, eq, tuple(slot in chosen for slot in slots))
 
     @property
     def variables(self) -> tuple[Variable, ...]:
         return self.eq.variables
 
-    def is_complete(self) -> bool:
-        """Whether the type decides every slot of ``signature.slots``."""
-        slots = self.signature.slots(len(self.eq.blocks))
-        return tuple(literal for literal, _ in self.literals) == slots
+    @property
+    def literals(self) -> tuple[tuple[Literal, bool], ...]:
+        """Each slot of ``signature.slots`` with its sign."""
+        return tuple(zip(self.signature.slots(len(self.eq.blocks)), self.signs))
 
     def restrict(self, variables: Sequence[Variable]) -> "AtomicType":
-        """All literals whose variables can be chosen inside ``variables``."""
-        keep = set(variables)
-        surviving = [i for i, b in enumerate(self.eq.blocks) if any(v in keep for v in b)]
-        remap = {old: new for new, old in enumerate(surviving)}
+        """The complete type over ``variables`` that this type implies: the
+        literals whose classes all keep a member in ``variables``."""
         eq = self.eq.restrict(variables)
-        decided = {
-            (name, tuple(remap[c] for c in ctuple)): sign
-            for (name, ctuple), sign in self.literals
-            if all(c in remap for c in ctuple)
-        }
-        return AtomicType.make(self.signature, eq, decided)
+        # each class of the restriction is a class of this type minus the
+        # dropped variables: its first member names the old class
+        old = [self.eq.class_index[block[0]] for block in eq.blocks]
+        sign = dict(self.literals)
+        return AtomicType(self.signature, eq, tuple(
+            sign[(name, tuple(old[c] for c in ctuple))]
+            for name, ctuple in self.signature.slots(len(eq.blocks))))
 
     def realized_by(self, structure: Structure, assignment: Assignment) -> bool:
         if not self.eq.satisfied_by(assignment):
@@ -316,10 +294,7 @@ class AtomicType:
         return True
 
     def canonical_structure(self) -> tuple[Structure, dict[Variable, int]]:
-        """A smallest structure realizing this type: element i+1 per class i.
-
-        Requires the type to be complete (undecided slots default to absent).
-        """
+        """A smallest structure realizing this type: element i+1 per class i."""
         n = max(1, len(self.eq.blocks))
         interp: dict[str, set[tuple[int, ...]]] = {name: set() for name in self.signature.names()}
         for (name, ctuple), sign in self.literals:
@@ -329,12 +304,13 @@ class AtomicType:
         return Structure(self.signature, n, interp), assignment
 
     def to_formula(self) -> "Formula":
-        """The conjunction of one witness literal per decided fact."""
+        """The conjunction of the type's equalities and inequalities, then
+        one literal per slot, on the first member of each class."""
         parts: list[Formula] = []
         vs = self.eq.variables
         for i, u in enumerate(vs):
             for v in vs[i + 1 :]:
-                if self.eq.same_class(u, v):
+                if self.eq.class_index[u] == self.eq.class_index[v]:
                     parts.append(Eq(u, v))
                 else:
                     parts.append(Not(Eq(u, v)))
@@ -353,21 +329,19 @@ def enumerate_complete_types(
     """All complete atomic types over ``variables``, or only those whose
     equality type is ``eq``, in a deterministic order: equality partition
     first (as ``EqualityType.all_partitions`` lists them), then the sign
-    vector over the partition's ``signature.slots``, False before True.
+    vector over the partition's ``signature.slots``, False before True."""
+    if eq is None:
+        partitions = EqualityType.all_partitions(variables)
+    elif eq.variables != tuple(variables):
+        raise ValueError("the equality type must be over the enumerated variables")
+    else:
+        partitions = [eq]
+    return [
+        AtomicType(signature, p, signs)
+        for p in partitions
+        for signs in itertools.product((False, True), repeat=len(signature.slots(len(p.blocks))))
+    ]
 
-    A complete type decides every slot, so its literals are exactly the
-    slots in that order; compiled formulas hold only such types."""
-    partitions = EqualityType.all_partitions(variables)
-    if eq is not None:
-        if eq.variables != tuple(variables):
-            raise ValueError("the equality type must be over the enumerated variables")
-        partitions = [p for p in partitions if p == eq]
-    result = []
-    for p in partitions:
-        slots = signature.slots(len(p.blocks))
-        for signs in itertools.product((False, True), repeat=len(slots)):
-            result.append(AtomicType(signature, p, tuple(zip(slots, signs))))
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -809,19 +783,19 @@ class BasicProbabilityFormula:
         over the slots, to the least constant of the conjuncts of that type
         below 1.  ``slots[k]`` is ``signature.slots(k)`` for each class count
         k of a conjunct.  Raises ValueError unless every conjunct's type is
-        complete over ``variables`` and all share one signature.
+        over ``variables`` and all share one signature.
         """
         index: dict = {}
         slots: dict[int, tuple[Literal, ...]] = {}
         for i, (atype, c) in enumerate(self.conjuncts):
             if atype.signature != self.conjuncts[0][0].signature:
                 raise ValueError("conjunct %d has another signature than conjunct 0" % i)
-            if atype.variables != self.variables or not atype.is_complete():
-                raise ValueError("the type of conjunct %d is not complete over (%s)"
+            if atype.variables != self.variables:
+                raise ValueError("the type of conjunct %d is not over (%s)"
                                  % (i, ", ".join(v.name for v in self.variables)))
             k = len(atype.eq.blocks)
             slots[k] = atype.signature.slots(k)
-            key = (atype.eq.pattern(), tuple(sign for _, sign in atype.literals))
+            key = (atype.eq.pattern(), atype.signs)
             if c < index.get(key, 1.0):
                 index[key] = c
         return index, slots
@@ -831,7 +805,7 @@ class BasicProbabilityFormula:
         conjuncts, an implication being its constant when the type is
         realized and 1 otherwise.
 
-        Every conjunct's type is complete over ``variables`` (see
+        Every conjunct's type is a complete type over ``variables`` (see
         ``_type_index``), so exactly one type is realized, and the value is
         a dictionary lookup keyed by the tuple's equality pattern and one
         membership test per slot of its type.
@@ -851,16 +825,29 @@ class BasicProbabilityFormula:
         return conjunction([Implies(atype.to_formula(), Const(c)) for atype, c in self.conjuncts])
 
 
+def fold(
+    signature: Signature,
+    variables: Sequence[Variable],
+    value: Callable[[Structure, dict[Variable, int]], float],
+    eq: Optional[EqualityType] = None,
+) -> BasicProbabilityFormula:
+    """The formula over ``variables`` with one conjunct per complete type
+    (with the equality type ``eq``, if given), in ``enumerate_complete_types``
+    order, whose constant is ``value`` at the type's canonical structure and
+    assignment.  Folding a formula, a connective over compiled children and
+    an aggregation node of dimension 0 all take this loop."""
+    conjuncts = []
+    for atype in enumerate_complete_types(signature, variables, eq):
+        struct, assignment = atype.canonical_structure()
+        conjuncts.append((atype, value(struct, assignment)))
+    return BasicProbabilityFormula(tuple(variables), tuple(conjuncts))
+
+
 def fold_to_bpf(phi: Formula, signature: Signature) -> BasicProbabilityFormula:
     """Fold an aggregation-free formula into an exactly equivalent basic
     probability formula: one conjunct per complete atomic type over the free
     variables, carrying the constant value the formula takes on that type."""
     if has_aggregation(phi):
         raise NotAggregationFree("formula contains aggregation nodes")
-    variables = tuple(sorted(free_vars(phi), key=_var_key))
-    conjuncts = []
-    for atype in enumerate_complete_types(signature, variables):
-        struct, assignment = atype.canonical_structure()
-        value = evaluate(struct, phi, assignment)
-        conjuncts.append((atype, value))
-    return BasicProbabilityFormula(variables, tuple(conjuncts))
+    variables = sorted(free_vars(phi), key=_var_key)
+    return fold(signature, variables, lambda struct, a: evaluate(struct, phi, a))

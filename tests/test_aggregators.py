@@ -264,6 +264,13 @@ class TestAdmissibility:
         assert report.final_gaps[0] == pytest.approx(expected, abs=1e-6)
         assert abs(report.final_gaps[0] - 0.6321) <= 0.01
 
+    @pytest.mark.parametrize("lengths", [(), (0,), (100, -5)])
+    def test_lengths_below_one_or_none_are_rejected(self, lengths):
+        with pytest.raises(ValueError, match=r"lengths must be integers >= 1, got \[%s\]"
+                           % ", ".join(map(str, lengths))):
+            empirical_admissibility_check(
+                F("am"), [SupportSpectrum.of((0.5, 1.0))], lengths=lengths, trials=1, seed=7)
+
 
 class TestQuantifierAdapters:
     def test_exists(self):

@@ -121,6 +121,7 @@ class TestSampleEvalInfer:
         ("3", "x=1,y=4", ("y=4", "[1, 3]")),
         ("3", None, ("no value for free variable x", "[1, 3]")),
         ("0", "x=1", ("domain size", "got 0")),
+        ("3", "x=a", ("bad assignment 'x=a'; expected var=element",)),
     ])
     def test_infer_rejects_bad_assignment(self, capsys, pr_file, mode, n, assign, words):
         argv = ["infer", mode, "--net", pr_file, "--n", n, "--formula", "R(x)",
@@ -137,6 +138,7 @@ class TestSampleEvalInfer:
     @pytest.mark.parametrize("assign, words", [
         ("x=3", ("x=3", "[1, 2]")),
         (None, ("no value for free variable x", "[1, 2]")),
+        ("x=a", ("bad assignment 'x=a'; expected var=element",)),
     ])
     def test_eval_rejects_bad_assignment(self, capsys, tmp_path, assign, words):
         world = tmp_path / "world.json"
@@ -211,6 +213,15 @@ class TestSampleEvalInfer:
         )
         assert code == 1
         assert "cap" in err
+
+    def test_world_cap_env_must_be_an_integer(self, capsys, pr_file, monkeypatch):
+        monkeypatch.setenv("PLA_WORLD_CAP", "abc")
+        code, out, err = run(
+            capsys, "infer", "exact", "--net", pr_file, "--n", "1",
+            "--formula", "R(x)", "--assign", "x=1",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: PLA_WORLD_CAP must be an integer, got 'abc'\n"
 
 
 class TestEliminateCommand:
@@ -317,6 +328,13 @@ class TestAdmissible:
             "--lengths", "100,1000,10000", "--trials", "3", "--spectra", "2", "--seed", "1",
         )
         assert payload["passed"] is False
+
+    @pytest.mark.parametrize("lengths, shown", [("0", "[0]"), ("-5", "[-5]"), ("100,0", "[100, 0]")])
+    def test_lengths_below_one_are_an_error(self, capsys, lengths, shown):
+        code, out, err = run(capsys, "admissible", "--function", "am", "--lengths", lengths,
+                             "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: lengths must be integers >= 1, got %s\n" % shown
 
     def test_unknown_function(self, capsys):
         code, _, err = run(capsys, "admissible", "--function", "nope", "--seed", "1")

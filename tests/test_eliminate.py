@@ -19,7 +19,6 @@ from pla import (
 )
 from pla.aggregators import NoLimitMethod
 from pla.eliminate import (
-    IncompleteType,
     NetworkHasAggregation,
     alphas,
     convergence_experiment,
@@ -90,10 +89,10 @@ class TestLimitProbType:
         with pytest.raises(NetworkHasAggregation):
             limit_prob_type(remark_net, p)
 
-    def test_rejects_incomplete_type(self, pr_net):
-        p = AtomicType.make(PR_SIG, EqualityType.all_distinct([X]), {})
-        with pytest.raises(IncompleteType):
-            limit_prob_type(pr_net, p)
+    def test_rejects_incomplete_type(self):
+        # a type has one sign per slot, so one without signs is not built
+        with pytest.raises(ValueError, match="0 signs for the 2 slots"):
+            AtomicType(PR_SIG, EqualityType.all_distinct([X]), ())
 
     def test_n_independence_against_marginals(self, pr_net, binary_net):
         # the product formula equals the exact marginal at every n where the
@@ -451,9 +450,11 @@ class TestSaturation:
             p = AtomicType.complete(net.signature, [X, Y], [[X], [Y]], positive)
             alpha, delta, n, samples, seed = 0.3 * 0.7 * 0.8 ** 3, 1.0, 10, 60, 22
         else:
+            # a type over the empty signature has no literal on y: every base
+            # tuple has its n - 1 extensions, inside the band at this alpha
             net = pr_net
-            p = AtomicType.make(PR_SIG, EqualityType.all_distinct([X, Y]), {("P", (0,)): True})
-            alpha, delta, n, samples, seed = 1.0, 0.1, 4, 200, 23
+            p = AtomicType.complete(Signature(()), [X, Y], [[X], [Y]])
+            alpha, delta, n, samples, seed = 0.75, 0.1, 4, 200, 23
         q = p.restrict([X])
         result = saturation_diagnostic(net, p, q, delta=delta, n=n, samples=samples,
                                        seed=seed, alpha=alpha)
@@ -471,7 +472,10 @@ class TestSaturation:
             hits += all(lower <= count <= upper for count in counts)
         assert (result.lower, result.upper) == (lower, upper)
         assert result.frequency == hits / samples
-        assert 0 < result.frequency < 1
+        if case == "no-extension-literals":
+            assert result.frequency == 1.0
+        else:
+            assert 0 < result.frequency < 1
 
     def test_requires_restriction_relationship(self, pr_net):
         p = pr_type([[X], [Y]], [("P", (X,))])

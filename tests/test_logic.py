@@ -191,8 +191,20 @@ class TestTypeEnumeration:
     def test_restriction_of_complete_type_is_complete(self):
         for t in enumerate_complete_types(TEST_SIG, [X, Y]):
             q = t.restrict([X])
-            assert q.is_complete()
             assert q.variables == (X,)
+        # the restriction of the realized type is the type realized by the
+        # restricted assignment, also when the kept variables are no prefix
+        # and a class loses its first member
+        rng = random.Random(13)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            A = random_structure(rng, TEST_SIG, n)
+            a = {X: rng.randint(1, n), Y: rng.randint(1, n), Z: rng.randint(1, n)}
+            [t] = [t for t in enumerate_complete_types(TEST_SIG, [X, Y, Z]) if t.realized_by(A, a)]
+            for keep in ([X], [Y], [Z], [X, Y], [X, Z], [Y, Z], [X, Y, Z]):
+                q = t.restrict(keep)
+                assert q.variables == tuple(keep)
+                assert q.realized_by(A, {v: a[v] for v in keep})
 
     def test_types_list_the_signature_slots(self):
         for sig in random_signatures(1):
@@ -209,13 +221,12 @@ class TestTypeEnumeration:
                 types = enumerate_complete_types(sig, variables)
                 for t in types:
                     assert tuple(lit for lit, _ in t.literals) == sig.slots(len(t.eq.blocks))
-                    assert t.is_complete()
                 # every sign vector once per equality type
                 for eq in EqualityType.all_partitions(variables):
                     signs = {tuple(sign for _, sign in t.literals) for t in types if t.eq == eq}
                     assert len(signs) == 2 ** len(sig.slots(len(eq.blocks)))
 
-    def test_complete_and_is_complete_agree_with_slots(self):
+    def test_complete_signs_follow_slots(self):
         rng = random.Random(12)
         for sig in random_signatures(2):
             for variables in ([], [X], [X, Y], [X, Y, Z]):
@@ -225,15 +236,13 @@ class TestTypeEnumeration:
                     positive = [slot for slot in slots if rng.random() < 0.5]
                     t = AtomicType.complete(sig, variables, eq.blocks, [
                         (name, [reps[c] for c in ctuple]) for name, ctuple in positive])
-                    assert t.literals == tuple((slot, slot in positive) for slot in slots)
-                    assert t.is_complete()
-                    if slots:
-                        dropped = rng.randrange(len(slots))
-                        partial = AtomicType(sig, eq, t.literals[:dropped] + t.literals[dropped + 1:])
-                        assert not partial.is_complete()
-                    if len(slots) > 1:
-                        swapped = AtomicType(sig, eq, t.literals[1:2] + t.literals[:1] + t.literals[2:])
-                        assert not swapped.is_complete()
+                    assert t.signs == tuple(slot in positive for slot in slots)
+                    assert t.literals == tuple(zip(slots, t.signs))
+                    # one sign per slot: a missing or an extra sign is rejected
+                    for signs in (t.signs[:-1], t.signs + (True,)):
+                        if len(signs) != len(slots):
+                            with pytest.raises(ValueError, match="signs for the"):
+                                AtomicType(sig, eq, signs)
 
     def test_enumeration_with_an_equality_type_filters(self):
         for sig in random_signatures(3):
@@ -245,13 +254,32 @@ class TestTypeEnumeration:
         with pytest.raises(ValueError):
             enumerate_complete_types(TEST_SIG, [X, Y], EqualityType.all_distinct([X]))
 
-    def test_make_orders_literals_by_slot_and_rejects_others(self):
-        eq = EqualityType.all_distinct([X, Y])
-        t = AtomicType.make(TEST_SIG, eq, {("E", (1, 0)): True, ("P", (1,)): False, ("E", (0, 1)): False})
-        assert t.literals == ((("P", (1,)), False), (("E", (0, 1)), False), (("E", (1, 0)), True))
-        for stray in (("R", (0,)), ("E", (0,)), ("P", (2,))):
-            with pytest.raises(ValueError):
-                AtomicType.make(TEST_SIG, eq, {stray: True})
+    def test_complete_orders_literals_by_slot_and_rejects_others(self):
+        t = AtomicType.complete(TEST_SIG, [X, Y], [[X], [Y]], [("E", (Y, X)), ("P", (X,))])
+        assert t.literals == (
+            (("P", (0,)), True), (("P", (1,)), False), (("Q", (0,)), False),
+            (("Q", (1,)), False), (("E", (0, 0)), False),
+            (("E", (0, 1)), False), (("E", (1, 0)), True), (("E", (1, 1)), False))
+        for stray in (("R", (X,)), ("E", (X,)), ("P", (X, Y))):
+            with pytest.raises(ValueError, match="not slots"):
+                AtomicType.complete(TEST_SIG, [X, Y], [[X], [Y]], [stray])
+
+    def test_all_partitions_are_the_restricted_growth_strings_in_order(self):
+        variables = [Variable("v%d" % i) for i in range(6)]
+        for k in range(7):
+            # every class tuple whose first occurrences read 0, 1, 2, ...,
+            # in lexicographic order
+            strings = [p for p in itertools.product(range(k), repeat=k)
+                       if all(c <= max(p[:i], default=-1) + 1 for i, c in enumerate(p))]
+            expected = [
+                tuple(tuple(v for v, c in zip(variables, p) if c == b) for b in sorted(set(p)))
+                for p in strings
+            ]
+            partitions = EqualityType.all_partitions(variables[:k])
+            assert [e.blocks for e in partitions] == expected
+            assert all(e.variables == tuple(variables[:k]) for e in partitions)
+        assert [len(EqualityType.all_partitions(variables[:k])) for k in range(7)] == [
+            1, 1, 2, 5, 15, 52, 203]
 
 
 class TestRealizes:
@@ -400,15 +428,13 @@ class TestValueOn:
         self.assert_matches_scan(distinct, [random_structure(rng, TEST_SIG, 3) for _ in range(4)])
         assert distinct.value_on(Structure(TEST_SIG, 2), {X: 1, Y: 1}) == 1.0
 
-    def test_incomplete_type_or_second_signature_is_rejected(self):
+    def test_type_over_other_variables_or_second_signature_is_rejected(self):
         phi = Or(Atom("P", (X,)), Atom("Q", (Y,)))
         bpf = fold_to_bpf(phi, TEST_SIG)
-        partial = AtomicType.make(TEST_SIG, EqualityType.all_distinct([X, Y]), {("E", (0, 1)): True})
         over_x = fold_to_bpf(Atom("P", (X,)), TEST_SIG).conjuncts[0]  # complete over x alone
         other = fold_to_bpf(phi, Signature.of(("P", 1), ("Q", 1))).conjuncts[0]
         A = random_structure(random.Random(4), TEST_SIG, 3)
-        for extra, words in (((partial, 0.1), "not complete"), (over_x, "not complete"),
-                             (other, "signature")):
+        for extra, words in ((over_x, r"not over \(x, y\)"), (other, "signature")):
             mixed = BasicProbabilityFormula(bpf.variables, bpf.conjuncts + (extra,))
             with pytest.raises(ValueError, match=words):
                 mixed.value_on(A, {X: 1, Y: 2})
