@@ -63,6 +63,14 @@ def _parse_assignment(text: Optional[str]) -> dict:
     return assignment
 
 
+def _parse_ints(option: str, text: str) -> list[int]:
+    """A comma-separated list of integers given to a command-line option."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise PlaError("%s must be comma-separated integers, got %r" % (option, text)) from None
+
+
 def _check_assignment(phi, assignment: dict, n: int) -> None:
     """Every assigned value is a domain element and every free variable of
     the formula has one."""
@@ -173,7 +181,7 @@ def cmd_converge(args):
             "network formulas contain aggregation functions, so no compiled "
             "formula exists; give --value-set to test value probabilities"
         )
-    n_grid = [int(x) for x in args.n_grid.split(",")]
+    n_grid = _parse_ints("--n-grid", args.n_grid)
     table = convergence_experiment(
         network, phi, psi,
         n_grid=n_grid, epsilon=args.epsilon, samples=args.samples,
@@ -195,7 +203,7 @@ def cmd_admissible(args) -> dict:
         tuple(aggregators.random_spectrum(rng) for _ in range(func.arity))
         for _ in range(args.spectra)
     ]
-    lengths = [int(x) for x in args.lengths.split(",")]
+    lengths = _parse_ints("--lengths", args.lengths)
     report = aggregators.empirical_admissibility_check(
         func, spectra, lengths, args.trials, rng.getrandbits(64),
         threshold=args.threshold,

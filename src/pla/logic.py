@@ -10,6 +10,7 @@ implication), which agrees with the classical tables on {0, 1}.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 from operator import itemgetter
@@ -460,12 +461,36 @@ class Agg:
         ``probes`` are the distinct atoms of all bodies (see ``atom_probes``)
         over ``eq_type.variables``; ``table`` maps their ``truth_keys`` to
         the tuple of body values and fills through ``memo_values``: one
-        ``_eval`` per key.  Every part pickles, so formulas still travel to
-        worker processes.
+        ``_eval`` per key.  The table is shared with the counting path (see
+        ``_counting``), whose keys are the same atoms' truth values.  Every
+        part pickles, so formulas still travel to worker processes.
         """
         if any(has_aggregation(body) for body in self.bodies):
             return None
         return (*atom_probes(self.bodies, self.eq_type.variables), {})
+
+    @cached_property
+    def _counting(self) -> Optional[tuple[EqualityType, tuple, tuple]]:
+        """``(bound_eq, probes, param_blocks)`` when the node is evaluated by
+        counting (see ``_eval_bodies_by_count``), else None.
+
+        The node qualifies when it has a ``_body_table``, one equality class
+        is exactly the bound variables and every body atom reads bound
+        variables only (an equality may read a parameter: its value is
+        fixed by ``eq_type``).  A bound tuple is then one domain element e
+        repeated, and the bodies' values there depend on e alone.
+        ``bound_eq`` is ``eq_type`` restricted to ``bound``, ``probes`` are
+        ``_body_table``'s atoms over ``bound`` and ``param_blocks`` are the
+        other classes, which pin one element each.  Every part pickles.
+        """
+        bound = set(self.bound)
+        if (self._body_table is None
+                or bound not in map(set, self.eq_type.blocks)
+                or any(not bound.issuperset(f.args) for body in self.bodies
+                       for f in subformulas(body) if isinstance(f, Atom))):
+            return None
+        return (self.eq_type.restrict(self.bound), atom_probes(self.bodies, self.bound)[1],
+                tuple(b for b in self.eq_type.blocks if not bound.issuperset(b)))
 
 
 Formula = Union[Const, Eq, Atom, Not, And, Or, Implies, WeightedMean, Agg]
@@ -648,37 +673,46 @@ def evaluate(
     phi: Formula,
     assignment: Optional[Assignment] = None,
     registry=None,
+    memo: Optional[dict] = None,
 ) -> float:
     """The value of the formula in the structure under the assignment,
-    per the [0,1]-valued semantics."""
+    per the [0,1]-valued semantics.
+
+    ``memo`` holds per-world state of the counting aggregation nodes (see
+    ``Agg._counting``): each such node keys every domain element once and
+    counts the keys.  A caller that evaluates one world at many assignments
+    passes one dict to every call; the memo is valid only while the world
+    it was filled on is unchanged.  None means a fresh memo for this call.
+    """
     if registry is None:
         registry = aggregators.DEFAULT_REGISTRY
-    return _eval(structure, phi, dict(assignment or {}), registry)
+    return _eval(structure, phi, dict(assignment or {}), registry, {} if memo is None else memo)
 
 
-def _eval(structure: Structure, phi: Formula, a: dict, registry) -> float:
+def _eval(structure: Structure, phi: Formula, a: dict, registry, memo: dict) -> float:
     if isinstance(phi, Atom):
         args = tuple(a[v] for v in phi.args)
         return 1.0 if args in structure.interp[phi.symbol] else 0.0
     if isinstance(phi, Const):
         return phi.value
     if isinstance(phi, And):
-        return _eval_spine(structure, phi, a, registry, And, min)
+        return _eval_spine(structure, phi, a, registry, memo, And, min)
     if isinstance(phi, Or):
-        return _eval_spine(structure, phi, a, registry, Or, max)
+        return _eval_spine(structure, phi, a, registry, memo, Or, max)
     if isinstance(phi, Not):
-        return 1.0 - _eval(structure, phi.sub, a, registry)
+        return 1.0 - _eval(structure, phi.sub, a, registry, memo)
     if isinstance(phi, Implies):
         return min(
             1.0,
-            1.0 - _eval(structure, phi.left, a, registry) + _eval(structure, phi.right, a, registry),
+            1.0 - _eval(structure, phi.left, a, registry, memo)
+            + _eval(structure, phi.right, a, registry, memo),
         )
     if isinstance(phi, Eq):
         return 1.0 if a[phi.left] == a[phi.right] else 0.0
     if isinstance(phi, WeightedMean):
-        w = _eval(structure, phi.weight, a, registry)
-        return w * _eval(structure, phi.left, a, registry) + (1.0 - w) * _eval(
-            structure, phi.right, a, registry
+        w = _eval(structure, phi.weight, a, registry, memo)
+        return w * _eval(structure, phi.left, a, registry, memo) + (1.0 - w) * _eval(
+            structure, phi.right, a, registry, memo
         )
     if isinstance(phi, Agg):
         func = registry.get(phi.func)
@@ -688,15 +722,17 @@ def _eval(structure: Structure, phi: Formula, a: dict, registry) -> float:
                 % (func.name, func.arity, len(phi.bodies))
             )
         saved = {v: a.get(v) for v in phi.bound}
-        tuples = satisfying_bound_tuples(phi.eq_type, phi.bound, a, structure.domain_size)
-        if phi._body_table is None:
-            seqs: list[list[float]] = [[] for _ in phi.bodies]
-            for combo in tuples:
+        if phi._counting is not None:
+            seqs = _eval_bodies_by_count(structure, phi, a, registry, memo)
+        elif phi._body_table is None:
+            seqs = [[] for _ in phi.bodies]
+            for combo in satisfying_bound_tuples(phi.eq_type, phi.bound, a, structure.domain_size):
                 a.update(zip(phi.bound, combo))
                 for i, body in enumerate(phi.bodies):
-                    seqs[i].append(_eval(structure, body, a, registry))
+                    seqs[i].append(_eval(structure, body, a, registry, memo))
         else:
-            seqs = _eval_bodies_by_key(structure, phi, tuples, a, registry)
+            tuples = satisfying_bound_tuples(phi.eq_type, phi.bound, a, structure.domain_size)
+            seqs = _eval_bodies_by_key(structure, phi, tuples, a, registry, memo)
         for v, old in saved.items():
             if old is None:
                 a.pop(v, None)
@@ -716,7 +752,7 @@ def _eval(structure: Structure, phi: Formula, a: dict, registry) -> float:
 _BLOCK = 4096  # bound tuples keyed per batch, bounding the memory of a large range
 
 
-def _eval_bodies_by_key(structure: Structure, phi: Agg, tuples, a: dict, registry):
+def _eval_bodies_by_key(structure: Structure, phi: Agg, tuples, a: dict, registry, memo: dict):
     """The body values of an aggregation node with aggregation-free bodies
     at each bound tuple, one list per body, in enumeration order.
 
@@ -729,7 +765,7 @@ def _eval_bodies_by_key(structure: Structure, phi: Agg, tuples, a: dict, registr
 
     def bodies_at(combo):
         a.update(zip(phi.bound, combo))
-        return tuple(_eval(structure, body, a, registry) for body in phi.bodies)
+        return tuple(_eval(structure, body, a, registry, memo) for body in phi.bodies)
 
     rows: list[tuple[float, ...]] = []
     for block in iter(lambda: list(itertools.islice(tuples, _BLOCK)), []):
@@ -739,7 +775,54 @@ def _eval_bodies_by_key(structure: Structure, phi: Agg, tuples, a: dict, registr
     return [list(map(itemgetter(i), rows)) for i in range(len(phi.bodies))]
 
 
-def _eval_spine(structure: Structure, phi: Formula, a: dict, registry, kind, combine) -> float:
+def _eval_bodies_by_count(structure: Structure, phi: Agg, a: dict, registry, memo: dict):
+    """The body values of a counting aggregation node (see
+    ``Agg._counting``) over its bound tuples, one list per body, grouped by
+    key in order of the key's first occurrence among the domain elements.
+
+    Once per world (per ``memo``), every element is keyed by ``truth_keys``
+    and the keys are counted.  A call subtracts the keys of the elements
+    its parameters pin and repeats each key's row of body values by the
+    key's remaining count, so it keys no element and evaluates no body
+    unless the key is new.  A key not yet in ``_body_table`` is evaluated
+    at its first element that no parameter pins, where the assignment
+    satisfies ``eq_type``.  The aggregation functions are symmetric, so
+    the grouping changes no value.
+    """
+    bound_eq, probes, param_blocks = phi._counting
+    symbols, _, table = phi._body_table
+    state = memo.get(id(phi))
+    if state is None:
+        tuples = list(satisfying_bound_tuples(bound_eq, phi.bound, {}, structure.domain_size))
+        keys = truth_keys(structure, symbols, probes, tuples)
+        # holding phi keeps its id from being reused while the memo lives
+        state = memo[id(phi)] = (phi, keys, Counter(keys))
+    _, keys, total = state
+    pinned = {a[block[0]] for block in param_blocks}
+    if len(pinned) != len(param_blocks) or any(
+            a[v] != a[block[0]] for block in param_blocks for v in block[1:]):
+        return [[] for _ in phi.bodies]  # the parameters violate the equality type
+    counts = dict(total)
+    for e in pinned:
+        if 0 < e <= len(keys):
+            counts[keys[e - 1]] -= 1
+    seqs: list[list[float]] = [[] for _ in phi.bodies]
+    for key, count in counts.items():
+        if not count:
+            continue
+        row = table.get(key)
+        if row is None:
+            e = next(i for i, k in enumerate(keys, 1) if k == key and i not in pinned)
+            a.update(dict.fromkeys(phi.bound, e))
+            row = table[key] = tuple(_eval(structure, body, a, registry, memo)
+                                     for body in phi.bodies)
+        for seq, value in zip(seqs, row):
+            seq += [value] * count
+    return seqs
+
+
+def _eval_spine(structure: Structure, phi: Formula, a: dict, registry, memo: dict,
+                kind, combine) -> float:
     """An ``&`` or ``|`` node with the left-nested chain of the same
     connective below it (the parser's shape for ``p & q & ...``), walked in
     a loop so its length costs no stack depth.  Operands are evaluated and
@@ -749,9 +832,9 @@ def _eval_spine(structure: Structure, phi: Formula, a: dict, registry, kind, com
     while isinstance(phi, kind):
         rights.append(phi.right)
         phi = phi.left
-    value = _eval(structure, phi, a, registry)
+    value = _eval(structure, phi, a, registry, memo)
     for right in reversed(rights):
-        value = combine(value, _eval(structure, right, a, registry))
+        value = combine(value, _eval(structure, right, a, registry, memo))
     return value
 
 

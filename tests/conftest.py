@@ -83,6 +83,16 @@ CHILD_FIRST_DOC = {
     ]
 }
 
+# a non-root theta that aggregates over its parent: the sampler evaluates it
+# at every tuple, all of one theta list on one world
+NON_ROOT_AGGREGATION_DOC = {
+    "relations": [
+        {"name": "P", "arity": 1, "parents": [], "theta": "0.5"},
+        {"name": "R", "arity": 1, "parents": ["P"],
+         "theta": "wm(P(x1); am[P(y) : y : y != x1]; 0.1)"},
+    ]
+}
+
 
 @pytest.fixture
 def pr_net():

@@ -429,6 +429,20 @@ class TestRobustness:
         for word in words:
             assert word in err
 
+    @pytest.mark.parametrize("argv, shown", [
+        (["converge", "--net", "{net}", "--formula", "P(x)", "--n-grid", "a"],
+         "--n-grid must be comma-separated integers, got 'a'"),
+        (["converge", "--net", "{net}", "--formula", "P(x)", "--n-grid", "5,,9"],
+         "--n-grid must be comma-separated integers, got '5,,9'"),
+        (["admissible", "--function", "am", "--lengths", ""],
+         "--lengths must be comma-separated integers, got ''"),
+    ])
+    def test_integer_list_option_is_named(self, capsys, pr_file, argv, shown):
+        code, out, err = run(capsys, *[a.format(net=pr_file) for a in argv], "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: %s\n" % shown
+
     def test_long_compiled_report_parses_back(self, capsys, tmp_path):
         doc = {
             "relations": [

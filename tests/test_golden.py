@@ -1,5 +1,6 @@
 """Byte-identity guard: the exit code and the sha256 of stdout of seeded
-``pla`` runs on the P/R, remark, P/S/E, P/E/F and child-first networks.
+``pla`` runs on the P/R, remark, P/S/E, P/E/F, child-first and
+non-root-aggregation networks.
 
 A refactor must leave every entry unchanged, under one worker and several.
 An entry changes only with a deliberate change of output, noted in
@@ -13,7 +14,14 @@ import pytest
 
 from pla.cli import main
 
-from conftest import CHILD_FIRST_DOC, PEF_DOC, PR_DOC, PSE_DOC, REMARK_DOC
+from conftest import (
+    CHILD_FIRST_DOC,
+    NON_ROOT_AGGREGATION_DOC,
+    PEF_DOC,
+    PR_DOC,
+    PSE_DOC,
+    REMARK_DOC,
+)
 
 # aggregation shapes whose bodies are evaluated once per key of atom truth
 # values: two bound variables; a bound variable equated with a parameter,
@@ -23,7 +31,7 @@ BOUND_IS_PARAMETER = "am[wm(z = y; 0.3; R(y) -> P(z)) & (0.6 | R(z)) : y, z : y 
 NESTED = "am[max[R(z) & P(y) : z : z != y, z != x, y != x] | P(x) : y : y != x]"
 
 NETWORKS = {"pr": PR_DOC, "remark": REMARK_DOC, "pse": PSE_DOC, "pef": PEF_DOC,
-            "child-first": CHILD_FIRST_DOC}
+            "child-first": CHILD_FIRST_DOC, "non-root-aggregation": NON_ROOT_AGGREGATION_DOC}
 
 # (id, argv with {net} for the network file, network, exit code, sha256 of stdout)
 GOLDEN = [
@@ -147,6 +155,16 @@ GOLDEN = [
       "--formula", "wm(P(x); S(x); 0.4) & (E(x, y) | 0.7)", "--assign", "x=1,y=2",
       "--value-set", "0.3:0.6"],
      "pse", 0, "bb83571fecea2ff3bbbbacdc6e7dadd9680cf66940851c442f9c7c7edbecbdda"),
+    # the sampler evaluates R's aggregating theta at every tuple, one
+    # evaluation memo per theta list
+    ("sample-non-root-aggregation",
+     ["sample", "--net", "{net}", "--n", "5", "--seed", "22"],
+     "non-root-aggregation", 0, "4f132ca87ee7f5880a7bc8912366a7185d8acfea74235b8579edb6da3836fd49"),
+    ("infer-mc-non-root-aggregation-workers2",
+     ["infer", "mc", "--net", "{net}", "--n", "6", "--formula", "am[R(y) : y : y != x]",
+      "--assign", "x=1", "--value-set", "0.3:1", "--samples", "40", "--seed", "17",
+      "--workers", "2"],
+     "non-root-aggregation", 0, "1ca7f23d786a9963559193f0c7beccd34e703e742c3e7c1e2d4c5a74f7ae06b4"),
 ]
 
 

@@ -473,22 +473,30 @@ def per_tuple_value(A, phi, a):
 V = Variable("v")
 
 
+def assert_matches(phi, structures, params):
+    """``evaluate`` equals ``per_tuple_value`` at every assignment of the
+    parameters, with a fresh memo per call and with one memo per structure."""
+    for A in structures:
+        memo = {}
+        for values in itertools.product(range(1, A.domain_size + 1), repeat=len(params)):
+            a = dict(zip(params, values))
+            try:
+                expected = per_tuple_value(A, phi, a)
+            except EmptyAggregationRange:
+                with pytest.raises(EmptyAggregationRange):
+                    evaluate(A, phi, a)
+                with pytest.raises(EmptyAggregationRange):
+                    evaluate(A, phi, a, memo=memo)
+                continue
+            assert evaluate(A, phi, a) == expected, (phi, values)
+            assert evaluate(A, phi, a, memo=memo) == expected, (phi, values)
+
+
 class TestAggregationCache:
     """An aggregation node whose bodies are aggregation-free evaluates each
     body once per key of atom truth values; ``evaluate`` must still give
-    the per-tuple definition's value, bit for bit."""
-
-    def assert_matches(self, phi, structures, params):
-        for A in structures:
-            for values in itertools.product(range(1, A.domain_size + 1), repeat=len(params)):
-                a = dict(zip(params, values))
-                try:
-                    expected = per_tuple_value(A, phi, a)
-                except EmptyAggregationRange:
-                    with pytest.raises(EmptyAggregationRange):
-                        evaluate(A, phi, a)
-                    continue
-                assert evaluate(A, phi, a) == expected, (phi, values)
+    the per-tuple definition's value, bit for bit, with a fresh memo per
+    call and with one memo shared by every assignment on a structure."""
 
     def random_cases(self, seed, variables, bound, blocks, funcs=("am", "gm", "max", "min")):
         rng = random.Random(seed)
@@ -502,14 +510,14 @@ class TestAggregationCache:
 
     def test_two_bound_variables(self):
         for phi, structures in self.random_cases(11, [X, Y, Z], (Y, Z), [[X], [Y], [Z]]):
-            self.assert_matches(phi, structures, [X])
+            assert_matches(phi, structures, [X])
 
     def test_bound_variable_equated_with_a_parameter(self):
         for phi, structures in self.random_cases(12, [X, Y, Z], (Y, Z), [[X, Y], [Z]]):
-            self.assert_matches(phi, structures, [X])
+            assert_matches(phi, structures, [X])
         # two bound variables in one class, and a class of two parameters
         for phi, structures in self.random_cases(13, [X, V, Y, Z], (Y, Z), [[X, V], [Y, Z]]):
-            self.assert_matches(phi, structures, [X, V])
+            assert_matches(phi, structures, [X, V])
 
     def test_repeated_and_swapped_atoms(self):
         body = parse_formula("wm(E(y, x); E(x, y) & !E(y, y); E(x, y) | Q(y))")
@@ -518,22 +526,22 @@ class TestAggregationCache:
         assert symbols == ("E", "E", "E", "Q")  # E(x, y) once
         assert [probe((1, 2)) for probe in probes] == [(2, 1), (1, 2), (2, 2), (2,)]
         rng = random.Random(14)
-        self.assert_matches(phi, [random_structure(rng, TEST_SIG, n) for n in (2, 3, 5)], [X])
+        assert_matches(phi, [random_structure(rng, TEST_SIG, n) for n in (2, 3, 5)], [X])
 
     def test_equality_constant_and_weighted_mean_in_a_body(self):
         body = parse_formula("wm(x = z; 0.3 -> P(z); wm(0.25; E(z, x); y = z))")
         phi = Agg("max", (body,), (Y, Z), EqualityType.from_blocks([X, Y, Z], [[X], [Y, Z]]))
         rng = random.Random(15)
-        self.assert_matches(phi, [random_structure(rng, TEST_SIG, n) for n in (2, 3, 4)], [X])
+        assert_matches(phi, [random_structure(rng, TEST_SIG, n) for n in (2, 3, 4)], [X])
         for phi, structures in self.random_cases(16, [X, Y], (Y,), [[X], [Y]]):
-            self.assert_matches(phi, structures, [X])
+            assert_matches(phi, structures, [X])
 
     def test_binary_exists_at_least(self):
         bodies = (parse_formula("E(x, y)"), parse_formula("P(y) | E(y, x)"))
         phi = Agg("exists_at_least(0.5)", bodies, (Y,), EqualityType.all_distinct([X, Y]))
         assert phi._body_table[0] == ("E", "P", "E")
         rng = random.Random(17)
-        self.assert_matches(phi, [random_structure(rng, TEST_SIG, n) for n in (2, 3, 4, 5)], [X])
+        assert_matches(phi, [random_structure(rng, TEST_SIG, n) for n in (2, 3, 4, 5)], [X])
 
     def test_nested_aggregation_takes_the_per_tuple_path(self):
         phi = parse_formula(
@@ -541,7 +549,7 @@ class TestAggregationCache:
         inner = next(f for f in subformulas(phi) if isinstance(f, Agg) and f is not phi)
         assert phi._body_table is None and inner._body_table is not None
         rng = random.Random(18)
-        self.assert_matches(phi, [random_structure(rng, TEST_SIG, n) for n in (2, 3, 4)], [X])
+        assert_matches(phi, [random_structure(rng, TEST_SIG, n) for n in (2, 3, 4)], [X])
         assert inner._body_table[2]  # the inner node filled its table
 
     def test_one_node_across_domain_sizes(self):
@@ -550,7 +558,7 @@ class TestAggregationCache:
         small = [random_structure(rng, TEST_SIG, 3) for _ in range(3)]
         large = [random_structure(rng, TEST_SIG, 6) for _ in range(3)]
         for A, B in zip(small, large):  # interleaved, so each size meets the other's table
-            self.assert_matches(phi, [A, B], [X])
+            assert_matches(phi, [A, B], [X])
         assert len(phi._body_table[2]) == 4  # (E(x, y), P(y)) truth values
 
     def test_table_travels_with_the_formula(self):
@@ -561,3 +569,110 @@ class TestAggregationCache:
         copy = pickle.loads(pickle.dumps(phi))
         assert copy == phi and copy._body_table[2] == phi._body_table[2]
         assert [evaluate(A, copy, {X: x}) for x in range(1, 5)] == before
+
+
+class TestCountingAggregation:
+    """A node whose bound variables form one class of their own, with atoms
+    over bound variables only, keys each domain element once per world and
+    counts the keys (``Agg._counting``); every value must equal the
+    per-tuple definition's, bit for bit."""
+
+
+    def counting_cases(self, seed, variables, bound, blocks, funcs):
+        """Random counting nodes: bodies whose atoms read the bound
+        variables and whose equalities read any variable, checked on
+        structures of sizes 1 to 5 (at size 1 a parameter pins the one
+        element, so the range is empty)."""
+        rng = random.Random(seed)
+        eq_type = EqualityType.from_blocks(variables, blocks)
+        for i in range(18):
+            body = WeightedMean(Eq(rng.choice(variables), rng.choice(variables)),
+                                random_agg_free(rng, TEST_SIG, bound, 3),
+                                random_agg_free(rng, TEST_SIG, bound, 2))
+            phi = Agg(funcs[i % len(funcs)], (body,), bound, eq_type)
+            assert phi._counting is not None
+            yield phi, [random_structure(rng, TEST_SIG, n) for n in (1, 2, 3, 5)]
+
+    @pytest.mark.parametrize("func", ["am", "gm", "max", "min", "noisy-or", "invlen"])
+    def test_each_builtin_matches_the_definition(self, func):
+        for phi, structures in self.counting_cases(21, [X, Y], (Y,), [[X], [Y]], [func]):
+            assert_matches(phi, structures, [X])
+
+    def test_classes_of_two_bound_variables_and_of_two_parameters(self):
+        funcs = ["am", "gm", "max", "min", "noisy-or", "invlen"]
+        for phi, structures in self.counting_cases(22, [X, V, Y, Z], (Y, Z),
+                                                   [[X, V], [Y, Z]], funcs):
+            assert_matches(phi, structures, [X, V])  # x != v: an empty range
+        for phi, structures in self.counting_cases(23, [X, V, Y], (Y,), [[X], [V], [Y]], funcs):
+            assert_matches(phi, structures, [X, V])  # two pinned elements
+        for phi, structures in self.counting_cases(24, [Y], (Y,), [[Y]], funcs):
+            assert_matches(phi, structures, [])  # nothing pinned
+
+    def test_equality_reading_a_parameter(self):
+        phi = parse_formula("am[wm(x = y; 0.3; P(y)) | (y = x -> Q(y)) : y : y != x]")
+        assert phi._counting is not None
+        rng = random.Random(25)
+        assert_matches(phi, [random_structure(rng, TEST_SIG, n) for n in (1, 2, 4)], [X])
+
+    def test_binary_exists_at_least_keeps_bodies_aligned(self):
+        bodies = (parse_formula("E(y, y) | P(y)"), parse_formula("wm(x = y; 0.5; Q(y) & !P(y))"))
+        phi = Agg("exists_at_least(0.5)", bodies, (Y,), EqualityType.all_distinct([X, Y]))
+        assert phi._counting is not None
+        rng = random.Random(26)
+        assert_matches(phi, [random_structure(rng, TEST_SIG, n) for n in (1, 2, 3, 5, 6)], [X])
+
+    def test_empty_range_gives_the_declared_value(self):
+        from pla.aggregators import AggregationFunction, Registry
+
+        registry = Registry([AggregationFunction("amz", 1, lambda r: sum(r) / len(r),
+                                                 empty_value=0.25)])
+        phi = parse_formula("amz[P(y) : y : y != x]", registry)
+        assert phi._counting is not None
+        A = Structure(TEST_SIG, 1, {"P": {(1,)}})
+        memo = {}
+        assert evaluate(A, phi, {X: 1}, registry, memo) == 0.25
+        with pytest.raises(EmptyAggregationRange):
+            evaluate(A, parse_formula("am[P(y) : y : y != x]"), {X: 1}, memo=memo)
+
+    def test_atom_reading_a_parameter_falls_back(self):
+        phi = parse_formula("am[E(x, y) | P(y) : y : y != x]")
+        assert phi._counting is None and phi._body_table is not None
+        shared = parse_formula("am[P(y) : y : y = x]")  # the bound class holds x
+        assert shared._counting is None
+        rng = random.Random(27)
+        structures = [random_structure(rng, TEST_SIG, n) for n in (1, 2, 4)]
+        assert_matches(phi, structures, [X])
+        assert_matches(shared, structures, [X])
+
+    def test_counting_plan_travels_with_the_formula(self):
+        phi = parse_formula("max[P(y) & !E(y, y) | y = x : y : y != x]")
+        A = random_structure(random.Random(28), TEST_SIG, 4)
+        memo = {}
+        before = [evaluate(A, phi, {X: x}, memo=memo) for x in range(1, 5)]
+        copy = pickle.loads(pickle.dumps(phi))
+        assert copy._counting is not None and copy._body_table[2] == phi._body_table[2]
+        assert [evaluate(A, copy, {X: x}) for x in range(1, 5)] == before
+
+    def test_one_memo_keys_each_element_once(self, monkeypatch):
+        import pla.logic
+
+        visited = []
+        original = pla.logic.satisfying_bound_tuples
+
+        def counting(*args):
+            for combo in original(*args):
+                visited.append(combo)
+                yield combo
+
+        monkeypatch.setattr(pla.logic, "satisfying_bound_tuples", counting)
+        n = 30
+        phi = parse_formula("am[R(y) : y : y != x]")
+        A = Structure(SIG_R, n, {"R": {(e,) for e in range(1, n + 1) if e % 3}})
+        memo = {}
+        values = [evaluate(A, phi, {X: x}, memo=memo) for x in range(1, n + 1)]
+        assert len(visited) == n  # not n(n - 1)
+        assert values == [per_tuple_value(A, phi, {X: x}) for x in range(1, n + 1)]
+        assert [evaluate(A, phi, {X: x}) for x in range(1, n + 1)] == values
+        assert len(visited) == n + n * n  # a fresh memo keys every element again
+        for outside in (0, n + 1):  # a parameter outside the domain pins nothing
+            assert evaluate(A, phi, {X: outside}, memo=memo) == per_tuple_value(A, phi, {X: outside})

@@ -43,6 +43,7 @@ from pla.network import (
 from conftest import (
     BINARY_DOC,
     CHILD_FIRST_DOC,
+    NON_ROOT_AGGREGATION_DOC,
     PEF_DOC,
     PR_DOC,
     PSE_DOC,
@@ -171,11 +172,7 @@ CACHE_DOCS = {
         {"name": "G", "arity": 2, "parents": ["P"],
          "theta": "wm(x1 = x2; wm(P(x1); 0.8; 0.3); 0.25)"},
     ]},
-    "non-root-aggregation": {"relations": [
-        {"name": "P", "arity": 1, "parents": [], "theta": "0.5"},
-        {"name": "R", "arity": 1, "parents": ["P"],
-         "theta": "wm(P(x1); am[P(y) : y : y != x1]; 0.1)"},
-    ]},
+    "non-root-aggregation": NON_ROOT_AGGREGATION_DOC,
     "counterexample": REMARK_DOC,
 }
 
