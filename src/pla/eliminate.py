@@ -430,14 +430,13 @@ def _experiment_counts(
     near_hits = [0] * len(constants)
     set_hits = 0
     for _ in range(samples):
-        world = sampler.sample(rng)
-        memo: dict = {}  # one per world: see ``evaluate``
+        world = sampler.sample(rng).snapshot()  # counts once per world: see ``evaluate``
         value_at_canonical = None
         if psi is not None:
             worst_exceeds = False
             for args in itertools.product(range(1, n + 1), repeat=k):
                 assignment = dict(zip(variables, args))
-                value = evaluate(world, phi, assignment, registry, memo=memo)
+                value = evaluate(world, phi, assignment, registry)
                 if value_at_canonical is None and args == tuple(range(1, k + 1)):
                     value_at_canonical = value
                 if abs(value - psi.value_on(world, assignment)) > epsilon:
@@ -445,7 +444,7 @@ def _experiment_counts(
                     break
             exceed_hits += worst_exceeds
         if value_at_canonical is None:
-            value_at_canonical = evaluate(world, phi, canonical, registry, memo=memo)
+            value_at_canonical = evaluate(world, phi, canonical, registry)
         for i, d in enumerate(constants):
             if abs(value_at_canonical - d) <= epsilon:
                 near_hits[i] += 1

@@ -84,6 +84,9 @@ class Structure:
     signature: Signature
     domain_size: int
     interp: dict[str, set[tuple[int, ...]]] = field(default_factory=dict)
+    # per-world state that ``evaluate`` keeps across calls; only a snapshot,
+    # whose relations cannot change, has one
+    memo: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.domain_size < 1:
@@ -102,6 +105,15 @@ class Structure:
 
     def holds(self, name: str, args: tuple[int, ...]) -> bool:
         return args in self.interp[name]
+
+    def snapshot(self) -> "Structure":
+        """A copy whose relations are frozensets, so it cannot change, with
+        an empty ``memo``: evaluating it at many assignments keys each
+        counting aggregation node's domain elements once (see ``evaluate``)."""
+        world = Structure(self.signature, self.domain_size,
+                          {name: frozenset(tuples) for name, tuples in self.interp.items()})
+        world.memo = {}
+        return world
 
     def permuted(self, perm: Mapping[int, int]) -> "Structure":
         """The isomorphic copy of this structure under a domain permutation."""
@@ -470,18 +482,17 @@ class Agg:
         return (*atom_probes(self.bodies, self.eq_type.variables), {})
 
     @cached_property
-    def _counting(self) -> Optional[tuple[EqualityType, tuple, tuple]]:
-        """``(bound_eq, probes, param_blocks)`` when the node is evaluated by
-        counting (see ``_eval_bodies_by_count``), else None.
+    def _counting(self) -> Optional[tuple[EqualityType, tuple]]:
+        """``(bound_eq, probes)`` when the node is evaluated by counting (see
+        ``_eval_bodies_by_count``), else None.
 
         The node qualifies when it has a ``_body_table``, one equality class
         is exactly the bound variables and every body atom reads bound
         variables only (an equality may read a parameter: its value is
         fixed by ``eq_type``).  A bound tuple is then one domain element e
         repeated, and the bodies' values there depend on e alone.
-        ``bound_eq`` is ``eq_type`` restricted to ``bound``, ``probes`` are
-        ``_body_table``'s atoms over ``bound`` and ``param_blocks`` are the
-        other classes, which pin one element each.  Every part pickles.
+        ``bound_eq`` is ``eq_type`` restricted to ``bound`` and ``probes``
+        are ``_body_table``'s atoms over ``bound``.  Both parts pickle.
         """
         bound = set(self.bound)
         if (self._body_table is None
@@ -489,8 +500,7 @@ class Agg:
                 or any(not bound.issuperset(f.args) for body in self.bodies
                        for f in subformulas(body) if isinstance(f, Atom))):
             return None
-        return (self.eq_type.restrict(self.bound), atom_probes(self.bodies, self.bound)[1],
-                tuple(b for b in self.eq_type.blocks if not bound.issuperset(b)))
+        return self.eq_type.restrict(self.bound), atom_probes(self.bodies, self.bound)[1]
 
 
 Formula = Union[Const, Eq, Atom, Not, And, Or, Implies, WeightedMean, Agg]
@@ -628,6 +638,25 @@ def check_signature(phi: Formula, signature: Signature) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _pins(eq_type: EqualityType, bound: Sequence[Variable],
+          assignment: Assignment) -> Optional[dict[int, int]]:
+    """The value, by class index, of each class of the equality type that
+    holds a free variable (one not in ``bound``): that variable's value
+    under the assignment.  None when the assignment violates the equality
+    type: one class gets two values, or two classes one value."""
+    bound_set = set(bound)
+    pins: dict[int, int] = {}
+    for i, block in enumerate(eq_type.blocks):
+        values = {assignment[v] for v in block if v not in bound_set}
+        if len(values) > 1:
+            return None
+        if values:
+            pins[i] = values.pop()
+    if len(set(pins.values())) != len(pins):
+        return None
+    return pins
+
+
 def satisfying_bound_tuples(
     eq_type: EqualityType,
     bound: Sequence[Variable],
@@ -641,28 +670,18 @@ def satisfying_bound_tuples(
     (the equality type may equate bound with free variables); the remaining
     classes range injectively over the unused domain elements.
     """
-    bound_set = set(bound)
-    pinned: list[tuple[int, int]] = []  # (class index, value)
-    open_classes: list[int] = []
-    for i, block in enumerate(eq_type.blocks):
-        free_members = [v for v in block if v not in bound_set]
-        if free_members:
-            vals = {assignment[v] for v in free_members}
-            if len(vals) != 1:
-                return  # the free part already violates the equality type
-            pinned.append((i, vals.pop()))
-        else:
-            open_classes.append(i)
-    pinned_values = {val for _, val in pinned}
-    if len(pinned_values) != len(pinned):
-        return  # two distinct classes forced to the same element
+    pins = _pins(eq_type, bound, assignment)
+    if pins is None:
+        return
+    open_classes = [i for i in range(len(eq_type.blocks)) if i not in pins]
+    pinned_values = set(pins.values())
     available = [e for e in range(1, n + 1) if e not in pinned_values]
     combos = itertools.permutations(available, len(open_classes))
     classes = [eq_type.class_index[v] for v in bound]
     if classes == open_classes:
         yield from combos  # each bound variable alone in its class
         return
-    class_value = dict(pinned)
+    class_value = dict(pins)
     for combo in combos:
         class_value.update(zip(open_classes, combo))
         yield tuple([class_value[c] for c in classes])
@@ -673,20 +692,20 @@ def evaluate(
     phi: Formula,
     assignment: Optional[Assignment] = None,
     registry=None,
-    memo: Optional[dict] = None,
 ) -> float:
     """The value of the formula in the structure under the assignment,
     per the [0,1]-valued semantics.
 
-    ``memo`` holds per-world state of the counting aggregation nodes (see
-    ``Agg._counting``): each such node keys every domain element once and
-    counts the keys.  A caller that evaluates one world at many assignments
-    passes one dict to every call; the memo is valid only while the world
-    it was filled on is unchanged.  None means a fresh memo for this call.
+    A counting aggregation node (see ``Agg._counting``) keys every domain
+    element once per world and counts the keys.  A snapshot (see
+    ``Structure.snapshot``) keeps those counts in its ``memo``, so a caller
+    that evaluates one world at many assignments evaluates its snapshot;
+    on any other structure each call counts afresh.
     """
     if registry is None:
         registry = aggregators.DEFAULT_REGISTRY
-    return _eval(structure, phi, dict(assignment or {}), registry, {} if memo is None else memo)
+    memo = {} if structure.memo is None else structure.memo
+    return _eval(structure, phi, dict(assignment or {}), registry, memo)
 
 
 def _eval(structure: Structure, phi: Formula, a: dict, registry, memo: dict) -> float:
@@ -780,16 +799,16 @@ def _eval_bodies_by_count(structure: Structure, phi: Agg, a: dict, registry, mem
     ``Agg._counting``) over its bound tuples, one list per body, grouped by
     key in order of the key's first occurrence among the domain elements.
 
-    Once per world (per ``memo``), every element is keyed by ``truth_keys``
-    and the keys are counted.  A call subtracts the keys of the elements
-    its parameters pin and repeats each key's row of body values by the
-    key's remaining count, so it keys no element and evaluates no body
-    unless the key is new.  A key not yet in ``_body_table`` is evaluated
+    Once per world (per ``memo``, see ``evaluate``), every element is keyed
+    by ``truth_keys`` and the keys are counted.  A call subtracts the keys
+    of the elements its parameters pin and repeats each key's row of body
+    values by the key's remaining count, so it keys no element and
+    evaluates no body unless the key is new.  A key not yet in ``_body_table`` is evaluated
     at its first element that no parameter pins, where the assignment
     satisfies ``eq_type``.  The aggregation functions are symmetric, so
     the grouping changes no value.
     """
-    bound_eq, probes, param_blocks = phi._counting
+    bound_eq, probes = phi._counting
     symbols, _, table = phi._body_table
     state = memo.get(id(phi))
     if state is None:
@@ -798,10 +817,10 @@ def _eval_bodies_by_count(structure: Structure, phi: Agg, a: dict, registry, mem
         # holding phi keeps its id from being reused while the memo lives
         state = memo[id(phi)] = (phi, keys, Counter(keys))
     _, keys, total = state
-    pinned = {a[block[0]] for block in param_blocks}
-    if len(pinned) != len(param_blocks) or any(
-            a[v] != a[block[0]] for block in param_blocks for v in block[1:]):
-        return [[] for _ in phi.bodies]  # the parameters violate the equality type
+    pins = _pins(phi.eq_type, phi.bound, a)
+    if pins is None:
+        return [[] for _ in phi.bodies]
+    pinned = set(pins.values())
     counts = dict(total)
     for e in pinned:
         if 0 < e <= len(keys):

@@ -160,9 +160,10 @@ class WorldSampler:
     under that key by ``truth_keys`` and ``memo_values``, the path of
     aggregation nodes too: after the first evaluation per key, a tuple costs
     one membership test per atom plus one dictionary lookup.  Only a
-    non-root theta that contains aggregation is evaluated at every tuple;
-    those evaluations share one ``evaluate`` memo per theta list, so a
-    counting aggregation node keys the domain once per list, not per tuple.
+    non-root theta that contains aggregation is evaluated at every tuple,
+    on one snapshot of the structure per theta list (see
+    ``Structure.snapshot``), so a counting aggregation node keys the domain
+    once per list, not once per tuple.
     """
 
     def __init__(self, net: PlaNetwork, n: int, registry=None):
@@ -183,10 +184,10 @@ class WorldSampler:
                                     list(map(equality_pattern, tuples)), symbols, probes,
                                     {} if cached else None))
 
-    def _evaluate(self, structure: Structure, step: _Step, args, memo=None) -> float:
+    def _evaluate(self, structure: Structure, step: _Step, args) -> float:
         try:
             return evaluate(structure, step.theta, dict(zip(step.variables, args)),
-                            self.registry, memo=memo)
+                            self.registry)
         except PlaError as exc:
             raise PlaError(
                 "evaluating formula of %s at %s with n=%d: %s" % (step.name, args, self.n, exc)
@@ -196,8 +197,8 @@ class WorldSampler:
         """Theta of the step's symbol at each of its tuples, in order, on a
         structure that interprets the symbols of lower strata."""
         if step.cache is None:
-            memo: dict = {}  # the structure is unchanged until the list is built
-            return [self._evaluate(structure, step, args, memo) for args in step.tuples]
+            world = structure.snapshot()
+            return [self._evaluate(world, step, args) for args in step.tuples]
         keys = truth_keys(structure, step.symbols, step.probes, step.tuples, step.patterns)
         return memo_values(step.cache, keys,
                            lambda i: self._evaluate(structure, step, step.tuples[i]))

@@ -475,9 +475,10 @@ V = Variable("v")
 
 def assert_matches(phi, structures, params):
     """``evaluate`` equals ``per_tuple_value`` at every assignment of the
-    parameters, with a fresh memo per call and with one memo per structure."""
+    parameters, on each structure, which counts afresh per call, and on one
+    snapshot of it, which every assignment shares."""
     for A in structures:
-        memo = {}
+        world = A.snapshot()
         for values in itertools.product(range(1, A.domain_size + 1), repeat=len(params)):
             a = dict(zip(params, values))
             try:
@@ -486,17 +487,17 @@ def assert_matches(phi, structures, params):
                 with pytest.raises(EmptyAggregationRange):
                     evaluate(A, phi, a)
                 with pytest.raises(EmptyAggregationRange):
-                    evaluate(A, phi, a, memo=memo)
+                    evaluate(world, phi, a)
                 continue
             assert evaluate(A, phi, a) == expected, (phi, values)
-            assert evaluate(A, phi, a, memo=memo) == expected, (phi, values)
+            assert evaluate(world, phi, a) == expected, (phi, values)
 
 
 class TestAggregationCache:
     """An aggregation node whose bodies are aggregation-free evaluates each
     body once per key of atom truth values; ``evaluate`` must still give
-    the per-tuple definition's value, bit for bit, with a fresh memo per
-    call and with one memo shared by every assignment on a structure."""
+    the per-tuple definition's value, bit for bit, on a structure and on
+    one snapshot of it shared by every assignment."""
 
     def random_cases(self, seed, variables, bound, blocks, funcs=("am", "gm", "max", "min")):
         rng = random.Random(seed)
@@ -577,7 +578,6 @@ class TestCountingAggregation:
     counts the keys (``Agg._counting``); every value must equal the
     per-tuple definition's, bit for bit."""
 
-
     def counting_cases(self, seed, variables, bound, blocks, funcs):
         """Random counting nodes: bodies whose atoms read the bound
         variables and whose equalities read any variable, checked on
@@ -629,10 +629,10 @@ class TestCountingAggregation:
         phi = parse_formula("amz[P(y) : y : y != x]", registry)
         assert phi._counting is not None
         A = Structure(TEST_SIG, 1, {"P": {(1,)}})
-        memo = {}
-        assert evaluate(A, phi, {X: 1}, registry, memo) == 0.25
+        world = A.snapshot()
+        assert evaluate(world, phi, {X: 1}, registry) == 0.25
         with pytest.raises(EmptyAggregationRange):
-            evaluate(A, parse_formula("am[P(y) : y : y != x]"), {X: 1}, memo=memo)
+            evaluate(world, parse_formula("am[P(y) : y : y != x]"), {X: 1})
 
     def test_atom_reading_a_parameter_falls_back(self):
         phi = parse_formula("am[E(x, y) | P(y) : y : y != x]")
@@ -647,13 +647,13 @@ class TestCountingAggregation:
     def test_counting_plan_travels_with_the_formula(self):
         phi = parse_formula("max[P(y) & !E(y, y) | y = x : y : y != x]")
         A = random_structure(random.Random(28), TEST_SIG, 4)
-        memo = {}
-        before = [evaluate(A, phi, {X: x}, memo=memo) for x in range(1, 5)]
+        world = A.snapshot()
+        before = [evaluate(world, phi, {X: x}) for x in range(1, 5)]
         copy = pickle.loads(pickle.dumps(phi))
         assert copy._counting is not None and copy._body_table[2] == phi._body_table[2]
         assert [evaluate(A, copy, {X: x}) for x in range(1, 5)] == before
 
-    def test_one_memo_keys_each_element_once(self, monkeypatch):
+    def test_one_snapshot_keys_each_element_once(self, monkeypatch):
         import pla.logic
 
         visited = []
@@ -668,11 +668,20 @@ class TestCountingAggregation:
         n = 30
         phi = parse_formula("am[R(y) : y : y != x]")
         A = Structure(SIG_R, n, {"R": {(e,) for e in range(1, n + 1) if e % 3}})
-        memo = {}
-        values = [evaluate(A, phi, {X: x}, memo=memo) for x in range(1, n + 1)]
+        world = A.snapshot()
+        values = [evaluate(world, phi, {X: x}) for x in range(1, n + 1)]
         assert len(visited) == n  # not n(n - 1)
         assert values == [per_tuple_value(A, phi, {X: x}) for x in range(1, n + 1)]
         assert [evaluate(A, phi, {X: x}) for x in range(1, n + 1)] == values
-        assert len(visited) == n + n * n  # a fresh memo keys every element again
+        assert len(visited) == n + n * n  # the structure itself keys every element per call
         for outside in (0, n + 1):  # a parameter outside the domain pins nothing
-            assert evaluate(A, phi, {X: outside}, memo=memo) == per_tuple_value(A, phi, {X: outside})
+            assert evaluate(world, phi, {X: outside}) == per_tuple_value(A, phi, {X: outside})
+
+    def test_snapshot_is_an_unchangeable_copy(self):
+        A = Structure(SIG_R, 3, {"R": {(1,), (3,)}})
+        world = A.snapshot()
+        assert world == A and A.memo is None and world.memo == {}
+        with pytest.raises(AttributeError):
+            world.interp["R"].add((2,))
+        A.interp["R"].add((2,))
+        assert evaluate(world, parse_formula("am[R(y) : y : y != x]"), {X: 1}) == 0.5
