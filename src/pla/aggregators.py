@@ -117,15 +117,11 @@ def gen_convergence_testing(
                 raise JitterTooLarge(
                     "jitter %r overlaps support values %r and %r" % (jitter, ci, cj)
                 )
+    out = realize_spectrum(merged, length)
+    if jitter == 0:
+        return out
     rng = random.Random(seed)
-    counts = largest_remainder_counts([a for _, a in merged.points], length)
-    out: list[float] = []
-    for (c, _), k in zip(merged.points, counts):
-        lo = max(0.0, c - jitter)
-        hi = min(1.0, c + jitter)
-        for _ in range(k):
-            out.append(rng.uniform(lo, hi) if jitter > 0 else c)
-    return out
+    return [rng.uniform(max(0.0, c - jitter), min(1.0, c + jitter)) for c in out]
 
 
 # ---------------------------------------------------------------------------

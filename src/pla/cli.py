@@ -139,7 +139,8 @@ def cmd_infer(args) -> dict:
     check_signature(phi, network.signature)
     assignment = _parse_assignment(args.assign)
     _check_assignment(phi, assignment, args.n)
-    value_set = ValueSet.parse(args.value_set) if args.value_set else ValueSet.full()
+    value_set = (ValueSet.full() if args.value_set is None
+                 else ValueSet.parse(args.value_set, "--value-set"))
     if args.mode == "exact":
         prob = net_mod.exact_event_probability(
             network, args.n, phi, assignment, value_set, world_cap=_world_cap()
@@ -172,7 +173,7 @@ def cmd_converge(args):
     phi = _read_formula(args.formula)
     check_signature(phi, network.signature)
     strat = validate(network)
-    value_set = ValueSet.parse(args.value_set) if args.value_set else None
+    value_set = None if args.value_set is None else ValueSet.parse(args.value_set, "--value-set")
     psi = None
     if strat.aggregation_free:
         psi, _ = run_elimination(network, phi)

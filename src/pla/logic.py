@@ -472,10 +472,10 @@ class Agg:
         function of the truth values of its atoms alone.  ``symbols`` and
         ``probes`` are the distinct atoms of all bodies (see ``atom_probes``)
         over ``eq_type.variables``; ``table`` maps their ``truth_keys`` to
-        the tuple of body values and fills through ``memo_values``: one
-        ``_eval`` per key.  The table is shared with the counting path (see
-        ``_counting``), whose keys are the same atoms' truth values.  Every
-        part pickles, so formulas still travel to worker processes.
+        the tuple of body values, filled by ``_eval_bodies_by_count`` with
+        one ``_eval`` per key, whichever way the node counts its keys (see
+        ``_counting``).  Every part pickles, so formulas still travel to
+        worker processes.
         """
         if any(has_aggregation(body) for body in self.bodies):
             return None
@@ -483,8 +483,10 @@ class Agg:
 
     @cached_property
     def _counting(self) -> Optional[tuple[EqualityType, tuple]]:
-        """``(bound_eq, probes)`` when the node is evaluated by counting (see
-        ``_eval_bodies_by_count``), else None.
+        """``(bound_eq, probes)`` when the node keys and counts its domain
+        elements once per world, else None: a node with a ``_body_table``
+        then counts the keys of each call's bound tuples (see
+        ``_eval_bodies_by_count``).
 
         The node qualifies when it has a ``_body_table``, one equality class
         is exactly the bound variables and every body atom reads bound
@@ -741,17 +743,14 @@ def _eval(structure: Structure, phi: Formula, a: dict, registry, memo: dict) -> 
                 % (func.name, func.arity, len(phi.bodies))
             )
         saved = {v: a.get(v) for v in phi.bound}
-        if phi._counting is not None:
-            seqs = _eval_bodies_by_count(structure, phi, a, registry, memo)
-        elif phi._body_table is None:
+        if phi._body_table is None:
             seqs = [[] for _ in phi.bodies]
             for combo in satisfying_bound_tuples(phi.eq_type, phi.bound, a, structure.domain_size):
                 a.update(zip(phi.bound, combo))
                 for i, body in enumerate(phi.bodies):
                     seqs[i].append(_eval(structure, body, a, registry, memo))
         else:
-            tuples = satisfying_bound_tuples(phi.eq_type, phi.bound, a, structure.domain_size)
-            seqs = _eval_bodies_by_key(structure, phi, tuples, a, registry, memo)
+            seqs = _eval_bodies_by_count(structure, phi, a, registry, memo)
         for v, old in saved.items():
             if old is None:
                 a.pop(v, None)
@@ -771,68 +770,62 @@ def _eval(structure: Structure, phi: Formula, a: dict, registry, memo: dict) -> 
 _BLOCK = 4096  # bound tuples keyed per batch, bounding the memory of a large range
 
 
-def _eval_bodies_by_key(structure: Structure, phi: Agg, tuples, a: dict, registry, memo: dict):
-    """The body values of an aggregation node with aggregation-free bodies
-    at each bound tuple, one list per body, in enumeration order.
+def _eval_bodies_by_count(structure: Structure, phi: Agg, a: dict, registry, memo: dict):
+    """The body values of an aggregation node with a ``_body_table`` over
+    its bound tuples, one list per body, grouped by key in order of the
+    key's first occurrence.
 
-    A batch of tuples is keyed by ``truth_keys`` on the bodies' distinct
-    atoms (see ``Agg._body_table``) and looked up by ``memo_values``, which
-    evaluates a new key by ``_eval`` at its first tuple.
+    A counting node (see ``Agg._counting``) keys every domain element by
+    ``truth_keys`` and counts the keys once per world (per ``memo``, see
+    ``evaluate``); a call subtracts the keys of the elements its parameters
+    pin.  Any other node keys the bound tuples of the call, ``_BLOCK`` at a
+    time, and counts them.  A key not yet in the table is evaluated once, at
+    a bound tuple with that key (for a counting node, one no parameter
+    pins), and each key's row of body values is repeated by its count, so
+    no body is evaluated unless its key is new.  The aggregation functions
+    are symmetric, so the grouping changes no value.
     """
     symbols, probes, table = phi._body_table
-    params = tuple(a[v] for v in phi.params)
+    if phi._counting is None:
+        params = tuple(a[v] for v in phi.params)
+        counts = Counter()
+        witness = {}  # key -> a bound tuple with it, for every key the table lacks
+        tuples = satisfying_bound_tuples(phi.eq_type, phi.bound, a, structure.domain_size)
+        for block in iter(lambda: list(itertools.islice(tuples, _BLOCK)), []):
+            keys = truth_keys(structure, symbols, probes,
+                              list(map(params.__add__, block)) if params else block)
+            counts.update(keys)
+            if counts.keys() - table.keys() - witness.keys():
+                witness.update(zip(keys, block))
+        tuple_with = witness.__getitem__
+    else:
+        bound_eq, element_probes = phi._counting
+        state = memo.get(id(phi))
+        if state is None:
+            elements = list(satisfying_bound_tuples(bound_eq, phi.bound, {}, structure.domain_size))
+            keys = truth_keys(structure, symbols, element_probes, elements)
+            # holding phi keeps its id from being reused while the memo lives
+            state = memo[id(phi)] = (phi, keys, Counter(keys))
+        _, keys, total = state
+        pins = _pins(phi.eq_type, phi.bound, a)
+        if pins is None:
+            return [[] for _ in phi.bodies]
+        pinned = set(pins.values())
+        counts = dict(total)
+        for e in pinned:
+            if 0 < e <= len(keys):
+                counts[keys[e - 1]] -= 1
 
-    def bodies_at(combo):
-        a.update(zip(phi.bound, combo))
-        return tuple(_eval(structure, body, a, registry, memo) for body in phi.bodies)
-
-    rows: list[tuple[float, ...]] = []
-    for block in iter(lambda: list(itertools.islice(tuples, _BLOCK)), []):
-        values = list(map(params.__add__, block)) if params else block
-        keys = truth_keys(structure, symbols, probes, values)
-        rows += memo_values(table, keys, lambda i: bodies_at(block[i]))
-    return [list(map(itemgetter(i), rows)) for i in range(len(phi.bodies))]
-
-
-def _eval_bodies_by_count(structure: Structure, phi: Agg, a: dict, registry, memo: dict):
-    """The body values of a counting aggregation node (see
-    ``Agg._counting``) over its bound tuples, one list per body, grouped by
-    key in order of the key's first occurrence among the domain elements.
-
-    Once per world (per ``memo``, see ``evaluate``), every element is keyed
-    by ``truth_keys`` and the keys are counted.  A call subtracts the keys
-    of the elements its parameters pin and repeats each key's row of body
-    values by the key's remaining count, so it keys no element and
-    evaluates no body unless the key is new.  A key not yet in ``_body_table`` is evaluated
-    at its first element that no parameter pins, where the assignment
-    satisfies ``eq_type``.  The aggregation functions are symmetric, so
-    the grouping changes no value.
-    """
-    bound_eq, probes = phi._counting
-    symbols, _, table = phi._body_table
-    state = memo.get(id(phi))
-    if state is None:
-        tuples = list(satisfying_bound_tuples(bound_eq, phi.bound, {}, structure.domain_size))
-        keys = truth_keys(structure, symbols, probes, tuples)
-        # holding phi keeps its id from being reused while the memo lives
-        state = memo[id(phi)] = (phi, keys, Counter(keys))
-    _, keys, total = state
-    pins = _pins(phi.eq_type, phi.bound, a)
-    if pins is None:
-        return [[] for _ in phi.bodies]
-    pinned = set(pins.values())
-    counts = dict(total)
-    for e in pinned:
-        if 0 < e <= len(keys):
-            counts[keys[e - 1]] -= 1
+        def tuple_with(key):
+            e = next(i for i, k in enumerate(keys, 1) if k == key and i not in pinned)
+            return (e,) * len(phi.bound)
     seqs: list[list[float]] = [[] for _ in phi.bodies]
     for key, count in counts.items():
-        if not count:
+        if not count:  # every element of the key is pinned
             continue
         row = table.get(key)
         if row is None:
-            e = next(i for i, k in enumerate(keys, 1) if k == key and i not in pinned)
-            a.update(dict.fromkeys(phi.bound, e))
+            a.update(zip(phi.bound, tuple_with(key)))
             row = table[key] = tuple(_eval(structure, body, a, registry, memo)
                                      for body in phi.bodies)
         for seq, value in zip(seqs, row):

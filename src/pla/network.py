@@ -157,9 +157,9 @@ class WorldSampler:
     equality pattern and the truth values there of the distinct atoms it
     reads; a root's theta reads no atoms, so it depends on the pattern
     alone, with or without aggregation.  Those thetas are cached per symbol
-    under that key by ``truth_keys`` and ``memo_values``, the path of
-    aggregation nodes too: after the first evaluation per key, a tuple costs
-    one membership test per atom plus one dictionary lookup.  Only a
+    under that key by ``truth_keys`` and ``memo_values``: after the first
+    evaluation per key, a tuple costs one membership test per atom plus one
+    dictionary lookup.  Only a
     non-root theta that contains aggregation is evaluated at every tuple,
     on one snapshot of the structure per theta list (see
     ``Structure.snapshot``), so a counting aggregation node keys the domain
@@ -334,16 +334,18 @@ class ValueSet:
         return cls(((0.0, 1.0),))
 
     @classmethod
-    def parse(cls, text: str) -> "ValueSet":
-        """Comma-separated points or lo:hi intervals, e.g. ``1`` or ``0:0.2,0.8:1``."""
+    def parse(cls, text: str, name: str = "value set") -> "ValueSet":
+        """Comma-separated points or lo:hi intervals, e.g. ``1`` or
+        ``0:0.2,0.8:1``; a PlaError that names ``name`` and quotes the text
+        when it is not of that form."""
         intervals = []
-        for chunk in text.split(","):
-            chunk = chunk.strip()
-            if ":" in chunk:
-                lo, hi = chunk.split(":", 1)
-                intervals.append((float(lo), float(hi)))
-            else:
-                intervals.append((float(chunk), float(chunk)))
+        try:
+            for chunk in text.split(","):
+                lo, colon, hi = chunk.partition(":")
+                intervals.append((float(lo), float(hi if colon else lo)))
+        except ValueError:
+            raise PlaError("%s must be comma-separated points or lo:hi intervals, got %r"
+                           % (name, text)) from None
         return cls(tuple(intervals))
 
     def __str__(self):

@@ -443,6 +443,23 @@ class TestRobustness:
         assert out == ""
         assert err == "error: %s\n" % shown
 
+    @pytest.mark.parametrize("argv, text", [
+        (["infer", "exact", "--net", "{net}", "--n", "2", "--formula", "P(x)",
+          "--assign", "x=1"], "0.5:abc"),
+        (["infer", "exact", "--net", "{net}", "--n", "2", "--formula", "P(x)",
+          "--assign", "x=1"], ""),
+        (["converge", "--net", "{net}", "--formula", "P(x)", "--n-grid", "2"], "0.5:abc"),
+        (["converge", "--net", "{net}", "--formula", "P(x)", "--n-grid", "2"], ""),
+        (["converge", "--net", "{net}", "--formula", "P(x)", "--n-grid", "2"], "0.5:"),
+    ])
+    def test_value_set_option_is_named(self, capsys, pr_file, argv, text):
+        code, out, err = run(capsys, *[a.format(net=pr_file) for a in argv],
+                             "--value-set", text, "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err == ("error: --value-set must be comma-separated points or lo:hi "
+                       "intervals, got %r\n" % text)
+
     def test_long_compiled_report_parses_back(self, capsys, tmp_path):
         doc = {
             "relations": [

@@ -1,6 +1,6 @@
 """Byte-identity guard: the exit code and the sha256 of stdout of seeded
 ``pla`` runs on the P/R, remark, P/S/E, P/E/F, child-first and
-non-root-aggregation networks.
+non-root-aggregation networks, and of one ``pla admissible`` run.
 
 A refactor must leave every entry unchanged, under one worker and several.
 An entry changes only with a deliberate change of output, noted in
@@ -165,6 +165,10 @@ GOLDEN = [
       "--assign", "x=1", "--value-set", "0.3:1", "--samples", "40", "--seed", "17",
       "--workers", "2"],
      "non-root-aggregation", 0, "1ca7f23d786a9963559193f0c7beccd34e703e742c3e7c1e2d4c5a74f7ae06b4"),
+    # jittered convergence-testing sequences; the command reads no network
+    ("admissible",
+     ["admissible", "--function", "am", "--lengths", "50,200", "--trials", "5", "--seed", "7"],
+     "pr", 0, "4eb819ba65c3c93841c0ae3addc7f647f0b93948f868c928368a7756da92c6af"),
 ]
 
 

@@ -196,11 +196,12 @@ class TestTypeEnumeration:
         # restricted assignment, also when the kept variables are no prefix
         # and a class loses its first member
         rng = random.Random(13)
+        types = list(enumerate_complete_types(TEST_SIG, [X, Y, Z]))
         for _ in range(60):
             n = rng.randint(1, 4)
             A = random_structure(rng, TEST_SIG, n)
             a = {X: rng.randint(1, n), Y: rng.randint(1, n), Z: rng.randint(1, n)}
-            [t] = [t for t in enumerate_complete_types(TEST_SIG, [X, Y, Z]) if t.realized_by(A, a)]
+            [t] = [t for t in types if t.realized_by(A, a)]
             for keep in ([X], [Y], [Z], [X, Y], [X, Z], [Y, Z], [X, Y, Z]):
                 q = t.restrict(keep)
                 assert q.variables == tuple(keep)
@@ -570,6 +571,26 @@ class TestAggregationCache:
         copy = pickle.loads(pickle.dumps(phi))
         assert copy == phi and copy._body_table[2] == phi._body_table[2]
         assert [evaluate(A, copy, {X: x}) for x in range(1, 5)] == before
+
+    def test_key_first_met_after_one_batch(self):
+        from pla.logic import _BLOCK
+
+        # at n = 66 a call visits 65 * 64 = 4160 bound tuples, keyed in
+        # batches of _BLOCK; P holds only at 66, so every key with P(y) true
+        # first occurs at y = 66, in the last 64 tuples, after the first batch
+        n = 66
+        assert (n - 2) * (n - 2) == _BLOCK < (n - 1) * (n - 2)
+        rng = random.Random(29)
+        A = Structure(TEST_SIG, n, {
+            "P": {(n,)},
+            "Q": {(e,) for e in range(1, n + 1) if rng.random() < 0.5},
+            "E": {t for t in itertools.product(range(1, n + 1), repeat=2) if rng.random() < 0.5},
+        })
+        text = "am[wm(P(y); E(y, z); 0.3) | Q(z) : y, z : y != x, z != x, y != z]"
+        for x in (1, 40):
+            phi = parse_formula(text)  # a fresh table, filled by this call
+            assert evaluate(A, phi, {X: x}) == per_tuple_value(A, phi, {X: x})
+            assert any(key[0] for key in phi._body_table[2])  # P(y) true was met
 
 
 class TestCountingAggregation:
