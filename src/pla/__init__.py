@@ -69,6 +69,7 @@ from .network import (
     exact_distribution,
     exact_event_probability,
     load_network,
+    mc_estimates,
     mc_event_probability,
     network_from_doc,
     network_to_doc,

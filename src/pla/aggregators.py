@@ -423,6 +423,10 @@ def mu(r, rho, *, norm=1, ordered: bool = False) -> float:
 # Empirical admissibility
 # ---------------------------------------------------------------------------
 
+JITTER_SCALE = 1.0  # a convergence testing sequence of length L is jittered by this / L
+SPECTRUM_MAX_POINTS = 3  # random_spectrum draws 1 to this many support values,
+SPECTRUM_MIN_GAP = 0.05  # at least this far apart
+
 
 @dataclass
 class AdmissibilityRow:
@@ -435,7 +439,6 @@ class AdmissibilityRow:
 class AdmissibilityReport:
     function: str
     threshold: float
-    jitter_scale: float
     rows: list[AdmissibilityRow]
     final_gaps: list[float]  # per case, at the largest length
     passed: bool
@@ -444,7 +447,7 @@ class AdmissibilityReport:
         return {
             "function": self.function,
             "threshold": self.threshold,
-            "jitter_scale": self.jitter_scale,
+            "jitter_scale": JITTER_SCALE,
             "rows": [
                 {"case": r.case, "length": r.length, "max_gap": r.max_gap}
                 for r in self.rows
@@ -475,7 +478,6 @@ def empirical_admissibility_check(
     trials: int,
     seed,
     threshold: float = 0.02,
-    jitter_scale: float = 1.0,
 ) -> AdmissibilityReport:
     """Sample pairs of convergence testing sequences with shared parameters
     and record the largest output gap per length.
@@ -494,7 +496,7 @@ def empirical_admissibility_check(
     final_gaps: list[float] = []
     for ci, case in enumerate(cases):
         for length in lengths:
-            jitter = jitter_scale / length
+            jitter = JITTER_SCALE / length
             low = [
                 [max(0.0, v - jitter) for v in realize_spectrum(s, length)] for s in case
             ]
@@ -517,20 +519,19 @@ def empirical_admissibility_check(
     return AdmissibilityReport(
         function=func.name,
         threshold=threshold,
-        jitter_scale=jitter_scale,
         rows=rows,
         final_gaps=final_gaps,
         passed=all(g < threshold for g in final_gaps),
     )
 
 
-def random_spectrum(rng: random.Random, max_points: int = 3, min_gap: float = 0.05) -> SupportSpectrum:
+def random_spectrum(rng: random.Random) -> SupportSpectrum:
     """A random spectrum with well-separated support values; handy for
     admissibility sweeps."""
-    k = rng.randint(1, max_points)
+    k = rng.randint(1, SPECTRUM_MAX_POINTS)
     while True:
         cs = sorted(round(rng.uniform(0.0, 1.0), 3) for _ in range(k))
-        if all(b - a >= min_gap for a, b in zip(cs, cs[1:])):
+        if all(b - a >= SPECTRUM_MIN_GAP for a, b in zip(cs, cs[1:])):
             break
     weights = [rng.uniform(0.1, 1.0) for _ in range(k)]
     total = sum(weights)

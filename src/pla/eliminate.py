@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -38,7 +37,7 @@ from .logic import (
     satisfying_bound_tuples,
     truth_keys,
 )
-from .network import PlaNetwork, ValueSet, WorldSampler, ci_halfwidth, sharded_counts, validate
+from .network import PlaNetwork, ValueSet, mc_estimates, validate
 from .parser import format_formula
 
 COLLAPSE_TOL = 1e-12
@@ -417,40 +416,27 @@ class ExperimentTable:
         }
 
 
-def _experiment_counts(
-    net, phi, psi, n, epsilon, value_set, registry, variables, constants,
-    samples, seed,
-) -> tuple[int, ...]:
-    """Hit counts for one shard: exceedance, in the set, near each constant."""
-    k = len(variables)
-    sampler = WorldSampler(net, n, registry)
-    rng = random.Random(seed)
-    canonical = dict(zip(variables, range(1, k + 1)))
-    exceed_hits = 0
-    near_hits = [0] * len(constants)
-    set_hits = 0
-    for _ in range(samples):
-        world = sampler.sample(rng).snapshot()  # counts once per world: see ``evaluate``
-        value_at_canonical = None
-        if psi is not None:
-            worst_exceeds = False
-            for args in itertools.product(range(1, n + 1), repeat=k):
-                assignment = dict(zip(variables, args))
-                value = evaluate(world, phi, assignment, registry)
-                if value_at_canonical is None and args == tuple(range(1, k + 1)):
-                    value_at_canonical = value
-                if abs(value - psi.value_on(world, assignment)) > epsilon:
-                    worst_exceeds = True
-                    break
-            exceed_hits += worst_exceeds
-        if value_at_canonical is None:
-            value_at_canonical = evaluate(world, phi, canonical, registry)
-        for i, d in enumerate(constants):
-            if abs(value_at_canonical - d) <= epsilon:
-                near_hits[i] += 1
-        if value_set is not None and value_set.contains(value_at_canonical):
-            set_hits += 1
-    return (exceed_hits, set_hits, *near_hits)
+def _experiment_hit(
+    phi, psi, n, epsilon, value_set, registry, variables, constants, world,
+) -> tuple[bool, ...]:
+    """Hits of one world: exceedance, in the set, near each constant."""
+    canonical = tuple(range(1, len(variables) + 1))
+    world = world.snapshot()  # counts once per world: see ``evaluate``
+    value_at_canonical = None
+    exceeds = False
+    if psi is not None:
+        for args in itertools.product(range(1, n + 1), repeat=len(variables)):
+            assignment = dict(zip(variables, args))
+            value = evaluate(world, phi, assignment, registry)
+            if value_at_canonical is None and args == canonical:
+                value_at_canonical = value
+            if abs(value - psi.value_on(world, assignment)) > epsilon:
+                exceeds = True
+                break
+    if value_at_canonical is None:
+        value_at_canonical = evaluate(world, phi, dict(zip(variables, canonical)), registry)
+    in_set = value_set is not None and value_set.contains(value_at_canonical)
+    return (exceeds, in_set, *(abs(value_at_canonical - d) <= epsilon for d in constants))
 
 
 def convergence_experiment(
@@ -472,8 +458,6 @@ def convergence_experiment(
     it lands in a value set.  Output is seed-reproducible with one worker."""
     if psi is None and value_set is None:
         raise ValueError("need a compiled formula or a value set to test against")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
     if not epsilon >= 0.0:  # false for NaN too
         raise ValueError("epsilon must be >= 0, got %r" % epsilon)
     variables = tuple(sorted(free_vars(phi), key=lambda v: v.name))
@@ -483,28 +467,16 @@ def convergence_experiment(
     for n in n_grid:
         if n < k:
             raise ValueError("domain size %d cannot host %d distinct parameters" % (n, k))
-        count = functools.partial(
-            _experiment_counts, net, phi, psi, n, epsilon, value_set, registry,
-            variables, constants,
-        )
-        exceed_hits, set_hits, *near_hits = sharded_counts(
-            count, samples, seed * 1_000_003 + n, workers
-        )
-        p_exceed = exceed_hits / samples if psi is not None else None
-        rows.append(
-            ExperimentRow(
-                n=n,
-                epsilon=epsilon,
-                p_exceed=p_exceed,
-                ci_exceed=ci_halfwidth(p_exceed, samples) if psi is not None else None,
-                near=[
-                    (d, near_hits[i] / samples, ci_halfwidth(near_hits[i] / samples, samples))
-                    for i, d in enumerate(constants)
-                ],
-                p_in_set=set_hits / samples if value_set is not None else None,
-                ci_in_set=ci_halfwidth(set_hits / samples, samples) if value_set is not None else None,
-            )
-        )
+        hit = functools.partial(_experiment_hit, phi, psi, n, epsilon, value_set, registry,
+                                variables, constants)
+        exceed, in_set, *near = mc_estimates(net, n, hit, samples, seed * 1_000_003 + n,
+                                             workers, registry)
+        if psi is None:
+            exceed = (None, None)
+        if value_set is None:
+            in_set = (None, None)
+        rows.append(ExperimentRow(n, epsilon, *exceed, [(d, *e) for d, e in zip(constants, near)],
+                                  *in_set))
     return ExperimentTable(rows, constants, value_set)
 
 
@@ -521,6 +493,21 @@ class SaturationResult:
     lower: float
     upper: float
     samples: int
+
+
+def _saturated(q, p_eq, xs, ys, n, base_tuples, symbols, probes, signs, lower, upper,
+               world) -> tuple[bool]:
+    """The hit of a world where every base tuple realizing q has an
+    extension count inside [lower, upper]."""
+    for args in base_tuples:
+        assignment = dict(zip(xs, args))
+        if not q.realized_by(world, assignment):
+            continue
+        values = list(map(args.__add__, satisfying_bound_tuples(p_eq, ys, assignment, n)))
+        count = truth_keys(world, symbols, probes, values).count(signs)
+        if not (lower <= count <= upper):
+            return (False,)
+    return (True,)
 
 
 def saturation_diagnostic(
@@ -568,20 +555,7 @@ def saturation_diagnostic(
     symbols, probes = atom_probes([atom for atom, _ in extension], xs + ys)
     signs = tuple(sign for _, sign in extension)
 
-    sampler = WorldSampler(net, n, registry)
-    rng = random.Random(seed)
-    hits = 0
-    for _ in range(samples):
-        world = sampler.sample(rng)
-        ok = True
-        for args in base_tuples:
-            assignment = dict(zip(xs, args))
-            if not q.realized_by(world, assignment):
-                continue
-            values = list(map(args.__add__, satisfying_bound_tuples(p.eq, ys, assignment, n)))
-            count = truth_keys(world, symbols, probes, values).count(signs)
-            if not (lower <= count <= upper):
-                ok = False
-                break
-        hits += ok
-    return SaturationResult(hits / samples, alpha, dim, lower, upper, samples)
+    hit = functools.partial(_saturated, q, p.eq, xs, ys, n, base_tuples, symbols, probes,
+                            signs, lower, upper)
+    ((frequency, _),) = mc_estimates(net, n, hit, samples, seed, registry=registry)
+    return SaturationResult(frequency, alpha, dim, lower, upper, samples)

@@ -337,7 +337,8 @@ class ValueSet:
     def parse(cls, text: str, name: str = "value set") -> "ValueSet":
         """Comma-separated points or lo:hi intervals, e.g. ``1`` or
         ``0:0.2,0.8:1``; a PlaError that names ``name`` and quotes the text
-        when it is not of that form."""
+        when it is not of that form, and the constructor's errors, of the
+        same type, with ``name`` and the text put in front."""
         intervals = []
         try:
             for chunk in text.split(","):
@@ -346,13 +347,21 @@ class ValueSet:
         except ValueError:
             raise PlaError("%s must be comma-separated points or lo:hi intervals, got %r"
                            % (name, text)) from None
-        return cls(tuple(intervals))
+        try:
+            return cls(tuple(intervals))
+        except (PlaError, ValueError) as exc:
+            raise type(exc)("%s %r: %s" % (name, text, exc)) from None
 
     def __str__(self):
         parts = []
         for lo, hi in self.intervals:
             parts.append(repr(lo) if lo == hi else "%r:%r" % (lo, hi))
         return ",".join(parts)
+
+
+def _in_value_set(phi, assignment, value_set, registry, world) -> tuple[bool]:
+    """The hit of the event that the formula's value lands in the value set."""
+    return (value_set.contains(evaluate(world, phi, assignment, registry)),)
 
 
 def exact_event_probability(
@@ -387,12 +396,13 @@ def exact_event_probability(
             combinations <<= n ** arity
     memo = bytearray(combinations)  # 0: not yet evaluated, 1: outside the set, 2: inside
     names = net.signature.names()
+    in_set = functools.partial(_in_value_set, phi, assignment, value_set, registry)
     total = 0.0
     for masks, sets, prob in _enumerate(WorldSampler(net, n, registry)):
         key = sum(map(operator.mul, masks, strides))
         if not memo[key]:
-            world = Structure(net.signature, n, dict(zip(names, sets)))
-            memo[key] = 2 if value_set.contains(evaluate(world, phi, assignment, registry)) else 1
+            (inside,) = in_set(Structure(net.signature, n, dict(zip(names, sets))))
+            memo[key] = 2 if inside else 1
         if memo[key] == 2:
             total += prob
     return total
@@ -428,15 +438,29 @@ def sharded_counts(count, samples: int, seed, workers: int) -> tuple[int, ...]:
     return tuple(sum(column) for column in zip(*parts))
 
 
-def _mc_count(net, n, phi, assignment, value_set, registry, samples, seed) -> tuple[int]:
+def _mc_hits(net, n, hit, registry, samples, seed) -> tuple[int, ...]:
+    """The column sums of ``hit`` over ``samples`` worlds drawn by one
+    sampler from ``random.Random(seed)``; the first world's row starts the
+    sums, so exactly ``samples`` worlds are drawn."""
     sampler = WorldSampler(net, n, registry)
     rng = random.Random(seed)
-    hits = 0
-    for _ in range(samples):
-        world = sampler.sample(rng)
-        if value_set.contains(evaluate(world, phi, assignment, registry)):
-            hits += 1
-    return (hits,)
+    rows = (hit(sampler.sample(rng)) for _ in range(samples))
+    return functools.reduce(lambda total, row: tuple(map(operator.add, total, row)), rows)
+
+
+def mc_estimates(net: PlaNetwork, n: int, hit, samples: int, seed, workers: int = 1,
+                 registry=None) -> list[tuple[float, float]]:
+    """The one Monte Carlo driver: for each column of the 0/1 tuple
+    ``hit(world)``, the fraction of ``samples`` worlds drawn at domain size
+    n where it is 1, and the half-width of its 95% confidence interval.
+    Worlds are drawn in ``sharded_counts``' shards, one sampler and one
+    ``random.Random(shard seed)`` each, so the estimates are deterministic
+    given the seed and the number of workers.  ``hit`` must be picklable."""
+    if samples < 1:
+        raise ValueError("samples must be >= 1, got %r" % (samples,))
+    count = functools.partial(_mc_hits, net, n, hit, registry)
+    return [(hits / samples, ci_halfwidth(hits / samples, samples))
+            for hits in sharded_counts(count, samples, seed, workers)]
 
 
 def mc_event_probability(
@@ -451,16 +475,12 @@ def mc_event_probability(
     registry=None,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the event probability and the half-width of
-    its 95% normal confidence interval.  Deterministic given the seed when
-    run with one worker."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    its 95% normal confidence interval (``mc_estimates``)."""
     if value_set is None:
         value_set = ValueSet.full()
-    count = functools.partial(_mc_count, net, n, phi, assignment, value_set, registry)
-    (hits,) = sharded_counts(count, samples, seed, workers)
-    p_hat = hits / samples
-    return p_hat, ci_halfwidth(p_hat, samples)
+    hit = functools.partial(_in_value_set, phi, assignment, value_set, registry)
+    (estimate,) = mc_estimates(net, n, hit, samples, seed, workers, registry)
+    return estimate
 
 
 # ---------------------------------------------------------------------------

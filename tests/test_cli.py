@@ -460,6 +460,22 @@ class TestRobustness:
         assert err == ("error: --value-set must be comma-separated points or lo:hi "
                        "intervals, got %r\n" % text)
 
+    @pytest.mark.parametrize("argv", [
+        ["infer", "exact", "--net", "{net}", "--n", "2", "--formula", "P(x)", "--assign", "x=1"],
+        ["converge", "--net", "{net}", "--formula", "P(x)", "--n-grid", "2"],
+    ])
+    @pytest.mark.parametrize("text, shown", [
+        ("0.8:0.2", "empty interval [0.8, 0.2]"),
+        ("2", "value set interval [2.0, 2.0] is not within [0, 1]"),
+        ("nan", "value set interval [nan, nan] is not within [0, 1]"),
+    ])
+    def test_value_set_range_error_names_the_option(self, capsys, pr_file, argv, text, shown):
+        code, out, err = run(capsys, *[a.format(net=pr_file) for a in argv],
+                             "--value-set", text, "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --value-set %r: %s\n" % (text, shown)
+
     def test_long_compiled_report_parses_back(self, capsys, tmp_path):
         doc = {
             "relations": [

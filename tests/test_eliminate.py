@@ -477,6 +477,13 @@ class TestSaturation:
         else:
             assert 0 < result.frequency < 1
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_samples_below_one_are_rejected(self, pr_net, samples):
+        p = pr_type([[X], [Y]], [("P", (X,)), ("R", (X,)), ("P", (Y,)), ("R", (Y,))])
+        with pytest.raises(ValueError, match="samples"):
+            saturation_diagnostic(pr_net, p, p.restrict([X]), delta=0.5, n=10,
+                                  samples=samples, seed=1)
+
     def test_requires_restriction_relationship(self, pr_net):
         p = pr_type([[X], [Y]], [("P", (X,))])
         other = pr_type([[X]], [("P", (X,)), ("R", (X,))])
