@@ -25,10 +25,13 @@ from .logic import (
     Const,
     EqualityType,
     Formula,
+    Not,
+    Signature,
     Variable,
     atom_probes,
     children,
     enumerate_complete_types,
+    equality_pattern,
     evaluate,
     fold,
     fold_to_bpf,
@@ -36,6 +39,7 @@ from .logic import (
     has_aggregation,
     satisfying_bound_tuples,
     truth_keys,
+    type_parts,
 )
 from .network import PlaNetwork, ValueSet, mc_estimates, validate
 from .parser import format_formula
@@ -64,21 +68,62 @@ def limit_prob_type(net: PlaNetwork, p: AtomicType, registry=None) -> float:
     realizes the type; for aggregation-free networks this is an n-independent
     product of network formula values and their complements."""
     _require_aggregation_free(net)
-    return _limit_prob_type(net, p, registry)
+    return _LimitProbabilities(net, registry)(p)
 
 
-def _limit_prob_type(net: PlaNetwork, p: AtomicType, registry) -> float:
-    if p.signature != net.signature:
-        raise ValueError("type signature does not match the network signature")
-    struct, _ = p.canonical_structure()
-    prob = 1.0
-    for (name, ctuple), sign in p.literals:
-        theta = net.theta[name]
-        variables = net.theta_variables(name)
-        assignment = {v: c + 1 for v, c in zip(variables, ctuple)}
-        v = evaluate(struct, theta, assignment, registry)
-        prob *= v if sign else 1.0 - v
-    return prob
+class _LimitProbabilities:
+    """``limit_prob_type`` over one aggregation-free network, evaluating
+    each theta once per key.
+
+    An aggregation-free theta_R at a slot (R, class tuple c) of a complete
+    type depends only on c's equality pattern and the type's signs at the
+    slots its atoms (``PlaNetwork.theta_key_atoms``) land on, the key
+    ``WorldSampler`` caches theta under.
+    The first type that meets a key evaluates theta on its canonical
+    structure; the value is kept for the life of this object.
+    """
+
+    def __init__(self, net: PlaNetwork, registry):
+        self.net = net
+        self.registry = registry
+        self._atoms = {name: net.theta_key_atoms(name) for name in net.signature.names()}
+        self._plans: dict[int, list] = {}
+        self._thetas: dict[tuple, float] = {}  # (symbol, pattern, *signs) -> theta
+
+    def _plan(self, k: int) -> list[tuple[tuple, tuple[int, ...]]]:
+        """Per slot of ``signature.slots(k)``: the key prefix (symbol,
+        equality pattern) and the sign positions of theta's atoms there."""
+        plan = self._plans.get(k)
+        if plan is None:
+            slots = self.net.signature.slots(k)
+            position = {slot: i for i, slot in enumerate(slots)}
+            plan = self._plans[k] = [
+                ((name, equality_pattern(ctuple)),
+                 tuple(position[symbol, probe(ctuple)]
+                       for symbol, probe in zip(*self._atoms[name])))
+                for name, ctuple in slots]
+        return plan
+
+    def __call__(self, p: AtomicType) -> float:
+        if p.signature != self.net.signature:
+            raise ValueError("type signature does not match the network signature")
+        k = len(p.eq.blocks)
+        signs = p.signs
+        struct = None
+        prob = 1.0
+        for (name, ctuple), (prefix, positions), sign in zip(
+                self.net.signature.slots(k), self._plan(k), signs):
+            key = prefix + tuple([signs[i] for i in positions])
+            theta = self._thetas.get(key)
+            if theta is None:
+                if struct is None:
+                    struct, _ = p.canonical_structure()
+                variables = self.net.theta_variables(name)
+                assignment = {v: c + 1 for v, c in zip(variables, ctuple)}
+                theta = self._thetas[key] = evaluate(struct, self.net.theta[name], assignment,
+                                                     self.registry)
+            prob *= theta if sign else 1.0 - theta
+        return prob
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +183,20 @@ class AlphaTable:
         }
 
 
+@functools.lru_cache(maxsize=64)
+def _type_part_texts(signature: Signature, eq: EqualityType) -> tuple[tuple[str, ...], tuple]:
+    """The texts of ``type_parts``: one per equality part, and per slot the
+    negative and the positive literal."""
+    equalities, atoms = type_parts(signature, eq)
+    return (tuple(map(format_formula, equalities)),
+            tuple((format_formula(Not(atom)), format_formula(atom)) for atom in atoms))
+
+
 def _type_text(atype: AtomicType) -> str:
-    return format_formula(atype.to_formula())
+    """``format_formula(atype.to_formula())``, joined from cached parts."""
+    equalities, literals = _type_part_texts(atype.signature, atype.eq)
+    parts = [*equalities, *(texts[sign] for texts, sign in zip(literals, atype.signs))]
+    return " & ".join(parts) if parts else format_formula(Const(1.0))
 
 
 def alphas(
@@ -155,6 +212,7 @@ def alphas(
     its limit probability, its proportion alpha relative to the group, and
     the constant each body takes on it."""
     _require_aggregation_free(net)
+    limit_probs = _LimitProbabilities(net, registry)
     dim = dim_y(p_eq, xs, ys)
     if dim == 0:
         raise PlaError("degenerate aggregation (dimension 0) has no alpha table")
@@ -168,12 +226,12 @@ def alphas(
         groups.setdefault(p.restrict(xs), []).append(p)
     rows = []
     for base, extensions in groups.items():
-        gamma = _limit_prob_type(net, base, registry)
+        gamma = limit_probs(base)
         entries = []
         for p in extensions:
             struct, assignment = p.canonical_structure()
             values = tuple(b.value_on(struct, assignment) for b in bodies)
-            beta = _limit_prob_type(net, p, registry)
+            beta = limit_probs(p)
             alpha = beta / gamma if gamma > 0.0 else None
             entries.append(AlphaEntry(p, values, beta, alpha))
         rows.append(AlphaRow(base, gamma, entries))
@@ -533,8 +591,9 @@ def saturation_diagnostic(
     if dim == 0:
         raise ValueError("extension type has dimension 0; nothing to saturate")
     if alpha is None:
-        beta = _limit_prob_type(net, p, registry)
-        gamma = _limit_prob_type(net, q, registry)
+        limit_probs = _LimitProbabilities(net, registry)
+        beta = limit_probs(p)
+        gamma = limit_probs(q)
         if gamma <= 0.0:
             raise PlaError("base type has limit probability 0")
         alpha = beta / gamma

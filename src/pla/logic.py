@@ -319,19 +319,25 @@ class AtomicType:
     def to_formula(self) -> "Formula":
         """The conjunction of the type's equalities and inequalities, then
         one literal per slot, on the first member of each class."""
-        parts: list[Formula] = []
-        vs = self.eq.variables
-        for i, u in enumerate(vs):
-            for v in vs[i + 1 :]:
-                if self.eq.class_index[u] == self.eq.class_index[v]:
-                    parts.append(Eq(u, v))
-                else:
-                    parts.append(Not(Eq(u, v)))
-        reps = [block[0] for block in self.eq.blocks]
-        for (name, ctuple), sign in self.literals:
-            atom = Atom(name, tuple(reps[c] for c in ctuple))
-            parts.append(atom if sign else Not(atom))
-        return conjunction(parts)
+        equalities, atoms = type_parts(self.signature, self.eq)
+        return conjunction([*equalities,
+                            *(atom if sign else Not(atom) for atom, sign in zip(atoms, self.signs))])
+
+
+def type_parts(signature: Signature, eq: EqualityType) -> tuple[tuple["Formula", ...],
+                                                                 tuple["Atom", ...]]:
+    """The parts of ``AtomicType.to_formula`` for a type with equality type
+    ``eq``: an equality or inequality per pair of its variables, in order,
+    and the atom of each slot of ``signature.slots``, on the first member of
+    each class."""
+    vs = eq.variables
+    equalities = tuple(
+        Eq(u, v) if eq.class_index[u] == eq.class_index[v] else Not(Eq(u, v))
+        for i, u in enumerate(vs) for v in vs[i + 1 :])
+    reps = [block[0] for block in eq.blocks]
+    atoms = tuple(Atom(name, tuple(reps[c] for c in ctuple))
+                  for name, ctuple in signature.slots(len(eq.blocks)))
+    return equalities, atoms
 
 
 def enumerate_complete_types(

@@ -476,6 +476,17 @@ class TestRobustness:
         assert out == ""
         assert err == "error: --value-set %r: %s\n" % (text, shown)
 
+    @pytest.mark.parametrize("argv", [
+        ["infer", "mc", "--n", "3", "--formula", "R(x)", "--assign", "x=1"],
+        ["converge", "--formula", "am[R(y) : y : distinct]", "--n-grid", "3"],
+    ])
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_samples_below_one_name_the_option(self, capsys, pr_file, argv, samples):
+        code, out, err = run(capsys, *argv, "--net", pr_file, "--samples", samples,
+                             "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: --samples must be >= 1, got %s\n" % samples
+
     def test_long_compiled_report_parses_back(self, capsys, tmp_path):
         doc = {
             "relations": [

@@ -20,6 +20,8 @@ from pla import (
 from pla.aggregators import NoLimitMethod
 from pla.eliminate import (
     NetworkHasAggregation,
+    _LimitProbabilities,
+    _type_text,
     alphas,
     convergence_experiment,
     dim_y,
@@ -27,7 +29,7 @@ from pla.eliminate import (
     limit_prob_type,
     saturation_diagnostic,
 )
-from pla.logic import has_aggregation
+from pla.logic import evaluate, has_aggregation
 from pla.network import (
     PlaNetwork,
     WorldSampler,
@@ -36,8 +38,9 @@ from pla.network import (
     mc_event_probability,
     network_from_doc,
 )
+from pla.parser import format_formula
 
-from conftest import X, Y, random_agg_free
+from conftest import BINARY_DOC, PEF_DOC, PR_DOC, X, Y, Z, random_agg_free
 
 PR_SIG = Signature.of(("P", 1), ("R", 1))
 
@@ -48,6 +51,47 @@ PSE_DOC = {
         {"name": "E", "arity": 2, "parents": ["P"], "theta": "wm(P(x1) & P(x2); 0.8; 0.1)"},
     ]
 }
+
+
+# networks whose thetas exercise each part of the limit-probability memo's
+# key: the equality pattern, the order of an atom's arguments, every atom
+# rather than the first, an atom read twice and a constant root theta
+THETA_KEY_DOCS = {
+    "P/R": PR_DOC,
+    "P/S/E": PSE_DOC,
+    "P/E/F": PEF_DOC,
+    "binary": BINARY_DOC,
+    "equality": {"relations": [
+        {"name": "P", "arity": 1, "parents": [], "theta": "0.3"},
+        {"name": "E", "arity": 2, "parents": ["P"],
+         "theta": "wm(x1 = x2; wm(P(x1); 0.9; 0.2); wm(P(x1) & P(x2); 0.7; 0.05))"},
+    ]},
+    "repeated atom": {"relations": [
+        {"name": "E", "arity": 2, "parents": [], "theta": "0.4"},
+        {"name": "F", "arity": 2, "parents": ["E"],
+         "theta": "wm(E(x1, x2) & E(x2, x1); 0.9; wm(E(x1, x2); 0.5; 0.1))"},
+    ]},
+    "root constant": {"relations": [{"name": "C", "arity": 2, "parents": [], "theta": "0.7"}]},
+}
+
+
+def _theta_key_types(net):
+    """The complete types over x, y, z and each prefix of them, skipping a
+    variable count whose all-distinct partition has over 2^10 sign vectors."""
+    return [p for k in (1, 2, 3) if len(net.signature.slots(k)) <= 10
+            for p in _complete_types(net.signature, (X, Y, Z)[:k])]
+
+
+def _limit_prob_reference(net, p):
+    """The product of theta or its complement over the type's literals, each
+    theta evaluated on the type's canonical structure."""
+    struct, _ = p.canonical_structure()
+    prob = 1.0
+    for (name, ctuple), sign in p.literals:
+        assignment = {v: c + 1 for v, c in zip(net.theta_variables(name), ctuple)}
+        v = evaluate(struct, net.theta[name], assignment)
+        prob *= v if sign else 1.0 - v
+    return prob
 
 
 def pr_type(blocks, positive):
@@ -94,6 +138,22 @@ class TestLimitProbType:
         with pytest.raises(ValueError, match="0 signs for the 2 slots"):
             AtomicType(PR_SIG, EqualityType.all_distinct([X]), ())
 
+    @pytest.mark.parametrize("doc", THETA_KEY_DOCS.values(), ids=THETA_KEY_DOCS.keys())
+    def test_memoised_thetas_give_the_literal_product(self, doc):
+        net = network_from_doc(doc)
+        for p in _theta_key_types(net):
+            assert limit_prob_type(net, p) == _limit_prob_reference(net, p), p
+
+    @pytest.mark.parametrize("doc", THETA_KEY_DOCS.values(), ids=THETA_KEY_DOCS.keys())
+    def test_one_memo_serves_every_class_count(self, doc):
+        # types of the most classes first, then fewer, and back: a value
+        # cached for one class count is read by types of the others
+        net = network_from_doc(doc)
+        types = _theta_key_types(net)
+        limit_probs = _LimitProbabilities(net, None)
+        for p in types[::-1] + types:
+            assert limit_probs(p) == _limit_prob_reference(net, p), p
+
     def test_n_independence_against_marginals(self, pr_net, binary_net):
         # the product formula equals the exact marginal at every n where the
         # type's variables fit
@@ -126,6 +186,20 @@ def _complete_types(sig, variables):
     from pla import enumerate_complete_types
 
     return enumerate_complete_types(sig, variables)
+
+
+class TestTypeText:
+    @pytest.mark.parametrize("sig", [Signature.of(("P", 1)), Signature.of(("P", 1), ("E", 2))])
+    def test_joined_parts_format_the_type_formula(self, sig):
+        for k in range(4):
+            for p in _complete_types(sig, (X, Y, Z)[:k]):
+                assert _type_text(p) == format_formula(p.to_formula())
+
+    def test_no_part_and_one_part(self):
+        sig = Signature.of(("P", 1))
+        (top,) = _complete_types(sig, ())
+        assert _type_text(top) == "1.0"
+        assert [_type_text(p) for p in _complete_types(sig, (X,))] == ["!P(x)", "P(x)"]
 
 
 class TestAlphas:
