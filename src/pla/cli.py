@@ -71,9 +71,12 @@ def _parse_ints(option: str, text: str) -> list[int]:
         raise PlaError("%s must be comma-separated integers, got %r" % (option, text)) from None
 
 
-def _check_samples(samples: int) -> None:
-    if samples < 1:
-        raise PlaError("--samples must be >= 1, got %d" % samples)
+def _check_mc_counts(args) -> None:
+    """``--samples`` and ``--workers`` are at least 1; checked before the
+    Monte Carlo driver checks them, so that the error names the option."""
+    for option, value in (("--samples", args.samples), ("--workers", args.workers)):
+        if value < 1:
+            raise PlaError("%s must be >= 1, got %d" % (option, value))
 
 
 def _check_assignment(phi, assignment: dict, n: int) -> None:
@@ -151,7 +154,7 @@ def cmd_infer(args) -> dict:
             network, args.n, phi, assignment, value_set, world_cap=_world_cap()
         )
         return {"probability": prob, "n": args.n, "value_set": str(value_set)}
-    _check_samples(args.samples)
+    _check_mc_counts(args)
     estimate, ci = mc_event_probability(
         network, args.n, phi, assignment, value_set,
         samples=args.samples, seed=args.seed, workers=args.workers,
@@ -180,7 +183,7 @@ def cmd_converge(args):
     check_signature(phi, network.signature)
     strat = validate(network)
     value_set = None if args.value_set is None else ValueSet.parse(args.value_set, "--value-set")
-    _check_samples(args.samples)
+    _check_mc_counts(args)
     psi = None
     if strat.aggregation_free:
         psi, _ = run_elimination(network, phi)

@@ -37,7 +37,9 @@ from .logic import (
     fold_to_bpf,
     free_vars,
     has_aggregation,
+    restriction,
     satisfying_bound_tuples,
+    slot_positions,
     truth_keys,
     type_parts,
 )
@@ -95,13 +97,12 @@ class _LimitProbabilities:
         equality pattern) and the sign positions of theta's atoms there."""
         plan = self._plans.get(k)
         if plan is None:
-            slots = self.net.signature.slots(k)
-            position = {slot: i for i, slot in enumerate(slots)}
+            sig = self.net.signature
             plan = self._plans[k] = [
                 ((name, equality_pattern(ctuple)),
-                 tuple(position[symbol, probe(ctuple)]
-                       for symbol, probe in zip(*self._atoms[name])))
-                for name, ctuple in slots]
+                 slot_positions(sig, k, [(symbol, probe(ctuple))
+                                         for symbol, probe in zip(*self._atoms[name])]))
+                for name, ctuple in sig.slots(k)]
         return plan
 
     def __call__(self, p: AtomicType) -> float:
@@ -221,16 +222,22 @@ def alphas(
         if not set(body.variables) <= universe:
             stray = sorted(v.name for v in set(body.variables) - universe)
             raise ValueError("body variables %s outside the aggregation" % stray)
-    groups: dict[AtomicType, list[AtomicType]] = {}
-    for p in enumerate_complete_types(net.signature, p_eq.variables, p_eq):
-        groups.setdefault(p.restrict(xs), []).append(p)
+    # every type has the equality type p_eq, so its restriction to the
+    # parameters and each body's value on it are read off its signs at
+    # positions fixed by p_eq
+    sig = net.signature
+    base_eq, base_positions = restriction(sig, p_eq, xs)
+    readers = [body.sign_reader(sig, p_eq) for body in bodies]
+    groups: dict[tuple[bool, ...], list[AtomicType]] = {}
+    for p in enumerate_complete_types(sig, p_eq.variables, p_eq):
+        groups.setdefault(tuple([p.signs[i] for i in base_positions]), []).append(p)
     rows = []
-    for base, extensions in groups.items():
+    for base_signs, extensions in groups.items():
+        base = AtomicType(sig, base_eq, base_signs)
         gamma = limit_probs(base)
         entries = []
         for p in extensions:
-            struct, assignment = p.canonical_structure()
-            values = tuple(b.value_on(struct, assignment) for b in bodies)
+            values = tuple([read(p.signs) for read in readers])
             beta = limit_probs(p)
             alpha = beta / gamma if gamma > 0.0 else None
             entries.append(AlphaEntry(p, values, beta, alpha))

@@ -287,14 +287,8 @@ class AtomicType:
     def restrict(self, variables: Sequence[Variable]) -> "AtomicType":
         """The complete type over ``variables`` that this type implies: the
         literals whose classes all keep a member in ``variables``."""
-        eq = self.eq.restrict(variables)
-        # each class of the restriction is a class of this type minus the
-        # dropped variables: its first member names the old class
-        old = [self.eq.class_index[block[0]] for block in eq.blocks]
-        sign = dict(self.literals)
-        return AtomicType(self.signature, eq, tuple(
-            sign[(name, tuple(old[c] for c in ctuple))]
-            for name, ctuple in self.signature.slots(len(eq.blocks))))
+        eq, positions = restriction(self.signature, self.eq, variables)
+        return AtomicType(self.signature, eq, tuple([self.signs[i] for i in positions]))
 
     def realized_by(self, structure: Structure, assignment: Assignment) -> bool:
         if not self.eq.satisfied_by(assignment):
@@ -322,6 +316,28 @@ class AtomicType:
         equalities, atoms = type_parts(self.signature, self.eq)
         return conjunction([*equalities,
                             *(atom if sign else Not(atom) for atom, sign in zip(atoms, self.signs))])
+
+
+def slot_positions(signature: Signature, k: int, slots: Sequence[Literal]) -> tuple[int, ...]:
+    """The position of each given slot in ``signature.slots(k)``, which is
+    also its position in the sign vector of a complete type over k equality
+    classes.  Raises KeyError for a pair that is not such a slot."""
+    position = {slot: i for i, slot in enumerate(signature.slots(k))}
+    return tuple([position[slot] for slot in slots])
+
+
+def restriction(signature: Signature, eq: EqualityType,
+                variables: Sequence[Variable]) -> tuple[EqualityType, tuple[int, ...]]:
+    """``AtomicType.restrict`` for every type with the equality type ``eq``
+    at once: the restriction's equality type, and per slot of the
+    restriction the position in such a type's sign vector of its sign."""
+    restricted = eq.restrict(variables)
+    # each class of the restriction is a class of ``eq`` minus the dropped
+    # variables: its first member names the old class
+    old = [eq.class_index[block[0]] for block in restricted.blocks]
+    return restricted, slot_positions(signature, len(eq.blocks), [
+        (name, tuple([old[c] for c in ctuple]))
+        for name, ctuple in signature.slots(len(restricted.blocks))])
 
 
 def type_parts(signature: Signature, eq: EqualityType) -> tuple[tuple["Formula", ...],
@@ -922,6 +938,22 @@ class BasicProbabilityFormula:
         )
         return index.get((equality_pattern(values), signs), 1.0)
 
+    def sign_reader(self, signature: Signature,
+                    eq: EqualityType) -> Callable[[tuple[bool, ...]], float]:
+        """``value_on`` at the canonical structure and assignment of a
+        complete type over ``signature`` with the equality type ``eq``, whose
+        variables include ``variables``, as a function of the type's signs.
+        ``eq`` fixes the lookup key's pattern and the positions of its signs
+        in the type's sign vector."""
+        index, slots_by_k = self._type_index
+        values = [eq.class_index[v] for v in self.variables]
+        reps = tuple(dict.fromkeys(values))
+        pattern = equality_pattern(values)
+        positions = slot_positions(signature, len(eq.blocks), [
+            (name, tuple([reps[c] for c in ctuple]))
+            for name, ctuple in slots_by_k.get(len(reps), ())])
+        return lambda signs: index.get((pattern, tuple([signs[i] for i in positions])), 1.0)
+
     def to_formula(self) -> Formula:
         return conjunction([Implies(atype.to_formula(), Const(c)) for atype, c in self.conjuncts])
 
@@ -935,8 +967,10 @@ def fold(
     """The formula over ``variables`` with one conjunct per complete type
     (with the equality type ``eq``, if given), in ``enumerate_complete_types``
     order, whose constant is ``value`` at the type's canonical structure and
-    assignment.  Folding a formula, a connective over compiled children and
-    an aggregation node of dimension 0 all take this loop."""
+    assignment.  Folding a connective over compiled children and an
+    aggregation node of dimension 0 take this loop; ``fold_to_bpf`` gives
+    the same conjuncts as ``fold`` of ``evaluate``, building fewer
+    structures."""
     conjuncts = []
     for atype in enumerate_complete_types(signature, variables, eq):
         struct, assignment = atype.canonical_structure()
@@ -951,4 +985,24 @@ def fold_to_bpf(phi: Formula, signature: Signature) -> BasicProbabilityFormula:
     if has_aggregation(phi):
         raise NotAggregationFree("formula contains aggregation nodes")
     variables = sorted(free_vars(phi), key=_var_key)
-    return fold(signature, variables, lambda struct, a: evaluate(struct, phi, a))
+    # on a type's canonical structure the formula reads only the type's
+    # equalities and its signs at the slots of its atoms, so it is evaluated
+    # once per equality type and signs there; an atom of the wrong arity
+    # reads no slot and is false on every type
+    atoms = [f for f in dict.fromkeys(subformulas(phi)) if isinstance(f, Atom)
+             and f.symbol in signature and len(f.args) == signature.arity(f.symbol)]
+    conjuncts = []
+    eq = None
+    for atype in enumerate_complete_types(signature, variables):
+        if atype.eq is not eq:  # the types of one equality type come together
+            eq = atype.eq
+            positions = slot_positions(signature, len(eq.blocks), [
+                (atom.symbol, tuple([eq.class_index[v] for v in atom.args])) for atom in atoms])
+            values: dict[tuple, float] = {}
+        key = tuple([atype.signs[i] for i in positions])
+        value = values.get(key)
+        if value is None:
+            struct, assignment = atype.canonical_structure()
+            value = values[key] = evaluate(struct, phi, assignment)
+        conjuncts.append((atype, value))
+    return BasicProbabilityFormula(tuple(variables), tuple(conjuncts))

@@ -433,7 +433,7 @@ def sharded_counts(count, samples: int, seed, workers: int) -> tuple[int, ...]:
     non-empty chunk and no more than there are CPUs; the chunks and their
     seeds do not depend on the pool size.  ``count`` must be picklable,
     e.g. a ``functools.partial`` of a module-level function."""
-    if workers < 1:
+    if workers < 1:  # the CLI checks first, to name --workers
         raise ValueError("workers must be >= 1, got %d" % workers)
     if workers == 1:
         return tuple(count(samples, seed))

@@ -72,6 +72,25 @@ PEF_DOC = {
     ]
 }
 
+# a chain P -> R -> S of unary symbols
+CHAIN_DOC = {
+    "relations": [
+        {"name": "P", "arity": 1, "parents": [], "theta": "0.5"},
+        {
+            "name": "R",
+            "arity": 1,
+            "parents": ["P"],
+            "theta": "(P(x1) -> 0.9) & (!P(x1) -> 0.2)",
+        },
+        {
+            "name": "S",
+            "arity": 1,
+            "parents": ["R"],
+            "theta": "(R(x1) -> 0.7) & (!R(x1) -> 0.1)",
+        },
+    ]
+}
+
 # the signature lists each child before its parent, so the sampler's plan
 # (P, Q, R) runs against the signature order in which worlds are enumerated
 # (R, Q, P): Q's parent changes at every world, R's only with Q

@@ -29,6 +29,7 @@ from pla.network import exact_distribution, network_from_doc
 
 from conftest import (
     BINARY_DOC,
+    CHAIN_DOC,
     PR_DOC,
     REMARK_DOC,
     X,
@@ -37,24 +38,6 @@ from conftest import (
     random_formula,
     random_structure,
 )
-
-CHAIN_DOC = {
-    "relations": [
-        {"name": "P", "arity": 1, "parents": [], "theta": "0.5"},
-        {
-            "name": "R",
-            "arity": 1,
-            "parents": ["P"],
-            "theta": "(P(x1) -> 0.9) & (!P(x1) -> 0.2)",
-        },
-        {
-            "name": "S",
-            "arity": 1,
-            "parents": ["R"],
-            "theta": "(R(x1) -> 0.7) & (!R(x1) -> 0.1)",
-        },
-    ]
-}
 
 ZERO_GAMMA_DOC = {
     "relations": [

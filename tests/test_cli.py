@@ -311,7 +311,7 @@ class TestConverge:
                     "--samples", "10", "--seed", "1"]
         code, out, err = run(capsys, *argv, "--net", pr_file, "--workers", "0")
         assert (code, out) == (1, "")
-        assert err == "error: workers must be >= 1, got 0\n"
+        assert err == "error: --workers must be >= 1, got 0\n"
 
 
 class TestAdmissible:
@@ -486,6 +486,17 @@ class TestRobustness:
                              "--seed", "1")
         assert (code, out) == (1, "")
         assert err == "error: --samples must be >= 1, got %s\n" % samples
+
+    @pytest.mark.parametrize("argv", [
+        ["infer", "mc", "--n", "3", "--formula", "R(x)", "--assign", "x=1"],
+        ["converge", "--formula", "am[R(y) : y : distinct]", "--n-grid", "3"],
+    ])
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_name_the_option(self, capsys, pr_file, argv, workers):
+        code, out, err = run(capsys, *argv, "--net", pr_file, "--samples", "10",
+                             "--workers", workers, "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: --workers must be >= 1, got %s\n" % workers
 
     def test_long_compiled_report_parses_back(self, capsys, tmp_path):
         doc = {

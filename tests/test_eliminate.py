@@ -14,11 +14,14 @@ from pla import (
     Signature,
     ValueSet,
     Variable,
+    enumerate_complete_types,
     fold_to_bpf,
     parse_formula,
 )
 from pla.aggregators import NoLimitMethod
 from pla.eliminate import (
+    AlphaEntry,
+    AlphaRow,
     NetworkHasAggregation,
     _LimitProbabilities,
     _type_text,
@@ -29,7 +32,7 @@ from pla.eliminate import (
     limit_prob_type,
     saturation_diagnostic,
 )
-from pla.logic import evaluate, has_aggregation
+from pla.logic import evaluate, free_vars, has_aggregation, relation_symbols
 from pla.network import (
     PlaNetwork,
     WorldSampler,
@@ -40,7 +43,7 @@ from pla.network import (
 )
 from pla.parser import format_formula
 
-from conftest import BINARY_DOC, PEF_DOC, PR_DOC, X, Y, Z, random_agg_free
+from conftest import BINARY_DOC, CHAIN_DOC, PEF_DOC, PR_DOC, X, Y, Z, random_agg_free
 
 PR_SIG = Signature.of(("P", 1), ("R", 1))
 
@@ -202,7 +205,71 @@ class TestTypeText:
         assert [_type_text(p) for p in _complete_types(sig, (X,))] == ["!P(x)", "P(x)"]
 
 
+def _alphas_reference(net, xs, p_eq, bodies):
+    """The rows of ``alphas`` computed type by type: extensions grouped by
+    ``restrict``, each body valued by ``value_on`` on the extension's
+    canonical structure, beta and gamma from ``limit_prob_type``."""
+    groups = {}
+    for p in enumerate_complete_types(net.signature, p_eq.variables, p_eq):
+        groups.setdefault(p.restrict(xs), []).append(p)
+    rows = []
+    for base, extensions in groups.items():
+        gamma = limit_prob_type(net, base)
+        entries = []
+        for p in extensions:
+            struct, assignment = p.canonical_structure()
+            beta = limit_prob_type(net, p)
+            entries.append(AlphaEntry(p, tuple(b.value_on(struct, assignment) for b in bodies),
+                                      beta, beta / gamma if gamma > 0.0 else None))
+        rows.append(AlphaRow(base, gamma, entries))
+    return rows
+
+
+# alpha table cases with 0, 1 and 2 parameters: (xs, ys, equality type),
+# the equality type's variables out of name order
+ALPHA_CASES = {
+    "0 params": ((), (Y, X), EqualityType.all_distinct([Y, X])),
+    "1 param": ((X,), (Y,), EqualityType.all_distinct([Y, X])),
+    "2 equal params": ((X, Y), (Z,), EqualityType.from_blocks([X, Z, Y], [[X, Y], [Z]])),
+    "2 params": ((X, Y), (Z,), EqualityType.all_distinct([Z, Y, X])),
+}
+
+ALPHA_DOCS = {"P/R": PR_DOC, "P/S/E": PSE_DOC, "P/E/F": PEF_DOC, "binary": BINARY_DOC,
+              "chain": CHAIN_DOC}
+
+ALPHA_BODIES = ("E(y, x)", "S(y) & E(y, x)", "R(y)", "0.3", "wm(x = y; 0.9; 0.2)",
+                "wm(x = y; 0.9; 0.2) & !(z = x)")
+
+
 class TestAlphas:
+    # every pair of a network and a case with at most 2^10 complete types
+    @pytest.mark.parametrize("doc, case", [
+        pytest.param(doc, case, id="%s-%s" % (doc_id, case_id))
+        for doc_id, doc in ALPHA_DOCS.items() for case_id, case in ALPHA_CASES.items()
+        if len(network_from_doc(doc).signature.slots(len(case[2].blocks))) <= 10])
+    def test_rows_match_the_per_type_computation(self, doc, case):
+        net = network_from_doc(doc)
+        sig = net.signature
+        xs, ys, p_eq = case
+        # the bodies over the network's symbols and the aggregation's
+        # variables, whose fold has at most 2^12 types per equality type
+        formulas = [parse_formula(text) for text in ALPHA_BODIES]
+        bodies = [fold_to_bpf(phi, sig) for phi in formulas
+                  if relation_symbols(phi) <= set(sig.names()) and free_vars(phi) <= {*xs, *ys}
+                  and len(sig.slots(len(free_vars(phi)))) <= 12]
+        table = alphas(net, xs, ys, p_eq, bodies)
+        reference = _alphas_reference(net, xs, p_eq, bodies)
+        assert len(table.rows) == len(reference)
+        for row, expected in zip(table.rows, reference):
+            assert row.base == expected.base
+            assert row.gamma == expected.gamma
+            assert len(row.entries) == len(expected.entries)
+            for entry, want in zip(row.entries, expected.entries):
+                assert entry.extension == want.extension
+                assert entry.values == want.values, entry.extension
+                assert entry.beta == want.beta
+                assert entry.alpha == want.alpha
+
     def test_unary_body_spectrum(self, pr_net):
         body = fold_to_bpf(parse_formula("R(y)"), PR_SIG)
         eq = EqualityType.all_distinct([X, Y])

@@ -29,7 +29,7 @@ from pla import (
     function_rank,
 )
 from pla.eliminate import eliminate
-from pla.logic import EmptyAggregationRange, NotAggregationFree, children, subformulas
+from pla.logic import EmptyAggregationRange, NotAggregationFree, children, fold, subformulas
 from pla.parser import parse_formula
 
 from conftest import TEST_SIG, X, Y, Z, random_agg_free, random_formula, random_structure
@@ -349,6 +349,34 @@ class TestFold:
                 a = {X: rng.randint(1, n), Y: rng.randint(1, n)}
                 assert abs(evaluate(A, phi, a) - evaluate(A, psi, a)) <= 1e-12
                 assert evaluate(A, psi, a) == bpf.value_on(A, a)
+
+    @staticmethod
+    def _fold_by_evaluate(phi, sig):
+        """The conjuncts of ``fold_to_bpf`` by its definition: the formula
+        evaluated on every complete type's canonical structure."""
+        variables = sorted(free_vars(phi), key=lambda v: v.name)
+        return fold(sig, variables, lambda s, a: evaluate(s, phi, a)).conjuncts
+
+    def test_memoised_fold_matches_evaluating_every_type(self):
+        rng = random.Random(23)
+        formulas = [random_agg_free(rng, TEST_SIG, [X, Y], 3) for _ in range(40)]
+        formulas += [
+            parse_formula("wm(x = y; P(x); E(x, y))"),  # an equality
+            parse_formula("E(x, y) & !E(x, y) | wm(E(x, y); Q(y); 0.4)"),  # a repeated atom
+            parse_formula("E(y, x) & !E(x, y)"),  # swapped arguments
+            Or(Atom("E", (X,)), Atom("P", (Y,))),  # an atom of the wrong arity
+            Not(Atom("P", (X, Y, X))),
+        ]
+        for phi in formulas:
+            assert fold_to_bpf(phi, TEST_SIG).conjuncts == self._fold_by_evaluate(phi, TEST_SIG), phi
+
+    def test_symbol_outside_the_signature_raises_as_evaluate_does(self):
+        phi = And(Atom("P", (X,)), Atom("U", (X, Y)))
+        with pytest.raises(Exception) as expected:
+            self._fold_by_evaluate(phi, TEST_SIG)
+        with pytest.raises(expected.type) as got:
+            fold_to_bpf(phi, TEST_SIG)
+        assert str(got.value) == str(expected.value)
 
 
 def random_signatures(seed, count=12):
