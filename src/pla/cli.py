@@ -174,7 +174,7 @@ def cmd_eliminate(args) -> dict:
     phi = _read_formula(args.formula)
     check_signature(phi, network.signature)
     _, report = run_elimination(network, phi)
-    return report.to_dict()
+    return report.to_dict(full_table=args.full_table)
 
 
 def cmd_converge(args):
@@ -260,6 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("eliminate", cmd_eliminate, help="compile away aggregation functions")
     p.add_argument("--net", required=True)
     p.add_argument("--formula", required=True)
+    p.add_argument("--full-table", dest="full_table", action="store_true",
+                   help="list every extension type of each alpha table row, "
+                        "not only the row's support spectra")
 
     p = add("converge", cmd_converge, help="convergence experiment over growing domains")
     p.add_argument("--net", required=True)

@@ -145,6 +145,9 @@ class AlphaRow:
     base: AtomicType
     gamma: float
     entries: list[AlphaEntry]
+    # the merged support spectra, one per body, that the compiler takes the
+    # function's limit over; None until then, and for a row with gamma 0
+    spectra: Optional[tuple[SupportSpectrum, ...]] = None
 
     def sum_alpha(self) -> Optional[float]:
         if self.gamma <= 0.0:
@@ -158,30 +161,39 @@ class AlphaTable:
     ys: tuple[Variable, ...]
     dim: int
     rows: list[AlphaRow]
+    limit_method: Optional[str] = None  # the compiled function's, set with the spectra
 
-    def to_dict(self) -> dict:
-        return {
+    def to_dict(self, full_table: bool = False) -> dict:
+        """Per row, the base type, gamma, the sum of alpha, the number of
+        extensions and the spectra; with ``full_table``, every extension
+        with its body values, beta and alpha in place of the last two."""
+        rows = []
+        for row in self.rows:
+            out = {"base": _type_text(row.base), "gamma": row.gamma, "sum_alpha": row.sum_alpha()}
+            if full_table:
+                out["entries"] = [
+                    {
+                        "extension": _type_text(e.extension),
+                        "values": list(e.values),
+                        "beta": e.beta,
+                        "alpha": e.alpha,
+                    }
+                    for e in row.entries
+                ]
+            else:
+                out["extensions"] = len(row.entries)
+                out["spectra"] = None if row.spectra is None else [
+                    [list(point) for point in s.points] for s in row.spectra]
+            rows.append(out)
+        table = {
             "params": [v.name for v in self.xs],
             "bound": [v.name for v in self.ys],
             "dim": self.dim,
-            "rows": [
-                {
-                    "base": _type_text(row.base),
-                    "gamma": row.gamma,
-                    "sum_alpha": row.sum_alpha(),
-                    "entries": [
-                        {
-                            "extension": _type_text(e.extension),
-                            "values": list(e.values),
-                            "beta": e.beta,
-                            "alpha": e.alpha,
-                        }
-                        for e in row.entries
-                    ],
-                }
-                for row in self.rows
-            ],
+            "rows": rows,
         }
+        if not full_table:
+            table["limit_method"] = self.limit_method
+        return table
 
 
 @functools.lru_cache(maxsize=64)
@@ -246,12 +258,15 @@ def alphas(
 
 
 def _row_spectra(row: AlphaRow, arity: int) -> tuple[SupportSpectrum, ...]:
+    """The row's merged support spectrum of each body.  Merging again, as
+    ``aggregators.limit`` does, changes nothing."""
     # zero-proportion extensions cannot occur in the limit and are dropped;
-    # aggregators.limit merges close values, and without this filter a
-    # dropped value could anchor a cluster
+    # merging joins close values, and without this filter a dropped value
+    # could anchor a cluster
     entries = [e for e in row.entries if e.alpha > 0.0]
     return tuple(
-        SupportSpectrum(tuple((e.values[m], e.alpha) for e in entries)) for m in range(arity)
+        SupportSpectrum(tuple((e.values[m], e.alpha) for e in entries)).merged()
+        for m in range(arity)
     )
 
 
@@ -270,13 +285,13 @@ class AggNodeRecord:
     limits: list[tuple[AtomicType, float]]
     warnings: list[str]
 
-    def to_dict(self) -> dict:
+    def to_dict(self, full_table: bool = False) -> dict:
         return {
             "function": self.func,
             "params": [v.name for v in self.params],
             "bound": [v.name for v in self.bound],
             "dim": self.dim,
-            "table": self.table.to_dict() if self.table is not None else None,
+            "table": self.table.to_dict(full_table) if self.table is not None else None,
             "limits": [
                 {"type": _type_text(q), "value": d} for q, d in self.limits
             ],
@@ -291,14 +306,16 @@ class EliminationReport:
     agg_nodes: list[AggNodeRecord]
     warnings: list[str]
 
-    def to_dict(self) -> dict:
+    def to_dict(self, full_table: bool = False) -> dict:
+        """The report; ``full_table`` lists every extension type of each
+        alpha table row instead of the row's support spectra."""
         return {
             "input": format_formula(self.input_formula),
             "output": format_formula(self.output.to_formula()),
             "output_conjuncts": [
                 {"type": _type_text(t), "value": c} for t, c in self.output.conjuncts
             ],
-            "aggregation_nodes": [r.to_dict() for r in self.agg_nodes],
+            "aggregation_nodes": [r.to_dict(full_table) for r in self.agg_nodes],
             "warnings": self.warnings,
         }
 
@@ -367,6 +384,7 @@ def eliminate(
                     "%s has no limit method; cannot eliminate it" % func.name
                 )
             table = alphas(net, xs, ys, eq, bodies, registry)
+            table.limit_method = func.limit_method
             for row in table.rows:
                 if row.gamma <= 0.0:
                     node_warnings.append(
@@ -375,7 +393,8 @@ def eliminate(
                     )
                     conjuncts.append((row.base, 1.0))
                     continue
-                d = aggregators.limit(func, _row_spectra(row, func.arity))
+                row.spectra = _row_spectra(row, func.arity)
+                d = aggregators.limit(func, row.spectra)
                 conjuncts.append((row.base, d))
             if func.limit_method == "numeric":
                 node_warnings.append(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cache, cached_property, reduce
+from functools import cached_property, reduce
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -39,6 +39,9 @@ class Signature:
     """A finite relational signature: named relation symbols with arity >= 1."""
 
     symbols: tuple[tuple[str, int], ...]
+    # slots(k) by k; kept by the instance, so that it dies with it
+    _slots: dict = field(default_factory=dict, init=False, repr=False, compare=False,
+                         hash=False)
 
     def __post_init__(self):
         names = [name for name, _ in self.symbols]
@@ -64,17 +67,23 @@ class Signature:
     def __contains__(self, name: str) -> bool:
         return any(sym == name for sym, _ in self.symbols)
 
-    @cache
+    def __reduce__(self):
+        # a pickle carries the symbols only, not the slot cache
+        return type(self), (self.symbols,)
+
     def slots(self, k: int) -> tuple[Literal, ...]:
         """The relation slots over k equality classes: (symbol, class tuple)
         pairs, ordered by symbol in signature order and then by class tuple,
         lexicographically.  An atomic type has one sign per slot, in this
         order."""
-        return tuple(
-            (name, ctuple)
-            for name, arity in self.symbols
-            for ctuple in itertools.product(range(k), repeat=arity)
-        )
+        slots = self._slots.get(k)
+        if slots is None:
+            slots = self._slots[k] = tuple(
+                (name, ctuple)
+                for name, arity in self.symbols
+                for ctuple in itertools.product(range(k), repeat=arity)
+            )
+        return slots
 
 
 @dataclass

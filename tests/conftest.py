@@ -113,6 +113,20 @@ NON_ROOT_AGGREGATION_DOC = {
 }
 
 
+# P always holds, so every type with !P(x) has limit probability 0
+ZERO_GAMMA_DOC = {
+    "relations": [
+        {"name": "P", "arity": 1, "parents": [], "theta": "1.0"},
+        {
+            "name": "R",
+            "arity": 1,
+            "parents": ["P"],
+            "theta": "(P(x1) -> 0.9) & (!P(x1) -> 0.2)",
+        },
+    ]
+}
+
+
 @pytest.fixture
 def pr_net():
     return network_from_doc(PR_DOC)

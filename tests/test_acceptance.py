@@ -34,23 +34,11 @@ from conftest import (
     REMARK_DOC,
     X,
     Y,
+    ZERO_GAMMA_DOC,
     random_agg_free,
     random_formula,
     random_structure,
 )
-
-ZERO_GAMMA_DOC = {
-    "relations": [
-        {"name": "P", "arity": 1, "parents": [], "theta": "1.0"},
-        {
-            "name": "R",
-            "arity": 1,
-            "parents": ["P"],
-            "theta": "(P(x1) -> 0.9) & (!P(x1) -> 0.2)",
-        },
-    ]
-}
-
 
 def report(number: int, description: str, passed: bool, detail: str = ""):
     line = "[acceptance %d] %s: %s" % (number, description, "PASS" if passed else "FAIL")

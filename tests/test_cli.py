@@ -1,13 +1,16 @@
 """Command-line surface: happy paths, output determinism, diagnostics."""
 
 import json
+import math
 
 import pytest
 
+from pla import aggregators
+from pla.aggregators import MERGE_TOL, SupportSpectrum
 from pla.cli import main
 from pla.parser import format_formula, parse_formula
 
-from conftest import PR_DOC, REMARK_DOC
+from conftest import PEF_DOC, PR_DOC, PSE_DOC, REMARK_DOC, ZERO_GAMMA_DOC
 
 
 @pytest.fixture
@@ -224,6 +227,24 @@ class TestSampleEvalInfer:
         assert err == "error: PLA_WORLD_CAP must be an integer, got 'abc'\n"
 
 
+REPORT_NETWORKS = {"pr": PR_DOC, "pse": PSE_DOC, "pef": PEF_DOC, "zero-gamma": ZERO_GAMMA_DOC}
+
+# am, gm, max and min, one and two bound variables, aggregations under
+# connectives, and rows of gamma 0; no built-in binary function has a limit
+REPORT_CASES = [
+    ("pr-am", "pr", "am[R(y) : y : y != x]"),
+    ("pr-implies-gm", "pr", "(am[R(y) : y : y != x] -> R(x)) & gm[R(y) | P(x) : y : distinct]"),
+    ("pr-two-bound", "pr", "am[R(y) & !R(z) | P(x) : y, z : y != x, z != x, y != z]"),
+    ("pr-min-two-bound", "pr", "min[wm(R(y); 0.8; 0.3) : y, z : y != x, z != x, y != z]"),
+    ("pse-am-edge", "pse", "am[E(x, y) : y : y != x]"),
+    ("pse-connectives", "pse",
+     "!am[S(y) & E(y, x) : y : y != x] | wm(P(x); max[E(x, y) : y : y != x]; 0.25)"),
+    ("pef-gm", "pef", "gm[wm(F(x, y); 0.9; 0.4) | E(y, x) : y : y != x]"),
+    ("pef-min-max", "pef", "min[F(x, y) | P(y) : y : y != x] & max[F(y, x) : y : y != x]"),
+    ("zero-gamma-am", "zero-gamma", "am[R(y) : y : y != x]"),
+]
+
+
 class TestEliminateCommand:
     def test_report_contains_constant_and_alpha_check(self, capsys, pr_file):
         payload = run_json(
@@ -241,6 +262,47 @@ class TestEliminateCommand:
         )
         assert code == 1
         assert "aggregation" in err
+
+    @pytest.mark.parametrize("net, formula", [case[1:] for case in REPORT_CASES],
+                             ids=[case[0] for case in REPORT_CASES])
+    def test_report_alone_explains_each_constant(self, capsys, tmp_path, net, formula):
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(REPORT_NETWORKS[net]))
+        argv = ["eliminate", "--net", str(path), "--formula", formula]
+        report = run_json(capsys, *argv)
+        full = run_json(capsys, *argv, "--full-table")
+        nodes = list(zip(report["aggregation_nodes"], full["aggregation_nodes"], strict=True))
+        tables = [(node, full_node) for node, full_node in nodes if node["table"] is not None]
+        assert tables
+        zero_rows = 0
+        for node, full_node in tables:
+            func = aggregators.DEFAULT_REGISTRY.get(node["function"])
+            limits = {d["type"]: d["value"] for d in node["limits"]}
+            assert node["table"]["limit_method"] == func.limit_method
+            for row, full_row in zip(node["table"]["rows"], full_node["table"]["rows"],
+                                     strict=True):
+                assert row["base"] == full_row["base"]
+                assert row["extensions"] == len(full_row["entries"])
+                if row["spectra"] is None:
+                    zero_rows += 1
+                    assert row["gamma"] == 0.0
+                    assert limits[row["base"]] == 1.0
+                    assert ("type %s has limit probability 0; its compiled value 1 is arbitrary"
+                            % row["base"]) in node["warnings"]
+                    continue
+                spectra = tuple(SupportSpectrum(tuple(map(tuple, points)))
+                                for points in row["spectra"])
+                assert len(spectra) == func.arity
+                for spectrum in spectra:
+                    # printed merged: merging again changes nothing
+                    assert spectrum.merged() == spectrum
+                    assert abs(math.fsum(a for _, a in spectrum.points) - 1.0) <= MERGE_TOL
+                assert aggregators.limit(func, spectra) == limits[row["base"]]
+        assert (zero_rows > 0) == (net == "zero-gamma")
+        # the flag changes only the alpha tables
+        for node, full_node in nodes:
+            del node["table"], full_node["table"]
+        assert report == full
 
 
 class TestConverge:

@@ -65,17 +65,31 @@ GOLDEN = [
      ["infer", "exact", "--net", "{net}", "--n", "2", "--formula", "R(x) -> P(x)",
       "--assign", "x=2", "--value-set", "0:0.5"],
      "pr", 0, "6f856c87a5453c1f0aad25c06821ec6a138fb03caf16765410f011b174b4dbc2"),
+    # --full-table lists every extension type of each alpha table row
     ("eliminate-am-edge",
-     ["eliminate", "--net", "{net}", "--formula", "am[E(x, y) : y : y != x]"],
+     ["eliminate", "--net", "{net}", "--formula", "am[E(x, y) : y : y != x]", "--full-table"],
      "pse", 0, "2b6b72272af89ba0776c1ec98d73aa1fdd22cebb384e4c74e82b78cbf21e436e"),
     ("eliminate-connectives",
      ["eliminate", "--net", "{net}", "--formula",
-      "!am[S(y) & E(y, x) : y : y != x] | wm(P(x); max[E(x, y) : y : y != x]; 0.25)"],
+      "!am[S(y) & E(y, x) : y : y != x] | wm(P(x); max[E(x, y) : y : y != x]; 0.25)",
+      "--full-table"],
      "pse", 0, "f722240048fd57cd349266593d891d28370720438bedd83cadef1a8dfd8c56dc"),
     ("eliminate-implies-gm",
      ["eliminate", "--net", "{net}", "--formula",
-      "(am[R(y) : y : y != x] -> R(x)) & gm[R(y) | P(x) : y : distinct]"],
+      "(am[R(y) : y : y != x] -> R(x)) & gm[R(y) | P(x) : y : distinct]", "--full-table"],
      "pr", 0, "c608deac2498b2ec74fa460729853c0bc9385aa95e0a087cd69af2ce5674f6c1"),
+    # the default report: each row's merged support spectra
+    ("eliminate-am-edge-compact",
+     ["eliminate", "--net", "{net}", "--formula", "am[E(x, y) : y : y != x]"],
+     "pse", 0, "121611301f17d1efd5502bcf09ac18340014d3bea1a7f2f1b7a232da1c5b3b4b"),
+    ("eliminate-connectives-compact",
+     ["eliminate", "--net", "{net}", "--formula",
+      "!am[S(y) & E(y, x) : y : y != x] | wm(P(x); max[E(x, y) : y : y != x]; 0.25)"],
+     "pse", 0, "79d2e05c17ba1088ea498fff4f7fb9dca5895bffd4f224f3c20e8d682910bef0"),
+    ("eliminate-implies-gm-compact",
+     ["eliminate", "--net", "{net}", "--formula",
+      "(am[R(y) : y : y != x] -> R(x)) & gm[R(y) | P(x) : y : distinct]"],
+     "pr", 0, "078501352281de87425a726c94ca62697e9f8980d6e37937a2a25055140d7308"),
     ("eliminate-dimension-0",
      ["eliminate", "--net", "{net}", "--formula", "am[R(y) : y : y = x]"],
      "pr", 0, "eb2712dabb468298afb194a360a12219178e2cedd4dfd45fd5673a0bff80e298"),

@@ -1,8 +1,10 @@
 """Core logic: free variables, evaluation, type enumeration, folding."""
 
+import gc
 import itertools
 import pickle
 import random
+import weakref
 
 import pytest
 
@@ -231,6 +233,21 @@ class TestTypeEnumeration:
                 for eq in EqualityType.all_partitions(variables):
                     signs = {tuple(sign for _, sign in t.literals) for t in types if t.eq == eq}
                     assert len(signs) == 2 ** len(sig.slots(len(eq.blocks)))
+
+    def test_slot_cache_dies_with_its_signature(self):
+        sig = Signature.of(("Fresh", 1), ("Edge", 2))
+        slots = sig.slots(2)
+        assert sig.slots(2) is slots
+        # the cache changes neither equality, hashing nor pickling
+        other = Signature.of(("Fresh", 1), ("Edge", 2))
+        assert (sig, hash(sig)) == (other, hash(other))
+        assert pickle.dumps(sig) == pickle.dumps(other)
+        copy = pickle.loads(pickle.dumps(sig))
+        assert copy == sig and copy.slots(2) == slots
+        ref = weakref.ref(sig)
+        del sig, copy
+        gc.collect()
+        assert ref() is None
 
     def test_complete_signs_follow_slots(self):
         rng = random.Random(12)
