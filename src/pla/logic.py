@@ -636,20 +636,6 @@ def truth_keys(structure: Structure, symbols, probes, values, prefixes=None) -> 
     return list(zip(*columns)) if columns else [()] * len(values)
 
 
-def memo_values(table: dict, keys: Sequence, evaluate_at: Callable[[int], object]) -> list:
-    """The table's value at each key, in order.  A key met for the first
-    time is filled, in index order, by ``evaluate_at`` at its first index;
-    None marks a missing key, so no value may be None."""
-    found = list(map(table.get, keys))
-    if None in found:
-        for i, key in enumerate(keys):
-            if found[i] is None:
-                if key not in table:
-                    table[key] = evaluate_at(i)
-                found[i] = table[key]
-    return found
-
-
 def check_signature(phi: Formula, signature: Signature) -> None:
     """Every atom of the formula names a symbol of the signature and has
     that symbol's arity."""

@@ -18,7 +18,7 @@ import operator
 import os
 import random
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from . import aggregators
 from . import parser as formula_parser
@@ -34,7 +34,6 @@ from .logic import (
     evaluate,
     free_vars,
     has_aggregation,
-    memo_values,
     relation_symbols,
     truth_keys,
 )
@@ -167,14 +166,13 @@ class WorldSampler:
     equality pattern and the truth values there of the distinct atoms it
     reads (``PlaNetwork.theta_key_atoms``); a root's theta reads no atoms,
     so it depends on the pattern alone, with or without aggregation.  Those
-    thetas are cached per symbol under that key by ``truth_keys`` and
-    ``memo_values``: after the first
-    evaluation per key, a tuple costs one membership test per atom plus one
-    dictionary lookup.  Only a
-    non-root theta that contains aggregation is evaluated at every tuple,
-    on one snapshot of the structure per theta list (see
-    ``Structure.snapshot``), so a counting aggregation node keys the domain
-    once per list, not once per tuple.
+    thetas are cached per symbol under that key, built by ``truth_keys``:
+    after the first evaluation per key, a tuple costs one membership test
+    per atom plus one dictionary lookup.  Only a non-root theta that
+    contains aggregation is evaluated at every tuple, on one snapshot of
+    the structure per theta list (see ``Structure.snapshot``), so a
+    counting aggregation node keys the domain once per list, not once per
+    tuple.
     """
 
     def __init__(self, net: PlaNetwork, n: int, registry=None):
@@ -211,8 +209,14 @@ class WorldSampler:
             world = structure.snapshot()
             return [self._evaluate(world, step, args) for args in step.tuples]
         keys = truth_keys(structure, step.symbols, step.probes, step.tuples, step.patterns)
-        return memo_values(step.cache, keys,
-                           lambda i: self._evaluate(structure, step, step.tuples[i]))
+        thetas = list(map(step.cache.get, keys))
+        if None in thetas:
+            # a key met for the first time is evaluated at its first tuple
+            for i, key in enumerate(keys):
+                if key not in step.cache:
+                    step.cache[key] = self._evaluate(structure, step, step.tuples[i])
+            thetas = list(map(step.cache.__getitem__, keys))
+        return thetas
 
     def sample(self, rng: random.Random) -> Structure:
         structure = Structure(self.net.signature, self.n)
@@ -247,56 +251,132 @@ def _check_world_cap(net: PlaNetwork, n: int, world_cap: int) -> None:
         raise TooManyWorlds("2^%d worlds exceed the cap %d" % (bits, world_cap))
 
 
-def _enumerate(sampler: WorldSampler) -> Iterator[tuple[tuple[int, ...], list, float]]:
-    """``(masks, sets, probability)`` of every world of the sampler's
-    network at its domain size.  ``masks`` are the relation bitmasks in
-    signature order, the last symbol changing fastest, bit i standing for
-    the i-th tuple in lexicographic order; ``sets`` are the relations, in
-    the same order, and stay valid only until the next world.
+# L's worlds are weighed in chunks of at most 2^_CHUNK_BITS, so the lists
+# of one chunk stay small however many tuples L has
+_CHUNK_BITS = 12
+
+
+def _factors(thetas: list, mask: int) -> list:
+    """Per tuple of a step, theta where the mask has the tuple, else 1 - theta."""
+    return [p if mask >> j & 1 else 1.0 - p for j, p in enumerate(thetas)]
+
+
+def _members(tuples: list, mask: int) -> set:
+    return {t for j, t in enumerate(tuples) if mask >> j & 1}
+
+
+def _enumerate(sampler: WorldSampler) -> Iterator[tuple[tuple[int, ...], Callable, list]]:
+    """``(masks, world, probabilities)`` for every world of the sampler's
+    network at its domain size, a chunk of worlds at a time.  ``masks`` are
+    the relation bitmasks in signature order, bit i standing for the i-th
+    tuple in lexicographic order.  The worlds are in ``itertools.product``
+    order of the masks, the last signature symbol L changing fastest; a
+    chunk is a run of at most ``2 ** _CHUNK_BITS`` consecutive masks of L,
+    the others fixed.  ``probabilities[i]`` is the probability of the world
+    whose L mask is ``masks[-1] + i``, and ``world(i)`` builds that world's
+    structure, whose sets stay valid only until the next chunk.
 
     The probability of a world is the probability of drawing it: the
     product, step by step in the sampler's plan order and over each step's
     tuples in lexicographic order, of theta for each present tuple and
     1 - theta for each absent one.  This is the only place where a world's
-    probability is multiplied.
+    probability is multiplied, and each is the same left fold of the same
+    floats as a world-by-world loop.  Per block of L's 2^m worlds, m the
+    number of L's tuples:
 
-    Consecutive worlds share work.  A symbol's set is rebuilt only when its
-    mask changes, and a step's theta list only when the mask of one of its
-    parents changes: ``validate`` guarantees that theta reads no other
-    symbol."""
+    - the steps before L's step cannot read L, so their factors are folded
+      into one prefix, once per block;
+    - L's step expands the prefix tuple by tuple as a tree,
+      ``leaves = [x * (1 - p) ...] + [x * p ...]``, so bit j of a leaf's
+      index is tuple j and each leaf is the left fold: about two
+      multiplications per world.  A block larger than a chunk expands its
+      low ``_CHUNK_BITS`` tuples once and multiplies in the other
+      m - ``_CHUNK_BITS`` per chunk and world, so its lists stay the size
+      of a chunk.  Sharing those products too would yield the chunks out
+      of world order or take a block of memory, since the highest bit of a
+      mask is the tuple multiplied last;
+    - steps after L's step continue the fold leaf by leaf, their theta
+      lists evaluated again at every leaf if they read L.
+
+    A theta list is evaluated again only when the mask of one of the
+    step's parents changes (``validate`` guarantees that theta reads no
+    other symbol), and a set is built only for a structure: for a theta
+    list or a ``world``."""
     net, n = sampler.net, sampler.n
     names = net.signature.names()
+    if not names:
+        yield (), lambda i: Structure(net.signature, n), [1.0]
+        return
+    plan = sampler._plan
     position = {name: i for i, name in enumerate(names)}
+    last = len(names) - 1
     tuples = [None] * len(names)
-    for step in sampler._plan:
+    for step in plan:
         tuples[position[step.name]] = step.tuples
     # the last signature position among each step's parents; -1 for a root
     last_parent = [max((position[p] for p in net.parents[step.name]), default=-1)
-                   for step in sampler._plan]
+                   for step in plan]
+    split = next(k for k, step in enumerate(plan) if position[step.name] == last)
+    later = range(split + 1, len(plan))
+    width = len(tuples[last])
+    low = min(width, _CHUNK_BITS)
+    masks = [0] * len(names)
     sets: list = [None] * len(names)
-    thetas: list = [None] * len(sampler._plan)
-    previous = None
-    for masks in itertools.product(*[range(1 << len(t)) for t in tuples]):
-        # masks at positions >= changed differ from the previous world's
-        changed = 0
-        if previous is not None:
-            while masks[changed] == previous[changed]:
-                changed += 1
-        previous = masks
-        for i in range(changed, len(names)):
-            mask, ts = masks[i], tuples[i]
-            sets[i] = {ts[j] for j in range(len(ts)) if mask >> j & 1}
+    thetas: list = [None] * len(plan)
+
+    def world(base, i):
+        for pos in range(last):
+            if sets[pos] is None:
+                sets[pos] = _members(tuples[pos], masks[pos])
+        interp = dict(zip(names, sets[:last] + [_members(tuples[last], base + i)]))
+        return Structure(net.signature, n, interp)
+
+    changed = 0  # masks at positions >= changed differ from the last block's
+    while True:
+        for pos in range(changed, last):
+            sets[pos] = None
+        stale = [thetas[k] is None or last_parent[k] >= changed for k in range(len(plan))]
         structure = None
-        prob = 1.0
-        for k, step in enumerate(sampler._plan):
-            if thetas[k] is None or last_parent[k] >= changed:
-                if structure is None:
-                    structure = Structure(net.signature, n, dict(zip(names, sets)))
-                thetas[k] = sampler._thetas(structure, step)
-            members = sets[position[step.name]]
-            for args, p in zip(step.tuples, thetas[k]):
-                prob *= p if args in members else 1.0 - p
-        yield masks, sets, prob
+        for k in range(split + 1):
+            if stale[k]:
+                if structure is None:  # with any mask of L: these steps do not read L
+                    structure = world(0, 0)
+                thetas[k] = sampler._thetas(structure, plan[k])
+        prefix = 1.0
+        for k in range(split):
+            prefix = functools.reduce(
+                operator.mul, _factors(thetas[k], masks[position[plan[k].name]]), prefix)
+        base_leaves = [prefix]
+        for p in thetas[split][:low]:
+            base_leaves = [x * (1.0 - p) for x in base_leaves] + [x * p for x in base_leaves]
+        for high in range(1 << (width - low)):
+            leaves = base_leaves
+            for p in _factors(thetas[split][low:], high):
+                leaves = [x * p for x in leaves]
+            base = high << low
+            chunk_world = functools.partial(world, base)
+            if later:
+                for i, x in enumerate(leaves):
+                    leaf_world = None
+                    for k in later:
+                        if stale[k]:
+                            if leaf_world is None:
+                                leaf_world = chunk_world(i)
+                            thetas[k] = sampler._thetas(leaf_world, plan[k])
+                            stale[k] = last_parent[k] == last
+                        x = functools.reduce(
+                            operator.mul, _factors(thetas[k], masks[position[plan[k].name]]), x)
+                    leaves[i] = x
+            masks[last] = base
+            yield tuple(masks), chunk_world, leaves
+        # the next masks of the symbols before L, the last changing fastest
+        changed = last - 1
+        while changed >= 0 and masks[changed] + 1 == 1 << len(tuples[changed]):
+            masks[changed] = 0
+            changed -= 1
+        if changed < 0:
+            return
+        masks[changed] += 1
 
 
 def exact_distribution(
@@ -310,11 +390,11 @@ def exact_distribution(
     The cap is checked before the first world is built, and each world's
     structure has sets of its own."""
     _check_world_cap(net, n, world_cap)
-    names = net.signature.names()
     worlds = []
-    for _, sets, prob in _enumerate(WorldSampler(net, n, registry)):
-        interp = {name: set(members) for name, members in zip(names, sets)}
-        worlds.append(WorldWeight(Structure(net.signature, n, interp), prob))
+    for _, world, probabilities in _enumerate(WorldSampler(net, n, registry)):
+        for i, prob in enumerate(probabilities):
+            interp = {name: set(members) for name, members in world(i).interp.items()}
+            worlds.append(WorldWeight(Structure(net.signature, n, interp), prob))
     return worlds
 
 
@@ -375,6 +455,10 @@ def _in_value_set(phi, assignment, value_set, registry, world) -> tuple[bool]:
     return (value_set.contains(evaluate(world, phi, assignment, registry)),)
 
 
+# memo byte -> 1 for a world whose value lands in the value set, else 0
+_SELECTED = bytes([0, 0, 1]).ljust(256, b"\0")
+
+
 def exact_event_probability(
     net: PlaNetwork,
     n: int,
@@ -394,7 +478,15 @@ def exact_event_probability(
     an error it raises surfaces at the same world as without the memo.  The
     memo is one byte per combination, indexed by the masks as one
     mixed-radix number, so it holds at most as many bytes as there are
-    worlds."""
+    worlds.
+
+    A chunk of ``_enumerate`` is read as one strided slice of the memo, the
+    bytes of the last signature symbol's consecutive masks, or as one byte
+    when the formula does not read that symbol.  Its unset bytes are
+    filled in mask order, and its selected probabilities are added to the
+    total one by one in world order with ``functools.reduce``.  ``sum()``
+    would not do: from Python 3.12 on it adds floats with compensation, so
+    its result depends on the Python version."""
     if value_set is None:
         value_set = ValueSet.full()
     _check_world_cap(net, n, world_cap)
@@ -406,16 +498,24 @@ def exact_event_probability(
         if name in read:
             combinations <<= n ** arity
     memo = bytearray(combinations)  # 0: not yet evaluated, 1: outside the set, 2: inside
-    names = net.signature.names()
+    stride = strides[-1] if strides else 0
     in_set = functools.partial(_in_value_set, phi, assignment, value_set, registry)
     total = 0.0
-    for masks, sets, prob in _enumerate(WorldSampler(net, n, registry)):
+    for masks, world, probabilities in _enumerate(WorldSampler(net, n, registry)):
         key = sum(map(operator.mul, masks, strides))
-        if not memo[key]:
-            (inside,) = in_set(Structure(net.signature, n, dict(zip(names, sets))))
-            memo[key] = 2 if inside else 1
-        if memo[key] == 2:
-            total += prob
+        span = (slice(key, key + len(probabilities) * stride, stride) if stride
+                else slice(key, key + 1))
+        flags = memo[span]
+        if 0 in flags:
+            for i, flag in enumerate(flags):
+                if not flag:
+                    (inside,) = in_set(world(i))
+                    memo[key + i * stride] = 2 if inside else 1
+            flags = memo[span]
+        selected = flags.translate(_SELECTED)
+        if not stride:
+            selected *= len(probabilities)
+        total = functools.reduce(operator.add, itertools.compress(probabilities, selected), total)
     return total
 
 

@@ -271,12 +271,18 @@ def exact_by_definition(net, n, phi, assignment, value_set):
     return worlds, total
 
 
+# one unary symbol: its block of 2^n worlds spans more than one chunk of
+# ``network._CHUNK_BITS`` bits from n = 13 on
+UNARY_DOC = {"relations": [{"name": "R", "arity": 1, "theta": "0.3"}]}
+
 ENUMERATION_NETWORKS = {"pr": PR_DOC, "pse": PSE_DOC, "pef": PEF_DOC, "remark": REMARK_DOC,
-                        "binary": BINARY_DOC, "child-first": CHILD_FIRST_DOC}
+                        "binary": BINARY_DOC, "child-first": CHILD_FIRST_DOC,
+                        "empty": {"relations": []}, "unary": UNARY_DOC}
 
 # (network, n, formula, assignment, value set): formulas that read no
 # symbol, a strict subset of the symbols and every symbol, with and
-# without an assignment
+# without an assignment; formulas that read the last signature symbol,
+# whose worlds are weighed as one block, and formulas that do not
 ENUMERATION_CASES = [
     ("pr", 3, "0.3", "", "0.3"),
     ("pr", 3, "x = y", "x=1,y=2", "0"),
@@ -291,6 +297,11 @@ ENUMERATION_CASES = [
     ("child-first", 3, "Q(x)", "x=1", "1"),
     ("child-first", 3, "max[R(y) & !Q(y) : y : y != x] | P(x)", "x=3", "0:0.5"),
     ("child-first", 2, "wm(P(x); R(x); 0.3) | Q(y)", "x=1,y=2", "0.3:0.6"),
+    ("empty", 2, "0.3", "", "0.3"),
+    ("pr", 3, "P(x)", "x=2", "1"),
+    ("pse", 2, "S(x) & !P(y)", "x=1,y=2", "1"),
+    ("binary", 3, "E(x, y) | E(y, x)", "x=1,y=2", "1"),
+    ("unary", 14, "R(x) & !R(y)", "x=2,y=14", "1"),
 ]
 
 
@@ -343,6 +354,19 @@ class TestEnumerationReuse:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_large_block_stays_small(self):
+        # the 2^16 worlds of one symbol are one block; its probabilities as
+        # one list of floats would take 2 MiB
+        net = network_from_doc(UNARY_DOC)
+        tracemalloc.start()
+        try:
+            p = exact_event_probability(net, 16, Const(0.3), {}, ValueSet.point(0.3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert p == pytest.approx(1.0, abs=1e-12)
         assert peak < 2 ** 20
 
 
