@@ -27,6 +27,7 @@ from .logic import (
     Formula,
     Not,
     Signature,
+    Structure,
     Variable,
     atom_probes,
     children,
@@ -69,7 +70,6 @@ def limit_prob_type(net: PlaNetwork, p: AtomicType, registry=None) -> float:
     """Limit probability that a tuple with the type's equality pattern
     realizes the type; for aggregation-free networks this is an n-independent
     product of network formula values and their complements."""
-    _require_aggregation_free(net)
     return _LimitProbabilities(net, registry)(p)
 
 
@@ -86,6 +86,7 @@ class _LimitProbabilities:
     """
 
     def __init__(self, net: PlaNetwork, registry):
+        _require_aggregation_free(net)
         self.net = net
         self.registry = registry
         self._atoms = {name: net.theta_key_atoms(name) for name in net.signature.names()}
@@ -224,7 +225,6 @@ def alphas(
     grouped by their restriction to the parameters; each extension carries
     its limit probability, its proportion alpha relative to the group, and
     the constant each body takes on it."""
-    _require_aggregation_free(net)
     limit_probs = _LimitProbabilities(net, registry)
     dim = dim_y(p_eq, xs, ys)
     if dim == 0:
@@ -334,6 +334,7 @@ def eliminate(
         registry = aggregators.DEFAULT_REGISTRY
     _require_aggregation_free(net)
     sig = net.signature
+    empty = Structure(sig, 1)  # the connectives of constants read no relation
     warnings: list[str] = []
     agg_nodes: list[AggNodeRecord] = []
 
@@ -347,11 +348,11 @@ def eliminate(
         parts = [compile_node(c) for c in children(node)]
         variables = tuple(sorted(set().union(*(c.variables for c in parts)), key=lambda v: v.name))
 
-        def value(struct, assignment):
-            consts = [Const(c.value_on(struct, assignment)) for c in parts]
-            return evaluate(struct, type(node)(*consts), assignment)
+        def reader(eq):
+            reads = [c.sign_reader(sig, eq) for c in parts]
+            return lambda signs: evaluate(empty, type(node)(*[Const(read(signs)) for read in reads]))
 
-        return fold(sig, variables, value)
+        return fold(sig, variables, reader)
 
     def compile_agg(node: Agg) -> BasicProbabilityFormula:
         func = registry.get(node.func)
@@ -368,16 +369,14 @@ def eliminate(
         if dim == 0:
             # every bound variable is equated with a parameter: the single
             # matching tuple is a renaming, so the function applies exactly
-            # to length-1 value sequences; each variable takes the value of
-            # a parameter in its class
-            anchor = {v: next(u for u in block if u not in ys)
-                      for block in eq.blocks for v in block}
+            # to length-1 value sequences.  Every class holds a parameter and
+            # parameters come first, so a type over xs has ``eq``'s classes
+            # in order and the same signs as its extension to ``eq``
+            def reader(_):
+                reads = [b.sign_reader(sig, eq) for b in bodies]
+                return lambda signs: aggregators.apply(func, *([read(signs)] for read in reads))
 
-            def value(struct, assignment):
-                full = {v: assignment[u] for v, u in anchor.items()}
-                return aggregators.apply(func, *([b.value_on(struct, full)] for b in bodies))
-
-            conjuncts += fold(sig, xs, value, eq.restrict(xs)).conjuncts
+            conjuncts += fold(sig, xs, reader, eq.restrict(xs)).conjuncts
         else:
             if func.limit_method == "none":
                 raise aggregators.NoLimitMethod(
@@ -403,9 +402,9 @@ def eliminate(
                 )
         # the conjuncts cover only types compatible with the node's equality
         # constraint; complete the case split so the output is exhaustive
-        covered = {t for t, _ in conjuncts}
+        covered = eq.restrict(xs)
         for t in enumerate_complete_types(sig, xs):
-            if t not in covered:
+            if t.eq != covered:
                 conjuncts.append((t, 1.0))
                 node_warnings.append(
                     "type %s is outside the aggregation's equality constraint "
@@ -608,7 +607,7 @@ def saturation_diagnostic(
     """Empirical probability that a sampled world has, for every parameter
     tuple realizing the base type, an extension count within the band
     [alpha/(1+delta), alpha*(1+delta)] * n^dim."""
-    _require_aggregation_free(net)
+    limit_probs = _LimitProbabilities(net, registry)
     xs = q.variables
     ys = tuple(v for v in p.variables if v not in set(xs))
     if p.restrict(xs) != q:
@@ -617,7 +616,6 @@ def saturation_diagnostic(
     if dim == 0:
         raise ValueError("extension type has dimension 0; nothing to saturate")
     if alpha is None:
-        limit_probs = _LimitProbabilities(net, registry)
         beta = limit_probs(p)
         gamma = limit_probs(q)
         if gamma <= 0.0:

@@ -956,20 +956,20 @@ class BasicProbabilityFormula:
 def fold(
     signature: Signature,
     variables: Sequence[Variable],
-    value: Callable[[Structure, dict[Variable, int]], float],
+    reader: Callable[[EqualityType], Callable[[tuple[bool, ...]], float]],
     eq: Optional[EqualityType] = None,
 ) -> BasicProbabilityFormula:
     """The formula over ``variables`` with one conjunct per complete type
     (with the equality type ``eq``, if given), in ``enumerate_complete_types``
-    order, whose constant is ``value`` at the type's canonical structure and
-    assignment.  Folding a connective over compiled children and an
-    aggregation node of dimension 0 take this loop; ``fold_to_bpf`` gives
-    the same conjuncts as ``fold`` of ``evaluate``, building fewer
-    structures."""
+    order, whose constant is ``reader(type.eq)(type.signs)``.  ``reader`` is
+    called once per equality type, and no structure is built."""
     conjuncts = []
+    current = None
     for atype in enumerate_complete_types(signature, variables, eq):
-        struct, assignment = atype.canonical_structure()
-        conjuncts.append((atype, value(struct, assignment)))
+        if atype.eq is not current:  # the types of one equality type come together
+            current = atype.eq
+            read = reader(current)
+        conjuncts.append((atype, read(atype.signs)))
     return BasicProbabilityFormula(tuple(variables), tuple(conjuncts))
 
 
@@ -979,25 +979,25 @@ def fold_to_bpf(phi: Formula, signature: Signature) -> BasicProbabilityFormula:
     variables, carrying the constant value the formula takes on that type."""
     if has_aggregation(phi):
         raise NotAggregationFree("formula contains aggregation nodes")
-    variables = sorted(free_vars(phi), key=_var_key)
     # on a type's canonical structure the formula reads only the type's
     # equalities and its signs at the slots of its atoms, so it is evaluated
     # once per equality type and signs there; an atom of the wrong arity
     # reads no slot and is false on every type
     atoms = [f for f in dict.fromkeys(subformulas(phi)) if isinstance(f, Atom)
              and f.symbol in signature and len(f.args) == signature.arity(f.symbol)]
-    conjuncts = []
-    eq = None
-    for atype in enumerate_complete_types(signature, variables):
-        if atype.eq is not eq:  # the types of one equality type come together
-            eq = atype.eq
-            positions = slot_positions(signature, len(eq.blocks), [
-                (atom.symbol, tuple([eq.class_index[v] for v in atom.args])) for atom in atoms])
-            values: dict[tuple, float] = {}
-        key = tuple([atype.signs[i] for i in positions])
-        value = values.get(key)
-        if value is None:
-            struct, assignment = atype.canonical_structure()
-            value = values[key] = evaluate(struct, phi, assignment)
-        conjuncts.append((atype, value))
-    return BasicProbabilityFormula(tuple(variables), tuple(conjuncts))
+
+    def reader(eq: EqualityType) -> Callable[[tuple[bool, ...]], float]:
+        positions = slot_positions(signature, len(eq.blocks), [
+            (atom.symbol, tuple([eq.class_index[v] for v in atom.args])) for atom in atoms])
+        values: dict[tuple, float] = {}
+
+        def read(signs: tuple[bool, ...]) -> float:
+            key = tuple([signs[i] for i in positions])
+            if key not in values:
+                struct, assignment = AtomicType(signature, eq, signs).canonical_structure()
+                values[key] = evaluate(struct, phi, assignment)
+            return values[key]
+
+        return read
+
+    return fold(signature, sorted(free_vars(phi), key=_var_key), reader)

@@ -8,18 +8,26 @@ import random
 import pytest
 
 from pla import (
+    Agg,
+    And,
     AtomicType,
+    BasicProbabilityFormula,
     Const,
     EqualityType,
+    Implies,
+    Not,
+    Or,
     Signature,
     ValueSet,
     Variable,
+    WeightedMean,
     enumerate_complete_types,
     fold_to_bpf,
     parse_formula,
 )
 from pla.aggregators import NoLimitMethod
 from pla.eliminate import (
+    COLLAPSE_TOL,
     AlphaEntry,
     AlphaRow,
     NetworkHasAggregation,
@@ -32,7 +40,7 @@ from pla.eliminate import (
     limit_prob_type,
     saturation_diagnostic,
 )
-from pla.logic import evaluate, free_vars, has_aggregation, relation_symbols
+from pla.logic import children, evaluate, free_vars, has_aggregation, relation_symbols, subformulas
 from pla.network import (
     PlaNetwork,
     WorldSampler,
@@ -135,6 +143,19 @@ class TestLimitProbType:
         p = AtomicType.complete(remark_net.signature, [X], [[X]])
         with pytest.raises(NetworkHasAggregation):
             limit_prob_type(remark_net, p)
+
+    @pytest.mark.parametrize("call", ["alphas", "saturation", "saturation with alpha"])
+    def test_other_entry_points_refuse_aggregation_first(self, remark_net, call):
+        # p has dimension 0, which alphas and the diagnostic also refuse,
+        # but only after the network
+        p = AtomicType.complete(remark_net.signature, [X, Y], [[X, Y]])
+        with pytest.raises(NetworkHasAggregation):
+            if call == "alphas":
+                alphas(remark_net, (X,), (Y,), p.eq, [])
+            else:
+                saturation_diagnostic(remark_net, p, p.restrict([X]), delta=0.5, n=4,
+                                      samples=10, seed=1,
+                                      alpha=0.5 if call == "saturation with alpha" else None)
 
     def test_rejects_incomplete_type(self):
         # a type has one sign per slot, so one without signs is not built
@@ -491,6 +512,117 @@ class TestEliminate:
             (t, c) for t, c in bpf.conjuncts if len(t.eq.blocks) == 1
         ]
         assert merged and all(c == 1.0 for _, c in merged)
+
+
+# aggregation nodes of dimension 0, alone and under a connective: the bound
+# variable joins the first parameter or a later one, and exists_at_least
+# takes two bodies
+DIMENSION_0_CASES = [
+    (PR_DOC, "am[R(y) : y : y = x]"),
+    (PR_DOC, "max[R(y) & !P(x) : y : y = x] | P(x)"),
+    (PSE_DOC, "am[E(y, x) : y : y = z, x != z]"),
+    (PSE_DOC, "min[S(y) -> E(x, y) : y : y = x] & !P(x)"),
+    (PEF_DOC, "exists_at_least(0.5)[E(x, y), F(y, x) | P(y) : y : y = x]"),
+    (PEF_DOC, "exists_at_least(0.5)[E(x, y), F(y, z) | P(y) : y : y = z, x != z]"),
+]
+
+# the leaves of random connectives, each a function of its parameters'
+# type: most connectives over them are over (x, y), so they fold over two
+# equality types
+CONNECTIVE_LEAVES = [
+    (PR_DOC, ["am[R(z) & P(x) : z : z != x]", "max[R(z) & !P(y) : z : z != y]",
+              "am[P(z) | R(x) : z : z != x, z != y, x != y]"]),
+    (PSE_DOC, ["am[E(x, z) : z : z != x]", "am[S(z) & E(z, y) : z : z != y]",
+               "min[E(z, x) | S(x) : z : z != x]"]),
+]
+
+
+def _random_connective(rng, leaves):
+    """A random tree of !, &, |, -> and wm over the leaves, which it holds
+    once each, left to right."""
+    items = [Not(leaf) if rng.random() < 0.3 else leaf for leaf in leaves]
+    while len(items) > 1:
+        i = rng.randrange(len(items) - 1)
+        left, right = items[i], items.pop(i + 1)
+        weight = Const(rng.choice([0.0, 0.25, 0.6, 1.0]))
+        items[i] = rng.choice([And(left, right), Or(left, right), Implies(left, right),
+                               WeightedMean(left, right, weight), WeightedMean(weight, left, right)])
+        if rng.random() < 0.3:
+            items[i] = Not(items[i])
+    return items[0]
+
+
+def _replace_aggregations(phi, values):
+    """The formula with each aggregation node, left to right, replaced by
+    the next constant of ``values``."""
+    if isinstance(phi, Agg):
+        return Const(next(values))
+    parts = children(phi)
+    return type(phi)(*(_replace_aggregations(c, values) for c in parts)) if parts else phi
+
+
+class TestSignReadingFolds:
+    """``eliminate`` reads compiled subformulas by their signs alone; the
+    oracles read them on each type's canonical structure instead."""
+
+    @pytest.mark.parametrize("doc, text", DIMENSION_0_CASES)
+    def test_dimension_0_is_the_formula_on_each_canonical_structure(self, doc, text):
+        net = network_from_doc(doc)
+        phi = parse_formula(text)
+        node = next(f for f in subformulas(phi) if isinstance(f, Agg))
+        bpf, report = eliminate(net, phi)
+        assert report.agg_nodes[0].dim == 0
+        variables = tuple(sorted(free_vars(phi), key=lambda v: v.name))
+        assert bpf.variables == variables  # no collapse
+        types = enumerate_complete_types(net.signature, variables)
+        assert len(bpf.conjuncts) == len(types) and {t for t, _ in bpf.conjuncts} == set(types)
+        covered = node.eq_type.restrict(node.params)
+        for t, c in bpf.conjuncts:
+            if t.restrict(node.params).eq == covered:
+                # the one bound tuple is a renaming, so this is exact at every n
+                struct, assignment = t.canonical_structure()
+                assert c == evaluate(struct, phi, assignment), (text, _type_text(t))
+            else:  # outside the node's equality constraint: completed with 1
+                assert node is phi and c == 1.0
+
+    @pytest.mark.parametrize("case", range(len(CONNECTIVE_LEAVES)))
+    def test_connectives_combine_the_children_read_on_each_canonical_structure(self, case):
+        doc, pool = CONNECTIVE_LEAVES[case]
+        net = network_from_doc(doc)
+        rng = random.Random(100 + case)
+        for _ in range(12):
+            leaves = [parse_formula(t) for t in rng.sample(pool, rng.choice([2, 3]))]
+            phi = _random_connective(rng, leaves)
+            bpf, report = eliminate(net, phi)
+            # the records come in compile order, so one per leaf, left to right
+            nodes = [BasicProbabilityFormula(r.params, tuple(r.limits)) for r in report.agg_nodes]
+            assert len(nodes) == len(leaves)
+            variables = tuple(sorted(free_vars(phi), key=lambda v: v.name))
+            types = enumerate_complete_types(net.signature, variables)
+            if bpf.variables == ():  # collapsed to one constant
+                constants, tolerance = [bpf.conjuncts[0][1]] * len(types), COLLAPSE_TOL
+            else:
+                assert [t for t, _ in bpf.conjuncts] == types
+                constants, tolerance = [c for _, c in bpf.conjuncts], 0.0
+            for t, c in zip(types, constants):
+                struct, assignment = t.canonical_structure()
+                values = iter([node.value_on(struct, assignment) for node in nodes])
+                expected = evaluate(struct, _replace_aggregations(phi, values), assignment)
+                assert abs(c - expected) <= tolerance, (format_formula(phi), _type_text(t))
+
+    @pytest.mark.parametrize("doc, text", [
+        (PSE_DOC, "!am[S(y) & E(y, x) : y : y != x] | wm(P(x); max[E(x, y) : y : y != x]; 0.25)"),
+        (PR_DOC, "(am[R(y) : y : y != x] -> R(x)) & gm[R(y) | P(x) : y : distinct]"),
+        (PR_DOC, "am[R(y) : y : y = x]"),
+        (PR_DOC, "wm(P(x); R(x); 0.4) -> !R(x)"),
+    ])
+    def test_compiler_never_reads_a_compiled_formula_on_a_structure(self, doc, text,
+                                                                    monkeypatch):
+        def refuse(*args):
+            raise AssertionError("value_on called while compiling")
+
+        monkeypatch.setattr(BasicProbabilityFormula, "value_on", refuse)
+        eliminate(network_from_doc(doc), parse_formula(text))
 
 
 class TestConvergenceExperiment:

@@ -31,7 +31,7 @@ from pla import (
     function_rank,
 )
 from pla.eliminate import eliminate
-from pla.logic import EmptyAggregationRange, NotAggregationFree, children, fold, subformulas
+from pla.logic import EmptyAggregationRange, NotAggregationFree, children, subformulas
 from pla.parser import parse_formula
 
 from conftest import TEST_SIG, X, Y, Z, random_agg_free, random_formula, random_structure
@@ -372,7 +372,11 @@ class TestFold:
         """The conjuncts of ``fold_to_bpf`` by its definition: the formula
         evaluated on every complete type's canonical structure."""
         variables = sorted(free_vars(phi), key=lambda v: v.name)
-        return fold(sig, variables, lambda s, a: evaluate(s, phi, a)).conjuncts
+        conjuncts = []
+        for atype in enumerate_complete_types(sig, variables):
+            struct, assignment = atype.canonical_structure()
+            conjuncts.append((atype, evaluate(struct, phi, assignment)))
+        return tuple(conjuncts)
 
     def test_memoised_fold_matches_evaluating_every_type(self):
         rng = random.Random(23)
