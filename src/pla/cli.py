@@ -71,19 +71,18 @@ def _parse_ints(option: str, text: str) -> list[int]:
         raise PlaError("%s must be comma-separated integers, got %r" % (option, text)) from None
 
 
-def _check_mc_counts(args) -> None:
-    """``--samples`` and ``--workers`` are at least 1; checked before the
-    Monte Carlo driver checks them, so that the error names the option."""
-    for option, value in (("--samples", args.samples), ("--workers", args.workers)):
-        if value < 1:
-            raise PlaError("%s must be >= 1, got %d" % (option, value))
+def _check_at_least(least: int, *options: tuple[str, int]) -> None:
+    """Each (option, value) pair's value is at least ``least``.  Checked
+    here so that the error names the option: the library would raise
+    without naming it, or quietly do nothing with a negative count."""
+    for option, value in options:
+        if value < least:
+            raise PlaError("%s must be >= %d, got %d" % (option, least, value))
 
 
 def _check_assignment(phi, assignment: dict, n: int) -> None:
     """Every assigned value is a domain element and every free variable of
     the formula has one."""
-    if n < 1:
-        raise PlaError("domain size must be >= 1, got %d" % n)
     for var, value in assignment.items():
         if not 1 <= value <= n:
             raise PlaError("%s=%d is outside the domain [1, %d]" % (var.name, value, n))
@@ -136,12 +135,14 @@ def cmd_eval(args) -> dict:
 
 
 def cmd_sample(args) -> dict:
+    _check_at_least(1, ("--n", args.n))
     network = load_network(args.net)
     world = sample(network, args.n, args.seed)
     return structure_to_doc(world)
 
 
 def cmd_infer(args) -> dict:
+    _check_at_least(1, ("--n", args.n))
     network = load_network(args.net)
     phi = _read_formula(args.formula)
     check_signature(phi, network.signature)
@@ -154,7 +155,7 @@ def cmd_infer(args) -> dict:
             network, args.n, phi, assignment, value_set, world_cap=_world_cap()
         )
         return {"probability": prob, "n": args.n, "value_set": str(value_set)}
-    _check_mc_counts(args)
+    _check_at_least(1, ("--samples", args.samples), ("--workers", args.workers))
     estimate, ci = mc_event_probability(
         network, args.n, phi, assignment, value_set,
         samples=args.samples, seed=args.seed, workers=args.workers,
@@ -183,7 +184,9 @@ def cmd_converge(args):
     check_signature(phi, network.signature)
     strat = validate(network)
     value_set = None if args.value_set is None else ValueSet.parse(args.value_set, "--value-set")
-    _check_mc_counts(args)
+    _check_at_least(1, ("--samples", args.samples), ("--workers", args.workers))
+    n_grid = _parse_ints("--n-grid", args.n_grid)
+    _check_at_least(1, *(("--n-grid", n) for n in n_grid))
     psi = None
     if strat.aggregation_free:
         psi, _ = run_elimination(network, phi)
@@ -192,7 +195,6 @@ def cmd_converge(args):
             "network formulas contain aggregation functions, so no compiled "
             "formula exists; give --value-set to test value probabilities"
         )
-    n_grid = _parse_ints("--n-grid", args.n_grid)
     table = convergence_experiment(
         network, phi, psi,
         n_grid=n_grid, epsilon=args.epsilon, samples=args.samples,
@@ -204,6 +206,7 @@ def cmd_converge(args):
 
 
 def cmd_admissible(args) -> dict:
+    _check_at_least(0, ("--spectra", args.spectra), ("--trials", args.trials))
     func = aggregators.DEFAULT_REGISTRY.get(args.function)
     rng = random.Random(args.seed)
     # probe the support boundary first (where e.g. noisy-or degenerates),

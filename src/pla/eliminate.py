@@ -28,21 +28,20 @@ from .logic import (
     Not,
     Signature,
     Structure,
+    TypeReader,
     Variable,
     atom_probes,
     children,
     enumerate_complete_types,
-    equality_pattern,
     evaluate,
     fold,
-    fold_to_bpf,
     free_vars,
     has_aggregation,
     restriction,
     satisfying_bound_tuples,
-    slot_positions,
     truth_keys,
     type_parts,
+    type_reader,
 )
 from .network import PlaNetwork, ValueSet, mc_estimates, validate
 from .parser import format_formula
@@ -66,64 +65,39 @@ def _require_aggregation_free(net: PlaNetwork) -> None:
         raise NetworkHasAggregation("network formulas contain aggregation functions")
 
 
-def limit_prob_type(net: PlaNetwork, p: AtomicType, registry=None) -> float:
+def limit_prob_type(net: PlaNetwork, p: AtomicType) -> float:
     """Limit probability that a tuple with the type's equality pattern
     realizes the type; for aggregation-free networks this is an n-independent
     product of network formula values and their complements."""
-    return _LimitProbabilities(net, registry)(p)
+    return _LimitProbabilities(net)(p)
 
 
 class _LimitProbabilities:
-    """``limit_prob_type`` over one aggregation-free network, evaluating
-    each theta once per key.
+    """``limit_prob_type`` over one aggregation-free network.  theta_R at a
+    slot (R, class tuple c) of a type is read by its ``type_reader`` at the
+    classes c of R's theta variables, so it is evaluated once per key of its
+    free variables' pattern and its atoms' signs, for this object's life."""
 
-    An aggregation-free theta_R at a slot (R, class tuple c) of a complete
-    type depends only on c's equality pattern and the type's signs at the
-    slots its atoms (``PlaNetwork.theta_key_atoms``) land on, the key
-    ``WorldSampler`` caches theta under.
-    The first type that meets a key evaluates theta on its canonical
-    structure; the value is kept for the life of this object.
-    """
-
-    def __init__(self, net: PlaNetwork, registry):
+    def __init__(self, net: PlaNetwork):
         _require_aggregation_free(net)
         self.net = net
-        self.registry = registry
-        self._atoms = {name: net.theta_key_atoms(name) for name in net.signature.names()}
-        self._plans: dict[int, list] = {}
-        self._thetas: dict[tuple, float] = {}  # (symbol, pattern, *signs) -> theta
-
-    def _plan(self, k: int) -> list[tuple[tuple, tuple[int, ...]]]:
-        """Per slot of ``signature.slots(k)``: the key prefix (symbol,
-        equality pattern) and the sign positions of theta's atoms there."""
-        plan = self._plans.get(k)
-        if plan is None:
-            sig = self.net.signature
-            plan = self._plans[k] = [
-                ((name, equality_pattern(ctuple)),
-                 slot_positions(sig, k, [(symbol, probe(ctuple))
-                                         for symbol, probe in zip(*self._atoms[name])]))
-                for name, ctuple in sig.slots(k)]
-        return plan
+        self._readers = {name: type_reader(net.theta[name], net.signature)
+                         for name in net.signature.names()}
+        self._plans: dict[int, list] = {}  # k -> theta's read at each slot over k classes
 
     def __call__(self, p: AtomicType) -> float:
         if p.signature != self.net.signature:
             raise ValueError("type signature does not match the network signature")
         k = len(p.eq.blocks)
+        plan = self._plans.get(k)
+        if plan is None:
+            plan = self._plans[k] = [
+                self._readers[name](k, dict(zip(self.net.theta_variables(name), ctuple)))
+                for name, ctuple in self.net.signature.slots(k)]
         signs = p.signs
-        struct = None
         prob = 1.0
-        for (name, ctuple), (prefix, positions), sign in zip(
-                self.net.signature.slots(k), self._plan(k), signs):
-            key = prefix + tuple([signs[i] for i in positions])
-            theta = self._thetas.get(key)
-            if theta is None:
-                if struct is None:
-                    struct, _ = p.canonical_structure()
-                variables = self.net.theta_variables(name)
-                assignment = {v: c + 1 for v, c in zip(variables, ctuple)}
-                theta = self._thetas[key] = evaluate(struct, self.net.theta[name], assignment,
-                                                     self.registry)
+        for read, sign in zip(plan, signs):
+            theta = read(signs)
             prob *= theta if sign else 1.0 - theta
         return prob
 
@@ -218,28 +192,24 @@ def alphas(
     xs: Sequence[Variable],
     ys: Sequence[Variable],
     p_eq: EqualityType,
-    bodies: Sequence[BasicProbabilityFormula],
-    registry=None,
+    bodies: Sequence[TypeReader],
 ) -> AlphaTable:
     """Enumerate the complete types with the equality type ``p_eq``,
     grouped by their restriction to the parameters; each extension carries
     its limit probability, its proportion alpha relative to the group, and
-    the constant each body takes on it."""
-    limit_probs = _LimitProbabilities(net, registry)
+    the constant each body, a type reader (see ``logic.type_reader``),
+    takes on it.  A body over a variable outside ``p_eq`` raises
+    ValueError."""
+    limit_probs = _LimitProbabilities(net)
     dim = dim_y(p_eq, xs, ys)
     if dim == 0:
         raise PlaError("degenerate aggregation (dimension 0) has no alpha table")
-    universe = set(xs) | set(ys)
-    for body in bodies:
-        if not set(body.variables) <= universe:
-            stray = sorted(v.name for v in set(body.variables) - universe)
-            raise ValueError("body variables %s outside the aggregation" % stray)
     # every type has the equality type p_eq, so its restriction to the
     # parameters and each body's value on it are read off its signs at
     # positions fixed by p_eq
     sig = net.signature
     base_eq, base_positions = restriction(sig, p_eq, xs)
-    readers = [body.sign_reader(sig, p_eq) for body in bodies]
+    readers = [body(len(p_eq.blocks), p_eq.class_index) for body in bodies]
     groups: dict[tuple[bool, ...], list[AtomicType]] = {}
     for p in enumerate_complete_types(sig, p_eq.variables, p_eq):
         groups.setdefault(tuple([p.signs[i] for i in base_positions]), []).append(p)
@@ -338,21 +308,21 @@ def eliminate(
     warnings: list[str] = []
     agg_nodes: list[AggNodeRecord] = []
 
-    def compile_node(node: Formula) -> BasicProbabilityFormula:
+    def compile_node(node: Formula) -> TypeReader:
+        # only an aggregation node builds conjuncts: one per parameter type
         if not has_aggregation(node):
-            return fold_to_bpf(node, sig)
+            return type_reader(node, sig)
         if isinstance(node, Agg):
-            return compile_agg(node)
+            return compile_agg(node).sign_reader(sig)
         # a connective over compiled children: on each complete type,
         # evaluate the connective over the children's constants
         parts = [compile_node(c) for c in children(node)]
-        variables = tuple(sorted(set().union(*(c.variables for c in parts)), key=lambda v: v.name))
 
-        def reader(eq):
-            reads = [c.sign_reader(sig, eq) for c in parts]
+        def at(k, classes):
+            reads = [part(k, classes) for part in parts]
             return lambda signs: evaluate(empty, type(node)(*[Const(read(signs)) for read in reads]))
 
-        return fold(sig, variables, reader)
+        return at
 
     def compile_agg(node: Agg) -> BasicProbabilityFormula:
         func = registry.get(node.func)
@@ -372,8 +342,8 @@ def eliminate(
             # to length-1 value sequences.  Every class holds a parameter and
             # parameters come first, so a type over xs has ``eq``'s classes
             # in order and the same signs as its extension to ``eq``
-            def reader(_):
-                reads = [b.sign_reader(sig, eq) for b in bodies]
+            def reader(k, _):
+                reads = [body(k, eq.class_index) for body in bodies]
                 return lambda signs: aggregators.apply(func, *([read(signs)] for read in reads))
 
             conjuncts += fold(sig, xs, reader, eq.restrict(xs)).conjuncts
@@ -382,7 +352,7 @@ def eliminate(
                 raise aggregators.NoLimitMethod(
                     "%s has no limit method; cannot eliminate it" % func.name
                 )
-            table = alphas(net, xs, ys, eq, bodies, registry)
+            table = alphas(net, xs, ys, eq, bodies)
             table.limit_method = func.limit_method
             for row in table.rows:
                 if row.gamma <= 0.0:
@@ -423,7 +393,10 @@ def eliminate(
         warnings.extend(node_warnings)
         return BasicProbabilityFormula(tuple(xs), tuple(conjuncts))
 
-    output = compile_node(phi)
+    if isinstance(phi, Agg):
+        output = compile_agg(phi)
+    else:
+        output = fold(sig, sorted(free_vars(phi), key=lambda v: v.name), compile_node(phi))
     values = [c for _, c in output.conjuncts]
     if values and max(values) - min(values) <= COLLAPSE_TOL and len(values) > 1:
         # the one complete type over no variables: no slot, no literal
@@ -607,7 +580,7 @@ def saturation_diagnostic(
     """Empirical probability that a sampled world has, for every parameter
     tuple realizing the base type, an extension count within the band
     [alpha/(1+delta), alpha*(1+delta)] * n^dim."""
-    limit_probs = _LimitProbabilities(net, registry)
+    limit_probs = _LimitProbabilities(net)
     xs = q.variables
     ys = tuple(v for v in p.variables if v not in set(xs))
     if p.restrict(xs) != q:

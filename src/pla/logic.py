@@ -310,14 +310,9 @@ class AtomicType:
         return True
 
     def canonical_structure(self) -> tuple[Structure, dict[Variable, int]]:
-        """A smallest structure realizing this type: element i+1 per class i."""
-        n = max(1, len(self.eq.blocks))
-        interp: dict[str, set[tuple[int, ...]]] = {name: set() for name in self.signature.names()}
-        for (name, ctuple), sign in self.literals:
-            if sign:
-                interp[name].add(tuple(c + 1 for c in ctuple))
+        """``structure_of_type`` of this type, and an assignment realizing it."""
         assignment = {v: self.eq.class_index[v] + 1 for v in self.eq.variables}
-        return Structure(self.signature, n, interp), assignment
+        return structure_of_type(self.signature, len(self.eq.blocks), self.signs), assignment
 
     def to_formula(self) -> "Formula":
         """The conjunction of the type's equalities and inequalities, then
@@ -325,6 +320,17 @@ class AtomicType:
         equalities, atoms = type_parts(self.signature, self.eq)
         return conjunction([*equalities,
                             *(atom if sign else Not(atom) for atom, sign in zip(atoms, self.signs))])
+
+
+def structure_of_type(signature: Signature, k: int, signs: Sequence[bool]) -> Structure:
+    """The canonical structure of a complete type over ``signature`` with k
+    equality classes and these signs: a smallest structure realizing it,
+    with element i+1 for class i."""
+    interp: dict[str, set[tuple[int, ...]]] = {name: set() for name in signature.names()}
+    for (name, ctuple), sign in zip(signature.slots(k), signs):
+        if sign:
+            interp[name].add(tuple([c + 1 for c in ctuple]))
+    return Structure(signature, max(1, k), interp)
 
 
 def slot_positions(signature: Signature, k: int, slots: Sequence[Literal]) -> tuple[int, ...]:
@@ -933,42 +939,89 @@ class BasicProbabilityFormula:
         )
         return index.get((equality_pattern(values), signs), 1.0)
 
-    def sign_reader(self, signature: Signature,
-                    eq: EqualityType) -> Callable[[tuple[bool, ...]], float]:
-        """``value_on`` at the canonical structure and assignment of a
-        complete type over ``signature`` with the equality type ``eq``, whose
-        variables include ``variables``, as a function of the type's signs.
-        ``eq`` fixes the lookup key's pattern and the positions of its signs
-        in the type's sign vector."""
+    def sign_reader(self, signature: Signature) -> TypeReader:
+        """``value_on`` on the canonical structures of complete types over
+        ``signature``, as a ``TypeReader``: a lookup of the pattern of
+        ``variables``' classes and the type's signs at the slots it reads."""
         index, slots_by_k = self._type_index
-        values = [eq.class_index[v] for v in self.variables]
-        reps = tuple(dict.fromkeys(values))
-        pattern = equality_pattern(values)
-        positions = slot_positions(signature, len(eq.blocks), [
-            (name, tuple([reps[c] for c in ctuple]))
-            for name, ctuple in slots_by_k.get(len(reps), ())])
-        return lambda signs: index.get((pattern, tuple([signs[i] for i in positions])), 1.0)
+
+        def at(k, classes):
+            values = _classes_of(self.variables, classes)
+            reps = tuple(dict.fromkeys(values))
+            pattern = equality_pattern(values)
+            positions = slot_positions(signature, k, [
+                (name, tuple([reps[c] for c in ctuple]))
+                for name, ctuple in slots_by_k.get(len(reps), ())])
+            return lambda signs: index.get((pattern, tuple([signs[i] for i in positions])), 1.0)
+
+        return at
 
     def to_formula(self) -> Formula:
         return conjunction([Implies(atype.to_formula(), Const(c)) for atype, c in self.conjuncts])
 
 
+# ``at(k, classes)``: a compiled formula on the complete types with k equality
+# classes, at v -> classes[v] + 1, as a function of a type's sign vector
+TypeReader = Callable[[int, Mapping[Variable, int]], Callable[[tuple[bool, ...]], float]]
+
+
+def _classes_of(variables: Sequence[Variable], classes: Mapping[Variable, int]) -> list[int]:
+    """The class of each variable; a ValueError names those without one."""
+    stray = sorted(v.name for v in variables if v not in classes)
+    if stray:
+        raise ValueError("variables %s are not among the type's variables" % stray)
+    return [classes[v] for v in variables]
+
+
+def type_reader(phi: Formula, signature: Signature) -> TypeReader:
+    """The ``TypeReader`` of an aggregation-free formula: its value on a
+    type's canonical structure (``structure_of_type``), where it reads only
+    the pattern of its free variables' classes and the type's signs at its
+    atoms' slots.  So it is evaluated once per such key for the reader's
+    lifetime, whatever k and classes; an atom of the wrong arity reads no
+    slot and is false on every type."""
+    if has_aggregation(phi):
+        raise NotAggregationFree("formula contains aggregation nodes")
+    variables = sorted(free_vars(phi), key=_var_key)
+    atoms = [f for f in dict.fromkeys(subformulas(phi)) if isinstance(f, Atom)
+             and f.symbol in signature and len(f.args) == signature.arity(f.symbol)]
+    values: dict[tuple, float] = {}
+
+    def at(k, classes):
+        pattern = equality_pattern(_classes_of(variables, classes))
+        positions = slot_positions(signature, k, [
+            (atom.symbol, tuple([classes[v] for v in atom.args])) for atom in atoms])
+        assignment = {v: classes[v] + 1 for v in variables}
+
+        def read(signs: tuple[bool, ...]) -> float:
+            key = (pattern, tuple([signs[i] for i in positions]))
+            value = values.get(key)
+            if value is None:
+                value = values[key] = evaluate(structure_of_type(signature, k, signs), phi,
+                                               assignment)
+            return value
+
+        return read
+
+    return at
+
+
 def fold(
     signature: Signature,
     variables: Sequence[Variable],
-    reader: Callable[[EqualityType], Callable[[tuple[bool, ...]], float]],
+    reader: TypeReader,
     eq: Optional[EqualityType] = None,
 ) -> BasicProbabilityFormula:
     """The formula over ``variables`` with one conjunct per complete type
     (with the equality type ``eq``, if given), in ``enumerate_complete_types``
-    order, whose constant is ``reader(type.eq)(type.signs)``.  ``reader`` is
+    order, whose constant is the reader's value on the type.  ``reader`` is
     called once per equality type, and no structure is built."""
     conjuncts = []
     current = None
     for atype in enumerate_complete_types(signature, variables, eq):
         if atype.eq is not current:  # the types of one equality type come together
             current = atype.eq
-            read = reader(current)
+            read = reader(len(current.blocks), current.class_index)
         conjuncts.append((atype, read(atype.signs)))
     return BasicProbabilityFormula(tuple(variables), tuple(conjuncts))
 
@@ -977,27 +1030,4 @@ def fold_to_bpf(phi: Formula, signature: Signature) -> BasicProbabilityFormula:
     """Fold an aggregation-free formula into an exactly equivalent basic
     probability formula: one conjunct per complete atomic type over the free
     variables, carrying the constant value the formula takes on that type."""
-    if has_aggregation(phi):
-        raise NotAggregationFree("formula contains aggregation nodes")
-    # on a type's canonical structure the formula reads only the type's
-    # equalities and its signs at the slots of its atoms, so it is evaluated
-    # once per equality type and signs there; an atom of the wrong arity
-    # reads no slot and is false on every type
-    atoms = [f for f in dict.fromkeys(subformulas(phi)) if isinstance(f, Atom)
-             and f.symbol in signature and len(f.args) == signature.arity(f.symbol)]
-
-    def reader(eq: EqualityType) -> Callable[[tuple[bool, ...]], float]:
-        positions = slot_positions(signature, len(eq.blocks), [
-            (atom.symbol, tuple([eq.class_index[v] for v in atom.args])) for atom in atoms])
-        values: dict[tuple, float] = {}
-
-        def read(signs: tuple[bool, ...]) -> float:
-            key = tuple([signs[i] for i in positions])
-            if key not in values:
-                struct, assignment = AtomicType(signature, eq, signs).canonical_structure()
-                values[key] = evaluate(struct, phi, assignment)
-            return values[key]
-
-        return read
-
-    return fold(signature, sorted(free_vars(phi), key=_var_key), reader)
+    return fold(signature, sorted(free_vars(phi), key=_var_key), type_reader(phi, signature))

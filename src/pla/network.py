@@ -68,15 +68,6 @@ class PlaNetwork:
     def theta_variables(self, name: str) -> tuple[Variable, ...]:
         return tuple(Variable("x%d" % (i + 1)) for i in range(self.signature.arity(name)))
 
-    def theta_key_atoms(self, name: str) -> tuple[tuple[str, ...], tuple]:
-        """The atoms theta_R is keyed on, as ``atom_probes`` over
-        ``theta_variables``.  If theta_R is aggregation-free, its value at a
-        tuple depends only on the tuple's equality pattern and the truth of
-        these atoms there, in this order.  ``WorldSampler`` caches theta per
-        tuple of a world under that key, ``eliminate``'s limit probabilities
-        per slot of a complete type."""
-        return atom_probes((self.theta[name],), self.theta_variables(name))
-
 
 @dataclass
 class Stratification:
@@ -142,8 +133,8 @@ class _Step(NamedTuple):
     """One symbol of a sampler's plan, in stratification order.
 
     ``tuples`` are in lexicographic order, ``patterns`` their equality
-    patterns, ``symbols`` and ``probes`` theta's atoms
-    (``PlaNetwork.theta_key_atoms``).
+    patterns, ``symbols`` and ``probes`` theta's atoms (``atom_probes`` over
+    the theta variables).
     ``cache`` maps ``(pattern, *truth values of the atoms)`` to theta; it is
     None for a symbol with parents whose formula aggregates, which is
     evaluated at every tuple.
@@ -164,8 +155,8 @@ class WorldSampler:
 
     An aggregation-free theta_R at a tuple depends only on the tuple's
     equality pattern and the truth values there of the distinct atoms it
-    reads (``PlaNetwork.theta_key_atoms``); a root's theta reads no atoms,
-    so it depends on the pattern alone, with or without aggregation.  Those
+    reads; a root's theta reads no atoms, so it depends on the pattern
+    alone, with or without aggregation.  Those
     thetas are cached per symbol under that key, built by ``truth_keys``:
     after the first evaluation per key, a tuple costs one membership test
     per atom plus one dictionary lookup.  Only a non-root theta that
@@ -188,7 +179,7 @@ class WorldSampler:
             variables = net.theta_variables(name)
             tuples = list(itertools.product(range(1, n + 1), repeat=len(variables)))
             cached = not net.parents[name] or not has_aggregation(theta)
-            symbols, probes = net.theta_key_atoms(name) if cached else ((), ())
+            symbols, probes = atom_probes((theta,), variables) if cached else ((), ())
             self._plan.append(_Step(name, theta, variables, tuples,
                                     list(map(equality_pattern, tuples)), symbols, probes,
                                     {} if cached else None))

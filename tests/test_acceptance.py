@@ -25,6 +25,7 @@ from pla.aggregators import (
 )
 from pla.cli import main
 from pla.eliminate import alphas, convergence_experiment, eliminate, saturation_diagnostic
+from pla.logic import type_reader
 from pla.network import exact_distribution, network_from_doc
 
 from conftest import (
@@ -134,7 +135,7 @@ def test_criterion_4_alpha_rows_sum_to_one():
         net = network_from_doc(doc)
         sig = net.signature
         for text in body_texts:
-            body = fold_to_bpf(parse_formula(text), sig)
+            body = type_reader(parse_formula(text), sig)
             eq = EqualityType.all_distinct(list(xs) + [y])
             corpus.append(alphas(net, xs, [y], eq, [body]))
     rows = [row for table in corpus for row in table.rows]

@@ -123,7 +123,7 @@ class TestSampleEvalInfer:
         ("3", "x=0", ("x=0", "[1, 3]")),
         ("3", "x=1,y=4", ("y=4", "[1, 3]")),
         ("3", None, ("no value for free variable x", "[1, 3]")),
-        ("0", "x=1", ("domain size", "got 0")),
+        ("0", "x=1", ("--n must be >= 1, got 0",)),
         ("3", "x=a", ("bad assignment 'x=a'; expected var=element",)),
     ])
     def test_infer_rejects_bad_assignment(self, capsys, pr_file, mode, n, assign, words):
@@ -503,6 +503,20 @@ class TestRobustness:
         code, out, err = run(capsys, *[a.format(net=pr_file) for a in argv], "--seed", "1")
         assert code == 1
         assert out == ""
+        assert err == "error: %s\n" % shown
+
+    @pytest.mark.parametrize("argv, shown", [
+        (["sample", "--net", "{net}", "--n", "0"], "--n must be >= 1, got 0"),
+        (["infer", "mc", "--net", "{net}", "--n", "-2", "--formula", "P(x)", "--assign", "x=1"],
+         "--n must be >= 1, got -2"),
+        (["converge", "--net", "{net}", "--formula", "P(x)", "--n-grid", "5,-1"],
+         "--n-grid must be >= 1, got -1"),
+        (["admissible", "--function", "am", "--spectra", "-3"], "--spectra must be >= 0, got -3"),
+        (["admissible", "--function", "am", "--trials", "-1"], "--trials must be >= 0, got -1"),
+    ])
+    def test_count_option_out_of_range_is_named(self, capsys, pr_file, argv, shown):
+        code, out, err = run(capsys, *[a.format(net=pr_file) for a in argv], "--seed", "1")
+        assert (code, out) == (1, "")
         assert err == "error: %s\n" % shown
 
     @pytest.mark.parametrize("argv, text", [

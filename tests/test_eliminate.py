@@ -4,6 +4,7 @@ convergence experiment, saturation diagnostic."""
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -40,7 +41,15 @@ from pla.eliminate import (
     limit_prob_type,
     saturation_diagnostic,
 )
-from pla.logic import children, evaluate, free_vars, has_aggregation, relation_symbols, subformulas
+from pla.logic import (
+    children,
+    evaluate,
+    free_vars,
+    has_aggregation,
+    relation_symbols,
+    subformulas,
+    type_reader,
+)
 from pla.network import (
     PlaNetwork,
     WorldSampler,
@@ -51,18 +60,9 @@ from pla.network import (
 )
 from pla.parser import format_formula
 
-from conftest import BINARY_DOC, CHAIN_DOC, PEF_DOC, PR_DOC, X, Y, Z, random_agg_free
+from conftest import BINARY_DOC, CHAIN_DOC, PEF_DOC, PR_DOC, PSE_DOC, X, Y, Z, random_agg_free
 
 PR_SIG = Signature.of(("P", 1), ("R", 1))
-
-PSE_DOC = {
-    "relations": [
-        {"name": "P", "arity": 1, "parents": [], "theta": "0.3"},
-        {"name": "S", "arity": 1, "parents": ["P"], "theta": "wm(P(x1); 0.7; 0.2)"},
-        {"name": "E", "arity": 2, "parents": ["P"], "theta": "wm(P(x1) & P(x2); 0.8; 0.1)"},
-    ]
-}
-
 
 # networks whose thetas exercise each part of the limit-probability memo's
 # key: the equality pattern, the order of an atom's arguments, every atom
@@ -174,7 +174,7 @@ class TestLimitProbType:
         # cached for one class count is read by types of the others
         net = network_from_doc(doc)
         types = _theta_key_types(net)
-        limit_probs = _LimitProbabilities(net, None)
+        limit_probs = _LimitProbabilities(net)
         for p in types[::-1] + types:
             assert limit_probs(p) == _limit_prob_reference(net, p), p
 
@@ -274,12 +274,11 @@ class TestAlphas:
         xs, ys, p_eq = case
         # the bodies over the network's symbols and the aggregation's
         # variables, whose fold has at most 2^12 types per equality type
-        formulas = [parse_formula(text) for text in ALPHA_BODIES]
-        bodies = [fold_to_bpf(phi, sig) for phi in formulas
-                  if relation_symbols(phi) <= set(sig.names()) and free_vars(phi) <= {*xs, *ys}
-                  and len(sig.slots(len(free_vars(phi)))) <= 12]
-        table = alphas(net, xs, ys, p_eq, bodies)
-        reference = _alphas_reference(net, xs, p_eq, bodies)
+        formulas = [phi for phi in map(parse_formula, ALPHA_BODIES)
+                    if relation_symbols(phi) <= set(sig.names()) and free_vars(phi) <= {*xs, *ys}
+                    and len(sig.slots(len(free_vars(phi)))) <= 12]
+        table = alphas(net, xs, ys, p_eq, [type_reader(phi, sig) for phi in formulas])
+        reference = _alphas_reference(net, xs, p_eq, [fold_to_bpf(phi, sig) for phi in formulas])
         assert len(table.rows) == len(reference)
         for row, expected in zip(table.rows, reference):
             assert row.base == expected.base
@@ -291,8 +290,16 @@ class TestAlphas:
                 assert entry.beta == want.beta
                 assert entry.alpha == want.alpha
 
+    @pytest.mark.parametrize("reader", ["type_reader", "sign_reader"])
+    def test_body_over_a_variable_outside_the_aggregation_is_refused(self, pr_net, reader):
+        phi = parse_formula("R(y) & P(z)")
+        body = (type_reader(phi, PR_SIG) if reader == "type_reader"
+                else fold_to_bpf(phi, PR_SIG).sign_reader(PR_SIG))
+        with pytest.raises(ValueError, match=r"variables \['z'\]"):
+            alphas(pr_net, [X], [Y], EqualityType.all_distinct([X, Y]), [body])
+
     def test_unary_body_spectrum(self, pr_net):
-        body = fold_to_bpf(parse_formula("R(y)"), PR_SIG)
+        body = type_reader(parse_formula("R(y)"), PR_SIG)
         eq = EqualityType.all_distinct([X, Y])
         table = alphas(pr_net, [X], [Y], eq, [body])
         assert table.dim == 1
@@ -308,14 +315,14 @@ class TestAlphas:
     def test_gamma_equals_sum_of_betas(self, pr_net, binary_net):
         for net in (pr_net, binary_net):
             sig = net.signature
-            body = fold_to_bpf(Const(0.5), sig)
+            body = type_reader(Const(0.5), sig)
             eq = EqualityType.all_distinct([X, Y])
             table = alphas(net, [X], [Y], eq, [body])
             for row in table.rows:
                 assert abs(row.gamma - math.fsum(e.beta for e in row.entries)) <= 1e-9
 
     def test_constant_body_gives_point_spectrum(self, pr_net):
-        body = fold_to_bpf(Const(0.3), PR_SIG)
+        body = type_reader(Const(0.3), PR_SIG)
         eq = EqualityType.all_distinct([X, Y])
         table = alphas(pr_net, [X], [Y], eq, [body])
         for row in table.rows:
@@ -610,19 +617,38 @@ class TestSignReadingFolds:
                 expected = evaluate(struct, _replace_aggregations(phi, values), assignment)
                 assert abs(c - expected) <= tolerance, (format_formula(phi), _type_text(t))
 
-    @pytest.mark.parametrize("doc, text", [
-        (PSE_DOC, "!am[S(y) & E(y, x) : y : y != x] | wm(P(x); max[E(x, y) : y : y != x]; 0.25)"),
-        (PR_DOC, "(am[R(y) : y : y != x] -> R(x)) & gm[R(y) | P(x) : y : distinct]"),
-        (PR_DOC, "am[R(y) : y : y = x]"),
-        (PR_DOC, "wm(P(x); R(x); 0.4) -> !R(x)"),
+    # the complete types each case enumerates: per aggregation node of
+    # dimension >= 1 its alpha table (2^8 types on P/S/E, 2^4 on P/R) and
+    # the completion over its parameters, then the output's fold, unless the
+    # formula is an aggregation node; no intermediate subformula is folded
+    @pytest.mark.parametrize("doc, text, types", [
+        (PSE_DOC, "!am[S(y) & E(y, x) : y : y != x] | wm(P(x); max[E(x, y) : y : y != x]; 0.25)",
+         2 * (256 + 8) + 8),
+        (PR_DOC, "(am[R(y) : y : y != x] -> R(x)) & gm[R(y) | P(x) : y : distinct]",
+         2 * (16 + 4) + 4),
+        (PR_DOC, "am[R(y) : y : y = x]", 4 + 4),
+        (PR_DOC, "wm(P(x); R(x); 0.4) -> !R(x)", 4),
+        # the compile benchmark's formulas
+        (PSE_DOC, "am[E(x, y) : y : y != x]", 256 + 8),
+        (PSE_DOC, "am[S(y) & E(y, x) : y : y != x]", 256 + 8),
     ])
-    def test_compiler_never_reads_a_compiled_formula_on_a_structure(self, doc, text,
+    def test_compiler_never_reads_a_compiled_formula_on_a_structure(self, doc, text, types,
                                                                     monkeypatch):
         def refuse(*args):
             raise AssertionError("value_on called while compiling")
 
+        enumerated = []
+
+        def counting(*args):
+            result = enumerate_complete_types(*args)
+            enumerated.append(len(result))
+            return result
+
         monkeypatch.setattr(BasicProbabilityFormula, "value_on", refuse)
+        for module in ("pla.logic", "pla.eliminate"):
+            monkeypatch.setattr(sys.modules[module], "enumerate_complete_types", counting)
         eliminate(network_from_doc(doc), parse_formula(text))
+        assert sum(enumerated) == types, enumerated
 
 
 class TestConvergenceExperiment:
