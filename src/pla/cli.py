@@ -186,7 +186,8 @@ def cmd_converge(args):
     value_set = None if args.value_set is None else ValueSet.parse(args.value_set, "--value-set")
     _check_at_least(1, ("--samples", args.samples), ("--workers", args.workers))
     n_grid = _parse_ints("--n-grid", args.n_grid)
-    _check_at_least(1, *(("--n-grid", n) for n in n_grid))
+    # a domain must hold the formula's parameters as distinct elements
+    _check_at_least(max(1, len(free_vars(phi))), *(("--n-grid", n) for n in n_grid))
     psi = None
     if strat.aggregation_free:
         psi, _ = run_elimination(network, phi)

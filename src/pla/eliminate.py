@@ -83,23 +83,69 @@ class _LimitProbabilities:
         self.net = net
         self._readers = {name: type_reader(net.theta[name], net.signature)
                          for name in net.signature.names()}
-        self._plans: dict[int, list] = {}  # k -> theta's read at each slot over k classes
+        self._plans: dict[int, tuple[list, list]] = {}
+
+    def _plan(self, k: int) -> tuple[list, list]:
+        """Per slot over k classes, theta's read and the positions of the
+        slots of its symbol's parents, the only slots that theta reads."""
+        plan = self._plans.get(k)
+        if plan is None:
+            slots = self.net.signature.slots(k)
+            plan = self._plans[k] = (
+                [self._readers[name](k, dict(zip(self.net.theta_variables(name), ctuple)))
+                 for name, ctuple in slots],
+                [[j for j, (other, _) in enumerate(slots) if other in self.net.parents[name]]
+                 for name, _ in slots])
+        return plan
 
     def __call__(self, p: AtomicType) -> float:
         if p.signature != self.net.signature:
             raise ValueError("type signature does not match the network signature")
-        k = len(p.eq.blocks)
-        plan = self._plans.get(k)
-        if plan is None:
-            plan = self._plans[k] = [
-                self._readers[name](k, dict(zip(self.net.theta_variables(name), ctuple)))
-                for name, ctuple in self.net.signature.slots(k)]
+        reads, _ = self._plan(len(p.eq.blocks))
         signs = p.signs
         prob = 1.0
-        for read, sign in zip(plan, signs):
+        for read, sign in zip(reads, signs):
             theta = read(signs)
             prob *= theta if sign else 1.0 - theta
         return prob
+
+    def block(self, eq: EqualityType) -> list[float]:
+        """``self(p)`` for every complete type p with the equality type
+        ``eq``, in ``enumerate_complete_types`` order, weighed as one tree.
+
+        A node is the partial product of the types that agree on the slots
+        split so far.  The slots are folded in ``signature.slots`` order;
+        before slot i is folded, every node is split on each slot of its
+        symbol's parents and on slot i, if not split yet, so theta is known
+        at every node, and each node is multiplied by theta or 1 - theta.
+        Every leaf is then the left fold ``__call__`` computes, at about two
+        multiplications per type.  A leaf carries its index in product
+        order, because a symbol declared before its parents splits a later
+        slot early."""
+        reads, parents = self._plan(len(eq.blocks))
+        bits = [1 << (len(reads) - 1 - i) for i in range(len(reads))]  # a slot's bit in an index
+        values, index = [1.0], [0]
+        split = 0  # the bits of the slots split so far
+        for i, read in enumerate(reads):
+            for j in (*parents[i], i):
+                if not split & bits[j]:
+                    split |= bits[j]
+                    values = values * 2
+                    index = index + [ix | bits[j] for ix in index]
+            # the factor of slot i at each key of its parents' signs and its own
+            keys = [0]
+            for j in parents[i]:
+                keys += [key | bits[j] for key in keys]
+            factors = {}
+            for key in keys:
+                theta = read(tuple([key & bit != 0 for bit in bits]))
+                factors[key], factors[key | bits[i]] = 1.0 - theta, theta
+            mask = keys[-1] | bits[i]
+            values = [x * factors[ix & mask] for x, ix in zip(values, index)]
+        leaves = [0.0] * len(values)
+        for ix, x in zip(index, values):
+            leaves[ix] = x
+        return leaves
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +256,18 @@ def alphas(
     sig = net.signature
     base_eq, base_positions = restriction(sig, p_eq, xs)
     readers = [body(len(p_eq.blocks), p_eq.class_index) for body in bodies]
-    groups: dict[tuple[bool, ...], list[AtomicType]] = {}
-    for p in enumerate_complete_types(sig, p_eq.variables, p_eq):
-        groups.setdefault(tuple([p.signs[i] for i in base_positions]), []).append(p)
+    groups: dict[tuple[bool, ...], list[tuple[AtomicType, float]]] = {}
+    for p, beta in zip(enumerate_complete_types(sig, p_eq.variables, p_eq),
+                       limit_probs.block(p_eq)):
+        groups.setdefault(tuple([p.signs[i] for i in base_positions]), []).append((p, beta))
+    gammas = limit_probs.block(base_eq)
     rows = []
     for base_signs, extensions in groups.items():
         base = AtomicType(sig, base_eq, base_signs)
-        gamma = limit_probs(base)
+        gamma = gammas[functools.reduce(lambda ix, sign: 2 * ix + sign, base_signs, 0)]
         entries = []
-        for p in extensions:
+        for p, beta in extensions:
             values = tuple([read(p.signs) for read in readers])
-            beta = limit_probs(p)
             alpha = beta / gamma if gamma > 0.0 else None
             entries.append(AlphaEntry(p, values, beta, alpha))
         rows.append(AlphaRow(base, gamma, entries))

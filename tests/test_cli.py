@@ -511,6 +511,9 @@ class TestRobustness:
          "--n must be >= 1, got -2"),
         (["converge", "--net", "{net}", "--formula", "P(x)", "--n-grid", "5,-1"],
          "--n-grid must be >= 1, got -1"),
+        # a domain of 1 element cannot hold the formula's two distinct parameters
+        (["converge", "--net", "{net}", "--formula", "am[R(y) : y : y != x1, y != x2, x1 != x2]",
+          "--n-grid", "3,1"], "--n-grid must be >= 2, got 1"),
         (["admissible", "--function", "am", "--spectra", "-3"], "--spectra must be >= 0, got -3"),
         (["admissible", "--function", "am", "--trials", "-1"], "--trials must be >= 0, got -1"),
     ])

@@ -60,13 +60,26 @@ from pla.network import (
 )
 from pla.parser import format_formula
 
-from conftest import BINARY_DOC, CHAIN_DOC, PEF_DOC, PR_DOC, PSE_DOC, X, Y, Z, random_agg_free
+from conftest import (
+    BINARY_DOC,
+    CHAIN_DOC,
+    CHILD_FIRST_DOC,
+    PEF_DOC,
+    PR_DOC,
+    PSE_DOC,
+    X,
+    Y,
+    Z,
+    random_agg_free,
+)
+from test_golden import GOLDEN, NETWORKS
 
 PR_SIG = Signature.of(("P", 1), ("R", 1))
 
 # networks whose thetas exercise each part of the limit-probability memo's
 # key: the equality pattern, the order of an atom's arguments, every atom
-# rather than the first, an atom read twice and a constant root theta
+# rather than the first, an atom read twice and a constant root theta; and
+# symbols declared before their parents, so theta reads a later slot
 THETA_KEY_DOCS = {
     "P/R": PR_DOC,
     "P/S/E": PSE_DOC,
@@ -83,6 +96,7 @@ THETA_KEY_DOCS = {
          "theta": "wm(E(x1, x2) & E(x2, x1); 0.9; wm(E(x1, x2); 0.5; 0.1))"},
     ]},
     "root constant": {"relations": [{"name": "C", "arity": 2, "parents": [], "theta": "0.7"}]},
+    "child-first": CHILD_FIRST_DOC,
 }
 
 
@@ -178,6 +192,19 @@ class TestLimitProbType:
         for p in types[::-1] + types:
             assert limit_probs(p) == _limit_prob_reference(net, p), p
 
+    @pytest.mark.parametrize("doc", THETA_KEY_DOCS.values(), ids=THETA_KEY_DOCS.keys())
+    def test_block_is_the_literal_product(self, doc):
+        # the tree's leaves are the same floats as the type-by-type fold, for
+        # every equality type over at most 3 variables with at most 2^10 types
+        net = network_from_doc(doc)
+        limit_probs = _LimitProbabilities(net)
+        for k in (0, 1, 2, 3):
+            for eq in EqualityType.all_partitions((X, Y, Z)[:k]):
+                if len(net.signature.slots(len(eq.blocks))) <= 10:
+                    types = enumerate_complete_types(net.signature, eq.variables, eq)
+                    assert limit_probs.block(eq) == [_limit_prob_reference(net, p)
+                                                     for p in types], eq
+
     def test_n_independence_against_marginals(self, pr_net, binary_net):
         # the product formula equals the exact marginal at every n where the
         # type's variables fit
@@ -246,6 +273,27 @@ def _alphas_reference(net, xs, p_eq, bodies):
     return rows
 
 
+def _assert_rows_match(rows, reference):
+    """Alpha table rows equal the per-type computation's, entry by entry."""
+    assert len(rows) == len(reference)
+    for row, expected in zip(rows, reference):
+        assert row.base == expected.base
+        assert row.gamma == expected.gamma
+        assert len(row.entries) == len(expected.entries)
+        for entry, want in zip(row.entries, expected.entries):
+            assert entry.extension == want.extension
+            assert entry.values == want.values, entry.extension
+            assert entry.beta == want.beta
+            assert entry.alpha == want.alpha
+
+
+# (network, formula) of the compile benchmark's two formulas and of every
+# golden ``eliminate`` run
+ELIMINATE_CASES = [(NETWORKS[net_id], text) for net_id, text in dict.fromkeys(
+    [("pse", "am[E(x, y) : y : y != x]"), ("pse", "am[S(y) & E(y, x) : y : y != x]")]
+    + [(net_id, argv[argv.index("--formula") + 1])
+       for _, argv, net_id, _, _ in GOLDEN if argv[0] == "eliminate"])]
+
 # alpha table cases with 0, 1 and 2 parameters: (xs, ys, equality type),
 # the equality type's variables out of name order
 ALPHA_CASES = {
@@ -278,17 +326,33 @@ class TestAlphas:
                     if relation_symbols(phi) <= set(sig.names()) and free_vars(phi) <= {*xs, *ys}
                     and len(sig.slots(len(free_vars(phi)))) <= 12]
         table = alphas(net, xs, ys, p_eq, [type_reader(phi, sig) for phi in formulas])
-        reference = _alphas_reference(net, xs, p_eq, [fold_to_bpf(phi, sig) for phi in formulas])
-        assert len(table.rows) == len(reference)
-        for row, expected in zip(table.rows, reference):
-            assert row.base == expected.base
-            assert row.gamma == expected.gamma
-            assert len(row.entries) == len(expected.entries)
-            for entry, want in zip(row.entries, expected.entries):
-                assert entry.extension == want.extension
-                assert entry.values == want.values, entry.extension
-                assert entry.beta == want.beta
-                assert entry.alpha == want.alpha
+        _assert_rows_match(table.rows,
+                           _alphas_reference(net, xs, p_eq, [fold_to_bpf(phi, sig) for phi in formulas]))
+
+    def test_no_type_is_weighed_alone(self, monkeypatch):
+        # eliminate, and the alpha tables it builds, weigh every type in a
+        # block; a call of the one-type entry raises
+        def weigh_alone(self, p):
+            raise AssertionError("limit probability of %s weighed alone" % _type_text(p))
+
+        runs = []
+        with monkeypatch.context() as patched:
+            patched.setattr(_LimitProbabilities, "__call__", weigh_alone)
+            for doc, text in ELIMINATE_CASES:
+                net, phi = network_from_doc(doc), parse_formula(text)
+                runs.append((net, phi, eliminate(net, phi)[1]))
+        tables = 0
+        for net, phi, report in runs:
+            # no aggregation nests in another, so the nodes compile in preorder
+            nodes = [f for f in subformulas(phi) if isinstance(f, Agg)]
+            assert len(nodes) == len(report.agg_nodes)
+            for node, record in zip(nodes, report.agg_nodes):
+                if record.table is not None:
+                    bodies = [fold_to_bpf(body, net.signature) for body in node.bodies]
+                    _assert_rows_match(record.table.rows,
+                                       _alphas_reference(net, node.params, node.eq_type, bodies))
+                    tables += 1
+        assert tables == 6
 
     @pytest.mark.parametrize("reader", ["type_reader", "sign_reader"])
     def test_body_over_a_variable_outside_the_aggregation_is_refused(self, pr_net, reader):
