@@ -259,13 +259,14 @@ def _members(tuples: list, mask: int) -> set:
 def _enumerate(sampler: WorldSampler) -> Iterator[tuple[tuple[int, ...], Callable, list]]:
     """``(masks, world, probabilities)`` for every world of the sampler's
     network at its domain size, a chunk of worlds at a time.  ``masks`` are
-    the relation bitmasks in signature order, bit i standing for the i-th
-    tuple in lexicographic order.  The worlds are in ``itertools.product``
-    order of the masks, the last signature symbol L changing fastest; a
-    chunk is a run of at most ``2 ** _CHUNK_BITS`` consecutive masks of L,
-    the others fixed.  ``probabilities[i]`` is the probability of the world
-    whose L mask is ``masks[-1] + i``, and ``world(i)`` builds that world's
-    structure, whose sets stay valid only until the next chunk.
+    the relation bitmasks in the sampler's plan order, bit i standing for
+    the i-th tuple in lexicographic order.  The worlds are in
+    ``itertools.product`` order of the masks, the plan's last step L
+    changing fastest; a chunk is a run of at most ``2 ** _CHUNK_BITS``
+    consecutive masks of L, the others fixed.  ``probabilities[i]`` is the
+    probability of the world whose L mask is ``masks[-1] + i``, and
+    ``world(i)`` builds that world's structure, whose sets stay valid only
+    until the next chunk.
 
     The probability of a world is the probability of drawing it: the
     product, step by step in the sampler's plan order and over each step's
@@ -275,8 +276,8 @@ def _enumerate(sampler: WorldSampler) -> Iterator[tuple[tuple[int, ...], Callabl
     floats as a world-by-world loop.  Per block of L's 2^m worlds, m the
     number of L's tuples:
 
-    - the steps before L's step cannot read L, so their factors are folded
-      into one prefix, once per block;
+    - every other step comes before L in the plan and cannot read L, so
+      their factors are folded into one prefix, once per block;
     - L's step expands the prefix tuple by tuple as a tree,
       ``leaves = [x * (1 - p) ...] + [x * p ...]``, so bit j of a leaf's
       index is tuple j and each leaf is the left fold: about two
@@ -285,84 +286,60 @@ def _enumerate(sampler: WorldSampler) -> Iterator[tuple[tuple[int, ...], Callabl
       m - ``_CHUNK_BITS`` per chunk and world, so its lists stay the size
       of a chunk.  Sharing those products too would yield the chunks out
       of world order or take a block of memory, since the highest bit of a
-      mask is the tuple multiplied last;
-    - steps after L's step continue the fold leaf by leaf, their theta
-      lists evaluated again at every leaf if they read L.
+      mask is the tuple multiplied last.
 
     A theta list is evaluated again only when the mask of one of the
     step's parents changes (``validate`` guarantees that theta reads no
     other symbol), and a set is built only for a structure: for a theta
     list or a ``world``."""
     net, n = sampler.net, sampler.n
-    names = net.signature.names()
-    if not names:
+    plan = sampler._plan
+    if not plan:
         yield (), lambda i: Structure(net.signature, n), [1.0]
         return
-    plan = sampler._plan
-    position = {name: i for i, name in enumerate(names)}
-    last = len(names) - 1
-    tuples = [None] * len(names)
-    for step in plan:
-        tuples[position[step.name]] = step.tuples
-    # the last signature position among each step's parents; -1 for a root
-    last_parent = [max((position[p] for p in net.parents[step.name]), default=-1)
-                   for step in plan]
-    split = next(k for k, step in enumerate(plan) if position[step.name] == last)
-    later = range(split + 1, len(plan))
-    width = len(tuples[last])
+    names = [step.name for step in plan]
+    last = len(plan) - 1
+    # the last plan position among each step's parents; -1 for a root
+    last_parent = [max((j for j in range(k) if names[j] in net.parents[step.name]), default=-1)
+                   for k, step in enumerate(plan)]
+    width = len(plan[last].tuples)
     low = min(width, _CHUNK_BITS)
-    masks = [0] * len(names)
-    sets: list = [None] * len(names)
+    masks = [0] * len(plan)
+    sets: list = [None] * len(plan)
     thetas: list = [None] * len(plan)
 
     def world(base, i):
-        for pos in range(last):
-            if sets[pos] is None:
-                sets[pos] = _members(tuples[pos], masks[pos])
-        interp = dict(zip(names, sets[:last] + [_members(tuples[last], base + i)]))
+        for k in range(last):
+            if sets[k] is None:
+                sets[k] = _members(plan[k].tuples, masks[k])
+        interp = dict(zip(names, sets[:last] + [_members(plan[last].tuples, base + i)]))
         return Structure(net.signature, n, interp)
 
     changed = 0  # masks at positions >= changed differ from the last block's
     while True:
-        for pos in range(changed, last):
-            sets[pos] = None
-        stale = [thetas[k] is None or last_parent[k] >= changed for k in range(len(plan))]
+        for k in range(changed, last):
+            sets[k] = None
         structure = None
-        for k in range(split + 1):
-            if stale[k]:
-                if structure is None:  # with any mask of L: these steps do not read L
+        for k, step in enumerate(plan):
+            if thetas[k] is None or last_parent[k] >= changed:
+                if structure is None:  # with any mask of L: no step reads L
                     structure = world(0, 0)
-                thetas[k] = sampler._thetas(structure, plan[k])
+                thetas[k] = sampler._thetas(structure, step)
         prefix = 1.0
-        for k in range(split):
-            prefix = functools.reduce(
-                operator.mul, _factors(thetas[k], masks[position[plan[k].name]]), prefix)
+        for k in range(last):
+            prefix = functools.reduce(operator.mul, _factors(thetas[k], masks[k]), prefix)
         base_leaves = [prefix]
-        for p in thetas[split][:low]:
+        for p in thetas[last][:low]:
             base_leaves = [x * (1.0 - p) for x in base_leaves] + [x * p for x in base_leaves]
         for high in range(1 << (width - low)):
             leaves = base_leaves
-            for p in _factors(thetas[split][low:], high):
+            for p in _factors(thetas[last][low:], high):
                 leaves = [x * p for x in leaves]
-            base = high << low
-            chunk_world = functools.partial(world, base)
-            if later:
-                for i, x in enumerate(leaves):
-                    leaf_world = None
-                    for k in later:
-                        if stale[k]:
-                            if leaf_world is None:
-                                leaf_world = chunk_world(i)
-                            thetas[k] = sampler._thetas(leaf_world, plan[k])
-                            stale[k] = last_parent[k] == last
-                        x = functools.reduce(
-                            operator.mul, _factors(thetas[k], masks[position[plan[k].name]]), x)
-                    leaves[i] = x
-            masks[last] = base
-            yield tuple(masks), chunk_world, leaves
-        # the next masks of the symbols before L, the last changing fastest
+            masks[last] = high << low
+            yield tuple(masks), functools.partial(world, masks[last]), leaves
+        # the next masks of the steps before L, the last changing fastest
         changed = last - 1
-        while changed >= 0 and masks[changed] + 1 == 1 << len(tuples[changed]):
+        while changed >= 0 and masks[changed] + 1 == 1 << len(plan[changed].tuples):
             masks[changed] = 0
             changed -= 1
         if changed < 0:
@@ -377,9 +354,9 @@ def exact_distribution(
     registry=None,
 ) -> list[WorldWeight]:
     """Every world with its exact probability, in ``_enumerate``'s order:
-    by relation bitmask in signature order, tuples in lexicographic order.
-    The cap is checked before the first world is built, and each world's
-    structure has sets of its own."""
+    by relation bitmask in the sampler's plan order, tuples in
+    lexicographic order.  The cap is checked before the first world is
+    built, and each world's structure has sets of its own."""
     _check_world_cap(net, n, world_cap)
     worlds = []
     for _, world, probabilities in _enumerate(WorldSampler(net, n, registry)):
@@ -471,28 +448,30 @@ def exact_event_probability(
     mixed-radix number, so it holds at most as many bytes as there are
     worlds.
 
-    A chunk of ``_enumerate`` is read as one strided slice of the memo, the
-    bytes of the last signature symbol's consecutive masks, or as one byte
-    when the formula does not read that symbol.  Its unset bytes are
-    filled in mask order, and its selected probabilities are added to the
-    total one by one in world order with ``functools.reduce``.  ``sum()``
-    would not do: from Python 3.12 on it adds floats with compensation, so
-    its result depends on the Python version."""
+    The worlds and their masks come in ``_enumerate``'s order, the
+    sampler's plan order.  A chunk is read as one strided slice of the
+    memo, the bytes of the plan's last symbol's consecutive masks, or as
+    one byte when the formula does not read that symbol.  Its unset bytes
+    are filled in mask order, and its selected probabilities are added to
+    the total one by one in world order with ``functools.reduce``.
+    ``sum()`` would not do: from Python 3.12 on it adds floats with
+    compensation, so its result depends on the Python version."""
     if value_set is None:
         value_set = ValueSet.full()
     _check_world_cap(net, n, world_cap)
+    sampler = WorldSampler(net, n, registry)
     read = relation_symbols(phi)
     strides = []
     combinations = 1
-    for name, arity in net.signature.symbols:
-        strides.append(combinations if name in read else 0)
-        if name in read:
-            combinations <<= n ** arity
+    for step in sampler._plan:
+        strides.append(combinations if step.name in read else 0)
+        if step.name in read:
+            combinations <<= len(step.tuples)
     memo = bytearray(combinations)  # 0: not yet evaluated, 1: outside the set, 2: inside
     stride = strides[-1] if strides else 0
     in_set = functools.partial(_in_value_set, phi, assignment, value_set, registry)
     total = 0.0
-    for masks, world, probabilities in _enumerate(WorldSampler(net, n, registry)):
+    for masks, world, probabilities in _enumerate(sampler):
         key = sum(map(operator.mul, masks, strides))
         span = (slice(key, key + len(probabilities) * stride, stride) if stride
                 else slice(key, key + 1))

@@ -92,8 +92,9 @@ CHAIN_DOC = {
 }
 
 # the signature lists each child before its parent, so the sampler's plan
-# (P, Q, R) runs against the signature order in which worlds are enumerated
-# (R, Q, P): Q's parent changes at every world, R's only with Q
+# (P, Q, R), in which worlds are enumerated, runs against the signature
+# order (R, Q, P): R is the last step, weighed as one block, Q's theta list
+# changes with P's mask and R's with Q's
 CHILD_FIRST_DOC = {
     "relations": [
         {"name": "R", "arity": 1, "parents": ["Q"], "theta": "wm(Q(x1); 0.7; 0.2)"},

@@ -159,11 +159,12 @@ GOLDEN = [
       "--assign", "x=3", "--value-set", "0.5:1"],
      "pr", 0, "dd1c12a9d0f0465366a93d7a0011c686f140ae48f0c4de1c2b90c9529cf7acbe"),
     # exact enumeration reuses theta lists by parent masks and query values
-    # by the masks of the symbols the query reads
+    # by the masks of the symbols the query reads; worlds come in the
+    # sampler's plan order (P, Q, R), against the signature's (R, Q, P)
     ("infer-exact-child-first",
      ["infer", "exact", "--net", "{net}", "--n", "3",
       "--formula", "max[R(y) & !Q(y) : y : y != x]", "--assign", "x=1", "--value-set", "1"],
-     "child-first", 0, "6174e69356f38ae0966c248882d6cdd54d454858166aef9548ae124c6a96f67b"),
+     "child-first", 0, "9d280d9b0ad64adfa5d6c82a7ab41e3160fa05f858e79ee66f2c3b809e1419e6"),
     ("infer-exact-reads-every-symbol",
      ["infer", "exact", "--net", "{net}", "--n", "2",
       "--formula", "wm(P(x); S(x); 0.4) & (E(x, y) | 0.7)", "--assign", "x=1,y=2",

@@ -253,12 +253,13 @@ class TestExactDistribution:
 
 def exact_by_definition(net, n, phi, assignment, value_set):
     """Every world's probability and the event probability, written out:
-    relation masks by ``itertools.product`` in signature order, each world
-    weighed by ``theta_product`` and the formula evaluated afresh in it,
-    the event's probabilities summed in world order."""
-    names = net.signature.names()
-    tuples = [list(itertools.product(range(1, n + 1), repeat=arity))
-              for _, arity in net.signature.symbols]
+    relation masks by ``itertools.product`` in the sampler's order
+    (``validate(net).order``), each world weighed by ``theta_product`` and
+    the formula evaluated afresh in it, the event's probabilities summed in
+    world order."""
+    names = validate(net).order
+    tuples = [list(itertools.product(range(1, n + 1), repeat=net.signature.arity(name)))
+              for name in names]
     worlds, total = [], 0.0
     for masks in itertools.product(*[range(2 ** len(ts)) for ts in tuples]):
         interp = {name: {ts[i] for i in range(len(ts)) if mask >> i & 1}
@@ -275,14 +276,25 @@ def exact_by_definition(net, n, phi, assignment, value_set):
 # ``network._CHUNK_BITS`` bits from n = 13 on
 UNARY_DOC = {"relations": [{"name": "R", "arity": 1, "theta": "0.3"}]}
 
+# every parent is declared before its child, yet the root Q comes last: the
+# sampler's plan (P, Q, R) differs from the signature order (P, R, Q)
+LATE_ROOT_DOC = {
+    "relations": [
+        {"name": "P", "arity": 1, "parents": [], "theta": "0.6"},
+        {"name": "R", "arity": 1, "parents": ["P"], "theta": "wm(P(x1); 0.8; 0.3)"},
+        {"name": "Q", "arity": 1, "parents": [], "theta": "0.35"},
+    ]
+}
+
 ENUMERATION_NETWORKS = {"pr": PR_DOC, "pse": PSE_DOC, "pef": PEF_DOC, "remark": REMARK_DOC,
                         "binary": BINARY_DOC, "child-first": CHILD_FIRST_DOC,
-                        "empty": {"relations": []}, "unary": UNARY_DOC}
+                        "late-root": LATE_ROOT_DOC, "empty": {"relations": []},
+                        "unary": UNARY_DOC}
 
 # (network, n, formula, assignment, value set): formulas that read no
 # symbol, a strict subset of the symbols and every symbol, with and
-# without an assignment; formulas that read the last signature symbol,
-# whose worlds are weighed as one block, and formulas that do not
+# without an assignment; formulas that read the plan's last symbol, whose
+# worlds are weighed as one block, and formulas that do not
 ENUMERATION_CASES = [
     ("pr", 3, "0.3", "", "0.3"),
     ("pr", 3, "x = y", "x=1,y=2", "0"),
@@ -297,6 +309,8 @@ ENUMERATION_CASES = [
     ("child-first", 3, "Q(x)", "x=1", "1"),
     ("child-first", 3, "max[R(y) & !Q(y) : y : y != x] | P(x)", "x=3", "0:0.5"),
     ("child-first", 2, "wm(P(x); R(x); 0.3) | Q(y)", "x=1,y=2", "0.3:0.6"),
+    ("late-root", 3, "Q(x)", "x=2", "1"),
+    ("late-root", 3, "max[R(y) & !Q(y) : y : y != x]", "x=1", "1"),
     ("empty", 2, "0.3", "", "0.3"),
     ("pr", 3, "P(x)", "x=2", "1"),
     ("pse", 2, "S(x) & !P(y)", "x=1,y=2", "1"),
@@ -324,6 +338,23 @@ class TestEnumerationReuse:
         worlds, total = exact_by_definition(net, n, phi, assignment, value_set)
         assert [(w.structure.key(), w.probability) for w in exact_distribution(net, n)] == worlds
         assert exact_event_probability(net, n, phi, assignment, value_set) == total
+
+    def test_theta_lists_follow_their_parents_masks(self, monkeypatch):
+        # child-first at n = 3: P's list once, Q's once per mask of P and
+        # R's once per masks of P and Q; a step weighed after the block of
+        # the plan's last step would read its list at each of the 512 worlds
+        calls = {}
+        thetas = WorldSampler._thetas
+
+        def counted(sampler, structure, step):
+            calls[step.name] = calls.get(step.name, 0) + 1
+            return thetas(sampler, structure, step)
+
+        monkeypatch.setattr(WorldSampler, "_thetas", counted)
+        exact_event_probability(network_from_doc(CHILD_FIRST_DOC), 3,
+                                parse_formula("max[R(y) & !Q(y) : y : y != x]"), {X: 1},
+                                ValueSet.point(1.0))
+        assert calls == {"P": 1, "Q": 8, "R": 64}
 
     def test_world_cap_names_the_exponent(self, pr_net):
         with pytest.raises(TooManyWorlds, match=r"^2\^6 worlds exceed the cap 63$"):
