@@ -208,6 +208,8 @@ def cmd_converge(args):
 
 def cmd_admissible(args) -> dict:
     _check_at_least(0, ("--spectra", args.spectra), ("--trials", args.trials))
+    if not 0.0 < args.threshold <= 1.0:  # no gap is below 0; JSON has no NaN
+        raise PlaError("--threshold must be in (0, 1], got %r" % args.threshold)
     func = aggregators.DEFAULT_REGISTRY.get(args.function)
     rng = random.Random(args.seed)
     # probe the support boundary first (where e.g. noisy-or degenerates),

@@ -19,7 +19,6 @@ from .aggregators import SupportSpectrum
 from .errors import PlaError
 from .logic import (
     Agg,
-    Atom,
     AtomicType,
     BasicProbabilityFormula,
     Const,
@@ -30,8 +29,9 @@ from .logic import (
     Structure,
     TypeReader,
     Variable,
-    atom_probes,
+    aggregation_function,
     children,
+    conjunction,
     enumerate_complete_types,
     evaluate,
     fold,
@@ -39,7 +39,6 @@ from .logic import (
     has_aggregation,
     restriction,
     satisfying_bound_tuples,
-    truth_keys,
     type_parts,
     type_reader,
 )
@@ -372,12 +371,8 @@ def eliminate(
         return at
 
     def compile_agg(node: Agg) -> BasicProbabilityFormula:
-        func = registry.get(node.func)
+        func = aggregation_function(node, registry)
         bodies = [compile_node(b) for b in node.bodies]
-        if len(bodies) != func.arity:
-            raise PlaError(
-                "%s takes %d bodies, got %d" % (func.name, func.arity, len(bodies))
-            )
         xs, ys, eq = node.params, node.bound, node.eq_type
         dim = dim_y(eq, xs, ys)
         node_warnings: list[str] = []
@@ -598,16 +593,18 @@ class SaturationResult:
     samples: int
 
 
-def _saturated(q, p_eq, xs, ys, n, base_tuples, symbols, probes, signs, lower, upper,
-               world) -> tuple[bool]:
+def _saturated(q_formula, node, xs, base_tuples, size, lower, upper, world) -> tuple[bool]:
     """The hit of a world where every base tuple realizing q has an
-    extension count inside [lower, upper]."""
+    extension count inside [lower, upper]: ``node`` is the mean over the
+    ``size`` extension tuples of the extension literals' conjunction, so
+    the count is its value times ``size``, exactly."""
+    world = world.snapshot()  # counts once per world: see ``evaluate``
     for args in base_tuples:
         assignment = dict(zip(xs, args))
-        if not q.realized_by(world, assignment):
+        if evaluate(world, q_formula, assignment) != 1.0:
             continue
-        values = list(map(args.__add__, satisfying_bound_tuples(p_eq, ys, assignment, n)))
-        count = truth_keys(world, symbols, probes, values).count(signs)
+        # am of no tuple raises EmptyAggregationRange
+        count = round(evaluate(world, node, assignment) * size) if size else 0
         if not (lower <= count <= upper):
             return (False,)
     return (True,)
@@ -645,20 +642,17 @@ def saturation_diagnostic(
     upper = alpha * (1.0 + delta) * n ** dim
 
     base_tuples = list(satisfying_bound_tuples(q.eq, xs, {}, n))
-    # the literals of p over a class outside xs, as atoms on the classes'
-    # first members, probed on the values of xs + ys
-    blocks = p.eq.blocks
-    xs_set = set(xs)
-    visible = [any(v in xs_set for v in block) for block in blocks]
-    extension = [
-        (Atom(name, tuple(blocks[c][0] for c in ctuple)), sign)
-        for (name, ctuple), sign in p.literals
-        if any(not visible[c] for c in ctuple)
-    ]
-    symbols, probes = atom_probes([atom for atom, _ in extension], xs + ys)
-    signs = tuple(sign for _, sign in extension)
+    # a base tuple pins q's classes; the dim others take distinct other elements
+    size = math.perm(max(n - len(q.eq.blocks), 0), dim)
+    # the literals of p over a class outside xs, averaged over the extensions
+    inside = {p.eq.class_index[v] for v in xs}
+    _, atoms = type_parts(p.signature, p.eq)
+    literals = [atom if sign else Not(atom)
+                for atom, ((_, ctuple), sign) in zip(atoms, p.literals)
+                if not inside.issuperset(ctuple)]
+    node = Agg("am", (conjunction(literals),), ys, p.eq)
 
-    hit = functools.partial(_saturated, q, p.eq, xs, ys, n, base_tuples, symbols, probes,
-                            signs, lower, upper)
+    hit = functools.partial(_saturated, q.to_formula(), node, xs, base_tuples, size,
+                            lower, upper)
     ((frequency, _),) = mc_estimates(net, n, hit, samples, seed, registry=registry)
     return SaturationResult(frequency, alpha, dim, lower, upper, samples)

@@ -712,6 +712,14 @@ def satisfying_bound_tuples(
         yield tuple([class_value[c] for c in classes])
 
 
+def aggregation_function(phi: Agg, registry) -> aggregators.AggregationFunction:
+    """The registry's function of the node, which must take its number of bodies."""
+    func = registry.get(phi.func)
+    if len(phi.bodies) != func.arity:
+        raise PlaError("%s takes %d bodies, got %d" % (func.name, func.arity, len(phi.bodies)))
+    return func
+
+
 def evaluate(
     structure: Structure,
     phi: Formula,
@@ -759,12 +767,7 @@ def _eval(structure: Structure, phi: Formula, a: dict, registry, memo: dict) -> 
             structure, phi.right, a, registry, memo
         )
     if isinstance(phi, Agg):
-        func = registry.get(phi.func)
-        if len(phi.bodies) != func.arity:
-            raise PlaError(
-                "aggregation function %s takes %d sequences, got %d bodies"
-                % (func.name, func.arity, len(phi.bodies))
-            )
+        func = aggregation_function(phi, registry)
         saved = {v: a.get(v) for v in phi.bound}
         if phi._body_table is None:
             seqs = [[] for _ in phi.bodies]

@@ -276,9 +276,6 @@ class _Parser:
         for v in free + bound + mentioned:
             if v not in variables:
                 variables.append(v)
-        for v in mentioned:
-            if v not in free and v not in bound:
-                free.append(v)  # an eqspec literal can introduce a free variable
         # union-find over the '=' literals
         parent = {v: v for v in variables}
 
@@ -307,8 +304,8 @@ class _Parser:
         blocks: dict[Variable, list[Variable]] = {}
         for v in variables:
             blocks.setdefault(find(v), []).append(v)
-        ordered_vars = sorted(set(free), key=lambda v: v.name) + list(bound)
-        return EqualityType.from_blocks(ordered_vars, list(blocks.values()))
+        # an eqspec literal can introduce a free variable; ``Agg`` sorts them
+        return EqualityType.from_blocks(variables, list(blocks.values()))
 
 
 def _check_shadowing(phi: Formula) -> None:

@@ -398,6 +398,15 @@ class TestAdmissible:
         assert (code, out) == (1, "")
         assert err == "error: lengths must be integers >= 1, got %s\n" % shown
 
+    @pytest.mark.parametrize("threshold, shown", [
+        ("nan", "nan"), ("-1", "-1.0"), ("0", "0.0"), ("1.5", "1.5")])
+    def test_threshold_outside_zero_one_is_named(self, capsys, threshold, shown):
+        # NaN would be written into the JSON report; a threshold <= 0 never passes
+        code, out, err = run(capsys, "admissible", "--function", "am", "--threshold", threshold,
+                             "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: --threshold must be in (0, 1], got %s\n" % shown
+
     def test_unknown_function(self, capsys):
         code, _, err = run(capsys, "admissible", "--function", "nope", "--seed", "1")
         assert code == 1

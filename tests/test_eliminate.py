@@ -27,6 +27,7 @@ from pla import (
     parse_formula,
 )
 from pla.aggregators import NoLimitMethod
+from pla.errors import PlaError
 from pla.eliminate import (
     COLLAPSE_TOL,
     AlphaEntry,
@@ -533,6 +534,17 @@ class TestEliminate:
         with pytest.raises(NoLimitMethod):
             eliminate(pr_net, parse_formula("noisy-or[R(y) : y : distinct]"))
 
+    def test_wrong_body_count_is_refused_by_evaluate_and_eliminate(self, pr_net):
+        # the parser checks a known function's arity; a hand-built node
+        # reaches the evaluator and the compiler unchecked
+        phi = Agg("am", (parse_formula("R(y)"), parse_formula("P(y)")), (Y,),
+                  EqualityType.all_distinct([X, Y]))
+        world = WorldSampler(pr_net, 3).sample(random.Random(1))
+        with pytest.raises(PlaError, match="am takes 1 bodies, got 2"):
+            evaluate(world, phi, {X: 1})
+        with pytest.raises(PlaError, match="am takes 1 bodies, got 2"):
+            eliminate(pr_net, phi)
+
     def test_zero_gamma_rows_warn_and_compile_to_one(self):
         doc = {
             "relations": [
@@ -798,14 +810,20 @@ class TestSaturation:
         sigma = math.sqrt(vacuous * (1 - vacuous) / 2000)
         assert abs(result.frequency - vacuous) <= 3 * sigma
 
-    @pytest.mark.parametrize("case", ["pr", "pse-binary", "no-extension-literals"])
+    @pytest.mark.parametrize("case", ["pr", "pr-no-extension-tuple", "pse-binary",
+                                      "no-extension-literals"])
     def test_frequency_matches_counting_by_realized_by(self, pr_net, case):
-        # the diagnostic keys extensions by atom truth values; the reference
-        # counts, per base tuple, the extension tuples that realize p outright
-        if case == "pr":
+        # the diagnostic counts extensions through the evaluator's mean of
+        # the extension literals; the reference counts, per base tuple, the
+        # extension tuples that realize p outright
+        if case.startswith("pr"):
             net = pr_net
             p = pr_type([[X], [Y]], [("P", (X,)), ("R", (X,)), ("P", (Y,)), ("R", (Y,))])
             alpha, delta, n, samples, seed = 0.45, 0.5, 8, 60, 21
+            if case == "pr-no-extension-tuple":
+                # at n = 1 no y differs from x: a world hits when no element
+                # realizes the base type
+                n, samples, seed = 1, 300, 3
         elif case == "pse-binary":
             net = network_from_doc(PSE_DOC)
             positive = [("P", (X,)), ("S", (X,)), ("E", (X, X)), ("P", (Y,)), ("S", (Y,)),
