@@ -4,7 +4,8 @@ the convergence and admissibility harnesses.
 
 Reports are JSON; experiment tables are CSV.  Stochastic commands require an
 explicit --seed.  The environment variable PLA_WORLD_CAP overrides the exact
-enumeration cap.
+enumeration cap, and PLA_TYPE_CAP the compiler's cap on the complete types
+of one equality type.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from . import aggregators
 from . import network as net_mod
 from .eliminate import convergence_experiment, eliminate as run_elimination
 from .errors import PlaError
-from .logic import Variable, check_signature, evaluate, free_vars, function_rank, has_aggregation
+from .logic import (DEFAULT_TYPE_CAP, Variable, check_signature, evaluate, free_vars,
+                    function_rank, has_aggregation)
 from .network import (
     DEFAULT_WORLD_CAP,
     ValueSet,
@@ -34,12 +36,12 @@ from .network import (
 from .parser import format_formula, parse_formula
 
 
-def _world_cap() -> int:
-    env = os.environ.get("PLA_WORLD_CAP")
+def _cap(variable: str, default: int) -> int:
+    env = os.environ.get(variable)
     try:
-        return int(env) if env else DEFAULT_WORLD_CAP
+        return int(env) if env else default
     except ValueError:
-        raise PlaError("PLA_WORLD_CAP must be an integer, got %r" % env) from None
+        raise PlaError("%s must be an integer, got %r" % (variable, env)) from None
 
 
 def _read_formula(spec: str):
@@ -152,7 +154,8 @@ def cmd_infer(args) -> dict:
                  else ValueSet.parse(args.value_set, "--value-set"))
     if args.mode == "exact":
         prob = net_mod.exact_event_probability(
-            network, args.n, phi, assignment, value_set, world_cap=_world_cap()
+            network, args.n, phi, assignment, value_set,
+            world_cap=_cap("PLA_WORLD_CAP", DEFAULT_WORLD_CAP),
         )
         return {"probability": prob, "n": args.n, "value_set": str(value_set)}
     _check_at_least(1, ("--samples", args.samples), ("--workers", args.workers))
@@ -174,7 +177,7 @@ def cmd_eliminate(args) -> dict:
     network = load_network(args.net)
     phi = _read_formula(args.formula)
     check_signature(phi, network.signature)
-    _, report = run_elimination(network, phi)
+    _, report = run_elimination(network, phi, type_cap=_cap("PLA_TYPE_CAP", DEFAULT_TYPE_CAP))
     return report.to_dict(full_table=args.full_table)
 
 
@@ -190,7 +193,7 @@ def cmd_converge(args):
     _check_at_least(max(1, len(free_vars(phi))), *(("--n-grid", n) for n in n_grid))
     psi = None
     if strat.aggregation_free:
-        psi, _ = run_elimination(network, phi)
+        psi, _ = run_elimination(network, phi, type_cap=_cap("PLA_TYPE_CAP", DEFAULT_TYPE_CAP))
     elif value_set is None:
         raise PlaError(
             "network formulas contain aggregation functions, so no compiled "

@@ -18,6 +18,7 @@ from . import aggregators
 from .aggregators import SupportSpectrum
 from .errors import PlaError
 from .logic import (
+    DEFAULT_TYPE_CAP,
     Agg,
     AtomicType,
     BasicProbabilityFormula,
@@ -27,9 +28,11 @@ from .logic import (
     Not,
     Signature,
     Structure,
+    TooManyTypes,
     TypeReader,
     Variable,
     aggregation_function,
+    check_cap,
     children,
     conjunction,
     enumerate_complete_types,
@@ -82,29 +85,25 @@ class _LimitProbabilities:
         self.net = net
         self._readers = {name: type_reader(net.theta[name], net.signature)
                          for name in net.signature.names()}
-        self._plans: dict[int, tuple[list, list]] = {}
+        self._plans: dict[int, list] = {}
 
-    def _plan(self, k: int) -> tuple[list, list]:
-        """Per slot over k classes, theta's read and the positions of the
-        slots of its symbol's parents, the only slots that theta reads."""
+    def _plan(self, k: int) -> list:
+        """Per slot over k classes, theta's positions and read: the slots
+        of its symbol's parents that theta reads, and its value there."""
         plan = self._plans.get(k)
         if plan is None:
-            slots = self.net.signature.slots(k)
-            plan = self._plans[k] = (
-                [self._readers[name](k, dict(zip(self.net.theta_variables(name), ctuple)))
-                 for name, ctuple in slots],
-                [[j for j, (other, _) in enumerate(slots) if other in self.net.parents[name]]
-                 for name, _ in slots])
+            plan = self._plans[k] = [
+                self._readers[name](k, dict(zip(self.net.theta_variables(name), ctuple)))
+                for name, ctuple in self.net.signature.slots(k)]
         return plan
 
     def __call__(self, p: AtomicType) -> float:
         if p.signature != self.net.signature:
             raise ValueError("type signature does not match the network signature")
-        reads, _ = self._plan(len(p.eq.blocks))
         signs = p.signs
         prob = 1.0
-        for read, sign in zip(reads, signs):
-            theta = read(signs)
+        for (positions, read), sign in zip(self._plan(len(p.eq.blocks)), signs):
+            theta = read(tuple([signs[i] for i in positions]))
             prob *= theta if sign else 1.0 - theta
         return prob
 
@@ -114,30 +113,30 @@ class _LimitProbabilities:
 
         A node is the partial product of the types that agree on the slots
         split so far.  The slots are folded in ``signature.slots`` order;
-        before slot i is folded, every node is split on each slot of its
-        symbol's parents and on slot i, if not split yet, so theta is known
-        at every node, and each node is multiplied by theta or 1 - theta.
+        before slot i is folded, every node is split on each slot that
+        theta reads and on slot i, if not split yet, so theta is known at
+        every node, and each node is multiplied by theta or 1 - theta.
         Every leaf is then the left fold ``__call__`` computes, at about two
         multiplications per type.  A leaf carries its index in product
         order, because a symbol declared before its parents splits a later
         slot early."""
-        reads, parents = self._plan(len(eq.blocks))
-        bits = [1 << (len(reads) - 1 - i) for i in range(len(reads))]  # a slot's bit in an index
+        plan = self._plan(len(eq.blocks))
+        bits = _bits(len(plan))
         values, index = [1.0], [0]
         split = 0  # the bits of the slots split so far
-        for i, read in enumerate(reads):
-            for j in (*parents[i], i):
+        for i, (positions, read) in enumerate(plan):
+            for j in (*positions, i):
                 if not split & bits[j]:
                     split |= bits[j]
                     values = values * 2
                     index = index + [ix | bits[j] for ix in index]
-            # the factor of slot i at each key of its parents' signs and its own
+            # the factor of slot i at each key of theta's signs and its own
             keys = [0]
-            for j in parents[i]:
+            for j in positions:
                 keys += [key | bits[j] for key in keys]
             factors = {}
             for key in keys:
-                theta = read(tuple([key & bit != 0 for bit in bits]))
+                theta = read(tuple([key & bits[j] != 0 for j in positions]))
                 factors[key], factors[key | bits[i]] = 1.0 - theta, theta
             mask = keys[-1] | bits[i]
             values = [x * factors[ix & mask] for x, ix in zip(values, index)]
@@ -160,11 +159,51 @@ class AlphaEntry:
     alpha: Optional[float]  # None when the row's gamma is 0
 
 
+def _bits(m: int) -> list[int]:
+    """Slot j's bit, 2^(m - 1 - j), in the index of a complete type over m
+    slots, which numbers the types in ``enumerate_complete_types`` order."""
+    return [1 << (m - 1 - j) for j in range(m)]
+
+
+def _keys(m: int, positions: Sequence[int]) -> list[int]:
+    """Per index over m slots, in ascending order, the number its bits at
+    the positions form, the first position's bit the most significant."""
+    bit_of = dict(zip(positions, _bits(len(positions))))
+    keys = [0]
+    for j in reversed(range(m)):  # from an index's lowest bit, slot m - 1's
+        keys += [key | bit_of[j] for key in keys] if j in bit_of else keys
+    return keys
+
+
+@dataclass(repr=False)
+class Extensions(Sequence):
+    """The extension types of an alpha table row as arrays, by ascending
+    index over ``eq`` (see ``_bits``): one list of values per body, beta
+    and alpha.  Item j, an ``AlphaEntry``, and its type are built when read."""
+
+    signature: Signature
+    eq: EqualityType
+    indices: list[int]
+    values: tuple[list[float], ...]
+    betas: list[float]
+    alphas: list[Optional[float]]
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, j: int) -> AlphaEntry:
+        bits = _bits(len(self.signature.slots(len(self.eq.blocks))))
+        signs = tuple([self.indices[j] & bit != 0 for bit in bits])
+        return AlphaEntry(AtomicType(self.signature, self.eq, signs),
+                          tuple([column[j] for column in self.values]), self.betas[j],
+                          self.alphas[j])
+
+
 @dataclass
 class AlphaRow:
     base: AtomicType
     gamma: float
-    entries: list[AlphaEntry]
+    entries: Sequence[AlphaEntry]  # an ``Extensions`` as ``alphas`` builds it, or a list
     # the merged support spectra, one per body, that the compiler takes the
     # function's limit over; None until then, and for a row with gamma 0
     spectra: Optional[tuple[SupportSpectrum, ...]] = None
@@ -172,7 +211,10 @@ class AlphaRow:
     def sum_alpha(self) -> Optional[float]:
         if self.gamma <= 0.0:
             return None
-        return math.fsum(e.alpha for e in self.entries)
+        # an ``Extensions`` holds its alphas as an array, read without building a type
+        alphas = (self.entries.alphas if isinstance(self.entries, Extensions)
+                  else [e.alpha for e in self.entries])
+        return math.fsum(alphas)
 
 
 @dataclass
@@ -238,52 +280,55 @@ def alphas(
     ys: Sequence[Variable],
     p_eq: EqualityType,
     bodies: Sequence[TypeReader],
+    type_cap: int = DEFAULT_TYPE_CAP,
 ) -> AlphaTable:
-    """Enumerate the complete types with the equality type ``p_eq``,
-    grouped by their restriction to the parameters; each extension carries
-    its limit probability, its proportion alpha relative to the group, and
-    the constant each body, a type reader (see ``logic.type_reader``),
-    takes on it.  A body over a variable outside ``p_eq`` raises
-    ValueError."""
+    """The complete types with the equality type ``p_eq``, grouped by their
+    restriction to the parameters; each extension carries its limit
+    probability, its proportion alpha relative to the group, and the
+    constant each body, a type reader (see ``logic.type_reader``), takes on
+    it.  A body over a variable outside ``p_eq`` raises ValueError; more
+    than ``type_cap`` types raise TooManyTypes before any is built.  A type
+    is its index (see ``_bits``); its row and each body's key are read off
+    its bits (see ``_keys``), so each body is read once per key, and no
+    type object is built unless a row's ``entries`` are read."""
     limit_probs = _LimitProbabilities(net)
     dim = dim_y(p_eq, xs, ys)
     if dim == 0:
         raise PlaError("degenerate aggregation (dimension 0) has no alpha table")
-    # every type has the equality type p_eq, so its restriction to the
-    # parameters and each body's value on it are read off its signs at
-    # positions fixed by p_eq
     sig = net.signature
+    m = len(sig.slots(len(p_eq.blocks)))
+    check_cap(m, type_cap, "complete types", TooManyTypes)
     base_eq, base_positions = restriction(sig, p_eq, xs)
-    readers = [body(len(p_eq.blocks), p_eq.class_index) for body in bodies]
-    groups: dict[tuple[bool, ...], list[tuple[AtomicType, float]]] = {}
-    for p, beta in zip(enumerate_complete_types(sig, p_eq.variables, p_eq),
-                       limit_probs.block(p_eq)):
-        groups.setdefault(tuple([p.signs[i] for i in base_positions]), []).append((p, beta))
-    gammas = limit_probs.block(base_eq)
+    columns = []  # per body, its value at each index
+    for positions, read in (body(len(p_eq.blocks), p_eq.class_index) for body in bodies):
+        table = [read(signs) for signs in itertools.product((False, True), repeat=len(positions))]
+        columns.append(list(map(table.__getitem__, _keys(m, positions))))
+    groups: dict[int, list[int]] = {}  # each row's indices, by the row's key
+    for i, r in enumerate(_keys(m, base_positions)):
+        groups.setdefault(r, []).append(i)
+    betas, gammas = limit_probs.block(p_eq), limit_probs.block(base_eq)
     rows = []
-    for base_signs, extensions in groups.items():
-        base = AtomicType(sig, base_eq, base_signs)
-        gamma = gammas[functools.reduce(lambda ix, sign: 2 * ix + sign, base_signs, 0)]
-        entries = []
-        for p, beta in extensions:
-            values = tuple([read(p.signs) for read in readers])
-            alpha = beta / gamma if gamma > 0.0 else None
-            entries.append(AlphaEntry(p, values, beta, alpha))
-        rows.append(AlphaRow(base, gamma, entries))
+    for r, indices in groups.items():
+        gamma = gammas[r]
+        row_betas = list(map(betas.__getitem__, indices))
+        row_alphas = (list(map(gamma.__rtruediv__, row_betas)) if gamma > 0.0
+                      else [None] * len(indices))
+        values = tuple(list(map(column.__getitem__, indices)) for column in columns)
+        base = AtomicType(sig, base_eq, tuple([r & bit != 0 for bit in _bits(len(base_positions))]))
+        rows.append(AlphaRow(base, gamma,
+                             Extensions(sig, p_eq, indices, values, row_betas, row_alphas)))
     return AlphaTable(tuple(xs), tuple(ys), dim, rows)
 
 
-def _row_spectra(row: AlphaRow, arity: int) -> tuple[SupportSpectrum, ...]:
+def _row_spectra(row: AlphaRow) -> tuple[SupportSpectrum, ...]:
     """The row's merged support spectrum of each body.  Merging again, as
     ``aggregators.limit`` does, changes nothing."""
     # zero-proportion extensions cannot occur in the limit and are dropped;
     # merging joins close values, and without this filter a dropped value
     # could anchor a cluster
-    entries = [e for e in row.entries if e.alpha > 0.0]
-    return tuple(
-        SupportSpectrum(tuple((e.values[m], e.alpha) for e in entries)).merged()
-        for m in range(arity)
-    )
+    alphas, positive = row.entries.alphas, [alpha > 0.0 for alpha in row.entries.alphas]
+    return tuple(SupportSpectrum(tuple(itertools.compress(zip(column, alphas), positive))).merged()
+                 for column in row.entries.values)
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +381,30 @@ class EliminationReport:
         }
 
 
+def _combined(parts: Sequence[TypeReader], combine) -> TypeReader:
+    """The reader of ``combine`` over the parts' values, which reads the
+    union of the parts' positions."""
+    def at(k, classes):
+        reads = [part(k, classes) for part in parts]
+        positions = tuple(dict.fromkeys(i for part, _ in reads for i in part))
+        where = [[positions.index(i) for i in part] for part, _ in reads]
+        return positions, lambda signs: combine(
+            [read(tuple([signs[t] for t in w])) for (_, read), w in zip(reads, where)])
+
+    return at
+
+
 def eliminate(
-    net: PlaNetwork, phi: Formula, registry=None
+    net: PlaNetwork, phi: Formula, registry=None, type_cap: int = DEFAULT_TYPE_CAP
 ) -> tuple[BasicProbabilityFormula, EliminationReport]:
     """Rewrite the formula into an asymptotically equivalent basic
     probability formula with respect to the network's world distributions.
 
     Aggregation-free subformulas fold exactly; each aggregation node is
     replaced by one conjunct per parameter type, whose value is the
-    function's limit over the node's support spectrum for that type.
+    function's limit over the node's support spectrum for that type.  An
+    equality type with more than ``type_cap`` complete types raises
+    TooManyTypes.
     """
     if registry is None:
         registry = aggregators.DEFAULT_REGISTRY
@@ -362,13 +422,8 @@ def eliminate(
             return compile_agg(node).sign_reader(sig)
         # a connective over compiled children: on each complete type,
         # evaluate the connective over the children's constants
-        parts = [compile_node(c) for c in children(node)]
-
-        def at(k, classes):
-            reads = [part(k, classes) for part in parts]
-            return lambda signs: evaluate(empty, type(node)(*[Const(read(signs)) for read in reads]))
-
-        return at
+        return _combined([compile_node(c) for c in children(node)],
+                         lambda values: evaluate(empty, type(node)(*map(Const, values))))
 
     def compile_agg(node: Agg) -> BasicProbabilityFormula:
         func = aggregation_function(node, registry)
@@ -384,17 +439,15 @@ def eliminate(
             # to length-1 value sequences.  Every class holds a parameter and
             # parameters come first, so a type over xs has ``eq``'s classes
             # in order and the same signs as its extension to ``eq``
-            def reader(k, _):
-                reads = [body(k, eq.class_index) for body in bodies]
-                return lambda signs: aggregators.apply(func, *([read(signs)] for read in reads))
-
-            conjuncts += fold(sig, xs, reader, eq.restrict(xs)).conjuncts
+            reader = _combined(bodies, lambda vs: aggregators.apply(func, *([v] for v in vs)))
+            conjuncts += fold(sig, xs, lambda k, _: reader(k, eq.class_index), eq.restrict(xs),
+                              type_cap).conjuncts
         else:
             if func.limit_method == "none":
                 raise aggregators.NoLimitMethod(
                     "%s has no limit method; cannot eliminate it" % func.name
                 )
-            table = alphas(net, xs, ys, eq, bodies)
+            table = alphas(net, xs, ys, eq, bodies, type_cap)
             table.limit_method = func.limit_method
             for row in table.rows:
                 if row.gamma <= 0.0:
@@ -404,7 +457,7 @@ def eliminate(
                     )
                     conjuncts.append((row.base, 1.0))
                     continue
-                row.spectra = _row_spectra(row, func.arity)
+                row.spectra = _row_spectra(row)
                 d = aggregators.limit(func, row.spectra)
                 conjuncts.append((row.base, d))
             if func.limit_method == "numeric":
@@ -415,7 +468,7 @@ def eliminate(
         # the conjuncts cover only types compatible with the node's equality
         # constraint; complete the case split so the output is exhaustive
         covered = eq.restrict(xs)
-        for t in enumerate_complete_types(sig, xs):
+        for t in enumerate_complete_types(sig, xs, None, type_cap):
             if t.eq != covered:
                 conjuncts.append((t, 1.0))
                 node_warnings.append(
@@ -438,7 +491,8 @@ def eliminate(
     if isinstance(phi, Agg):
         output = compile_agg(phi)
     else:
-        output = fold(sig, sorted(free_vars(phi), key=lambda v: v.name), compile_node(phi))
+        output = fold(sig, sorted(free_vars(phi), key=lambda v: v.name), compile_node(phi),
+                      cap=type_cap)
     values = [c for _, c in output.conjuncts]
     if values and max(values) - min(values) <= COLLAPSE_TOL and len(values) > 1:
         # the one complete type over no variables: no slot, no literal

@@ -29,6 +29,10 @@ class NotAggregationFree(PlaError):
     """Operation requires a formula without aggregation nodes."""
 
 
+class TooManyTypes(PlaError):
+    """An equality type has more complete types than the cap allows."""
+
+
 # ---------------------------------------------------------------------------
 # Signatures, structures, variables
 # ---------------------------------------------------------------------------
@@ -112,9 +116,6 @@ class Structure:
                 if any(not (1 <= e <= self.domain_size) for e in tup):
                     raise ValueError("tuple %r outside domain [%d]" % (tup, self.domain_size))
 
-    def holds(self, name: str, args: tuple[int, ...]) -> bool:
-        return args in self.interp[name]
-
     def snapshot(self) -> "Structure":
         """A copy whose relations are frozensets, so it cannot change, with
         an empty ``memo``: evaluating it at many assignments keys each
@@ -123,20 +124,6 @@ class Structure:
                           {name: frozenset(tuples) for name, tuples in self.interp.items()})
         world.memo = {}
         return world
-
-    def permuted(self, perm: Mapping[int, int]) -> "Structure":
-        """The isomorphic copy of this structure under a domain permutation."""
-        interp = {
-            name: {tuple(perm[e] for e in tup) for tup in tuples}
-            for name, tuples in self.interp.items()
-        }
-        return Structure(self.signature, self.domain_size, interp)
-
-    def key(self) -> tuple:
-        """Canonical hashable form, e.g. for counting sampled worlds."""
-        return tuple(
-            (name, tuple(sorted(self.interp[name]))) for name in self.signature.names()
-        )
 
 
 @dataclass(frozen=True)
@@ -216,15 +203,6 @@ class EqualityType:
     def class_index(self) -> dict[Variable, int]:
         return {v: i for i, block in enumerate(self.blocks) for v in block}
 
-    def satisfied_by(self, assignment: Assignment) -> bool:
-        values = []
-        for block in self.blocks:
-            val = assignment[block[0]]
-            if any(assignment[v] != val for v in block[1:]):
-                return False
-            values.append(val)
-        return len(set(values)) == len(values)
-
     def restrict(self, variables: Sequence[Variable]) -> "EqualityType":
         wanted = set(variables)
         keep = [v for v in self.variables if v in wanted]
@@ -265,25 +243,6 @@ class AtomicType:
             raise ValueError("%d signs for the %d slots over %d classes of the signature"
                              % (len(self.signs), len(slots), len(self.eq.blocks)))
 
-    @classmethod
-    def complete(
-        cls,
-        signature: Signature,
-        variables: Sequence[Variable],
-        blocks: Sequence[Sequence[Variable]],
-        positive: Sequence[tuple[str, Sequence[Variable]]] = (),
-    ) -> "AtomicType":
-        """Build a complete type: the given relation literals are positive,
-        every other slot negative."""
-        eq = EqualityType.from_blocks(variables, blocks)
-        slots = signature.slots(len(eq.blocks))
-        chosen = {(name, tuple(eq.class_index[v] for v in args)) for name, args in positive}
-        stray = chosen.difference(slots)
-        if stray:
-            raise ValueError("literals %r are not slots over %d classes of the signature"
-                             % (sorted(stray), len(eq.blocks)))
-        return cls(signature, eq, tuple(slot in chosen for slot in slots))
-
     @property
     def variables(self) -> tuple[Variable, ...]:
         return self.eq.variables
@@ -298,16 +257,6 @@ class AtomicType:
         literals whose classes all keep a member in ``variables``."""
         eq, positions = restriction(self.signature, self.eq, variables)
         return AtomicType(self.signature, eq, tuple([self.signs[i] for i in positions]))
-
-    def realized_by(self, structure: Structure, assignment: Assignment) -> bool:
-        if not self.eq.satisfied_by(assignment):
-            return False
-        values = [assignment[block[0]] for block in self.eq.blocks]
-        for (name, ctuple), sign in self.literals:
-            args = tuple(values[c] for c in ctuple)
-            if (args in structure.interp[name]) != sign:
-                return False
-        return True
 
     def canonical_structure(self) -> tuple[Structure, dict[Variable, int]]:
         """``structure_of_type`` of this type, and an assignment realizing it."""
@@ -371,27 +320,41 @@ def type_parts(signature: Signature, eq: EqualityType) -> tuple[tuple["Formula",
     return equalities, atoms
 
 
+DEFAULT_TYPE_CAP = 2 ** 22
+
+
+def check_cap(bits: int, cap: int, what: str, error: type[PlaError]) -> None:
+    """Raise ``error`` when 2^bits ``what`` exceed the cap, building no 2^bits:
+    for a cap of at least 1, 2^bits > cap exactly when bits >= cap.bit_length()."""
+    if bits >= max(cap, 0).bit_length():
+        raise error("2^%d %s exceed the cap %d" % (bits, what, cap))
+
+
 def enumerate_complete_types(
     signature: Signature,
     variables: Sequence[Variable],
     eq: Optional[EqualityType] = None,
+    cap: int = DEFAULT_TYPE_CAP,
 ) -> list[AtomicType]:
     """All complete atomic types over ``variables``, or only those whose
     equality type is ``eq``, in a deterministic order: equality partition
     first (as ``EqualityType.all_partitions`` lists them), then the sign
-    vector over the partition's ``signature.slots``, False before True."""
+    vector over the partition's ``signature.slots``, False before True.
+    Raises TooManyTypes, before building any type, when an equality type
+    has more than ``cap`` types."""
     if eq is None:
         partitions = EqualityType.all_partitions(variables)
     elif eq.variables != tuple(variables):
         raise ValueError("the equality type must be over the enumerated variables")
     else:
         partitions = [eq]
+    widths = [len(signature.slots(len(p.blocks))) for p in partitions]
+    check_cap(max(widths), cap, "complete types", TooManyTypes)
     return [
         AtomicType(signature, p, signs)
-        for p in partitions
-        for signs in itertools.product((False, True), repeat=len(signature.slots(len(p.blocks))))
+        for p, width in zip(partitions, widths)
+        for signs in itertools.product((False, True), repeat=width)
     ]
-
 
 
 # ---------------------------------------------------------------------------
@@ -955,7 +918,7 @@ class BasicProbabilityFormula:
             positions = slot_positions(signature, k, [
                 (name, tuple([reps[c] for c in ctuple]))
                 for name, ctuple in slots_by_k.get(len(reps), ())])
-            return lambda signs: index.get((pattern, tuple([signs[i] for i in positions])), 1.0)
+            return positions, lambda signs: index.get((pattern, signs), 1.0)
 
         return at
 
@@ -964,8 +927,10 @@ class BasicProbabilityFormula:
 
 
 # ``at(k, classes)``: a compiled formula on the complete types with k equality
-# classes, at v -> classes[v] + 1, as a function of a type's sign vector
-TypeReader = Callable[[int, Mapping[Variable, int]], Callable[[tuple[bool, ...]], float]]
+# classes, at v -> classes[v] + 1, as the positions in a type's sign vector
+# that it reads, none twice, and a function of the type's signs there, in order
+TypeReader = Callable[[int, Mapping[Variable, int]],
+                      tuple[tuple[int, ...], Callable[[tuple[bool, ...]], float]]]
 
 
 def _classes_of(variables: Sequence[Variable], classes: Mapping[Variable, int]) -> list[int]:
@@ -992,19 +957,21 @@ def type_reader(phi: Formula, signature: Signature) -> TypeReader:
 
     def at(k, classes):
         pattern = equality_pattern(_classes_of(variables, classes))
-        positions = slot_positions(signature, k, [
-            (atom.symbol, tuple([classes[v] for v in atom.args])) for atom in atoms])
+        # atoms on one slot read one sign; the pattern fixes which atoms share one
+        positions = tuple(dict.fromkeys(slot_positions(signature, k, [
+            (atom.symbol, tuple([classes[v] for v in atom.args])) for atom in atoms])))
         assignment = {v: classes[v] + 1 for v in variables}
 
         def read(signs: tuple[bool, ...]) -> float:
-            key = (pattern, tuple([signs[i] for i in positions]))
-            value = values.get(key)
+            value = values.get((pattern, signs))
             if value is None:
-                value = values[key] = evaluate(structure_of_type(signature, k, signs), phi,
-                                               assignment)
+                given = dict(zip(positions, signs))  # phi reads no other slot
+                full = [given.get(i, False) for i in range(len(signature.slots(k)))]
+                value = values[pattern, signs] = evaluate(structure_of_type(signature, k, full),
+                                                          phi, assignment)
             return value
 
-        return read
+        return positions, read
 
     return at
 
@@ -1014,6 +981,7 @@ def fold(
     variables: Sequence[Variable],
     reader: TypeReader,
     eq: Optional[EqualityType] = None,
+    cap: int = DEFAULT_TYPE_CAP,
 ) -> BasicProbabilityFormula:
     """The formula over ``variables`` with one conjunct per complete type
     (with the equality type ``eq``, if given), in ``enumerate_complete_types``
@@ -1021,11 +989,11 @@ def fold(
     called once per equality type, and no structure is built."""
     conjuncts = []
     current = None
-    for atype in enumerate_complete_types(signature, variables, eq):
+    for atype in enumerate_complete_types(signature, variables, eq, cap):
         if atype.eq is not current:  # the types of one equality type come together
             current = atype.eq
-            read = reader(len(current.blocks), current.class_index)
-        conjuncts.append((atype, read(atype.signs)))
+            positions, read = reader(len(current.blocks), current.class_index)
+        conjuncts.append((atype, read(tuple([atype.signs[i] for i in positions]))))
     return BasicProbabilityFormula(tuple(variables), tuple(conjuncts))
 
 

@@ -29,6 +29,7 @@ from .logic import (
     Structure,
     Variable,
     atom_probes,
+    check_cap,
     check_signature,
     equality_pattern,
     evaluate,
@@ -234,12 +235,9 @@ class WorldWeight:
 
 def _check_world_cap(net: PlaNetwork, n: int, world_cap: int) -> None:
     """Raise TooManyWorlds when the 2^B worlds at domain size n, B the
-    total number of tuples, exceed the cap.  Compares B with the cap's bit
-    length, so no 2^B is ever built: for a cap of at least 1, 2^B > cap
-    exactly when B >= cap.bit_length()."""
-    bits = sum(n ** arity for _, arity in net.signature.symbols)
-    if bits >= max(world_cap, 0).bit_length():
-        raise TooManyWorlds("2^%d worlds exceed the cap %d" % (bits, world_cap))
+    total number of tuples, exceed the cap."""
+    check_cap(sum(n ** arity for _, arity in net.signature.symbols), world_cap, "worlds",
+              TooManyWorlds)
 
 
 # L's worlds are weighed in chunks of at most 2^_CHUNK_BITS, so the lists

@@ -9,6 +9,7 @@ from pla import (
     Agg,
     And,
     Atom,
+    AtomicType,
     Const,
     Eq,
     EqualityType,
@@ -69,6 +70,16 @@ PEF_DOC = {
         {"name": "E", "arity": 2, "parents": [], "theta": "wm(x1 = x2; 0.6; 0.3)"},
         {"name": "F", "arity": 2, "parents": ["E", "P"],
          "theta": "wm(E(x2, x1) & !(x1 = x2); 0.9; wm(P(x2); 0.5; 0.1))"},
+    ]
+}
+
+# P -> E, F: two binary children of P; am[E(x, y) & F(y, z) : y, z : distinct]
+# has 21 slots over its 3 classes, so 2^21 complete types
+EF_FORK_DOC = {
+    "relations": [
+        {"name": "P", "arity": 1, "parents": [], "theta": "0.3"},
+        {"name": "E", "arity": 2, "parents": ["P"], "theta": "wm(P(x1) & P(x2); 0.8; 0.1)"},
+        {"name": "F", "arity": 2, "parents": ["P"], "theta": "wm(P(x1); 0.6; 0.2)"},
     ]
 }
 
@@ -146,6 +157,59 @@ def binary_net():
 TEST_SIG = Signature.of(("P", 1), ("Q", 1), ("E", 2))
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
+
+
+def complete_type(signature: Signature, variables, blocks, positive=()) -> AtomicType:
+    """The complete type whose given relation literals, (symbol, variables)
+    pairs, are positive and every other slot negative."""
+    eq = EqualityType.from_blocks(variables, blocks)
+    slots = signature.slots(len(eq.blocks))
+    chosen = {(name, tuple(eq.class_index[v] for v in args)) for name, args in positive}
+    stray = chosen.difference(slots)
+    if stray:
+        raise ValueError("literals %r are not slots over %d classes of the signature"
+                         % (sorted(stray), len(eq.blocks)))
+    return AtomicType(signature, eq, tuple(slot in chosen for slot in slots))
+
+
+def satisfied_by(eq: EqualityType, assignment) -> bool:
+    """The assignment gives each class of the equality type one value, and
+    distinct classes distinct values."""
+    values = []
+    for block in eq.blocks:
+        val = assignment[block[0]]
+        if any(assignment[v] != val for v in block[1:]):
+            return False
+        values.append(val)
+    return len(set(values)) == len(values)
+
+
+def realized_by(atype: AtomicType, structure: Structure, assignment) -> bool:
+    """The assignment realizes the complete type in the structure."""
+    if not satisfied_by(atype.eq, assignment):
+        return False
+    values = [assignment[block[0]] for block in atype.eq.blocks]
+    for (name, ctuple), sign in atype.literals:
+        args = tuple(values[c] for c in ctuple)
+        if (args in structure.interp[name]) != sign:
+            return False
+    return True
+
+
+def permuted(structure: Structure, perm) -> Structure:
+    """The isomorphic copy of the structure under a domain permutation."""
+    interp = {
+        name: {tuple(perm[e] for e in tup) for tup in tuples}
+        for name, tuples in structure.interp.items()
+    }
+    return Structure(structure.signature, structure.domain_size, interp)
+
+
+def world_key(structure: Structure) -> tuple:
+    """Canonical hashable form of a structure, e.g. for counting sampled worlds."""
+    return tuple(
+        (name, tuple(sorted(structure.interp[name]))) for name in structure.signature.names()
+    )
 
 
 def random_structure(rng: random.Random, sig: Signature, n: int) -> Structure:

@@ -8,7 +8,6 @@ import random
 import time
 
 from pla import (
-    AtomicType,
     EqualityType,
     Signature,
     Variable,
@@ -36,9 +35,12 @@ from conftest import (
     X,
     Y,
     ZERO_GAMMA_DOC,
+    complete_type,
+    permuted,
     random_agg_free,
     random_formula,
     random_structure,
+    world_key,
 )
 
 def report(number: int, description: str, passed: bool, detail: str = ""):
@@ -244,7 +246,7 @@ def test_criterion_8_invariance_properties():
         phi = random_formula(rng, sig, [X, Y], 3)
         a = {X: rng.randint(1, n), Y: rng.randint(1, n)}
         b = {v: mapping[e] for v, e in a.items()}
-        if evaluate(A, phi, a) != evaluate(A.permuted(mapping), phi, b):
+        if evaluate(A, phi, a) != evaluate(permuted(A, mapping), phi, b):
             iso_ok = False
             break
 
@@ -254,12 +256,12 @@ def test_criterion_8_invariance_properties():
     for _ in range(100):
         n = rng.randint(2, 3)
         dist = dists[n]
-        by_key = {w.structure.key(): w.probability for w in dist}
+        by_key = {world_key(w.structure): w.probability for w in dist}
         perm = list(range(1, n + 1))
         rng.shuffle(perm)
         mapping = {i + 1: perm[i] for i in range(n)}
         w = rng.choice(dist)
-        if abs(by_key[w.structure.permuted(mapping).key()] - w.probability) > 1e-12:
+        if abs(by_key[world_key(permuted(w.structure, mapping))] - w.probability) > 1e-12:
             prob_ok = False
             break
 
@@ -297,7 +299,7 @@ def test_criterion_9_saturation_diagnostic():
     net = network_from_doc(PR_DOC)
     sig = net.signature
     y = Variable("y")
-    p = AtomicType.complete(
+    p = complete_type(
         sig, [X, y], [[X], [y]],
         positive=[("P", (X,)), ("R", (X,)), ("P", (y,)), ("R", (y,))],
     )

@@ -2,6 +2,8 @@
 
 import json
 import math
+import time
+import tracemalloc
 
 import pytest
 
@@ -10,7 +12,7 @@ from pla.aggregators import MERGE_TOL, SupportSpectrum
 from pla.cli import main
 from pla.parser import format_formula, parse_formula
 
-from conftest import PEF_DOC, PR_DOC, PSE_DOC, REMARK_DOC, ZERO_GAMMA_DOC
+from conftest import EF_FORK_DOC, PEF_DOC, PR_DOC, PSE_DOC, REMARK_DOC, ZERO_GAMMA_DOC
 
 
 @pytest.fixture
@@ -208,23 +210,21 @@ class TestSampleEvalInfer:
         assert (code, out) == (1, "")
         assert "not within [0, 1]" in err
 
-    def test_world_cap_env(self, capsys, pr_file, monkeypatch):
-        monkeypatch.setenv("PLA_WORLD_CAP", "3")
-        code, _, err = run(
-            capsys, "infer", "exact", "--net", pr_file, "--n", "1",
-            "--formula", "R(x)", "--assign", "x=1",
-        )
+    # the 2^2 worlds of P/R at n = 1, and the 2^4 complete types of x != y
+    @pytest.mark.parametrize("variable, cap, argv", [
+        ("PLA_WORLD_CAP", "3", ["infer", "exact", "--n", "1", "--formula", "R(x)",
+                                "--assign", "x=1"]),
+        ("PLA_TYPE_CAP", "15", ["eliminate", "--formula", "am[R(y) : y : y != x]"]),
+    ])
+    def test_cap_env(self, capsys, pr_file, monkeypatch, variable, cap, argv):
+        monkeypatch.setenv(variable, cap)
+        code, _, err = run(capsys, *argv, "--net", pr_file)
         assert code == 1
-        assert "cap" in err
-
-    def test_world_cap_env_must_be_an_integer(self, capsys, pr_file, monkeypatch):
-        monkeypatch.setenv("PLA_WORLD_CAP", "abc")
-        code, out, err = run(
-            capsys, "infer", "exact", "--net", pr_file, "--n", "1",
-            "--formula", "R(x)", "--assign", "x=1",
-        )
+        assert "exceed the cap %s" % cap in err
+        monkeypatch.setenv(variable, "abc")
+        code, out, err = run(capsys, *argv, "--net", pr_file)
         assert (code, out) == (1, "")
-        assert err == "error: PLA_WORLD_CAP must be an integer, got 'abc'\n"
+        assert err == "error: %s must be an integer, got 'abc'\n" % variable
 
 
 REPORT_NETWORKS = {"pr": PR_DOC, "pse": PSE_DOC, "pef": PEF_DOC, "zero-gamma": ZERO_GAMMA_DOC}
@@ -254,6 +254,25 @@ class TestEliminateCommand:
         assert payload["output_conjuncts"] == [{"type": "1.0", "value": 0.55}]
         table = payload["aggregation_nodes"][0]["table"]
         assert all(abs(r["sum_alpha"] - 1.0) <= 1e-9 for r in table["rows"])
+
+    def test_type_cap_is_checked_before_any_type_is_built(self, capsys, tmp_path):
+        # one P, 4^2 E and 4^2 F slots over the 4 classes: 2^36 types, which
+        # would exhaust memory long before the message if any were built; the
+        # peak shows that none is, and the time bound leaves room for a loaded host
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(EF_FORK_DOC))
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code, out, err = run(capsys, "eliminate", "--net", str(path), "--formula",
+                                 "am[E(x, y) & F(y, z) & E(z, w) : y, z, w : distinct]")
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err == "error: 2^36 complete types exceed the cap 4194304\n"
+        assert elapsed < 5.0 and peak < 2 ** 20, (elapsed, peak)
 
     def test_rejects_aggregating_network(self, capsys, remark_file):
         code, _, err = run(

@@ -1,6 +1,7 @@
 """Compiler pass: type limit probabilities, alpha tables, elimination,
 convergence experiment, saturation diagnostic."""
 
+import gc
 import itertools
 import math
 import random
@@ -32,6 +33,7 @@ from pla.eliminate import (
     COLLAPSE_TOL,
     AlphaEntry,
     AlphaRow,
+    AlphaTable,
     NetworkHasAggregation,
     _LimitProbabilities,
     _type_text,
@@ -71,7 +73,9 @@ from conftest import (
     X,
     Y,
     Z,
+    complete_type,
     random_agg_free,
+    realized_by,
 )
 from test_golden import GOLDEN, NETWORKS
 
@@ -122,7 +126,7 @@ def _limit_prob_reference(net, p):
 
 def pr_type(blocks, positive):
     variables = sorted({v for b in blocks for v in b}, key=lambda v: v.name)
-    return AtomicType.complete(PR_SIG, variables, blocks, positive)
+    return complete_type(PR_SIG, variables, blocks, positive)
 
 
 class TestDimY:
@@ -151,11 +155,11 @@ class TestLimitProbType:
 
     def test_empty_signature(self):
         net = PlaNetwork(Signature(()), {}, {})
-        p = AtomicType.complete(Signature(()), [X, Y], [[X], [Y]])
+        p = complete_type(Signature(()), [X, Y], [[X], [Y]])
         assert limit_prob_type(net, p) == 1.0
 
     def test_rejects_network_with_aggregation(self, remark_net):
-        p = AtomicType.complete(remark_net.signature, [X], [[X]])
+        p = complete_type(remark_net.signature, [X], [[X]])
         with pytest.raises(NetworkHasAggregation):
             limit_prob_type(remark_net, p)
 
@@ -163,7 +167,7 @@ class TestLimitProbType:
     def test_other_entry_points_refuse_aggregation_first(self, remark_net, call):
         # p has dimension 0, which alphas and the diagnostic also refuse,
         # but only after the network
-        p = AtomicType.complete(remark_net.signature, [X, Y], [[X, Y]])
+        p = complete_type(remark_net.signature, [X, Y], [[X, Y]])
         with pytest.raises(NetworkHasAggregation):
             if call == "alphas":
                 alphas(remark_net, (X,), (Y,), p.eq, [])
@@ -229,7 +233,7 @@ class TestLimitProbType:
                     marginal = sum(
                         w.probability
                         for w in dist
-                        if p.realized_by(w.structure, args)
+                        if realized_by(p, w.structure, args)
                     )
                     assert abs(marginal - product) <= 1e-9
 
@@ -327,8 +331,11 @@ class TestAlphas:
                     if relation_symbols(phi) <= set(sig.names()) and free_vars(phi) <= {*xs, *ys}
                     and len(sig.slots(len(free_vars(phi)))) <= 12]
         table = alphas(net, xs, ys, p_eq, [type_reader(phi, sig) for phi in formulas])
-        _assert_rows_match(table.rows,
-                           _alphas_reference(net, xs, p_eq, [fold_to_bpf(phi, sig) for phi in formulas]))
+        reference = _alphas_reference(net, xs, p_eq, [fold_to_bpf(phi, sig) for phi in formulas])
+        _assert_rows_match(table.rows, reference)
+        # rows of plain entry lists report the same, sum of alpha included
+        assert (AlphaTable(table.xs, table.ys, table.dim, reference).to_dict(full_table=True)
+                == table.to_dict(full_table=True))
 
     def test_no_type_is_weighed_alone(self, monkeypatch):
         # eliminate, and the alpha tables it builds, weigh every type in a
@@ -353,6 +360,26 @@ class TestAlphas:
                     _assert_rows_match(record.table.rows,
                                        _alphas_reference(net, node.params, node.eq_type, bodies))
                     tables += 1
+        assert tables == 6
+
+    def test_no_type_is_built_per_extension(self):
+        # the types eliminate leaves alive are the report's conjunct types;
+        # a row's entries build their extension types when read
+        def live_types():
+            return {id(o): o for o in gc.get_objects() if type(o) is AtomicType}
+
+        tables = 0
+        for doc, text in ELIMINATE_CASES:
+            net, phi = network_from_doc(doc), parse_formula(text)
+            before = live_types()
+            bpf, report = eliminate(net, phi)
+            built = live_types().keys() - before.keys()
+            assert built <= {id(t) for record in report.agg_nodes for t, _ in record.limits} | {
+                id(t) for t, _ in bpf.conjuncts}, text
+            records = [record for record in report.agg_nodes if record.table is not None]
+            entries = [list(row.entries) for record in records for row in record.table.rows]
+            assert len(live_types().keys() - before.keys() - built) == sum(map(len, entries))
+            tables += len(records)
         assert tables == 6
 
     @pytest.mark.parametrize("reader", ["type_reader", "sign_reader"])
@@ -693,20 +720,21 @@ class TestSignReadingFolds:
                 expected = evaluate(struct, _replace_aggregations(phi, values), assignment)
                 assert abs(c - expected) <= tolerance, (format_formula(phi), _type_text(t))
 
-    # the complete types each case enumerates: per aggregation node of
-    # dimension >= 1 its alpha table (2^8 types on P/S/E, 2^4 on P/R) and
-    # the completion over its parameters, then the output's fold, unless the
-    # formula is an aggregation node; no intermediate subformula is folded
+    # the complete types each case enumerates: per aggregation node the
+    # completion over its parameters (8 types on P/S/E, 4 on P/R), and for
+    # dimension 0 the fold over them, then the output's fold, unless the
+    # formula is an aggregation node; an alpha table enumerates no type, and
+    # no intermediate subformula is folded
     @pytest.mark.parametrize("doc, text, types", [
         (PSE_DOC, "!am[S(y) & E(y, x) : y : y != x] | wm(P(x); max[E(x, y) : y : y != x]; 0.25)",
-         2 * (256 + 8) + 8),
+         2 * 8 + 8),
         (PR_DOC, "(am[R(y) : y : y != x] -> R(x)) & gm[R(y) | P(x) : y : distinct]",
-         2 * (16 + 4) + 4),
+         2 * 4 + 4),
         (PR_DOC, "am[R(y) : y : y = x]", 4 + 4),
         (PR_DOC, "wm(P(x); R(x); 0.4) -> !R(x)", 4),
         # the compile benchmark's formulas
-        (PSE_DOC, "am[E(x, y) : y : y != x]", 256 + 8),
-        (PSE_DOC, "am[S(y) & E(y, x) : y : y != x]", 256 + 8),
+        (PSE_DOC, "am[E(x, y) : y : y != x]", 8),
+        (PSE_DOC, "am[S(y) & E(y, x) : y : y != x]", 8),
     ])
     def test_compiler_never_reads_a_compiled_formula_on_a_structure(self, doc, text, types,
                                                                     monkeypatch):
@@ -828,13 +856,13 @@ class TestSaturation:
             net = network_from_doc(PSE_DOC)
             positive = [("P", (X,)), ("S", (X,)), ("E", (X, X)), ("P", (Y,)), ("S", (Y,)),
                         ("E", (X, Y)), ("E", (Y, X)), ("E", (Y, Y))]
-            p = AtomicType.complete(net.signature, [X, Y], [[X], [Y]], positive)
+            p = complete_type(net.signature, [X, Y], [[X], [Y]], positive)
             alpha, delta, n, samples, seed = 0.3 * 0.7 * 0.8 ** 3, 1.0, 10, 60, 22
         else:
             # a type over the empty signature has no literal on y: every base
             # tuple has its n - 1 extensions, inside the band at this alpha
             net = pr_net
-            p = AtomicType.complete(Signature(()), [X, Y], [[X], [Y]])
+            p = complete_type(Signature(()), [X, Y], [[X], [Y]])
             alpha, delta, n, samples, seed = 0.75, 0.1, 4, 200, 23
         q = p.restrict([X])
         result = saturation_diagnostic(net, p, q, delta=delta, n=n, samples=samples,
@@ -845,10 +873,10 @@ class TestSaturation:
         for _ in range(samples):
             world = sampler.sample(rng)
             counts = [
-                sum(p.realized_by(world, dict(zip(xs + ys, args + ext)))
+                sum(realized_by(p, world, dict(zip(xs + ys, args + ext)))
                     for ext in itertools.product(domain, repeat=len(ys)))
                 for args in itertools.product(domain, repeat=len(xs))
-                if q.realized_by(world, dict(zip(xs, args)))
+                if realized_by(q, world, dict(zip(xs, args)))
             ]
             hits += all(lower <= count <= upper for count in counts)
         assert (result.lower, result.upper) == (lower, upper)

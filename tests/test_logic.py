@@ -34,7 +34,8 @@ from pla.eliminate import eliminate
 from pla.logic import EmptyAggregationRange, NotAggregationFree, children, subformulas
 from pla.parser import parse_formula
 
-from conftest import TEST_SIG, X, Y, Z, random_agg_free, random_formula, random_structure
+from conftest import (TEST_SIG, X, Y, Z, complete_type, permuted, random_agg_free,
+                      random_formula, random_structure, realized_by, satisfied_by)
 
 
 SIG_R = Signature.of(("R", 1))
@@ -153,7 +154,7 @@ class TestIsomorphismInvariance:
             perm = list(range(1, n + 1))
             rng.shuffle(perm)
             mapping = {i + 1: perm[i] for i in range(n)}
-            B = A.permuted(mapping)
+            B = permuted(A, mapping)
             phi = random_formula(rng, TEST_SIG, [X, Y], 3)
             a = {X: rng.randint(1, n), Y: rng.randint(1, n)}
             b = {v: mapping[e] for v, e in a.items()}
@@ -186,7 +187,7 @@ class TestTypeEnumeration:
             realized = [
                 t
                 for t in enumerate_complete_types(TEST_SIG, [X, Y])
-                if t.realized_by(A, assignment)
+                if realized_by(t, A, assignment)
             ]
             assert len(realized) == 1
 
@@ -207,12 +208,12 @@ class TestTypeEnumeration:
             a = {X: rng.randint(1, n), Y: rng.randint(1, n), Z: rng.randint(1, n)}
             # realized_by tests the equality type first, so no type outside
             # the one group whose equality type the draw satisfies is realized
-            [types] = [types for eq, types in by_eq.items() if eq.satisfied_by(a)]
-            [t] = [t for t in types if t.realized_by(A, a)]
+            [types] = [types for eq, types in by_eq.items() if satisfied_by(eq, a)]
+            [t] = [t for t in types if realized_by(t, A, a)]
             for keep in ([X], [Y], [Z], [X, Y], [X, Z], [Y, Z], [X, Y, Z]):
                 q = t.restrict(keep)
                 assert q.variables == tuple(keep)
-                assert q.realized_by(A, {v: a[v] for v in keep})
+                assert realized_by(q, A, {v: a[v] for v in keep})
 
     def test_types_list_the_signature_slots(self):
         for sig in random_signatures(1):
@@ -257,7 +258,7 @@ class TestTypeEnumeration:
                     slots = sig.slots(len(eq.blocks))
                     reps = [block[0] for block in eq.blocks]
                     positive = [slot for slot in slots if rng.random() < 0.5]
-                    t = AtomicType.complete(sig, variables, eq.blocks, [
+                    t = complete_type(sig, variables, eq.blocks, [
                         (name, [reps[c] for c in ctuple]) for name, ctuple in positive])
                     assert t.signs == tuple(slot in positive for slot in slots)
                     assert t.literals == tuple(zip(slots, t.signs))
@@ -278,14 +279,14 @@ class TestTypeEnumeration:
             enumerate_complete_types(TEST_SIG, [X, Y], EqualityType.all_distinct([X]))
 
     def test_complete_orders_literals_by_slot_and_rejects_others(self):
-        t = AtomicType.complete(TEST_SIG, [X, Y], [[X], [Y]], [("E", (Y, X)), ("P", (X,))])
+        t = complete_type(TEST_SIG, [X, Y], [[X], [Y]], [("E", (Y, X)), ("P", (X,))])
         assert t.literals == (
             (("P", (0,)), True), (("P", (1,)), False), (("Q", (0,)), False),
             (("Q", (1,)), False), (("E", (0, 0)), False),
             (("E", (0, 1)), False), (("E", (1, 0)), True), (("E", (1, 1)), False))
         for stray in (("R", (X,)), ("E", (X,)), ("P", (X, Y))):
             with pytest.raises(ValueError, match="not slots"):
-                AtomicType.complete(TEST_SIG, [X, Y], [[X], [Y]], [stray])
+                complete_type(TEST_SIG, [X, Y], [[X], [Y]], [stray])
 
     def test_all_partitions_are_the_restricted_growth_strings_in_order(self):
         variables = [Variable("v%d" % i) for i in range(6)]
@@ -308,20 +309,20 @@ class TestTypeEnumeration:
 class TestRealizes:
     def test_positive(self):
         A = Structure(SIG_R, 2, {"R": {(1,)}})
-        p = AtomicType.complete(SIG_R, [X], [[X]], positive=[("R", (X,))])
-        assert p.realized_by(A, {X: 1})
-        assert not p.realized_by(A, {X: 2})
+        p = complete_type(SIG_R, [X], [[X]], positive=[("R", (X,))])
+        assert realized_by(p, A, {X: 1})
+        assert not realized_by(p, A, {X: 2})
 
     def test_negative(self):
         A = Structure(SIG_R, 2, {"R": {(1,)}})
-        p = AtomicType.complete(SIG_R, [X], [[X]])
-        assert not p.realized_by(A, {X: 1})
-        assert p.realized_by(A, {X: 2})
+        p = complete_type(SIG_R, [X], [[X]])
+        assert not realized_by(p, A, {X: 1})
+        assert realized_by(p, A, {X: 2})
 
     def test_equality_violation(self):
         A = Structure(SIG_R, 2)
-        p = AtomicType.complete(SIG_R, [X, Y], [[X, Y]], positive=[])
-        assert not p.realized_by(A, {X: 1, Y: 2})
+        p = complete_type(SIG_R, [X, Y], [[X, Y]], positive=[])
+        assert not realized_by(p, A, {X: 1, Y: 2})
 
 
 class TestFold:
@@ -418,7 +419,7 @@ def scan_value(bpf, structure, assignment):
     """The value of a basic probability formula by its definition: the
     least constant of the conjuncts whose type the assignment realizes,
     and 1 when that is smaller or none is realized."""
-    return min([1.0] + [c for t, c in bpf.conjuncts if t.realized_by(structure, assignment)])
+    return min([1.0] + [c for t, c in bpf.conjuncts if realized_by(t, structure, assignment)])
 
 
 def all_assignments(variables, n):
@@ -513,7 +514,7 @@ def per_tuple_value(A, phi, a):
         seqs = [[] for _ in phi.bodies]
         for values in itertools.product(range(1, A.domain_size + 1), repeat=len(phi.bound)):
             full = {**a, **dict(zip(phi.bound, values))}
-            if phi.eq_type.satisfied_by(full):
+            if satisfied_by(phi.eq_type, full):
                 for seq, body in zip(seqs, phi.bodies):
                     seq.append(per_tuple_value(A, body, full))
         if not seqs[0]:
