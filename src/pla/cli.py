@@ -53,13 +53,19 @@ def _read_formula(spec: str):
 
 
 def _parse_assignment(text: Optional[str]) -> dict:
+    """Comma-separated ``var=element`` chunks, each naming a new variable."""
     if not text:
         return {}
     assignment = {}
     for chunk in text.split(","):
         name, _, value = chunk.partition("=")
+        var = Variable(name.strip())
+        if not var.name:
+            raise PlaError("bad assignment %r; no variable name" % chunk)
+        if var in assignment:
+            raise PlaError("bad assignment %r; %s is assigned twice" % (chunk, var.name))
         try:
-            assignment[Variable(name.strip())] = int(value)
+            assignment[var] = int(value)
         except ValueError:
             raise PlaError("bad assignment %r; expected var=element" % chunk) from None
     return assignment
@@ -188,6 +194,8 @@ def cmd_converge(args):
     strat = validate(network)
     value_set = None if args.value_set is None else ValueSet.parse(args.value_set, "--value-set")
     _check_at_least(1, ("--samples", args.samples), ("--workers", args.workers))
+    if not args.epsilon >= 0.0:  # false for NaN too
+        raise PlaError("--epsilon must be >= 0, got %r" % args.epsilon)
     n_grid = _parse_ints("--n-grid", args.n_grid)
     # a domain must hold the formula's parameters as distinct elements
     _check_at_least(max(1, len(free_vars(phi))), *(("--n-grid", n) for n in n_grid))
@@ -224,6 +232,7 @@ def cmd_admissible(args) -> dict:
         for _ in range(args.spectra)
     ]
     lengths = _parse_ints("--lengths", args.lengths)
+    _check_at_least(1, *(("--lengths", length) for length in lengths))
     report = aggregators.empirical_admissibility_check(
         func, spectra, lengths, args.trials, rng.getrandbits(64),
         threshold=args.threshold,

@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import aggregators
 from .aggregators import SupportSpectrum
@@ -40,8 +40,13 @@ from .logic import (
     fold,
     free_vars,
     has_aggregation,
+    index_bits,
+    index_keys,
+    index_to_signs,
+    read_every_type,
     restriction,
     satisfying_bound_tuples,
+    signs_to_index,
     type_parts,
     type_reader,
 )
@@ -70,58 +75,41 @@ def _require_aggregation_free(net: PlaNetwork) -> None:
 def limit_prob_type(net: PlaNetwork, p: AtomicType) -> float:
     """Limit probability that a tuple with the type's equality pattern
     realizes the type; for aggregation-free networks this is an n-independent
-    product of network formula values and their complements."""
-    return _LimitProbabilities(net)(p)
+    product of network formula values and their complements, read off the
+    block of p's equality type, whose types the default type cap bounds."""
+    block = _limit_blocks(net)
+    if p.signature != net.signature:
+        raise ValueError("type signature does not match the network signature")
+    check_cap(len(p.signs), DEFAULT_TYPE_CAP, "complete types", TooManyTypes)
+    return block(p.eq)[signs_to_index(p.signs)]
 
 
-class _LimitProbabilities:
-    """``limit_prob_type`` over one aggregation-free network.  theta_R at a
-    slot (R, class tuple c) of a type is read by its ``type_reader`` at the
-    classes c of R's theta variables, so it is evaluated once per key of its
-    free variables' pattern and its atoms' signs, for this object's life."""
+def _limit_blocks(net: PlaNetwork) -> Callable[[EqualityType], list[float]]:
+    """``block(eq)``: the limit probability of every complete type with the
+    equality type ``eq``, by index (see ``index_bits``), weighed as one
+    tree over the aggregation-free network.
 
-    def __init__(self, net: PlaNetwork):
-        _require_aggregation_free(net)
-        self.net = net
-        self._readers = {name: type_reader(net.theta[name], net.signature)
-                         for name in net.signature.names()}
-        self._plans: dict[int, list] = {}
+    The plan holds, per slot (R, class tuple c), theta_R's positions and
+    read: ``type_reader`` of theta_R at the classes c of R's theta
+    variables, so theta_R is evaluated once per key of its free variables'
+    pattern and its atoms' signs for the life of ``block``.  A node is the
+    partial product of the types that agree on the slots split so far.  The
+    slots are folded in ``signature.slots`` order; before slot i is folded,
+    every node is split on each slot that theta reads and on slot i, if not
+    split yet, so theta is known at every node, and each node is multiplied
+    by theta or 1 - theta.  Every leaf is then the left fold of theta or
+    1 - theta over the type's slots, at about two multiplications per type.
+    A leaf carries its index, because a symbol declared before its parents
+    splits a later slot early."""
+    _require_aggregation_free(net)
+    readers = {name: type_reader(net.theta[name], net.signature)
+               for name in net.signature.names()}
 
-    def _plan(self, k: int) -> list:
-        """Per slot over k classes, theta's positions and read: the slots
-        of its symbol's parents that theta reads, and its value there."""
-        plan = self._plans.get(k)
-        if plan is None:
-            plan = self._plans[k] = [
-                self._readers[name](k, dict(zip(self.net.theta_variables(name), ctuple)))
-                for name, ctuple in self.net.signature.slots(k)]
-        return plan
-
-    def __call__(self, p: AtomicType) -> float:
-        if p.signature != self.net.signature:
-            raise ValueError("type signature does not match the network signature")
-        signs = p.signs
-        prob = 1.0
-        for (positions, read), sign in zip(self._plan(len(p.eq.blocks)), signs):
-            theta = read(tuple([signs[i] for i in positions]))
-            prob *= theta if sign else 1.0 - theta
-        return prob
-
-    def block(self, eq: EqualityType) -> list[float]:
-        """``self(p)`` for every complete type p with the equality type
-        ``eq``, in ``enumerate_complete_types`` order, weighed as one tree.
-
-        A node is the partial product of the types that agree on the slots
-        split so far.  The slots are folded in ``signature.slots`` order;
-        before slot i is folded, every node is split on each slot that
-        theta reads and on slot i, if not split yet, so theta is known at
-        every node, and each node is multiplied by theta or 1 - theta.
-        Every leaf is then the left fold ``__call__`` computes, at about two
-        multiplications per type.  A leaf carries its index in product
-        order, because a symbol declared before its parents splits a later
-        slot early."""
-        plan = self._plan(len(eq.blocks))
-        bits = _bits(len(plan))
+    def block(eq: EqualityType) -> list[float]:
+        k = len(eq.blocks)
+        plan = [readers[name](k, dict(zip(net.theta_variables(name), ctuple)))
+                for name, ctuple in net.signature.slots(k)]
+        bits = index_bits(len(plan))
         values, index = [1.0], [0]
         split = 0  # the bits of the slots split so far
         for i, (positions, read) in enumerate(plan):
@@ -145,6 +133,8 @@ class _LimitProbabilities:
             leaves[ix] = x
         return leaves
 
+    return block
+
 
 # ---------------------------------------------------------------------------
 # Alpha tables
@@ -152,75 +142,30 @@ class _LimitProbabilities:
 
 
 @dataclass
-class AlphaEntry:
-    extension: AtomicType
-    values: tuple[float, ...]  # one body value per aggregation slot
-    beta: float
-    alpha: Optional[float]  # None when the row's gamma is 0
-
-
-def _bits(m: int) -> list[int]:
-    """Slot j's bit, 2^(m - 1 - j), in the index of a complete type over m
-    slots, which numbers the types in ``enumerate_complete_types`` order."""
-    return [1 << (m - 1 - j) for j in range(m)]
-
-
-def _keys(m: int, positions: Sequence[int]) -> list[int]:
-    """Per index over m slots, in ascending order, the number its bits at
-    the positions form, the first position's bit the most significant."""
-    bit_of = dict(zip(positions, _bits(len(positions))))
-    keys = [0]
-    for j in reversed(range(m)):  # from an index's lowest bit, slot m - 1's
-        keys += [key | bit_of[j] for key in keys] if j in bit_of else keys
-    return keys
-
-
-@dataclass(repr=False)
-class Extensions(Sequence):
-    """The extension types of an alpha table row as arrays, by ascending
-    index over ``eq`` (see ``_bits``): one list of values per body, beta
-    and alpha.  Item j, an ``AlphaEntry``, and its type are built when read."""
-
-    signature: Signature
-    eq: EqualityType
-    indices: list[int]
-    values: tuple[list[float], ...]
-    betas: list[float]
-    alphas: list[Optional[float]]
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-    def __getitem__(self, j: int) -> AlphaEntry:
-        bits = _bits(len(self.signature.slots(len(self.eq.blocks))))
-        signs = tuple([self.indices[j] & bit != 0 for bit in bits])
-        return AlphaEntry(AtomicType(self.signature, self.eq, signs),
-                          tuple([column[j] for column in self.values]), self.betas[j],
-                          self.alphas[j])
-
-
-@dataclass
 class AlphaRow:
+    """A parameter type and its extension types, by ascending index over
+    the table's equality type (see ``index_bits``), with per extension each
+    body's value, beta and alpha, as arrays."""
+
     base: AtomicType
     gamma: float
-    entries: Sequence[AlphaEntry]  # an ``Extensions`` as ``alphas`` builds it, or a list
+    entries: list[int]  # the extensions' indices
+    values: tuple[list[float], ...]  # one list per body
+    betas: list[float]
+    alphas: list[Optional[float]]  # None when gamma is 0
     # the merged support spectra, one per body, that the compiler takes the
     # function's limit over; None until then, and for a row with gamma 0
     spectra: Optional[tuple[SupportSpectrum, ...]] = None
 
     def sum_alpha(self) -> Optional[float]:
-        if self.gamma <= 0.0:
-            return None
-        # an ``Extensions`` holds its alphas as an array, read without building a type
-        alphas = (self.entries.alphas if isinstance(self.entries, Extensions)
-                  else [e.alpha for e in self.entries])
-        return math.fsum(alphas)
+        return math.fsum(self.alphas) if self.gamma > 0.0 else None
 
 
 @dataclass
 class AlphaTable:
     xs: tuple[Variable, ...]
     ys: tuple[Variable, ...]
+    eq: EqualityType  # the extension types'
     dim: int
     rows: list[AlphaRow]
     limit_method: Optional[str] = None  # the compiled function's, set with the spectra
@@ -233,14 +178,16 @@ class AlphaTable:
         for row in self.rows:
             out = {"base": _type_text(row.base), "gamma": row.gamma, "sum_alpha": row.sum_alpha()}
             if full_table:
+                sig = row.base.signature
+                m = len(sig.slots(len(self.eq.blocks)))
                 out["entries"] = [
                     {
-                        "extension": _type_text(e.extension),
-                        "values": list(e.values),
-                        "beta": e.beta,
-                        "alpha": e.alpha,
+                        "extension": _type_text(AtomicType(sig, self.eq, index_to_signs(index, m))),
+                        "values": [column[j] for column in row.values],
+                        "beta": row.betas[j],
+                        "alpha": row.alphas[j],
                     }
-                    for e in row.entries
+                    for j, index in enumerate(row.entries)
                 ]
             else:
                 out["extensions"] = len(row.entries)
@@ -288,10 +235,10 @@ def alphas(
     constant each body, a type reader (see ``logic.type_reader``), takes on
     it.  A body over a variable outside ``p_eq`` raises ValueError; more
     than ``type_cap`` types raise TooManyTypes before any is built.  A type
-    is its index (see ``_bits``); its row and each body's key are read off
-    its bits (see ``_keys``), so each body is read once per key, and no
-    type object is built unless a row's ``entries`` are read."""
-    limit_probs = _LimitProbabilities(net)
+    is its index (see ``index_bits``): each body's value at every index is
+    tabulated by ``read_every_type``, and its row is read off its bits (see
+    ``index_keys``), so no type object is built for an extension."""
+    block = _limit_blocks(net)
     dim = dim_y(p_eq, xs, ys)
     if dim == 0:
         raise PlaError("degenerate aggregation (dimension 0) has no alpha table")
@@ -299,14 +246,11 @@ def alphas(
     m = len(sig.slots(len(p_eq.blocks)))
     check_cap(m, type_cap, "complete types", TooManyTypes)
     base_eq, base_positions = restriction(sig, p_eq, xs)
-    columns = []  # per body, its value at each index
-    for positions, read in (body(len(p_eq.blocks), p_eq.class_index) for body in bodies):
-        table = [read(signs) for signs in itertools.product((False, True), repeat=len(positions))]
-        columns.append(list(map(table.__getitem__, _keys(m, positions))))
+    columns = [read_every_type(sig, p_eq, body) for body in bodies]
     groups: dict[int, list[int]] = {}  # each row's indices, by the row's key
-    for i, r in enumerate(_keys(m, base_positions)):
+    for i, r in enumerate(index_keys(m, base_positions)):
         groups.setdefault(r, []).append(i)
-    betas, gammas = limit_probs.block(p_eq), limit_probs.block(base_eq)
+    betas, gammas = block(p_eq), block(base_eq)
     rows = []
     for r, indices in groups.items():
         gamma = gammas[r]
@@ -314,10 +258,9 @@ def alphas(
         row_alphas = (list(map(gamma.__rtruediv__, row_betas)) if gamma > 0.0
                       else [None] * len(indices))
         values = tuple(list(map(column.__getitem__, indices)) for column in columns)
-        base = AtomicType(sig, base_eq, tuple([r & bit != 0 for bit in _bits(len(base_positions))]))
-        rows.append(AlphaRow(base, gamma,
-                             Extensions(sig, p_eq, indices, values, row_betas, row_alphas)))
-    return AlphaTable(tuple(xs), tuple(ys), dim, rows)
+        base = AtomicType(sig, base_eq, index_to_signs(r, len(base_positions)))
+        rows.append(AlphaRow(base, gamma, indices, values, row_betas, row_alphas))
+    return AlphaTable(tuple(xs), tuple(ys), p_eq, dim, rows)
 
 
 def _row_spectra(row: AlphaRow) -> tuple[SupportSpectrum, ...]:
@@ -326,9 +269,9 @@ def _row_spectra(row: AlphaRow) -> tuple[SupportSpectrum, ...]:
     # zero-proportion extensions cannot occur in the limit and are dropped;
     # merging joins close values, and without this filter a dropped value
     # could anchor a cluster
-    alphas, positive = row.entries.alphas, [alpha > 0.0 for alpha in row.entries.alphas]
+    alphas, positive = row.alphas, [alpha > 0.0 for alpha in row.alphas]
     return tuple(SupportSpectrum(tuple(itertools.compress(zip(column, alphas), positive))).merged()
-                 for column in row.entries.values)
+                 for column in row.values)
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +621,7 @@ def saturation_diagnostic(
     """Empirical probability that a sampled world has, for every parameter
     tuple realizing the base type, an extension count within the band
     [alpha/(1+delta), alpha*(1+delta)] * n^dim."""
-    limit_probs = _LimitProbabilities(net)
+    _require_aggregation_free(net)
     xs = q.variables
     ys = tuple(v for v in p.variables if v not in set(xs))
     if p.restrict(xs) != q:
@@ -687,11 +630,10 @@ def saturation_diagnostic(
     if dim == 0:
         raise ValueError("extension type has dimension 0; nothing to saturate")
     if alpha is None:
-        beta = limit_probs(p)
-        gamma = limit_probs(q)
+        gamma = limit_prob_type(net, q)
         if gamma <= 0.0:
             raise PlaError("base type has limit probability 0")
-        alpha = beta / gamma
+        alpha = limit_prob_type(net, p) / gamma
     lower = alpha / (1.0 + delta) * n ** dim
     upper = alpha * (1.0 + delta) * n ** dim
 

@@ -357,6 +357,33 @@ def enumerate_complete_types(
     ]
 
 
+def index_bits(m: int) -> list[int]:
+    """Slot j's bit, 2^(m - 1 - j), in the index of a complete type over m
+    slots, which numbers the types of one equality type in
+    ``enumerate_complete_types`` order."""
+    return [1 << (m - 1 - j) for j in range(m)]
+
+
+def index_keys(m: int, positions: Sequence[int]) -> list[int]:
+    """Per index over m slots, in ascending order, the number its bits at
+    the positions form, the first position's bit the most significant."""
+    bit_of = dict(zip(positions, index_bits(len(positions))))
+    keys = [0]
+    for j in reversed(range(m)):  # from an index's lowest bit, slot m - 1's
+        keys += [key | bit_of[j] for key in keys] if j in bit_of else keys
+    return keys
+
+
+def index_to_signs(index: int, m: int) -> tuple[bool, ...]:
+    """The sign vector over m slots of the type with this index."""
+    return tuple([index & bit != 0 for bit in index_bits(m)])
+
+
+def signs_to_index(signs: Sequence[bool]) -> int:
+    """The index of the type with this sign vector."""
+    return sum(bit for bit, sign in zip(index_bits(len(signs)), signs) if sign)
+
+
 # ---------------------------------------------------------------------------
 # Formulas
 # ---------------------------------------------------------------------------
@@ -976,6 +1003,15 @@ def type_reader(phi: Formula, signature: Signature) -> TypeReader:
     return at
 
 
+def read_every_type(signature: Signature, eq: EqualityType, reader: TypeReader) -> list[float]:
+    """The reader's value on every complete type with the equality type
+    ``eq``, by index (see ``index_bits``): read once per sign vector of the
+    positions it reads, and spread over the indices by ``index_keys``."""
+    positions, read = reader(len(eq.blocks), eq.class_index)
+    table = [read(signs) for signs in itertools.product((False, True), repeat=len(positions))]
+    return list(map(table.__getitem__, index_keys(len(signature.slots(len(eq.blocks))), positions)))
+
+
 def fold(
     signature: Signature,
     variables: Sequence[Variable],
@@ -987,14 +1023,11 @@ def fold(
     (with the equality type ``eq``, if given), in ``enumerate_complete_types``
     order, whose constant is the reader's value on the type.  ``reader`` is
     called once per equality type, and no structure is built."""
-    conjuncts = []
-    current = None
-    for atype in enumerate_complete_types(signature, variables, eq, cap):
-        if atype.eq is not current:  # the types of one equality type come together
-            current = atype.eq
-            positions, read = reader(len(current.blocks), current.class_index)
-        conjuncts.append((atype, read(tuple([atype.signs[i] for i in positions]))))
-    return BasicProbabilityFormula(tuple(variables), tuple(conjuncts))
+    types = enumerate_complete_types(signature, variables, eq, cap)
+    values: list[float] = []
+    while len(values) < len(types):  # the types of one equality type come together
+        values += read_every_type(signature, types[len(values)].eq, reader)
+    return BasicProbabilityFormula(tuple(variables), tuple(zip(types, values)))
 
 
 def fold_to_bpf(phi: Formula, signature: Signature) -> BasicProbabilityFormula:

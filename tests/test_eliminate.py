@@ -31,11 +31,9 @@ from pla.aggregators import NoLimitMethod
 from pla.errors import PlaError
 from pla.eliminate import (
     COLLAPSE_TOL,
-    AlphaEntry,
     AlphaRow,
-    AlphaTable,
     NetworkHasAggregation,
-    _LimitProbabilities,
+    _limit_blocks,
     _type_text,
     alphas,
     convergence_experiment,
@@ -45,11 +43,13 @@ from pla.eliminate import (
     saturation_diagnostic,
 )
 from pla.logic import (
+    TooManyTypes,
     children,
     evaluate,
     free_vars,
     has_aggregation,
     relation_symbols,
+    signs_to_index,
     subformulas,
     type_reader,
 )
@@ -163,6 +163,22 @@ class TestLimitProbType:
         with pytest.raises(NetworkHasAggregation):
             limit_prob_type(remark_net, p)
 
+    def test_rejects_type_over_another_signature(self, pr_net):
+        # a type over P alone, with one slot where a type over P/R has two
+        p = complete_type(Signature.of(("P", 1)), [X], [[X]], [("P", (X,))])
+        with pytest.raises(ValueError, match="type signature does not match the network"):
+            limit_prob_type(pr_net, p)
+
+    def test_type_beyond_the_cap_is_refused(self):
+        # the type is read off its equality type's block: 5 classes give E
+        # 25 slots, 2^25 types, which no block of the default cap holds
+        net = network_from_doc({"relations": [{"name": "E", "arity": 2, "parents": [],
+                                               "theta": "0.5"}]})
+        variables = [Variable("v%d" % i) for i in range(5)]
+        p = complete_type(net.signature, variables, [[v] for v in variables])
+        with pytest.raises(TooManyTypes, match="2\\^25 complete types exceed the cap"):
+            limit_prob_type(net, p)
+
     @pytest.mark.parametrize("call", ["alphas", "saturation", "saturation with alpha"])
     def test_other_entry_points_refuse_aggregation_first(self, remark_net, call):
         # p has dimension 0, which alphas and the diagnostic also refuse,
@@ -189,26 +205,27 @@ class TestLimitProbType:
 
     @pytest.mark.parametrize("doc", THETA_KEY_DOCS.values(), ids=THETA_KEY_DOCS.keys())
     def test_one_memo_serves_every_class_count(self, doc):
-        # types of the most classes first, then fewer, and back: a value
-        # cached for one class count is read by types of the others
+        # blocks of the most classes first, then fewer, and back: a value
+        # cached for one class count is read by blocks of the others
         net = network_from_doc(doc)
-        types = _theta_key_types(net)
-        limit_probs = _LimitProbabilities(net)
-        for p in types[::-1] + types:
-            assert limit_probs(p) == _limit_prob_reference(net, p), p
+        eqs = [eq for k in (1, 2, 3) for eq in EqualityType.all_partitions((X, Y, Z)[:k])
+               if len(net.signature.slots(len(eq.blocks))) <= 10]
+        block = _limit_blocks(net)
+        for eq in eqs[::-1] + eqs:
+            types = enumerate_complete_types(net.signature, eq.variables, eq)
+            assert block(eq) == [_limit_prob_reference(net, p) for p in types], eq
 
     @pytest.mark.parametrize("doc", THETA_KEY_DOCS.values(), ids=THETA_KEY_DOCS.keys())
     def test_block_is_the_literal_product(self, doc):
         # the tree's leaves are the same floats as the type-by-type fold, for
         # every equality type over at most 3 variables with at most 2^10 types
         net = network_from_doc(doc)
-        limit_probs = _LimitProbabilities(net)
+        block = _limit_blocks(net)
         for k in (0, 1, 2, 3):
             for eq in EqualityType.all_partitions((X, Y, Z)[:k]):
                 if len(net.signature.slots(len(eq.blocks))) <= 10:
                     types = enumerate_complete_types(net.signature, eq.variables, eq)
-                    assert limit_probs.block(eq) == [_limit_prob_reference(net, p)
-                                                     for p in types], eq
+                    assert block(eq) == [_limit_prob_reference(net, p) for p in types], eq
 
     def test_n_independence_against_marginals(self, pr_net, binary_net):
         # the product formula equals the exact marginal at every n where the
@@ -259,37 +276,34 @@ class TestTypeText:
 
 
 def _alphas_reference(net, xs, p_eq, bodies):
-    """The rows of ``alphas`` computed type by type: extensions grouped by
+    """The rows of ``alphas`` computed type by type: extensions numbered by
+    their place in ``enumerate_complete_types`` and grouped by
     ``restrict``, each body valued by ``value_on`` on the extension's
-    canonical structure, beta and gamma from ``limit_prob_type``."""
+    canonical structure, beta and gamma from ``_limit_prob_reference``."""
     groups = {}
-    for p in enumerate_complete_types(net.signature, p_eq.variables, p_eq):
-        groups.setdefault(p.restrict(xs), []).append(p)
+    for index, p in enumerate(enumerate_complete_types(net.signature, p_eq.variables, p_eq)):
+        groups.setdefault(p.restrict(xs), []).append((index, p))
     rows = []
     for base, extensions in groups.items():
-        gamma = limit_prob_type(net, base)
-        entries = []
-        for p in extensions:
-            struct, assignment = p.canonical_structure()
-            beta = limit_prob_type(net, p)
-            entries.append(AlphaEntry(p, tuple(b.value_on(struct, assignment) for b in bodies),
-                                      beta, beta / gamma if gamma > 0.0 else None))
-        rows.append(AlphaRow(base, gamma, entries))
+        gamma = _limit_prob_reference(net, base)
+        betas = [_limit_prob_reference(net, p) for _, p in extensions]
+        values = tuple([b.value_on(*p.canonical_structure()) for _, p in extensions]
+                       for b in bodies)
+        rows.append(AlphaRow(base, gamma, [index for index, _ in extensions], values, betas,
+                             [beta / gamma if gamma > 0.0 else None for beta in betas]))
     return rows
 
 
 def _assert_rows_match(rows, reference):
-    """Alpha table rows equal the per-type computation's, entry by entry."""
+    """Alpha table rows equal the per-type computation's, array by array."""
     assert len(rows) == len(reference)
     for row, expected in zip(rows, reference):
         assert row.base == expected.base
         assert row.gamma == expected.gamma
-        assert len(row.entries) == len(expected.entries)
-        for entry, want in zip(row.entries, expected.entries):
-            assert entry.extension == want.extension
-            assert entry.values == want.values, entry.extension
-            assert entry.beta == want.beta
-            assert entry.alpha == want.alpha
+        assert row.entries == expected.entries
+        assert row.values == expected.values, row.base
+        assert row.betas == expected.betas
+        assert row.alphas == expected.alphas
 
 
 # (network, formula) of the compile benchmark's two formulas and of every
@@ -333,22 +347,21 @@ class TestAlphas:
         table = alphas(net, xs, ys, p_eq, [type_reader(phi, sig) for phi in formulas])
         reference = _alphas_reference(net, xs, p_eq, [fold_to_bpf(phi, sig) for phi in formulas])
         _assert_rows_match(table.rows, reference)
-        # rows of plain entry lists report the same, sum of alpha included
-        assert (AlphaTable(table.xs, table.ys, table.dim, reference).to_dict(full_table=True)
-                == table.to_dict(full_table=True))
+        # the full table names each extension by the type at its index
+        types = enumerate_complete_types(sig, p_eq.variables, p_eq)
+        for row, out in zip(table.rows, table.to_dict(full_table=True)["rows"]):
+            assert out["sum_alpha"] == row.sum_alpha()
+            assert [e["extension"] for e in out["entries"]] == [
+                _type_text(types[index]) for index in row.entries]
+            assert [signs_to_index(types[index].signs) for index in row.entries] == row.entries
 
-    def test_no_type_is_weighed_alone(self, monkeypatch):
-        # eliminate, and the alpha tables it builds, weigh every type in a
-        # block; a call of the one-type entry raises
-        def weigh_alone(self, p):
-            raise AssertionError("limit probability of %s weighed alone" % _type_text(p))
-
+    def test_no_type_is_weighed_alone(self):
+        # the alpha tables eliminate builds, each weighed in blocks, match
+        # the type-by-type computation
         runs = []
-        with monkeypatch.context() as patched:
-            patched.setattr(_LimitProbabilities, "__call__", weigh_alone)
-            for doc, text in ELIMINATE_CASES:
-                net, phi = network_from_doc(doc), parse_formula(text)
-                runs.append((net, phi, eliminate(net, phi)[1]))
+        for doc, text in ELIMINATE_CASES:
+            net, phi = network_from_doc(doc), parse_formula(text)
+            runs.append((net, phi, eliminate(net, phi)[1]))
         tables = 0
         for net, phi, report in runs:
             # no aggregation nests in another, so the nodes compile in preorder
@@ -364,7 +377,7 @@ class TestAlphas:
 
     def test_no_type_is_built_per_extension(self):
         # the types eliminate leaves alive are the report's conjunct types;
-        # a row's entries build their extension types when read
+        # a row's entries are the extensions' indices
         def live_types():
             return {id(o): o for o in gc.get_objects() if type(o) is AtomicType}
 
@@ -377,8 +390,8 @@ class TestAlphas:
             assert built <= {id(t) for record in report.agg_nodes for t, _ in record.limits} | {
                 id(t) for t, _ in bpf.conjuncts}, text
             records = [record for record in report.agg_nodes if record.table is not None]
-            entries = [list(row.entries) for record in records for row in record.table.rows]
-            assert len(live_types().keys() - before.keys() - built) == sum(map(len, entries))
+            assert all(type(index) is int for record in records
+                       for row in record.table.rows for index in row.entries)
             tables += len(records)
         assert tables == 6
 
@@ -399,8 +412,8 @@ class TestAlphas:
         for row in table.rows:
             assert row.sum_alpha() == pytest.approx(1.0, abs=1e-9)
             spectrum = {}
-            for entry in row.entries:
-                spectrum[entry.values[0]] = spectrum.get(entry.values[0], 0.0) + entry.alpha
+            for value, alpha in zip(row.values[0], row.alphas):
+                spectrum[value] = spectrum.get(value, 0.0) + alpha
             assert spectrum[1.0] == pytest.approx(0.55, abs=1e-9)
             assert spectrum[0.0] == pytest.approx(0.45, abs=1e-9)
 
@@ -411,14 +424,14 @@ class TestAlphas:
             eq = EqualityType.all_distinct([X, Y])
             table = alphas(net, [X], [Y], eq, [body])
             for row in table.rows:
-                assert abs(row.gamma - math.fsum(e.beta for e in row.entries)) <= 1e-9
+                assert abs(row.gamma - math.fsum(row.betas)) <= 1e-9
 
     def test_constant_body_gives_point_spectrum(self, pr_net):
         body = type_reader(Const(0.3), PR_SIG)
         eq = EqualityType.all_distinct([X, Y])
         table = alphas(pr_net, [X], [Y], eq, [body])
         for row in table.rows:
-            assert all(e.values[0] == 0.3 for e in row.entries)
+            assert row.values == ([0.3] * len(row.entries),)
 
 
 class TestEliminate:
@@ -541,7 +554,7 @@ class TestEliminate:
         assert [c for _, c in bpf.conjuncts] == [pytest.approx(0.05, abs=1e-12)]
         table = report.agg_nodes[0].table
         for row in table.rows:
-            assert all(len(e.values) == 2 for e in row.entries)
+            assert [len(column) for column in row.values] == [len(row.entries)] * 2
 
     def test_nested_aggregations(self, binary_net):
         # inner mean over neighbours of x, outer max over x
