@@ -35,7 +35,6 @@ from .logic import (
     check_cap,
     children,
     conjunction,
-    enumerate_complete_types,
     evaluate,
     fold,
     free_vars,
@@ -43,10 +42,10 @@ from .logic import (
     index_bits,
     index_keys,
     index_to_signs,
-    read_every_type,
     restriction,
     satisfying_bound_tuples,
     signs_to_index,
+    tabulate,
     type_parts,
     type_reader,
 )
@@ -236,7 +235,7 @@ def alphas(
     it.  A body over a variable outside ``p_eq`` raises ValueError; more
     than ``type_cap`` types raise TooManyTypes before any is built.  A type
     is its index (see ``index_bits``): each body's value at every index is
-    tabulated by ``read_every_type``, and its row is read off its bits (see
+    tabulated by ``logic.tabulate``, and its row is read off its bits (see
     ``index_keys``), so no type object is built for an extension."""
     block = _limit_blocks(net)
     dim = dim_y(p_eq, xs, ys)
@@ -246,7 +245,8 @@ def alphas(
     m = len(sig.slots(len(p_eq.blocks)))
     check_cap(m, type_cap, "complete types", TooManyTypes)
     base_eq, base_positions = restriction(sig, p_eq, xs)
-    columns = [read_every_type(sig, p_eq, body) for body in bodies]
+    columns = [list(map(values.__getitem__, index_keys(m, positions)))
+               for _, positions, values in (tabulate(body, p_eq) for body in bodies)]
     groups: dict[int, list[int]] = {}  # each row's indices, by the row's key
     for i, r in enumerate(index_keys(m, base_positions)):
         groups.setdefault(r, []).append(i)
@@ -362,7 +362,7 @@ def eliminate(
         if not has_aggregation(node):
             return type_reader(node, sig)
         if isinstance(node, Agg):
-            return compile_agg(node).sign_reader(sig)
+            return compile_agg(node).sign_reader()
         # a connective over compiled children: on each complete type,
         # evaluate the connective over the children's constants
         return _combined([compile_node(c) for c in children(node)],
@@ -373,8 +373,11 @@ def eliminate(
         bodies = [compile_node(b) for b in node.bodies]
         xs, ys, eq = node.params, node.bound, node.eq_type
         dim = dim_y(eq, xs, ys)
+        # tables of 1 complete the case split outside the node's equality
+        # constraint; folded first, so the type cap over xs holds first
+        ones = fold(sig, xs, lambda k, classes: ((), lambda signs: 1.0), type_cap)
+        covered = eq.restrict(xs)
         node_warnings: list[str] = []
-        conjuncts: list[tuple[AtomicType, float]] = []
         table = None
         if dim == 0:
             # every bound variable is equated with a parameter: the single
@@ -383,8 +386,7 @@ def eliminate(
             # parameters come first, so a type over xs has ``eq``'s classes
             # in order and the same signs as its extension to ``eq``
             reader = _combined(bodies, lambda vs: aggregators.apply(func, *([v] for v in vs)))
-            conjuncts += fold(sig, xs, lambda k, _: reader(k, eq.class_index), eq.restrict(xs),
-                              type_cap).conjuncts
+            first = tabulate(lambda k, _: reader(k, eq.class_index), covered)
         else:
             if func.limit_method == "none":
                 raise aggregators.NoLimitMethod(
@@ -392,28 +394,28 @@ def eliminate(
                 )
             table = alphas(net, xs, ys, eq, bodies, type_cap)
             table.limit_method = func.limit_method
+            # a row per type over xs, by ascending index: a table over every slot
+            constants = []
             for row in table.rows:
                 if row.gamma <= 0.0:
                     node_warnings.append(
                         "type %s has limit probability 0; its compiled value 1 "
                         "is arbitrary" % _type_text(row.base)
                     )
-                    conjuncts.append((row.base, 1.0))
+                    constants.append(1.0)
                     continue
                 row.spectra = _row_spectra(row)
-                d = aggregators.limit(func, row.spectra)
-                conjuncts.append((row.base, d))
+                constants.append(aggregators.limit(func, row.spectra))
+            first = (covered, tuple(range(len(sig.slots(len(covered.blocks))))), tuple(constants))
             if func.limit_method == "numeric":
                 node_warnings.append(
                     "%s limits estimated numerically (stabilized to %g)"
                     % (func.name, aggregators.NUMERIC_LIMIT_TOL)
                 )
-        # the conjuncts cover only types compatible with the node's equality
-        # constraint; complete the case split so the output is exhaustive
-        covered = eq.restrict(xs)
-        for t in enumerate_complete_types(sig, xs, None, type_cap):
+        bpf = BasicProbabilityFormula(sig, tuple(xs), (first, *(
+            other for other in ones.tables if other[0] != covered)))
+        for t, _ in bpf.conjuncts:
             if t.eq != covered:
-                conjuncts.append((t, 1.0))
                 node_warnings.append(
                     "type %s is outside the aggregation's equality constraint "
                     "(empty range); compiled value 1 is arbitrary" % _type_text(t)
@@ -424,12 +426,12 @@ def eliminate(
             bound=tuple(ys),
             dim=dim,
             table=table,
-            limits=list(conjuncts),
+            limits=list(bpf.conjuncts),
             warnings=node_warnings,
         )
         agg_nodes.append(record)
         warnings.extend(node_warnings)
-        return BasicProbabilityFormula(tuple(xs), tuple(conjuncts))
+        return bpf
 
     if isinstance(phi, Agg):
         output = compile_agg(phi)
@@ -438,9 +440,8 @@ def eliminate(
                       cap=type_cap)
     values = [c for _, c in output.conjuncts]
     if values and max(values) - min(values) <= COLLAPSE_TOL and len(values) > 1:
-        # the one complete type over no variables: no slot, no literal
-        top = AtomicType(sig, EqualityType.from_blocks((), ()), ())
-        output = BasicProbabilityFormula((), ((top, values[0]),))
+        # the one complete type over no variables: no slot, no position
+        output = fold(sig, (), lambda k, classes: ((), lambda signs: values[0]))
     report = EliminationReport(phi, output, agg_nodes, warnings)
     return output, report
 

@@ -258,11 +258,6 @@ class AtomicType:
         eq, positions = restriction(self.signature, self.eq, variables)
         return AtomicType(self.signature, eq, tuple([self.signs[i] for i in positions]))
 
-    def canonical_structure(self) -> tuple[Structure, dict[Variable, int]]:
-        """``structure_of_type`` of this type, and an assignment realizing it."""
-        assignment = {v: self.eq.class_index[v] + 1 for v in self.eq.variables}
-        return structure_of_type(self.signature, len(self.eq.blocks), self.signs), assignment
-
     def to_formula(self) -> "Formula":
         """The conjunction of the type's equalities and inequalities, then
         one literal per slot, on the first member of each class."""
@@ -871,13 +866,46 @@ def _eval_spine(structure: Structure, phi: Formula, a: dict, registry, memo: dic
 # ---------------------------------------------------------------------------
 
 
+Table = tuple[EqualityType, tuple[int, ...], tuple[float, ...]]
+
+
 @dataclass(frozen=True)
 class BasicProbabilityFormula:
     """Conjunction of (complete type -> constant) implications; the
-    aggregation-free normal form."""
+    aggregation-free normal form.  It holds a ``Table`` per equality type of
+    ``variables``: the equality type, the positions in its types' sign
+    vectors that the constant reads, none twice, and the constant at each
+    sign vector there, by index (see ``index_bits``)."""
 
+    signature: Signature
     variables: tuple[Variable, ...]
-    conjuncts: tuple[tuple[AtomicType, float], ...]
+    tables: tuple[Table, ...]
+
+    def __post_init__(self):
+        eqs = [eq for eq, _, _ in self.tables]
+        # each equality type of the variables has one table, any other none
+        for eq in dict.fromkeys([*EqualityType.all_partitions(self.variables), *eqs]):
+            if eqs.count(eq) != (eq.variables == self.variables):
+                raise ValueError("%d tables of the equality type %s over %s in a formula over %s"
+                                 % (eqs.count(eq), eq.pattern(), [v.name for v in eq.variables],
+                                    [v.name for v in self.variables]))
+        for eq, positions, values in self.tables:
+            m = len(self.signature.slots(len(eq.blocks)))
+            if len(set(positions)) != len(positions) or not set(positions) <= set(range(m)):
+                raise ValueError("positions %r are not distinct among %d slots" % (positions, m))
+            if len(values) != 2 ** len(positions):
+                raise ValueError("%d values for %d positions" % (len(values), len(positions)))
+
+    @cached_property
+    def conjuncts(self) -> tuple[tuple[AtomicType, float], ...]:
+        """Every complete type over ``variables`` with its constant: one
+        table at a time, each in ``enumerate_complete_types`` order."""
+        out = []
+        for eq, positions, values in self.tables:
+            m = len(self.signature.slots(len(eq.blocks)))
+            out += [(AtomicType(self.signature, eq, signs), values[key]) for signs, key in
+                    zip(itertools.product((False, True), repeat=m), index_keys(m, positions))]
+        return tuple(out)
 
     def constants(self) -> tuple[float, ...]:
         seen: list[float] = []
@@ -887,65 +915,36 @@ class BasicProbabilityFormula:
         return tuple(sorted(seen))
 
     @cached_property
-    def _type_index(self) -> tuple[dict, dict]:
-        """``(index, slots)`` for the lookup of ``value_on``.
-
-        ``index`` maps a type's key, its equality pattern and its sign vector
-        over the slots, to the least constant of the conjuncts of that type
-        below 1.  ``slots[k]`` is ``signature.slots(k)`` for each class count
-        k of a conjunct.  Raises ValueError unless every conjunct's type is
-        over ``variables`` and all share one signature.
-        """
-        index: dict = {}
-        slots: dict[int, tuple[Literal, ...]] = {}
-        for i, (atype, c) in enumerate(self.conjuncts):
-            if atype.signature != self.conjuncts[0][0].signature:
-                raise ValueError("conjunct %d has another signature than conjunct 0" % i)
-            if atype.variables != self.variables:
-                raise ValueError("the type of conjunct %d is not over (%s)"
-                                 % (i, ", ".join(v.name for v in self.variables)))
-            k = len(atype.eq.blocks)
-            slots[k] = atype.signature.slots(k)
-            key = (atype.eq.pattern(), atype.signs)
-            if c < index.get(key, 1.0):
-                index[key] = c
-        return index, slots
+    def _by_pattern(self) -> dict[tuple[int, ...], tuple[list[Literal], tuple[float, ...]]]:
+        """Per table, keyed by its equality type's pattern, the slots at its
+        positions and its values."""
+        return {eq.pattern(): ([self.signature.slots(len(eq.blocks))[i] for i in positions], values)
+                for eq, positions, values in self.tables}
 
     def value_on(self, structure: Structure, assignment: Assignment) -> float:
-        """Same value as evaluating ``to_formula()``: the minimum over
-        conjuncts, an implication being its constant when the type is
-        realized and 1 otherwise.
-
-        Every conjunct's type is a complete type over ``variables`` (see
-        ``_type_index``), so exactly one type is realized, and the value is
-        a dictionary lookup keyed by the tuple's equality pattern and one
-        membership test per slot of its type.
-        """
-        index, slots_by_k = self._type_index
+        """Same value as evaluating ``to_formula()``: exactly one complete
+        type is realized, and the value is its table's, read at the index
+        that one membership test per position forms."""
         values = [assignment[v] for v in self.variables]
         reps = tuple(dict.fromkeys(values))  # one element per equality class
-        # no conjunct has this many classes: no key of that pattern, so 1
-        slots = slots_by_k.get(len(reps), ())
-        interp = structure.interp
-        signs = tuple(
-            tuple(reps[c] for c in ctuple) in interp[name] for name, ctuple in slots
-        )
-        return index.get((equality_pattern(values), signs), 1.0)
+        slots, table = self._by_pattern[equality_pattern(values)]
+        index = 0
+        for name, ctuple in slots:  # the first position's bit is the most significant
+            index = 2 * index + (tuple([reps[c] for c in ctuple]) in structure.interp[name])
+        return table[index]
 
-    def sign_reader(self, signature: Signature) -> TypeReader:
+    def sign_reader(self) -> TypeReader:
         """``value_on`` on the canonical structures of complete types over
-        ``signature``, as a ``TypeReader``: a lookup of the pattern of
-        ``variables``' classes and the type's signs at the slots it reads."""
-        index, slots_by_k = self._type_index
-
+        ``signature``, as a ``TypeReader``: the table of the pattern of
+        ``variables``' classes, its positions mapped to the caller's
+        classes."""
         def at(k, classes):
             values = _classes_of(self.variables, classes)
             reps = tuple(dict.fromkeys(values))
-            pattern = equality_pattern(values)
-            positions = slot_positions(signature, k, [
-                (name, tuple([reps[c] for c in ctuple]))
-                for name, ctuple in slots_by_k.get(len(reps), ())])
-            return positions, lambda signs: index.get((pattern, signs), 1.0)
+            slots, table = self._by_pattern[equality_pattern(values)]
+            positions = slot_positions(self.signature, k, [
+                (name, tuple([reps[c] for c in ctuple])) for name, ctuple in slots])
+            return positions, lambda signs: table[signs_to_index(signs)]
 
         return at
 
@@ -1003,31 +1002,30 @@ def type_reader(phi: Formula, signature: Signature) -> TypeReader:
     return at
 
 
-def read_every_type(signature: Signature, eq: EqualityType, reader: TypeReader) -> list[float]:
-    """The reader's value on every complete type with the equality type
-    ``eq``, by index (see ``index_bits``): read once per sign vector of the
-    positions it reads, and spread over the indices by ``index_keys``."""
+def tabulate(reader: TypeReader, eq: EqualityType) -> Table:
+    """The reader's ``Table`` on the complete types with the equality type
+    ``eq``: read once per sign vector of the positions it reads."""
     positions, read = reader(len(eq.blocks), eq.class_index)
-    table = [read(signs) for signs in itertools.product((False, True), repeat=len(positions))]
-    return list(map(table.__getitem__, index_keys(len(signature.slots(len(eq.blocks))), positions)))
+    return eq, positions, tuple([read(signs) for signs in
+                                 itertools.product((False, True), repeat=len(positions))])
 
 
 def fold(
     signature: Signature,
     variables: Sequence[Variable],
     reader: TypeReader,
-    eq: Optional[EqualityType] = None,
     cap: int = DEFAULT_TYPE_CAP,
 ) -> BasicProbabilityFormula:
-    """The formula over ``variables`` with one conjunct per complete type
-    (with the equality type ``eq``, if given), in ``enumerate_complete_types``
-    order, whose constant is the reader's value on the type.  ``reader`` is
-    called once per equality type, and no structure is built."""
-    types = enumerate_complete_types(signature, variables, eq, cap)
-    values: list[float] = []
-    while len(values) < len(types):  # the types of one equality type come together
-        values += read_every_type(signature, types[len(values)].eq, reader)
-    return BasicProbabilityFormula(tuple(variables), tuple(zip(types, values)))
+    """The formula over ``variables`` whose constant on each complete type
+    is the reader's value there: the reader's table of each equality type,
+    in ``EqualityType.all_partitions`` order.  ``reader`` is called once per
+    equality type, and no structure or type is built.  Raises TooManyTypes
+    when an equality type has more than ``cap`` complete types."""
+    variables = tuple(variables)
+    # the equality type with every variable apart has the most slots
+    check_cap(len(signature.slots(len(variables))), cap, "complete types", TooManyTypes)
+    return BasicProbabilityFormula(signature, variables, tuple(
+        tabulate(reader, eq) for eq in EqualityType.all_partitions(variables)))
 
 
 def fold_to_bpf(phi: Formula, signature: Signature) -> BasicProbabilityFormula:

@@ -22,6 +22,7 @@ from pla import (
     WeightedMean,
     free_vars,
 )
+from pla.logic import structure_of_type
 from pla.network import network_from_doc
 
 PR_DOC = {
@@ -170,6 +171,12 @@ def complete_type(signature: Signature, variables, blocks, positive=()) -> Atomi
         raise ValueError("literals %r are not slots over %d classes of the signature"
                          % (sorted(stray), len(eq.blocks)))
     return AtomicType(signature, eq, tuple(slot in chosen for slot in slots))
+
+
+def canonical_structure(atype: AtomicType) -> tuple[Structure, dict]:
+    """``structure_of_type`` of the type, and an assignment realizing it."""
+    assignment = {v: atype.eq.class_index[v] + 1 for v in atype.eq.variables}
+    return structure_of_type(atype.signature, len(atype.eq.blocks), atype.signs), assignment
 
 
 def satisfied_by(eq: EqualityType, assignment) -> bool:

@@ -70,11 +70,14 @@ from conftest import (
     PEF_DOC,
     PR_DOC,
     PSE_DOC,
+    TEST_SIG,
     X,
     Y,
     Z,
+    canonical_structure,
     complete_type,
     random_agg_free,
+    random_structure,
     realized_by,
 )
 from test_golden import GOLDEN, NETWORKS
@@ -115,7 +118,7 @@ def _theta_key_types(net):
 def _limit_prob_reference(net, p):
     """The product of theta or its complement over the type's literals, each
     theta evaluated on the type's canonical structure."""
-    struct, _ = p.canonical_structure()
+    struct, _ = canonical_structure(p)
     prob = 1.0
     for (name, ctuple), sign in p.literals:
         assignment = {v: c + 1 for v, c in zip(net.theta_variables(name), ctuple)}
@@ -287,7 +290,7 @@ def _alphas_reference(net, xs, p_eq, bodies):
     for base, extensions in groups.items():
         gamma = _limit_prob_reference(net, base)
         betas = [_limit_prob_reference(net, p) for _, p in extensions]
-        values = tuple([b.value_on(*p.canonical_structure()) for _, p in extensions]
+        values = tuple([b.value_on(*canonical_structure(p)) for _, p in extensions]
                        for b in bodies)
         rows.append(AlphaRow(base, gamma, [index for index, _ in extensions], values, betas,
                              [beta / gamma if gamma > 0.0 else None for beta in betas]))
@@ -376,8 +379,9 @@ class TestAlphas:
         assert tables == 6
 
     def test_no_type_is_built_per_extension(self):
-        # the types eliminate leaves alive are the report's conjunct types;
-        # a row's entries are the extensions' indices
+        # every type eliminate leaves alive is one of the report's conjunct
+        # types, all over the parameters; a row's entries are the
+        # extensions' indices
         def live_types():
             return {id(o): o for o in gc.get_objects() if type(o) is AtomicType}
 
@@ -386,9 +390,10 @@ class TestAlphas:
             net, phi = network_from_doc(doc), parse_formula(text)
             before = live_types()
             bpf, report = eliminate(net, phi)
-            built = live_types().keys() - before.keys()
-            assert built <= {id(t) for record in report.agg_nodes for t, _ in record.limits} | {
-                id(t) for t, _ in bpf.conjuncts}, text
+            after = live_types()
+            built = {after[i] for i in after.keys() - before.keys()}
+            assert built <= {t for record in report.agg_nodes for t, _ in record.limits} | {
+                t for t, _ in bpf.conjuncts}, text
             records = [record for record in report.agg_nodes if record.table is not None]
             assert all(type(index) is int for record in records
                        for row in record.table.rows for index in row.entries)
@@ -399,7 +404,7 @@ class TestAlphas:
     def test_body_over_a_variable_outside_the_aggregation_is_refused(self, pr_net, reader):
         phi = parse_formula("R(y) & P(z)")
         body = (type_reader(phi, PR_SIG) if reader == "type_reader"
-                else fold_to_bpf(phi, PR_SIG).sign_reader(PR_SIG))
+                else fold_to_bpf(phi, PR_SIG).sign_reader())
         with pytest.raises(ValueError, match=r"variables \['z'\]"):
             alphas(pr_net, [X], [Y], EqualityType.all_distinct([X, Y]), [body])
 
@@ -479,8 +484,6 @@ class TestEliminate:
         # the compiled form of an aggregation-free formula has exactly the
         # value function of its direct fold (conjuncts may collapse)
         rng = random.Random(3)
-        from conftest import random_structure
-
         for _ in range(30):
             phi = random_agg_free(rng, PR_SIG, [X, Y], 3)
             via_eliminate, _ = eliminate(pr_net, phi)
@@ -703,7 +706,7 @@ class TestSignReadingFolds:
         for t, c in bpf.conjuncts:
             if t.restrict(node.params).eq == covered:
                 # the one bound tuple is a renaming, so this is exact at every n
-                struct, assignment = t.canonical_structure()
+                struct, assignment = canonical_structure(t)
                 assert c == evaluate(struct, phi, assignment), (text, _type_text(t))
             else:  # outside the node's equality constraint: completed with 1
                 assert node is phi and c == 1.0
@@ -718,7 +721,7 @@ class TestSignReadingFolds:
             phi = _random_connective(rng, leaves)
             bpf, report = eliminate(net, phi)
             # the records come in compile order, so one per leaf, left to right
-            nodes = [BasicProbabilityFormula(r.params, tuple(r.limits)) for r in report.agg_nodes]
+            nodes = [r.limits for r in report.agg_nodes]
             assert len(nodes) == len(leaves)
             variables = tuple(sorted(free_vars(phi), key=lambda v: v.name))
             types = enumerate_complete_types(net.signature, variables)
@@ -728,44 +731,85 @@ class TestSignReadingFolds:
                 assert [t for t, _ in bpf.conjuncts] == types
                 constants, tolerance = [c for _, c in bpf.conjuncts], 0.0
             for t, c in zip(types, constants):
-                struct, assignment = t.canonical_structure()
-                values = iter([node.value_on(struct, assignment) for node in nodes])
+                struct, assignment = canonical_structure(t)
+                # the one type over the node's parameters that t realizes
+                values = iter([next(d for q, d in limits if realized_by(q, struct, assignment))
+                               for limits in nodes])
                 expected = evaluate(struct, _replace_aggregations(phi, values), assignment)
                 assert abs(c - expected) <= tolerance, (format_formula(phi), _type_text(t))
 
-    # the complete types each case enumerates: per aggregation node the
-    # completion over its parameters (8 types on P/S/E, 4 on P/R), and for
-    # dimension 0 the fold over them, then the output's fold, unless the
-    # formula is an aggregation node; an alpha table enumerates no type, and
-    # no intermediate subformula is folded
-    @pytest.mark.parametrize("doc, text, types", [
-        (PSE_DOC, "!am[S(y) & E(y, x) : y : y != x] | wm(P(x); max[E(x, y) : y : y != x]; 0.25)",
-         2 * 8 + 8),
-        (PR_DOC, "(am[R(y) : y : y != x] -> R(x)) & gm[R(y) | P(x) : y : distinct]",
-         2 * 4 + 4),
-        (PR_DOC, "am[R(y) : y : y = x]", 4 + 4),
-        (PR_DOC, "wm(P(x); R(x); 0.4) -> !R(x)", 4),
+    # a compiled formula is tables, and alpha tables number their types by
+    # index, so no complete type is enumerated, and no intermediate
+    # subformula is folded
+    @pytest.mark.parametrize("doc, text", [
+        (PSE_DOC, "!am[S(y) & E(y, x) : y : y != x] | wm(P(x); max[E(x, y) : y : y != x]; 0.25)"),
+        (PR_DOC, "(am[R(y) : y : y != x] -> R(x)) & gm[R(y) | P(x) : y : distinct]"),
+        (PR_DOC, "am[R(y) : y : y = x]"),
+        (PR_DOC, "wm(P(x); R(x); 0.4) -> !R(x)"),
         # the compile benchmark's formulas
-        (PSE_DOC, "am[E(x, y) : y : y != x]", 8),
-        (PSE_DOC, "am[S(y) & E(y, x) : y : y != x]", 8),
+        (PSE_DOC, "am[E(x, y) : y : y != x]"),
+        (PSE_DOC, "am[S(y) & E(y, x) : y : y != x]"),
     ])
-    def test_compiler_never_reads_a_compiled_formula_on_a_structure(self, doc, text, types,
+    def test_compiler_never_reads_a_compiled_formula_on_a_structure(self, doc, text,
                                                                     monkeypatch):
         def refuse(*args):
             raise AssertionError("value_on called while compiling")
 
-        enumerated = []
-
-        def counting(*args):
-            result = enumerate_complete_types(*args)
-            enumerated.append(len(result))
-            return result
+        def refuse_types(*args):
+            raise AssertionError("complete types enumerated while compiling")
 
         monkeypatch.setattr(BasicProbabilityFormula, "value_on", refuse)
-        for module in ("pla.logic", "pla.eliminate"):
-            monkeypatch.setattr(sys.modules[module], "enumerate_complete_types", counting)
+        monkeypatch.setattr(sys.modules["pla.logic"], "enumerate_complete_types", refuse_types)
         eliminate(network_from_doc(doc), parse_formula(text))
-        assert sum(enumerated) == types, enumerated
+
+
+def _criterion_5_folds(count):
+    """The first ``count`` formulas that acceptance criterion 5 folds, by
+    replaying its generator: 50 structures, then per formula the formula and
+    two parameter values per structure."""
+    rng = random.Random(505)
+    sizes = []
+    for _ in range(50):
+        sizes.append(rng.randint(1, 4))
+        random_structure(rng, TEST_SIG, sizes[-1])
+    formulas = []
+    for _ in range(count):
+        formulas.append(random_agg_free(rng, TEST_SIG, [X, Y], 3))
+        for n in sizes:
+            rng.randint(1, n), rng.randint(1, n)
+    return formulas
+
+
+class TestCompiledTables:
+    """A compiled formula's tables against its definition, the conjunction
+    of (type -> constant) implications: ``value_on`` against ``evaluate`` of
+    ``to_formula()`` on random worlds, and ``sign_reader`` and ``value_on``
+    against each conjunct's constant on its type's canonical structure."""
+
+    @staticmethod
+    def assert_tables_match_conjuncts(bpf, seed):
+        rng = random.Random(seed)
+        psi = bpf.to_formula()
+        for n in (1, 2, 3, 4):
+            for _ in range(2):
+                world = random_structure(rng, bpf.signature, n)
+                for _ in range(4):
+                    a = {v: rng.randint(1, n) for v in bpf.variables}
+                    assert bpf.value_on(world, a) == evaluate(world, psi, a), (n, a)
+        reader = bpf.sign_reader()
+        for t, c in bpf.conjuncts:
+            positions, read = reader(len(t.eq.blocks), t.eq.class_index)
+            assert read(tuple([t.signs[i] for i in positions])) == c, _type_text(t)
+            assert bpf.value_on(*canonical_structure(t)) == c, _type_text(t)
+
+    @pytest.mark.parametrize("doc, text", ELIMINATE_CASES)
+    def test_eliminate_outputs(self, doc, text):
+        bpf, _ = eliminate(network_from_doc(doc), parse_formula(text))
+        self.assert_tables_match_conjuncts(bpf, text)
+
+    def test_criterion_5_folds(self):
+        for i, phi in enumerate(_criterion_5_folds(20)):
+            self.assert_tables_match_conjuncts(fold_to_bpf(phi, TEST_SIG), i)
 
 
 class TestConvergenceExperiment:

@@ -34,8 +34,9 @@ from pla.eliminate import eliminate
 from pla.logic import EmptyAggregationRange, NotAggregationFree, children, subformulas
 from pla.parser import parse_formula
 
-from conftest import (TEST_SIG, X, Y, Z, complete_type, permuted, random_agg_free,
-                      random_formula, random_structure, realized_by, satisfied_by)
+from conftest import (TEST_SIG, X, Y, Z, canonical_structure, complete_type, permuted,
+                      random_agg_free, random_formula, random_structure, realized_by,
+                      satisfied_by)
 
 
 SIG_R = Signature.of(("R", 1))
@@ -375,7 +376,7 @@ class TestFold:
         variables = sorted(free_vars(phi), key=lambda v: v.name)
         conjuncts = []
         for atype in enumerate_complete_types(sig, variables):
-            struct, assignment = atype.canonical_structure()
+            struct, assignment = canonical_structure(atype)
             conjuncts.append((atype, evaluate(struct, phi, assignment)))
         return tuple(conjuncts)
 
@@ -428,9 +429,9 @@ def all_assignments(variables, n):
 
 
 class TestValueOn:
-    """``value_on`` looks up the one realized complete type; it must agree
-    with the definition, and it rejects a formula whose types are not all
-    complete over one signature."""
+    """``value_on`` reads the one realized complete type in its table; it
+    must agree with the definition.  A formula is refused unless it has one
+    table per equality type of its variables, each over that type's slots."""
 
     def assert_matches_scan(self, bpf, structures):
         for A in structures:
@@ -465,35 +466,32 @@ class TestValueOn:
                     assert bpf.value_on(A, a) == scan_value(bpf, A, a)
         assert bpf.variables == () and len(bpf.conjuncts) == 1
 
-    def test_type_listed_twice_takes_its_least_constant(self):
-        bpf = fold_to_bpf(Atom("E", (X, Y)), TEST_SIG)
-        atype, _ = bpf.conjuncts[7]
-        doubled = BasicProbabilityFormula(
-            bpf.variables, bpf.conjuncts + ((atype, 0.6), (atype, 0.25), (atype, 1.5))
-        )
-        rng = random.Random(2)
-        self.assert_matches_scan(doubled, [random_structure(rng, TEST_SIG, 3) for _ in range(8)])
-        struct, assignment = atype.canonical_structure()
-        assert doubled.value_on(struct, assignment) == min(0.25, bpf.conjuncts[7][1])
+    @staticmethod
+    def _tables(case):
+        """The tables of the fold of P(x) | Q(y), with one fault: a table of
+        x = y missing or listed twice, an extra one over x alone, a value
+        short or a position past the 3 slots of one class."""
+        together, apart = fold_to_bpf(Or(Atom("P", (X,)), Atom("Q", (Y,))), TEST_SIG).tables
+        eq, positions, values = together
+        return {
+            "missing": (apart,),
+            "twice": (together, apart, together),
+            "other variables": (together, apart, fold_to_bpf(Atom("P", (X,)), TEST_SIG).tables[0]),
+            "value count": ((eq, positions, values[:-1]), apart),
+            "position outside": ((eq, positions + (3,), values * 2), apart),
+        }[case]
 
-    def test_tuple_whose_class_count_no_conjunct_has_gets_one(self):
-        bpf = fold_to_bpf(Atom("E", (X, Y)), TEST_SIG)
-        distinct = BasicProbabilityFormula(
-            bpf.variables, tuple((t, c) for t, c in bpf.conjuncts if len(t.eq.blocks) == 2))
-        rng = random.Random(3)
-        self.assert_matches_scan(distinct, [random_structure(rng, TEST_SIG, 3) for _ in range(4)])
-        assert distinct.value_on(Structure(TEST_SIG, 2), {X: 1, Y: 1}) == 1.0
-
-    def test_type_over_other_variables_or_second_signature_is_rejected(self):
-        phi = Or(Atom("P", (X,)), Atom("Q", (Y,)))
-        bpf = fold_to_bpf(phi, TEST_SIG)
-        over_x = fold_to_bpf(Atom("P", (X,)), TEST_SIG).conjuncts[0]  # complete over x alone
-        other = fold_to_bpf(phi, Signature.of(("P", 1), ("Q", 1))).conjuncts[0]
-        A = random_structure(random.Random(4), TEST_SIG, 3)
-        for extra, words in ((over_x, r"not over \(x, y\)"), (other, "signature")):
-            mixed = BasicProbabilityFormula(bpf.variables, bpf.conjuncts + (extra,))
-            with pytest.raises(ValueError, match=words):
-                mixed.value_on(A, {X: 1, Y: 2})
+    @pytest.mark.parametrize("case, words", [pytest.param(case, words, id=case) for case, words in (
+        ("missing", r"^0 tables of the equality type \(0, 0\) over \['x', 'y'\]"),
+        ("twice", r"^2 tables of the equality type \(0, 0\) over \['x', 'y'\]"),
+        ("other variables", r"^1 tables of the equality type \(0,\) over \['x'\] in a "
+                            r"formula over \['x', 'y'\]$"),
+        ("value count", r"3 values for 2 positions"),
+        ("position outside", r"\(0, 1, 3\) are not distinct among 3 slots"),
+    )])
+    def test_faulty_tables_are_refused(self, case, words):
+        with pytest.raises(ValueError, match=words):
+            BasicProbabilityFormula(TEST_SIG, (X, Y), self._tables(case))
 
     def test_no_variables(self):
         rng = random.Random(6)
