@@ -119,7 +119,9 @@ class Structure:
     def snapshot(self) -> "Structure":
         """A copy whose relations are frozensets, so it cannot change, with
         an empty ``memo``: evaluating it at many assignments keys each
-        counting aggregation node's domain elements once (see ``evaluate``)."""
+        counting aggregation node's domain elements once, and applies its
+        function once per tuple of keys its parameters pin (see
+        ``evaluate``)."""
         world = Structure(self.signature, self.domain_size,
                           {name: frozenset(tuples) for name, tuples in self.interp.items()})
         world.memo = {}
@@ -384,8 +386,41 @@ def signs_to_index(signs: Sequence[bool]) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Node:
+    """The base of the formula classes: facts that ``_eval`` reads, each
+    computed once and kept by the node, so they pickle with it."""
+
+    @cached_property
+    def _aggregation_free(self) -> bool:
+        """No subformula aggregates, so evaluating this one raises no
+        aggregation error: ``_eval`` may skip it."""
+        return not has_aggregation(self)
+
+    @cached_property
+    def _spine(self) -> tuple["Formula", ...]:
+        """For an ``&`` or ``|`` node, the operands of the left-nested chain
+        of its connective below it (the parser's shape for ``p & q & ...``),
+        left to right, walked in a loop so its length costs no stack depth."""
+        rights = []
+        phi = self
+        while isinstance(phi, type(self)):
+            rights.append(phi.right)
+            phi = phi.left
+        return (phi, *reversed(rights))
+
+    @cached_property
+    def _free_from(self) -> int:
+        """The position in ``_spine`` from which every operand is
+        aggregation-free; read only once a stop value is reached."""
+        operands = self._spine
+        i = len(operands)
+        while i > 1 and operands[i - 1]._aggregation_free:
+            i -= 1
+        return i
+
+
 @dataclass(frozen=True)
-class Const:
+class Const(_Node):
     value: float
 
     def __post_init__(self):
@@ -394,42 +429,42 @@ class Const:
 
 
 @dataclass(frozen=True)
-class Eq:
+class Eq(_Node):
     left: Variable
     right: Variable
 
 
 @dataclass(frozen=True)
-class Atom:
+class Atom(_Node):
     symbol: str
     args: tuple[Variable, ...]
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(_Node):
     sub: "Formula"
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Node):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Node):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class Implies:
+class Implies(_Node):
     left: "Formula"
     right: "Formula"
 
 
 @dataclass(frozen=True)
-class WeightedMean:
+class WeightedMean(_Node):
     """weight*left + (1 - weight)*right, all three being formulas."""
 
     weight: "Formula"
@@ -438,7 +473,7 @@ class WeightedMean:
 
 
 @dataclass(frozen=True)
-class Agg:
+class Agg(_Node):
     """Aggregation node: apply the named function to the tuples of body
     values collected over all bound tuples satisfying the equality type.
 
@@ -499,7 +534,7 @@ class Agg:
         ``_counting``).  Every part pickles, so formulas still travel to
         worker processes.
         """
-        if any(has_aggregation(body) for body in self.bodies):
+        if not all(body._aggregation_free for body in self.bodies):
             return None
         return (*atom_probes(self.bodies, self.eq_type.variables), {})
 
@@ -525,6 +560,11 @@ class Agg:
                        for f in subformulas(body) if isinstance(f, Atom))):
             return None
         return self.eq_type.restrict(self.bound), atom_probes(self.bodies, self.bound)[1]
+
+    @cached_property
+    def _pin_plan(self) -> tuple[tuple[int, tuple[Variable, ...]], ...]:
+        """``pin_plan`` of the node's equality type and bound variables."""
+        return pin_plan(self.eq_type, self.bound)
 
 
 Formula = Union[Const, Eq, Atom, Not, And, Or, Implies, WeightedMean, Agg]
@@ -648,20 +688,31 @@ def check_signature(phi: Formula, signature: Signature) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _pins(eq_type: EqualityType, bound: Sequence[Variable],
-          assignment: Assignment) -> Optional[dict[int, int]]:
-    """The value, by class index, of each class of the equality type that
-    holds a free variable (one not in ``bound``): that variable's value
-    under the assignment.  None when the assignment violates the equality
-    type: one class gets two values, or two classes one value."""
-    bound_set = set(bound)
-    pins: dict[int, int] = {}
+def pin_plan(eq_type: EqualityType,
+             bound: Sequence[Variable]) -> tuple[tuple[int, tuple[Variable, ...]], ...]:
+    """Per class of the equality type that holds a free variable (one not
+    in ``bound``), its index and its free variables, which ``_pins`` reads."""
+    bound = set(bound)
+    plan = []
     for i, block in enumerate(eq_type.blocks):
-        values = {assignment[v] for v in block if v not in bound_set}
-        if len(values) > 1:
-            return None
-        if values:
-            pins[i] = values.pop()
+        free = tuple(v for v in block if v not in bound)
+        if free:
+            plan.append((i, free))
+    return tuple(plan)
+
+
+def _pins(plan, assignment: Assignment) -> Optional[dict[int, int]]:
+    """The value, by class index, of each class of a ``pin_plan``: its free
+    variables' value under the assignment.  None when the assignment
+    violates the equality type: one class gets two values, or two classes
+    one value."""
+    pins: dict[int, int] = {}
+    for i, free in plan:
+        value = assignment[free[0]]
+        for v in free:
+            if assignment[v] != value:
+                return None
+        pins[i] = value
     if len(set(pins.values())) != len(pins):
         return None
     return pins
@@ -680,7 +731,7 @@ def satisfying_bound_tuples(
     (the equality type may equate bound with free variables); the remaining
     classes range injectively over the unused domain elements.
     """
-    pins = _pins(eq_type, bound, assignment)
+    pins = _pins(pin_plan(eq_type, bound), assignment)
     if pins is None:
         return
     open_classes = [i for i in range(len(eq_type.blocks)) if i not in pins]
@@ -715,10 +766,15 @@ def evaluate(
     per the [0,1]-valued semantics.
 
     A counting aggregation node (see ``Agg._counting``) keys every domain
-    element once per world and counts the keys.  A snapshot (see
-    ``Structure.snapshot``) keeps those counts in its ``memo``, so a caller
-    that evaluates one world at many assignments evaluates its snapshot;
-    on any other structure each call counts afresh.
+    element once per world and counts the keys.  Its value at an assignment
+    then depends only on the world, its aggregation function and the keys
+    of the domain elements its parameters pin.  A snapshot (see
+    ``Structure.snapshot``) keeps in its ``memo`` the counts and each such
+    value, by the node, the function and the sorted tuple of pinned keys,
+    so a caller that evaluates one world at many assignments evaluates its
+    snapshot: the function is applied once per world and tuple of pinned
+    keys (for ``am[R(y) : y : y != x]``, twice).  On any other structure
+    each call counts afresh and stores no value.
     """
     if registry is None:
         registry = aggregators.DEFAULT_REGISTRY
@@ -727,32 +783,46 @@ def evaluate(
 
 
 def _eval(structure: Structure, phi: Formula, a: dict, registry, memo: dict) -> float:
+    # the stops are exact for values in [0, 1]; they skip only
+    # aggregation-free operands, so an aggregation error still surfaces
     if isinstance(phi, Atom):
         args = tuple(a[v] for v in phi.args)
         return 1.0 if args in structure.interp[phi.symbol] else 0.0
     if isinstance(phi, Const):
         return phi.value
     if isinstance(phi, And):
-        return _eval_spine(structure, phi, a, registry, memo, And, min)
+        return _eval_spine(structure, phi, a, registry, memo, min, 0.0)
     if isinstance(phi, Or):
-        return _eval_spine(structure, phi, a, registry, memo, Or, max)
+        return _eval_spine(structure, phi, a, registry, memo, max, 1.0)
     if isinstance(phi, Not):
         return 1.0 - _eval(structure, phi.sub, a, registry, memo)
     if isinstance(phi, Implies):
-        return min(
-            1.0,
-            1.0 - _eval(structure, phi.left, a, registry, memo)
-            + _eval(structure, phi.right, a, registry, memo),
-        )
+        left = _eval(structure, phi.left, a, registry, memo)
+        if left == 0.0 and phi.right._aggregation_free:
+            return 1.0
+        return min(1.0, 1.0 - left + _eval(structure, phi.right, a, registry, memo))
     if isinstance(phi, Eq):
         return 1.0 if a[phi.left] == a[phi.right] else 0.0
     if isinstance(phi, WeightedMean):
         w = _eval(structure, phi.weight, a, registry, memo)
+        if w == 0.0 and phi.left._aggregation_free:
+            return _eval(structure, phi.right, a, registry, memo)
+        if w == 1.0 and phi.right._aggregation_free:
+            return _eval(structure, phi.left, a, registry, memo)
         return w * _eval(structure, phi.left, a, registry, memo) + (1.0 - w) * _eval(
             structure, phi.right, a, registry, memo
         )
     if isinstance(phi, Agg):
         func = aggregation_function(phi, registry)
+        key = None
+        if phi._counting is not None and structure.memo is not None:
+            _, keys, _ = _element_counts(structure, phi, memo)
+            pins = _pins(phi._pin_plan, a)
+            key = (id(phi), func, None if pins is None else tuple(sorted(
+                [keys[e - 1] for e in pins.values() if 0 < e <= len(keys)])))
+            value = memo.get(key)
+            if value is not None:
+                return value
         saved = {v: a.get(v) for v in phi.bound}
         if phi._body_table is None:
             seqs = [[] for _ in phi.bodies]
@@ -767,18 +837,36 @@ def _eval(structure: Structure, phi: Formula, a: dict, registry, memo: dict) -> 
                 a.pop(v, None)
             else:
                 a[v] = old
-        if not seqs[0]:
-            if func.empty_value is not None:
-                return func.empty_value
+        if seqs[0]:
+            value = aggregators.apply(func, *seqs)
+        elif func.empty_value is not None:
+            value = func.empty_value
+        else:
             raise EmptyAggregationRange(
                 "no bound tuple satisfies the equality constraint of %s[...] "
                 "at domain size %d" % (phi.func, structure.domain_size)
             )
-        return aggregators.apply(func, *seqs)
+        if key is not None:
+            memo[key] = value
+        return value
     raise TypeError("not a formula: %r" % (phi,))
 
 
 _BLOCK = 4096  # bound tuples keyed per batch, bounding the memory of a large range
+
+
+def _element_counts(structure: Structure, phi: Agg, memo: dict) -> tuple[Agg, list, Counter]:
+    """A counting node's per-world state, kept in ``memo`` by the node's
+    id: the node, the key of each domain element in order, and the count
+    of each key.  Holding the node keeps its id from being reused while
+    the memo lives."""
+    state = memo.get(id(phi))
+    if state is None:
+        bound_eq, element_probes = phi._counting
+        elements = list(satisfying_bound_tuples(bound_eq, phi.bound, {}, structure.domain_size))
+        keys = truth_keys(structure, phi._body_table[0], element_probes, elements)
+        state = memo[id(phi)] = (phi, keys, Counter(keys))
+    return state
 
 
 def _eval_bodies_by_count(structure: Structure, phi: Agg, a: dict, registry, memo: dict):
@@ -786,15 +874,17 @@ def _eval_bodies_by_count(structure: Structure, phi: Agg, a: dict, registry, mem
     its bound tuples, one list per body, grouped by key in order of the
     key's first occurrence.
 
-    A counting node (see ``Agg._counting``) keys every domain element by
-    ``truth_keys`` and counts the keys once per world (per ``memo``, see
-    ``evaluate``); a call subtracts the keys of the elements its parameters
-    pin.  Any other node keys the bound tuples of the call, ``_BLOCK`` at a
-    time, and counts them.  A key not yet in the table is evaluated once, at
-    a bound tuple with that key (for a counting node, one no parameter
-    pins), and each key's row of body values is repeated by its count, so
-    no body is evaluated unless its key is new.  The aggregation functions
-    are symmetric, so the grouping changes no value.
+    A counting node (see ``Agg._counting``) takes the per-world key counts
+    of ``_element_counts`` and subtracts the keys of the elements its
+    parameters pin, so the lists depend only on the world and those keys;
+    on a snapshot ``_eval`` stores the node's value and calls this once
+    per world and tuple of pinned keys (see ``evaluate``).  Any other node
+    keys the bound tuples of the call, ``_BLOCK`` at a time, and counts
+    them.  A key not yet in the table is evaluated once, at a bound tuple
+    with that key (for a counting node, one no parameter pins), and each
+    key's row of body values is repeated by its count, so no body is
+    evaluated unless its key is new.  The aggregation functions are
+    symmetric, so the grouping changes no value.
     """
     symbols, probes, table = phi._body_table
     if phi._counting is None:
@@ -810,15 +900,8 @@ def _eval_bodies_by_count(structure: Structure, phi: Agg, a: dict, registry, mem
                 witness.update(zip(keys, block))
         tuple_with = witness.__getitem__
     else:
-        bound_eq, element_probes = phi._counting
-        state = memo.get(id(phi))
-        if state is None:
-            elements = list(satisfying_bound_tuples(bound_eq, phi.bound, {}, structure.domain_size))
-            keys = truth_keys(structure, symbols, element_probes, elements)
-            # holding phi keeps its id from being reused while the memo lives
-            state = memo[id(phi)] = (phi, keys, Counter(keys))
-        _, keys, total = state
-        pins = _pins(phi.eq_type, phi.bound, a)
+        _, keys, total = _element_counts(structure, phi, memo)
+        pins = _pins(phi._pin_plan, a)
         if pins is None:
             return [[] for _ in phi.bodies]
         pinned = set(pins.values())
@@ -845,19 +928,18 @@ def _eval_bodies_by_count(structure: Structure, phi: Agg, a: dict, registry, mem
 
 
 def _eval_spine(structure: Structure, phi: Formula, a: dict, registry, memo: dict,
-                kind, combine) -> float:
-    """An ``&`` or ``|`` node with the left-nested chain of the same
-    connective below it (the parser's shape for ``p & q & ...``), walked in
-    a loop so its length costs no stack depth.  Operands are evaluated and
+                combine, stop: float) -> float:
+    """An ``&`` or ``|`` node by its ``_spine``.  Operands are evaluated and
     combined left to right, so values match the nested binary definition
-    bit for bit."""
-    rights = []
-    while isinstance(phi, kind):
-        rights.append(phi.right)
-        phi = phi.left
-    value = _eval(structure, phi, a, registry, memo)
-    for right in reversed(rights):
-        value = combine(value, _eval(structure, right, a, registry, memo))
+    bit for bit.  Once the value is ``stop``, which ``combine`` keeps
+    whatever the operand in [0, 1], and every operand left is
+    aggregation-free, the rest is skipped."""
+    operands = phi._spine
+    value = _eval(structure, operands[0], a, registry, memo)
+    for i in range(1, len(operands)):
+        if value == stop and i >= phi._free_from:
+            return value
+        value = combine(value, _eval(structure, operands[i], a, registry, memo))
     return value
 
 

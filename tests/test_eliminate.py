@@ -861,6 +861,27 @@ class TestConvergenceExperiment:
         assert lines[0] == "n,epsilon,p_exceed,ci_exceed,d_0,p_near_0,ci_0"
         assert len(lines) == 3
 
+    def test_counting_node_applies_its_function_once_per_pinned_key(self, pr_net, monkeypatch):
+        # on a world's snapshot am[R(y) : y : y != x] takes one value per
+        # truth value of R(x), so the mean is taken at most twice per world,
+        # not once at each of the n values of x
+        import pla.aggregators
+
+        phi = parse_formula("am[R(y) : y : y != x]")
+        psi, _ = eliminate(pr_net, phi)
+        calls = []
+        apply = pla.aggregators.apply
+
+        def counted(func, *seqs):
+            calls.append(func.name)
+            return apply(func, *seqs)
+
+        monkeypatch.setattr(pla.aggregators, "apply", counted)
+        samples = 20
+        convergence_experiment(pr_net, phi, psi, n_grid=(50,), epsilon=0.2, samples=samples,
+                               seed=4)
+        assert samples <= len(calls) <= 2 * samples
+
     @pytest.mark.parametrize("epsilon", [-1.0, -1e-9, math.nan])
     def test_rejects_negative_or_nan_epsilon(self, pr_net, epsilon):
         phi = parse_formula("am[R(y) : y : distinct]")

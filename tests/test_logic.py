@@ -136,6 +136,34 @@ class TestEvaluate:
         assert evaluate(A, Not(Const(0.0))) == 1.0
         assert evaluate(A, Not(Const(1.0))) == 0.0
 
+    def test_stops_skip_only_aggregation_free_operands(self):
+        # y is unassigned, so an operand that reads it raises KeyError when
+        # evaluated: past a stop, an aggregation-free one is skipped
+        A = Structure(TEST_SIG, 1, {"P": {(1,)}})
+        for text, value in (("Q(x) & P(y)", 0.0), ("Q(x) & P(x) & P(y) & P(x)", 0.0),
+                            ("P(x) | Q(y)", 1.0), ("Q(x) -> P(y)", 1.0),
+                            ("wm(Q(x); P(y); 0.3)", 0.3), ("wm(P(x); 0.6; P(y))", 0.6)):
+            assert evaluate(A, parse_formula(text), {X: 1}) == value, text
+        # at n = 1 no z differs from x, so the node raises wherever it stands
+        for text in ("Q(x) & %s", "Q(x) & P(x) & %s & P(y)", "P(x) | %s", "Q(x) -> %s",
+                     "wm(Q(x); %s; 0.3)", "wm(P(x); 0.3; %s)"):
+            with pytest.raises(EmptyAggregationRange):
+                evaluate(A, parse_formula(text % "am[P(z) : z : z != x]"), {X: 1})
+
+    def test_stops_match_the_definition(self):
+        rng = random.Random(43)
+        leaves = [Const(0.0), Const(1.0), Atom("P", (X,)), Atom("E", (X, Y))]
+        for _ in range(300):
+            parts = [rng.choice(leaves) if rng.random() < 0.5
+                     else random_formula(rng, TEST_SIG, [X, Y], 2) for _ in range(4)]
+            phi = rng.choice([And, Or, Implies])(rng.choice([And, Or])(parts[0], parts[1]),
+                                                 WeightedMean(*parts[1:]))
+            n = rng.randint(2, 3)
+            A = random_structure(rng, TEST_SIG, n)
+            a = {X: rng.randint(1, n), Y: rng.randint(1, n)}
+            assert evaluate(A, phi, a) == per_tuple_value(A, phi, a)
+            assert evaluate(A.snapshot(), phi, a) == per_tuple_value(A, phi, a)
+
     def test_value_range_random(self):
         rng = random.Random(42)
         for _ in range(300):
@@ -503,9 +531,11 @@ class TestValueOn:
 
 
 def per_tuple_value(A, phi, a):
-    """The value of the formula with every aggregation node evaluated by its
-    definition: each body at each bound tuple, visited in lexicographic
-    order, that satisfies the equality type."""
+    """The value of the formula by the definition, with no stop and no
+    table: every operand of every connective evaluated and combined by its
+    formula, and every aggregation node's bodies evaluated at each bound
+    tuple, visited in lexicographic order, that satisfies the equality
+    type."""
     from pla.aggregators import DEFAULT_REGISTRY, apply
 
     if isinstance(phi, Agg):
@@ -518,10 +548,18 @@ def per_tuple_value(A, phi, a):
         if not seqs[0]:
             raise EmptyAggregationRange("no bound tuple")
         return apply(DEFAULT_REGISTRY.get(phi.func), *seqs)
-    if not any(isinstance(f, Agg) for f in subformulas(phi)):
+    if isinstance(phi, (Const, Eq, Atom)):
         return evaluate(A, phi, a)
-    # a connective over aggregation nodes: its children's values as constants
-    return evaluate(A, type(phi)(*[Const(per_tuple_value(A, c, a)) for c in children(phi)]), a)
+    v = [per_tuple_value(A, c, a) for c in children(phi)]
+    if isinstance(phi, Not):
+        return 1.0 - v[0]
+    if isinstance(phi, And):
+        return min(v)
+    if isinstance(phi, Or):
+        return max(v)
+    if isinstance(phi, Implies):
+        return min(1.0, 1.0 - v[0] + v[1])
+    return v[0] * v[1] + (1.0 - v[0]) * v[2]
 
 
 V = Variable("v")
@@ -759,3 +797,69 @@ class TestCountingAggregation:
             world.interp["R"].add((2,))
         A.interp["R"].add((2,))
         assert evaluate(world, parse_formula("am[R(y) : y : y != x]"), {X: 1}) == 0.5
+
+
+class TestCountingValueMemo:
+    """On a snapshot, a counting node's value is stored by the node, its
+    function and the sorted keys of the elements its parameters pin, and
+    read back at every assignment with the same keys; every value must
+    still equal the per-tuple definition's, bit for bit."""
+
+    TWO_PINS = Agg("am", (Atom("R", (Y,)),), (Y,),
+                   EqualityType.from_blocks([X, Z, Y], [[X], [Z], [Y]]))
+
+    def test_two_parameters_pinning_elements_with_equal_and_unequal_keys(self):
+        rng = random.Random(31)
+        structures = [Structure(SIG_R, n, {"R": {(e,) for e in range(1, n + 1)
+                                                 if rng.random() < 0.5}})
+                      for n in (1, 2, 3, 4, 5, 6) for _ in range(3)]
+        # x = z violates the equality type; at n = 2 two pins empty the range
+        assert_matches(self.TWO_PINS, structures, [X, Z])
+        A = Structure(SIG_R, 4, {"R": {(1,), (2,)}})
+        world = A.snapshot()
+        for x, z in itertools.permutations(range(1, 5), 2):
+            assert evaluate(world, self.TWO_PINS, {X: x, Z: z}) == per_tuple_value(
+                A, self.TWO_PINS, {X: x, Z: z})
+        # one value per multiset of pinned keys: {T, T}, {T, F}, {F, F}
+        assert sum(isinstance(key, tuple) for key in world.memo) == 3
+
+    def test_two_registries_binding_one_name_on_one_snapshot(self):
+        from pla.aggregators import AggregationFunction, Registry
+
+        mean = Registry([AggregationFunction("f", 1, lambda r: sum(r) / len(r))])
+        top = Registry([AggregationFunction("f", 1, max)])
+        phi = parse_formula("f[R(y) : y : y != x]", mean)
+        A = Structure(SIG_R, 5, {"R": {(1,), (4,)}})
+        world = A.snapshot()
+        for x in range(1, 6):
+            for registry in (mean, top, mean):
+                assert evaluate(world, phi, {X: x}, registry) == evaluate(A, phi, {X: x}, registry)
+        assert [evaluate(world, phi, {X: x}, top) for x in range(1, 6)] == [1.0] * 5
+        assert evaluate(world, phi, {X: 1}, mean) == 0.25
+
+    def test_empty_range_raises_at_every_call(self):
+        A = Structure(SIG_R, 2, {"R": {(2,)}})
+        world = A.snapshot()
+        assert evaluate(world, self.TWO_PINS, {X: 1, Z: 3}) == 1.0  # z pins nothing
+        for _ in range(2):
+            for x, z in ((1, 2), (2, 1), (1, 1)):  # the last violates the equality type
+                with pytest.raises(EmptyAggregationRange):
+                    evaluate(world, self.TWO_PINS, {X: x, Z: z})
+        assert evaluate(world, self.TWO_PINS, {X: 1, Z: 3}) == 1.0
+
+    def test_aggregating_non_root_theta_in_the_sampler(self):
+        from pla.network import WorldSampler, network_from_doc
+
+        from conftest import NON_ROOT_AGGREGATION_DOC
+
+        net = network_from_doc(NON_ROOT_AGGREGATION_DOC)
+        rng = random.Random(32)
+        for n in (2, 5, 9):
+            sampler = WorldSampler(net, n)
+            (step,) = [step for step in sampler._plan if step.name == "R"]
+            assert step.cache is None  # evaluated at every tuple, on one snapshot
+            for _ in range(4):
+                world = sampler.sample(rng)
+                assert sampler._thetas(world, step) == [
+                    per_tuple_value(world, step.theta, dict(zip(step.variables, args)))
+                    for args in step.tuples]
