@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -194,8 +195,8 @@ def cmd_converge(args):
     strat = validate(network)
     value_set = None if args.value_set is None else ValueSet.parse(args.value_set, "--value-set")
     _check_at_least(1, ("--samples", args.samples), ("--workers", args.workers))
-    if not args.epsilon >= 0.0:  # false for NaN too
-        raise PlaError("--epsilon must be >= 0, got %r" % args.epsilon)
+    if not 0.0 <= args.epsilon < math.inf:  # false for NaN too; JSON has no inf
+        raise PlaError("--epsilon must be finite and >= 0, got %r" % args.epsilon)
     n_grid = _parse_ints("--n-grid", args.n_grid)
     # a domain must hold the formula's parameters as distinct elements
     _check_at_least(max(1, len(free_vars(phi))), *(("--n-grid", n) for n in n_grid))
@@ -242,6 +243,8 @@ def cmd_admissible(args) -> dict:
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="pla", description=__doc__)
+    workers_help = ("processes that draw the samples, a speed setting only: the "
+                    "output depends on --seed and --samples alone")
     sub = top.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
@@ -273,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--value-set", dest="value_set", help="e.g. '1' or '0:0.2,0.8:1'")
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=workers_help)
 
     p = add("eliminate", cmd_eliminate, help="compile away aggregation functions")
     p.add_argument("--net", required=True)
@@ -290,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--value-set", dest="value_set")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=workers_help)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = add("admissible", cmd_admissible, help="empirical admissibility check")

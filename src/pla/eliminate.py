@@ -551,11 +551,12 @@ def convergence_experiment(
     parameter tuple separates the formula from its compiled form by more
     than epsilon, the probability that the formula's value lands within
     epsilon of each compiled constant, and optionally the probability that
-    it lands in a value set.  Output is seed-reproducible with one worker."""
+    it lands in a value set.  The output depends only on the seed and
+    ``samples``, not on ``workers``."""
     if psi is None and value_set is None:
         raise ValueError("need a compiled formula or a value set to test against")
-    if not epsilon >= 0.0:  # false for NaN too
-        raise ValueError("epsilon must be >= 0, got %r" % epsilon)
+    if not 0.0 <= epsilon < math.inf:  # false for NaN too; JSON has no inf
+        raise ValueError("epsilon must be finite and >= 0, got %r" % epsilon)
     variables = tuple(sorted(free_vars(phi), key=lambda v: v.name))
     k = len(variables)
     constants = psi.constants() if psi is not None else ()

@@ -492,38 +492,18 @@ def ci_halfwidth(p_hat: float, samples: int) -> float:
     return 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / samples)
 
 
-def sharded_counts(count, samples: int, seed, workers: int) -> tuple[int, ...]:
-    """The hit counts ``count(samples, seed)``, summed column by column over
-    shards.  With one worker this is a single call; otherwise the samples
-    are split into ``workers`` near-equal chunks, chunk i running in its own
-    task with seed ``seed + 0x9E3779B9 * (i + 1)``.  A process pool starts
-    all its processes at the first submit, so the pool has one per
-    non-empty chunk and no more than there are CPUs; the chunks and their
-    seeds do not depend on the pool size.  ``count`` must be picklable,
-    e.g. a ``functools.partial`` of a module-level function."""
-    if workers < 1:  # the CLI checks first, to name --workers
-        raise ValueError("workers must be >= 1, got %d" % workers)
-    if workers == 1:
-        return tuple(count(samples, seed))
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunks = [samples // workers] * workers
-    for i in range(samples - sum(chunks)):
-        chunks[i] += 1
-    shards = [(chunk, seed + 0x9E3779B9 * (i + 1)) for i, chunk in enumerate(chunks) if chunk]
-    with ProcessPoolExecutor(max_workers=min(len(shards), os.cpu_count() or 1)) as pool:
-        futures = [pool.submit(count, chunk, shard_seed) for chunk, shard_seed in shards]
-        parts = [f.result() for f in futures]
-    return tuple(sum(column) for column in zip(*parts))
+# worlds per seeded block of a Monte Carlo run
+_MC_BLOCK = 1024
 
 
-def _mc_hits(net, n, hit, registry, samples, seed) -> tuple[int, ...]:
-    """The column sums of ``hit`` over ``samples`` worlds drawn by one
-    sampler from ``random.Random(seed)``; the first world's row starts the
-    sums, so exactly ``samples`` worlds are drawn."""
+def _mc_hits(net, n, hit, registry, blocks) -> tuple[int, ...]:
+    """The column sums of ``hit`` over the worlds of ``blocks``, (size,
+    seed) pairs, drawn by one sampler from a fresh ``random.Random(seed)``
+    per block; the first world's row starts the sums, so exactly the
+    blocks' worlds are drawn."""
     sampler = WorldSampler(net, n, registry)
-    rng = random.Random(seed)
-    rows = (hit(sampler.sample(rng)) for _ in range(samples))
+    rows = (hit(sampler.sample(rng))
+            for size, seed in blocks for rng in (random.Random(seed),) for _ in range(size))
     return functools.reduce(lambda total, row: tuple(map(operator.add, total, row)), rows)
 
 
@@ -532,14 +512,31 @@ def mc_estimates(net: PlaNetwork, n: int, hit, samples: int, seed, workers: int 
     """The one Monte Carlo driver: for each column of the 0/1 tuple
     ``hit(world)``, the fraction of ``samples`` worlds drawn at domain size
     n where it is 1, and the half-width of its 95% confidence interval.
-    Worlds are drawn in ``sharded_counts``' shards, one sampler and one
-    ``random.Random(shard seed)`` each, so the estimates are deterministic
-    given the seed and the number of workers.  ``hit`` must be picklable."""
+
+    The worlds are drawn in blocks of ``_MC_BLOCK``, block i from
+    ``random.Random(seed + 0x9E3779B9 * i)``, so the estimates depend only
+    on the seed and ``samples``.  Worker j sums the hits of blocks j,
+    j + workers, ...; with more than one such shard they run in a process
+    pool of at most one process per shard and per CPU, and the integer
+    sums do not depend on the split.  ``hit`` must be picklable."""
     if samples < 1:  # the CLI checks first, to name --samples
         raise ValueError("samples must be >= 1, got %r" % (samples,))
+    if workers < 1:  # the CLI checks first, to name --workers
+        raise ValueError("workers must be >= 1, got %d" % workers)
+    blocks = [(min(_MC_BLOCK, samples - start), seed + 0x9E3779B9 * i)
+              for i, start in enumerate(range(0, samples, _MC_BLOCK))]
+    shards = [blocks[j::workers] for j in range(min(workers, len(blocks)))]
     count = functools.partial(_mc_hits, net, n, hit, registry)
+    if len(shards) == 1:
+        parts = [count(blocks)]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # a process pool starts all its processes at once, so it is sized by the work
+        with ProcessPoolExecutor(max_workers=min(len(shards), os.cpu_count() or 1)) as pool:
+            parts = list(pool.map(count, shards))
     return [(hits / samples, ci_halfwidth(hits / samples, samples))
-            for hits in sharded_counts(count, samples, seed, workers)]
+            for hits in map(sum, zip(*parts))]
 
 
 def mc_event_probability(
@@ -554,7 +551,8 @@ def mc_event_probability(
     registry=None,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the event probability and the half-width of
-    its 95% normal confidence interval (``mc_estimates``)."""
+    its 95% normal confidence interval (``mc_estimates``): it depends only
+    on the seed and ``samples``, not on ``workers``."""
     if value_set is None:
         value_set = ValueSet.full()
     hit = functools.partial(_in_value_set, phi, assignment, value_set, registry)

@@ -400,16 +400,11 @@ def _fmt_node(phi: Formula) -> str:
             return "!(%s)" % _fmt_node(sub)
         return "!%s" % _fmt(sub, _LEVEL_UNARY)
     if isinstance(phi, (And, Or)):
-        # walk the left spine iteratively: compiled formulas chain thousands
+        # the spine is walked in a loop: compiled formulas chain thousands
         # of conjuncts
-        kind = type(phi)
-        op, level = (" & ", _LEVEL_AND) if kind is And else (" | ", _LEVEL_OR)
-        rights = []
-        while isinstance(phi, kind):
-            rights.append(phi.right)
-            phi = phi.left
-        parts = [_fmt(phi, level)] + [_fmt(r, level + 1) for r in reversed(rights)]
-        return op.join(parts)
+        op, level = (" & ", _LEVEL_AND) if isinstance(phi, And) else (" | ", _LEVEL_OR)
+        first, *rest = phi._spine
+        return op.join([_fmt(first, level)] + [_fmt(r, level + 1) for r in rest])
     if isinstance(phi, Implies):
         return "%s -> %s" % (_fmt(phi.left, _LEVEL_IMPLIES + 1), _fmt(phi.right, _LEVEL_IMPLIES))
     if isinstance(phi, WeightedMean):

@@ -361,14 +361,16 @@ class TestConverge:
         assert code == 1
         assert "value-set" in err
 
-    @pytest.mark.parametrize("epsilon, shown", [("-1", "-1.0"), ("nan", "nan")])
+    # JSON has no inf: the report would print "epsilon": Infinity
+    @pytest.mark.parametrize("epsilon, shown", [("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")])
     def test_negative_or_nan_epsilon_is_an_error(self, capsys, pr_file, epsilon, shown):
         code, out, err = run(
             capsys, "converge", "--net", pr_file, "--formula", "am[R(y) : y : distinct]",
             "--n-grid", "5", "--samples", "10", "--seed", "3", "--epsilon", epsilon,
+            "--format", "json",
         )
         assert (code, out) == (1, "")
-        assert err == "error: --epsilon must be >= 0, got %s\n" % shown
+        assert err == "error: --epsilon must be finite and >= 0, got %s\n" % shown
 
     def test_byte_identical_reruns(self, capsys, pr_file):
         args = (
@@ -399,6 +401,35 @@ class TestConverge:
         code, out, err = run(capsys, *argv, "--net", pr_file, "--workers", "0")
         assert (code, out) == (1, "")
         assert err == "error: --workers must be >= 1, got 0\n"
+
+
+class TestWorkers:
+    """--workers sets the speed only: the worlds come in seeded blocks of
+    1024, whatever the number of processes that draw them."""
+
+    @pytest.mark.parametrize("argv", [
+        ["infer", "mc", "--n", "6", "--formula", "am[R(y) : y : y != x]", "--assign", "x=1",
+         "--value-set", "0.5:1", "--samples", "2500", "--seed", "3"],
+        ["converge", "--formula", "am[R(y) : y : y != x]", "--n-grid", "4,6",
+         "--epsilon", "0.2", "--samples", "1100", "--seed", "5"],
+    ])
+    def test_output_does_not_depend_on_workers(self, capsys, pr_file, argv):
+        outs = []
+        for workers in ("1", "2", "3"):
+            code, out, err = run(capsys, *argv, "--net", pr_file, "--workers", workers)
+            assert code == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    def test_one_block_is_the_single_stream(self, capsys, pr_file, workers):
+        # 400 samples are one block, drawn from random.Random(seed) as one
+        # worker drew them before the blocks; two workers printed 0.635 then
+        out = run_json(capsys, "infer", "mc", "--net", pr_file, "--n", "20",
+                       "--formula", "am[R(y) : y : y != x]", "--assign", "x=1",
+                       "--value-set", "0.5:1", "--samples", "400", "--seed", "3",
+                       "--workers", workers)
+        assert out["estimate"] == 0.65
 
 
 class TestAdmissible:

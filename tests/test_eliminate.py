@@ -882,7 +882,7 @@ class TestConvergenceExperiment:
                                seed=4)
         assert samples <= len(calls) <= 2 * samples
 
-    @pytest.mark.parametrize("epsilon", [-1.0, -1e-9, math.nan])
+    @pytest.mark.parametrize("epsilon", [-1.0, -1e-9, math.nan, math.inf])
     def test_rejects_negative_or_nan_epsilon(self, pr_net, epsilon):
         phi = parse_formula("am[R(y) : y : distinct]")
         psi, _ = eliminate(pr_net, phi)

@@ -2,9 +2,9 @@
 ``pla`` runs on the P/R, remark, P/S/E, P/E/F, child-first and
 non-root-aggregation networks, and of one ``pla admissible`` run.
 
-A refactor must leave every entry unchanged, under one worker and several.
-An entry changes only with a deliberate change of output, noted in
-CHANGES.md.
+A refactor must leave every entry unchanged, under one worker and several;
+an entry run with ``--workers`` prints what it prints without.  An entry
+changes only with a deliberate change of output, noted in CHANGES.md.
 """
 
 import hashlib
@@ -43,7 +43,7 @@ GOLDEN = [
      ["converge", "--net", "{net}", "--formula", "am[R(y) : y : y != x]",
       "--n-grid", "6", "--epsilon", "0.2", "--samples", "30", "--seed", "4",
       "--workers", "2", "--format", "json"],
-     "pr", 0, "229f4b1bdac029f7aee803f8c56b887e38350664ee224fb1c9a46e8d78d60518"),
+     "pr", 0, "ab33505b8a01dca17fcc3ac7fc79db5ae67490c9216b6d7c8334cd42aca5ecb1"),
     ("converge-value-set",
      ["converge", "--net", "{net}", "--formula", "R(x)", "--n-grid", "5,10",
       "--samples", "60", "--seed", "5", "--value-set", "1"],
@@ -56,7 +56,7 @@ GOLDEN = [
      ["infer", "mc", "--net", "{net}", "--n", "4", "--formula", "E(x, y)",
       "--assign", "x=1,y=2", "--value-set", "1", "--samples", "50", "--seed", "7",
       "--workers", "3"],
-     "pse", 0, "81d1f1bf7bb581462c9e0f0379ce5e7ede12f57f393c8c7219a4e464fadba05e"),
+     "pse", 0, "3f39821143289c70cb31cd2a05a4655c88299ddda25fad453b701fd97f948b61"),
     ("infer-exact-aggregate",
      ["infer", "exact", "--net", "{net}", "--n", "3",
       "--formula", "max[R(x) : x : x = x]", "--value-set", "1"],
@@ -113,7 +113,7 @@ GOLDEN = [
     ("converge-two-bound-workers2",
      ["converge", "--net", "{net}", "--formula", TWO_BOUND, "--n-grid", "4,6",
       "--epsilon", "0.2", "--samples", "20", "--seed", "10", "--workers", "2"],
-     "pr", 0, "02121fd49073cecfb3dbfb289fddecf66956b258e505316c2a661dc5683051b8"),
+     "pr", 0, "aa6d24529f770b027ae8b735dbd0fc3e75391b62d07e44d7d7d3e9111b18f7d9"),
     ("converge-bound-equals-parameter",
      ["converge", "--net", "{net}", "--formula", BOUND_IS_PARAMETER, "--n-grid", "4,6",
       "--epsilon", "0.2", "--samples", "20", "--seed", "11"],
@@ -121,12 +121,12 @@ GOLDEN = [
     ("converge-swapped-atoms-workers2",
      ["converge", "--net", "{net}", "--formula", "max[E(x, y) & !E(y, x) | E(x, y) : y : y != x]",
       "--n-grid", "4,7", "--epsilon", "0.2", "--samples", "20", "--seed", "12", "--workers", "2"],
-     "pse", 0, "3fb1ebfc9d24e54f9911c928db88dfa8478173e7f82df0bb3bb30e85aabb62d8"),
+     "pse", 0, "2839059f83b05123414a88c28b9940b25c18c6131e7085985f0b110413a93b8a"),
     ("converge-exists-at-least-workers2",
      ["converge", "--net", "{net}", "--formula",
       "exists_at_least(0.5)[R(y) | R(x), !R(y) : y : y != x]", "--n-grid", "4,7",
       "--samples", "20", "--seed", "13", "--value-set", "1", "--workers", "2"],
-     "remark", 0, "debb5b51c348e0217aa15a2b8ce397deff7c9335280ce0f72e41b27bef0443d7"),
+     "remark", 0, "6cd53840366b7d414a635941f7484c5678e87bf53b8c35391ae0d3538cb0234b"),
     ("converge-nested",
      ["converge", "--net", "{net}", "--formula", NESTED, "--n-grid", "4,6",
       "--epsilon", "0.2", "--samples", "20", "--seed", "14"],
@@ -179,7 +179,7 @@ GOLDEN = [
      ["infer", "mc", "--net", "{net}", "--n", "6", "--formula", "am[R(y) : y : y != x]",
       "--assign", "x=1", "--value-set", "0.3:1", "--samples", "40", "--seed", "17",
       "--workers", "2"],
-     "non-root-aggregation", 0, "1ca7f23d786a9963559193f0c7beccd34e703e742c3e7c1e2d4c5a74f7ae06b4"),
+     "non-root-aggregation", 0, "0b85838ab733bca162239e8ffeeef29e28993a0bac730dacfa7961d0cb1989a4"),
     # jittered convergence-testing sequences; the command reads no network
     ("admissible",
      ["admissible", "--function", "am", "--lengths", "50,200", "--trials", "5", "--seed", "7"],
@@ -187,11 +187,26 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("argv, net, code, digest",
-                         [g[1:] for g in GOLDEN], ids=[g[0] for g in GOLDEN])
-def test_seeded_output_is_unchanged(capsys, tmp_path, argv, net, code, digest):
+def _stdout(capsys, tmp_path, argv, net, code):
     path = tmp_path / ("%s.json" % net)
     path.write_text(json.dumps(NETWORKS[net]))
     assert main([a.format(net=path) for a in argv]) == code
-    out = capsys.readouterr().out
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, net, code, digest",
+                         [g[1:] for g in GOLDEN], ids=[g[0] for g in GOLDEN])
+def test_seeded_output_is_unchanged(capsys, tmp_path, argv, net, code, digest):
+    out = _stdout(capsys, tmp_path, argv, net, code)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+WITH_WORKERS = [g for g in GOLDEN if "--workers" in g[1]]
+
+
+@pytest.mark.parametrize("argv, net, code", [g[1:4] for g in WITH_WORKERS],
+                         ids=[g[0] for g in WITH_WORKERS])
+def test_workers_change_no_output(capsys, tmp_path, argv, net, code):
+    i = argv.index("--workers")
+    assert (_stdout(capsys, tmp_path, argv, net, code)
+            == _stdout(capsys, tmp_path, argv[:i] + argv[i + 2:], net, code))

@@ -20,6 +20,7 @@ from pla import (
     parse_formula,
     validate,
 )
+from pla import network
 from pla.errors import PlaError
 from pla.logic import EmptyAggregationRange
 from pla.network import (
@@ -35,7 +36,6 @@ from pla.network import (
     network_from_doc,
     network_to_doc,
     sample,
-    sharded_counts,
     structure_from_doc,
     structure_to_doc,
 )
@@ -454,18 +454,13 @@ class TestEventProbabilities:
         assert abs(est - target) <= 3 * max(ci, 1e-3)
 
 
-class TestShardedCounts:
-    @pytest.mark.parametrize("samples, workers, cpus, size", [
-        (10, 5000, 64, 10),  # one process per non-empty chunk
-        (10, 3, 2, 2),  # no more processes than CPUs
-        (10, 3, None, 1),  # CPU count unknown
-        (2000, 4, 64, 4),
-    ])
-    def test_pool_is_sized_by_the_work(self, monkeypatch, samples, workers, cpus, size):
+class TestMcEstimates:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
         sizes = []
 
         class InlineExecutor:
-            """Records the pool size and runs each task at submit, here."""
+            """Records the pool size and runs the tasks here, in order."""
 
             def __init__(self, max_workers):
                 sizes.append(max_workers)
@@ -476,31 +471,61 @@ class TestShardedCounts:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
+            map = staticmethod(map)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        return sizes
+
+    @pytest.mark.parametrize("samples, workers, cpus, sizes", [
+        (10, 5000, 64, []),  # one block is drawn in-process, with no pool
+        (3000, 1, 64, []),
+        (3000, 5000, 64, [3]),  # one process per block
+        (3000, 3, 2, [2]),  # no more processes than CPUs
+        (3000, 3, None, [1]),  # CPU count unknown
+        (5000, 2, 64, [2]),
+    ])
+    def test_blocks_do_not_depend_on_workers(self, monkeypatch, pool_sizes, pr_net,
+                                             samples, workers, cpus, sizes):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        calls = []
+        shards = []
 
-        def count(chunk, seed):
-            calls.append((chunk, seed))
-            return chunk, seed % 7
+        def hits(net, n, hit, registry, blocks):
+            shards.append(blocks)
+            return sum(size for size, _ in blocks), sum(seed % 7 for _, seed in blocks)
 
-        result = sharded_counts(count, samples, 5, workers)
-        assert sizes == [size]
-        # chunks and seeds do not depend on the pool size
-        shards = [(samples // workers + (i < samples % workers), 5 + 0x9E3779B9 * (i + 1))
-                  for i in range(min(samples, workers))]
-        assert calls == shards
-        assert result == (samples, sum(seed % 7 for _, seed in shards))
+        monkeypatch.setattr(network, "_mc_hits", hits)
+        result = network.mc_estimates(pr_net, 2, None, samples, 5, workers)
+        assert pool_sizes == sizes
+        # blocks of 1024 worlds, block i seeded 5 + 0x9E3779B9 * i, dealt
+        # round-robin to the shards
+        blocks = [(min(1024, samples - 1024 * i), 5 + 0x9E3779B9 * i)
+                  for i in range(-(-samples // 1024))]
+        assert shards == [blocks[j::workers] for j in range(min(workers, len(blocks)))]
+        assert result[0] == (1.0, 0.0)
+        assert result[1][0] == sum(seed % 7 for _, seed in blocks) / samples
+
+    def test_estimates_do_not_depend_on_workers(self, monkeypatch, pool_sizes, pr_net):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        phi = parse_formula("P(x) & R(x)")
+        results = [mc_event_probability(pr_net, 2, phi, {X: 1}, ValueSet.point(1.0),
+                                        samples=2500, seed=9, workers=workers)
+                   for workers in (1, 2, 3)]
+        assert pool_sizes == [2, 3]
+        assert results[0] == results[1] == results[2]
+
+    def test_first_block_is_one_stream(self, pr_net):
+        phi = parse_formula("R(x)")
+        sampler = WorldSampler(pr_net, 3)
+        rng = random.Random(4)
+        hits = sum(evaluate(sampler.sample(rng), phi, {X: 1}) == 1.0 for _ in range(300))
+        est, _ = mc_event_probability(pr_net, 3, phi, {X: 1}, ValueSet.point(1.0),
+                                      samples=300, seed=4, workers=2)
+        assert est == hits / 300
 
     @pytest.mark.parametrize("workers", [0, -1])
-    def test_workers_below_one_are_rejected(self, workers):
+    def test_workers_below_one_are_rejected(self, pr_net, workers):
         with pytest.raises(ValueError, match=r"^workers must be >= 1, got %d$" % workers):
-            sharded_counts(lambda chunk, seed: (chunk,), 10, 1, workers)
+            network.mc_estimates(pr_net, 2, None, 10, 1, workers)
 
 
 class TestInvarianceProperties:
