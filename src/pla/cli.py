@@ -39,10 +39,15 @@ from .parser import format_formula, parse_formula
 
 def _cap(variable: str, default: int) -> int:
     env = os.environ.get(variable)
+    if not env:
+        return default
     try:
-        return int(env) if env else default
+        cap = int(env)
     except ValueError:
         raise PlaError("%s must be an integer, got %r" % (variable, env)) from None
+    if cap < 1:  # no world or type fits under a cap below 1
+        raise PlaError("%s must be >= 1, got %r" % (variable, env))
+    return cap
 
 
 def _read_formula(spec: str):

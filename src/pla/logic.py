@@ -656,14 +656,12 @@ def atom_probes(
     return tuple(atom.symbol for atom in atoms), tuple(probes)
 
 
-def truth_keys(structure: Structure, symbols, probes, values, prefixes=None) -> list[tuple]:
-    """Per value tuple, ``prefixes[i]`` if given, then the truth value in the
-    structure of each atom of ``atom_probes`` at the tuple: one membership
-    test per atom and tuple, mapped in C over all the tuples."""
+def truth_keys(structure: Structure, symbols, probes, values) -> list[tuple]:
+    """Per value tuple, the truth value in the structure of each atom of
+    ``atom_probes`` at the tuple: one membership test per atom and tuple,
+    mapped in C over all the tuples."""
     columns = [map(structure.interp[symbol].__contains__, map(probe, values))
                for symbol, probe in zip(symbols, probes)]
-    if prefixes is not None:
-        columns.insert(0, prefixes)
     return list(zip(*columns)) if columns else [()] * len(values)
 
 

@@ -24,19 +24,18 @@ from . import aggregators
 from . import parser as formula_parser
 from .errors import PlaError
 from .logic import (
+    Atom,
     Formula,
     Signature,
     Structure,
     Variable,
-    atom_probes,
     check_cap,
     check_signature,
-    equality_pattern,
     evaluate,
     free_vars,
     has_aggregation,
     relation_symbols,
-    truth_keys,
+    subformulas,
 )
 
 DEFAULT_WORLD_CAP = 2 ** 20
@@ -130,39 +129,67 @@ def validate(net: PlaNetwork) -> Stratification:
     return Stratification(rank, strata, order, aggregation_free)
 
 
+def _coordinates(n: int, arity: int) -> list[list[int]]:
+    """Per argument position i, the elements minus 1 at position i of all
+    the tuples over [n] in lexicographic order: runs of n^(arity-1-i) of
+    each of ``range(n)``, repeated n^i times, all sharing its ints."""
+    return [list(itertools.chain.from_iterable(
+                map(itertools.repeat, range(n), itertools.repeat(n ** (arity - 1 - i))))) * n ** i
+            for i in range(arity)]
+
+
+def _gather(n: int, coordinates: list[list[int]], positions: list[int]) -> Callable:
+    """One ``itemgetter`` that takes an atom's symbol's column to the atom's
+    truth value at every tuple of a step: the atom's j-th argument is the
+    tuple's element at ``positions[j]``, and its argument tuple, of length
+    m, has index sum_j (element_j - 1) * n^(m-1-j) in the column."""
+    index = coordinates[positions[-1]]
+    for j, p in enumerate(reversed(positions[:-1]), 1):
+        index = list(map(operator.add, index,
+                         map(operator.mul, coordinates[p], itertools.repeat(n ** j))))
+    if len(index) == 1:  # itemgetter of one index gives a bare item
+        return operator.itemgetter(slice(index[0], index[0] + 1))
+    return operator.itemgetter(*index)
+
+
 class _Step(NamedTuple):
     """One symbol of a sampler's plan, in stratification order.
 
-    ``tuples`` are in lexicographic order, ``patterns`` their equality
-    patterns, ``symbols`` and ``probes`` theta's atoms (``atom_probes`` over
-    the theta variables).
-    ``cache`` maps ``(pattern, *truth values of the atoms)`` to theta; it is
-    None for a symbol with parents whose formula aggregates, which is
-    evaluated at every tuple.
+    ``tuples`` are in lexicographic order, the order of the bytes of the
+    symbol's column.  ``gathers`` are theta's distinct atoms in preorder,
+    each as its symbol and an ``itemgetter`` that takes that symbol's
+    column to the atom's truth value at every tuple of the step.  ``keys``
+    code each tuple's equality pattern: bit ``len(gathers) + b`` is set
+    when the b-th pair of argument positions i < j holds equal elements.
+    ``cache`` maps a key with bit a set where atom a holds to theta; it is
+    None, and so are ``keys``, for a symbol with parents whose formula
+    aggregates, which is evaluated at every tuple.
     """
 
     name: str
     theta: Formula
     variables: tuple[Variable, ...]
     tuples: list[tuple[int, ...]]
-    patterns: list[tuple[int, ...]]
-    symbols: tuple[str, ...]
-    probes: tuple
+    keys: Optional[list[int]]
+    gathers: tuple[tuple[str, Callable], ...]
     cache: Optional[dict]
 
 
 class WorldSampler:
     """Draws worlds from the induced distribution at a fixed domain size.
 
+    A drawn relation is kept both as a set of tuples, in the structure, and
+    as a column: one byte per tuple in lexicographic order, 1 for a member.
     An aggregation-free theta_R at a tuple depends only on the tuple's
     equality pattern and the truth values there of the distinct atoms it
     reads; a root's theta reads no atoms, so it depends on the pattern
-    alone, with or without aggregation.  Those
-    thetas are cached per symbol under that key, built by ``truth_keys``:
-    after the first evaluation per key, a tuple costs one membership test
-    per atom plus one dictionary lookup.  Only a non-root theta that
-    contains aggregation is evaluated at every tuple, on one snapshot of
-    the structure per theta list (see ``Structure.snapshot``), so a
+    alone, with or without aggregation.  Those thetas are cached per symbol
+    under that key, a small int: the atoms' truth values are gathered from
+    their symbols' columns by indices fixed at construction, so after the
+    first evaluation per key a theta list costs a few maps in C over the
+    tuples and one dictionary lookup per tuple.  Only a non-root theta
+    that contains aggregation is evaluated at every tuple, on one snapshot
+    of the structure per theta list (see ``Structure.snapshot``), so a
     counting aggregation node keys the domain once per list, not once per
     tuple.
     """
@@ -179,11 +206,20 @@ class WorldSampler:
             theta = net.theta[name]
             variables = net.theta_variables(name)
             tuples = list(itertools.product(range(1, n + 1), repeat=len(variables)))
-            cached = not net.parents[name] or not has_aggregation(theta)
-            symbols, probes = atom_probes((theta,), variables) if cached else ((), ())
-            self._plan.append(_Step(name, theta, variables, tuples,
-                                    list(map(equality_pattern, tuples)), symbols, probes,
-                                    {} if cached else None))
+            if net.parents[name] and has_aggregation(theta):
+                self._plan.append(_Step(name, theta, variables, tuples, None, (), None))
+                continue
+            coordinates = _coordinates(n, len(variables))
+            atoms = dict.fromkeys(f for f in subformulas(theta) if isinstance(f, Atom))
+            gathers = tuple(
+                (atom.symbol, _gather(n, coordinates, list(map(variables.index, atom.args))))
+                for atom in atoms)
+            keys = [0] * len(tuples)
+            pairs = itertools.combinations(coordinates, 2)
+            for bit, (left, right) in enumerate(pairs, len(gathers)):
+                bits = map(operator.lshift, map(operator.eq, left, right), itertools.repeat(bit))
+                keys = list(map(operator.or_, keys, bits))
+            self._plan.append(_Step(name, theta, variables, tuples, keys, gathers, {}))
 
     def _evaluate(self, structure: Structure, step: _Step, args) -> float:
         try:
@@ -194,30 +230,43 @@ class WorldSampler:
                 "evaluating formula of %s at %s with n=%d: %s" % (step.name, args, self.n, exc)
             ) from exc
 
-    def _thetas(self, structure: Structure, step: _Step) -> list[float]:
+    def _thetas(self, structure: Structure, columns: dict[str, bytes], step: _Step) -> list[float]:
         """Theta of the step's symbol at each of its tuples, in order, on a
-        structure that interprets the symbols of lower strata."""
+        structure that interprets the symbols of lower strata, whose
+        columns are ``columns``, by symbol."""
         if step.cache is None:
             world = structure.snapshot()
             return [self._evaluate(world, step, args) for args in step.tuples]
-        keys = truth_keys(structure, step.symbols, step.probes, step.tuples, step.patterns)
-        thetas = list(map(step.cache.get, keys))
-        if None in thetas:
+        keys = step.keys
+        for bit, (symbol, gather) in enumerate(step.gathers):
+            column = columns[symbol]
+            # the bit is shifted into the parent's column, which has no more
+            # tuples than the step unless the parent has the larger arity
+            if bit:
+                column = tuple(map(operator.lshift, column, itertools.repeat(bit)))
+            keys = map(operator.or_, keys, gather(column))
+        keys = list(keys)
+        try:
+            return list(map(step.cache.__getitem__, keys))
+        except KeyError:
             # a key met for the first time is evaluated at its first tuple
             for i, key in enumerate(keys):
                 if key not in step.cache:
                     step.cache[key] = self._evaluate(structure, step, step.tuples[i])
-            thetas = list(map(step.cache.__getitem__, keys))
-        return thetas
+            return list(map(step.cache.__getitem__, keys))
 
     def sample(self, rng: random.Random) -> Structure:
+        """A world drawn with ``rng``: one uniform per tuple, step by step
+        in plan order and each step's tuples in lexicographic order, the
+        tuple entering its relation when the uniform is below theta."""
         structure = Structure(self.net.signature, self.n)
+        columns: dict[str, bytes] = {}
         draw = rng.random
         for step in self._plan:
-            chosen = structure.interp[step.name]
-            for args, p in zip(step.tuples, self._thetas(structure, step)):
-                if draw() < p:
-                    chosen.add(args)
+            thetas = self._thetas(structure, columns, step)
+            draws = itertools.starmap(draw, itertools.repeat((), len(thetas)))
+            column = columns[step.name] = bytes(map(operator.gt, thetas, draws))
+            structure.interp[step.name].update(itertools.compress(step.tuples, column))
         return structure
 
 
@@ -250,8 +299,18 @@ def _factors(thetas: list, mask: int) -> list:
     return [p if mask >> j & 1 else 1.0 - p for j, p in enumerate(thetas)]
 
 
-def _members(tuples: list, mask: int) -> set:
-    return {t for j, t in enumerate(tuples) if mask >> j & 1}
+# the digits of a binary numeral -> the bytes of a column
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _column(mask: int, width: int) -> bytes:
+    """The column of a relation bitmask over ``width`` tuples: byte j is
+    bit j of the mask."""
+    return bin(mask)[:1:-1].ljust(width, "0").encode().translate(_BINARY_DIGITS)
+
+
+def _members(tuples: list, column: bytes) -> set:
+    return set(itertools.compress(tuples, column))
 
 
 def _enumerate(sampler: WorldSampler) -> Iterator[tuple[tuple[int, ...], Callable, list]]:
@@ -288,8 +347,8 @@ def _enumerate(sampler: WorldSampler) -> Iterator[tuple[tuple[int, ...], Callabl
 
     A theta list is evaluated again only when the mask of one of the
     step's parents changes (``validate`` guarantees that theta reads no
-    other symbol), and a set is built only for a structure: for a theta
-    list or a ``world``."""
+    other symbol), and a set and a column are built only for a structure:
+    for a theta list or a ``world``."""
     net, n = sampler.net, sampler.n
     plan = sampler._plan
     if not plan:
@@ -304,13 +363,16 @@ def _enumerate(sampler: WorldSampler) -> Iterator[tuple[tuple[int, ...], Callabl
     low = min(width, _CHUNK_BITS)
     masks = [0] * len(plan)
     sets: list = [None] * len(plan)
+    columns: dict[str, bytes] = {}
     thetas: list = [None] * len(plan)
 
     def world(base, i):
         for k in range(last):
             if sets[k] is None:
-                sets[k] = _members(plan[k].tuples, masks[k])
-        interp = dict(zip(names, sets[:last] + [_members(plan[last].tuples, base + i)]))
+                columns[names[k]] = _column(masks[k], len(plan[k].tuples))
+                sets[k] = _members(plan[k].tuples, columns[names[k]])
+        interp = dict(zip(names, sets[:last] + [_members(plan[last].tuples,
+                                                         _column(base + i, width))]))
         return Structure(net.signature, n, interp)
 
     changed = 0  # masks at positions >= changed differ from the last block's
@@ -322,7 +384,7 @@ def _enumerate(sampler: WorldSampler) -> Iterator[tuple[tuple[int, ...], Callabl
             if thetas[k] is None or last_parent[k] >= changed:
                 if structure is None:  # with any mask of L: no step reads L
                     structure = world(0, 0)
-                thetas[k] = sampler._thetas(structure, step)
+                thetas[k] = sampler._thetas(structure, columns, step)
         prefix = 1.0
         for k in range(last):
             prefix = functools.reduce(operator.mul, _factors(thetas[k], masks[k]), prefix)

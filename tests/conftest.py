@@ -22,8 +22,15 @@ from pla import (
     WeightedMean,
     free_vars,
 )
-from pla.logic import structure_of_type
-from pla.network import network_from_doc
+from pla.errors import PlaError
+from pla.logic import (
+    atom_probes,
+    equality_pattern,
+    evaluate,
+    has_aggregation,
+    structure_of_type,
+)
+from pla.network import network_from_doc, validate
 
 PR_DOC = {
     "relations": [
@@ -125,6 +132,18 @@ NON_ROOT_AGGREGATION_DOC = {
     ]
 }
 
+# Q reads E at a repeated argument; T is ternary, reads E at permuted and
+# repeated arguments and tests an equality, so its sampler keys take 5
+# equality patterns
+TERNARY_DOC = {
+    "relations": [
+        {"name": "P", "arity": 1, "parents": [], "theta": "0.4"},
+        {"name": "E", "arity": 2, "parents": [], "theta": "wm(x1 = x2; 0.6; 0.3)"},
+        {"name": "Q", "arity": 1, "parents": ["E"], "theta": "wm(E(x1, x1); 0.8; 0.2)"},
+        {"name": "T", "arity": 3, "parents": ["E", "P"],
+         "theta": "wm(E(x3, x1) & !E(x2, x2); 0.7; wm(x1 = x3; 0.4; P(x2)))"},
+    ]
+}
 
 # P always holds, so every type with !P(x) has limit probability 0
 ZERO_GAMMA_DOC = {
@@ -138,6 +157,55 @@ ZERO_GAMMA_DOC = {
         },
     ]
 }
+
+
+# every network above, by name
+NETWORK_DOCS = {
+    "pr": PR_DOC, "remark": REMARK_DOC, "binary": BINARY_DOC, "pse": PSE_DOC, "pef": PEF_DOC,
+    "ef-fork": EF_FORK_DOC, "chain": CHAIN_DOC, "child-first": CHILD_FIRST_DOC,
+    "non-root-aggregation": NON_ROOT_AGGREGATION_DOC, "zero-gamma": ZERO_GAMMA_DOC,
+    "ternary": TERNARY_DOC,
+}
+
+
+def reference_sample(net, n: int, rng: random.Random, registry=None) -> Structure:
+    """A world drawn tuple by tuple, as ``WorldSampler.sample`` draws it
+    with no columns: in stratification order, theta at each tuple is read
+    from a cache keyed by the tuple's equality pattern and the truth values
+    of theta's atoms there, each probed in the structure's sets (a non-root
+    theta that aggregates is evaluated at every tuple, on one snapshot),
+    then one uniform per tuple decides its membership."""
+    structure = Structure(net.signature, n)
+    for name in validate(net).order:
+        theta, variables = net.theta[name], net.theta_variables(name)
+        tuples = list(itertools.product(range(1, n + 1), repeat=len(variables)))
+        aggregating = net.parents[name] and has_aggregation(theta)
+        world = structure.snapshot() if aggregating else structure
+        symbols, probes = ((), ()) if aggregating else atom_probes((theta,), variables)
+        cache = {}
+        thetas = []
+        for args in tuples:
+            key = (equality_pattern(args), *(probe(args) in structure.interp[symbol]
+                                             for symbol, probe in zip(symbols, probes)))
+            if aggregating or key not in cache:
+                try:
+                    cache[key] = evaluate(world, theta, dict(zip(variables, args)), registry)
+                except PlaError as exc:
+                    raise PlaError("evaluating formula of %s at %s with n=%d: %s"
+                                   % (name, args, n, exc)) from exc
+            thetas.append(cache[key])
+        chosen = structure.interp[name]
+        for args, p in zip(tuples, thetas):
+            if rng.random() < p:
+                chosen.add(args)
+    return structure
+
+
+def columns_of(sampler, structure: Structure) -> dict:
+    """Per step of the sampler's plan, its symbol's column in the
+    structure: one 0/1 byte per tuple, in the step's tuple order."""
+    return {step.name: bytes(args in structure.interp[step.name] for args in step.tuples)
+            for step in sampler._plan}
 
 
 @pytest.fixture

@@ -227,10 +227,11 @@ class TestSampleEvalInfer:
         code, _, err = run(capsys, *argv, "--net", pr_file)
         assert code == 1
         assert "exceed the cap %s" % cap in err
-        monkeypatch.setenv(variable, "abc")
-        code, out, err = run(capsys, *argv, "--net", pr_file)
-        assert (code, out) == (1, "")
-        assert err == "error: %s must be an integer, got 'abc'\n" % variable
+        for value, wanted in (("abc", "an integer"), ("0", ">= 1"), ("-5", ">= 1")):
+            monkeypatch.setenv(variable, value)
+            code, out, err = run(capsys, *argv, "--net", pr_file)
+            assert (code, out) == (1, "")
+            assert err == "error: %s must be %s, got %r\n" % (variable, wanted, value)
 
 
 REPORT_NETWORKS = {"pr": PR_DOC, "pse": PSE_DOC, "pef": PEF_DOC, "zero-gamma": ZERO_GAMMA_DOC}

@@ -67,6 +67,7 @@ from conftest import (
     BINARY_DOC,
     CHAIN_DOC,
     CHILD_FIRST_DOC,
+    NETWORK_DOCS,
     PEF_DOC,
     PR_DOC,
     PSE_DOC,
@@ -80,7 +81,7 @@ from conftest import (
     random_structure,
     realized_by,
 )
-from test_golden import GOLDEN, NETWORKS
+from test_golden import GOLDEN
 
 PR_SIG = Signature.of(("P", 1), ("R", 1))
 
@@ -311,7 +312,7 @@ def _assert_rows_match(rows, reference):
 
 # (network, formula) of the compile benchmark's two formulas and of every
 # golden ``eliminate`` run
-ELIMINATE_CASES = [(NETWORKS[net_id], text) for net_id, text in dict.fromkeys(
+ELIMINATE_CASES = [(NETWORK_DOCS[net_id], text) for net_id, text in dict.fromkeys(
     [("pse", "am[E(x, y) : y : y != x]"), ("pse", "am[S(y) & E(y, x) : y : y != x]")]
     + [(net_id, argv[argv.index("--formula") + 1])
        for _, argv, net_id, _, _ in GOLDEN if argv[0] == "eliminate"])]

@@ -1,6 +1,7 @@
 """Byte-identity guard: the exit code and the sha256 of stdout of seeded
-``pla`` runs on the P/R, remark, P/S/E, P/E/F, child-first and
-non-root-aggregation networks, and of one ``pla admissible`` run.
+``pla`` runs on the P/R, remark, P/S/E, P/E/F, child-first,
+non-root-aggregation and ternary networks, and of one ``pla admissible``
+run.
 
 A refactor must leave every entry unchanged, under one worker and several;
 an entry run with ``--workers`` prints what it prints without.  An entry
@@ -14,14 +15,7 @@ import pytest
 
 from pla.cli import main
 
-from conftest import (
-    CHILD_FIRST_DOC,
-    NON_ROOT_AGGREGATION_DOC,
-    PEF_DOC,
-    PR_DOC,
-    PSE_DOC,
-    REMARK_DOC,
-)
+from conftest import NETWORK_DOCS
 
 # aggregation shapes whose bodies are evaluated once per key of atom truth
 # values: two bound variables; a bound variable equated with a parameter,
@@ -30,10 +24,8 @@ TWO_BOUND = "am[R(y) & !R(z) | P(x) : y, z : y != x, z != x, y != z]"
 BOUND_IS_PARAMETER = "am[wm(z = y; 0.3; R(y) -> P(z)) & (0.6 | R(z)) : y, z : y = x, z != x]"
 NESTED = "am[max[R(z) & P(y) : z : z != y, z != x, y != x] | P(x) : y : y != x]"
 
-NETWORKS = {"pr": PR_DOC, "remark": REMARK_DOC, "pse": PSE_DOC, "pef": PEF_DOC,
-            "child-first": CHILD_FIRST_DOC, "non-root-aggregation": NON_ROOT_AGGREGATION_DOC}
-
-# (id, argv with {net} for the network file, network, exit code, sha256 of stdout)
+# (id, argv with {net} for the network file, network of conftest.NETWORK_DOCS,
+#  exit code, sha256 of stdout)
 GOLDEN = [
     ("converge-csv",
      ["converge", "--net", "{net}", "--formula", "am[R(y) : y : y != x]",
@@ -180,6 +172,19 @@ GOLDEN = [
       "--assign", "x=1", "--value-set", "0.3:1", "--samples", "40", "--seed", "17",
       "--workers", "2"],
      "non-root-aggregation", 0, "0b85838ab733bca162239e8ffeeef29e28993a0bac730dacfa7961d0cb1989a4"),
+    # T reads E at permuted and repeated arguments, Q at a repeated one: the
+    # sampler gathers their truth values from E's column at those indices
+    ("sample-ternary",
+     ["sample", "--net", "{net}", "--n", "5", "--seed", "5"],
+     "ternary", 0, "fdbb2742b423f5056be307633a1e852a36e46315b38c0899e29a59aa15907b08"),
+    ("infer-mc-ternary",
+     ["infer", "mc", "--net", "{net}", "--n", "3", "--formula", "T(x, x, x)",
+      "--assign", "x=1", "--value-set", "1", "--samples", "300", "--seed", "2"],
+     "ternary", 0, "91f25ff2c70d9f8bfcc3e71fa030736aadb0aa985774e3160982913092f9040c"),
+    ("infer-exact-ternary",
+     ["infer", "exact", "--net", "{net}", "--n", "2", "--formula", "T(x, y, x) & Q(y)",
+      "--assign", "x=1,y=2", "--value-set", "1"],
+     "ternary", 0, "bb0db1d5355c102fc54973dccd3ab6f6ee03839545714d38a5898da7495ea8fe"),
     # jittered convergence-testing sequences; the command reads no network
     ("admissible",
      ["admissible", "--function", "am", "--lengths", "50,200", "--trials", "5", "--seed", "7"],
@@ -189,7 +194,7 @@ GOLDEN = [
 
 def _stdout(capsys, tmp_path, argv, net, code):
     path = tmp_path / ("%s.json" % net)
-    path.write_text(json.dumps(NETWORKS[net]))
+    path.write_text(json.dumps(NETWORK_DOCS[net]))
     assert main([a.format(net=path) for a in argv]) == code
     return capsys.readouterr().out
 

@@ -850,7 +850,7 @@ class TestCountingValueMemo:
     def test_aggregating_non_root_theta_in_the_sampler(self):
         from pla.network import WorldSampler, network_from_doc
 
-        from conftest import NON_ROOT_AGGREGATION_DOC
+        from conftest import NON_ROOT_AGGREGATION_DOC, columns_of
 
         net = network_from_doc(NON_ROOT_AGGREGATION_DOC)
         rng = random.Random(32)
@@ -860,6 +860,6 @@ class TestCountingValueMemo:
             assert step.cache is None  # evaluated at every tuple, on one snapshot
             for _ in range(4):
                 world = sampler.sample(rng)
-                assert sampler._thetas(world, step) == [
+                assert sampler._thetas(world, columns_of(sampler, world), step) == [
                     per_tuple_value(world, step.theta, dict(zip(step.variables, args)))
                     for args in step.tuples]

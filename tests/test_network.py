@@ -22,7 +22,7 @@ from pla import (
 )
 from pla import network
 from pla.errors import PlaError
-from pla.logic import EmptyAggregationRange
+from pla.logic import EmptyAggregationRange, equality_pattern
 from pla.network import (
     ArityMismatch,
     CycleDetected,
@@ -43,13 +43,17 @@ from pla.network import (
 from conftest import (
     BINARY_DOC,
     CHILD_FIRST_DOC,
+    NETWORK_DOCS,
     NON_ROOT_AGGREGATION_DOC,
     PEF_DOC,
     PR_DOC,
     PSE_DOC,
     REMARK_DOC,
+    TERNARY_DOC,
     X,
+    columns_of,
     permuted,
+    reference_sample,
     world_key,
 )
 
@@ -228,6 +232,53 @@ class TestThetaCache:
             assert world_key(drawn) == world_key(draw_by_definition(net, 3, random.Random(seed)))
 
 
+# every conftest network and the cache-key networks above
+ORACLE_DOCS = {**NETWORK_DOCS, **CACHE_DOCS}
+
+
+def drawn(draw):
+    """The sets of a drawn world, as lists in their iteration order, or the
+    message of the error the draw raised."""
+    try:
+        world = draw()
+    except PlaError as exc:
+        return str(exc)
+    return {name: list(world.interp[name]) for name in world.signature.names()}
+
+
+class TestSamplerOracle:
+    """The columnar sampler against ``conftest.reference_sample``, which
+    probes every tuple's atoms in the structure's sets and draws tuple by
+    tuple."""
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 6))
+    @pytest.mark.parametrize("doc_id", ORACLE_DOCS)
+    def test_worlds_and_theta_lists_equal_the_reference(self, doc_id, n):
+        net = network_from_doc(ORACLE_DOCS[doc_id])
+        sampler = WorldSampler(net, n)
+        for seed in range(5):
+            rng, reference_rng = random.Random(seed), random.Random(seed)
+            world = drawn(lambda: sampler.sample(rng))
+            assert world == drawn(lambda: reference_sample(net, n, reference_rng))
+            assert rng.getstate() == reference_rng.getstate()
+            if isinstance(world, str):  # an empty aggregation range at n = 1
+                continue
+            structure = Structure(net.signature, n, {name: set(members)
+                                                     for name, members in world.items()})
+            columns = columns_of(sampler, structure)
+            for step in sampler._plan:
+                assert sampler._thetas(structure, columns, step) == [
+                    evaluate(structure, step.theta, dict(zip(step.variables, args)))
+                    for args in step.tuples]
+
+    def test_ternary_pattern_codes_are_five(self):
+        # the 27 tuples over [3] show all 5 equality patterns of 3 positions
+        sampler = WorldSampler(network_from_doc(TERNARY_DOC), 3)
+        (step,) = [step for step in sampler._plan if step.name == "T"]
+        assert len(set(step.keys)) == 5
+        assert len(set(zip(step.keys, map(equality_pattern, step.tuples)))) == 5
+
+
 class TestExactDistribution:
     def test_pr_world_table_at_n1(self, pr_net):
         dist = exact_distribution(pr_net, 1)
@@ -350,9 +401,9 @@ class TestEnumerationReuse:
         calls = {}
         thetas = WorldSampler._thetas
 
-        def counted(sampler, structure, step):
+        def counted(sampler, structure, columns, step):
             calls[step.name] = calls.get(step.name, 0) + 1
-            return thetas(sampler, structure, step)
+            return thetas(sampler, structure, columns, step)
 
         monkeypatch.setattr(WorldSampler, "_thetas", counted)
         exact_event_probability(network_from_doc(CHILD_FIRST_DOC), 3,
