@@ -18,6 +18,7 @@ from . import aggregators
 from .aggregators import SupportSpectrum
 from .errors import PlaError
 from .logic import (
+    _BLOCK,
     DEFAULT_TYPE_CAP,
     Agg,
     AtomicType,
@@ -32,6 +33,7 @@ from .logic import (
     TypeReader,
     Variable,
     aggregation_function,
+    assignment_keys,
     check_cap,
     children,
     conjunction,
@@ -512,19 +514,48 @@ class ExperimentTable:
         }
 
 
+def _first_of_each_key(world, formulas, variables, tuples):
+    """The first of the tuples with each ``assignment_keys`` key, in order
+    of first occurrence: each formula's value at a tuple is its value
+    there.  The first tuple is yielded before any tuple is keyed, so an
+    ``evaluate`` there keys the domain elements of the counting nodes it
+    visits; later tuples are keyed ``_BLOCK`` at a time, each block once
+    every earlier first tuple has been taken."""
+    tuples = iter(tuples)
+    head = next(tuples, None)
+    if head is None:
+        return
+    yield head
+    seen = set(assignment_keys(world, formulas, variables, [head]))
+    for block in iter(lambda: list(itertools.islice(tuples, _BLOCK)), []):
+        keys = assignment_keys(world, formulas, variables, block)
+        first = dict(zip(reversed(keys), reversed(block)))
+        for key in dict.fromkeys(keys):
+            if key not in seen:
+                seen.add(key)
+                yield first[key]
+
+
 def _experiment_hit(
     phi, psi, n, epsilon, value_set, registry, variables, constants, world,
 ) -> tuple[bool, ...]:
-    """Hits of one world: exceedance, in the set, near each constant."""
+    """Hits of one world: exceedance, in the set, near each constant.
+
+    The parameter tuples are keyed first (see ``logic.assignment_keys``):
+    phi and psi are evaluated at the first tuple of each key, in
+    ``itertools.product`` order, up to the first that separates them by
+    more than epsilon, so the hits and any aggregation error are those of
+    evaluating them at every tuple in that order."""
     canonical = tuple(range(1, len(variables) + 1))
     world = world.snapshot()  # counts once per world: see ``evaluate``
     value_at_canonical = None
     exceeds = False
     if psi is not None:
-        for args in itertools.product(range(1, n + 1), repeat=len(variables)):
+        tuples = itertools.product(range(1, n + 1), repeat=len(variables))
+        for args in _first_of_each_key(world, (phi, psi), variables, tuples):
             assignment = dict(zip(variables, args))
             value = evaluate(world, phi, assignment, registry)
-            if value_at_canonical is None and args == canonical:
+            if args == canonical:  # the first tuple of its equality pattern
                 value_at_canonical = value
             if abs(value - psi.value_on(world, assignment)) > epsilon:
                 exceeds = True
@@ -596,9 +627,10 @@ def _saturated(q_formula, node, xs, base_tuples, size, lower, upper, world) -> t
     """The hit of a world where every base tuple realizing q has an
     extension count inside [lower, upper]: ``node`` is the mean over the
     ``size`` extension tuples of the extension literals' conjunction, so
-    the count is its value times ``size``, exactly."""
+    the count is its value times ``size``, exactly.  Both formulas are
+    evaluated at the first base tuple of each ``assignment_keys`` key."""
     world = world.snapshot()  # counts once per world: see ``evaluate``
-    for args in base_tuples:
+    for args in _first_of_each_key(world, (q_formula, node), xs, base_tuples):
         assignment = dict(zip(xs, args))
         if evaluate(world, q_formula, assignment) != 1.0:
             continue

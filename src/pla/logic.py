@@ -10,6 +10,7 @@ implication), which agrees with the classical tables on {0, 1}.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -665,6 +666,47 @@ def truth_keys(structure: Structure, symbols, probes, values) -> list[tuple]:
     return list(zip(*columns)) if columns else [()] * len(values)
 
 
+def assignment_keys(structure: Structure, formulas, variables: Sequence[Variable],
+                    tuples: Sequence[tuple]) -> list[tuple]:
+    """Per tuple of domain values of ``variables``, a key such that each
+    formula's value at the tuple is a function of the key: ``evaluate``'s
+    for a formula over ``variables``, ``value_on``'s for a basic
+    probability formula over them.  The key is the equality of each pair
+    of positions, the truth value of each atom outside any aggregation
+    node and of each atom at a basic probability formula's table positions
+    (see ``BasicProbabilityFormula._atoms``), and for each outermost
+    counting aggregation node (see ``Agg._counting``) the key of each
+    parameter's element, as ``_element_counts`` keys it.  An outermost node
+    that does not count makes the key the tuple itself.  Every part is a
+    map in C over the tuples."""
+    variables = tuple(variables)
+    atoms, counting = [], []
+    for phi in formulas:
+        if isinstance(phi, BasicProbabilityFormula):
+            atoms += phi._atoms
+            continue
+        stack = [phi]
+        while stack:
+            f = stack.pop()
+            if isinstance(f, Agg):
+                if f._counting is None:
+                    return list(tuples)
+                counting.append(f)
+            elif isinstance(f, Atom):
+                atoms.append(f)
+            else:
+                stack.extend(children(f))
+    columns = [list(map(itemgetter(i), tuples)) for i in range(len(variables))]
+    parts = [map(operator.eq, columns[i], columns[j])
+             for i, j in itertools.combinations(range(len(variables)), 2)]
+    memo = {} if structure.memo is None else structure.memo
+    for node in counting:
+        key_of = [None, *_element_counts(structure, node, memo)[1]].__getitem__
+        parts += [map(key_of, columns[variables.index(v)]) for v in node.params]
+    parts.append(truth_keys(structure, *atom_probes(atoms, variables), tuples))
+    return list(zip(*parts))
+
+
 def check_signature(phi: Formula, signature: Signature) -> None:
     """Every atom of the formula names a symbol of the signature and has
     that symbol's arity."""
@@ -772,7 +814,10 @@ def evaluate(
     so a caller that evaluates one world at many assignments evaluates its
     snapshot: the function is applied once per world and tuple of pinned
     keys (for ``am[R(y) : y : y != x]``, twice).  On any other structure
-    each call counts afresh and stores no value.
+    each call counts afresh and stores no value.  A caller with many
+    assignments keys them first (see ``assignment_keys``) and evaluates
+    once per key: the Monte Carlo harnesses call this once or twice per
+    key, not once per parameter tuple.
     """
     if registry is None:
         registry = aggregators.DEFAULT_REGISTRY
@@ -1000,6 +1045,14 @@ class BasicProbabilityFormula:
         positions and its values."""
         return {eq.pattern(): ([self.signature.slots(len(eq.blocks))[i] for i in positions], values)
                 for eq, positions, values in self.tables}
+
+    @cached_property
+    def _atoms(self) -> tuple[Atom, ...]:
+        """The atom of each table's slot at each of its positions, on the
+        first member of each class: ``value_on`` reads their truth values
+        and the equality pattern of ``variables``, nothing else."""
+        return tuple(type_parts(self.signature, eq)[1][i]
+                     for eq, positions, _ in self.tables for i in positions)
 
     def value_on(self, structure: Structure, assignment: Assignment) -> float:
         """Same value as evaluating ``to_formula()``: exactly one complete

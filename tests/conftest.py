@@ -201,6 +201,45 @@ def reference_sample(net, n: int, rng: random.Random, registry=None) -> Structur
     return structure
 
 
+def reference_experiment_hit(phi, psi, n, epsilon, value_set, registry, variables, constants,
+                             world) -> tuple:
+    """``eliminate._experiment_hit`` tuple by tuple: phi and psi are
+    evaluated at every parameter tuple, in ``itertools.product`` order, up
+    to the first that separates them by more than epsilon."""
+    canonical = tuple(range(1, len(variables) + 1))
+    world = world.snapshot()
+    value_at_canonical = None
+    exceeds = False
+    if psi is not None:
+        for args in itertools.product(range(1, n + 1), repeat=len(variables)):
+            assignment = dict(zip(variables, args))
+            value = evaluate(world, phi, assignment, registry)
+            if value_at_canonical is None and args == canonical:
+                value_at_canonical = value
+            if abs(value - psi.value_on(world, assignment)) > epsilon:
+                exceeds = True
+                break
+    if value_at_canonical is None:
+        value_at_canonical = evaluate(world, phi, dict(zip(variables, canonical)), registry)
+    in_set = value_set is not None and value_set.contains(value_at_canonical)
+    return (exceeds, in_set, *(abs(value_at_canonical - d) <= epsilon for d in constants))
+
+
+def reference_saturated(q_formula, node, xs, base_tuples, size, lower, upper, world) -> tuple:
+    """``eliminate._saturated`` tuple by tuple: q and the extension count
+    are evaluated at every base tuple, up to the first count outside the
+    band."""
+    world = world.snapshot()
+    for args in base_tuples:
+        assignment = dict(zip(xs, args))
+        if evaluate(world, q_formula, assignment) != 1.0:
+            continue
+        count = round(evaluate(world, node, assignment) * size) if size else 0
+        if not (lower <= count <= upper):
+            return (False,)
+    return (True,)
+
+
 def columns_of(sampler, structure: Structure) -> dict:
     """Per step of the sampler's plan, its symbol's column in the
     structure: one 0/1 byte per tuple, in the step's tuple order."""

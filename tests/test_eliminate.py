@@ -1,6 +1,7 @@
 """Compiler pass: type limit probabilities, alpha tables, elimination,
 convergence experiment, saturation diagnostic."""
 
+import functools
 import gc
 import itertools
 import math
@@ -43,6 +44,7 @@ from pla.eliminate import (
     saturation_diagnostic,
 )
 from pla.logic import (
+    EmptyAggregationRange,
     TooManyTypes,
     children,
     evaluate,
@@ -80,6 +82,8 @@ from conftest import (
     random_agg_free,
     random_structure,
     realized_by,
+    reference_experiment_hit,
+    reference_saturated,
 )
 from test_golden import GOLDEN
 
@@ -977,3 +981,94 @@ class TestSaturation:
         other = pr_type([[X]], [("P", (X,)), ("R", (X,))])
         with pytest.raises(ValueError):
             saturation_diagnostic(pr_net, p, other, delta=0.5, n=10, samples=10, seed=1)
+
+
+class TestKeyedHarnessesMatchPerTuple:
+    """The Monte Carlo harnesses evaluate at the first parameter tuple of
+    each ``assignment_keys`` key; on every sampled world their hits, or the
+    error they raise, must be those of the per-tuple harnesses in
+    ``conftest``."""
+
+    @pytest.fixture
+    def outcomes(self, monkeypatch):
+        """Wraps ``mc_estimates`` so that each world's hit is checked
+        against the reference harness; collects the outcomes."""
+        module = sys.modules["pla.eliminate"]
+        seen = []
+        estimates = module.mc_estimates
+        references = {"_experiment_hit": reference_experiment_hit,
+                      "_saturated": reference_saturated}
+
+        def checked(net, n, hit, samples, seed, workers=1, registry=None):
+            reference = functools.partial(references[hit.func.__name__], *hit.args)
+
+            def both(world):
+                got, want = self.outcome(hit, world), self.outcome(reference, world)
+                assert got == want
+                seen.append(got)
+                return hit(world)
+
+            return estimates(net, n, both, samples, seed, 1, registry)
+
+        monkeypatch.setattr(module, "mc_estimates", checked)
+        return seen
+
+    @staticmethod
+    def outcome(hit, world):
+        try:
+            return hit(world)
+        except PlaError as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("doc, text, grid, epsilon", [
+        (PR_DOC, "am[R(y) : y : y != x]", (2, 5, 30), 0.2),
+        (PR_DOC, "wm(x = z; am[R(y) : y : y != x]; P(z) & R(x))", (2, 4, 9), 0.3),
+        (PSE_DOC, "am[S(y) & E(y, x) : y : y != x]", (3, 12), 0.15),
+        (PSE_DOC, "am[S(y) : y : y != x] & !E(x, x)", (2, 6, 20), 0.1),
+        (PSE_DOC, "wm(x = z; am[P(y) : y : y != z]; max[S(y) : y : y != x] -> E(z, x))",
+         (2, 3, 7), 0.2),
+    ], ids=["P/R", "P/R-two-variables", "P/S/E-reads-x", "P/S/E-counting", "P/S/E-x=z"])
+    def test_convergence_hits(self, outcomes, doc, text, grid, epsilon):
+        net = network_from_doc(doc)
+        phi = parse_formula(text)
+        psi, _ = eliminate(net, phi)
+        convergence_experiment(net, phi, psi, n_grid=grid, epsilon=epsilon, samples=40,
+                               seed=61, value_set=ValueSet.point(1.0))
+        assert len(outcomes) == 40 * len(grid)
+        assert {hits[0] for hits in outcomes} == {False, True}  # some worlds exceed
+
+    def test_psi_over_two_variables_at_tuples_with_x_equal_to_z(self, outcomes, pr_net):
+        # psi's table of the pattern x = z reads R(x) alone; the keys of
+        # tuples with x = z must not mix with those of x != z
+        phi = parse_formula("wm(x = z; R(x); am[R(y) : y : y != x])")
+        psi, _ = eliminate(pr_net, phi)
+        assert len(psi.tables) == 2 and len(psi.variables) == 2
+        convergence_experiment(pr_net, phi, psi, n_grid=(3, 10), epsilon=0.3, samples=60,
+                               seed=62)
+        assert {hits[0] for hits in outcomes} == {False, True}
+
+    def test_empty_range_raises_at_the_same_world(self, outcomes, pr_net):
+        phi = parse_formula("am[R(y) : y : y != x]")
+        psi, _ = eliminate(pr_net, phi)
+        with pytest.raises(EmptyAggregationRange):
+            convergence_experiment(pr_net, phi, psi, n_grid=(1,), epsilon=0.2, samples=5,
+                                   seed=63)
+        assert outcomes[0][0] is EmptyAggregationRange
+
+    @pytest.mark.parametrize("case", ["P/R", "P/R-no-extension-tuple", "P/S/E-binary",
+                                      "P/S/E-counting"])
+    def test_saturation_hits(self, outcomes, pr_net, case):
+        if case.startswith("P/R"):
+            net = pr_net
+            p = pr_type([[X], [Y]], [("P", (X,)), ("R", (X,)), ("P", (Y,)), ("R", (Y,))])
+            n, delta = (1, 0.5) if case.endswith("tuple") else (12, 0.3)
+        else:
+            net = network_from_doc(PSE_DOC)
+            binary = [("E", (X, Y)), ("E", (Y, X))] if case.endswith("binary") else []
+            p = complete_type(net.signature, [X, Y], [[X], [Y]],
+                              [("P", (X,)), ("S", (X,)), ("P", (Y,)), ("S", (Y,)), *binary])
+            n, delta = 12, 1.5
+        saturation_diagnostic(net, p, p.restrict([X]), delta=delta, n=n, samples=60, seed=64)
+        assert len(outcomes) == 60
+        if n > 1:
+            assert set(outcomes) == {(False,), (True,)}

@@ -31,10 +31,12 @@ from pla import (
     function_rank,
 )
 from pla.eliminate import eliminate
-from pla.logic import EmptyAggregationRange, NotAggregationFree, children, subformulas
+from pla.network import network_from_doc
+from pla.logic import (EmptyAggregationRange, NotAggregationFree, assignment_keys, children,
+                       subformulas)
 from pla.parser import parse_formula
 
-from conftest import (TEST_SIG, X, Y, Z, canonical_structure, complete_type, permuted,
+from conftest import (PSE_DOC, TEST_SIG, X, Y, Z, canonical_structure, complete_type, permuted,
                       random_agg_free, random_formula, random_structure, realized_by,
                       satisfied_by)
 
@@ -863,3 +865,93 @@ class TestCountingValueMemo:
                 assert sampler._thetas(world, columns_of(sampler, world), step) == [
                     per_tuple_value(world, step.theta, dict(zip(step.variables, args)))
                     for args in step.tuples]
+
+
+def outcome(value_of, *args):
+    """The value, or the type and message of the error it raises."""
+    try:
+        return value_of(*args)
+    except Exception as exc:  # a PlaError or the KeyError of an unknown symbol
+        return type(exc), str(exc)
+
+
+def random_bpf(rng, sig, variables):
+    """A basic probability formula over the variables with a random subset
+    of each equality type's slots as its positions and random constants."""
+    tables = []
+    for eq in EqualityType.all_partitions(variables):
+        positions = [i for i in range(len(sig.slots(len(eq.blocks)))) if rng.random() < 0.5]
+        rng.shuffle(positions)
+        tables.append((eq, tuple(positions),
+                       tuple(round(rng.random(), 3) for _ in range(2 ** len(positions)))))
+    return BasicProbabilityFormula(sig, tuple(variables), tuple(tables))
+
+
+class TestAssignmentKeys:
+    """``assignment_keys`` is sound: two tuples with one key give each
+    formula one value, or one error, whether its aggregation nodes count
+    (one key per pinned element key and atom signs) or not (the key is the
+    tuple itself)."""
+
+    def assert_sound(self, formulas, variables, structures):
+        keyed = 0
+        for A in structures:
+            world = A.snapshot()
+            tuples = list(itertools.product(range(1, A.domain_size + 1), repeat=len(variables)))
+            for phi in formulas:
+                if isinstance(phi, BasicProbabilityFormula):
+                    value_of = lambda a: phi.value_on(world, a)
+                else:
+                    value_of = lambda a: evaluate(world, phi, a)
+                seen = {}
+                keys = assignment_keys(world, (phi,), variables, tuples)
+                assert keys == assignment_keys(A, (phi,), variables, tuples)
+                for key, args in zip(keys, tuples):
+                    got = outcome(value_of, dict(zip(variables, args)))
+                    assert seen.setdefault(key, got) == got, (phi, args)
+                keyed += len(seen) < len(tuples)
+        return keyed
+
+    @pytest.mark.parametrize("variables", [[X], [X, Z]], ids=["k1", "k2"])
+    def test_random_formulas(self, variables):
+        rng = random.Random(41 + len(variables))
+        formulas = [random_formula(rng, TEST_SIG, variables, 3) for _ in range(60)]
+        formulas += [random_bpf(rng, TEST_SIG, variables) for _ in range(10)]
+        structures = [random_structure(rng, TEST_SIG, n) for n in (1, 2, 3, 5)]
+        assert self.assert_sound(formulas, variables, structures) > 40
+        assert any(isinstance(phi, Agg) and phi._counting is not None for phi in formulas)
+        assert any(isinstance(phi, Agg) and phi._counting is None for phi in formulas)
+
+    def test_equalities_and_two_counting_nodes_over_different_parameters(self):
+        formulas = [parse_formula(text) for text in (
+            "wm(x = z; am[P(y) : y : y != x]; Q(z))",
+            "am[P(y) : y : y != x] & max[Q(y) | E(y, y) : y : y != z]",
+            "noisy-or[P(y) : y : y != x, y != z, x != z] -> E(z, x)",
+        )]
+        rng = random.Random(43)
+        structures = [random_structure(rng, TEST_SIG, n) for n in (1, 2, 6, 8)]
+        assert self.assert_sound(formulas, [X, Z], structures) >= 3 * 2
+        world = Structure(TEST_SIG, 3, {"P": {(1,), (2,)}}).snapshot()
+        keys = assignment_keys(world, formulas[1:2], [X, Z], [(1, 3), (2, 3), (3, 1)])
+        assert keys[0] == keys[1] != keys[2]  # P(1) and P(2) hold, P(3) does not
+
+    def test_nested_and_parameter_reading_nodes_key_by_the_tuple(self):
+        formulas = [parse_formula(text) for text in (
+            "am[E(x, y) : y : y != x]",
+            "max[am[P(w) & E(w, y) : w : w != y] : y : y != x]",
+            "P(x) & min[Q(y) : y : y = x]",  # the bound class holds x
+        )]
+        rng = random.Random(44)
+        structures = [random_structure(rng, TEST_SIG, n) for n in (1, 2, 4)]
+        assert self.assert_sound(formulas, [X], structures) == 0
+        tuples = [(1,), (2,), (3,)]
+        for phi in formulas:
+            assert assignment_keys(structures[-1], (phi,), [X], tuples) == tuples
+
+    def test_a_basic_probability_formula_reads_its_positions_only(self):
+        psi = eliminate(network_from_doc(PSE_DOC), parse_formula(
+            "wm(x = z; am[S(y) : y : y != x]; E(x, z) & P(z))"))[0]
+        rng = random.Random(45)
+        structures = [random_structure(rng, psi.signature, n) for n in (1, 2, 4)]
+        assert self.assert_sound([psi], [X, Z], structures) == 2
+        assert self.assert_sound([psi], [Z, X], structures) == 2
