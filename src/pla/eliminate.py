@@ -82,38 +82,56 @@ def limit_prob_type(net: PlaNetwork, p: AtomicType) -> float:
     if p.signature != net.signature:
         raise ValueError("type signature does not match the network signature")
     check_cap(len(p.signs), DEFAULT_TYPE_CAP, "complete types", TooManyTypes)
-    return block(p.eq)[signs_to_index(p.signs)]
+    return block(p.eq)[1][signs_to_index(p.signs)]
 
 
-def _limit_blocks(net: PlaNetwork) -> Callable[[EqualityType], list[float]]:
-    """``block(eq)``: the limit probability of every complete type with the
-    equality type ``eq``, by index (see ``index_bits``), weighed as one
-    tree over the aggregation-free network.
+def _limit_blocks(net: PlaNetwork) -> Callable[..., tuple[tuple[int, ...], list[float]]]:
+    """``block(eq, reads=None)``: the parent closure of the slots at the
+    positions ``reads`` in the sign vectors of ``eq``'s types (every slot
+    when None), as ascending positions, and the limit probability of every
+    sign vector over it, by index (see ``index_bits``), weighed as one tree
+    over the aggregation-free network.
 
-    The plan holds, per slot (R, class tuple c), theta_R's positions and
-    read: ``type_reader`` of theta_R at the classes c of R's theta
-    variables, so theta_R is evaluated once per key of its free variables'
-    pattern and its atoms' signs for the life of ``block``.  A node is the
-    partial product of the types that agree on the slots split so far.  The
-    slots are folded in ``signature.slots`` order; before slot i is folded,
-    every node is split on each slot that theta reads and on slot i, if not
-    split yet, so theta is known at every node, and each node is multiplied
-    by theta or 1 - theta.  Every leaf is then the left fold of theta or
-    1 - theta over the type's slots, at about two multiplications per type.
-    A leaf carries its index, because a symbol declared before its parents
-    splits a later slot early."""
+    The plan holds, per slot (R, class tuple c) over k classes, theta_R's
+    positions and read: ``type_reader`` of theta_R at the classes c of R's
+    theta variables, so theta_R is evaluated once per key of its free
+    variables' pattern and its atoms' signs for the life of ``block``.  The
+    closure holds the read slots and, recursively, the slots their theta
+    reads.  Any other slot is a barren node of the slot network: summed
+    out, it contributes 1, so a sign vector over the closure weighs the sum
+    of its complete types.  A node is the partial product of the sign
+    vectors that agree on the slots split so far.  The closure's slots are
+    folded in order; before slot i is folded, every node is split on each
+    slot that theta reads and on slot i, if not split yet, so theta is known
+    at every node, and each node is multiplied by theta or 1 - theta.  Every
+    leaf is then the left fold of theta or 1 - theta over the closure's
+    slots, at about two multiplications per leaf.  A leaf carries its index,
+    because a symbol declared before its parents splits a later slot early."""
     _require_aggregation_free(net)
     readers = {name: type_reader(net.theta[name], net.signature)
                for name in net.signature.names()}
+    plans: dict[int, list] = {}
 
-    def block(eq: EqualityType) -> list[float]:
+    def block(eq: EqualityType, reads=None) -> tuple[tuple[int, ...], list[float]]:
         k = len(eq.blocks)
-        plan = [readers[name](k, dict(zip(net.theta_variables(name), ctuple)))
-                for name, ctuple in net.signature.slots(k)]
-        bits = index_bits(len(plan))
+        plan = plans.get(k)
+        if plan is None:
+            plan = plans[k] = [readers[name](k, dict(zip(net.theta_variables(name), ctuple)))
+                               for name, ctuple in net.signature.slots(k)]
+        closed, todo = set(), list(range(len(plan)) if reads is None else reads)
+        while todo:
+            j = todo.pop()
+            if j not in closed:
+                closed.add(j)
+                todo.extend(plan[j][0])
+        closure = tuple(sorted(closed))
+        at = {j: t for t, j in enumerate(closure)}
+        bits = index_bits(len(closure))
         values, index = [1.0], [0]
         split = 0  # the bits of the slots split so far
-        for i, (positions, read) in enumerate(plan):
+        for i, slot in enumerate(closure):
+            positions, read = plan[slot]
+            positions = [at[j] for j in positions]
             for j in (*positions, i):
                 if not split & bits[j]:
                     split |= bits[j]
@@ -132,7 +150,7 @@ def _limit_blocks(net: PlaNetwork) -> Callable[[EqualityType], list[float]]:
         leaves = [0.0] * len(values)
         for ix, x in zip(index, values):
             leaves[ix] = x
-        return leaves
+        return closure, leaves
 
     return block
 
@@ -144,11 +162,12 @@ def _limit_blocks(net: PlaNetwork) -> Callable[[EqualityType], list[float]]:
 
 @dataclass
 class AlphaRow:
-    """A parameter type and its extension types, by ascending index over
-    the table's equality type (see ``index_bits``), with per extension each
-    body's value, beta and alpha, as arrays."""
+    """A parameter type, by its signs at the table's ``base`` positions,
+    and its extensions, sign vectors over the table's ``closure`` by
+    ascending index (see ``index_bits``), with per extension each body's
+    value, beta and alpha, as arrays."""
 
-    base: AtomicType
+    base: tuple[bool, ...]
     gamma: float
     entries: list[int]  # the extensions' indices
     values: tuple[list[float], ...]  # one list per body
@@ -164,26 +183,37 @@ class AlphaRow:
 
 @dataclass
 class AlphaTable:
+    """The rows of the types with the equality type ``eq`` over the slots
+    at ``closure``, positions in their sign vectors: the slots the bodies
+    read and the slots θ reads there, recursively.  ``base`` holds the
+    positions, in the sign vectors of the parameters' equality type, of
+    the closure's slots over the parameters alone; a row is a sign vector
+    there.  Every other slot sums out of each row's gamma and betas."""
+
+    signature: Signature
     xs: tuple[Variable, ...]
     ys: tuple[Variable, ...]
     eq: EqualityType  # the extension types'
     dim: int
+    closure: tuple[int, ...]
+    base: tuple[int, ...]
     rows: list[AlphaRow]
     limit_method: Optional[str] = None  # the compiled function's, set with the spectra
 
     def to_dict(self, full_table: bool = False) -> dict:
-        """Per row, the base type, gamma, the sum of alpha, the number of
-        extensions and the spectra; with ``full_table``, every extension
+        """Per row, the base literals, gamma, the sum of alpha, the number
+        of extensions and the spectra; with ``full_table``, every extension
         with its body values, beta and alpha in place of the last two."""
         rows = []
+        base_eq = self.eq.restrict(self.xs)
         for row in self.rows:
-            out = {"base": _type_text(row.base), "gamma": row.gamma, "sum_alpha": row.sum_alpha()}
+            out = {"base": _literals_text(self.signature, base_eq, self.base, row.base),
+                   "gamma": row.gamma, "sum_alpha": row.sum_alpha()}
             if full_table:
-                sig = row.base.signature
-                m = len(sig.slots(len(self.eq.blocks)))
                 out["entries"] = [
                     {
-                        "extension": _type_text(AtomicType(sig, self.eq, index_to_signs(index, m))),
+                        "extension": _literals_text(self.signature, self.eq, self.closure,
+                                                    index_to_signs(index, len(self.closure))),
                         "values": [column[j] for column in row.values],
                         "beta": row.betas[j],
                         "alpha": row.alphas[j],
@@ -215,11 +245,19 @@ def _type_part_texts(signature: Signature, eq: EqualityType) -> tuple[tuple[str,
             tuple((format_formula(Not(atom)), format_formula(atom)) for atom in atoms))
 
 
-def _type_text(atype: AtomicType) -> str:
-    """``format_formula(atype.to_formula())``, joined from cached parts."""
-    equalities, literals = _type_part_texts(atype.signature, atype.eq)
-    parts = [*equalities, *(texts[sign] for texts, sign in zip(literals, atype.signs))]
+def _literals_text(signature: Signature, eq: EqualityType, positions: Sequence[int],
+                   signs: Sequence[bool]) -> str:
+    """The text of the conjunction of ``eq``'s equality parts and, at each
+    position of its types' sign vectors, the literal of that sign, joined
+    from cached parts."""
+    equalities, literals = _type_part_texts(signature, eq)
+    parts = [*equalities, *(literals[i][sign] for i, sign in zip(positions, signs))]
     return " & ".join(parts) if parts else format_formula(Const(1.0))
+
+
+def _type_text(atype: AtomicType) -> str:
+    """``format_formula(atype.to_formula())``."""
+    return _literals_text(atype.signature, atype.eq, range(len(atype.signs)), atype.signs)
 
 
 def alphas(
@@ -229,40 +267,51 @@ def alphas(
     p_eq: EqualityType,
     bodies: Sequence[TypeReader],
     type_cap: int = DEFAULT_TYPE_CAP,
+    *,
+    block: Optional[Callable] = None,
 ) -> AlphaTable:
-    """The complete types with the equality type ``p_eq``, grouped by their
-    restriction to the parameters; each extension carries its limit
-    probability, its proportion alpha relative to the group, and the
-    constant each body, a type reader (see ``logic.type_reader``), takes on
-    it.  A body over a variable outside ``p_eq`` raises ValueError; more
-    than ``type_cap`` types raise TooManyTypes before any is built.  A type
-    is its index (see ``index_bits``): each body's value at every index is
-    tabulated by ``logic.tabulate``, and its row is read off its bits (see
-    ``index_keys``), so no type object is built for an extension."""
-    block = _limit_blocks(net)
+    """The types with the equality type ``p_eq`` over the parent closure
+    of the slots the bodies read, grouped by their restriction to the
+    parameters; each extension carries its limit probability, its
+    proportion alpha relative to the group, and the constant each body, a
+    type reader (see ``logic.type_reader``), takes on it.  ``block`` is the
+    network's ``_limit_blocks`` weigher, built here when None.  A body over
+    a variable outside ``p_eq`` raises ValueError; more than ``type_cap``
+    complete types of ``p_eq`` raise TooManyTypes before any is built.  A
+    type is its index (see ``index_bits``): each body's value at every
+    index is tabulated by ``logic.tabulate``, and its row is read off its
+    bits (see ``index_keys``), so no type object is built for an
+    extension."""
+    if block is None:
+        block = _limit_blocks(net)
     dim = dim_y(p_eq, xs, ys)
     if dim == 0:
         raise PlaError("degenerate aggregation (dimension 0) has no alpha table")
     sig = net.signature
-    m = len(sig.slots(len(p_eq.blocks)))
-    check_cap(m, type_cap, "complete types", TooManyTypes)
-    base_eq, base_positions = restriction(sig, p_eq, xs)
-    columns = [list(map(values.__getitem__, index_keys(m, positions)))
-               for _, positions, values in (tabulate(body, p_eq) for body in bodies)]
-    groups: dict[int, list[int]] = {}  # each row's indices, by the row's key
-    for i, r in enumerate(index_keys(m, base_positions)):
-        groups.setdefault(r, []).append(i)
-    betas, gammas = block(p_eq), block(base_eq)
+    check_cap(len(sig.slots(len(p_eq.blocks))), type_cap, "complete types", TooManyTypes)
+    tables = [tabulate(body, p_eq) for body in bodies]
+    closure, betas = block(p_eq, [i for _, positions, _ in tables for i in positions])
+    at = {j: t for t, j in enumerate(closure)}
+    m = len(closure)
+    columns = [list(map(values.__getitem__, index_keys(m, [at[i] for i in positions])))
+               for _, positions, values in tables]
+    # the parameters' slots inside the closure are closed under theta's
+    # reads too, so gamma is the same fold over the parameters' equality type
+    base_eq, restricted = restriction(sig, p_eq, xs)
+    base = tuple(j for j, i in enumerate(restricted) if i in at)
+    _, gammas = block(base_eq, base)
+    groups: list[list[int]] = [[] for _ in gammas]  # each row's indices, by the row's key
+    for i, r in enumerate(index_keys(m, [at[restricted[j]] for j in base])):
+        groups[r].append(i)
     rows = []
-    for r, indices in groups.items():
-        gamma = gammas[r]
+    for r, (gamma, indices) in enumerate(zip(gammas, groups)):
         row_betas = list(map(betas.__getitem__, indices))
         row_alphas = (list(map(gamma.__rtruediv__, row_betas)) if gamma > 0.0
                       else [None] * len(indices))
         values = tuple(list(map(column.__getitem__, indices)) for column in columns)
-        base = AtomicType(sig, base_eq, index_to_signs(r, len(base_positions)))
-        rows.append(AlphaRow(base, gamma, indices, values, row_betas, row_alphas))
-    return AlphaTable(tuple(xs), tuple(ys), p_eq, dim, rows)
+        rows.append(AlphaRow(index_to_signs(r, len(base)), gamma, indices, values, row_betas,
+                             row_alphas))
+    return AlphaTable(sig, tuple(xs), tuple(ys), p_eq, dim, closure, base, rows)
 
 
 def _row_spectra(row: AlphaRow) -> tuple[SupportSpectrum, ...]:
@@ -353,7 +402,7 @@ def eliminate(
     """
     if registry is None:
         registry = aggregators.DEFAULT_REGISTRY
-    _require_aggregation_free(net)
+    block = _limit_blocks(net)  # checks the network; one theta memo for every node
     sig = net.signature
     empty = Structure(sig, 1)  # the connectives of constants read no relation
     warnings: list[str] = []
@@ -394,21 +443,21 @@ def eliminate(
                 raise aggregators.NoLimitMethod(
                     "%s has no limit method; cannot eliminate it" % func.name
                 )
-            table = alphas(net, xs, ys, eq, bodies, type_cap)
+            table = alphas(net, xs, ys, eq, bodies, type_cap, block=block)
             table.limit_method = func.limit_method
-            # a row per type over xs, by ascending index: a table over every slot
+            # a row per sign vector at the closure's slots over xs, by ascending index
             constants = []
             for row in table.rows:
                 if row.gamma <= 0.0:
                     node_warnings.append(
                         "type %s has limit probability 0; its compiled value 1 "
-                        "is arbitrary" % _type_text(row.base)
+                        "is arbitrary" % _literals_text(sig, covered, table.base, row.base)
                     )
                     constants.append(1.0)
                     continue
                 row.spectra = _row_spectra(row)
                 constants.append(aggregators.limit(func, row.spectra))
-            first = (covered, tuple(range(len(sig.slots(len(covered.blocks))))), tuple(constants))
+            first = (covered, table.base, tuple(constants))
             if func.limit_method == "numeric":
                 node_warnings.append(
                     "%s limits estimated numerically (stabilized to %g)"

@@ -1,6 +1,7 @@
 """Shared fixtures: golden networks and random formula/structure generators."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -22,13 +23,22 @@ from pla import (
     WeightedMean,
     free_vars,
 )
+from pla.aggregators import SupportSpectrum
+from pla.eliminate import AlphaRow, AlphaTable, _limit_blocks, _row_spectra, dim_y
 from pla.errors import PlaError
 from pla.logic import (
+    DEFAULT_TYPE_CAP,
+    TooManyTypes,
     atom_probes,
+    check_cap,
     equality_pattern,
     evaluate,
     has_aggregation,
+    index_keys,
+    index_to_signs,
+    restriction,
     structure_of_type,
+    tabulate,
 )
 from pla.network import network_from_doc, validate
 
@@ -238,6 +248,68 @@ def reference_saturated(q_formula, node, xs, base_tuples, size, lower, upper, wo
         if not (lower <= count <= upper):
             return (False,)
     return (True,)
+
+
+def reference_alphas(net, xs, ys, p_eq, bodies, type_cap=DEFAULT_TYPE_CAP, *, block=None):
+    """``eliminate.alphas`` over every slot of the signature: each row is a
+    complete type over the parameters, and its extensions are the complete
+    types of ``p_eq`` that restrict to it, each weighed by the network's
+    full block.  Its table has the same shape, with every slot in the
+    closure and every slot over the parameters in the base, so
+    ``eliminate`` compiles with it in place of ``alphas``."""
+    block = _limit_blocks(net) if block is None else block
+    dim = dim_y(p_eq, xs, ys)
+    if dim == 0:
+        raise PlaError("degenerate aggregation (dimension 0) has no alpha table")
+    sig = net.signature
+    m = len(sig.slots(len(p_eq.blocks)))
+    check_cap(m, type_cap, "complete types", TooManyTypes)
+    base_eq, base_positions = restriction(sig, p_eq, xs)
+    columns = [list(map(values.__getitem__, index_keys(m, positions)))
+               for _, positions, values in (tabulate(body, p_eq) for body in bodies)]
+    groups = {}
+    for i, r in enumerate(index_keys(m, base_positions)):
+        groups.setdefault(r, []).append(i)
+    (_, betas), (_, gammas) = block(p_eq), block(base_eq)
+    rows = []
+    for r, indices in sorted(groups.items()):
+        gamma = gammas[r]
+        row_betas = [betas[i] for i in indices]
+        row_alphas = [beta / gamma if gamma > 0.0 else None for beta in row_betas]
+        values = tuple([column[i] for i in indices] for column in columns)
+        rows.append(AlphaRow(index_to_signs(r, len(base_positions)), gamma, indices, values,
+                             row_betas, row_alphas))
+    return AlphaTable(sig, tuple(xs), tuple(ys), p_eq, dim, tuple(range(m)),
+                      tuple(range(len(base_positions))), rows)
+
+
+def assert_merges_reference(table, reference, tol=1e-12):
+    """Each row of a closure table is the gamma-weighted merge of the rows
+    of ``reference_alphas``'s table whose signs at the closure's base
+    positions are the row's: its gamma is their sum, and each body's merged
+    support spectrum is the merge of theirs, each proportion scaled by the
+    reference row's gamma over the row's."""
+    m = len(reference.signature.slots(len(reference.eq.blocks)))
+    assert reference.closure == tuple(range(m))
+    assert len(reference.rows) == 2 ** len(reference.base)
+    for row in table.rows:
+        group = [ref for ref in reference.rows
+                 if tuple(ref.base[j] for j in table.base) == row.base]
+        assert len(group) == 2 ** (len(reference.base) - len(table.base))
+        assert abs(row.gamma - math.fsum(ref.gamma for ref in group)) <= tol, row.base
+        if row.gamma <= 0.0:
+            assert all(ref.gamma == 0.0 for ref in group)
+            continue
+        spectra = _row_spectra(row)
+        parts = [(ref.gamma / row.gamma, _row_spectra(ref)) for ref in group if ref.gamma > 0.0]
+        for b, spectrum in enumerate(spectra):
+            expected = SupportSpectrum(tuple(
+                (value, alpha * weight) for weight, ref_spectra in parts
+                for value, alpha in ref_spectra[b].points)).merged()
+            assert len(spectrum.points) == len(expected.points), (row.base, spectrum, expected)
+            for (value, alpha), (ref_value, ref_alpha) in zip(spectrum.points, expected.points):
+                assert abs(value - ref_value) <= tol and abs(alpha - ref_alpha) <= tol, (
+                    row.base, spectrum, expected)
 
 
 def columns_of(sampler, structure: Structure) -> dict:

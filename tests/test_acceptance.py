@@ -125,13 +125,16 @@ def test_criterion_3_exact_inference_normalization():
 def test_criterion_4_alpha_rows_sum_to_one():
     y = Variable("y")
     corpus = []
+    # a table has a row per sign vector of the parameter slots in the
+    # parent closure of its body's slots: the bodies that read x's slots
+    # have several rows
     cases = [
         (PR_DOC, [], ["R(y)", "P(y) & R(y)", "0.3"]),
-        (PR_DOC, [X], ["R(y)", "P(y) & R(y)", "0.3"]),
+        (PR_DOC, [X], ["R(y)", "P(y) & R(y)", "0.3", "R(y) | P(x)", "R(x) & R(y)"]),
         (CHAIN_DOC, [], ["S(y)", "R(y) | S(y)"]),
-        (CHAIN_DOC, [X], ["S(y)", "R(y) | S(y)"]),
+        (CHAIN_DOC, [X], ["S(y)", "R(y) | S(y)", "S(y) | S(x)"]),
         (BINARY_DOC, [], ["E(y, y)"]),
-        (BINARY_DOC, [X], ["E(x, y)", "E(y, x)", "E(y, y)"]),
+        (BINARY_DOC, [X], ["E(x, y)", "E(y, x)", "E(y, y)", "E(x, y) | E(x, x)"]),
     ]
     for doc, xs, body_texts in cases:
         net = network_from_doc(doc)
@@ -145,7 +148,7 @@ def test_criterion_4_alpha_rows_sum_to_one():
     worst = max(abs(row.sum_alpha() - 1.0) for row in checked)
     # zero-probability rows must be flagged when the compiler meets them
     zg_net = network_from_doc(ZERO_GAMMA_DOC)
-    _, zg_report = eliminate(zg_net, parse_formula("am[R(y) : y : y != x]"))
+    _, zg_report = eliminate(zg_net, parse_formula("am[R(y) | P(x) : y : y != x]"))
     flagged = any("limit probability 0" in w for w in zg_report.warnings)
     ok = worst <= 1e-9 and flagged and len(checked) >= 20
     report(

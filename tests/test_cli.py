@@ -249,6 +249,7 @@ REPORT_CASES = [
     ("pef-gm", "pef", "gm[wm(F(x, y); 0.9; 0.4) | E(y, x) : y : y != x]"),
     ("pef-min-max", "pef", "min[F(x, y) | P(y) : y : y != x] & max[F(y, x) : y : y != x]"),
     ("zero-gamma-am", "zero-gamma", "am[R(y) : y : y != x]"),
+    ("zero-gamma-param", "zero-gamma", "am[R(y) | P(x) : y : y != x]"),
 ]
 
 
@@ -303,16 +304,22 @@ class TestEliminateCommand:
         zero_rows = 0
         for node, full_node in tables:
             func = aggregators.DEFAULT_REGISTRY.get(node["function"])
-            limits = {d["type"]: d["value"] for d in node["limits"]}
             assert node["table"]["limit_method"] == func.limit_method
+            # a row's base holds some of the literals of a type over the
+            # parameters; each such type compiles to the row's constant
+            unmatched = {d["type"]: d["value"] for d in node["limits"]}
             for row, full_row in zip(node["table"]["rows"], full_node["table"]["rows"],
                                      strict=True):
                 assert row["base"] == full_row["base"]
                 assert row["extensions"] == len(full_row["entries"])
+                literals = set(row["base"].split(" & ")) - {"1.0"}
+                limits = [unmatched.pop(t) for t in list(unmatched)
+                          if literals <= set(t.split(" & "))]
+                assert limits
                 if row["spectra"] is None:
                     zero_rows += 1
                     assert row["gamma"] == 0.0
-                    assert limits[row["base"]] == 1.0
+                    assert limits == [1.0] * len(limits)
                     assert ("type %s has limit probability 0; its compiled value 1 is arbitrary"
                             % row["base"]) in node["warnings"]
                     continue
@@ -323,8 +330,10 @@ class TestEliminateCommand:
                     # printed merged: merging again changes nothing
                     assert spectrum.merged() == spectrum
                     assert abs(math.fsum(a for _, a in spectrum.points) - 1.0) <= MERGE_TOL
-                assert aggregators.limit(func, spectra) == limits[row["base"]]
-        assert (zero_rows > 0) == (net == "zero-gamma")
+                assert limits == [aggregators.limit(func, spectra)] * len(limits)
+            assert not unmatched
+        # only a row that fixes P(x) on zero-gamma, where P always holds, has gamma 0
+        assert (zero_rows > 0) == (net == "zero-gamma" and "P(x)" in formula)
         # the flag changes only the alpha tables
         for node, full_node in nodes:
             del node["table"], full_node["table"]

@@ -47,12 +47,17 @@ from pla.logic import (
     EmptyAggregationRange,
     TooManyTypes,
     children,
+    conjunction,
     evaluate,
     free_vars,
     has_aggregation,
+    index_keys,
+    index_to_signs,
     relation_symbols,
+    restriction,
     signs_to_index,
     subformulas,
+    type_parts,
     type_reader,
 )
 from pla.network import (
@@ -62,6 +67,7 @@ from pla.network import (
     exact_event_probability,
     mc_event_probability,
     network_from_doc,
+    validate,
 )
 from pla.parser import format_formula
 
@@ -77,17 +83,23 @@ from conftest import (
     X,
     Y,
     Z,
+    ZERO_GAMMA_DOC,
+    assert_merges_reference,
     canonical_structure,
     complete_type,
     random_agg_free,
     random_structure,
     realized_by,
+    reference_alphas,
     reference_experiment_hit,
     reference_saturated,
 )
 from test_golden import GOLDEN
 
 PR_SIG = Signature.of(("P", 1), ("R", 1))
+
+# the module; the package's attribute of that name is the function
+COMPILER = sys.modules["pla.eliminate"]
 
 # networks whose thetas exercise each part of the limit-probability memo's
 # key: the equality pattern, the order of an atom's arguments, every atom
@@ -221,7 +233,7 @@ class TestLimitProbType:
         block = _limit_blocks(net)
         for eq in eqs[::-1] + eqs:
             types = enumerate_complete_types(net.signature, eq.variables, eq)
-            assert block(eq) == [_limit_prob_reference(net, p) for p in types], eq
+            assert block(eq)[1] == [_limit_prob_reference(net, p) for p in types], eq
 
     @pytest.mark.parametrize("doc", THETA_KEY_DOCS.values(), ids=THETA_KEY_DOCS.keys())
     def test_block_is_the_literal_product(self, doc):
@@ -233,7 +245,29 @@ class TestLimitProbType:
             for eq in EqualityType.all_partitions((X, Y, Z)[:k]):
                 if len(net.signature.slots(len(eq.blocks))) <= 10:
                     types = enumerate_complete_types(net.signature, eq.variables, eq)
-                    assert block(eq) == [_limit_prob_reference(net, p) for p in types], eq
+                    assert block(eq) == (tuple(range(len(types[0].signs))), [
+                        _limit_prob_reference(net, p) for p in types]), eq
+
+    @pytest.mark.parametrize("doc", THETA_KEY_DOCS.values(), ids=THETA_KEY_DOCS.keys())
+    def test_closure_block_is_the_marginal_of_the_full_block(self, doc):
+        # over the parent closure of one slot, each leaf is the sum of the
+        # full block's leaves with its signs there: the other slots sum out
+        net = network_from_doc(doc)
+        block = _limit_blocks(net)
+        for k in (1, 2, 3):
+            for eq in EqualityType.all_partitions((X, Y, Z)[:k]):
+                m = len(net.signature.slots(len(eq.blocks)))
+                if m > 10:
+                    continue
+                _, full = block(eq)
+                for j in range(m):
+                    closure, leaves = block(eq, [j])
+                    assert j in closure
+                    parts = [[] for _ in leaves]
+                    for key, leaf in zip(index_keys(m, closure), full):
+                        parts[key].append(leaf)
+                    assert leaves == pytest.approx(list(map(math.fsum, parts)), abs=1e-12), (
+                        eq, j)
 
     def test_n_independence_against_marginals(self, pr_net, binary_net):
         # the product formula equals the exact marginal at every n where the
@@ -284,20 +318,64 @@ class TestTypeText:
 
 
 def _alphas_reference(net, xs, p_eq, bodies):
-    """The rows of ``alphas`` computed type by type: extensions numbered by
-    their place in ``enumerate_complete_types`` and grouped by
+    """The rows of ``reference_alphas`` computed type by type: extensions
+    numbered by their place in ``enumerate_complete_types`` and grouped by
     ``restrict``, each body valued by ``value_on`` on the extension's
     canonical structure, beta and gamma from ``_limit_prob_reference``."""
     groups = {}
     for index, p in enumerate(enumerate_complete_types(net.signature, p_eq.variables, p_eq)):
         groups.setdefault(p.restrict(xs), []).append((index, p))
     rows = []
-    for base, extensions in groups.items():
+    for base, extensions in sorted(groups.items(), key=lambda item: item[0].signs):
         gamma = _limit_prob_reference(net, base)
         betas = [_limit_prob_reference(net, p) for _, p in extensions]
         values = tuple([b.value_on(*canonical_structure(p)) for _, p in extensions]
                        for b in bodies)
-        rows.append(AlphaRow(base, gamma, [index for index, _ in extensions], values, betas,
+        rows.append(AlphaRow(base.signs, gamma, [index for index, _ in extensions], values, betas,
+                             [beta / gamma if gamma > 0.0 else None for beta in betas]))
+    return rows
+
+
+def _partial_reference(net, eq, positions, signs):
+    """The type with the equality type ``eq``, these signs at these
+    positions and no other atom, and the product of theta or its
+    complement over those positions' literals alone, each theta evaluated
+    on the type's canonical structure."""
+    slots = net.signature.slots(len(eq.blocks))
+    given = dict(zip(positions, signs))
+    p = AtomicType(net.signature, eq, tuple(given.get(i, False) for i in range(len(slots))))
+    struct, _ = canonical_structure(p)
+    prob = 1.0
+    for i, sign in given.items():
+        name, ctuple = slots[i]
+        v = evaluate(struct, net.theta[name],
+                     {v: c + 1 for v, c in zip(net.theta_variables(name), ctuple)})
+        prob *= v if sign else 1.0 - v
+    return p, prob
+
+
+def _closure_reference(net, table, bodies):
+    """The rows of a closure table computed type by type: each extension is
+    a sign vector over ``table.closure``, its beta and the gamma of its row,
+    a sign vector at ``table.base``, from ``_partial_reference``, and each
+    body valued by ``value_on`` on the extension's canonical structure."""
+    base_eq, restricted = restriction(net.signature, table.eq, table.xs)
+    # each base position's place in the closure
+    where = [table.closure.index(restricted[j]) for j in table.base]
+    rows = []
+    for r in range(2 ** len(table.base)):
+        base = index_to_signs(r, len(table.base))
+        _, gamma = _partial_reference(net, base_eq, table.base, base)
+        entries, betas, types = [], [], []
+        for index in range(2 ** len(table.closure)):
+            signs = index_to_signs(index, len(table.closure))
+            if tuple(signs[t] for t in where) == base:
+                p, beta = _partial_reference(net, table.eq, table.closure, signs)
+                entries.append(index)
+                betas.append(beta)
+                types.append(p)
+        values = tuple([b.value_on(*canonical_structure(p)) for p in types] for b in bodies)
+        rows.append(AlphaRow(base, gamma, entries, values, betas,
                              [beta / gamma if gamma > 0.0 else None for beta in betas]))
     return rows
 
@@ -312,6 +390,20 @@ def _assert_rows_match(rows, reference):
         assert row.values == expected.values, row.base
         assert row.betas == expected.betas
         assert row.alphas == expected.alphas
+
+
+def _assert_parent_closed(net, table, bodies):
+    """The closure holds every position a body reads and every position
+    theta reads at a slot in it, and nothing else."""
+    k = len(table.eq.blocks)
+    reads = {i for body in bodies for i in body(k, table.eq.class_index)[0]}
+    closure = set()
+    while reads - closure:
+        closure |= reads
+        reads = {i for name, ctuple in (net.signature.slots(k)[j] for j in closure)
+                 for i in type_reader(net.theta[name], net.signature)(
+                     k, dict(zip(net.theta_variables(name), ctuple)))[0]}
+    assert table.closure == tuple(sorted(closure))
 
 
 # (network, formula) of the compile benchmark's two formulas and of every
@@ -334,7 +426,7 @@ ALPHA_DOCS = {"P/R": PR_DOC, "P/S/E": PSE_DOC, "P/E/F": PEF_DOC, "binary": BINAR
               "chain": CHAIN_DOC}
 
 ALPHA_BODIES = ("E(y, x)", "S(y) & E(y, x)", "R(y)", "0.3", "wm(x = y; 0.9; 0.2)",
-                "wm(x = y; 0.9; 0.2) & !(z = x)")
+                "wm(x = y; 0.9; 0.2) & !(z = x)", "R(y) | P(x)", "E(x, x) & E(y, x)")
 
 
 class TestAlphas:
@@ -352,20 +444,28 @@ class TestAlphas:
         formulas = [phi for phi in map(parse_formula, ALPHA_BODIES)
                     if relation_symbols(phi) <= set(sig.names()) and free_vars(phi) <= {*xs, *ys}
                     and len(sig.slots(len(free_vars(phi)))) <= 12]
-        table = alphas(net, xs, ys, p_eq, [type_reader(phi, sig) for phi in formulas])
-        reference = _alphas_reference(net, xs, p_eq, [fold_to_bpf(phi, sig) for phi in formulas])
-        _assert_rows_match(table.rows, reference)
-        # the full table names each extension by the type at its index
-        types = enumerate_complete_types(sig, p_eq.variables, p_eq)
+        readers = [type_reader(phi, sig) for phi in formulas]
+        bpfs = [fold_to_bpf(phi, sig) for phi in formulas]
+        table = alphas(net, xs, ys, p_eq, readers)
+        _assert_parent_closed(net, table, readers)
+        _assert_rows_match(table.rows, _closure_reference(net, table, bpfs))
+        # the full-signature table is the type-by-type one, and each closure
+        # row merges the full rows that restrict to it
+        reference = reference_alphas(net, xs, ys, p_eq, readers)
+        _assert_rows_match(reference.rows, _alphas_reference(net, xs, p_eq, bpfs))
+        assert_merges_reference(table, reference)
+        # the full table names each extension by its literals at the closure
+        equalities, atoms = type_parts(sig, p_eq)
         for row, out in zip(table.rows, table.to_dict(full_table=True)["rows"]):
             assert out["sum_alpha"] == row.sum_alpha()
-            assert [e["extension"] for e in out["entries"]] == [
-                _type_text(types[index]) for index in row.entries]
-            assert [signs_to_index(types[index].signs) for index in row.entries] == row.entries
+            assert [e["extension"] for e in out["entries"]] == [format_formula(conjunction([
+                *equalities, *(atoms[i] if sign else Not(atoms[i]) for i, sign in zip(
+                    table.closure, index_to_signs(index, len(table.closure))))]))
+                for index in row.entries]
 
     def test_no_type_is_weighed_alone(self):
-        # the alpha tables eliminate builds, each weighed in blocks, match
-        # the type-by-type computation
+        # the alpha tables eliminate builds, each weighed in blocks over
+        # its closure, match the type-by-type computation
         runs = []
         for doc, text in ELIMINATE_CASES:
             net, phi = network_from_doc(doc), parse_formula(text)
@@ -379,7 +479,7 @@ class TestAlphas:
                 if record.table is not None:
                     bodies = [fold_to_bpf(body, net.signature) for body in node.bodies]
                     _assert_rows_match(record.table.rows,
-                                       _alphas_reference(net, node.params, node.eq_type, bodies))
+                                       _closure_reference(net, record.table, bodies))
                     tables += 1
         assert tables == 6
 
@@ -414,18 +514,24 @@ class TestAlphas:
             alphas(pr_net, [X], [Y], EqualityType.all_distinct([X, Y]), [body])
 
     def test_unary_body_spectrum(self, pr_net):
+        # R(y) reads R(y) and, through theta, P(y): none of x's slots, so
+        # one row holds the four extensions over them; the four rows of the
+        # full-signature table, one per type of x, each take its spectrum
         body = type_reader(parse_formula("R(y)"), PR_SIG)
         eq = EqualityType.all_distinct([X, Y])
         table = alphas(pr_net, [X], [Y], eq, [body])
+        reference = reference_alphas(pr_net, [X], [Y], eq, [body])
         assert table.dim == 1
-        assert len(table.rows) == 4
-        for row in table.rows:
+        assert (len(table.rows), len(reference.rows)) == (1, 4)
+        assert [len(row.entries) for row in table.rows] == [4]
+        for row in table.rows + reference.rows:
             assert row.sum_alpha() == pytest.approx(1.0, abs=1e-9)
             spectrum = {}
             for value, alpha in zip(row.values[0], row.alphas):
                 spectrum[value] = spectrum.get(value, 0.0) + alpha
             assert spectrum[1.0] == pytest.approx(0.55, abs=1e-9)
             assert spectrum[0.0] == pytest.approx(0.45, abs=1e-9)
+        assert_merges_reference(table, reference)
 
     def test_gamma_equals_sum_of_betas(self, pr_net, binary_net):
         for net in (pr_net, binary_net):
@@ -463,13 +569,19 @@ class TestEliminate:
             assert [c for _, c in bpf.conjuncts] == [expected]
 
     def test_free_parameter_still_collapses(self, pr_net):
-        bpf, report = eliminate(pr_net, parse_formula("am[R(y) : y : y != x]"))
+        # R(y)'s closure holds none of x's slots: one row of gamma 1, the
+        # sum of the full-signature table's four rows, one per type of x
+        phi = parse_formula("am[R(y) : y : y != x]")
+        bpf, report = eliminate(pr_net, phi)
         assert [c for _, c in bpf.conjuncts] == [0.55]
         table = report.agg_nodes[0].table
-        assert len(table.rows) == 4
-        assert sorted(row.gamma for row in table.rows) == pytest.approx(
+        assert [(row.base, row.gamma) for row in table.rows] == [((), 1.0)]
+        reference = reference_alphas(pr_net, phi.params, phi.bound, phi.eq_type,
+                                     [type_reader(phi.bodies[0], PR_SIG)])
+        assert sorted(row.gamma for row in reference.rows) == pytest.approx(
             [0.05, 0.1, 0.4, 0.45], abs=1e-9
         )
+        assert_merges_reference(table, reference)
 
     def test_output_is_aggregation_free_and_idempotent(self, pr_net):
         for text in (
@@ -594,25 +706,23 @@ class TestEliminate:
             eliminate(pr_net, phi)
 
     def test_zero_gamma_rows_warn_and_compile_to_one(self):
-        doc = {
-            "relations": [
-                {"name": "P", "arity": 1, "parents": [], "theta": "1.0"},
-                {
-                    "name": "R",
-                    "arity": 1,
-                    "parents": ["P"],
-                    "theta": "(P(x1) -> 0.9) & (!P(x1) -> 0.2)",
-                },
-            ]
-        }
-        net = network_from_doc(doc)
+        # P always holds; a body that reads P(x) has a row !P(x) of gamma 0
+        net = network_from_doc(ZERO_GAMMA_DOC)
+        bpf, report = eliminate(net, parse_formula("am[R(y) | P(x) : y : y != x]"))
+        assert report.warnings == ["type !P(x) has limit probability 0; its compiled value 1 "
+                                   "is arbitrary"]
+        table = report.agg_nodes[0].table
+        zero_rows = [r for r in table.rows if r.gamma == 0.0]
+        assert [row.base for row in zero_rows] == [(False,)]
+        compiled = [value for t, value in report.agg_nodes[0].limits
+                    if tuple(t.signs[j] for j in table.base) == zero_rows[0].base]
+        assert compiled == [1.0, 1.0]
+        # a body that reads none of x's slots has one row, of gamma 1: the
+        # types !P(x), of limit probability 0, take its constant, unflagged
         bpf, report = eliminate(net, parse_formula("am[R(y) : y : y != x]"))
-        assert any("limit probability 0" in w for w in report.warnings)
-        zero_rows = [r for r in report.agg_nodes[0].table.rows if r.gamma == 0.0]
-        assert zero_rows
-        compiled = dict(report.agg_nodes[0].limits)
-        for row in zero_rows:
-            assert compiled[row.base] == 1.0
+        assert not report.warnings
+        assert [(row.base, row.gamma) for row in report.agg_nodes[0].table.rows] == [((), 1.0)]
+        assert [c for _, c in bpf.conjuncts] == [0.9]
 
     def test_merged_proportions_past_one_compile_to_one(self):
         # the merged spectrum of R(y) | !R(y) sums to 1 + 1 ulp here
@@ -643,6 +753,76 @@ class TestEliminate:
             (t, c) for t, c in bpf.conjuncts if len(t.eq.blocks) == 1
         ]
         assert merged and all(c == 1.0 for _, c in merged)
+
+
+# per aggregation-free network of conftest.NETWORK_DOCS, aggregations whose
+# bodies read bound and parameter slots, and slots whose theta reads others
+CLOSURE_FORMULAS = {
+    "pr": ["am[R(y) : y : y != x]", "max[R(y) & !R(x) | P(x) : y : y != x]"],
+    "binary": ["am[E(x, y) | E(x, x) : y : y != x]", "min[E(y, y) -> E(y, x) : y : y != x]"],
+    "pse": ["am[S(y) & E(y, x) | S(x) : y : y != x]"],
+    "pef": ["gm[wm(F(x, y); 0.9; 0.4) | E(y, x) : y : y != x]", "am[F(y, x) & P(x) : y : y != x]"],
+    "ef-fork": ["am[E(x, y) & F(y, x) : y : y != x]"],
+    "chain": ["am[S(y) | R(x) : y : y != x]"],
+    "child-first": ["am[R(y) & !Q(x) : y : y != x]"],
+    "zero-gamma": ["am[R(y) | P(x) : y : y != x]", "am[R(y) : y : y != x]"],
+    "ternary": ["am[T(x, y, x) | Q(y) : y : y != x]"],
+}
+
+CLOSURE_CASES = list(dict.fromkeys(
+    [(net_id, text) for net_id, texts in CLOSURE_FORMULAS.items() for text in texts]
+    + [(net_id, argv[argv.index("--formula") + 1])
+       for _, argv, net_id, _, _ in GOLDEN if argv[0] == "eliminate"]))
+
+
+class TestParentClosure:
+    """Alpha tables over the parent closure of the bodies' slots against
+    ``conftest.reference_alphas``, the tables over every slot."""
+
+    def test_every_aggregation_free_network_has_cases(self):
+        assert set(CLOSURE_FORMULAS) == {
+            net_id for net_id, doc in NETWORK_DOCS.items()
+            if validate(network_from_doc(doc)).aggregation_free}
+
+    @pytest.mark.parametrize("net_id, text", CLOSURE_CASES,
+                             ids=["%s: %s" % case for case in CLOSURE_CASES])
+    def test_rows_merge_and_constants_match_the_full_signature(self, monkeypatch, net_id, text):
+        net, phi = network_from_doc(NETWORK_DOCS[net_id]), parse_formula(text)
+        bpf, report = eliminate(net, phi)
+        monkeypatch.setattr(COMPILER, "alphas", reference_alphas)
+        reference_bpf, reference_report = eliminate(net, phi)
+        block = _limit_blocks(net)
+
+        def positive(t):
+            return block(t.eq)[1][signs_to_index(t.signs)] > 0.0
+
+        for record, reference in zip(report.agg_nodes, reference_report.agg_nodes, strict=True):
+            if record.table is not None:
+                assert_merges_reference(record.table, reference.table)
+            ours = [(t, c) for t, c in record.limits if positive(t)]
+            theirs = [(t, d) for t, d in reference.limits if positive(t)]
+            assert ours and [t for t, _ in ours] == [t for t, _ in theirs]
+            for (t, c), (_, d) in zip(ours, theirs):
+                assert abs(c - d) <= 1e-12, (_type_text(t), c, d)
+        # either output collapses to one constant when every type's is one
+        outputs = (bpf, reference_bpf)
+        for t, _ in max(outputs, key=lambda f: len(f.conjuncts)).conjuncts:
+            if positive(t):
+                c, d = (f.conjuncts[0][1] if f.variables == () else dict(f.conjuncts)[t]
+                        for f in outputs)
+                assert abs(c - d) <= 1e-12, (_type_text(t), c, d)
+
+    def test_eliminate_validates_the_network_once(self, monkeypatch):
+        # one weigher serves both nodes of the formula
+        calls = []
+        monkeypatch.setattr(COMPILER, "validate",
+                            lambda net: calls.append(net) or validate(net))
+        net = network_from_doc(PSE_DOC)
+        phi = parse_formula(
+            "!am[S(y) & E(y, x) : y : y != x] | wm(P(x); max[E(x, y) : y : y != x]; 0.25)")
+        _, report = eliminate(net, phi)
+        assert len(report.agg_nodes) == 2
+        assert calls == [net]
 
 
 # aggregation nodes of dimension 0, alone and under a connective: the bound

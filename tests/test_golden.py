@@ -57,31 +57,32 @@ GOLDEN = [
      ["infer", "exact", "--net", "{net}", "--n", "2", "--formula", "R(x) -> P(x)",
       "--assign", "x=2", "--value-set", "0:0.5"],
      "pr", 0, "6f856c87a5453c1f0aad25c06821ec6a138fb03caf16765410f011b174b4dbc2"),
-    # --full-table lists every extension type of each alpha table row
+    # --full-table lists every extension of each alpha table row, by its
+    # literals at the parent closure of the body's slots
     ("eliminate-am-edge",
      ["eliminate", "--net", "{net}", "--formula", "am[E(x, y) : y : y != x]", "--full-table"],
-     "pse", 0, "2b6b72272af89ba0776c1ec98d73aa1fdd22cebb384e4c74e82b78cbf21e436e"),
+     "pse", 0, "5cd5ba6efcc2892d2e73cec2007e6f0b65202102c32ddec3aed0f46676d70b0b"),
     ("eliminate-connectives",
      ["eliminate", "--net", "{net}", "--formula",
       "!am[S(y) & E(y, x) : y : y != x] | wm(P(x); max[E(x, y) : y : y != x]; 0.25)",
       "--full-table"],
-     "pse", 0, "f722240048fd57cd349266593d891d28370720438bedd83cadef1a8dfd8c56dc"),
+     "pse", 0, "3accf44fe47d68d4984bd391f9d3496afa75ddf24b93b975c31d74c851bdc258"),
     ("eliminate-implies-gm",
      ["eliminate", "--net", "{net}", "--formula",
       "(am[R(y) : y : y != x] -> R(x)) & gm[R(y) | P(x) : y : distinct]", "--full-table"],
-     "pr", 0, "c608deac2498b2ec74fa460729853c0bc9385aa95e0a087cd69af2ce5674f6c1"),
+     "pr", 0, "1e0ec0340f3d5fd15169d638e952c1be0c3a5c568790774622695d4260fb3eca"),
     # the default report: each row's merged support spectra
     ("eliminate-am-edge-compact",
      ["eliminate", "--net", "{net}", "--formula", "am[E(x, y) : y : y != x]"],
-     "pse", 0, "121611301f17d1efd5502bcf09ac18340014d3bea1a7f2f1b7a232da1c5b3b4b"),
+     "pse", 0, "9e863f77a12fd2870912b572c88e1378ef5246c192f9041e55d25960afc91f32"),
     ("eliminate-connectives-compact",
      ["eliminate", "--net", "{net}", "--formula",
       "!am[S(y) & E(y, x) : y : y != x] | wm(P(x); max[E(x, y) : y : y != x]; 0.25)"],
-     "pse", 0, "79d2e05c17ba1088ea498fff4f7fb9dca5895bffd4f224f3c20e8d682910bef0"),
+     "pse", 0, "70c1825d18d7781f834134b171a0e3c53df9dc66b0290497af8b83ad44e1df19"),
     ("eliminate-implies-gm-compact",
      ["eliminate", "--net", "{net}", "--formula",
       "(am[R(y) : y : y != x] -> R(x)) & gm[R(y) | P(x) : y : distinct]"],
-     "pr", 0, "078501352281de87425a726c94ca62697e9f8980d6e37937a2a25055140d7308"),
+     "pr", 0, "fbeb6eb5df0d30f9217aa7d01d03b63fe5824ece68e573615ba95d2932d5f3f6"),
     ("eliminate-dimension-0",
      ["eliminate", "--net", "{net}", "--formula", "am[R(y) : y : y = x]"],
      "pr", 0, "eb2712dabb468298afb194a360a12219178e2cedd4dfd45fd5673a0bff80e298"),
