@@ -17,9 +17,7 @@ from .aggregators import (
     StepFunction,
     apply,
     empirical_admissibility_check,
-    exists_adapter,
     exists_at_least,
-    forall_adapter,
     gen_convergence_testing,
     limit,
     mu,

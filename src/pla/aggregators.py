@@ -235,14 +235,6 @@ def quantifier_adapter(
     return AggregationFunction(name, arity, fn, limit_method=method, closed_form=closed_form)
 
 
-def exists_adapter() -> AggregationFunction:
-    return quantifier_adapter("exists", 1, lambda m, x: len(x) > 0)
-
-
-def forall_adapter() -> AggregationFunction:
-    return quantifier_adapter("forall", 1, lambda m, x: len(x) == m)
-
-
 def exists_at_least(threshold: float, name: Optional[str] = None) -> AggregationFunction:
     """Binary threshold quantifier: accepts when at least the given fraction
     of the positions set in the first sequence are also set in the second."""

@@ -596,7 +596,6 @@ def _experiment_hit(
     more than epsilon, so the hits and any aggregation error are those of
     evaluating them at every tuple in that order."""
     canonical = tuple(range(1, len(variables) + 1))
-    world = world.snapshot()  # counts once per world: see ``evaluate``
     value_at_canonical = None
     exceeds = False
     if psi is not None:
@@ -678,7 +677,6 @@ def _saturated(q_formula, node, xs, base_tuples, size, lower, upper, world) -> t
     ``size`` extension tuples of the extension literals' conjunction, so
     the count is its value times ``size``, exactly.  Both formulas are
     evaluated at the first base tuple of each ``assignment_keys`` key."""
-    world = world.snapshot()  # counts once per world: see ``evaluate``
     for args in _first_of_each_key(world, (q_formula, node), xs, base_tuples):
         assignment = dict(zip(xs, args))
         if evaluate(world, q_formula, assignment) != 1.0:

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import itemgetter
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Collection, Iterator, Mapping, Optional, Sequence, Union
 
 from . import aggregators
 from .errors import PlaError
@@ -91,42 +91,80 @@ class Signature:
         return slots
 
 
+TUPLE_CAP = 2 ** 24
+
+
+def check_size(signature: Signature, n: int) -> None:
+    """A ValueError for a domain size below 1; a PlaError for more than
+    ``TUPLE_CAP`` tuples over [n], sum of n^arity over the symbols, checked
+    from the sizes before any column or list of tuples is built."""
+    if n < 1:
+        raise ValueError("domain size must be >= 1")
+    count = sum(n ** arity for _, arity in signature.symbols)
+    if count > TUPLE_CAP:
+        raise PlaError("a structure of domain size %d over %s has %d tuples, more than the "
+                       "cap %d" % (n, ", ".join("%s/%d" % symbol for symbol in signature.symbols),
+                                   count, TUPLE_CAP))
+
+
 @dataclass
 class Structure:
-    """A finite structure with domain [n] = {1, ..., n}; a possible world."""
+    """A finite structure with domain [n] = {1, ..., n}; a possible world.
+
+    Each relation is a read-only column, one byte per tuple over [n] of the
+    symbol's arity m, in ``itertools.product`` order, 1 for a member: tuple
+    e has index sum_j (e_j - 1) * n^(m-1-j).  A symbol given no column has
+    an empty relation."""
 
     signature: Signature
     domain_size: int
-    interp: dict[str, set[tuple[int, ...]]] = field(default_factory=dict)
-    # per-world state that ``evaluate`` keeps across calls; only a snapshot,
-    # whose relations cannot change, has one
-    memo: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
+    columns: dict[str, bytes] = field(default_factory=dict)
+    # per-world state that ``evaluate`` keeps across calls; valid for as
+    # long as the structure, since its columns cannot change
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.domain_size < 1:
-            raise ValueError("domain size must be >= 1")
-        for name in self.signature.names():
-            self.interp.setdefault(name, set())
+        check_size(self.signature, self.domain_size)
+        given, n = self.columns, self.domain_size
+        self.columns = {name: given[name] if name in given else bytes(n ** arity)
+                        for name, arity in self.signature.symbols}
 
-    def validate(self) -> None:
-        for name, tuples in self.interp.items():
-            arity = self.signature.arity(name)
+    @classmethod
+    def of(cls, signature: Signature, n: int,
+           tuples_by_symbol: Mapping[str, Collection[Sequence[int]]]) -> "Structure":
+        """The structure whose relations hold the given tuples, by symbol;
+        a ValueError names a tuple of the wrong arity or outside [n]."""
+        check_size(signature, n)
+        columns = {}
+        for name, tuples in tuples_by_symbol.items():
+            arity = signature.arity(name)
             for tup in tuples:
                 if len(tup) != arity:
                     raise ValueError("tuple %r has wrong arity for %s" % (tup, name))
-                if any(not (1 <= e <= self.domain_size) for e in tup):
-                    raise ValueError("tuple %r outside domain [%d]" % (tup, self.domain_size))
+                if any(not (1 <= e <= n) for e in tup):
+                    raise ValueError("tuple %r outside domain [%d]" % (tup, n))
+            members = set(map(tuple, tuples))
+            columns[name] = bytes(map(members.__contains__,
+                                      itertools.product(range(1, n + 1), repeat=arity)))
+        return cls(signature, n, columns)
 
-    def snapshot(self) -> "Structure":
-        """A copy whose relations are frozensets, so it cannot change, with
-        an empty ``memo``: evaluating it at many assignments keys each
-        counting aggregation node's domain elements once, and applies its
-        function once per tuple of keys its parameters pin (see
-        ``evaluate``)."""
-        world = Structure(self.signature, self.domain_size,
-                          {name: frozenset(tuples) for name, tuples in self.interp.items()})
-        world.memo = {}
-        return world
+    def holds(self, name: str, args: Sequence[int]) -> int:
+        """The byte of the tuple ``args`` in the symbol's column: 1 for a
+        member; 0 for a non-member, a tuple with an element outside [n] or
+        one of the wrong arity, which read no other tuple's byte."""
+        n, index = self.domain_size, 0
+        if len(args) != self.signature.arity(name):
+            return 0
+        for e in args:
+            if not 0 < e <= n:
+                return 0
+            index = index * n + e - 1
+        return self.columns[name][index]
+
+    def tuples(self, name: str) -> Iterator[tuple[int, ...]]:
+        """The members of the symbol's relation, in column order."""
+        every = itertools.product(range(1, self.domain_size + 1), repeat=self.signature.arity(name))
+        return itertools.compress(every, self.columns[name])
 
 
 @dataclass(frozen=True)
@@ -272,12 +310,13 @@ class AtomicType:
 def structure_of_type(signature: Signature, k: int, signs: Sequence[bool]) -> Structure:
     """The canonical structure of a complete type over ``signature`` with k
     equality classes and these signs: a smallest structure realizing it,
-    with element i+1 for class i."""
-    interp: dict[str, set[tuple[int, ...]]] = {name: set() for name in signature.names()}
-    for (name, ctuple), sign in zip(signature.slots(k), signs):
-        if sign:
-            interp[name].add(tuple([c + 1 for c in ctuple]))
-    return Structure(signature, max(1, k), interp)
+    with element i+1 for class i, each column a slice of the signs, since
+    ``signature.slots(k)`` is in column order (at k = 0, one element)."""
+    columns, start = {}, 0
+    for name, arity in signature.symbols:
+        columns[name] = bytes(signs[start:start + k ** arity])
+        start += k ** arity
+    return Structure(signature, k, columns) if k else Structure(signature, 1)
 
 
 def slot_positions(signature: Signature, k: int, slots: Sequence[Literal]) -> tuple[int, ...]:
@@ -521,38 +560,35 @@ class Agg(_Node):
         return tuple(v for v in self.eq_type.variables if v not in bound)
 
     @cached_property
-    def _body_table(self) -> Optional[tuple[tuple[str, ...], tuple, dict]]:
-        """``(symbols, probes, table)`` when no body aggregates, else None.
+    def _body_table(self) -> Optional[tuple[tuple["Atom", ...], dict]]:
+        """``(atoms, table)`` when no body aggregates, else None.
 
         ``eq_type`` is complete over ``params + bound``, so every bound tuple
         the node visits, at any assignment and domain size, has the same
         equality pattern, and an aggregation-free body's value there is a
-        function of the truth values of its atoms alone.  ``symbols`` and
-        ``probes`` are the distinct atoms of all bodies (see ``atom_probes``)
-        over ``eq_type.variables``; ``table`` maps their ``truth_keys`` to
+        function of the truth values of its atoms alone.  ``atoms`` are the
+        distinct atoms of all bodies; ``table`` maps their ``atom_keys`` to
         the tuple of body values, filled by ``_eval_bodies_by_count`` with
         one ``_eval`` per key, whichever way the node counts its keys (see
-        ``_counting``).  Every part pickles, so formulas still travel to
+        ``_counting``).  Both parts pickle, so formulas still travel to
         worker processes.
         """
         if not all(body._aggregation_free for body in self.bodies):
             return None
-        return (*atom_probes(self.bodies, self.eq_type.variables), {})
+        return distinct_atoms(self.bodies), {}
 
     @cached_property
-    def _counting(self) -> Optional[tuple[EqualityType, tuple]]:
-        """``(bound_eq, probes)`` when the node keys and counts its domain
-        elements once per world, else None: a node with a ``_body_table``
-        then counts the keys of each call's bound tuples (see
-        ``_eval_bodies_by_count``).
+    def _counting(self) -> Optional[EqualityType]:
+        """``eq_type`` restricted to ``bound`` when the node keys and counts
+        its domain elements once per world, else None: a node with a
+        ``_body_table`` then counts the keys of each call's bound tuples
+        (see ``_eval_bodies_by_count``).
 
         The node qualifies when it has a ``_body_table``, one equality class
         is exactly the bound variables and every body atom reads bound
         variables only (an equality may read a parameter: its value is
         fixed by ``eq_type``).  A bound tuple is then one domain element e
         repeated, and the bodies' values there depend on e alone.
-        ``bound_eq`` is ``eq_type`` restricted to ``bound`` and ``probes``
-        are ``_body_table``'s atoms over ``bound``.  Both parts pickle.
         """
         bound = set(self.bound)
         if (self._body_table is None
@@ -560,7 +596,7 @@ class Agg(_Node):
                 or any(not bound.issuperset(f.args) for body in self.bodies
                        for f in subformulas(body) if isinstance(f, Atom))):
             return None
-        return self.eq_type.restrict(self.bound), atom_probes(self.bodies, self.bound)[1]
+        return self.eq_type.restrict(self.bound)
 
     @cached_property
     def _pin_plan(self) -> tuple[tuple[int, tuple[Variable, ...]], ...]:
@@ -638,32 +674,54 @@ def function_rank(phi: Formula) -> int:
     return rank
 
 
-def atom_probes(
-    formulas: Sequence[Formula], variables: Sequence[Variable]
-) -> tuple[tuple[str, ...], tuple[Callable[[tuple], tuple], ...]]:
-    """The distinct atoms of the formulas, in preorder, as their relation
-    symbols and their probes: a probe takes the values of ``variables``, as
-    a tuple in that order, to the atom's argument tuple."""
-    variables = tuple(variables)
-    atoms = dict.fromkeys(
-        f for phi in formulas for f in subformulas(phi) if isinstance(f, Atom))
-    probes = []
+def distinct_atoms(formulas: Sequence[Formula]) -> tuple[Atom, ...]:
+    """The distinct atoms of the formulas, in preorder."""
+    return tuple(dict.fromkeys(
+        f for phi in formulas for f in subformulas(phi) if isinstance(f, Atom)))
+
+
+def product_coordinates(n: int, arity: int) -> list[list[int]]:
+    """Per argument position i, the elements minus 1 at position i of all
+    the tuples over [n] in lexicographic order: runs of n^(arity-1-i) of
+    each of ``range(n)``, repeated n^i times, all sharing its ints."""
+    return [list(itertools.chain.from_iterable(
+                map(itertools.repeat, range(n), itertools.repeat(n ** (arity - 1 - i))))) * n ** i
+            for i in range(arity)]
+
+
+def gather(n: int, coordinates: Sequence[Sequence[int]], positions: Sequence[int]) -> Callable:
+    """The one way atoms are keyed: an ``itemgetter`` that takes a column
+    over [n] of arity m = len(positions) to its byte at every tuple of a
+    list.  ``coordinates`` holds, per place in those tuples, their elements
+    minus 1 there, each in [0, n); the column's argument tuple takes its
+    j-th element from place ``positions[j]``, so it has index
+    sum_j (element_j - 1) * n^(m-1-j).  The list must not be empty."""
+    index = coordinates[positions[-1]]
+    for j, p in enumerate(reversed(positions[:-1]), 1):
+        index = list(map(operator.add, index,
+                         map(operator.mul, coordinates[p], itertools.repeat(n ** j))))
+    if len(index) == 1:  # itemgetter of one index gives a bare item
+        return itemgetter(slice(index[0], index[0] + 1))
+    return itemgetter(*index)
+
+
+def atom_keys(structure: Structure, atoms: Sequence[Atom], variables: Sequence[Variable],
+              tuples: Sequence[tuple]) -> list[tuple]:
+    """Per tuple of elements of [n], the values of ``variables`` in order,
+    the truth value, 0 or 1, of each atom there: its symbol's column
+    gathered (see ``gather``), so every part is a map in C over the tuples.
+    An atom of the wrong arity is 0 at every tuple."""
+    n, variables = structure.domain_size, tuple(variables)
+    coordinates = [list(map(operator.sub, map(itemgetter(i), tuples), itertools.repeat(1)))
+                   for i in range(len(variables))]
+    truths = []
     for atom in atoms:
-        positions = [variables.index(v) for v in atom.args]
-        if len(positions) == 1:  # itemgetter of one index gives a bare item
-            probes.append(itemgetter(slice(positions[0], positions[0] + 1)))
+        if len(atom.args) == structure.signature.arity(atom.symbol):
+            positions = list(map(variables.index, atom.args))
+            truths.append(gather(n, coordinates, positions)(structure.columns[atom.symbol]))
         else:
-            probes.append(itemgetter(*positions))
-    return tuple(atom.symbol for atom in atoms), tuple(probes)
-
-
-def truth_keys(structure: Structure, symbols, probes, values) -> list[tuple]:
-    """Per value tuple, the truth value in the structure of each atom of
-    ``atom_probes`` at the tuple: one membership test per atom and tuple,
-    mapped in C over all the tuples."""
-    columns = [map(structure.interp[symbol].__contains__, map(probe, values))
-               for symbol, probe in zip(symbols, probes)]
-    return list(zip(*columns)) if columns else [()] * len(values)
+            truths.append(bytes(len(tuples)))
+    return list(zip(*truths)) if truths else [()] * len(tuples)
 
 
 def assignment_keys(structure: Structure, formulas, variables: Sequence[Variable],
@@ -678,7 +736,7 @@ def assignment_keys(structure: Structure, formulas, variables: Sequence[Variable
     counting aggregation node (see ``Agg._counting``) the key of each
     parameter's element, as ``_element_counts`` keys it.  An outermost node
     that does not count makes the key the tuple itself.  Every part is a
-    map in C over the tuples."""
+    map in C over the tuples, which must be over [n]."""
     variables = tuple(variables)
     atoms, counting = [], []
     for phi in formulas:
@@ -699,11 +757,10 @@ def assignment_keys(structure: Structure, formulas, variables: Sequence[Variable
     columns = [list(map(itemgetter(i), tuples)) for i in range(len(variables))]
     parts = [map(operator.eq, columns[i], columns[j])
              for i, j in itertools.combinations(range(len(variables)), 2)]
-    memo = {} if structure.memo is None else structure.memo
     for node in counting:
-        key_of = [None, *_element_counts(structure, node, memo)[1]].__getitem__
+        key_of = [None, *_element_counts(structure, node)[1]].__getitem__
         parts += [map(key_of, columns[variables.index(v)]) for v in node.params]
-    parts.append(truth_keys(structure, *atom_probes(atoms, variables), tuples))
+    parts.append(atom_keys(structure, distinct_atoms(atoms), variables, tuples))
     return list(zip(*parts))
 
 
@@ -808,73 +865,71 @@ def evaluate(
     A counting aggregation node (see ``Agg._counting``) keys every domain
     element once per world and counts the keys.  Its value at an assignment
     then depends only on the world, its aggregation function and the keys
-    of the domain elements its parameters pin.  A snapshot (see
-    ``Structure.snapshot``) keeps in its ``memo`` the counts and each such
-    value, by the node, the function and the sorted tuple of pinned keys,
-    so a caller that evaluates one world at many assignments evaluates its
-    snapshot: the function is applied once per world and tuple of pinned
-    keys (for ``am[R(y) : y : y != x]``, twice).  On any other structure
-    each call counts afresh and stores no value.  A caller with many
-    assignments keys them first (see ``assignment_keys``) and evaluates
-    once per key: the Monte Carlo harnesses call this once or twice per
-    key, not once per parameter tuple.
+    of the domain elements its parameters pin.  The structure keeps in its
+    ``memo`` the counts and each such value, by the node, the function and
+    the sorted tuple of pinned keys, so when one world is evaluated at many
+    assignments the function is applied once per tuple of pinned keys (for
+    ``am[R(y) : y : y != x]``, twice).  A caller with many assignments keys
+    them first (see ``assignment_keys``) and evaluates once per key: the
+    Monte Carlo harnesses call this once or twice per key, not once per
+    parameter tuple.
     """
     if registry is None:
         registry = aggregators.DEFAULT_REGISTRY
-    memo = {} if structure.memo is None else structure.memo
-    return _eval(structure, phi, dict(assignment or {}), registry, memo)
+    return _eval(structure, phi, dict(assignment or {}), registry)
 
 
-def _eval(structure: Structure, phi: Formula, a: dict, registry, memo: dict) -> float:
+def _eval(structure: Structure, phi: Formula, a: dict, registry) -> float:
     # the stops are exact for values in [0, 1]; they skip only
     # aggregation-free operands, so an aggregation error still surfaces
     if isinstance(phi, Atom):
-        args = tuple(a[v] for v in phi.args)
-        return 1.0 if args in structure.interp[phi.symbol] else 0.0
+        return float(structure.holds(phi.symbol, [a[v] for v in phi.args]))
     if isinstance(phi, Const):
         return phi.value
     if isinstance(phi, And):
-        return _eval_spine(structure, phi, a, registry, memo, min, 0.0)
+        return _eval_spine(structure, phi, a, registry, min, 0.0)
     if isinstance(phi, Or):
-        return _eval_spine(structure, phi, a, registry, memo, max, 1.0)
+        return _eval_spine(structure, phi, a, registry, max, 1.0)
     if isinstance(phi, Not):
-        return 1.0 - _eval(structure, phi.sub, a, registry, memo)
+        return 1.0 - _eval(structure, phi.sub, a, registry)
     if isinstance(phi, Implies):
-        left = _eval(structure, phi.left, a, registry, memo)
+        left = _eval(structure, phi.left, a, registry)
         if left == 0.0 and phi.right._aggregation_free:
             return 1.0
-        return min(1.0, 1.0 - left + _eval(structure, phi.right, a, registry, memo))
+        return min(1.0, 1.0 - left + _eval(structure, phi.right, a, registry))
     if isinstance(phi, Eq):
         return 1.0 if a[phi.left] == a[phi.right] else 0.0
     if isinstance(phi, WeightedMean):
-        w = _eval(structure, phi.weight, a, registry, memo)
+        w = _eval(structure, phi.weight, a, registry)
         if w == 0.0 and phi.left._aggregation_free:
-            return _eval(structure, phi.right, a, registry, memo)
+            return _eval(structure, phi.right, a, registry)
         if w == 1.0 and phi.right._aggregation_free:
-            return _eval(structure, phi.left, a, registry, memo)
-        return w * _eval(structure, phi.left, a, registry, memo) + (1.0 - w) * _eval(
-            structure, phi.right, a, registry, memo
+            return _eval(structure, phi.left, a, registry)
+        return w * _eval(structure, phi.left, a, registry) + (1.0 - w) * _eval(
+            structure, phi.right, a, registry
         )
     if isinstance(phi, Agg):
         func = aggregation_function(phi, registry)
-        key = None
-        if phi._counting is not None and structure.memo is not None:
-            _, keys, _ = _element_counts(structure, phi, memo)
+        n, key = structure.domain_size, None
+        if phi._counting is not None:
+            _, keys, _ = _element_counts(structure, phi)
             pins = _pins(phi._pin_plan, a)
             key = (id(phi), func, None if pins is None else tuple(sorted(
-                [keys[e - 1] for e in pins.values() if 0 < e <= len(keys)])))
-            value = memo.get(key)
+                [keys[e - 1] for e in pins.values() if 0 < e <= n])))
+            value = structure.memo.get(key)
             if value is not None:
                 return value
         saved = {v: a.get(v) for v in phi.bound}
-        if phi._body_table is None:
+        # a parameter outside [n] has no column byte: evaluate tuple by tuple
+        if phi._body_table is None or (phi._counting is None
+                                       and not all(0 < a[v] <= n for v in phi.params)):
             seqs = [[] for _ in phi.bodies]
-            for combo in satisfying_bound_tuples(phi.eq_type, phi.bound, a, structure.domain_size):
+            for combo in satisfying_bound_tuples(phi.eq_type, phi.bound, a, n):
                 a.update(zip(phi.bound, combo))
                 for i, body in enumerate(phi.bodies):
-                    seqs[i].append(_eval(structure, body, a, registry, memo))
+                    seqs[i].append(_eval(structure, body, a, registry))
         else:
-            seqs = _eval_bodies_by_count(structure, phi, a, registry, memo)
+            seqs = _eval_bodies_by_count(structure, phi, a, registry)
         for v, old in saved.items():
             if old is None:
                 a.pop(v, None)
@@ -887,10 +942,10 @@ def _eval(structure: Structure, phi: Formula, a: dict, registry, memo: dict) -> 
         else:
             raise EmptyAggregationRange(
                 "no bound tuple satisfies the equality constraint of %s[...] "
-                "at domain size %d" % (phi.func, structure.domain_size)
+                "at domain size %d" % (phi.func, n)
             )
         if key is not None:
-            memo[key] = value
+            structure.memo[key] = value
         return value
     raise TypeError("not a formula: %r" % (phi,))
 
@@ -898,21 +953,21 @@ def _eval(structure: Structure, phi: Formula, a: dict, registry, memo: dict) -> 
 _BLOCK = 4096  # bound tuples keyed per batch, bounding the memory of a large range
 
 
-def _element_counts(structure: Structure, phi: Agg, memo: dict) -> tuple[Agg, list, Counter]:
-    """A counting node's per-world state, kept in ``memo`` by the node's
-    id: the node, the key of each domain element in order, and the count
-    of each key.  Holding the node keeps its id from being reused while
-    the memo lives."""
-    state = memo.get(id(phi))
+def _element_counts(structure: Structure, phi: Agg) -> tuple[Agg, list, Counter]:
+    """A counting node's per-world state, kept in the structure's ``memo``
+    by the node's id: the node, the key of each domain element in order,
+    and the count of each key.  Holding the node keeps its id from being
+    reused while the memo lives."""
+    state = structure.memo.get(id(phi))
     if state is None:
-        bound_eq, element_probes = phi._counting
-        elements = list(satisfying_bound_tuples(bound_eq, phi.bound, {}, structure.domain_size))
-        keys = truth_keys(structure, phi._body_table[0], element_probes, elements)
-        state = memo[id(phi)] = (phi, keys, Counter(keys))
+        elements = list(satisfying_bound_tuples(phi._counting, phi.bound, {},
+                                                structure.domain_size))
+        keys = atom_keys(structure, phi._body_table[0], phi.bound, elements)
+        state = structure.memo[id(phi)] = (phi, keys, Counter(keys))
     return state
 
 
-def _eval_bodies_by_count(structure: Structure, phi: Agg, a: dict, registry, memo: dict):
+def _eval_bodies_by_count(structure: Structure, phi: Agg, a: dict, registry):
     """The body values of an aggregation node with a ``_body_table`` over
     its bound tuples, one list per body, grouped by key in order of the
     key's first occurrence.
@@ -920,30 +975,30 @@ def _eval_bodies_by_count(structure: Structure, phi: Agg, a: dict, registry, mem
     A counting node (see ``Agg._counting``) takes the per-world key counts
     of ``_element_counts`` and subtracts the keys of the elements its
     parameters pin, so the lists depend only on the world and those keys;
-    on a snapshot ``_eval`` stores the node's value and calls this once
-    per world and tuple of pinned keys (see ``evaluate``).  Any other node
-    keys the bound tuples of the call, ``_BLOCK`` at a time, and counts
-    them.  A key not yet in the table is evaluated once, at a bound tuple
-    with that key (for a counting node, one no parameter pins), and each
-    key's row of body values is repeated by its count, so no body is
-    evaluated unless its key is new.  The aggregation functions are
+    ``_eval`` stores the node's value and calls this once per world and
+    tuple of pinned keys (see ``evaluate``).  Any other node keys the bound
+    tuples of the call, whose parameters lie in [n], ``_BLOCK`` at a time,
+    and counts them.  A key not yet in the table is evaluated once, at a
+    bound tuple with that key (for a counting node, one no parameter pins),
+    and each key's row of body values is repeated by its count, so no body
+    is evaluated unless its key is new.  The aggregation functions are
     symmetric, so the grouping changes no value.
     """
-    symbols, probes, table = phi._body_table
+    atoms, table = phi._body_table
     if phi._counting is None:
         params = tuple(a[v] for v in phi.params)
         counts = Counter()
         witness = {}  # key -> a bound tuple with it, for every key the table lacks
         tuples = satisfying_bound_tuples(phi.eq_type, phi.bound, a, structure.domain_size)
         for block in iter(lambda: list(itertools.islice(tuples, _BLOCK)), []):
-            keys = truth_keys(structure, symbols, probes,
-                              list(map(params.__add__, block)) if params else block)
+            keys = atom_keys(structure, atoms, phi.eq_type.variables,
+                             list(map(params.__add__, block)) if params else block)
             counts.update(keys)
             if counts.keys() - table.keys() - witness.keys():
                 witness.update(zip(keys, block))
         tuple_with = witness.__getitem__
     else:
-        _, keys, total = _element_counts(structure, phi, memo)
+        _, keys, total = _element_counts(structure, phi)
         pins = _pins(phi._pin_plan, a)
         if pins is None:
             return [[] for _ in phi.bodies]
@@ -963,14 +1018,14 @@ def _eval_bodies_by_count(structure: Structure, phi: Agg, a: dict, registry, mem
         row = table.get(key)
         if row is None:
             a.update(zip(phi.bound, tuple_with(key)))
-            row = table[key] = tuple(_eval(structure, body, a, registry, memo)
+            row = table[key] = tuple(_eval(structure, body, a, registry)
                                      for body in phi.bodies)
         for seq, value in zip(seqs, row):
             seq += [value] * count
     return seqs
 
 
-def _eval_spine(structure: Structure, phi: Formula, a: dict, registry, memo: dict,
+def _eval_spine(structure: Structure, phi: Formula, a: dict, registry,
                 combine, stop: float) -> float:
     """An ``&`` or ``|`` node by its ``_spine``.  Operands are evaluated and
     combined left to right, so values match the nested binary definition
@@ -978,11 +1033,11 @@ def _eval_spine(structure: Structure, phi: Formula, a: dict, registry, memo: dic
     whatever the operand in [0, 1], and every operand left is
     aggregation-free, the rest is skipped."""
     operands = phi._spine
-    value = _eval(structure, operands[0], a, registry, memo)
+    value = _eval(structure, operands[0], a, registry)
     for i in range(1, len(operands)):
         if value == stop and i >= phi._free_from:
             return value
-        value = combine(value, _eval(structure, operands[i], a, registry, memo))
+        value = combine(value, _eval(structure, operands[i], a, registry))
     return value
 
 
@@ -1057,13 +1112,13 @@ class BasicProbabilityFormula:
     def value_on(self, structure: Structure, assignment: Assignment) -> float:
         """Same value as evaluating ``to_formula()``: exactly one complete
         type is realized, and the value is its table's, read at the index
-        that one membership test per position forms."""
+        that one column byte per position forms."""
         values = [assignment[v] for v in self.variables]
         reps = tuple(dict.fromkeys(values))  # one element per equality class
         slots, table = self._by_pattern[equality_pattern(values)]
         index = 0
         for name, ctuple in slots:  # the first position's bit is the most significant
-            index = 2 * index + (tuple([reps[c] for c in ctuple]) in structure.interp[name])
+            index = 2 * index + structure.holds(name, [reps[c] for c in ctuple])
         return table[index]
 
     def sign_reader(self) -> TypeReader:

@@ -24,18 +24,20 @@ from . import aggregators
 from . import parser as formula_parser
 from .errors import PlaError
 from .logic import (
-    Atom,
     Formula,
     Signature,
     Structure,
     Variable,
     check_cap,
     check_signature,
+    check_size,
+    distinct_atoms,
     evaluate,
     free_vars,
+    gather,
     has_aggregation,
+    product_coordinates,
     relation_symbols,
-    subformulas,
 )
 
 DEFAULT_WORLD_CAP = 2 ** 20
@@ -129,29 +131,6 @@ def validate(net: PlaNetwork) -> Stratification:
     return Stratification(rank, strata, order, aggregation_free)
 
 
-def _coordinates(n: int, arity: int) -> list[list[int]]:
-    """Per argument position i, the elements minus 1 at position i of all
-    the tuples over [n] in lexicographic order: runs of n^(arity-1-i) of
-    each of ``range(n)``, repeated n^i times, all sharing its ints."""
-    return [list(itertools.chain.from_iterable(
-                map(itertools.repeat, range(n), itertools.repeat(n ** (arity - 1 - i))))) * n ** i
-            for i in range(arity)]
-
-
-def _gather(n: int, coordinates: list[list[int]], positions: list[int]) -> Callable:
-    """One ``itemgetter`` that takes an atom's symbol's column to the atom's
-    truth value at every tuple of a step: the atom's j-th argument is the
-    tuple's element at ``positions[j]``, and its argument tuple, of length
-    m, has index sum_j (element_j - 1) * n^(m-1-j) in the column."""
-    index = coordinates[positions[-1]]
-    for j, p in enumerate(reversed(positions[:-1]), 1):
-        index = list(map(operator.add, index,
-                         map(operator.mul, coordinates[p], itertools.repeat(n ** j))))
-    if len(index) == 1:  # itemgetter of one index gives a bare item
-        return operator.itemgetter(slice(index[0], index[0] + 1))
-    return operator.itemgetter(*index)
-
-
 class _Step(NamedTuple):
     """One symbol of a sampler's plan, in stratification order.
 
@@ -178,25 +157,23 @@ class _Step(NamedTuple):
 class WorldSampler:
     """Draws worlds from the induced distribution at a fixed domain size.
 
-    A drawn relation is kept both as a set of tuples, in the structure, and
-    as a column: one byte per tuple in lexicographic order, 1 for a member.
-    An aggregation-free theta_R at a tuple depends only on the tuple's
-    equality pattern and the truth values there of the distinct atoms it
-    reads; a root's theta reads no atoms, so it depends on the pattern
-    alone, with or without aggregation.  Those thetas are cached per symbol
-    under that key, a small int: the atoms' truth values are gathered from
-    their symbols' columns by indices fixed at construction, so after the
-    first evaluation per key a theta list costs a few maps in C over the
-    tuples and one dictionary lookup per tuple.  Only a non-root theta
-    that contains aggregation is evaluated at every tuple, on one snapshot
-    of the structure per theta list (see ``Structure.snapshot``), so a
-    counting aggregation node keys the domain once per list, not once per
-    tuple.
+    A drawn relation is a column of the world (see ``Structure``): one byte
+    per tuple in lexicographic order, 1 for a member.  An aggregation-free
+    theta_R at a tuple depends only on the tuple's equality pattern and the
+    truth values there of the distinct atoms it reads; a root's theta reads
+    no atoms, so it depends on the pattern alone, with or without
+    aggregation.  Those thetas are cached per symbol under that key, a small
+    int: the atoms' truth values are gathered from their symbols' columns
+    by indices fixed at construction (see ``gather``), so after the first
+    evaluation per key a theta list costs a few maps in C over the tuples
+    and one dictionary lookup per tuple.  Only a non-root theta that
+    contains aggregation is evaluated at every tuple, on one structure per
+    theta list, so a counting aggregation node keys the domain once per
+    list, not once per tuple.
     """
 
     def __init__(self, net: PlaNetwork, n: int, registry=None):
-        if n < 1:
-            raise ValueError("domain size must be >= 1")
+        check_size(net.signature, n)
         self.net = net
         self.n = n
         self.registry = registry
@@ -209,11 +186,10 @@ class WorldSampler:
             if net.parents[name] and has_aggregation(theta):
                 self._plan.append(_Step(name, theta, variables, tuples, None, (), None))
                 continue
-            coordinates = _coordinates(n, len(variables))
-            atoms = dict.fromkeys(f for f in subformulas(theta) if isinstance(f, Atom))
+            coordinates = product_coordinates(n, len(variables))
             gathers = tuple(
-                (atom.symbol, _gather(n, coordinates, list(map(variables.index, atom.args))))
-                for atom in atoms)
+                (atom.symbol, gather(n, coordinates, list(map(variables.index, atom.args))))
+                for atom in distinct_atoms((theta,)))
             keys = [0] * len(tuples)
             pairs = itertools.combinations(coordinates, 2)
             for bit, (left, right) in enumerate(pairs, len(gathers)):
@@ -230,26 +206,27 @@ class WorldSampler:
                 "evaluating formula of %s at %s with n=%d: %s" % (step.name, args, self.n, exc)
             ) from exc
 
-    def _thetas(self, structure: Structure, columns: dict[str, bytes], step: _Step) -> list[float]:
-        """Theta of the step's symbol at each of its tuples, in order, on a
-        structure that interprets the symbols of lower strata, whose
-        columns are ``columns``, by symbol."""
+    def _thetas(self, columns: dict[str, bytes], step: _Step) -> list[float]:
+        """Theta of the step's symbol at each of its tuples, in order, given
+        the columns of the symbols of lower strata, by symbol.  A structure
+        of them is built only where theta is evaluated, once per call."""
         if step.cache is None:
-            world = structure.snapshot()
-            return [self._evaluate(world, step, args) for args in step.tuples]
+            structure = Structure(self.net.signature, self.n, columns)
+            return [self._evaluate(structure, step, args) for args in step.tuples]
         keys = step.keys
-        for bit, (symbol, gather) in enumerate(step.gathers):
+        for bit, (symbol, getter) in enumerate(step.gathers):
             column = columns[symbol]
             # the bit is shifted into the parent's column, which has no more
             # tuples than the step unless the parent has the larger arity
             if bit:
                 column = tuple(map(operator.lshift, column, itertools.repeat(bit)))
-            keys = map(operator.or_, keys, gather(column))
+            keys = map(operator.or_, keys, getter(column))
         keys = list(keys)
         try:
             return list(map(step.cache.__getitem__, keys))
         except KeyError:
             # a key met for the first time is evaluated at its first tuple
+            structure = Structure(self.net.signature, self.n, columns)
             for i, key in enumerate(keys):
                 if key not in step.cache:
                     step.cache[key] = self._evaluate(structure, step, step.tuples[i])
@@ -259,15 +236,13 @@ class WorldSampler:
         """A world drawn with ``rng``: one uniform per tuple, step by step
         in plan order and each step's tuples in lexicographic order, the
         tuple entering its relation when the uniform is below theta."""
-        structure = Structure(self.net.signature, self.n)
         columns: dict[str, bytes] = {}
         draw = rng.random
         for step in self._plan:
-            thetas = self._thetas(structure, columns, step)
+            thetas = self._thetas(columns, step)
             draws = itertools.starmap(draw, itertools.repeat((), len(thetas)))
-            column = columns[step.name] = bytes(map(operator.gt, thetas, draws))
-            structure.interp[step.name].update(itertools.compress(step.tuples, column))
-        return structure
+            columns[step.name] = bytes(map(operator.gt, thetas, draws))
+        return Structure(self.net.signature, self.n, columns)
 
 
 def sample(net: PlaNetwork, n: int, seed, registry=None) -> Structure:
@@ -309,10 +284,6 @@ def _column(mask: int, width: int) -> bytes:
     return bin(mask)[:1:-1].ljust(width, "0").encode().translate(_BINARY_DIGITS)
 
 
-def _members(tuples: list, column: bytes) -> set:
-    return set(itertools.compress(tuples, column))
-
-
 def _enumerate(sampler: WorldSampler) -> Iterator[tuple[tuple[int, ...], Callable, list]]:
     """``(masks, world, probabilities)`` for every world of the sampler's
     network at its domain size, a chunk of worlds at a time.  ``masks`` are
@@ -322,8 +293,8 @@ def _enumerate(sampler: WorldSampler) -> Iterator[tuple[tuple[int, ...], Callabl
     changing fastest; a chunk is a run of at most ``2 ** _CHUNK_BITS``
     consecutive masks of L, the others fixed.  ``probabilities[i]`` is the
     probability of the world whose L mask is ``masks[-1] + i``, and
-    ``world(i)`` builds that world's structure, whose sets stay valid only
-    until the next chunk.
+    ``world(i)``, called before the next chunk, builds that world's
+    structure from the masks' columns.
 
     The probability of a world is the probability of drawing it: the
     product, step by step in the sampler's plan order and over each step's
@@ -347,8 +318,7 @@ def _enumerate(sampler: WorldSampler) -> Iterator[tuple[tuple[int, ...], Callabl
 
     A theta list is evaluated again only when the mask of one of the
     step's parents changes (``validate`` guarantees that theta reads no
-    other symbol), and a set and a column are built only for a structure:
-    for a theta list or a ``world``."""
+    other symbol), and a column only when its mask does."""
     net, n = sampler.net, sampler.n
     plan = sampler._plan
     if not plan:
@@ -362,29 +332,19 @@ def _enumerate(sampler: WorldSampler) -> Iterator[tuple[tuple[int, ...], Callabl
     width = len(plan[last].tuples)
     low = min(width, _CHUNK_BITS)
     masks = [0] * len(plan)
-    sets: list = [None] * len(plan)
-    columns: dict[str, bytes] = {}
+    columns: dict[str, bytes] = {}  # of the steps before L, at their masks
     thetas: list = [None] * len(plan)
 
     def world(base, i):
-        for k in range(last):
-            if sets[k] is None:
-                columns[names[k]] = _column(masks[k], len(plan[k].tuples))
-                sets[k] = _members(plan[k].tuples, columns[names[k]])
-        interp = dict(zip(names, sets[:last] + [_members(plan[last].tuples,
-                                                         _column(base + i, width))]))
-        return Structure(net.signature, n, interp)
+        return Structure(net.signature, n, {**columns, names[last]: _column(base + i, width)})
 
     changed = 0  # masks at positions >= changed differ from the last block's
     while True:
         for k in range(changed, last):
-            sets[k] = None
-        structure = None
+            columns[names[k]] = _column(masks[k], len(plan[k].tuples))
         for k, step in enumerate(plan):
             if thetas[k] is None or last_parent[k] >= changed:
-                if structure is None:  # with any mask of L: no step reads L
-                    structure = world(0, 0)
-                thetas[k] = sampler._thetas(structure, columns, step)
+                thetas[k] = sampler._thetas(columns, step)  # no step reads L
         prefix = 1.0
         for k in range(last):
             prefix = functools.reduce(operator.mul, _factors(thetas[k], masks[k]), prefix)
@@ -416,13 +376,11 @@ def exact_distribution(
     """Every world with its exact probability, in ``_enumerate``'s order:
     by relation bitmask in the sampler's plan order, tuples in
     lexicographic order.  The cap is checked before the first world is
-    built, and each world's structure has sets of its own."""
+    built."""
     _check_world_cap(net, n, world_cap)
     worlds = []
     for _, world, probabilities in _enumerate(WorldSampler(net, n, registry)):
-        for i, prob in enumerate(probabilities):
-            interp = {name: set(members) for name, members in world(i).interp.items()}
-            worlds.append(WorldWeight(Structure(net.signature, n, interp), prob))
+        worlds += [WorldWeight(world(i), prob) for i, prob in enumerate(probabilities)]
     return worlds
 
 
@@ -500,7 +458,7 @@ def exact_event_probability(
     value lands in the value set: the sum, in ``_enumerate``'s order, of
     the probabilities of the worlds where it does.
 
-    The formula's value depends only on the interpretations of the symbols
+    The formula's value depends only on the relations of the symbols
     it reads, so whether it lands in the set is memoised by their masks:
     the formula is evaluated at the first world with each combination, and
     an error it raises surfaces at the same world as without the memo.  The
@@ -696,7 +654,7 @@ def structure_to_doc(structure: Structure) -> dict:
             {
                 "name": name,
                 "arity": arity,
-                "tuples": sorted(list(t) for t in structure.interp[name]),
+                "tuples": [list(t) for t in structure.tuples(name)],
             }
             for name, arity in structure.signature.symbols
         ],
@@ -716,10 +674,8 @@ def structure_from_doc(doc: dict) -> Structure:
                    for t in rel["tuples"]):
             raise PlaError("relation %r: every tuple must be a list of elements" % rel["name"])
     symbols = tuple((rel["name"], rel["arity"]) for rel in relations)
-    interp = {rel["name"]: {tuple(t) for t in rel["tuples"]} for rel in relations}
-    structure = Structure(Signature(symbols), size, interp)
-    structure.validate()
-    return structure
+    return Structure.of(Signature(symbols), size,
+                        {rel["name"]: [tuple(t) for t in rel["tuples"]] for rel in relations})
 
 
 def load_structure(path: str) -> Structure:

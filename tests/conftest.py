@@ -29,7 +29,6 @@ from pla.errors import PlaError
 from pla.logic import (
     DEFAULT_TYPE_CAP,
     TooManyTypes,
-    atom_probes,
     check_cap,
     equality_pattern,
     evaluate,
@@ -38,6 +37,7 @@ from pla.logic import (
     index_to_signs,
     restriction,
     structure_of_type,
+    subformulas,
     tabulate,
 )
 from pla.network import network_from_doc, validate
@@ -180,35 +180,35 @@ NETWORK_DOCS = {
 
 def reference_sample(net, n: int, rng: random.Random, registry=None) -> Structure:
     """A world drawn tuple by tuple, as ``WorldSampler.sample`` draws it
-    with no columns: in stratification order, theta at each tuple is read
+    with no gathers: in stratification order, theta at each tuple is read
     from a cache keyed by the tuple's equality pattern and the truth values
-    of theta's atoms there, each probed in the structure's sets (a non-root
-    theta that aggregates is evaluated at every tuple, on one snapshot),
-    then one uniform per tuple decides its membership."""
-    structure = Structure(net.signature, n)
+    of theta's atoms there, each read from the structure of the tuples
+    chosen so far, one byte at a time (a non-root theta that aggregates is
+    evaluated at every tuple), then one uniform per tuple decides its
+    membership."""
+    chosen = {}
     for name in validate(net).order:
+        structure = Structure.of(net.signature, n, chosen)
         theta, variables = net.theta[name], net.theta_variables(name)
         tuples = list(itertools.product(range(1, n + 1), repeat=len(variables)))
         aggregating = net.parents[name] and has_aggregation(theta)
-        world = structure.snapshot() if aggregating else structure
-        symbols, probes = ((), ()) if aggregating else atom_probes((theta,), variables)
+        atoms = () if aggregating else dict.fromkeys(
+            f for f in subformulas(theta) if isinstance(f, Atom))
         cache = {}
         thetas = []
         for args in tuples:
-            key = (equality_pattern(args), *(probe(args) in structure.interp[symbol]
-                                             for symbol, probe in zip(symbols, probes)))
+            key = (equality_pattern(args),
+                   *(structure.holds(atom.symbol, [args[variables.index(v)] for v in atom.args])
+                     for atom in atoms))
             if aggregating or key not in cache:
                 try:
-                    cache[key] = evaluate(world, theta, dict(zip(variables, args)), registry)
+                    cache[key] = evaluate(structure, theta, dict(zip(variables, args)), registry)
                 except PlaError as exc:
                     raise PlaError("evaluating formula of %s at %s with n=%d: %s"
                                    % (name, args, n, exc)) from exc
             thetas.append(cache[key])
-        chosen = structure.interp[name]
-        for args, p in zip(tuples, thetas):
-            if rng.random() < p:
-                chosen.add(args)
-    return structure
+        chosen[name] = [args for args, p in zip(tuples, thetas) if rng.random() < p]
+    return Structure.of(net.signature, n, chosen)
 
 
 def reference_experiment_hit(phi, psi, n, epsilon, value_set, registry, variables, constants,
@@ -217,7 +217,6 @@ def reference_experiment_hit(phi, psi, n, epsilon, value_set, registry, variable
     evaluated at every parameter tuple, in ``itertools.product`` order, up
     to the first that separates them by more than epsilon."""
     canonical = tuple(range(1, len(variables) + 1))
-    world = world.snapshot()
     value_at_canonical = None
     exceeds = False
     if psi is not None:
@@ -239,7 +238,6 @@ def reference_saturated(q_formula, node, xs, base_tuples, size, lower, upper, wo
     """``eliminate._saturated`` tuple by tuple: q and the extension count
     are evaluated at every base tuple, up to the first count outside the
     band."""
-    world = world.snapshot()
     for args in base_tuples:
         assignment = dict(zip(xs, args))
         if evaluate(world, q_formula, assignment) != 1.0:
@@ -312,13 +310,6 @@ def assert_merges_reference(table, reference, tol=1e-12):
                     row.base, spectrum, expected)
 
 
-def columns_of(sampler, structure: Structure) -> dict:
-    """Per step of the sampler's plan, its symbol's column in the
-    structure: one 0/1 byte per tuple, in the step's tuple order."""
-    return {step.name: bytes(args in structure.interp[step.name] for args in step.tuples)
-            for step in sampler._plan}
-
-
 @pytest.fixture
 def pr_net():
     return network_from_doc(PR_DOC)
@@ -370,6 +361,12 @@ def satisfied_by(eq: EqualityType, assignment) -> bool:
     return len(set(values)) == len(values)
 
 
+def fresh(structure: Structure) -> Structure:
+    """A structure with the same columns and an empty ``memo``: evaluating
+    it counts afresh."""
+    return Structure(structure.signature, structure.domain_size, structure.columns)
+
+
 def realized_by(atype: AtomicType, structure: Structure, assignment) -> bool:
     """The assignment realizes the complete type in the structure."""
     if not satisfied_by(atype.eq, assignment):
@@ -377,36 +374,33 @@ def realized_by(atype: AtomicType, structure: Structure, assignment) -> bool:
     values = [assignment[block[0]] for block in atype.eq.blocks]
     for (name, ctuple), sign in atype.literals:
         args = tuple(values[c] for c in ctuple)
-        if (args in structure.interp[name]) != sign:
+        if structure.holds(name, args) != sign:
             return False
     return True
 
 
 def permuted(structure: Structure, perm) -> Structure:
     """The isomorphic copy of the structure under a domain permutation."""
-    interp = {
-        name: {tuple(perm[e] for e in tup) for tup in tuples}
-        for name, tuples in structure.interp.items()
-    }
-    return Structure(structure.signature, structure.domain_size, interp)
+    return Structure.of(structure.signature, structure.domain_size, {
+        name: [tuple(perm[e] for e in tup) for tup in structure.tuples(name)]
+        for name in structure.signature.names()
+    })
 
 
 def world_key(structure: Structure) -> tuple:
     """Canonical hashable form of a structure, e.g. for counting sampled worlds."""
-    return tuple(
-        (name, tuple(sorted(structure.interp[name]))) for name in structure.signature.names()
-    )
+    return tuple((name, structure.columns[name]) for name in structure.signature.names())
 
 
 def random_structure(rng: random.Random, sig: Signature, n: int) -> Structure:
-    interp = {}
+    tuples = {}
     for name, arity in sig.symbols:
-        interp[name] = {
+        tuples[name] = [
             args
             for args in itertools.product(range(1, n + 1), repeat=arity)
             if rng.random() < 0.5
-        }
-    return Structure(sig, n, interp)
+        ]
+    return Structure.of(sig, n, tuples)
 
 
 def random_agg_free(rng: random.Random, sig: Signature, variables, depth: int):

@@ -18,9 +18,7 @@ from pla.aggregators import (
     UnknownAggregationFunction,
     apply,
     empirical_admissibility_check,
-    exists_adapter,
     exists_at_least,
-    forall_adapter,
     gen_convergence_testing,
     largest_remainder_counts,
     limit,
@@ -273,25 +271,10 @@ class TestAdmissibility:
 
 
 class TestQuantifierAdapters:
-    def test_exists(self):
-        assert apply(exists_adapter(), (0.0, 1.0, 0.0)) == 1.0
-        assert apply(exists_adapter(), (0.0, 0.0)) == 0.0
-
-    def test_forall(self):
-        assert apply(forall_adapter(), (1.0, 1.0, 0.0)) == 0.0
-        assert apply(forall_adapter(), (1.0, 1.0)) == 1.0
-
     def test_exists_at_least_half(self):
         func = exists_at_least(0.5)
         assert apply(func, (1.0, 1.0, 1.0, 0.0), (1.0, 0.0, 1.0, 0.0)) == 1.0
         assert apply(func, (1.0, 1.0, 1.0, 0.0), (1.0, 0.0, 0.0, 0.0)) == 0.0
-
-    def test_adapters_match_min_max_on_boolean_sequences(self):
-        rng = random.Random(13)
-        for _ in range(200):
-            seq = [float(rng.randint(0, 1)) for _ in range(rng.randint(1, 10))]
-            assert apply(forall_adapter(), seq) == apply(F("min"), seq)
-            assert apply(exists_adapter(), seq) == apply(F("max"), seq)
 
     def test_registry_synthesizes_threshold_quantifiers(self):
         registry = Registry()

@@ -558,6 +558,10 @@ class TestRobustness:
         ("eval", "--structure", {"domain_size": 2, "relations": [
             {"name": "P", "arity": 1, "tuples": [[True]]}]},
          ("'P'", "tuple")),
+        # the tuple cap is checked from the sizes, before any column is built
+        ("eval", "--structure", {"domain_size": 10 ** 12, "relations": [
+            {"name": "P", "arity": 1, "tuples": []}]},
+         ("domain size 1000000000000 over P/1 has 1000000000000 tuples, more than the cap",)),
     ])
     def test_missing_required_key_is_named(self, capsys, tmp_path, command, option, doc, words):
         code, _, err = run_on_document(capsys, tmp_path, command, option, doc)
@@ -589,6 +593,13 @@ class TestRobustness:
         # a domain of 1 element cannot hold the formula's two distinct parameters
         (["converge", "--net", "{net}", "--formula", "am[R(y) : y : y != x1, y != x2, x1 != x2]",
           "--n-grid", "3,1"], "--n-grid must be >= 2, got 1"),
+        # more tuples than the cap: refused before any tuple list is built
+        (["sample", "--net", "{net}", "--n", "10000000"],
+         "a structure of domain size 10000000 over P/1, R/1 has 20000000 tuples, "
+         "more than the cap 16777216"),
+        (["infer", "mc", "--net", "{net}", "--n", "10000000", "--formula", "P(x)", "--assign",
+          "x=1"], "a structure of domain size 10000000 over P/1, R/1 has 20000000 tuples, "
+                  "more than the cap 16777216"),
         (["admissible", "--function", "am", "--spectra", "-3"], "--spectra must be >= 0, got -3"),
         (["admissible", "--function", "am", "--trials", "-1"], "--trials must be >= 0, got -1"),
     ])

@@ -1047,7 +1047,7 @@ class TestConvergenceExperiment:
         assert len(lines) == 3
 
     def test_counting_node_applies_its_function_once_per_pinned_key(self, pr_net, monkeypatch):
-        # on a world's snapshot am[R(y) : y : y != x] takes one value per
+        # on one world am[R(y) : y : y != x] takes one value per
         # truth value of R(x), so the mean is taken at most twice per world,
         # not once at each of the n values of x
         import pla.aggregators

@@ -164,7 +164,7 @@ GOLDEN = [
       "--value-set", "0.3:0.6"],
      "pse", 0, "bb83571fecea2ff3bbbbacdc6e7dadd9680cf66940851c442f9c7c7edbecbdda"),
     # the sampler evaluates R's aggregating theta at every tuple, on one
-    # snapshot of the structure per theta list
+    # structure per theta list
     ("sample-non-root-aggregation",
      ["sample", "--net", "{net}", "--n", "5", "--seed", "22"],
      "non-root-aggregation", 0, "4f132ca87ee7f5880a7bc8912366a7185d8acfea74235b8579edb6da3836fd49"),

@@ -36,8 +36,8 @@ from pla.logic import (EmptyAggregationRange, NotAggregationFree, assignment_key
                        subformulas)
 from pla.parser import parse_formula
 
-from conftest import (PSE_DOC, TEST_SIG, X, Y, Z, canonical_structure, complete_type, permuted,
-                      random_agg_free, random_formula, random_structure, realized_by,
+from conftest import (PSE_DOC, TEST_SIG, X, Y, Z, canonical_structure, complete_type, fresh,
+                      permuted, random_agg_free, random_formula, random_structure, realized_by,
                       satisfied_by)
 
 
@@ -91,18 +91,38 @@ class TestEvaluate:
         assert evaluate(A, Eq(X, Y), {X: 1, Y: 2}) == 0.0
 
     def test_agg_mean_excluding_parameter(self):
-        A = Structure(SIG_R, 3, {"R": {(1,)}})
+        A = Structure.of(SIG_R, 3, {"R": {(1,)}})
         eq = EqualityType.all_distinct([X, Y])
         phi = Agg("am", (Atom("R", (Y,)),), (Y,), eq)
         # y ranges over {1, 3}: values (1, 0)
         assert evaluate(A, phi, {X: 2}) == 0.5
 
     def test_agg_bound_equal_to_free(self):
-        A = Structure(SIG_R, 3, {"R": {(2,)}})
+        A = Structure.of(SIG_R, 3, {"R": {(2,)}})
         eq = EqualityType.from_blocks([X, Y], [[X, Y]])
         phi = Agg("am", (Atom("R", (Y,)),), (Y,), eq)
         assert evaluate(A, phi, {X: 2}) == 1.0
         assert evaluate(A, phi, {X: 3}) == 0.0
+
+    def test_atom_outside_the_domain_or_of_wrong_arity_reads_0(self):
+        # at n = 3, R(2, 1) has index 3, the index that R(1, 4), R(0, 7),
+        # R(4) and R(1, 1, 4) would compute; R(3, 3) has index -1 and R(1, 2)
+        # index 1, which R(0, 3) and a unary R(y) at y = 2 would compute
+        A = Structure.of(SIG_R2, 3, {"R": {(2, 1), (3, 3), (1, 2)}})
+        assert evaluate(A, Atom("R", (X, Y)), {X: 2, Y: 1}) == 1.0
+        for a in ({X: 1, Y: 4}, {X: 0, Y: 7}, {X: 0, Y: 3}):
+            assert evaluate(A, Atom("R", (X, Y)), a) == 0.0
+        assert evaluate(A, Atom("R", (X,)), {X: 4}) == 0.0
+        assert evaluate(A, Atom("R", (X, Y, Z)), {X: 1, Y: 1, Z: 4}) == 0.0
+        assert fold_to_bpf(Atom("R", (X, Y)), SIG_R2).value_on(A, {X: 1, Y: 4}) == 0.0
+        # through an aggregation node: a parameter outside the domain, and
+        # an atom of the wrong arity in a counting node's body
+        edge = Agg("am", (Atom("R", (X, Y)),), (Y,), EqualityType.all_distinct([X, Y]))
+        for x in (0, 4):
+            assert evaluate(A, edge, {X: x}) == 0.0
+        for args in ((Y,), (Y, Y, Y)):  # R(2, 2, 2) would have index 13, past the column
+            node = Agg("am", (Atom("R", args),), (Y,), EqualityType.all_distinct([X, Y]))
+            assert evaluate(A, node, {X: 1}) == 0.0
 
     def test_empty_range_raises(self):
         A = Structure(SIG_R, 1)
@@ -141,7 +161,7 @@ class TestEvaluate:
     def test_stops_skip_only_aggregation_free_operands(self):
         # y is unassigned, so an operand that reads it raises KeyError when
         # evaluated: past a stop, an aggregation-free one is skipped
-        A = Structure(TEST_SIG, 1, {"P": {(1,)}})
+        A = Structure.of(TEST_SIG, 1, {"P": {(1,)}})
         for text, value in (("Q(x) & P(y)", 0.0), ("Q(x) & P(x) & P(y) & P(x)", 0.0),
                             ("P(x) | Q(y)", 1.0), ("Q(x) -> P(y)", 1.0),
                             ("wm(Q(x); P(y); 0.3)", 0.3), ("wm(P(x); 0.6; P(y))", 0.6)):
@@ -164,7 +184,6 @@ class TestEvaluate:
             A = random_structure(rng, TEST_SIG, n)
             a = {X: rng.randint(1, n), Y: rng.randint(1, n)}
             assert evaluate(A, phi, a) == per_tuple_value(A, phi, a)
-            assert evaluate(A.snapshot(), phi, a) == per_tuple_value(A, phi, a)
 
     def test_value_range_random(self):
         rng = random.Random(42)
@@ -339,13 +358,13 @@ class TestTypeEnumeration:
 
 class TestRealizes:
     def test_positive(self):
-        A = Structure(SIG_R, 2, {"R": {(1,)}})
+        A = Structure.of(SIG_R, 2, {"R": {(1,)}})
         p = complete_type(SIG_R, [X], [[X]], positive=[("R", (X,))])
         assert realized_by(p, A, {X: 1})
         assert not realized_by(p, A, {X: 2})
 
     def test_negative(self):
-        A = Structure(SIG_R, 2, {"R": {(1,)}})
+        A = Structure.of(SIG_R, 2, {"R": {(1,)}})
         p = complete_type(SIG_R, [X], [[X]])
         assert not realized_by(p, A, {X: 1})
         assert realized_by(p, A, {X: 2})
@@ -569,29 +588,28 @@ V = Variable("v")
 
 def assert_matches(phi, structures, params):
     """``evaluate`` equals ``per_tuple_value`` at every assignment of the
-    parameters, on each structure, which counts afresh per call, and on one
-    snapshot of it, which every assignment shares."""
+    parameters, on a fresh copy of each structure per call, which counts
+    afresh, and on the structure itself, which every assignment shares."""
     for A in structures:
-        world = A.snapshot()
         for values in itertools.product(range(1, A.domain_size + 1), repeat=len(params)):
             a = dict(zip(params, values))
             try:
                 expected = per_tuple_value(A, phi, a)
             except EmptyAggregationRange:
                 with pytest.raises(EmptyAggregationRange):
-                    evaluate(A, phi, a)
+                    evaluate(fresh(A), phi, a)
                 with pytest.raises(EmptyAggregationRange):
-                    evaluate(world, phi, a)
+                    evaluate(A, phi, a)
                 continue
+            assert evaluate(fresh(A), phi, a) == expected, (phi, values)
             assert evaluate(A, phi, a) == expected, (phi, values)
-            assert evaluate(world, phi, a) == expected, (phi, values)
 
 
 class TestAggregationCache:
     """An aggregation node whose bodies are aggregation-free evaluates each
     body once per key of atom truth values; ``evaluate`` must still give
-    the per-tuple definition's value, bit for bit, on a structure and on
-    one snapshot of it shared by every assignment."""
+    the per-tuple definition's value, bit for bit, on a fresh structure per
+    call and on one structure shared by every assignment."""
 
     def random_cases(self, seed, variables, bound, blocks, funcs=("am", "gm", "max", "min")):
         rng = random.Random(seed)
@@ -617,9 +635,9 @@ class TestAggregationCache:
     def test_repeated_and_swapped_atoms(self):
         body = parse_formula("wm(E(y, x); E(x, y) & !E(y, y); E(x, y) | Q(y))")
         phi = Agg("am", (body,), (Y,), EqualityType.all_distinct([X, Y]))
-        symbols, probes = phi._body_table[:2]
-        assert symbols == ("E", "E", "E", "Q")  # E(x, y) once
-        assert [probe((1, 2)) for probe in probes] == [(2, 1), (1, 2), (2, 2), (2,)]
+        atoms, _ = phi._body_table
+        assert [atom.symbol for atom in atoms] == ["E", "E", "E", "Q"]  # E(x, y) once
+        assert [atom.args for atom in atoms] == [(Y, X), (X, Y), (Y, Y), (Y,)]
         rng = random.Random(14)
         assert_matches(phi, [random_structure(rng, TEST_SIG, n) for n in (2, 3, 5)], [X])
 
@@ -634,7 +652,7 @@ class TestAggregationCache:
     def test_binary_exists_at_least(self):
         bodies = (parse_formula("E(x, y)"), parse_formula("P(y) | E(y, x)"))
         phi = Agg("exists_at_least(0.5)", bodies, (Y,), EqualityType.all_distinct([X, Y]))
-        assert phi._body_table[0] == ("E", "P", "E")
+        assert [atom.symbol for atom in phi._body_table[0]] == ["E", "P", "E"]
         rng = random.Random(17)
         assert_matches(phi, [random_structure(rng, TEST_SIG, n) for n in (2, 3, 4, 5)], [X])
 
@@ -645,7 +663,7 @@ class TestAggregationCache:
         assert phi._body_table is None and inner._body_table is not None
         rng = random.Random(18)
         assert_matches(phi, [random_structure(rng, TEST_SIG, n) for n in (2, 3, 4)], [X])
-        assert inner._body_table[2]  # the inner node filled its table
+        assert inner._body_table[1]  # the inner node filled its table
 
     def test_one_node_across_domain_sizes(self):
         phi = parse_formula("gm[E(x, y) -> wm(P(y); 0.9; 0.4) : y : y != x]")
@@ -654,7 +672,7 @@ class TestAggregationCache:
         large = [random_structure(rng, TEST_SIG, 6) for _ in range(3)]
         for A, B in zip(small, large):  # interleaved, so each size meets the other's table
             assert_matches(phi, [A, B], [X])
-        assert len(phi._body_table[2]) == 4  # (E(x, y), P(y)) truth values
+        assert len(phi._body_table[1]) == 4  # (E(x, y), P(y)) truth values
 
     def test_table_travels_with_the_formula(self):
         phi = parse_formula("am[E(y, x) & !P(y) : y : y != x]")
@@ -662,7 +680,7 @@ class TestAggregationCache:
         A = random_structure(rng, TEST_SIG, 4)
         before = [evaluate(A, phi, {X: x}) for x in range(1, 5)]
         copy = pickle.loads(pickle.dumps(phi))
-        assert copy == phi and copy._body_table[2] == phi._body_table[2]
+        assert copy == phi and copy._body_table[1] == phi._body_table[1]
         assert [evaluate(A, copy, {X: x}) for x in range(1, 5)] == before
 
     def test_key_first_met_after_one_batch(self):
@@ -674,7 +692,7 @@ class TestAggregationCache:
         n = 66
         assert (n - 2) * (n - 2) == _BLOCK < (n - 1) * (n - 2)
         rng = random.Random(29)
-        A = Structure(TEST_SIG, n, {
+        A = Structure.of(TEST_SIG, n, {
             "P": {(n,)},
             "Q": {(e,) for e in range(1, n + 1) if rng.random() < 0.5},
             "E": {t for t in itertools.product(range(1, n + 1), repeat=2) if rng.random() < 0.5},
@@ -683,7 +701,7 @@ class TestAggregationCache:
         for x in (1, 40):
             phi = parse_formula(text)  # a fresh table, filled by this call
             assert evaluate(A, phi, {X: x}) == per_tuple_value(A, phi, {X: x})
-            assert any(key[0] for key in phi._body_table[2])  # P(y) true was met
+            assert any(key[0] for key in phi._body_table[1])  # P(y) true was met
 
 
 class TestCountingAggregation:
@@ -742,11 +760,10 @@ class TestCountingAggregation:
                                                  empty_value=0.25)])
         phi = parse_formula("amz[P(y) : y : y != x]", registry)
         assert phi._counting is not None
-        A = Structure(TEST_SIG, 1, {"P": {(1,)}})
-        world = A.snapshot()
-        assert evaluate(world, phi, {X: 1}, registry) == 0.25
+        A = Structure.of(TEST_SIG, 1, {"P": {(1,)}})
+        assert evaluate(A, phi, {X: 1}, registry) == 0.25
         with pytest.raises(EmptyAggregationRange):
-            evaluate(world, parse_formula("am[P(y) : y : y != x]"), {X: 1})
+            evaluate(A, parse_formula("am[P(y) : y : y != x]"), {X: 1})
 
     def test_atom_reading_a_parameter_falls_back(self):
         phi = parse_formula("am[E(x, y) | P(y) : y : y != x]")
@@ -761,13 +778,12 @@ class TestCountingAggregation:
     def test_counting_plan_travels_with_the_formula(self):
         phi = parse_formula("max[P(y) & !E(y, y) | y = x : y : y != x]")
         A = random_structure(random.Random(28), TEST_SIG, 4)
-        world = A.snapshot()
-        before = [evaluate(world, phi, {X: x}) for x in range(1, 5)]
+        before = [evaluate(A, phi, {X: x}) for x in range(1, 5)]
         copy = pickle.loads(pickle.dumps(phi))
-        assert copy._counting is not None and copy._body_table[2] == phi._body_table[2]
-        assert [evaluate(A, copy, {X: x}) for x in range(1, 5)] == before
+        assert copy._counting is not None and copy._body_table[1] == phi._body_table[1]
+        assert [evaluate(fresh(A), copy, {X: x}) for x in range(1, 5)] == before
 
-    def test_one_snapshot_keys_each_element_once(self, monkeypatch):
+    def test_one_structure_keys_each_element_once(self, monkeypatch):
         import pla.logic
 
         visited = []
@@ -781,28 +797,18 @@ class TestCountingAggregation:
         monkeypatch.setattr(pla.logic, "satisfying_bound_tuples", counting)
         n = 30
         phi = parse_formula("am[R(y) : y : y != x]")
-        A = Structure(SIG_R, n, {"R": {(e,) for e in range(1, n + 1) if e % 3}})
-        world = A.snapshot()
-        values = [evaluate(world, phi, {X: x}) for x in range(1, n + 1)]
+        A = Structure.of(SIG_R, n, {"R": {(e,) for e in range(1, n + 1) if e % 3}})
+        values = [evaluate(A, phi, {X: x}) for x in range(1, n + 1)]
         assert len(visited) == n  # not n(n - 1)
         assert values == [per_tuple_value(A, phi, {X: x}) for x in range(1, n + 1)]
-        assert [evaluate(A, phi, {X: x}) for x in range(1, n + 1)] == values
-        assert len(visited) == n + n * n  # the structure itself keys every element per call
+        assert [evaluate(fresh(A), phi, {X: x}) for x in range(1, n + 1)] == values
+        assert len(visited) == n + n * n  # a fresh structure keys every element per call
         for outside in (0, n + 1):  # a parameter outside the domain pins nothing
-            assert evaluate(world, phi, {X: outside}) == per_tuple_value(A, phi, {X: outside})
-
-    def test_snapshot_is_an_unchangeable_copy(self):
-        A = Structure(SIG_R, 3, {"R": {(1,), (3,)}})
-        world = A.snapshot()
-        assert world == A and A.memo is None and world.memo == {}
-        with pytest.raises(AttributeError):
-            world.interp["R"].add((2,))
-        A.interp["R"].add((2,))
-        assert evaluate(world, parse_formula("am[R(y) : y : y != x]"), {X: 1}) == 0.5
+            assert evaluate(A, phi, {X: outside}) == per_tuple_value(A, phi, {X: outside})
 
 
 class TestCountingValueMemo:
-    """On a snapshot, a counting node's value is stored by the node, its
+    """On a structure, a counting node's value is stored by the node, its
     function and the sorted keys of the elements its parameters pin, and
     read back at every assignment with the same keys; every value must
     still equal the per-tuple definition's, bit for bit."""
@@ -812,36 +818,34 @@ class TestCountingValueMemo:
 
     def test_two_parameters_pinning_elements_with_equal_and_unequal_keys(self):
         rng = random.Random(31)
-        structures = [Structure(SIG_R, n, {"R": {(e,) for e in range(1, n + 1)
+        structures = [Structure.of(SIG_R, n, {"R": {(e,) for e in range(1, n + 1)
                                                  if rng.random() < 0.5}})
                       for n in (1, 2, 3, 4, 5, 6) for _ in range(3)]
         # x = z violates the equality type; at n = 2 two pins empty the range
         assert_matches(self.TWO_PINS, structures, [X, Z])
-        A = Structure(SIG_R, 4, {"R": {(1,), (2,)}})
-        world = A.snapshot()
+        A = Structure.of(SIG_R, 4, {"R": {(1,), (2,)}})
         for x, z in itertools.permutations(range(1, 5), 2):
-            assert evaluate(world, self.TWO_PINS, {X: x, Z: z}) == per_tuple_value(
+            assert evaluate(A, self.TWO_PINS, {X: x, Z: z}) == per_tuple_value(
                 A, self.TWO_PINS, {X: x, Z: z})
         # one value per multiset of pinned keys: {T, T}, {T, F}, {F, F}
-        assert sum(isinstance(key, tuple) for key in world.memo) == 3
+        assert sum(isinstance(key, tuple) for key in A.memo) == 3
 
-    def test_two_registries_binding_one_name_on_one_snapshot(self):
+    def test_two_registries_binding_one_name_on_one_structure(self):
         from pla.aggregators import AggregationFunction, Registry
 
         mean = Registry([AggregationFunction("f", 1, lambda r: sum(r) / len(r))])
         top = Registry([AggregationFunction("f", 1, max)])
         phi = parse_formula("f[R(y) : y : y != x]", mean)
-        A = Structure(SIG_R, 5, {"R": {(1,), (4,)}})
-        world = A.snapshot()
+        A = Structure.of(SIG_R, 5, {"R": {(1,), (4,)}})
         for x in range(1, 6):
             for registry in (mean, top, mean):
-                assert evaluate(world, phi, {X: x}, registry) == evaluate(A, phi, {X: x}, registry)
-        assert [evaluate(world, phi, {X: x}, top) for x in range(1, 6)] == [1.0] * 5
-        assert evaluate(world, phi, {X: 1}, mean) == 0.25
+                assert evaluate(A, phi, {X: x}, registry) == evaluate(fresh(A), phi, {X: x},
+                                                                      registry)
+        assert [evaluate(A, phi, {X: x}, top) for x in range(1, 6)] == [1.0] * 5
+        assert evaluate(A, phi, {X: 1}, mean) == 0.25
 
     def test_empty_range_raises_at_every_call(self):
-        A = Structure(SIG_R, 2, {"R": {(2,)}})
-        world = A.snapshot()
+        world = Structure.of(SIG_R, 2, {"R": {(2,)}})
         assert evaluate(world, self.TWO_PINS, {X: 1, Z: 3}) == 1.0  # z pins nothing
         for _ in range(2):
             for x, z in ((1, 2), (2, 1), (1, 1)):  # the last violates the equality type
@@ -852,17 +856,17 @@ class TestCountingValueMemo:
     def test_aggregating_non_root_theta_in_the_sampler(self):
         from pla.network import WorldSampler, network_from_doc
 
-        from conftest import NON_ROOT_AGGREGATION_DOC, columns_of
+        from conftest import NON_ROOT_AGGREGATION_DOC
 
         net = network_from_doc(NON_ROOT_AGGREGATION_DOC)
         rng = random.Random(32)
         for n in (2, 5, 9):
             sampler = WorldSampler(net, n)
             (step,) = [step for step in sampler._plan if step.name == "R"]
-            assert step.cache is None  # evaluated at every tuple, on one snapshot
+            assert step.cache is None  # evaluated at every tuple, on one structure
             for _ in range(4):
                 world = sampler.sample(rng)
-                assert sampler._thetas(world, columns_of(sampler, world), step) == [
+                assert sampler._thetas(world.columns, step) == [
                     per_tuple_value(world, step.theta, dict(zip(step.variables, args)))
                     for args in step.tuples]
 
@@ -896,16 +900,15 @@ class TestAssignmentKeys:
     def assert_sound(self, formulas, variables, structures):
         keyed = 0
         for A in structures:
-            world = A.snapshot()
             tuples = list(itertools.product(range(1, A.domain_size + 1), repeat=len(variables)))
             for phi in formulas:
                 if isinstance(phi, BasicProbabilityFormula):
-                    value_of = lambda a: phi.value_on(world, a)
+                    value_of = lambda a: phi.value_on(A, a)
                 else:
-                    value_of = lambda a: evaluate(world, phi, a)
+                    value_of = lambda a: evaluate(A, phi, a)
                 seen = {}
-                keys = assignment_keys(world, (phi,), variables, tuples)
-                assert keys == assignment_keys(A, (phi,), variables, tuples)
+                keys = assignment_keys(A, (phi,), variables, tuples)
+                assert keys == assignment_keys(fresh(A), (phi,), variables, tuples)
                 for key, args in zip(keys, tuples):
                     got = outcome(value_of, dict(zip(variables, args)))
                     assert seen.setdefault(key, got) == got, (phi, args)
@@ -931,7 +934,7 @@ class TestAssignmentKeys:
         rng = random.Random(43)
         structures = [random_structure(rng, TEST_SIG, n) for n in (1, 2, 6, 8)]
         assert self.assert_sound(formulas, [X, Z], structures) >= 3 * 2
-        world = Structure(TEST_SIG, 3, {"P": {(1,), (2,)}}).snapshot()
+        world = Structure.of(TEST_SIG, 3, {"P": {(1,), (2,)}})
         keys = assignment_keys(world, formulas[1:2], [X, Z], [(1, 3), (2, 3), (3, 1)])
         assert keys[0] == keys[1] != keys[2]  # P(1) and P(2) hold, P(3) does not
 
