@@ -1,7 +1,8 @@
 """Aggregation functions and the machinery for reasoning about their
-asymptotic behaviour: support spectra with closed-form or numeric limits,
-step-function representations of sequences, pseudometrics, convergence
-testing sequence generators, and an empirical admissibility check.
+asymptotic behaviour: support spectra and limits over them, in closed form
+where a function declares one, step-function representations of
+sequences, pseudometrics, convergence testing sequence generators, and an
+empirical admissibility check.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from typing import Callable, Optional, Sequence
 from .errors import PlaError
 
 MERGE_TOL = 1e-9
-NUMERIC_LIMIT_TOL = 1e-4
-NUMERIC_LIMIT_MAX_N = 2 ** 20
 LIMIT_CLAMP_TOL = 1e-12
 
 
@@ -29,10 +28,6 @@ class UnknownAggregationFunction(PlaError):
 
 class NoLimitMethod(PlaError):
     """The function declares no way to compute limits over a spectrum."""
-
-
-class NumericNonConvergence(PlaError):
-    """Numeric limit estimation failed to stabilize."""
 
 
 class JitterTooLarge(PlaError):
@@ -131,20 +126,14 @@ def gen_convergence_testing(
 
 @dataclass(frozen=True)
 class AggregationFunction:
-    """A symmetric map from k finite sequences over [0,1] to [0,1]."""
+    """A symmetric map from k finite sequences over [0,1] to [0,1]; it has
+    a limit over support spectra exactly when it has a ``closed_form``."""
 
     name: str
     arity: int
     fn: Callable[..., float]
     empty_value: Optional[float] = None
-    limit_method: str = "none"  # closed_form | numeric | none
     closed_form: Optional[Callable[[tuple[SupportSpectrum, ...]], float]] = None
-
-    def __post_init__(self):
-        if self.limit_method not in ("closed_form", "numeric", "none"):
-            raise ValueError("bad limit method %r" % self.limit_method)
-        if self.limit_method == "closed_form" and self.closed_form is None:
-            raise ValueError("closed_form limit method needs a closed_form callable")
 
 
 def apply(func: AggregationFunction, *seqs: Sequence[float]) -> float:
@@ -204,12 +193,12 @@ def _closed_min(spectra):
 
 
 BUILTINS = (
-    AggregationFunction("max", 1, lambda r: max(r), limit_method="closed_form", closed_form=_closed_max),
-    AggregationFunction("min", 1, lambda r: min(r), limit_method="closed_form", closed_form=_closed_min),
-    AggregationFunction("am", 1, _am, limit_method="closed_form", closed_form=_closed_am),
-    AggregationFunction("gm", 1, _gm, limit_method="closed_form", closed_form=_closed_gm),
+    AggregationFunction("max", 1, lambda r: max(r), closed_form=_closed_max),
+    AggregationFunction("min", 1, lambda r: min(r), closed_form=_closed_min),
+    AggregationFunction("am", 1, _am, closed_form=_closed_am),
+    AggregationFunction("gm", 1, _gm, closed_form=_closed_gm),
     AggregationFunction("noisy-or", 1, _noisy_or),
-    AggregationFunction("invlen", 1, _invlen, limit_method="closed_form", closed_form=lambda spectra: 0.0),
+    AggregationFunction("invlen", 1, _invlen, closed_form=lambda spectra: 0.0),
 )
 
 
@@ -231,8 +220,7 @@ def quantifier_adapter(
         sets = [frozenset(j for j, v in enumerate(s) if v == 1.0) for s in seqs]
         return 1.0 if predicate(m, *sets) else 0.0
 
-    method = "closed_form" if closed_form is not None else "none"
-    return AggregationFunction(name, arity, fn, limit_method=method, closed_form=closed_form)
+    return AggregationFunction(name, arity, fn, closed_form=closed_form)
 
 
 def exists_at_least(threshold: float, name: Optional[str] = None) -> AggregationFunction:
@@ -291,8 +279,7 @@ def limit(
     spectra: SupportSpectrum | Sequence[SupportSpectrum],
 ) -> float:
     """Limit of the function on convergence testing sequences with the given
-    support spectra (one per input slot), via its closed form or by numeric
-    stabilization on realizations of doubling length."""
+    support spectra (one per input slot), by its closed form."""
     if isinstance(spectra, SupportSpectrum):
         spectra = (spectra,)
     spectra = tuple(s.merged() for s in spectra)
@@ -300,31 +287,14 @@ def limit(
         raise ValueError(
             "%s takes %d spectra, got %d" % (func.name, func.arity, len(spectra))
         )
-    if func.limit_method == "closed_form":
-        out = func.closed_form(spectra)
-    elif func.limit_method == "numeric":
-        out = _numeric_limit(func, spectra)
-    else:
+    if func.closed_form is None:
         raise NoLimitMethod("%s has no limit method" % func.name)
+    out = func.closed_form(spectra)
     # merged proportions may sum to 1 plus an ulp, so a limit may stray
     # just outside [0, 1]; that much is rounding, more is an error
     if not (-LIMIT_CLAMP_TOL <= out <= 1.0 + LIMIT_CLAMP_TOL):
         raise ValueError("%s limit %r outside [0, 1]" % (func.name, out))
     return min(max(out, 0.0), 1.0)
-
-
-def _numeric_limit(func: AggregationFunction, spectra: tuple[SupportSpectrum, ...]) -> float:
-    n = 256
-    prev = apply(func, *[realize_spectrum(s, n) for s in spectra])
-    while 2 * n <= NUMERIC_LIMIT_MAX_N:
-        n *= 2
-        cur = apply(func, *[realize_spectrum(s, n) for s in spectra])
-        if abs(cur - prev) < NUMERIC_LIMIT_TOL:
-            return cur
-        prev = cur
-    raise NumericNonConvergence(
-        "%s failed to stabilize by length %d" % (func.name, NUMERIC_LIMIT_MAX_N)
-    )
 
 
 # ---------------------------------------------------------------------------

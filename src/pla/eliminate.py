@@ -198,7 +198,6 @@ class AlphaTable:
     closure: tuple[int, ...]
     base: tuple[int, ...]
     rows: list[AlphaRow]
-    limit_method: Optional[str] = None  # the compiled function's, set with the spectra
 
     def to_dict(self, full_table: bool = False) -> dict:
         """Per row, the base literals, gamma, the sum of alpha, the number
@@ -232,7 +231,8 @@ class AlphaTable:
             "rows": rows,
         }
         if not full_table:
-            table["limit_method"] = self.limit_method
+            # a function without a closed form is refused before its table is built
+            table["limit_method"] = "closed_form"
         return table
 
 
@@ -439,12 +439,11 @@ def eliminate(
             reader = _combined(bodies, lambda vs: aggregators.apply(func, *([v] for v in vs)))
             first = tabulate(lambda k, _: reader(k, eq.class_index), covered)
         else:
-            if func.limit_method == "none":
+            if func.closed_form is None:
                 raise aggregators.NoLimitMethod(
                     "%s has no limit method; cannot eliminate it" % func.name
                 )
             table = alphas(net, xs, ys, eq, bodies, type_cap, block=block)
-            table.limit_method = func.limit_method
             # a row per sign vector at the closure's slots over xs, by ascending index
             constants = []
             for row in table.rows:
@@ -458,11 +457,6 @@ def eliminate(
                 row.spectra = _row_spectra(row)
                 constants.append(aggregators.limit(func, row.spectra))
             first = (covered, table.base, tuple(constants))
-            if func.limit_method == "numeric":
-                node_warnings.append(
-                    "%s limits estimated numerically (stabilized to %g)"
-                    % (func.name, aggregators.NUMERIC_LIMIT_TOL)
-                )
         bpf = BasicProbabilityFormula(sig, tuple(xs), (first, *(
             other for other in ones.tables if other[0] != covered)))
         for t, _ in bpf.conjuncts:

@@ -568,10 +568,9 @@ class Agg(_Node):
         equality pattern, and an aggregation-free body's value there is a
         function of the truth values of its atoms alone.  ``atoms`` are the
         distinct atoms of all bodies; ``table`` maps their ``atom_keys`` to
-        the tuple of body values, filled by ``_eval_bodies_by_count`` with
-        one ``_eval`` per key, whichever way the node counts its keys (see
-        ``_counting``).  Both parts pickle, so formulas still travel to
-        worker processes.
+        the tuple of body values, filled by ``_eval_agg`` with one ``_eval``
+        per key, whichever way the node counts its keys (see ``_counting``).
+        Both parts pickle, so formulas still travel to worker processes.
         """
         if not all(body._aggregation_free for body in self.bodies):
             return None
@@ -582,7 +581,7 @@ class Agg(_Node):
         """``eq_type`` restricted to ``bound`` when the node keys and counts
         its domain elements once per world, else None: a node with a
         ``_body_table`` then counts the keys of each call's bound tuples
-        (see ``_eval_bodies_by_count``).
+        (see ``_eval_agg``).
 
         The node qualifies when it has a ``_body_table``, one equality class
         is exactly the bound variables and every body atom reads bound
@@ -825,17 +824,19 @@ def satisfying_bound_tuples(
     which the combined assignment satisfies the equality type.
 
     Classes containing a free variable are pinned to its assigned value
-    (the equality type may equate bound with free variables); the remaining
-    classes range injectively over the unused domain elements.
+    (the equality type may equate bound with free variables), which for a
+    class with a bound variable must lie in [n]; the remaining classes
+    range injectively over the unused domain elements.
     """
     pins = _pins(pin_plan(eq_type, bound), assignment)
-    if pins is None:
+    classes = [eq_type.class_index[v] for v in bound]
+    # a bound variable equated with a parameter outside [n] takes no value
+    if pins is None or any(not 0 < pins.get(c, 1) <= n for c in classes):
         return
     open_classes = [i for i in range(len(eq_type.blocks)) if i not in pins]
     pinned_values = set(pins.values())
     available = [e for e in range(1, n + 1) if e not in pinned_values]
     combos = itertools.permutations(available, len(open_classes))
-    classes = [eq_type.class_index[v] for v in bound]
     if classes == open_classes:
         yield from combos  # each bound variable alone in its class
         return
@@ -872,14 +873,16 @@ def evaluate(
     ``am[R(y) : y : y != x]``, twice).  A caller with many assignments keys
     them first (see ``assignment_keys``) and evaluates once per key: the
     Monte Carlo harnesses call this once or twice per key, not once per
-    parameter tuple.
+    parameter tuple.  No evaluation writes to the assignment: an
+    aggregation node binds its bound variables in a copy (see
+    ``_eval_agg``).
     """
     if registry is None:
         registry = aggregators.DEFAULT_REGISTRY
-    return _eval(structure, phi, dict(assignment or {}), registry)
+    return _eval(structure, phi, assignment or {}, registry)
 
 
-def _eval(structure: Structure, phi: Formula, a: dict, registry) -> float:
+def _eval(structure: Structure, phi: Formula, a: Assignment, registry) -> float:
     # the stops are exact for values in [0, 1]; they skip only
     # aggregation-free operands, so an aggregation error still surfaces
     if isinstance(phi, Atom):
@@ -909,44 +912,7 @@ def _eval(structure: Structure, phi: Formula, a: dict, registry) -> float:
             structure, phi.right, a, registry
         )
     if isinstance(phi, Agg):
-        func = aggregation_function(phi, registry)
-        n, key = structure.domain_size, None
-        if phi._counting is not None:
-            _, keys, _ = _element_counts(structure, phi)
-            pins = _pins(phi._pin_plan, a)
-            key = (id(phi), func, None if pins is None else tuple(sorted(
-                [keys[e - 1] for e in pins.values() if 0 < e <= n])))
-            value = structure.memo.get(key)
-            if value is not None:
-                return value
-        saved = {v: a.get(v) for v in phi.bound}
-        # a parameter outside [n] has no column byte: evaluate tuple by tuple
-        if phi._body_table is None or (phi._counting is None
-                                       and not all(0 < a[v] <= n for v in phi.params)):
-            seqs = [[] for _ in phi.bodies]
-            for combo in satisfying_bound_tuples(phi.eq_type, phi.bound, a, n):
-                a.update(zip(phi.bound, combo))
-                for i, body in enumerate(phi.bodies):
-                    seqs[i].append(_eval(structure, body, a, registry))
-        else:
-            seqs = _eval_bodies_by_count(structure, phi, a, registry)
-        for v, old in saved.items():
-            if old is None:
-                a.pop(v, None)
-            else:
-                a[v] = old
-        if seqs[0]:
-            value = aggregators.apply(func, *seqs)
-        elif func.empty_value is not None:
-            value = func.empty_value
-        else:
-            raise EmptyAggregationRange(
-                "no bound tuple satisfies the equality constraint of %s[...] "
-                "at domain size %d" % (phi.func, n)
-            )
-        if key is not None:
-            structure.memo[key] = value
-        return value
+        return _eval_agg(structure, phi, a, registry)
     raise TypeError("not a formula: %r" % (phi,))
 
 
@@ -967,65 +933,93 @@ def _element_counts(structure: Structure, phi: Agg) -> tuple[Agg, list, Counter]
     return state
 
 
-def _eval_bodies_by_count(structure: Structure, phi: Agg, a: dict, registry):
-    """The body values of an aggregation node with a ``_body_table`` over
-    its bound tuples, one list per body, grouped by key in order of the
-    key's first occurrence.
+def _eval_agg(structure: Structure, phi: Agg, a: Assignment, registry) -> float:
+    """An aggregation node's function applied to its bodies' values over
+    the bound tuples that satisfy its equality type, taken as (key, count)
+    pairs: the bodies take one row of values at every bound tuple with a
+    key, and the key has ``count`` of them.  The pairs come from one of
+    three sources:
 
-    A counting node (see ``Agg._counting``) takes the per-world key counts
-    of ``_element_counts`` and subtracts the keys of the elements its
-    parameters pin, so the lists depend only on the world and those keys;
-    ``_eval`` stores the node's value and calls this once per world and
-    tuple of pinned keys (see ``evaluate``).  Any other node keys the bound
-    tuples of the call, whose parameters lie in [n], ``_BLOCK`` at a time,
-    and counts them.  A key not yet in the table is evaluated once, at a
-    bound tuple with that key (for a counting node, one no parameter pins),
-    and each key's row of body values is repeated by its count, so no body
-    is evaluated unless its key is new.  The aggregation functions are
-    symmetric, so the grouping changes no value.
+    - a counting node (see ``Agg._counting``) takes the per-world counts of
+      ``_element_counts`` less the keys of the elements its parameters pin,
+      so its value depends only on the world and those keys, and is kept in
+      the structure's ``memo`` by them (see ``evaluate``);
+    - any other node with a ``_body_table``, whose parameters lie in [n],
+      keys the call's bound tuples ``_BLOCK`` at a time and counts them;
+    - a node whose body aggregates, or with a parameter outside [n], which
+      has no column byte, takes each bound tuple as its own key, once, in
+      enumeration order.
+
+    A row is evaluated once per key the node's table lacks, at a bound
+    tuple with that key (for a counting node, one no parameter pins), on a
+    copy of the assignment, and repeated by the key's count.  The
+    aggregation functions are symmetric, so the grouping changes no value.
     """
-    atoms, table = phi._body_table
-    if phi._counting is None:
+    func = aggregation_function(phi, registry)
+    n, memo_key = structure.domain_size, None
+    atoms, table = phi._body_table or ((), None)
+    if phi._counting is not None:
+        _, keys, total = _element_counts(structure, phi)
+        pins = _pins(phi._pin_plan, a)
+        pinned = [] if pins is None else [e for e in pins.values() if 0 < e <= n]
+        pinned_keys = [keys[e - 1] for e in pinned]
+        memo_key = (id(phi), func, None if pins is None else tuple(sorted(pinned_keys)))
+        value = structure.memo.get(memo_key)
+        if value is not None:
+            return value
+        counts = dict(total)
+        for key in pinned_keys:
+            counts[key] -= 1
+        # a violated equality type leaves no bound tuple
+        pairs = () if pins is None else counts.items()
+
+        def tuple_with(key):
+            e = next(i for i, k in enumerate(keys, 1) if k == key and i not in pinned)
+            return (e,) * len(phi.bound)
+    elif table is not None and all(0 < a[v] <= n for v in phi.params):
         params = tuple(a[v] for v in phi.params)
         counts = Counter()
         witness = {}  # key -> a bound tuple with it, for every key the table lacks
-        tuples = satisfying_bound_tuples(phi.eq_type, phi.bound, a, structure.domain_size)
+        tuples = satisfying_bound_tuples(phi.eq_type, phi.bound, a, n)
         for block in iter(lambda: list(itertools.islice(tuples, _BLOCK)), []):
             keys = atom_keys(structure, atoms, phi.eq_type.variables,
                              list(map(params.__add__, block)) if params else block)
             counts.update(keys)
             if counts.keys() - table.keys() - witness.keys():
                 witness.update(zip(keys, block))
-        tuple_with = witness.__getitem__
+        pairs, tuple_with = counts.items(), witness.__getitem__
     else:
-        _, keys, total = _element_counts(structure, phi)
-        pins = _pins(phi._pin_plan, a)
-        if pins is None:
-            return [[] for _ in phi.bodies]
-        pinned = set(pins.values())
-        counts = dict(total)
-        for e in pinned:
-            if 0 < e <= len(keys):
-                counts[keys[e - 1]] -= 1
-
-        def tuple_with(key):
-            e = next(i for i, k in enumerate(keys, 1) if k == key and i not in pinned)
-            return (e,) * len(phi.bound)
+        table = None  # a key here is a bound tuple, not a key of the table
+        pairs = zip(satisfying_bound_tuples(phi.eq_type, phi.bound, a, n), itertools.repeat(1))
+        tuple_with = tuple  # the key is the bound tuple itself
+    b = dict(a)
     seqs: list[list[float]] = [[] for _ in phi.bodies]
-    for key, count in counts.items():
+    for key, count in pairs:
         if not count:  # every element of the key is pinned
             continue
-        row = table.get(key)
+        row = None if table is None else table.get(key)
         if row is None:
-            a.update(zip(phi.bound, tuple_with(key)))
-            row = table[key] = tuple(_eval(structure, body, a, registry)
-                                     for body in phi.bodies)
+            b.update(zip(phi.bound, tuple_with(key)))
+            row = tuple([_eval(structure, body, b, registry) for body in phi.bodies])
+            if table is not None:
+                table[key] = row
         for seq, value in zip(seqs, row):
             seq += [value] * count
-    return seqs
+    if seqs[0]:
+        value = aggregators.apply(func, *seqs)
+    elif func.empty_value is not None:
+        value = func.empty_value
+    else:
+        raise EmptyAggregationRange(
+            "no bound tuple satisfies the equality constraint of %s[...] "
+            "at domain size %d" % (phi.func, n)
+        )
+    if memo_key is not None:
+        structure.memo[memo_key] = value
+    return value
 
 
-def _eval_spine(structure: Structure, phi: Formula, a: dict, registry,
+def _eval_spine(structure: Structure, phi: Formula, a: Assignment, registry,
                 combine, stop: float) -> float:
     """An ``&`` or ``|`` node by its ``_spine``.  Operands are evaluated and
     combined left to right, so values match the nested binary definition

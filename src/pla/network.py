@@ -134,12 +134,15 @@ def validate(net: PlaNetwork) -> Stratification:
 class _Step(NamedTuple):
     """One symbol of a sampler's plan, in stratification order.
 
-    ``tuples`` are in lexicographic order, the order of the bytes of the
-    symbol's column.  ``gathers`` are theta's distinct atoms in preorder,
-    each as its symbol and an ``itemgetter`` that takes that symbol's
-    column to the atom's truth value at every tuple of the step.  ``keys``
-    code each tuple's equality pattern: bit ``len(gathers) + b`` is set
-    when the b-th pair of argument positions i < j holds equal elements.
+    ``width`` is the number of the symbol's tuples over [n], n^arity, one
+    per byte of its column, in lexicographic order.  No list of the tuples
+    is kept: where theta is evaluated they are walked as
+    ``itertools.product``.  ``gathers`` are theta's distinct atoms in
+    preorder, each as its symbol and an ``itemgetter`` that takes that
+    symbol's column to the atom's truth value at every tuple of the step.
+    ``keys`` code each tuple's equality pattern: bit ``len(gathers) + b``
+    is set when the b-th pair of argument positions i < j holds equal
+    elements.
     ``cache`` maps a key with bit a set where atom a holds to theta; it is
     None, and so are ``keys``, for a symbol with parents whose formula
     aggregates, which is evaluated at every tuple.
@@ -148,7 +151,7 @@ class _Step(NamedTuple):
     name: str
     theta: Formula
     variables: tuple[Variable, ...]
-    tuples: list[tuple[int, ...]]
+    width: int
     keys: Optional[list[int]]
     gathers: tuple[tuple[str, Callable], ...]
     cache: Optional[dict]
@@ -169,7 +172,8 @@ class WorldSampler:
     and one dictionary lookup per tuple.  Only a non-root theta that
     contains aggregation is evaluated at every tuple, on one structure per
     theta list, so a counting aggregation node keys the domain once per
-    list, not once per tuple.
+    list, not once per tuple.  A step keeps each tuple's key, a small int,
+    but no tuple: tuples are built only where theta is evaluated.
     """
 
     def __init__(self, net: PlaNetwork, n: int, registry=None):
@@ -182,20 +186,20 @@ class WorldSampler:
         for name in strat.order:
             theta = net.theta[name]
             variables = net.theta_variables(name)
-            tuples = list(itertools.product(range(1, n + 1), repeat=len(variables)))
+            width = n ** len(variables)
             if net.parents[name] and has_aggregation(theta):
-                self._plan.append(_Step(name, theta, variables, tuples, None, (), None))
+                self._plan.append(_Step(name, theta, variables, width, None, (), None))
                 continue
             coordinates = product_coordinates(n, len(variables))
             gathers = tuple(
                 (atom.symbol, gather(n, coordinates, list(map(variables.index, atom.args))))
                 for atom in distinct_atoms((theta,)))
-            keys = [0] * len(tuples)
+            keys = [0] * width
             pairs = itertools.combinations(coordinates, 2)
             for bit, (left, right) in enumerate(pairs, len(gathers)):
                 bits = map(operator.lshift, map(operator.eq, left, right), itertools.repeat(bit))
                 keys = list(map(operator.or_, keys, bits))
-            self._plan.append(_Step(name, theta, variables, tuples, keys, gathers, {}))
+            self._plan.append(_Step(name, theta, variables, width, keys, gathers, {}))
 
     def _evaluate(self, structure: Structure, step: _Step, args) -> float:
         try:
@@ -210,9 +214,10 @@ class WorldSampler:
         """Theta of the step's symbol at each of its tuples, in order, given
         the columns of the symbols of lower strata, by symbol.  A structure
         of them is built only where theta is evaluated, once per call."""
+        tuples = itertools.product(range(1, self.n + 1), repeat=len(step.variables))
         if step.cache is None:
             structure = Structure(self.net.signature, self.n, columns)
-            return [self._evaluate(structure, step, args) for args in step.tuples]
+            return [self._evaluate(structure, step, args) for args in tuples]
         keys = step.keys
         for bit, (symbol, getter) in enumerate(step.gathers):
             column = columns[symbol]
@@ -227,9 +232,9 @@ class WorldSampler:
         except KeyError:
             # a key met for the first time is evaluated at its first tuple
             structure = Structure(self.net.signature, self.n, columns)
-            for i, key in enumerate(keys):
+            for key, args in zip(keys, tuples):
                 if key not in step.cache:
-                    step.cache[key] = self._evaluate(structure, step, step.tuples[i])
+                    step.cache[key] = self._evaluate(structure, step, args)
             return list(map(step.cache.__getitem__, keys))
 
     def sample(self, rng: random.Random) -> Structure:
@@ -329,7 +334,7 @@ def _enumerate(sampler: WorldSampler) -> Iterator[tuple[tuple[int, ...], Callabl
     # the last plan position among each step's parents; -1 for a root
     last_parent = [max((j for j in range(k) if names[j] in net.parents[step.name]), default=-1)
                    for k, step in enumerate(plan)]
-    width = len(plan[last].tuples)
+    width = plan[last].width
     low = min(width, _CHUNK_BITS)
     masks = [0] * len(plan)
     columns: dict[str, bytes] = {}  # of the steps before L, at their masks
@@ -341,7 +346,7 @@ def _enumerate(sampler: WorldSampler) -> Iterator[tuple[tuple[int, ...], Callabl
     changed = 0  # masks at positions >= changed differ from the last block's
     while True:
         for k in range(changed, last):
-            columns[names[k]] = _column(masks[k], len(plan[k].tuples))
+            columns[names[k]] = _column(masks[k], plan[k].width)
         for k, step in enumerate(plan):
             if thetas[k] is None or last_parent[k] >= changed:
                 thetas[k] = sampler._thetas(columns, step)  # no step reads L
@@ -359,7 +364,7 @@ def _enumerate(sampler: WorldSampler) -> Iterator[tuple[tuple[int, ...], Callabl
             yield tuple(masks), functools.partial(world, masks[last]), leaves
         # the next masks of the steps before L, the last changing fastest
         changed = last - 1
-        while changed >= 0 and masks[changed] + 1 == 1 << len(plan[changed].tuples):
+        while changed >= 0 and masks[changed] + 1 == 1 << plan[changed].width:
             masks[changed] = 0
             changed -= 1
         if changed < 0:
@@ -484,7 +489,7 @@ def exact_event_probability(
     for step in sampler._plan:
         strides.append(combinations if step.name in read else 0)
         if step.name in read:
-            combinations <<= len(step.tuples)
+            combinations <<= step.width
     memo = bytearray(combinations)  # 0: not yet evaluated, 1: outside the set, 2: inside
     stride = strides[-1] if strides else 0
     in_set = functools.partial(_in_value_set, phi, assignment, value_set, registry)

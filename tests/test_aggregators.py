@@ -12,7 +12,6 @@ from pla.aggregators import (
     EmptyInput,
     JitterTooLarge,
     NoLimitMethod,
-    NumericNonConvergence,
     Registry,
     SupportSpectrum,
     UnknownAggregationFunction,
@@ -111,27 +110,11 @@ class TestLimit:
         with pytest.raises(NoLimitMethod):
             limit(F("noisy-or"), SupportSpectrum.of((0.0, 1.0)))
 
-    def test_numeric_limit_agrees_with_closed_form(self):
-        numeric_am = AggregationFunction(
-            "am-numeric", 1, lambda r: math.fsum(r) / len(r), limit_method="numeric"
-        )
-        spectrum = SupportSpectrum.of((0.1, 0.25), (0.6, 0.75))
-        closed = limit(F("am"), spectrum)
-        assert limit(numeric_am, spectrum) == pytest.approx(closed, abs=1e-3)
-
-    def test_numeric_non_convergence(self):
-        flip = AggregationFunction(
-            "flip", 1, lambda r: float(int(math.log2(len(r))) % 2), limit_method="numeric"
-        )
-        with pytest.raises(NumericNonConvergence):
-            limit(flip, SupportSpectrum.of((0.5, 1.0)))
-
     @pytest.mark.parametrize("value, expected", [(1.0 + 2 ** -52, 1.0), (-1e-13, 0.0),
                                                  (1.1, None), (-0.1, None)])
     def test_limit_clamps_rounding_and_rejects_the_rest(self, value, expected):
         func = AggregationFunction(
-            "const", 1, lambda r: 0.5, limit_method="closed_form",
-            closed_form=lambda spectra: value,
+            "const", 1, lambda r: 0.5, closed_form=lambda spectra: value,
         )
         spectrum = SupportSpectrum.of((0.5, 1.0))
         if expected is None:

@@ -664,8 +664,7 @@ class TestEliminate:
         registry = Registry(BUILTINS)
         registry.register(
             AggregationFunction(
-                "mean-gap", 2, mean_gap, limit_method="closed_form",
-                closed_form=mean_gap_limit,
+                "mean-gap", 2, mean_gap, closed_form=mean_gap_limit,
             )
         )
         phi = parse_formula("mean-gap[R(y), P(y) : y : distinct]", registry)

@@ -586,12 +586,16 @@ def per_tuple_value(A, phi, a):
 V = Variable("v")
 
 
-def assert_matches(phi, structures, params):
+def assert_matches(phi, structures, params, outside=False):
     """``evaluate`` equals ``per_tuple_value`` at every assignment of the
     parameters, on a fresh copy of each structure per call, which counts
-    afresh, and on the structure itself, which every assignment shares."""
+    afresh, and on the structure itself, which every assignment shares;
+    or both raise EmptyAggregationRange.  With ``outside``, the parameters
+    also take the values 0 and n + 1, outside the domain [n]."""
     for A in structures:
-        for values in itertools.product(range(1, A.domain_size + 1), repeat=len(params)):
+        n = A.domain_size
+        domain = range(0, n + 2) if outside else range(1, n + 1)
+        for values in itertools.product(domain, repeat=len(params)):
             a = dict(zip(params, values))
             try:
                 expected = per_tuple_value(A, phi, a)
@@ -662,7 +666,9 @@ class TestAggregationCache:
         inner = next(f for f in subformulas(phi) if isinstance(f, Agg) and f is not phi)
         assert phi._body_table is None and inner._body_table is not None
         rng = random.Random(18)
-        assert_matches(phi, [random_structure(rng, TEST_SIG, n) for n in (2, 3, 4)], [X])
+        # at n = 1 and 2 the inner range, and at n = 1 the outer one, is empty
+        assert_matches(phi, [random_structure(rng, TEST_SIG, n) for n in (1, 2, 3, 4)], [X],
+                       outside=True)
         assert inner._body_table[1]  # the inner node filled its table
 
     def test_one_node_across_domain_sizes(self):
@@ -772,8 +778,10 @@ class TestCountingAggregation:
         assert shared._counting is None
         rng = random.Random(27)
         structures = [random_structure(rng, TEST_SIG, n) for n in (1, 2, 4)]
-        assert_matches(phi, structures, [X])
-        assert_matches(shared, structures, [X])
+        # a parameter outside [n] has no column byte: the node takes each
+        # bound tuple as its own key
+        assert_matches(phi, structures, [X], outside=True)
+        assert_matches(shared, structures, [X], outside=True)
 
     def test_counting_plan_travels_with_the_formula(self):
         phi = parse_formula("max[P(y) & !E(y, y) | y = x : y : y != x]")
@@ -868,7 +876,7 @@ class TestCountingValueMemo:
                 world = sampler.sample(rng)
                 assert sampler._thetas(world.columns, step) == [
                     per_tuple_value(world, step.theta, dict(zip(step.variables, args)))
-                    for args in step.tuples]
+                    for args in itertools.product(range(1, n + 1), repeat=len(step.variables))]
 
 
 def outcome(value_of, *args):

@@ -268,14 +268,15 @@ class TestSamplerOracle:
             for step in sampler._plan:
                 assert sampler._thetas(structure.columns, step) == [
                     evaluate(structure, step.theta, dict(zip(step.variables, args)))
-                    for args in step.tuples]
+                    for args in itertools.product(range(1, n + 1), repeat=len(step.variables))]
 
     def test_ternary_pattern_codes_are_five(self):
         # the 27 tuples over [3] show all 5 equality patterns of 3 positions
         sampler = WorldSampler(network_from_doc(TERNARY_DOC), 3)
         (step,) = [step for step in sampler._plan if step.name == "T"]
         assert len(set(step.keys)) == 5
-        assert len(set(zip(step.keys, map(equality_pattern, step.tuples)))) == 5
+        tuples = itertools.product(range(1, 4), repeat=3)
+        assert len(set(zip(step.keys, map(equality_pattern, tuples)))) == 5
 
 
 class TestExactDistribution:
@@ -413,6 +414,22 @@ class TestEnumerationReuse:
                                 parse_formula("max[R(y) & !Q(y) : y : y != x]"), {X: 1},
                                 ValueSet.point(1.0))
         assert calls == {"P": 1, "Q": 8, "R": 64}
+
+    def test_counting_state_is_fetched_once_per_query_evaluation(self, pr_net, monkeypatch):
+        # the query reads R only, so it is evaluated at the first world of
+        # each of the 2^6 masks of R; each evaluation is a miss of the
+        # world's value memo and fetches the node's key counts once
+        import pla.logic
+
+        fetches, evaluations = [], []
+        element_counts, in_value_set = pla.logic._element_counts, network._in_value_set
+        monkeypatch.setattr(pla.logic, "_element_counts",
+                            lambda *args: fetches.append(1) or element_counts(*args))
+        monkeypatch.setattr(network, "_in_value_set",
+                            lambda *args: evaluations.append(1) or in_value_set(*args))
+        exact_event_probability(pr_net, 6, parse_formula("max[R(x) : x : x = x]"), {},
+                                ValueSet.point(1.0))
+        assert len(fetches) == len(evaluations) == 64
 
     def test_world_cap_names_the_exponent(self, pr_net):
         with pytest.raises(TooManyWorlds, match=r"^2\^6 worlds exceed the cap 63$"):
