@@ -4,6 +4,7 @@ import gc
 import itertools
 import pickle
 import random
+import types
 import weakref
 
 import pytest
@@ -33,7 +34,7 @@ from pla import (
 from pla.eliminate import eliminate
 from pla.network import network_from_doc
 from pla.logic import (EmptyAggregationRange, NotAggregationFree, assignment_keys, children,
-                       subformulas)
+                       satisfying_bound_tuples, subformulas)
 from pla.parser import parse_formula
 
 from conftest import (PSE_DOC, TEST_SIG, X, Y, Z, canonical_structure, complete_type, fresh,
@@ -103,6 +104,33 @@ class TestEvaluate:
         phi = Agg("am", (Atom("R", (Y,)),), (Y,), eq)
         assert evaluate(A, phi, {X: 2}) == 1.0
         assert evaluate(A, phi, {X: 3}) == 0.0
+
+    def test_bound_variable_equated_with_a_parameter_outside_the_domain(self):
+        # y's class holds x, so y takes x's value, which must lie in [n]
+        eq = EqualityType.from_blocks([X, Y], [[X, Y]])
+        assert [list(satisfying_bound_tuples(eq, (Y,), {X: x}, 3)) for x in range(5)] == [
+            [], [(1,)], [(2,)], [(3,)], []]
+        A = Structure.of(SIG_R, 3, {"R": {(1,), (2,), (3,)}})
+        phi = Agg("am", (Atom("R", (Y,)),), (Y,), eq)
+        for x in (0, 4):
+            with pytest.raises(EmptyAggregationRange):
+                evaluate(A, phi, {X: x})
+
+    @pytest.mark.parametrize("text, n, x", [
+        ("max[P(y) & !E(y, y) | y = x : y : y != x]", 4, 2),  # counts keys per world
+        ("am[E(x, y) | P(y) : y : y != x]", 4, 2),  # keys the call's bound tuples
+        ("am[E(x, y) | P(y) : y : y != x]", 4, 5),  # a parameter outside [n]
+        ("am[max[E(y, z) & P(x) : z : z != y, z != x, y != x] | Q(y) : y : y != x]", 4, 2),
+    ])
+    def test_evaluation_writes_nothing_to_the_assignment(self, text, n, x):
+        # every source of (key, count) pairs binds the bound variables in a
+        # copy, so a read-only mapping serves as the assignment
+        phi = parse_formula(text)
+        A = random_structure(random.Random(19), TEST_SIG, n)
+        a = {X: x}
+        value = evaluate(fresh(A), phi, a)
+        assert a == {X: x}
+        assert evaluate(fresh(A), phi, types.MappingProxyType(a)) == value
 
     def test_atom_outside_the_domain_or_of_wrong_arity_reads_0(self):
         # at n = 3, R(2, 1) has index 3, the index that R(1, 4), R(0, 7),
