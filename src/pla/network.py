@@ -450,6 +450,34 @@ def _in_value_set(phi, assignment, value_set, registry, world) -> tuple[bool]:
 _SELECTED = bytes([0, 0, 1]).ljust(256, b"\0")
 
 
+def _orbit_key(sampler: WorldSampler, phi: Formula, assignment) -> Optional[Callable]:
+    """``(masks, i) -> key`` of the orbit of ``_enumerate``'s world
+    ``world(i)`` under the permutations of [n] that fix the pinned elements,
+    the values in [n] of the formula's free variables, when every symbol
+    the formula reads is unary; None otherwise.  The key is the pinned
+    elements' cells, in ascending order of element, and the number of the
+    other elements in each cell, a cell being an element's truth values
+    under the read symbols in plan order."""
+    read = relation_symbols(phi)
+    if any(sampler.net.signature.arity(name) != 1 for name in read):
+        return None
+    plan, n = sampler._plan, sampler.n
+    positions = [k for k, step in enumerate(plan) if step.name in read]
+    last = len(plan) - 1
+    pinned = sorted({assignment.get(v) for v in free_vars(phi)} & set(range(1, n + 1)))
+    others = (1 << n) - 1 - sum(1 << (e - 1) for e in pinned)
+
+    def key(masks, i):
+        read_masks = [masks[k] + i if k == last else masks[k] for k in positions]
+        cells = [others]  # index bit j: the element is in the j-th read symbol
+        for mask in read_masks:
+            cells = [c & ~mask for c in cells] + [c & mask for c in cells]
+        return (tuple(mask >> (e - 1) & 1 for e in pinned for mask in read_masks),
+                tuple(map(int.bit_count, cells)))
+
+    return key
+
+
 def exact_event_probability(
     net: PlaNetwork,
     n: int,
@@ -465,11 +493,16 @@ def exact_event_probability(
 
     The formula's value depends only on the relations of the symbols
     it reads, so whether it lands in the set is memoised by their masks:
-    the formula is evaluated at the first world with each combination, and
-    an error it raises surfaces at the same world as without the memo.  The
-    memo is one byte per combination, indexed by the masks as one
-    mixed-radix number, so it holds at most as many bytes as there are
-    worlds.
+    one byte per combination, indexed by the masks as one mixed-radix
+    number, so never more bytes than worlds.  When every symbol it reads is
+    unary, the bytes are filled through an orbit memo keyed by
+    ``_orbit_key``: a formula's value is invariant under the permutations
+    of [n] that fix the elements assigned to its free variables, since
+    every ``AggregationFunction`` is symmetric, a function of the multiset
+    of its arguments, as ``logic._eval_agg``'s grouping by key already
+    assumes.  The formula is evaluated at the first world of each orbit, or
+    else of each combination, in ``_enumerate``'s order, so an error it
+    raises surfaces at the same world as without the memo.
 
     The worlds and their masks come in ``_enumerate``'s order, the
     sampler's plan order.  A chunk is read as one strided slice of the
@@ -491,6 +524,8 @@ def exact_event_probability(
         if step.name in read:
             combinations <<= step.width
     memo = bytearray(combinations)  # 0: not yet evaluated, 1: outside the set, 2: inside
+    orbits = {}  # orbit key -> memo byte
+    orbit_key = _orbit_key(sampler, phi, assignment or {})
     stride = strides[-1] if strides else 0
     in_set = functools.partial(_in_value_set, phi, assignment, value_set, registry)
     total = 0.0
@@ -502,8 +537,14 @@ def exact_event_probability(
         if 0 in flags:
             for i, flag in enumerate(flags):
                 if not flag:
-                    (inside,) = in_set(world(i))
-                    memo[key + i * stride] = 2 if inside else 1
+                    orbit = orbit_key(masks, i) if orbit_key else None
+                    hit = orbits.get(orbit)
+                    if hit is None:
+                        (inside,) = in_set(world(i))
+                        hit = 2 if inside else 1
+                        if orbit_key:
+                            orbits[orbit] = hit
+                    memo[key + i * stride] = hit
             flags = memo[span]
         selected = flags.translate(_SELECTED)
         if not stride:

@@ -17,12 +17,13 @@ from pla import (
     ValueSet,
     Variable,
     evaluate,
+    format_formula,
     parse_formula,
     validate,
 )
 from pla import network
 from pla.errors import PlaError
-from pla.logic import EmptyAggregationRange, equality_pattern
+from pla.logic import EmptyAggregationRange, equality_pattern, free_vars, relation_symbols
 from pla.network import (
     ArityMismatch,
     CycleDetected,
@@ -53,6 +54,7 @@ from conftest import (
     X,
     fresh,
     permuted,
+    random_agg_free,
     reference_sample,
     world_key,
 )
@@ -374,6 +376,12 @@ ENUMERATION_CASES = [
     ("pse", 2, "S(x) & !P(y)", "x=1,y=2", "1"),
     ("binary", 3, "E(x, y) | E(y, x)", "x=1,y=2", "1"),
     ("unary", 14, "R(x) & !R(y)", "x=2,y=14", "1"),
+    # unary queries, whose value is memoised per orbit of the worlds: two
+    # read symbols with a pinned element other than 1; a query that skips
+    # the binary E; two variables pinned to one element
+    ("pr", 4, "am[R(y) & P(y) : y : y != x] | R(x)", "x=2", "0.5:1"),
+    ("pse", 2, "am[S(y) & P(y) : y : y != x]", "x=1", "0.5:1"),
+    ("pr", 4, "wm(P(z); am[R(y) : y : y != x]; R(x))", "x=3,z=3", "0.5:1"),
 ]
 
 
@@ -415,10 +423,23 @@ class TestEnumerationReuse:
                                 ValueSet.point(1.0))
         assert calls == {"P": 1, "Q": 8, "R": 64}
 
-    def test_counting_state_is_fetched_once_per_query_evaluation(self, pr_net, monkeypatch):
-        # the query reads R only, so it is evaluated at the first world of
-        # each of the 2^6 masks of R; each evaluation is a miss of the
-        # world's value memo and fetches the node's key counts once
+    @pytest.mark.parametrize("net_id, n, formula, assign, expected", [
+        # reads the unary R only: one evaluation per count of R, 0 to 6
+        ("pr", 6, "max[R(x) : x : x = x]", "", 7),
+        # reads P and R, x pinned: its 4 cells times the C(7 + 3, 3) counts
+        # of the 7 other elements over 4 cells
+        ("pr", 8, "am[R(y) & P(y) : y : y != x]", "x=1", 4 * math.comb(10, 3)),
+        # reads the binary E: one evaluation per combination of the masks of
+        # S and E, 2^2 * 2^4
+        ("pse", 2, "am[E(y, y) & S(y) : y : y != x]", "x=1", 64),
+    ])
+    def test_counting_state_is_fetched_once_per_query_evaluation(self, net_id, n, formula, assign,
+                                                                 expected, monkeypatch):
+        # the query is evaluated at the first world of each orbit of the
+        # worlds when it reads unary symbols only, else at the first world
+        # of each combination of the masks it reads; each evaluation is a
+        # miss of the world's value memo and fetches the node's key counts
+        # once
         import pla.logic
 
         fetches, evaluations = [], []
@@ -427,9 +448,10 @@ class TestEnumerationReuse:
                             lambda *args: fetches.append(1) or element_counts(*args))
         monkeypatch.setattr(network, "_in_value_set",
                             lambda *args: evaluations.append(1) or in_value_set(*args))
-        exact_event_probability(pr_net, 6, parse_formula("max[R(x) : x : x = x]"), {},
-                                ValueSet.point(1.0))
-        assert len(fetches) == len(evaluations) == 64
+        exact_event_probability(network_from_doc(ENUMERATION_NETWORKS[net_id]), n,
+                                parse_formula(formula), parse_assignment(assign),
+                                ValueSet.parse("0.5:1"))
+        assert len(fetches) == len(evaluations) == expected
 
     def test_world_cap_names_the_exponent(self, pr_net):
         with pytest.raises(TooManyWorlds, match=r"^2\^6 worlds exceed the cap 63$"):
@@ -468,6 +490,55 @@ class TestEnumerationReuse:
             tracemalloc.stop()
         assert p == pytest.approx(1.0, abs=1e-12)
         assert peak < 2 ** 20
+
+
+def random_unary_case(rng):
+    """A random network of 2 or 3 unary symbols in a random DAG, declared
+    in a random order, each theta from ``random_agg_free`` over its parents
+    and reading one of them (a root's is a constant); a query whose am or
+    max node over y != x has a body that reads y and a random subset of the
+    symbols, with x assigned or bound by an outer max; a domain size from 2
+    to 4, at most 3 for 3 symbols (2^9 worlds); a value set [lo, 1]."""
+    def reading(sig, variables, depth, needed):
+        while True:
+            phi = random_agg_free(rng, sig, variables, depth)
+            if needed <= free_vars(phi) and relation_symbols(phi):
+                return phi
+
+    x1, x, y = Variable("x1"), Variable("x"), Variable("y")
+    names = ["U%d" % i for i in range(rng.choice((2, 3)))]
+    relations = []
+    for i, name in enumerate(names):
+        parents = [p for p in names[:i] if rng.random() < 0.6]
+        theta = (reading(Signature(tuple((p, 1) for p in parents)), [x1], 2, set())
+                 if parents else Const(round(rng.uniform(0.05, 0.95), 3)))
+        relations.append({"name": name, "arity": 1, "parents": parents,
+                          "theta": format_formula(theta)})
+    rng.shuffle(relations)
+    read = Signature(tuple((name, 1) for name in rng.sample(names, rng.randint(1, len(names)))))
+    formula = "wm(%s; %s[%s : y : y != x]; %s)" % (
+        format_formula(reading(read, [x], 1, set())), rng.choice(("am", "max")),
+        format_formula(reading(read, [x, y], 2, {y})), format_formula(reading(read, [x], 1, set())))
+    n = rng.randint(2, 6 - len(names))
+    if rng.random() < 0.5:
+        assignment = {x: rng.randint(1, n)}
+    else:
+        formula, assignment = "max[%s : x : x = x]" % formula, {}
+    value_set = ValueSet(((round(rng.uniform(0.1, 0.9), 2), 1.0),))
+    return (network_from_doc({"relations": relations}), n, parse_formula(formula), assignment,
+            value_set)
+
+
+class TestRandomUnaryNetworks:
+    """Exact event probabilities on seeded random unary networks, whose
+    queries are memoised per orbit of the worlds, equal the written-out
+    enumeration float for float."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_enumeration_by_definition(self, seed):
+        net, n, phi, assignment, value_set = random_unary_case(random.Random(seed))
+        _, total = exact_by_definition(net, n, phi, assignment, value_set)
+        assert exact_event_probability(net, n, phi, assignment, value_set) == total
 
 
 class TestEventProbabilities:
