@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -46,7 +47,6 @@ from .logic import (
     index_to_signs,
     restriction,
     satisfying_bound_tuples,
-    signs_to_index,
     tabulate,
     type_parts,
     type_reader,
@@ -76,13 +76,35 @@ def _require_aggregation_free(net: PlaNetwork) -> None:
 def limit_prob_type(net: PlaNetwork, p: AtomicType) -> float:
     """Limit probability that a tuple with the type's equality pattern
     realizes the type; for aggregation-free networks this is an n-independent
-    product of network formula values and their complements, read off the
-    block of p's equality type, whose types the default type cap bounds."""
-    block = _limit_blocks(net)
+    product, over the type's slots in order, of theta at the slot or its
+    complement, read through ``_slot_plans``: the same left fold from 1.0
+    as the type's leaf in ``block(p.eq)``, with no block built."""
+    plan = _slot_plans(net)
     if p.signature != net.signature:
         raise ValueError("type signature does not match the network signature")
-    check_cap(len(p.signs), DEFAULT_TYPE_CAP, "complete types", TooManyTypes)
-    return block(p.eq)[1][signs_to_index(p.signs)]
+    factors = []
+    for sign, (positions, read) in zip(p.signs, plan(len(p.eq.blocks))):
+        theta = read(tuple([p.signs[j] for j in positions]))
+        factors.append(theta if sign else 1.0 - theta)
+    return functools.reduce(operator.mul, factors, 1.0)
+
+
+def _slot_plans(net: PlaNetwork) -> Callable[[int], list[tuple[tuple[int, ...], Callable]]]:
+    """``plan(k)``: per slot (R, class tuple c) of ``net.signature.slots(k)``,
+    theta_R's positions and read, ``type_reader`` of theta_R at the classes
+    c of R's theta variables, so theta_R is evaluated once per key of its
+    free variables' pattern and its atoms' signs for the life of ``plan``.
+    Checks that the network is aggregation-free."""
+    _require_aggregation_free(net)
+    readers = {name: type_reader(net.theta[name], net.signature)
+               for name in net.signature.names()}
+
+    @functools.lru_cache(maxsize=None)
+    def plan(k: int) -> list[tuple[tuple[int, ...], Callable]]:
+        return [readers[name](k, dict(zip(net.theta_variables(name), ctuple)))
+                for name, ctuple in net.signature.slots(k)]
+
+    return plan
 
 
 def _limit_blocks(net: PlaNetwork) -> Callable[..., tuple[tuple[int, ...], list[float]]]:
@@ -92,14 +114,12 @@ def _limit_blocks(net: PlaNetwork) -> Callable[..., tuple[tuple[int, ...], list[
     sign vector over it, by index (see ``index_bits``), weighed as one tree
     over the aggregation-free network.
 
-    The plan holds, per slot (R, class tuple c) over k classes, theta_R's
-    positions and read: ``type_reader`` of theta_R at the classes c of R's
-    theta variables, so theta_R is evaluated once per key of its free
-    variables' pattern and its atoms' signs for the life of ``block``.  The
-    closure holds the read slots and, recursively, the slots their theta
-    reads.  Any other slot is a barren node of the slot network: summed
-    out, it contributes 1, so a sign vector over the closure weighs the sum
-    of its complete types.  A node is the partial product of the sign
+    The plan (``_slot_plans``) holds theta_R's positions and read per slot,
+    evaluated once per key for the life of ``block``.  The closure holds
+    the read slots and, recursively, the slots their theta reads.  Any
+    other slot is a barren node of the slot network: summed out, it
+    contributes 1, so a sign vector over the closure weighs the sum of its
+    complete types.  A node is the partial product of the sign
     vectors that agree on the slots split so far.  The closure's slots are
     folded in order; before slot i is folded, every node is split on each
     slot that theta reads and on slot i, if not split yet, so theta is known
@@ -107,17 +127,10 @@ def _limit_blocks(net: PlaNetwork) -> Callable[..., tuple[tuple[int, ...], list[
     leaf is then the left fold of theta or 1 - theta over the closure's
     slots, at about two multiplications per leaf.  A leaf carries its index,
     because a symbol declared before its parents splits a later slot early."""
-    _require_aggregation_free(net)
-    readers = {name: type_reader(net.theta[name], net.signature)
-               for name in net.signature.names()}
-    plans: dict[int, list] = {}
+    plans = _slot_plans(net)
 
     def block(eq: EqualityType, reads=None) -> tuple[tuple[int, ...], list[float]]:
-        k = len(eq.blocks)
-        plan = plans.get(k)
-        if plan is None:
-            plan = plans[k] = [readers[name](k, dict(zip(net.theta_variables(name), ctuple)))
-                               for name, ctuple in net.signature.slots(k)]
+        plan = plans(len(eq.blocks))
         closed, todo = set(), list(range(len(plan)) if reads is None else reads)
         while todo:
             j = todo.pop()

@@ -269,14 +269,9 @@ def _check_world_cap(net: PlaNetwork, n: int, world_cap: int) -> None:
               TooManyWorlds)
 
 
-# L's worlds are weighed in chunks of at most 2^_CHUNK_BITS, so the lists
-# of one chunk stay small however many tuples L has
+# a step's masks are weighed in chunks of at most 2^_CHUNK_BITS, so the
+# lists of one chunk stay small however many tuples the step has
 _CHUNK_BITS = 12
-
-
-def _factors(thetas: list, mask: int) -> list:
-    """Per tuple of a step, theta where the mask has the tuple, else 1 - theta."""
-    return [p if mask >> j & 1 else 1.0 - p for j, p in enumerate(thetas)]
 
 
 # the digits of a binary numeral -> the bytes of a column
@@ -306,24 +301,23 @@ def _enumerate(sampler: WorldSampler) -> Iterator[tuple[tuple[int, ...], Callabl
     tuples in lexicographic order, of theta for each present tuple and
     1 - theta for each absent one.  This is the only place where a world's
     probability is multiplied, and each is the same left fold of the same
-    floats as a world-by-world loop.  Per block of L's 2^m worlds, m the
-    number of L's tuples:
+    floats as a world-by-world loop.  The worlds are walked depth first,
+    one plan step per level, and every step is weighed the same way:
 
-    - every other step comes before L in the plan and cannot read L, so
-      their factors are folded into one prefix, once per block;
-    - L's step expands the prefix tuple by tuple as a tree,
+    - ``walk(k, prefix)`` expands ``prefix``, the product of the steps
+      before k at their masks, over step k's tuples as a tree,
       ``leaves = [x * (1 - p) ...] + [x * p ...]``, so bit j of a leaf's
       index is tuple j and each leaf is the left fold: about two
-      multiplications per world.  A block larger than a chunk expands its
-      low ``_CHUNK_BITS`` tuples once and multiplies in the other
-      m - ``_CHUNK_BITS`` per chunk and world, so its lists stay the size
-      of a chunk.  Sharing those products too would yield the chunks out
-      of world order or take a block of memory, since the highest bit of a
-      mask is the tuple multiplied last.
+      multiplications per mask.  A step of more than ``_CHUNK_BITS``
+      tuples expands its low ``_CHUNK_BITS`` tuples once and multiplies in
+      the others per chunk and leaf, so its lists stay the size of a chunk;
+    - at L each chunk of leaves is yielded; at any other step each leaf
+      sets the step's mask and column and is the prefix of the next level.
 
-    A theta list is evaluated again only when the mask of one of the
-    step's parents changes (``validate`` guarantees that theta reads no
-    other symbol), and a column only when its mask does."""
+    A theta list is evaluated once at the start for a root and otherwise
+    right after the mask of the step's last parent in plan order is set
+    (``validate`` guarantees that theta reads no other symbol), and a
+    column only when its mask is set."""
     net, n = sampler.net, sampler.n
     plan = sampler._plan
     if not plan:
@@ -331,45 +325,46 @@ def _enumerate(sampler: WorldSampler) -> Iterator[tuple[tuple[int, ...], Callabl
         return
     names = [step.name for step in plan]
     last = len(plan) - 1
-    # the last plan position among each step's parents; -1 for a root
-    last_parent = [max((j for j in range(k) if names[j] in net.parents[step.name]), default=-1)
-                   for k, step in enumerate(plan)]
-    width = plan[last].width
-    low = min(width, _CHUNK_BITS)
+    # the steps by the plan position of their last parent; -1 for the roots
+    children: dict[int, list[int]] = {}
+    for k, step in enumerate(plan):
+        parent = max((j for j in range(k) if names[j] in net.parents[step.name]), default=-1)
+        children.setdefault(parent, []).append(k)
     masks = [0] * len(plan)
     columns: dict[str, bytes] = {}  # of the steps before L, at their masks
     thetas: list = [None] * len(plan)
 
-    def world(base, i):
-        return Structure(net.signature, n, {**columns, names[last]: _column(base + i, width)})
+    def refresh(parent):
+        for k in children.get(parent, ()):
+            thetas[k] = sampler._thetas(columns, plan[k])  # no step reads L
 
-    changed = 0  # masks at positions >= changed differ from the last block's
-    while True:
-        for k in range(changed, last):
-            columns[names[k]] = _column(masks[k], plan[k].width)
-        for k, step in enumerate(plan):
-            if thetas[k] is None or last_parent[k] >= changed:
-                thetas[k] = sampler._thetas(columns, step)  # no step reads L
-        prefix = 1.0
-        for k in range(last):
-            prefix = functools.reduce(operator.mul, _factors(thetas[k], masks[k]), prefix)
+    def world(base, i):
+        return Structure(net.signature, n,
+                         {**columns, names[last]: _column(base + i, plan[last].width)})
+
+    def walk(k, prefix):
+        ps, width = thetas[k], plan[k].width
+        low = min(width, _CHUNK_BITS)
         base_leaves = [prefix]
-        for p in thetas[last][:low]:
+        for p in ps[:low]:
             base_leaves = [x * (1.0 - p) for x in base_leaves] + [x * p for x in base_leaves]
         for high in range(1 << (width - low)):
             leaves = base_leaves
-            for p in _factors(thetas[last][low:], high):
-                leaves = [x * p for x in leaves]
-            masks[last] = high << low
-            yield tuple(masks), functools.partial(world, masks[last]), leaves
-        # the next masks of the steps before L, the last changing fastest
-        changed = last - 1
-        while changed >= 0 and masks[changed] + 1 == 1 << plan[changed].width:
-            masks[changed] = 0
-            changed -= 1
-        if changed < 0:
-            return
-        masks[changed] += 1
+            for j, p in enumerate(ps[low:]):
+                factor = p if high >> j & 1 else 1.0 - p
+                leaves = [x * factor for x in leaves]
+            if k == last:
+                masks[k] = high << low
+                yield tuple(masks), functools.partial(world, masks[k]), leaves
+                continue
+            for mask, leaf in enumerate(leaves, high << low):
+                masks[k] = mask
+                columns[names[k]] = _column(mask, width)
+                refresh(k)
+                yield from walk(k + 1, leaf)
+
+    refresh(-1)
+    yield from walk(0, 1.0)
 
 
 def exact_distribution(
@@ -634,7 +629,8 @@ def mc_event_probability(
 def _relations(doc, fields: dict, required: tuple[str, ...]) -> list[dict]:
     """The 'relations' list of a network or structure document, checked to
     hold objects that have the required keys and whose fields, where
-    present, have exactly the given types (so true or false is no int)."""
+    present, have exactly the given types (so true or false is no int),
+    each named by an identifier that a formula can read."""
     relations = doc.get("relations") if isinstance(doc, dict) else None
     if not isinstance(relations, list):
         raise PlaError("document needs a 'relations' list")
@@ -650,6 +646,10 @@ def _relations(doc, fields: dict, required: tuple[str, ...]) -> list[dict]:
         if missing:
             raise PlaError("relation %d%s: missing required key %s"
                            % (i, named, ", ".join(repr(key) for key in missing)))
+        # "wm(" always opens a weighted mean, so no atom can read a wm relation
+        if rel["name"] == "wm" or not formula_parser.is_identifier(rel["name"]):
+            raise PlaError("relation %d: name %r is not an identifier other than wm, so no "
+                           "formula can read it" % (i, rel["name"]))
     return relations
 
 

@@ -72,6 +72,12 @@ _TOKEN_RE = re.compile(
 )
 
 
+def is_identifier(text: str) -> bool:
+    """Whether the text is one identifier token, as a symbol is named."""
+    m = _TOKEN_RE.fullmatch(text)
+    return m is not None and m.lastgroup == "IDENT"
+
+
 def tokenize(text: str) -> list[Token]:
     tokens = []
     line, col = 1, 1

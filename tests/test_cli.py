@@ -559,6 +559,19 @@ class TestRobustness:
         ("eval", "--structure", {"domain_size": 2, "relations": [
             {"name": "P", "arity": 1, "tuples": [[True]]}]},
          ("'P'", "tuple")),
+        # a relation must be named by an identifier that an atom can name;
+        # "wm(" always opens a weighted mean
+        ("check", "--net", {"relations": [{"name": "", "arity": 1, "parents": [], "theta": "0.5"}]},
+         ("relation 0", "name ''", "identifier")),
+        ("check", "--net", {"relations": [
+            {"name": "P", "arity": 1, "parents": [], "theta": "0.5"},
+            {"name": "R x", "arity": 1, "parents": ["P"], "theta": "P(x1)"}]},
+         ("relation 1", "name 'R x'", "identifier")),
+        ("check", "--net", {"relations": [{"name": "wm", "arity": 1, "parents": [], "theta": "0.5"}]},
+         ("relation 0", "name 'wm'", "other than wm")),
+        ("eval", "--structure", {"domain_size": 2, "relations": [
+            {"name": "P(x)", "arity": 1, "tuples": [[1]]}]},
+         ("relation 0", "name 'P(x)'", "identifier")),
         # the tuple cap is checked from the sizes, before any column is built
         ("eval", "--structure", {"domain_size": 10 ** 12, "relations": [
             {"name": "P", "arity": 1, "tuples": []}]},

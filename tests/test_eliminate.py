@@ -45,7 +45,6 @@ from pla.eliminate import (
 )
 from pla.logic import (
     EmptyAggregationRange,
-    TooManyTypes,
     children,
     conjunction,
     evaluate,
@@ -189,15 +188,15 @@ class TestLimitProbType:
         with pytest.raises(ValueError, match="type signature does not match the network"):
             limit_prob_type(pr_net, p)
 
-    def test_type_beyond_the_cap_is_refused(self):
-        # the type is read off its equality type's block: 5 classes give E
-        # 25 slots, 2^25 types, which no block of the default cap holds
+    def test_type_beyond_the_cap_is_weighed_slot_by_slot(self, monkeypatch):
+        # 5 classes give E 25 slots, 2^25 types, more than the default type
+        # cap; the type is the product over its own slots, with no block
+        monkeypatch.setattr(COMPILER, "_limit_blocks", None)
         net = network_from_doc({"relations": [{"name": "E", "arity": 2, "parents": [],
                                                "theta": "0.5"}]})
         variables = [Variable("v%d" % i) for i in range(5)]
         p = complete_type(net.signature, variables, [[v] for v in variables])
-        with pytest.raises(TooManyTypes, match="2\\^25 complete types exceed the cap"):
-            limit_prob_type(net, p)
+        assert limit_prob_type(net, p) == 0.5 ** 25
 
     @pytest.mark.parametrize("call", ["alphas", "saturation", "saturation with alpha"])
     def test_other_entry_points_refuse_aggregation_first(self, remark_net, call):

@@ -346,10 +346,22 @@ LATE_ROOT_DOC = {
     ]
 }
 
+# the children of the roots P and Q are declared A <- Q, then B <- P: the
+# plan is P, Q, A, B, but B's last parent comes before A's, so B's theta
+# list is evaluated once per mask of P and A's once per masks of P and Q
+LAST_PARENT_DOC = {
+    "relations": [
+        {"name": "P", "arity": 1, "parents": [], "theta": "0.6"},
+        {"name": "Q", "arity": 1, "parents": [], "theta": "0.25"},
+        {"name": "A", "arity": 1, "parents": ["Q"], "theta": "wm(Q(x1); 0.7; 0.2)"},
+        {"name": "B", "arity": 1, "parents": ["P"], "theta": "wm(P(x1); 0.9; 0.4)"},
+    ]
+}
+
 ENUMERATION_NETWORKS = {"pr": PR_DOC, "pse": PSE_DOC, "pef": PEF_DOC, "remark": REMARK_DOC,
                         "binary": BINARY_DOC, "child-first": CHILD_FIRST_DOC,
                         "late-root": LATE_ROOT_DOC, "empty": {"relations": []},
-                        "unary": UNARY_DOC}
+                        "unary": UNARY_DOC, "last-parent": LAST_PARENT_DOC}
 
 # (network, n, formula, assignment, value set): formulas that read no
 # symbol, a strict subset of the symbols and every symbol, with and
@@ -382,7 +394,16 @@ ENUMERATION_CASES = [
     ("pr", 4, "am[R(y) & P(y) : y : y != x] | R(x)", "x=2", "0.5:1"),
     ("pse", 2, "am[S(y) & P(y) : y : y != x]", "x=1", "0.5:1"),
     ("pr", 4, "wm(P(z); am[R(y) : y : y != x]; R(x))", "x=3,z=3", "0.5:1"),
+    ("last-parent", 2, "max[A(y) & !B(y) : y : y != x] | P(x)", "x=2", "1"),
 ]
+
+# every case but unary at n = 14, whose 2^14 masks already span several
+# chunks of ``network._CHUNK_BITS`` bits at the default size
+ONE_CHUNK_CASES = [case for case in ENUMERATION_CASES if case[1] < 13]
+
+
+def case_ids(cases):
+    return ["%s-%s" % (case[0], case[2]) for case in cases]
 
 
 def parse_assignment(text):
@@ -396,7 +417,7 @@ class TestEnumerationReuse:
     for float."""
 
     @pytest.mark.parametrize("net_id, n, formula, assign, values", ENUMERATION_CASES,
-                             ids=["%s-%s" % (case[0], case[2]) for case in ENUMERATION_CASES])
+                             ids=case_ids(ENUMERATION_CASES))
     def test_matches_enumeration_by_definition(self, net_id, n, formula, assign, values):
         net = network_from_doc(ENUMERATION_NETWORKS[net_id])
         phi, value_set = parse_formula(formula), ValueSet.parse(values)
@@ -405,6 +426,15 @@ class TestEnumerationReuse:
         assert [(world_key(w.structure), w.probability)
                 for w in exact_distribution(net, n)] == worlds
         assert exact_event_probability(net, n, phi, assignment, value_set) == total
+
+    @pytest.mark.parametrize("net_id, n, formula, assign, values", ONE_CHUNK_CASES,
+                             ids=case_ids(ONE_CHUNK_CASES))
+    def test_small_chunks_match_enumeration_by_definition(self, net_id, n, formula, assign,
+                                                           values, monkeypatch):
+        # at 2^2 masks per chunk every step of more than 2 tuples, not only
+        # the plan's last, spans several chunks
+        monkeypatch.setattr(network, "_CHUNK_BITS", 2)
+        self.test_matches_enumeration_by_definition(net_id, n, formula, assign, values)
 
     def test_theta_lists_follow_their_parents_masks(self, monkeypatch):
         # child-first at n = 3: P's list once, Q's once per mask of P and
@@ -422,6 +452,22 @@ class TestEnumerationReuse:
                                 parse_formula("max[R(y) & !Q(y) : y : y != x]"), {X: 1},
                                 ValueSet.point(1.0))
         assert calls == {"P": 1, "Q": 8, "R": 64}
+
+    def test_theta_lists_follow_their_last_parents_masks(self, monkeypatch):
+        # last-parent at n = 3, plan P, Q, A, B: the roots' lists once, B's
+        # once per mask of P, A's once per masks of P and Q
+        calls = {}
+        thetas = WorldSampler._thetas
+
+        def counted(sampler, columns, step):
+            calls[step.name] = calls.get(step.name, 0) + 1
+            return thetas(sampler, columns, step)
+
+        monkeypatch.setattr(WorldSampler, "_thetas", counted)
+        exact_event_probability(network_from_doc(LAST_PARENT_DOC), 3,
+                                parse_formula("max[A(y) & !B(y) : y : y != x]"), {X: 1},
+                                ValueSet.point(1.0))
+        assert calls == {"P": 1, "Q": 1, "A": 64, "B": 8}
 
     @pytest.mark.parametrize("net_id, n, formula, assign, expected", [
         # reads the unary R only: one evaluation per count of R, 0 to 6
