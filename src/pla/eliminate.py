@@ -38,6 +38,7 @@ from .logic import (
     check_cap,
     children,
     conjunction,
+    dim_y,
     evaluate,
     fold,
     free_vars,
@@ -59,13 +60,6 @@ COLLAPSE_TOL = 1e-12
 
 class NetworkHasAggregation(PlaError):
     """Elimination requires every network formula to be aggregation-free."""
-
-
-def dim_y(p_eq: EqualityType, xs: Sequence[Variable], ys: Sequence[Variable]) -> int:
-    """Number of equality classes consisting purely of bound variables; the
-    number of extensions of a parameter tuple grows like n to this power."""
-    ys_set = set(ys)
-    return sum(1 for block in p_eq.blocks if all(v in ys_set for v in block))
 
 
 def _require_aggregation_free(net: PlaNetwork) -> None:

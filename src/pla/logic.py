@@ -598,6 +598,12 @@ class Agg(_Node):
         return self.eq_type.restrict(self.bound)
 
     @cached_property
+    def _dim(self) -> int:
+        """``dim_y`` of the node: at domain size n it visits up to n to
+        this power bound tuples."""
+        return dim_y(self.eq_type, self.params, self.bound)
+
+    @cached_property
     def _pin_plan(self) -> tuple[tuple[int, tuple[Variable, ...]], ...]:
         """``pin_plan`` of the node's equality type and bound variables."""
         return pin_plan(self.eq_type, self.bound)
@@ -846,6 +852,13 @@ def satisfying_bound_tuples(
         yield tuple([class_value[c] for c in classes])
 
 
+def dim_y(p_eq: EqualityType, xs: Sequence[Variable], ys: Sequence[Variable]) -> int:
+    """Number of equality classes consisting purely of bound variables; the
+    number of extensions of a parameter tuple grows like n to this power."""
+    ys_set = set(ys)
+    return sum(1 for block in p_eq.blocks if all(v in ys_set for v in block))
+
+
 def aggregation_function(phi: Agg, registry) -> aggregators.AggregationFunction:
     """The registry's function of the node, which must take its number of bodies."""
     func = registry.get(phi.func)
@@ -954,9 +967,16 @@ def _eval_agg(structure: Structure, phi: Agg, a: Assignment, registry) -> float:
     tuple with that key (for a counting node, one no parameter pins), on a
     copy of the assignment, and repeated by the key's count.  The
     aggregation functions are symmetric, so the grouping changes no value.
+    A node of the other two kinds first refuses, from n and its dimension
+    d (``Agg._dim``), more than ``TUPLE_CAP`` bound tuples, n^d of them.
     """
     func = aggregation_function(phi, registry)
     n, memo_key = structure.domain_size, None
+    if phi._counting is None and n ** phi._dim > TUPLE_CAP:
+        dim = phi._dim
+        raise PlaError("%s[...] binds %d classes of bound variables, so at domain size %d "
+                       "it visits up to %d^%d = %d bound tuples, more than the cap %d"
+                       % (phi.func, dim, n, n, dim, n ** dim, TUPLE_CAP))
     atoms, table = phi._body_table or ((), None)
     if phi._counting is not None:
         _, keys, total = _element_counts(structure, phi)

@@ -299,8 +299,7 @@ def _enumerate(sampler: WorldSampler) -> Iterator[tuple[tuple[int, ...], Callabl
     The probability of a world is the probability of drawing it: the
     product, step by step in the sampler's plan order and over each step's
     tuples in lexicographic order, of theta for each present tuple and
-    1 - theta for each absent one.  This is the only place where a world's
-    probability is multiplied, and each is the same left fold of the same
+    1 - theta for each absent one, each the same left fold of the same
     floats as a world-by-world loop.  The worlds are walked depth first,
     one plan step per level, and every step is weighed the same way:
 
@@ -445,32 +444,128 @@ def _in_value_set(phi, assignment, value_set, registry, world) -> tuple[bool]:
 _SELECTED = bytes([0, 0, 1]).ljust(256, b"\0")
 
 
-def _orbit_key(sampler: WorldSampler, phi: Formula, assignment) -> Optional[Callable]:
-    """``(masks, i) -> key`` of the orbit of ``_enumerate``'s world
-    ``world(i)`` under the permutations of [n] that fix the pinned elements,
-    the values in [n] of the formula's free variables, when every symbol
-    the formula reads is unary; None otherwise.  The key is the pinned
-    elements' cells, in ascending order of element, and the number of the
-    other elements in each cell, a cell being an element's truth values
-    under the read symbols in plan order."""
-    read = relation_symbols(phi)
-    if any(sampler.net.signature.arity(name) != 1 for name in read):
-        return None
-    plan, n = sampler._plan, sampler.n
-    positions = [k for k, step in enumerate(plan) if step.name in read]
-    last = len(plan) - 1
-    pinned = sorted({assignment.get(v) for v in free_vars(phi)} & set(range(1, n + 1)))
-    others = (1 << n) - 1 - sum(1 << (e - 1) for e in pinned)
+def _binomial(m: int, p: float) -> list[float]:
+    """C(m, r) p^r (1 - p)^(m - r) for r = 0, ..., m: the powers are running
+    products and C(m, r) an int, so no libm ``pow`` enters and the floats
+    are the same on every platform.  A PlaError when some C(m, r) exceeds
+    the float range, from about m = 1030 on."""
+    ins, outs = [1.0], [1.0]
+    for _ in range(m):
+        ins.append(ins[-1] * p)
+        outs.append(outs[-1] * (1.0 - p))
+    try:
+        return [math.comb(m, r) * ins[r] * outs[m - r] for r in range(m + 1)]
+    except OverflowError:
+        raise PlaError("exact inference by counts cannot weigh %d elements in one cell: "
+                       "their binomial coefficients exceed the float range" % m) from None
 
-    def key(masks, i):
-        read_masks = [masks[k] + i if k == last else masks[k] for k in positions]
-        cells = [others]  # index bit j: the element is in the j-th read symbol
-        for mask in read_masks:
-            cells = [c & ~mask for c in cells] + [c & mask for c in cells]
-        return (tuple(mask >> (e - 1) & 1 for e in pinned for mask in read_masks),
-                tuple(map(int.bit_count, cells)))
 
-    return key
+def _representative(sampler: WorldSampler, pinned: list[int], pins: tuple[int, ...],
+                    counts: list[tuple[int, int]], steps: int) -> tuple[list[int], Structure]:
+    """The cell of each element of [n] in the representative world of a
+    ``_count_walk`` state, and the structure of that world's relations of
+    the plan's first ``steps`` steps: the ``pinned`` elements are in their
+    ``pins`` cells and the others, ascending, fill the cells in the order
+    of ``counts``."""
+    at = dict(zip(pinned, pins))
+    rest = itertools.chain.from_iterable(itertools.starmap(itertools.repeat, counts))
+    cells = [at[e] if e in at else next(rest) for e in range(1, sampler.n + 1)]
+    return cells, Structure(sampler.net.signature, sampler.n, {
+        sampler._plan[j].name: bytes([c >> j & 1 for c in cells]) for j in range(steps)})
+
+
+def _count_walk(sampler: WorldSampler, pinned: list[int], leaf: Callable) -> None:
+    """Calls ``leaf(pins, counts, probability)`` for every orbit of the
+    worlds of the sampler's network, whose symbols are all unary, under the
+    permutations of [n] that fix the ``pinned`` elements, ascending.
+
+    A cell is an element's truth values under the plan's steps, bit k for
+    step k.  An orbit is given by ``pins``, the pinned elements' cells, and
+    ``counts``, (cell, count) pairs of the other elements' occupied cells;
+    ``probability`` is the sum of its worlds' probabilities, and
+    ``_representative`` builds one of its worlds.
+
+    The orbits are walked depth first, one plan step per level, as
+    ``_enumerate`` walks the worlds.  Step k splits each pair (c, m) into
+    r elements in the step's relation, cell c + 2^k, and m - r outside it,
+    with weight ``_binomial(m, theta)[r]``, and sends each pinned element
+    in or out with weight theta or 1 - theta; an orbit's probability is
+    the left fold of its weights in walk order.  All worlds of an orbit
+    are equally likely, and theta is the same at every element whose cell
+    has the same bits at the step's parents: it is evaluated once per such
+    key, at the first such element of the state's representative world,
+    and kept across states unless the formula aggregates over parents
+    (``_Step.cache`` is None)."""
+    net, plan = sampler.net, sampler._plan
+    position = {step.name: k for k, step in enumerate(plan)}
+    parent_bits = [sum(1 << position[p] for p in net.parents[step.name]) for step in plan]
+    memos = [None if step.cache is None else {} for step in plan]
+    binomials = {}  # (m, theta) -> _binomial(m, theta)
+
+    def walk(k, pins, counts, prefix):
+        step, bit, parents = plan[k], 1 << k, parent_bits[k]
+        # a formula that aggregates over parents is evaluated anew at every state
+        thetas = {} if memos[k] is None else memos[k]
+        cells = structure = None
+        for c in itertools.chain((c for c, _ in counts), pins):
+            if (c & parents) not in thetas:
+                if structure is None:
+                    cells, structure = _representative(sampler, pinned, pins, counts, k)
+                thetas[c & parents] = sampler._evaluate(structure, step, (cells.index(c) + 1,))
+        # each choice is a part of the next state and its weight: a cell's
+        # occupied halves, or a pinned element's cell
+        choices = []
+        for c, m in counts:
+            theta = thetas[c & parents]
+            if (m, theta) not in binomials:
+                binomials[m, theta] = _binomial(m, theta)
+            choices.append([(tuple((c + side, count) for side, count in ((0, m - r), (bit, r))
+                                   if count), weight)
+                            for r, weight in enumerate(binomials[m, theta])])
+        choices += [((c, 1.0 - thetas[c & parents]), (c + bit, thetas[c & parents]))
+                    for c in pins]
+        # the next level is entered by a call, not through a chain of
+        # generators, which would cost each orbit one resumption per level
+        descend = leaf if k + 1 == len(plan) else functools.partial(walk, k + 1)
+        for choice in itertools.product(*choices):
+            parts, weights = zip(*choice)
+            descend(parts[len(counts):], list(itertools.chain.from_iterable(parts[:len(counts)])),
+                    functools.reduce(operator.mul, weights, prefix))
+
+    others = sampler.n - len(pinned)
+    start = ((0,) * len(pinned), [(0, others)] if others else [], 1.0)
+    (functools.partial(walk, 0) if plan else leaf)(*start)
+
+
+# the cost, in worlds of ``_enumerate``'s walk, of one orbit of
+# ``_count_walk`` and of one evaluation of a formula: on CPython 3.11, over
+# chains of 2 to 10 unary symbols at n = 2 to 8, an orbit cost 2 to 10
+# worlds and an evaluation of an ``am`` node over y != x 20 to 90
+_ORBIT_COST = 8
+_QUERY_COST = 32
+
+
+def _walks_counts(net: PlaNetwork, n: int, pinned: int, read: set[str]) -> bool:
+    """Whether ``exact_event_probability`` walks the orbits of the worlds,
+    not the worlds: every symbol of the network is unary, and the count
+    walk's estimated cost is at most the world walk's.  The count walk
+    visits the orbits under the permutations that fix ``pinned`` elements
+    and evaluates the formula once per orbit of the symbols it reads; the
+    world walk visits every world and evaluates the formula once per
+    combination of the read symbols' relations.  Orbits are far fewer
+    than worlds when the elements outnumber the cells, and nearly as many
+    for a wide network at a small n."""
+    if any(arity != 1 for _, arity in net.signature.symbols):
+        return False
+    symbols = [name for name, _ in net.signature.symbols]
+
+    def orbits(count):  # of the worlds of ``count`` unary symbols
+        cells = 1 << count
+        return cells ** pinned * math.comb(n - pinned + cells - 1, n - pinned)
+
+    reads = sum(1 for name in symbols if name in read)
+    return (_ORBIT_COST * orbits(len(symbols)) + _QUERY_COST * orbits(reads)
+            <= (1 << len(symbols) * n) + _QUERY_COST * (1 << reads * n))
 
 
 def exact_event_probability(
@@ -483,35 +578,67 @@ def exact_event_probability(
     registry=None,
 ) -> float:
     """Probability, under the exact world distribution, that the formula's
-    value lands in the value set: the sum, in ``_enumerate``'s order, of
-    the probabilities of the worlds where it does.
+    value lands in the value set, by one of two walks; the cap on the
+    worlds is checked first either way.
 
-    The formula's value depends only on the relations of the symbols
-    it reads, so whether it lands in the set is memoised by their masks:
-    one byte per combination, indexed by the masks as one mixed-radix
-    number, so never more bytes than worlds.  When every symbol it reads is
-    unary, the bytes are filled through an orbit memo keyed by
-    ``_orbit_key``: a formula's value is invariant under the permutations
-    of [n] that fix the elements assigned to its free variables, since
-    every ``AggregationFunction`` is symmetric, a function of the multiset
-    of its arguments, as ``logic._eval_agg``'s grouping by key already
-    assumes.  The formula is evaluated at the first world of each orbit, or
-    else of each combination, in ``_enumerate``'s order, so an error it
-    raises surfaces at the same world as without the memo.
+    - When every symbol of the network is unary and ``_walks_counts``
+      estimates it cheaper, ``_count_walk`` walks the orbits of the worlds
+      under the permutations of [n] that fix the elements assigned to the
+      formula's free variables, not the worlds.  The formula's value is
+      invariant under those permutations, since every
+      ``AggregationFunction`` is symmetric, a function of the multiset of
+      its arguments, as ``logic._eval_agg``'s grouping by key already
+      assumes.  It depends only on the symbols it reads, so whether it
+      lands in the set is memoised by the orbit's key: the assigned
+      elements' cells and the counts, both projected onto the read
+      symbols.  It is evaluated at the
+      first orbit of each key, and the probabilities of the orbits where it
+      lands are added in walk order, the total capped at 1.  The walk
+      covers the whole network whatever the formula reads, so two formulas
+      that land in the set at the same orbits give the same float.
+    - Otherwise ``_enumerate`` walks the worlds, and whether the value
+      lands is memoised by the masks of the read symbols: one byte per
+      combination, indexed by the masks as one mixed-radix number, so never
+      more bytes than worlds.  A chunk of worlds reads its bytes as one
+      strided slice, the bytes of the plan's last symbol's consecutive
+      masks, or as one byte when the formula does not read that symbol; its
+      unset bytes are filled in mask order, the formula evaluated at the
+      first world of each combination, and its selected probabilities are
+      added one by one in world order with ``functools.reduce``.
 
-    The worlds and their masks come in ``_enumerate``'s order, the
-    sampler's plan order.  A chunk is read as one strided slice of the
-    memo, the bytes of the plan's last symbol's consecutive masks, or as
-    one byte when the formula does not read that symbol.  Its unset bytes
-    are filled in mask order, and its selected probabilities are added to
-    the total one by one in world order with ``functools.reduce``.
-    ``sum()`` would not do: from Python 3.12 on it adds floats with
-    compensation, so its result depends on the Python version."""
+    ``sum()`` would not do for either total: from Python 3.12 on it adds
+    floats with compensation, so its result depends on the Python
+    version."""
     if value_set is None:
         value_set = ValueSet.full()
     _check_world_cap(net, n, world_cap)
     sampler = WorldSampler(net, n, registry)
     read = relation_symbols(phi)
+    in_set = functools.partial(_in_value_set, phi, assignment, value_set, registry)
+    assigned = {(assignment or {}).get(v) for v in free_vars(phi)}
+    pinned = sorted(assigned & set(range(1, n + 1)))
+    total = 0.0
+    if _walks_counts(net, n, len(pinned), read):
+        read_bits = sum(1 << k for k, step in enumerate(sampler._plan) if step.name in read)
+        hits = {}  # orbit key -> whether the value lands in the set
+
+        def leaf(pins, counts, probability):
+            nonlocal total
+            projected = {}
+            for c, m in counts:
+                projected[c & read_bits] = projected.get(c & read_bits, 0) + m
+            key = tuple(c & read_bits for c in pins), tuple(sorted(projected.items()))
+            hit = hits.get(key)
+            if hit is None:
+                _, world = _representative(sampler, pinned, pins, counts, len(sampler._plan))
+                (hit,) = in_set(world)
+                hits[key] = hit
+            if hit:
+                total += probability
+
+        _count_walk(sampler, pinned, leaf)
+        # the binomial weights' rounding can carry a sure event past 1
+        return min(total, 1.0)
     strides = []
     combinations = 1
     for step in sampler._plan:
@@ -519,11 +646,7 @@ def exact_event_probability(
         if step.name in read:
             combinations <<= step.width
     memo = bytearray(combinations)  # 0: not yet evaluated, 1: outside the set, 2: inside
-    orbits = {}  # orbit key -> memo byte
-    orbit_key = _orbit_key(sampler, phi, assignment or {})
     stride = strides[-1] if strides else 0
-    in_set = functools.partial(_in_value_set, phi, assignment, value_set, registry)
-    total = 0.0
     for masks, world, probabilities in _enumerate(sampler):
         key = sum(map(operator.mul, masks, strides))
         span = (slice(key, key + len(probabilities) * stride, stride) if stride
@@ -532,14 +655,8 @@ def exact_event_probability(
         if 0 in flags:
             for i, flag in enumerate(flags):
                 if not flag:
-                    orbit = orbit_key(masks, i) if orbit_key else None
-                    hit = orbits.get(orbit)
-                    if hit is None:
-                        (inside,) = in_set(world(i))
-                        hit = 2 if inside else 1
-                        if orbit_key:
-                            orbits[orbit] = hit
-                    memo[key + i * stride] = hit
+                    (inside,) = in_set(world(i))
+                    memo[key + i * stride] = 2 if inside else 1
             flags = memo[span]
         selected = flags.translate(_SELECTED)
         if not stride:

@@ -195,6 +195,19 @@ class TestSampleEvalInfer:
         for word in words:
             assert word in err
 
+    def test_bound_tuples_over_the_cap_are_refused(self, capsys, tmp_path):
+        # three classes of bound variables at n = 300: 300^3 = 2.7e7 bound
+        # tuples, over the cap of 2^24; they once took 10.8 s and 436 MB
+        path = tmp_path / "world.json"
+        path.write_text(json.dumps(
+            {"domain_size": 300, "relations": [{"name": "P", "arity": 1, "tuples": [[1]]}]}))
+        code, out, err = run(capsys, "eval", "--structure", str(path),
+                             "--formula", "am[P(y) : y, z, w : distinct]")
+        assert (code, out) == (1, "")
+        assert err == ("error: am[...] binds 3 classes of bound variables, so at domain size 300 "
+                       "it visits up to 300^3 = 27000000 bound tuples, more than the cap "
+                       "16777216\n")
+
     def test_world_count_too_large_to_write_out(self, capsys, tmp_path):
         # 2^(10000^2) worlds: the cap check must not build that number
         path = tmp_path / "edge.json"

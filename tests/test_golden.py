@@ -136,7 +136,7 @@ GOLDEN = [
     ("infer-exact-bound-equals-parameter",
      ["infer", "exact", "--net", "{net}", "--n", "3", "--formula", BOUND_IS_PARAMETER,
       "--assign", "x=2", "--value-set", "0.5:0.7"],
-     "pr", 0, "7886d4061fb58271de12b3802055a9576609dfe907cc1ed7a951e1f623fddf7e"),
+     "pr", 0, "722796083c71cb52b36ba56a98b6953c34feb776a8eb0fc35c3d8b18f730df40"),
     ("infer-exact-swapped-atoms",
      ["infer", "exact", "--net", "{net}", "--n", "2",
       "--formula", "max[F(x, y) & !F(y, x) | E(y, x) : y : y != x]",
@@ -150,7 +150,7 @@ GOLDEN = [
     ("infer-exact-nested",
      ["infer", "exact", "--net", "{net}", "--n", "3", "--formula", NESTED,
       "--assign", "x=3", "--value-set", "0.5:1"],
-     "pr", 0, "dd1c12a9d0f0465366a93d7a0011c686f140ae48f0c4de1c2b90c9529cf7acbe"),
+     "pr", 0, "bfb6a723bda6cbd66a6a69bd5e6bdd3e8dbb7f28f2ae4152c4667fe63fb7206e"),
     # exact enumeration reuses theta lists by parent masks and query values
     # by the masks of the symbols the query reads; worlds come in the
     # sampler's plan order (P, Q, R), against the signature's (R, Q, P)

@@ -413,19 +413,33 @@ def parse_assignment(text):
 
 class TestEnumerationReuse:
     """Exact enumeration reuses theta lists and query values across worlds;
-    every probability must still equal the written-out enumeration, float
-    for float."""
+    every probability of ``exact_distribution``, and every event
+    probability of the world walk, must still equal the written-out
+    enumeration, float for float.  On a network of unary symbols the count
+    walk sums orbits of the worlds, not the worlds, so it agrees within
+    1e-12, and the event probability is that of one of the two walks."""
 
     @pytest.mark.parametrize("net_id, n, formula, assign, values", ENUMERATION_CASES,
                              ids=case_ids(ENUMERATION_CASES))
-    def test_matches_enumeration_by_definition(self, net_id, n, formula, assign, values):
+    def test_matches_enumeration_by_definition(self, net_id, n, formula, assign, values,
+                                               monkeypatch):
         net = network_from_doc(ENUMERATION_NETWORKS[net_id])
         phi, value_set = parse_formula(formula), ValueSet.parse(values)
         assignment = parse_assignment(assign)
         worlds, total = exact_by_definition(net, n, phi, assignment, value_set)
         assert [(world_key(w.structure), w.probability)
                 for w in exact_distribution(net, n)] == worlds
-        assert exact_event_probability(net, n, phi, assignment, value_set) == total
+        p = exact_event_probability(net, n, phi, assignment, value_set)
+        if all(arity == 1 for _, arity in net.signature.symbols):
+            with monkeypatch.context() as forced:
+                forced.setattr(network, "_walks_counts", lambda *args: True)
+                by_counts = exact_event_probability(net, n, phi, assignment, value_set)
+                forced.setattr(network, "_walks_counts", lambda *args: False)
+                assert exact_event_probability(net, n, phi, assignment, value_set) == total
+            assert abs(by_counts - total) <= 1e-12
+            assert p in (by_counts, total)
+        else:
+            assert p == total
 
     @pytest.mark.parametrize("net_id, n, formula, assign, values", ONE_CHUNK_CASES,
                              ids=case_ids(ONE_CHUNK_CASES))
@@ -434,7 +448,8 @@ class TestEnumerationReuse:
         # at 2^2 masks per chunk every step of more than 2 tuples, not only
         # the plan's last, spans several chunks
         monkeypatch.setattr(network, "_CHUNK_BITS", 2)
-        self.test_matches_enumeration_by_definition(net_id, n, formula, assign, values)
+        self.test_matches_enumeration_by_definition(net_id, n, formula, assign, values,
+                                                    monkeypatch)
 
     def test_theta_lists_follow_their_parents_masks(self, monkeypatch):
         # child-first at n = 3: P's list once, Q's once per mask of P and
@@ -448,9 +463,7 @@ class TestEnumerationReuse:
             return thetas(sampler, columns, step)
 
         monkeypatch.setattr(WorldSampler, "_thetas", counted)
-        exact_event_probability(network_from_doc(CHILD_FIRST_DOC), 3,
-                                parse_formula("max[R(y) & !Q(y) : y : y != x]"), {X: 1},
-                                ValueSet.point(1.0))
+        exact_distribution(network_from_doc(CHILD_FIRST_DOC), 3)
         assert calls == {"P": 1, "Q": 8, "R": 64}
 
     def test_theta_lists_follow_their_last_parents_masks(self, monkeypatch):
@@ -464,9 +477,7 @@ class TestEnumerationReuse:
             return thetas(sampler, columns, step)
 
         monkeypatch.setattr(WorldSampler, "_thetas", counted)
-        exact_event_probability(network_from_doc(LAST_PARENT_DOC), 3,
-                                parse_formula("max[A(y) & !B(y) : y : y != x]"), {X: 1},
-                                ValueSet.point(1.0))
+        exact_distribution(network_from_doc(LAST_PARENT_DOC), 3)
         assert calls == {"P": 1, "Q": 1, "A": 64, "B": 8}
 
     @pytest.mark.parametrize("net_id, n, formula, assign, expected", [
@@ -475,17 +486,19 @@ class TestEnumerationReuse:
         # reads P and R, x pinned: its 4 cells times the C(7 + 3, 3) counts
         # of the 7 other elements over 4 cells
         ("pr", 8, "am[R(y) & P(y) : y : y != x]", "x=1", 4 * math.comb(10, 3)),
+        # z is assigned but not read: it pins no element and splits no orbit
+        ("pr", 8, "am[R(y) & P(y) : y : y != x]", "x=1,z=2", 4 * math.comb(10, 3)),
         # reads the binary E: one evaluation per combination of the masks of
         # S and E, 2^2 * 2^4
         ("pse", 2, "am[E(y, y) & S(y) : y : y != x]", "x=1", 64),
     ])
     def test_counting_state_is_fetched_once_per_query_evaluation(self, net_id, n, formula, assign,
                                                                  expected, monkeypatch):
-        # the query is evaluated at the first world of each orbit of the
-        # worlds when it reads unary symbols only, else at the first world
-        # of each combination of the masks it reads; each evaluation is a
-        # miss of the world's value memo and fetches the node's key counts
-        # once
+        # the query is evaluated at the first orbit of each key of the
+        # symbols it reads on a network of unary symbols, else at the first
+        # world of each combination of the masks it reads; each evaluation
+        # is a miss of the world's value memo and fetches the node's key
+        # counts once
         import pla.logic
 
         fetches, evaluations = [], []
@@ -512,25 +525,29 @@ class TestEnumerationReuse:
         with pytest.raises(EmptyAggregationRange):
             exact_event_probability(pr_net, 1, phi, {X: 1})
 
-    def test_query_memo_stays_small(self, pr_net):
-        # 2^14 worlds, each its own combination of P and R: one byte per
-        # combination is 16 KiB, a dictionary keyed by mask tuples over 1.5 MiB
-        phi = parse_formula("R(x) -> P(x)")
+    def test_query_memo_stays_small(self):
+        # the binary E takes the world walk: 2^12 worlds, each its own
+        # combination of E and R, one byte per combination is 4 KiB, a
+        # dictionary keyed by mask tuples about 400 KiB
+        net = network_from_doc({"relations": [
+            {"name": "E", "arity": 2, "parents": [], "theta": "0.5"},
+            {"name": "R", "arity": 1, "parents": ["E"], "theta": "wm(E(x1, x1); 0.9; 0.2)"}]})
+        phi = parse_formula("R(x) -> E(x, y)")
         tracemalloc.start()
         try:
-            exact_event_probability(pr_net, 7, phi, {X: 1}, ValueSet.point(1.0))
+            exact_event_probability(net, 3, phi, {X: 1, Variable("y"): 2}, ValueSet.point(1.0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 ** 20
+        assert peak < 2 ** 18
 
     def test_large_block_stays_small(self):
-        # the 2^16 worlds of one symbol are one block; its probabilities as
-        # one list of floats would take 2 MiB
-        net = network_from_doc(UNARY_DOC)
+        # the 2^16 worlds of the binary E at n = 4 are one block; its
+        # probabilities as one list of floats would take 2 MiB
+        net = network_from_doc(BINARY_DOC)
         tracemalloc.start()
         try:
-            p = exact_event_probability(net, 16, Const(0.3), {}, ValueSet.point(0.3))
+            p = exact_event_probability(net, 4, Const(0.3), {}, ValueSet.point(0.3))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -541,9 +558,11 @@ class TestEnumerationReuse:
 def random_unary_case(rng):
     """A random network of 2 or 3 unary symbols in a random DAG, declared
     in a random order, each theta from ``random_agg_free`` over its parents
-    and reading one of them (a root's is a constant); a query whose am or
-    max node over y != x has a body that reads y and a random subset of the
-    symbols, with x assigned or bound by an outer max; a domain size from 2
+    and reading one of them (a root's is a constant), a third of the
+    non-root ones mixed by ``wm`` with an am or max node over y != x1 whose
+    body reads y; a query whose am or max node over y != x has a body that
+    reads y and a random subset of the symbols, with x assigned, x and z
+    assigned two elements, or x bound by an outer max; a domain size from 2
     to 4, at most 3 for 3 symbols (2^9 worlds); a value set [lo, 1]."""
     def reading(sig, variables, depth, needed):
         while True:
@@ -551,24 +570,33 @@ def random_unary_case(rng):
             if needed <= free_vars(phi) and relation_symbols(phi):
                 return phi
 
-    x1, x, y = Variable("x1"), Variable("x"), Variable("y")
+    x1, x, y, z = Variable("x1"), Variable("x"), Variable("y"), Variable("z")
     names = ["U%d" % i for i in range(rng.choice((2, 3)))]
     relations = []
     for i, name in enumerate(names):
         parents = [p for p in names[:i] if rng.random() < 0.6]
-        theta = (reading(Signature(tuple((p, 1) for p in parents)), [x1], 2, set())
-                 if parents else Const(round(rng.uniform(0.05, 0.95), 3)))
-        relations.append({"name": name, "arity": 1, "parents": parents,
-                          "theta": format_formula(theta)})
+        sig = Signature(tuple((p, 1) for p in parents))
+        if not parents:
+            theta = format_formula(Const(round(rng.uniform(0.05, 0.95), 3)))
+        elif rng.random() < 1 / 3:
+            theta = "wm(%s; %s[%s : y : y != x1]; %s)" % (
+                format_formula(reading(sig, [x1], 1, set())), rng.choice(("am", "max")),
+                format_formula(reading(sig, [x1, y], 1, {y})), round(rng.uniform(0.05, 0.95), 3))
+        else:
+            theta = format_formula(reading(sig, [x1], 2, set()))
+        relations.append({"name": name, "arity": 1, "parents": parents, "theta": theta})
     rng.shuffle(relations)
     read = Signature(tuple((name, 1) for name in rng.sample(names, rng.randint(1, len(names)))))
+    n = rng.randint(2, 6 - len(names))
+    shape = rng.choice(("x", "x, z", "bound x"))
+    last = reading(read, [x, z], 1, {z}) if shape == "x, z" else reading(read, [x], 1, set())
     formula = "wm(%s; %s[%s : y : y != x]; %s)" % (
         format_formula(reading(read, [x], 1, set())), rng.choice(("am", "max")),
-        format_formula(reading(read, [x, y], 2, {y})), format_formula(reading(read, [x], 1, set())))
-    n = rng.randint(2, 6 - len(names))
-    if rng.random() < 0.5:
-        assignment = {x: rng.randint(1, n)}
-    else:
+        format_formula(reading(read, [x, y], 2, {y})), format_formula(last))
+    assignment = {x: rng.randint(1, n)}
+    if shape == "x, z":
+        assignment[z] = rng.choice([e for e in range(1, n + 1) if e != assignment[x]])
+    elif shape == "bound x":
         formula, assignment = "max[%s : x : x = x]" % formula, {}
     value_set = ValueSet(((round(rng.uniform(0.1, 0.9), 2), 1.0),))
     return (network_from_doc({"relations": relations}), n, parse_formula(formula), assignment,
@@ -576,15 +604,110 @@ def random_unary_case(rng):
 
 
 class TestRandomUnaryNetworks:
-    """Exact event probabilities on seeded random unary networks, whose
-    queries are memoised per orbit of the worlds, equal the written-out
-    enumeration float for float."""
+    """Exact event probabilities on seeded random unary networks, which sum
+    the orbits of the worlds, agree with the written-out enumeration within
+    1e-12."""
 
-    @pytest.mark.parametrize("seed", range(20))
-    def test_matches_enumeration_by_definition(self, seed):
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_enumeration_by_definition(self, seed, monkeypatch):
         net, n, phi, assignment, value_set = random_unary_case(random.Random(seed))
         _, total = exact_by_definition(net, n, phi, assignment, value_set)
-        assert exact_event_probability(net, n, phi, assignment, value_set) == total
+        assert abs(exact_event_probability(net, n, phi, assignment, value_set) - total) <= 1e-12
+        # these networks are small enough that the world walk is often
+        # chosen; the count walk must agree too
+        monkeypatch.setattr(network, "_walks_counts", lambda *args: True)
+        assert abs(exact_event_probability(net, n, phi, assignment, value_set) - total) <= 1e-12
+
+    def test_cases_cover_aggregating_thetas_and_two_pinned_elements(self):
+        cases = [random_unary_case(random.Random(seed)) for seed in range(30)]
+        assert any(not validate(net).aggregation_free for net, *_ in cases)
+        assert any(len(assignment) == 2 for *_, assignment, _ in cases)
+
+
+def chain_net(symbols):
+    """A chain S0 -> S1 -> ... of ``symbols`` unary symbols."""
+    relations = [{"name": "S0", "arity": 1, "parents": [], "theta": "0.4"}]
+    relations += [{"name": "S%d" % i, "arity": 1, "parents": ["S%d" % (i - 1)],
+                   "theta": "wm(S%d(x1); 0.7; 0.2)" % (i - 1)} for i in range(1, symbols)]
+    return network_from_doc({"relations": relations})
+
+
+class TestCountWalk:
+    """Exact inference on networks of unary symbols walks count vectors
+    when they are far fewer than the worlds, checked against closed forms
+    at domain sizes far past what a walk over the worlds could reach."""
+
+    def test_enumerates_no_world(self, pr_net, monkeypatch):
+        def refuse(sampler):
+            raise AssertionError("a world was enumerated")
+
+        monkeypatch.setattr(network, "_enumerate", refuse)
+        assert not hasattr(network, "_orbit_key")
+        phi = parse_formula("am[R(y) & P(y) : y : y != x]")
+        assert 0.0 < exact_event_probability(pr_net, 9, phi, {X: 1}, ValueSet.parse("0.5:1")) < 1.0
+
+    def test_sure_event_is_at_most_certain(self, pr_net):
+        # the binomial weights' rounding carries the orbits' total past 1
+        phi = parse_formula("am[R(y) & P(y) : y : y != x]")
+        assert exact_event_probability(pr_net, 9, phi, {X: 1}, ValueSet.full()) == 1.0
+
+    # the estimates behind the choice, on chains where both walks were timed:
+    # a pinned element and one other take an orbit per world; 4 elements
+    # besides the pinned one still took longer to walk by counts over 5
+    # symbols, 32 * C(3 + 31, 3) orbits against 2^20 worlds, and 4 over 4
+    # symbols were faster; a query read at every symbol is evaluated once
+    # per orbit, not once per world
+    @pytest.mark.parametrize("n, symbols, reads, walks_counts", [
+        (2, 10, 2, False),
+        (4, 5, 2, False),
+        (5, 4, 2, True),
+        (3, 6, 6, True),
+        (200, 2, 1, True),
+    ])
+    def test_walk_is_chosen_by_estimated_cost(self, n, symbols, reads, walks_counts):
+        net = chain_net(symbols)
+        read = {"S%d" % i for i in range(reads)}
+        assert network._walks_counts(net, n, 1, read) is walks_counts
+
+    @pytest.mark.parametrize("n, symbols", [(2, 6), (6, 2)])
+    def test_walks_agree_on_either_side_of_the_choice(self, n, symbols, monkeypatch):
+        net = chain_net(symbols)
+        phi = parse_formula("am[S0(y) & S%d(y) : y : y != x]" % (symbols - 1))
+        value_set = ValueSet.parse("0.3:1")
+        enumerate_worlds, walked = network._enumerate, []
+        monkeypatch.setattr(network, "_enumerate",
+                            lambda sampler: walked.append(1) or enumerate_worlds(sampler))
+        p = exact_event_probability(net, n, phi, {X: 1}, value_set)
+        assert bool(walked) is not network._walks_counts(net, n, 1, {"S0", "S%d" % (symbols - 1)})
+        _, total = exact_by_definition(net, n, phi, {X: 1}, value_set)
+        assert abs(p - total) <= 1e-12
+
+    @pytest.mark.parametrize("n", [50, 100, 200])
+    def test_remark_closed_form(self, remark_net, n):
+        # criterion 1: R holds at each element independently with
+        # probability 1/(n - 1), so some element is in R with probability
+        # 1 - (1 - 1/(n - 1))^n
+        p = exact_event_probability(remark_net, n, parse_formula("max[R(x) : x : x = x]"), {},
+                                    ValueSet.point(1.0), world_cap=2 ** n)
+        assert abs(p - (1.0 - (1.0 - 1.0 / (n - 1)) ** n)) <= 1e-12
+
+    def test_binomials_past_the_float_range_are_refused(self, remark_net):
+        # C(1100, 550) is about 10^329, past the largest float
+        with pytest.raises(PlaError, match="cannot weigh 1100 elements in one cell"):
+            exact_event_probability(remark_net, 1100, parse_formula("max[R(x) : x : x = x]"), {},
+                                    ValueSet.point(1.0), world_cap=2 ** 1100)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 30])
+    def test_pr_binomial_sum(self, pr_net, n):
+        # R holds at each of the n - 1 elements other than x independently
+        # with probability q = 0.5 * 0.9 + 0.5 * 0.2, so the mean lands in
+        # [0.5, 1] when at least half of them are in R
+        q = 0.55
+        expected = math.fsum(math.comb(n - 1, k) * q ** k * (1 - q) ** (n - 1 - k)
+                             for k in range(n) if 2 * k >= n - 1)
+        p = exact_event_probability(pr_net, n, parse_formula("am[R(y) : y : y != x]"), {X: 1},
+                                    ValueSet.parse("0.5:1"), world_cap=2 ** (2 * n))
+        assert abs(p - expected) <= 1e-12
 
 
 class TestEventProbabilities:
