@@ -537,37 +537,6 @@ def _count_walk(sampler: WorldSampler, pinned: list[int], leaf: Callable) -> Non
     (functools.partial(walk, 0) if plan else leaf)(*start)
 
 
-# the cost, in worlds of ``_enumerate``'s walk, of one orbit of
-# ``_count_walk`` and of one evaluation of a formula: on CPython 3.11, over
-# chains of 2 to 10 unary symbols at n = 2 to 8, an orbit cost 2 to 10
-# worlds and an evaluation of an ``am`` node over y != x 20 to 90
-_ORBIT_COST = 8
-_QUERY_COST = 32
-
-
-def _walks_counts(net: PlaNetwork, n: int, pinned: int, read: set[str]) -> bool:
-    """Whether ``exact_event_probability`` walks the orbits of the worlds,
-    not the worlds: every symbol of the network is unary, and the count
-    walk's estimated cost is at most the world walk's.  The count walk
-    visits the orbits under the permutations that fix ``pinned`` elements
-    and evaluates the formula once per orbit of the symbols it reads; the
-    world walk visits every world and evaluates the formula once per
-    combination of the read symbols' relations.  Orbits are far fewer
-    than worlds when the elements outnumber the cells, and nearly as many
-    for a wide network at a small n."""
-    if any(arity != 1 for _, arity in net.signature.symbols):
-        return False
-    symbols = [name for name, _ in net.signature.symbols]
-
-    def orbits(count):  # of the worlds of ``count`` unary symbols
-        cells = 1 << count
-        return cells ** pinned * math.comb(n - pinned + cells - 1, n - pinned)
-
-    reads = sum(1 for name in symbols if name in read)
-    return (_ORBIT_COST * orbits(len(symbols)) + _QUERY_COST * orbits(reads)
-            <= (1 << len(symbols) * n) + _QUERY_COST * (1 << reads * n))
-
-
 def exact_event_probability(
     net: PlaNetwork,
     n: int,
@@ -578,24 +547,24 @@ def exact_event_probability(
     registry=None,
 ) -> float:
     """Probability, under the exact world distribution, that the formula's
-    value lands in the value set, by one of two walks; the cap on the
-    worlds is checked first either way.
+    value lands in the value set, by one of two walks chosen by the
+    network's arities alone, so the result depends only on the network, n,
+    the formula, its assignment and the value set; the cap on the worlds is
+    checked first either way.
 
-    - When every symbol of the network is unary and ``_walks_counts``
-      estimates it cheaper, ``_count_walk`` walks the orbits of the worlds
-      under the permutations of [n] that fix the elements assigned to the
-      formula's free variables, not the worlds.  The formula's value is
-      invariant under those permutations, since every
-      ``AggregationFunction`` is symmetric, a function of the multiset of
-      its arguments, as ``logic._eval_agg``'s grouping by key already
-      assumes.  It depends only on the symbols it reads, so whether it
-      lands in the set is memoised by the orbit's key: the assigned
+    - When every symbol of the network is unary, ``_count_walk`` walks the
+      orbits of the worlds under the permutations of [n] that fix the
+      elements assigned to the formula's free variables, not the worlds.
+      The formula's value is invariant under those permutations, since
+      every ``AggregationFunction`` is symmetric, a function of the
+      multiset of its arguments, as ``logic._eval_agg``'s grouping by key
+      already assumes.  It depends only on the symbols it reads, so whether
+      it lands in the set is memoised by the orbit's key: the assigned
       elements' cells and the counts, both projected onto the read
-      symbols.  It is evaluated at the
-      first orbit of each key, and the probabilities of the orbits where it
-      lands are added in walk order, the total capped at 1.  The walk
-      covers the whole network whatever the formula reads, so two formulas
-      that land in the set at the same orbits give the same float.
+      symbols.  It is evaluated at the first orbit of each key, and the
+      probabilities of the orbits where it lands are added in walk order.
+      The walk covers the whole network whatever the formula reads, so two
+      formulas that land in the set at the same orbits give the same float.
     - Otherwise ``_enumerate`` walks the worlds, and whether the value
       lands is memoised by the masks of the read symbols: one byte per
       combination, indexed by the masks as one mixed-radix number, so never
@@ -606,9 +575,10 @@ def exact_event_probability(
       first world of each combination, and its selected probabilities are
       added one by one in world order with ``functools.reduce``.
 
-    ``sum()`` would not do for either total: from Python 3.12 on it adds
-    floats with compensation, so its result depends on the Python
-    version."""
+    Either total is capped at 1, which the rounding of the weights can
+    carry a sure event past.  ``sum()`` would not do for either total: from
+    Python 3.12 on it adds floats with compensation, so its result depends
+    on the Python version."""
     if value_set is None:
         value_set = ValueSet.full()
     _check_world_cap(net, n, world_cap)
@@ -618,7 +588,7 @@ def exact_event_probability(
     assigned = {(assignment or {}).get(v) for v in free_vars(phi)}
     pinned = sorted(assigned & set(range(1, n + 1)))
     total = 0.0
-    if _walks_counts(net, n, len(pinned), read):
+    if all(arity == 1 for _, arity in net.signature.symbols):
         read_bits = sum(1 << k for k, step in enumerate(sampler._plan) if step.name in read)
         hits = {}  # orbit key -> whether the value lands in the set
 
@@ -637,32 +607,32 @@ def exact_event_probability(
                 total += probability
 
         _count_walk(sampler, pinned, leaf)
-        # the binomial weights' rounding can carry a sure event past 1
-        return min(total, 1.0)
-    strides = []
-    combinations = 1
-    for step in sampler._plan:
-        strides.append(combinations if step.name in read else 0)
-        if step.name in read:
-            combinations <<= step.width
-    memo = bytearray(combinations)  # 0: not yet evaluated, 1: outside the set, 2: inside
-    stride = strides[-1] if strides else 0
-    for masks, world, probabilities in _enumerate(sampler):
-        key = sum(map(operator.mul, masks, strides))
-        span = (slice(key, key + len(probabilities) * stride, stride) if stride
-                else slice(key, key + 1))
-        flags = memo[span]
-        if 0 in flags:
-            for i, flag in enumerate(flags):
-                if not flag:
-                    (inside,) = in_set(world(i))
-                    memo[key + i * stride] = 2 if inside else 1
+    else:
+        strides = []
+        combinations = 1
+        for step in sampler._plan:
+            strides.append(combinations if step.name in read else 0)
+            if step.name in read:
+                combinations <<= step.width
+        memo = bytearray(combinations)  # 0: not yet evaluated, 1: outside the set, 2: inside
+        stride = strides[-1] if strides else 0
+        for masks, world, probabilities in _enumerate(sampler):
+            key = sum(map(operator.mul, masks, strides))
+            span = (slice(key, key + len(probabilities) * stride, stride) if stride
+                    else slice(key, key + 1))
             flags = memo[span]
-        selected = flags.translate(_SELECTED)
-        if not stride:
-            selected *= len(probabilities)
-        total = functools.reduce(operator.add, itertools.compress(probabilities, selected), total)
-    return total
+            if 0 in flags:
+                for i, flag in enumerate(flags):
+                    if not flag:
+                        (inside,) = in_set(world(i))
+                        memo[key + i * stride] = 2 if inside else 1
+                flags = memo[span]
+            selected = flags.translate(_SELECTED)
+            if not stride:
+                selected *= len(probabilities)
+            total = functools.reduce(operator.add, itertools.compress(probabilities, selected),
+                                     total)
+    return min(total, 1.0)
 
 
 def ci_halfwidth(p_hat: float, samples: int) -> float:

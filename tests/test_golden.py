@@ -151,13 +151,12 @@ GOLDEN = [
      ["infer", "exact", "--net", "{net}", "--n", "3", "--formula", NESTED,
       "--assign", "x=3", "--value-set", "0.5:1"],
      "pr", 0, "bfb6a723bda6cbd66a6a69bd5e6bdd3e8dbb7f28f2ae4152c4667fe63fb7206e"),
-    # exact enumeration reuses theta lists by parent masks and query values
-    # by the masks of the symbols the query reads; worlds come in the
-    # sampler's plan order (P, Q, R), against the signature's (R, Q, P)
+    # the unary network's orbits of the worlds are walked in the sampler's
+    # plan order (P, Q, R), against the signature's (R, Q, P)
     ("infer-exact-child-first",
      ["infer", "exact", "--net", "{net}", "--n", "3",
       "--formula", "max[R(y) & !Q(y) : y : y != x]", "--assign", "x=1", "--value-set", "1"],
-     "child-first", 0, "9d280d9b0ad64adfa5d6c82a7ab41e3160fa05f858e79ee66f2c3b809e1419e6"),
+     "child-first", 0, "d1b0545d7f5fa6035497b6dc9fe9743cefaf65e6efc8fdd1e981ea59eba462ca"),
     ("infer-exact-reads-every-symbol",
      ["infer", "exact", "--net", "{net}", "--n", "2",
       "--formula", "wm(P(x); S(x); 0.4) & (E(x, y) | 0.7)", "--assign", "x=1,y=2",

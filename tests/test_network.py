@@ -43,6 +43,7 @@ from pla.network import (
 
 from conftest import (
     BINARY_DOC,
+    CHAIN_DOC,
     CHILD_FIRST_DOC,
     NETWORK_DOCS,
     NON_ROOT_AGGREGATION_DOC,
@@ -413,31 +414,29 @@ def parse_assignment(text):
 
 class TestEnumerationReuse:
     """Exact enumeration reuses theta lists and query values across worlds;
-    every probability of ``exact_distribution``, and every event
-    probability of the world walk, must still equal the written-out
-    enumeration, float for float.  On a network of unary symbols the count
-    walk sums orbits of the worlds, not the worlds, so it agrees within
-    1e-12, and the event probability is that of one of the two walks."""
+    every probability of ``exact_distribution``, the sum of its worlds
+    where the value lands, and every event probability of the world walk
+    must still equal the written-out enumeration, float for float.  On a
+    network of unary symbols the count walk sums orbits of the worlds, not
+    the worlds, so it agrees within 1e-12."""
 
     @pytest.mark.parametrize("net_id, n, formula, assign, values", ENUMERATION_CASES,
                              ids=case_ids(ENUMERATION_CASES))
-    def test_matches_enumeration_by_definition(self, net_id, n, formula, assign, values,
-                                               monkeypatch):
+    def test_matches_enumeration_by_definition(self, net_id, n, formula, assign, values):
         net = network_from_doc(ENUMERATION_NETWORKS[net_id])
         phi, value_set = parse_formula(formula), ValueSet.parse(values)
         assignment = parse_assignment(assign)
         worlds, total = exact_by_definition(net, n, phi, assignment, value_set)
-        assert [(world_key(w.structure), w.probability)
-                for w in exact_distribution(net, n)] == worlds
+        dist = exact_distribution(net, n)
+        assert [(world_key(w.structure), w.probability) for w in dist] == worlds
+        hits = 0.0
+        for w in dist:
+            if value_set.contains(evaluate(w.structure, phi, assignment)):
+                hits += w.probability
+        assert hits == total
         p = exact_event_probability(net, n, phi, assignment, value_set)
         if all(arity == 1 for _, arity in net.signature.symbols):
-            with monkeypatch.context() as forced:
-                forced.setattr(network, "_walks_counts", lambda *args: True)
-                by_counts = exact_event_probability(net, n, phi, assignment, value_set)
-                forced.setattr(network, "_walks_counts", lambda *args: False)
-                assert exact_event_probability(net, n, phi, assignment, value_set) == total
-            assert abs(by_counts - total) <= 1e-12
-            assert p in (by_counts, total)
+            assert abs(p - total) <= 1e-12
         else:
             assert p == total
 
@@ -448,8 +447,7 @@ class TestEnumerationReuse:
         # at 2^2 masks per chunk every step of more than 2 tuples, not only
         # the plan's last, spans several chunks
         monkeypatch.setattr(network, "_CHUNK_BITS", 2)
-        self.test_matches_enumeration_by_definition(net_id, n, formula, assign, values,
-                                                    monkeypatch)
+        self.test_matches_enumeration_by_definition(net_id, n, formula, assign, values)
 
     def test_theta_lists_follow_their_parents_masks(self, monkeypatch):
         # child-first at n = 3: P's list once, Q's once per mask of P and
@@ -609,13 +607,9 @@ class TestRandomUnaryNetworks:
     1e-12."""
 
     @pytest.mark.parametrize("seed", range(30))
-    def test_matches_enumeration_by_definition(self, seed, monkeypatch):
+    def test_matches_enumeration_by_definition(self, seed):
         net, n, phi, assignment, value_set = random_unary_case(random.Random(seed))
         _, total = exact_by_definition(net, n, phi, assignment, value_set)
-        assert abs(exact_event_probability(net, n, phi, assignment, value_set) - total) <= 1e-12
-        # these networks are small enough that the world walk is often
-        # chosen; the count walk must agree too
-        monkeypatch.setattr(network, "_walks_counts", lambda *args: True)
         assert abs(exact_event_probability(net, n, phi, assignment, value_set) - total) <= 1e-12
 
     def test_cases_cover_aggregating_thetas_and_two_pinned_elements(self):
@@ -633,9 +627,9 @@ def chain_net(symbols):
 
 
 class TestCountWalk:
-    """Exact inference on networks of unary symbols walks count vectors
-    when they are far fewer than the worlds, checked against closed forms
-    at domain sizes far past what a walk over the worlds could reach."""
+    """Exact inference on networks of unary symbols walks count vectors,
+    not worlds, checked against closed forms at domain sizes far past what
+    a walk over the worlds could reach."""
 
     def test_enumerates_no_world(self, pr_net, monkeypatch):
         def refuse(sampler):
@@ -651,36 +645,45 @@ class TestCountWalk:
         phi = parse_formula("am[R(y) & P(y) : y : y != x]")
         assert exact_event_probability(pr_net, 9, phi, {X: 1}, ValueSet.full()) == 1.0
 
-    # the estimates behind the choice, on chains where both walks were timed:
-    # a pinned element and one other take an orbit per world; 4 elements
-    # besides the pinned one still took longer to walk by counts over 5
-    # symbols, 32 * C(3 + 31, 3) orbits against 2^20 worlds, and 4 over 4
-    # symbols were faster; a query read at every symbol is evaluated once
-    # per orbit, not once per world
-    @pytest.mark.parametrize("n, symbols, reads, walks_counts", [
-        (2, 10, 2, False),
-        (4, 5, 2, False),
-        (5, 4, 2, True),
-        (3, 6, 6, True),
-        (200, 2, 1, True),
-    ])
-    def test_walk_is_chosen_by_estimated_cost(self, n, symbols, reads, walks_counts):
-        net = chain_net(symbols)
-        read = {"S%d" % i for i in range(reads)}
-        assert network._walks_counts(net, n, 1, read) is walks_counts
-
+    # a wide chain at a small n has about one orbit per world, a short one
+    # at a larger n far fewer; either way no world is enumerated
     @pytest.mark.parametrize("n, symbols", [(2, 6), (6, 2)])
-    def test_walks_agree_on_either_side_of_the_choice(self, n, symbols, monkeypatch):
+    def test_chains_enumerate_no_world(self, n, symbols, monkeypatch):
         net = chain_net(symbols)
         phi = parse_formula("am[S0(y) & S%d(y) : y : y != x]" % (symbols - 1))
         value_set = ValueSet.parse("0.3:1")
+        _, total = exact_by_definition(net, n, phi, {X: 1}, value_set)
+
+        def refuse(sampler):
+            raise AssertionError("a world was enumerated")
+
+        monkeypatch.setattr(network, "_enumerate", refuse)
+        assert abs(exact_event_probability(net, n, phi, {X: 1}, value_set) - total) <= 1e-12
+
+    @pytest.mark.parametrize("doc_id", NETWORK_DOCS)
+    def test_walk_follows_the_arities(self, doc_id, monkeypatch):
+        # the worlds are walked exactly when some symbol is not unary, even
+        # for a formula that reads no symbol at all
+        net = network_from_doc(NETWORK_DOCS[doc_id])
         enumerate_worlds, walked = network._enumerate, []
         monkeypatch.setattr(network, "_enumerate",
                             lambda sampler: walked.append(1) or enumerate_worlds(sampler))
-        p = exact_event_probability(net, n, phi, {X: 1}, value_set)
-        assert bool(walked) is not network._walks_counts(net, n, 1, {"S0", "S%d" % (symbols - 1)})
-        _, total = exact_by_definition(net, n, phi, {X: 1}, value_set)
-        assert abs(p - total) <= 1e-12
+        p = exact_event_probability(net, 2, Const(0.3), {}, ValueSet.point(0.3))
+        assert bool(walked) is any(arity != 1 for _, arity in net.signature.symbols)
+        assert p == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("doc, n, formula, equivalent", [
+        (PR_DOC, 3, "max[R(y) : y : y != x]", "max[R(y) & (P(y) | !P(y)) : y : y != x]"),
+        (CHAIN_DOC, 4, "max[S(y) : y : y != x]", "max[S(y) & (P(y) | !P(y)) : y : y != x]"),
+    ], ids=["pr", "chain"])
+    def test_equivalent_queries_give_the_same_float(self, doc, n, formula, equivalent):
+        # the walk depends on the network alone, not on the symbols the
+        # query reads, so queries that hold at the same worlds sum the same
+        # orbits in the same order
+        net = network_from_doc(doc)
+        p, q = (exact_event_probability(net, n, parse_formula(f), {X: 1}, ValueSet.point(1.0))
+                for f in (formula, equivalent))
+        assert p == q
 
     @pytest.mark.parametrize("n", [50, 100, 200])
     def test_remark_closed_form(self, remark_net, n):
@@ -719,6 +722,13 @@ class TestEventProbabilities:
     def test_full_value_set(self, pr_net):
         phi = parse_formula("R(x)")
         assert exact_event_probability(pr_net, 2, phi, {X: 1}, ValueSet.full()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_sure_event_on_worlds_is_at_most_certain(self):
+        # the binary E takes the world walk, whose 2^15 probabilities added
+        # in world order come to 1.0000000000000024
+        net = network_from_doc(PSE_DOC)
+        phi = parse_formula("S(x) | !S(x)")
+        assert exact_event_probability(net, 3, phi, {X: 1}, ValueSet.point(1.0)) == 1.0
 
     def test_constant_formula(self, pr_net):
         assert exact_event_probability(
