@@ -249,9 +249,6 @@ class Registry:
             raise ValueError("aggregation function %r already registered" % func.name)
         self._by_name[func.name] = func
 
-    def names(self) -> list[str]:
-        return sorted(self._by_name)
-
     def get(self, name: str) -> AggregationFunction:
         if name in self._by_name:
             return self._by_name[name]

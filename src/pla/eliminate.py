@@ -647,7 +647,7 @@ def convergence_experiment(
         hit = functools.partial(_experiment_hit, phi, psi, n, epsilon, value_set, registry,
                                 variables, constants)
         exceed, in_set, *near = mc_estimates(net, n, hit, samples, seed * 1_000_003 + n,
-                                             workers, registry)
+                                             workers)
         if psi is None:
             exceed = (None, None)
         if value_set is None:
@@ -698,7 +698,6 @@ def saturation_diagnostic(
     samples: int,
     seed,
     alpha: Optional[float] = None,
-    registry=None,
 ) -> SaturationResult:
     """Empirical probability that a sampled world has, for every parameter
     tuple realizing the base type, an extension count within the band
@@ -732,5 +731,5 @@ def saturation_diagnostic(
 
     hit = functools.partial(_saturated, q.to_formula(), node, xs, base_tuples, size,
                             lower, upper)
-    ((frequency, _),) = mc_estimates(net, n, hit, samples, seed, registry=registry)
+    ((frequency, _),) = mc_estimates(net, n, hit, samples, seed)
     return SaturationResult(frequency, alpha, dim, lower, upper, samples)

@@ -20,7 +20,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
-from . import aggregators
 from . import parser as formula_parser
 from .errors import PlaError
 from .logic import (
@@ -173,14 +172,14 @@ class WorldSampler:
     contains aggregation is evaluated at every tuple, on one structure per
     theta list, so a counting aggregation node keys the domain once per
     list, not once per tuple.  A step keeps each tuple's key, a small int,
-    but no tuple: tuples are built only where theta is evaluated.
+    but no tuple: tuples are built only where theta is evaluated.  Thetas
+    are evaluated in ``DEFAULT_REGISTRY``, where the network was checked.
     """
 
-    def __init__(self, net: PlaNetwork, n: int, registry=None):
+    def __init__(self, net: PlaNetwork, n: int):
         check_size(net.signature, n)
         self.net = net
         self.n = n
-        self.registry = registry
         strat = validate(net)
         self._plan: list[_Step] = []
         for name in strat.order:
@@ -203,8 +202,7 @@ class WorldSampler:
 
     def _evaluate(self, structure: Structure, step: _Step, args) -> float:
         try:
-            return evaluate(structure, step.theta, dict(zip(step.variables, args)),
-                            self.registry)
+            return evaluate(structure, step.theta, dict(zip(step.variables, args)))
         except PlaError as exc:
             raise PlaError(
                 "evaluating formula of %s at %s with n=%d: %s" % (step.name, args, self.n, exc)
@@ -250,10 +248,10 @@ class WorldSampler:
         return Structure(self.net.signature, self.n, columns)
 
 
-def sample(net: PlaNetwork, n: int, seed, registry=None) -> Structure:
+def sample(net: PlaNetwork, n: int, seed) -> Structure:
     """One world drawn from the induced distribution; deterministic given
     the seed."""
-    return WorldSampler(net, n, registry).sample(random.Random(seed))
+    return WorldSampler(net, n).sample(random.Random(seed))
 
 
 @dataclass
@@ -370,7 +368,6 @@ def exact_distribution(
     net: PlaNetwork,
     n: int,
     world_cap: int = DEFAULT_WORLD_CAP,
-    registry=None,
 ) -> list[WorldWeight]:
     """Every world with its exact probability, in ``_enumerate``'s order:
     by relation bitmask in the sampler's plan order, tuples in
@@ -378,7 +375,7 @@ def exact_distribution(
     built."""
     _check_world_cap(net, n, world_cap)
     worlds = []
-    for _, world, probabilities in _enumerate(WorldSampler(net, n, registry)):
+    for _, world, probabilities in _enumerate(WorldSampler(net, n)):
         worlds += [WorldWeight(world(i), prob) for i, prob in enumerate(probabilities)]
     return worlds
 
@@ -550,7 +547,9 @@ def exact_event_probability(
     value lands in the value set, by one of two walks chosen by the
     network's arities alone, so the result depends only on the network, n,
     the formula, its assignment and the value set; the cap on the worlds is
-    checked first either way.
+    checked first either way.  The registry resolves only the formula's
+    aggregation nodes; the network's thetas are evaluated in
+    ``DEFAULT_REGISTRY``.
 
     - When every symbol of the network is unary, ``_count_walk`` walks the
       orbits of the worlds under the permutations of [n] that fix the
@@ -582,7 +581,7 @@ def exact_event_probability(
     if value_set is None:
         value_set = ValueSet.full()
     _check_world_cap(net, n, world_cap)
-    sampler = WorldSampler(net, n, registry)
+    sampler = WorldSampler(net, n)
     read = relation_symbols(phi)
     in_set = functools.partial(_in_value_set, phi, assignment, value_set, registry)
     assigned = {(assignment or {}).get(v) for v in free_vars(phi)}
@@ -644,19 +643,19 @@ def ci_halfwidth(p_hat: float, samples: int) -> float:
 _MC_BLOCK = 1024
 
 
-def _mc_hits(net, n, hit, registry, blocks) -> tuple[int, ...]:
+def _mc_hits(net, n, hit, blocks) -> tuple[int, ...]:
     """The column sums of ``hit`` over the worlds of ``blocks``, (size,
     seed) pairs, drawn by one sampler from a fresh ``random.Random(seed)``
     per block; the first world's row starts the sums, so exactly the
     blocks' worlds are drawn."""
-    sampler = WorldSampler(net, n, registry)
+    sampler = WorldSampler(net, n)
     rows = (hit(sampler.sample(rng))
             for size, seed in blocks for rng in (random.Random(seed),) for _ in range(size))
     return functools.reduce(lambda total, row: tuple(map(operator.add, total, row)), rows)
 
 
-def mc_estimates(net: PlaNetwork, n: int, hit, samples: int, seed, workers: int = 1,
-                 registry=None) -> list[tuple[float, float]]:
+def mc_estimates(net: PlaNetwork, n: int, hit, samples: int, seed,
+                 workers: int = 1) -> list[tuple[float, float]]:
     """The one Monte Carlo driver: for each column of the 0/1 tuple
     ``hit(world)``, the fraction of ``samples`` worlds drawn at domain size
     n where it is 1, and the half-width of its 95% confidence interval.
@@ -666,7 +665,9 @@ def mc_estimates(net: PlaNetwork, n: int, hit, samples: int, seed, workers: int 
     on the seed and ``samples``.  Worker j sums the hits of blocks j,
     j + workers, ...; with more than one such shard they run in a process
     pool of at most one process per shard and per CPU, and the integer
-    sums do not depend on the split.  ``hit`` must be picklable."""
+    sums do not depend on the split.  ``hit`` must be picklable.  The
+    worlds' thetas are evaluated in ``DEFAULT_REGISTRY``; ``hit`` evaluates
+    its query in whatever registry it holds."""
     if samples < 1:  # the CLI checks first, to name --samples
         raise ValueError("samples must be >= 1, got %r" % (samples,))
     if workers < 1:  # the CLI checks first, to name --workers
@@ -674,7 +675,7 @@ def mc_estimates(net: PlaNetwork, n: int, hit, samples: int, seed, workers: int 
     blocks = [(min(_MC_BLOCK, samples - start), seed + 0x9E3779B9 * i)
               for i, start in enumerate(range(0, samples, _MC_BLOCK))]
     shards = [blocks[j::workers] for j in range(min(workers, len(blocks)))]
-    count = functools.partial(_mc_hits, net, n, hit, registry)
+    count = functools.partial(_mc_hits, net, n, hit)
     if len(shards) == 1:
         parts = [count(blocks)]
     else:
@@ -704,7 +705,7 @@ def mc_event_probability(
     if value_set is None:
         value_set = ValueSet.full()
     hit = functools.partial(_in_value_set, phi, assignment, value_set, registry)
-    (estimate,) = mc_estimates(net, n, hit, samples, seed, workers, registry)
+    (estimate,) = mc_estimates(net, n, hit, samples, seed, workers)
     return estimate
 
 
@@ -740,13 +741,11 @@ def _relations(doc, fields: dict, required: tuple[str, ...]) -> list[dict]:
     return relations
 
 
-def network_from_doc(doc: dict, registry=None) -> PlaNetwork:
+def network_from_doc(doc: dict) -> PlaNetwork:
     """Build a network from its document form: a list of relations, each
     with name, arity, parents and formula text (free variables x1..xk)."""
     relations = _relations(doc, {"name": str, "arity": int, "parents": list, "theta": str},
                            ("name", "arity", "theta"))
-    if registry is None:
-        registry = aggregators.DEFAULT_REGISTRY
     symbols = []
     parents = {}
     theta = {}
@@ -755,7 +754,7 @@ def network_from_doc(doc: dict, registry=None) -> PlaNetwork:
         symbols.append((name, arity))
         parents[name] = tuple(rel.get("parents", ()))
         try:
-            theta[name] = formula_parser.parse_formula(rel["theta"], registry)
+            theta[name] = formula_parser.parse_formula(rel["theta"])
         except formula_parser.ParseError as exc:
             raise PlaError("relation %d (%s): theta: %s" % (i, name, exc)) from None
     return PlaNetwork(Signature(tuple(symbols)), parents, theta)
@@ -775,9 +774,9 @@ def network_to_doc(net: PlaNetwork) -> dict:
     }
 
 
-def load_network(path: str, registry=None) -> PlaNetwork:
+def load_network(path: str) -> PlaNetwork:
     with open(path) as handle:
-        return network_from_doc(json.load(handle), registry)
+        return network_from_doc(json.load(handle))
 
 
 def structure_to_doc(structure: Structure) -> dict:

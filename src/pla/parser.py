@@ -218,20 +218,17 @@ class _Parser:
         return Atom(name, tuple(args))
 
     def parse_agg(self, name: str, name_tok: Token) -> Formula:
-        if self.registry is not None:
-            try:
-                func = self.registry.get(name)
-            except aggregators.UnknownAggregationFunction as exc:
-                raise ParseError(str(exc), name_tok.line, name_tok.col) from None
-        else:
-            func = None
+        try:
+            func = self.registry.get(name)
+        except aggregators.UnknownAggregationFunction as exc:
+            raise ParseError(str(exc), name_tok.line, name_tok.col) from None
         self.expect("[")
         bodies = [self.parse_formula()]
         while self.peek().text == ",":
             self.next()
             bodies.append(self.parse_formula())
         colon = self.expect(":")
-        if func is not None and len(bodies) != func.arity:
+        if len(bodies) != func.arity:
             raise ParseError(
                 "%s takes %d bodies, got %d" % (name, func.arity, len(bodies)),
                 colon.line, colon.col,
@@ -332,8 +329,8 @@ def _check_shadowing(phi: Formula) -> None:
 
 def parse_formula(text: str, registry=aggregators.DEFAULT_REGISTRY) -> Formula:
     """Parse formula text; aggregation function names and body counts are
-    checked against the registry when one is given.  Nested binders reusing
-    a variable name are rejected."""
+    checked against the registry.  Nested binders reusing a variable name
+    are rejected."""
     parser = _Parser(tokenize(text), registry)
     out = parser.parse_formula()
     eof = parser.peek()

@@ -178,7 +178,7 @@ NETWORK_DOCS = {
 }
 
 
-def reference_sample(net, n: int, rng: random.Random, registry=None) -> Structure:
+def reference_sample(net, n: int, rng: random.Random) -> Structure:
     """A world drawn tuple by tuple, as ``WorldSampler.sample`` draws it
     with no gathers: in stratification order, theta at each tuple is read
     from a cache keyed by the tuple's equality pattern and the truth values
@@ -202,7 +202,7 @@ def reference_sample(net, n: int, rng: random.Random, registry=None) -> Structur
                      for atom in atoms))
             if aggregating or key not in cache:
                 try:
-                    cache[key] = evaluate(structure, theta, dict(zip(variables, args)), registry)
+                    cache[key] = evaluate(structure, theta, dict(zip(variables, args)))
                 except PlaError as exc:
                     raise PlaError("evaluating formula of %s at %s with n=%d: %s"
                                    % (name, args, n, exc)) from exc

@@ -1177,7 +1177,7 @@ class TestKeyedHarnessesMatchPerTuple:
         references = {"_experiment_hit": reference_experiment_hit,
                       "_saturated": reference_saturated}
 
-        def checked(net, n, hit, samples, seed, workers=1, registry=None):
+        def checked(net, n, hit, samples, seed, workers=1):
             reference = functools.partial(references[hit.func.__name__], *hit.args)
 
             def both(world):
@@ -1186,7 +1186,7 @@ class TestKeyedHarnessesMatchPerTuple:
                 seen.append(got)
                 return hit(world)
 
-            return estimates(net, n, both, samples, seed, 1, registry)
+            return estimates(net, n, both, samples, seed, 1)
 
         monkeypatch.setattr(module, "mc_estimates", checked)
         return seen

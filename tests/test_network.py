@@ -22,6 +22,7 @@ from pla import (
     validate,
 )
 from pla import network
+from pla.aggregators import AggregationFunction, Registry
 from pla.errors import PlaError
 from pla.logic import EmptyAggregationRange, equality_pattern, free_vars, relation_symbols
 from pla.network import (
@@ -768,6 +769,25 @@ class TestEventProbabilities:
         target = 1.0 - (1.0 - 1.0 / (n - 1)) ** n
         assert abs(est - target) <= 3 * max(ci, 1e-3)
 
+    @pytest.mark.parametrize("invlen", [False, True], ids=["query-only", "rebinds-invlen"])
+    def test_query_registry_leaves_thetas_alone(self, remark_net, invlen):
+        # R's theta invlen[...] is 1/4 at n = 5 in the default registry; a
+        # query's registry, with or without its own invlen, does not reach it
+        mean = AggregationFunction("amz", 1, lambda r: sum(r) / len(r))
+        functions = [mean, AggregationFunction("invlen", 1, lambda r: 0.5)] if invlen else [mean]
+        registry = Registry(functions)
+        phi = parse_formula("amz[R(y) : y : y != x]", registry)
+        p = exact_event_probability(remark_net, 5, phi, {X: 1}, ValueSet.point(1.0),
+                                    registry=registry)
+        assert p == 0.25 ** 4
+        value_set = ValueSet.parse("0.5:1")
+        got = mc_event_probability(remark_net, 5, phi, {X: 1}, value_set, samples=500, seed=4,
+                                   registry=registry)
+        want = mc_event_probability(remark_net, 5, parse_formula("am[R(y) : y : y != x]"),
+                                    {X: 1}, value_set, samples=500, seed=4)
+        assert got == want
+        assert 0.0 < got[0] < 1.0
+
 
 class TestMcEstimates:
     @pytest.fixture
@@ -804,7 +824,7 @@ class TestMcEstimates:
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         shards = []
 
-        def hits(net, n, hit, registry, blocks):
+        def hits(net, n, hit, blocks):
             shards.append(blocks)
             return sum(size for size, _ in blocks), sum(seed % 7 for _, seed in blocks)
 
