@@ -685,17 +685,8 @@ def distinct_atoms(formulas: Sequence[Formula]) -> tuple[Atom, ...]:
         f for phi in formulas for f in subformulas(phi) if isinstance(f, Atom)))
 
 
-def product_coordinates(n: int, arity: int) -> list[list[int]]:
-    """Per argument position i, the elements minus 1 at position i of all
-    the tuples over [n] in lexicographic order: runs of n^(arity-1-i) of
-    each of ``range(n)``, repeated n^i times, all sharing its ints."""
-    return [list(itertools.chain.from_iterable(
-                map(itertools.repeat, range(n), itertools.repeat(n ** (arity - 1 - i))))) * n ** i
-            for i in range(arity)]
-
-
 def gather(n: int, coordinates: Sequence[Sequence[int]], positions: Sequence[int]) -> Callable:
-    """The one way atoms are keyed: an ``itemgetter`` that takes a column
+    """How ``atom_keys`` reads atoms: an ``itemgetter`` that takes a column
     over [n] of arity m = len(positions) to its byte at every tuple of a
     list.  ``coordinates`` holds, per place in those tuples, their elements
     minus 1 there, each in [0, n); the column's argument tuple takes its

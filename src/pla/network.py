@@ -17,6 +17,7 @@ import math
 import operator
 import os
 import random
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -33,9 +34,7 @@ from .logic import (
     distinct_atoms,
     evaluate,
     free_vars,
-    gather,
     has_aggregation,
-    product_coordinates,
     relation_symbols,
 )
 
@@ -130,29 +129,80 @@ def validate(net: PlaNetwork) -> Stratification:
     return Stratification(rank, strata, order, aggregation_free)
 
 
+# a key of more than 8 bits takes a slot of 2, 4 or 8 bytes per tuple, read
+# as one native unsigned int
+_SLOT_FORMATS = {2: "H", 4: "I", 8: "Q"}
+
+
+def _slice_gather(n: int, arity: int, positions) -> tuple[list, Optional[tuple[bytes, bytes]]]:
+    """How a column over [n] of arity m = len(positions) is read at every
+    tuple of arity ``arity`` over [n], in lexicographic order, when the
+    column's argument tuple takes its j-th element from place
+    ``positions[j]``.  The column index is linear in the tuple t,
+    sum_i c_i (t_i - 1) with c_i = sum of n^(m-1-j) over the j with
+    ``positions[j] = i``, so each run of the last place, n tuples, reads
+    ``column[base : base + c (n - 1) + 1 : c]``, c the last place's c_i.
+    The result is ``(indices, runs)``: the n^(arity-1) slices, runs None;
+    or, when c is 0 and a run reads one byte n times, the ints ``base``
+    and ``runs``, the runs of n bytes 0 and of n bytes 1 that they stand
+    for."""
+    coefficients = [0] * arity
+    for j, p in enumerate(positions):
+        coefficients[p] += n ** (len(positions) - 1 - j)
+    bases = [0]
+    for c in coefficients[:-1]:
+        repeated = itertools.chain.from_iterable(map(itertools.repeat, bases, itertools.repeat(n)))
+        offsets = itertools.cycle(list(map(operator.mul, range(n), itertools.repeat(c))))
+        bases = list(map(operator.add, repeated, offsets))
+    c = coefficients[-1]
+    if not c:
+        return bases, (bytes(n), b"\1" * n)
+    stops = map(operator.add, bases, itertools.repeat(c * (n - 1) + 1))
+    return list(map(slice, bases, stops, itertools.repeat(c))), None
+
+
+def _packed(columns: dict[str, bytes], gathers, stride: int, packed: int = 0) -> int:
+    """``packed`` or'd with the bits of the ``gathers`` (see ``_Step``) at
+    every tuple, each read by its ``_slice_gather`` from its symbol's 0/1
+    column and put in the first byte of the tuple's slot of ``stride``
+    bytes."""
+    for symbol, shift, indices, runs in gathers:
+        pieces = map(columns[symbol].__getitem__, indices)
+        gathered = b"".join(pieces if runs is None else map(runs.__getitem__, pieces))
+        if stride > 1:
+            slots = bytearray(len(gathered) * stride)
+            slots[::stride] = gathered
+            gathered = slots
+        packed |= int.from_bytes(gathered, "little") << shift
+    return packed
+
+
 class _Step(NamedTuple):
     """One symbol of a sampler's plan, in stratification order.
 
     ``width`` is the number of the symbol's tuples over [n], n^arity, one
     per byte of its column, in lexicographic order.  No list of the tuples
-    is kept: where theta is evaluated they are walked as
-    ``itertools.product``.  ``gathers`` are theta's distinct atoms in
-    preorder, each as its symbol and an ``itemgetter`` that takes that
-    symbol's column to the atom's truth value at every tuple of the step.
-    ``keys`` code each tuple's equality pattern: bit ``len(gathers) + b``
-    is set when the b-th pair of argument positions i < j holds equal
-    elements.
-    ``cache`` maps a key with bit a set where atom a holds to theta; it is
-    None, and so are ``keys``, for a symbol with parents whose formula
-    aggregates, which is evaluated at every tuple.
+    is kept: where theta is evaluated a tuple is built from its index.
+    Theta's key at a tuple has bit a set where theta's a-th distinct atom,
+    in preorder, holds there, and bit ``len(gathers) + b`` where the b-th
+    pair of argument positions i < j holds equal elements.  The keys of
+    the step's tuples are packed in one slot of ``stride`` bytes each, 1,
+    2, 4 or 8, which read as a native unsigned int is the key; ``keys``
+    are the equality-pattern bits so packed.  ``gathers`` are the atoms,
+    each as its symbol, the shift of its bit within the little-endian int
+    of the packed keys, and the ``_slice_gather`` that reads it from its
+    symbol's column.  ``cache`` maps a key to theta; it is None, and so are
+    ``keys``, for a symbol with parents whose formula aggregates, which is
+    evaluated at every tuple.
     """
 
     name: str
     theta: Formula
     variables: tuple[Variable, ...]
     width: int
-    keys: Optional[list[int]]
-    gathers: tuple[tuple[str, Callable], ...]
+    stride: int
+    keys: Optional[bytes]
+    gathers: tuple[tuple[str, int, list, Optional[tuple[bytes, bytes]]], ...]
     cache: Optional[dict]
 
 
@@ -164,16 +214,21 @@ class WorldSampler:
     theta_R at a tuple depends only on the tuple's equality pattern and the
     truth values there of the distinct atoms it reads; a root's theta reads
     no atoms, so it depends on the pattern alone, with or without
-    aggregation.  Those thetas are cached per symbol under that key, a small
-    int: the atoms' truth values are gathered from their symbols' columns
-    by indices fixed at construction (see ``gather``), so after the first
-    evaluation per key a theta list costs a few maps in C over the tuples
-    and one dictionary lookup per tuple.  Only a non-root theta that
-    contains aggregation is evaluated at every tuple, on one structure per
-    theta list, so a counting aggregation node keys the domain once per
-    list, not once per tuple.  A step keeps each tuple's key, a small int,
-    but no tuple: tuples are built only where theta is evaluated.  Thetas
-    are evaluated in ``DEFAULT_REGISTRY``, where the network was checked.
+    aggregation.  Those thetas are cached per symbol under that key, at
+    most 64 bits, one per atom and one per pair of argument positions; a
+    theta whose key takes more is refused when the sampler is built.  An
+    atom's truth values at all of a step's tuples are gathered from its
+    symbol's column as n^(arity-1) slices fixed at construction (see
+    ``_slice_gather``), and the keys of all the tuples are packed as one
+    int, a bit shift and an or per atom, so after the first evaluation per
+    key a step costs a few operations in C over bytes and one dictionary
+    lookup per tuple, fed straight into the draws.  Only a non-root theta
+    that contains aggregation is evaluated at every tuple, on one structure
+    per theta list, so a counting aggregation node keys the domain once per
+    list, not once per tuple.  A step keeps its equality-pattern keys,
+    ``stride`` bytes per tuple, but no tuple: tuples are built only where
+    theta is evaluated.  Thetas are evaluated in ``DEFAULT_REGISTRY``,
+    where the network was checked.
     """
 
     def __init__(self, net: PlaNetwork, n: int):
@@ -185,20 +240,32 @@ class WorldSampler:
         for name in strat.order:
             theta = net.theta[name]
             variables = net.theta_variables(name)
-            width = n ** len(variables)
+            arity = len(variables)
+            width = n ** arity
             if net.parents[name] and has_aggregation(theta):
-                self._plan.append(_Step(name, theta, variables, width, None, (), None))
+                self._plan.append(_Step(name, theta, variables, width, 1, None, (), None))
                 continue
-            coordinates = product_coordinates(n, len(variables))
-            gathers = tuple(
-                (atom.symbol, gather(n, coordinates, list(map(variables.index, atom.args))))
-                for atom in distinct_atoms((theta,)))
-            keys = [0] * width
-            pairs = itertools.combinations(coordinates, 2)
-            for bit, (left, right) in enumerate(pairs, len(gathers)):
-                bits = map(operator.lshift, map(operator.eq, left, right), itertools.repeat(bit))
-                keys = list(map(operator.or_, keys, bits))
-            self._plan.append(_Step(name, theta, variables, width, keys, gathers, {}))
+            atoms = distinct_atoms((theta,))
+            pairs = list(itertools.combinations(range(arity), 2))
+            bits = len(atoms) + len(pairs)
+            if bits > 64:
+                raise PlaError("the sampler keys the formula of %s by %d bits, one per atom and "
+                               "per pair of argument positions, more than 64" % (name, bits))
+            stride = min(s for s in (1, 2, 4, 8) if 8 * s >= bits)
+            # a pair of positions reads the n x n column that is 1 where the
+            # two elements are equal, under the symbol name None
+            reads = [(atom.symbol, list(map(variables.index, atom.args))) for atom in atoms]
+            reads += [(None, pair) for pair in pairs]
+            # bit b of a key is bit b of its slot read as a native int
+            shifts = (range(len(reads)) if sys.byteorder == "little" else
+                      [8 * (stride - 1 - bit // 8) + bit % 8 for bit in range(len(reads))])
+            gathers = [(symbol, shift, *_slice_gather(n, arity, positions))
+                       for shift, (symbol, positions) in zip(shifts, reads)]
+            diagonal = (b"\1" + bytes(n)) * (n - 1) + b"\1" if pairs else b""
+            packed = _packed({None: diagonal}, gathers[len(atoms):], stride)
+            keys = packed.to_bytes(width * stride, "little")
+            self._plan.append(
+                _Step(name, theta, variables, width, stride, keys, tuple(gathers[:len(atoms)]), {}))
 
     def _evaluate(self, structure: Structure, step: _Step, args) -> float:
         try:
@@ -208,42 +275,56 @@ class WorldSampler:
                 "evaluating formula of %s at %s with n=%d: %s" % (step.name, args, self.n, exc)
             ) from exc
 
+    def _keys(self, columns: dict[str, bytes], step: _Step):
+        """Theta's key at each of the step's tuples, in order, given the
+        columns of the symbols of lower strata, by symbol: bytes, or for
+        a stride above 1 a ``memoryview`` of native unsigned ints.  Each
+        key not yet in the cache is evaluated first, at its first tuple,
+        on one structure of the columns."""
+        packed = _packed(columns, step.gathers, step.stride, int.from_bytes(step.keys, "little"))
+        keys = packed.to_bytes(len(step.keys), "little")
+        cache = step.cache
+        if step.stride == 1:
+            new, position = keys.translate(None, bytes(cache)), keys.index
+        else:
+            keys = memoryview(keys).cast(_SLOT_FORMATS[step.stride])
+            new, position = set(keys).difference(cache), functools.partial(operator.indexOf, keys)
+        if new:
+            structure = Structure(self.net.signature, self.n, columns)
+            for first in sorted(map(position, set(new))):
+                args, index = [], first
+                for _ in step.variables:
+                    index, element = divmod(index, self.n)
+                    args.append(element + 1)
+                cache[keys[first]] = self._evaluate(structure, step, tuple(reversed(args)))
+        return keys
+
     def _thetas(self, columns: dict[str, bytes], step: _Step) -> list[float]:
         """Theta of the step's symbol at each of its tuples, in order, given
-        the columns of the symbols of lower strata, by symbol.  A structure
-        of them is built only where theta is evaluated, once per call."""
+        the columns of the symbols of lower strata, by symbol: a cached
+        step's looked up by its ``_keys``, as ``sample`` looks them up
+        without the list.  A structure of the columns is built only where
+        theta is evaluated, once per call."""
+        if step.cache is not None:
+            return list(map(step.cache.__getitem__, self._keys(columns, step)))
+        structure = Structure(self.net.signature, self.n, columns)
         tuples = itertools.product(range(1, self.n + 1), repeat=len(step.variables))
-        if step.cache is None:
-            structure = Structure(self.net.signature, self.n, columns)
-            return [self._evaluate(structure, step, args) for args in tuples]
-        keys = step.keys
-        for bit, (symbol, getter) in enumerate(step.gathers):
-            column = columns[symbol]
-            # the bit is shifted into the parent's column, which has no more
-            # tuples than the step unless the parent has the larger arity
-            if bit:
-                column = tuple(map(operator.lshift, column, itertools.repeat(bit)))
-            keys = map(operator.or_, keys, getter(column))
-        keys = list(keys)
-        try:
-            return list(map(step.cache.__getitem__, keys))
-        except KeyError:
-            # a key met for the first time is evaluated at its first tuple
-            structure = Structure(self.net.signature, self.n, columns)
-            for key, args in zip(keys, tuples):
-                if key not in step.cache:
-                    step.cache[key] = self._evaluate(structure, step, args)
-            return list(map(step.cache.__getitem__, keys))
+        return [self._evaluate(structure, step, args) for args in tuples]
 
     def sample(self, rng: random.Random) -> Structure:
         """A world drawn with ``rng``: one uniform per tuple, step by step
         in plan order and each step's tuples in lexicographic order, the
-        tuple entering its relation when the uniform is below theta."""
+        tuple entering its relation when the uniform is below theta.  A
+        cached step's thetas are looked up by key as the draws consume
+        them, with no list of them."""
         columns: dict[str, bytes] = {}
         draw = rng.random
         for step in self._plan:
-            thetas = self._thetas(columns, step)
-            draws = itertools.starmap(draw, itertools.repeat((), len(thetas)))
+            if step.cache is None:
+                thetas = self._thetas(columns, step)
+            else:
+                thetas = map(step.cache.__getitem__, self._keys(columns, step))
+            draws = itertools.starmap(draw, itertools.repeat((), step.width))
             columns[step.name] = bytes(map(operator.gt, thetas, draws))
         return Structure(self.net.signature, self.n, columns)
 

@@ -178,6 +178,34 @@ NETWORK_DOCS = {
 }
 
 
+def wide_key_doc(atoms: int) -> dict:
+    """Binary roots E0, E1, ... and a ternary child W whose theta reads the
+    first ``atoms`` of the atoms Ej(xa, xb), nine per root, so that W's
+    sampler key takes ``atoms`` + 3 bits, one per atom and one per pair of
+    W's argument positions.  Theta is the Lukasiewicz conjunction of
+    wm(atom; 1; 1 - d) with a different d per atom, the d summing to 1/2,
+    so that it tells most sets of true atoms apart."""
+    roots = -(-atoms // 9)
+    relations = [{"name": "E%d" % j, "arity": 2, "parents": [], "theta": "0.5"}
+                 for j in range(roots)]
+    reads = list(itertools.product(range(roots), (1, 2, 3), (1, 2, 3)))[:atoms]
+    theta = " & ".join("wm(E%d(x%d, x%d); 1; %r)" % (j, a, b, 1 - (i + 1) / (atoms * (atoms + 1)))
+                       for i, (j, a, b) in enumerate(reads))
+    relations.append({"name": "W", "arity": 3, "parents": [r["name"] for r in relations],
+                      "theta": theta})
+    return {"relations": relations}
+
+
+def unary_fan_doc(roots: int) -> dict:
+    """Unary roots P0, P1, ... all read by one binary child C, whose
+    sampler key takes ``roots`` + 1 bits."""
+    relations = [{"name": "P%d" % i, "arity": 1, "parents": [], "theta": "0.5"}
+                 for i in range(roots)]
+    relations.append({"name": "C", "arity": 2, "parents": [r["name"] for r in relations],
+                      "theta": " & ".join("P%d(x1)" % i for i in range(roots))})
+    return {"relations": relations}
+
+
 def reference_sample(net, n: int, rng: random.Random) -> Structure:
     """A world drawn tuple by tuple, as ``WorldSampler.sample`` draws it
     with no gathers: in stratification order, theta at each tuple is read

@@ -12,7 +12,8 @@ from pla.aggregators import MERGE_TOL, SupportSpectrum
 from pla.cli import main
 from pla.parser import format_formula, parse_formula
 
-from conftest import EF_FORK_DOC, PEF_DOC, PR_DOC, PSE_DOC, REMARK_DOC, ZERO_GAMMA_DOC
+from conftest import (EF_FORK_DOC, PEF_DOC, PR_DOC, PSE_DOC, REMARK_DOC, ZERO_GAMMA_DOC,
+                      unary_fan_doc)
 
 
 @pytest.fixture
@@ -95,6 +96,15 @@ class TestSampleEvalInfer:
         _, out1, _ = run(capsys, "sample", "--net", pr_file, "--n", "4", "--seed", "7")
         _, out2, _ = run(capsys, "sample", "--net", pr_file, "--n", "4", "--seed", "7")
         assert out1 == out2
+
+    def test_sample_refuses_a_key_over_64_bits(self, capsys, tmp_path):
+        path = tmp_path / "fan.json"
+        path.write_text(json.dumps(unary_fan_doc(64)))
+        code, out, err = run(capsys, "sample", "--net", str(path), "--n", "2", "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: the sampler keys the formula of C by 65 bits, one per atom and per pair of "
+            "argument positions, more than 64"]
 
     def test_infer_exact(self, capsys, pr_file):
         payload = run_json(

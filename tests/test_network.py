@@ -58,6 +58,8 @@ from conftest import (
     permuted,
     random_agg_free,
     reference_sample,
+    unary_fan_doc,
+    wide_key_doc,
     world_key,
 )
 
@@ -139,6 +141,23 @@ class TestSample:
         assert world_key(a) == world_key(b)
         # a different seed, almost surely a different world
         assert world_key(a) != world_key(c)
+
+    def test_sampler_keeps_no_list_per_tuple(self):
+        # at n = 400 E has 160 000 tuples: the sampler keeps their
+        # equality-pattern keys, a byte each, and 400 slices or ints per
+        # atom of E's theta; a list of ints or indices per tuple takes MBs
+        net = network_from_doc(PSE_DOC)
+        tracemalloc.start()
+        try:
+            sampler = WorldSampler(net, 400)
+            retained, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            sampler.sample(random.Random(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 1e6
+        assert peak < 2e6
 
     def test_conditional_frequency_reads_theta(self, pr_net):
         n, worlds = 20, 400
@@ -281,6 +300,32 @@ class TestSamplerOracle:
         assert len(set(step.keys)) == 5
         tuples = itertools.product(range(1, 4), repeat=3)
         assert len(set(zip(step.keys, map(equality_pattern, tuples)))) == 5
+
+
+    @pytest.mark.parametrize("atoms, stride", [(6, 2), (13, 2), (20, 4), (61, 8)])
+    def test_wide_keys_equal_the_reference(self, atoms, stride):
+        # W's key takes atoms + 3 bits: 9 and 16 bits pack in slots of 2
+        # bytes, 23 in slots of 4 and 64 in slots of 8
+        net = network_from_doc(wide_key_doc(atoms))
+        for n in (1, 2, 3):
+            sampler = WorldSampler(net, n)
+            (step,) = [step for step in sampler._plan if step.name == "W"]
+            assert step.stride == stride
+            for seed in range(5):
+                rng, reference_rng = random.Random(seed), random.Random(seed)
+                world = sampler.sample(rng)
+                reference = reference_sample(net, n, reference_rng)
+                assert drawn(lambda: world) == drawn(lambda: reference)
+                assert rng.getstate() == reference_rng.getstate()
+                assert sampler._thetas(world.columns, step) == [
+                    evaluate(world, step.theta, dict(zip(step.variables, args)))
+                    for args in itertools.product(range(1, n + 1), repeat=3)]
+
+    def test_keys_over_64_bits_are_refused(self):
+        # 63 unary parents and the pair of C's positions key C by 64 bits
+        WorldSampler(network_from_doc(unary_fan_doc(63)), 2)
+        with pytest.raises(PlaError, match=r"^the sampler keys the formula of C by 65 bits, "):
+            WorldSampler(network_from_doc(unary_fan_doc(64)), 2)
 
 
 class TestExactDistribution:
