@@ -36,6 +36,7 @@ from .logic import (
     aggregation_function,
     assignment_keys,
     check_cap,
+    check_signature,
     children,
     conjunction,
     dim_y,
@@ -52,7 +53,7 @@ from .logic import (
     type_parts,
     type_reader,
 )
-from .network import PlaNetwork, ValueSet, mc_estimates, validate
+from .network import PlaNetwork, ValueSet, _checked, _Record, mc_estimates
 from .parser import format_formula
 
 COLLAPSE_TOL = 1e-12
@@ -62,42 +63,45 @@ class NetworkHasAggregation(PlaError):
     """Elimination requires every network formula to be aggregation-free."""
 
 
-def _require_aggregation_free(net: PlaNetwork) -> None:
-    if not validate(net).aggregation_free:
+def _require_aggregation_free(net: PlaNetwork) -> _Record:
+    record = _checked(net)
+    if not record.strat.aggregation_free:
         raise NetworkHasAggregation("network formulas contain aggregation functions")
+    return record
 
 
 def limit_prob_type(net: PlaNetwork, p: AtomicType) -> float:
     """Limit probability that a tuple with the type's equality pattern
     realizes the type; for aggregation-free networks this is an n-independent
     product, over the type's slots in order, of theta at the slot or its
-    complement, read through ``_slot_plans``: the same left fold from 1.0
+    complement, read through ``_slot_plan``: the same left fold from 1.0
     as the type's leaf in ``block(p.eq)``, with no block built."""
-    plan = _slot_plans(net)
+    plan = _slot_plan(net, len(p.eq.blocks))
     if p.signature != net.signature:
         raise ValueError("type signature does not match the network signature")
     factors = []
-    for sign, (positions, read) in zip(p.signs, plan(len(p.eq.blocks))):
+    for sign, (positions, read) in zip(p.signs, plan):
         theta = read(tuple([p.signs[j] for j in positions]))
         factors.append(theta if sign else 1.0 - theta)
     return functools.reduce(operator.mul, factors, 1.0)
 
 
-def _slot_plans(net: PlaNetwork) -> Callable[[int], list[tuple[tuple[int, ...], Callable]]]:
-    """``plan(k)``: per slot (R, class tuple c) of ``net.signature.slots(k)``,
-    theta_R's positions and read, ``type_reader`` of theta_R at the classes
-    c of R's theta variables, so theta_R is evaluated once per key of its
-    free variables' pattern and its atoms' signs for the life of ``plan``.
-    Checks that the network is aggregation-free."""
-    _require_aggregation_free(net)
-    readers = {name: type_reader(net.theta[name], net.signature)
-               for name in net.signature.names()}
-
-    @functools.lru_cache(maxsize=None)
-    def plan(k: int) -> list[tuple[tuple[int, ...], Callable]]:
-        return [readers[name](k, dict(zip(net.theta_variables(name), ctuple)))
-                for name, ctuple in net.signature.slots(k)]
-
+def _slot_plan(net: PlaNetwork, k: int) -> list[tuple[tuple[int, ...], Callable]]:
+    """Per slot (R, class tuple c) of ``net.signature.slots(k)``, theta_R's
+    positions and read, ``type_reader`` of theta_R at the classes c of R's
+    theta variables.  The readers and each k's plan are kept on the
+    network's record (see ``network.validate``), so theta_R is evaluated
+    once per key of its free variables' pattern and its atoms' signs for
+    the network's life.  Checks that the network is aggregation-free."""
+    record = _require_aggregation_free(net)
+    plan = record.plans.get(k)
+    if plan is None:
+        if not record.readers:
+            record.readers.update((name, type_reader(net.theta[name], net.signature))
+                                  for name in net.signature.names())
+        plan = record.plans[k] = [
+            record.readers[name](k, dict(zip(net.theta_variables(name), ctuple)))
+            for name, ctuple in net.signature.slots(k)]
     return plan
 
 
@@ -108,8 +112,8 @@ def _limit_blocks(net: PlaNetwork) -> Callable[..., tuple[tuple[int, ...], list[
     sign vector over it, by index (see ``index_bits``), weighed as one tree
     over the aggregation-free network.
 
-    The plan (``_slot_plans``) holds theta_R's positions and read per slot,
-    evaluated once per key for the life of ``block``.  The closure holds
+    The plan (``_slot_plan``) holds theta_R's positions and read per slot,
+    evaluated once per key for the network's life.  The closure holds
     the read slots and, recursively, the slots their theta reads.  Any
     other slot is a barren node of the slot network: summed out, it
     contributes 1, so a sign vector over the closure weighs the sum of its
@@ -121,10 +125,10 @@ def _limit_blocks(net: PlaNetwork) -> Callable[..., tuple[tuple[int, ...], list[
     leaf is then the left fold of theta or 1 - theta over the closure's
     slots, at about two multiplications per leaf.  A leaf carries its index,
     because a symbol declared before its parents splits a later slot early."""
-    plans = _slot_plans(net)
+    _require_aggregation_free(net)
 
     def block(eq: EqualityType, reads=None) -> tuple[tuple[int, ...], list[float]]:
-        plan = plans(len(eq.blocks))
+        plan = _slot_plan(net, len(eq.blocks))
         closed, todo = set(), list(range(len(plan)) if reads is None else reads)
         while todo:
             j = todo.pop()
@@ -274,23 +278,20 @@ def alphas(
     p_eq: EqualityType,
     bodies: Sequence[TypeReader],
     type_cap: int = DEFAULT_TYPE_CAP,
-    *,
-    block: Optional[Callable] = None,
 ) -> AlphaTable:
     """The types with the equality type ``p_eq`` over the parent closure
     of the slots the bodies read, grouped by their restriction to the
     parameters; each extension carries its limit probability, its
     proportion alpha relative to the group, and the constant each body, a
-    type reader (see ``logic.type_reader``), takes on it.  ``block`` is the
-    network's ``_limit_blocks`` weigher, built here when None.  A body over
-    a variable outside ``p_eq`` raises ValueError; more than ``type_cap``
-    complete types of ``p_eq`` raise TooManyTypes before any is built.  A
+    type reader (see ``logic.type_reader``), takes on it, weighed by the
+    network's ``_limit_blocks``.  A body over a variable outside ``p_eq``
+    raises ValueError; more than ``type_cap`` complete types of ``p_eq``
+    raise TooManyTypes before any is built.  A
     type is its index (see ``index_bits``): each body's value at every
     index is tabulated by ``logic.tabulate``, and its row is read off its
     bits (see ``index_keys``), so no type object is built for an
     extension."""
-    if block is None:
-        block = _limit_blocks(net)
+    block = _limit_blocks(net)
     dim = dim_y(p_eq, xs, ys)
     if dim == 0:
         raise PlaError("degenerate aggregation (dimension 0) has no alpha table")
@@ -370,13 +371,17 @@ class EliminationReport:
 
     def to_dict(self, full_table: bool = False) -> dict:
         """The report; ``full_table`` lists every extension type of each
-        alpha table row instead of the row's support spectra."""
+        alpha table row instead of the row's support spectra.  The output's
+        text is ``format_formula(self.output.to_formula())``, joined from
+        the conjuncts' texts."""
+        conjuncts = [{"type": _type_text(t), "value": c} for t, c in self.output.conjuncts]
+        implications = ["%s -> %s" % (c["type"], format_formula(Const(c["value"])))
+                        for c in conjuncts]
         return {
             "input": format_formula(self.input_formula),
-            "output": format_formula(self.output.to_formula()),
-            "output_conjuncts": [
-                {"type": _type_text(t), "value": c} for t, c in self.output.conjuncts
-            ],
+            "output": (implications[0] if len(implications) == 1
+                       else " & ".join(map("({})".format, implications))),
+            "output_conjuncts": conjuncts,
             "aggregation_nodes": [r.to_dict(full_table) for r in self.agg_nodes],
             "warnings": self.warnings,
         }
@@ -405,11 +410,13 @@ def eliminate(
     replaced by one conjunct per parameter type, whose value is the
     function's limit over the node's support spectrum for that type.  An
     equality type with more than ``type_cap`` complete types raises
-    TooManyTypes.
+    TooManyTypes; an atom that does not fit the network's signature, a
+    PlaError (``check_signature``).
     """
+    check_signature(phi, net.signature)
+    _require_aggregation_free(net)
     if registry is None:
         registry = aggregators.DEFAULT_REGISTRY
-    block = _limit_blocks(net)  # checks the network; one theta memo for every node
     sig = net.signature
     empty = Structure(sig, 1)  # the connectives of constants read no relation
     warnings: list[str] = []
@@ -447,10 +454,9 @@ def eliminate(
             first = tabulate(lambda k, _: reader(k, eq.class_index), covered)
         else:
             if func.closed_form is None:
-                raise aggregators.NoLimitMethod(
-                    "%s has no limit method; cannot eliminate it" % func.name
-                )
-            table = alphas(net, xs, ys, eq, bodies, type_cap, block=block)
+                raise aggregators.NoLimitMethod("%s has no limit method; cannot eliminate it"
+                                                % func.name)
+            table = alphas(net, xs, ys, eq, bodies, type_cap)
             # a row per sign vector at the closure's slots over xs, by ascending index
             constants = []
             for row in table.rows:
@@ -472,16 +478,8 @@ def eliminate(
                     "type %s is outside the aggregation's equality constraint "
                     "(empty range); compiled value 1 is arbitrary" % _type_text(t)
                 )
-        record = AggNodeRecord(
-            func=node.func,
-            params=tuple(xs),
-            bound=tuple(ys),
-            dim=dim,
-            table=table,
-            limits=list(bpf.conjuncts),
-            warnings=node_warnings,
-        )
-        agg_nodes.append(record)
+        agg_nodes.append(AggNodeRecord(node.func, tuple(xs), tuple(ys), dim, table,
+                                       list(bpf.conjuncts), node_warnings))
         warnings.extend(node_warnings)
         return bpf
 
@@ -547,20 +545,10 @@ class ExperimentTable:
         return {
             "constants": list(self.constants),
             "value_set": str(self.value_set) if self.value_set else None,
-            "rows": [
-                {
-                    "n": r.n,
-                    "epsilon": r.epsilon,
-                    "p_exceed": r.p_exceed,
-                    "ci_exceed": r.ci_exceed,
-                    "near": [
-                        {"d": d, "p_near": p, "ci": ci} for d, p, ci in r.near
-                    ],
-                    "p_in_set": r.p_in_set,
-                    "ci_in_set": r.ci_in_set,
-                }
-                for r in self.rows
-            ],
+            "rows": [{"n": r.n, "epsilon": r.epsilon, "p_exceed": r.p_exceed,
+                      "ci_exceed": r.ci_exceed,
+                      "near": [{"d": d, "p_near": p, "ci": ci} for d, p, ci in r.near],
+                      "p_in_set": r.p_in_set, "ci_in_set": r.ci_in_set} for r in self.rows],
         }
 
 
@@ -632,7 +620,9 @@ def convergence_experiment(
     than epsilon, the probability that the formula's value lands within
     epsilon of each compiled constant, and optionally the probability that
     it lands in a value set.  The output depends only on the seed and
-    ``samples``, not on ``workers``."""
+    ``samples``, not on ``workers``.  The formula's atoms must fit the
+    network's signature (``check_signature``)."""
+    check_signature(phi, net.signature)
     if psi is None and value_set is None:
         raise ValueError("need a compiled formula or a value set to test against")
     if not 0.0 <= epsilon < math.inf:  # false for NaN too; JSON has no inf

@@ -18,8 +18,9 @@ import operator
 import os
 import random
 import sys
-from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from . import parser as formula_parser
 from .errors import PlaError
@@ -57,31 +58,66 @@ class TooManyWorlds(PlaError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlaNetwork:
-    """A DAG over relation symbols plus one formula per symbol."""
+    """A DAG over relation symbols plus one formula per symbol; immutable,
+    so what ``validate`` records on it holds for its life."""
 
     signature: Signature
-    parents: dict[str, tuple[str, ...]]
-    theta: dict[str, Formula]
+    parents: Mapping[str, tuple[str, ...]]
+    theta: Mapping[str, Formula]
+    _record: Optional[_Record] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "parents", MappingProxyType(dict(self.parents)))
+        object.__setattr__(self, "theta", MappingProxyType(dict(self.theta)))
+
+    def __reduce__(self):
+        # a pickle carries the fields only: the record holds closures
+        return type(self), (self.signature, dict(self.parents), dict(self.theta))
 
     def theta_variables(self, name: str) -> tuple[Variable, ...]:
         return tuple(Variable("x%d" % (i + 1)) for i in range(self.signature.arity(name)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Stratification:
-    """Ranks and cumulative strata of a validated network."""
+    """Ranks and cumulative strata of a validated network; read-only, as
+    every caller shares it."""
 
-    rank: dict[str, int]
-    strata: list[list[str]]  # strata[r] = symbols of rank <= r, signature order
-    order: list[str]  # all symbols sorted by (rank, signature position)
+    rank: Mapping[str, int]
+    strata: tuple[tuple[str, ...], ...]  # strata[r] = symbols of rank <= r, signature order
+    order: tuple[str, ...]  # all symbols sorted by (rank, signature position)
     aggregation_free: bool
+
+
+class _Record(NamedTuple):
+    """A network's first successful ``validate``, kept on it for its life;
+    the compiler fills the rest on first use (``eliminate._slot_plan``)."""
+
+    strat: Stratification
+    readers: dict  # symbol -> type_reader of its theta
+    plans: dict  # class count k -> slot plan
 
 
 def validate(net: PlaNetwork) -> Stratification:
     """Check DAG-ness, parent discipline and formula variables; return the
-    stratification and whether every formula is aggregation-free."""
+    stratification and whether every formula is aggregation-free.  The
+    first successful call records them on the network, and later calls
+    return them unchecked; a failing one records nothing."""
+    if net._record is None:
+        object.__setattr__(net, "_record", _Record(_stratify(net), {}, {}))
+    return net._record.strat
+
+
+def _checked(net: PlaNetwork) -> _Record:
+    """The network's record, made by ``validate`` on first use."""
+    if net._record is None:
+        validate(net)
+    return net._record
+
+
+def _stratify(net: PlaNetwork) -> Stratification:
     names = net.signature.names()
     for name in names:
         if name not in net.parents:
@@ -107,16 +143,12 @@ def validate(net: PlaNetwork) -> Stratification:
         allowed_vars = set(net.theta_variables(name))
         if not free_vars(theta) <= allowed_vars:
             extra = sorted(v.name for v in free_vars(theta) - allowed_vars)
-            raise ArityMismatch(
-                "formula for %s (arity %d) has out-of-range free variables %s"
-                % (name, net.signature.arity(name), extra)
-            )
+            raise ArityMismatch("formula for %s (arity %d) has out-of-range free variables %s"
+                                % (name, net.signature.arity(name), extra))
         used = relation_symbols(theta)
         if not used <= set(net.parents[name]):
-            raise ThetaUsesNonParent(
-                "formula for %s mentions non-parent symbols %s"
-                % (name, sorted(used - set(net.parents[name])))
-            )
+            raise ThetaUsesNonParent("formula for %s mentions non-parent symbols %s"
+                                     % (name, sorted(used - set(net.parents[name]))))
         try:
             check_signature(theta, net.signature)
         except PlaError as exc:
@@ -124,9 +156,9 @@ def validate(net: PlaNetwork) -> Stratification:
         if has_aggregation(theta):
             aggregation_free = False
     max_rank = max(rank.values(), default=0)
-    strata = [[n for n in names if rank[n] <= r] for r in range(max_rank + 1)]
-    order = sorted(names, key=lambda n: (rank[n], names.index(n)))
-    return Stratification(rank, strata, order, aggregation_free)
+    strata = tuple(tuple(n for n in names if rank[n] <= r) for r in range(max_rank + 1))
+    order = tuple(sorted(names, key=lambda n: (rank[n], names.index(n))))
+    return Stratification(MappingProxyType(rank), strata, order, aggregation_free)
 
 
 # a key of more than 8 bits takes a slot of 2, 4 or 8 bytes per tuple, read
@@ -177,6 +209,15 @@ def _packed(columns: dict[str, bytes], gathers, stride: int, packed: int = 0) ->
     return packed
 
 
+def _evaluate(structure: Structure, name: str, theta: Formula, variables, args) -> float:
+    """theta_name at ``args``; an error names the symbol, the tuple and n."""
+    try:
+        return evaluate(structure, theta, dict(zip(variables, args)))
+    except PlaError as exc:
+        raise PlaError("evaluating formula of %s at %s with n=%d: %s"
+                       % (name, args, structure.domain_size, exc)) from exc
+
+
 class _Step(NamedTuple):
     """One symbol of a sampler's plan, in stratification order.
 
@@ -211,31 +252,25 @@ class WorldSampler:
 
     A drawn relation is a column of the world (see ``Structure``): one byte
     per tuple in lexicographic order, 1 for a member.  An aggregation-free
-    theta_R at a tuple depends only on the tuple's equality pattern and the
-    truth values there of the distinct atoms it reads; a root's theta reads
-    no atoms, so it depends on the pattern alone, with or without
-    aggregation.  Those thetas are cached per symbol under that key, at
-    most 64 bits, one per atom and one per pair of argument positions; a
-    theta whose key takes more is refused when the sampler is built.  An
-    atom's truth values at all of a step's tuples are gathered from its
-    symbol's column as n^(arity-1) slices fixed at construction (see
-    ``_slice_gather``), and the keys of all the tuples are packed as one
-    int, a bit shift and an or per atom, so after the first evaluation per
-    key a step costs a few operations in C over bytes and one dictionary
-    lookup per tuple, fed straight into the draws.  Only a non-root theta
-    that contains aggregation is evaluated at every tuple, on one structure
-    per theta list, so a counting aggregation node keys the domain once per
-    list, not once per tuple.  A step keeps its equality-pattern keys,
-    ``stride`` bytes per tuple, but no tuple: tuples are built only where
-    theta is evaluated.  Thetas are evaluated in ``DEFAULT_REGISTRY``,
-    where the network was checked.
+    theta_R, or a root's, at a tuple depends only on the tuple's equality
+    pattern and the truth values there of the distinct atoms it reads: it
+    is cached per symbol under that key (``_Step``), at most 64 bits; a
+    theta whose key takes more is refused when the sampler is built.  The
+    keys of all of a step's tuples are packed from slices of the parents'
+    columns (``_slice_gather``, ``_packed``), so after the first evaluation
+    per key a step costs a few operations in C over bytes and one
+    dictionary lookup per tuple.  Only a non-root theta that contains
+    aggregation is evaluated at every tuple, on one structure per theta
+    list, so a counting aggregation node keys the domain once per list.
+    Thetas are evaluated in ``DEFAULT_REGISTRY``, where the network was
+    checked.
     """
 
     def __init__(self, net: PlaNetwork, n: int):
         check_size(net.signature, n)
         self.net = net
         self.n = n
-        strat = validate(net)
+        strat = _checked(net).strat
         self._plan: list[_Step] = []
         for name in strat.order:
             theta = net.theta[name]
@@ -267,14 +302,6 @@ class WorldSampler:
             self._plan.append(
                 _Step(name, theta, variables, width, stride, keys, tuple(gathers[:len(atoms)]), {}))
 
-    def _evaluate(self, structure: Structure, step: _Step, args) -> float:
-        try:
-            return evaluate(structure, step.theta, dict(zip(step.variables, args)))
-        except PlaError as exc:
-            raise PlaError(
-                "evaluating formula of %s at %s with n=%d: %s" % (step.name, args, self.n, exc)
-            ) from exc
-
     def _keys(self, columns: dict[str, bytes], step: _Step):
         """Theta's key at each of the step's tuples, in order, given the
         columns of the symbols of lower strata, by symbol: bytes, or for
@@ -296,7 +323,8 @@ class WorldSampler:
                 for _ in step.variables:
                     index, element = divmod(index, self.n)
                     args.append(element + 1)
-                cache[keys[first]] = self._evaluate(structure, step, tuple(reversed(args)))
+                cache[keys[first]] = _evaluate(structure, step.name, step.theta, step.variables,
+                                                 tuple(reversed(args)))
         return keys
 
     def _thetas(self, columns: dict[str, bytes], step: _Step) -> list[float]:
@@ -309,7 +337,8 @@ class WorldSampler:
             return list(map(step.cache.__getitem__, self._keys(columns, step)))
         structure = Structure(self.net.signature, self.n, columns)
         tuples = itertools.product(range(1, self.n + 1), repeat=len(step.variables))
-        return [self._evaluate(structure, step, args) for args in tuples]
+        return [_evaluate(structure, step.name, step.theta, step.variables, args)
+                for args in tuples]
 
     def sample(self, rng: random.Random) -> Structure:
         """A world drawn with ``rng``: one uniform per tuple, step by step
@@ -375,27 +404,18 @@ def _enumerate(sampler: WorldSampler) -> Iterator[tuple[tuple[int, ...], Callabl
     ``world(i)``, called before the next chunk, builds that world's
     structure from the masks' columns.
 
-    The probability of a world is the probability of drawing it: the
-    product, step by step in the sampler's plan order and over each step's
-    tuples in lexicographic order, of theta for each present tuple and
-    1 - theta for each absent one, each the same left fold of the same
-    floats as a world-by-world loop.  The worlds are walked depth first,
-    one plan step per level, and every step is weighed the same way:
-
-    - ``walk(k, prefix)`` expands ``prefix``, the product of the steps
-      before k at their masks, over step k's tuples as a tree,
-      ``leaves = [x * (1 - p) ...] + [x * p ...]``, so bit j of a leaf's
-      index is tuple j and each leaf is the left fold: about two
-      multiplications per mask.  A step of more than ``_CHUNK_BITS``
-      tuples expands its low ``_CHUNK_BITS`` tuples once and multiplies in
-      the others per chunk and leaf, so its lists stay the size of a chunk;
-    - at L each chunk of leaves is yielded; at any other step each leaf
-      sets the step's mask and column and is the prefix of the next level.
-
-    A theta list is evaluated once at the start for a root and otherwise
-    right after the mask of the step's last parent in plan order is set
-    (``validate`` guarantees that theta reads no other symbol), and a
-    column only when its mask is set."""
+    A world's probability is the left fold, step by step in plan order and
+    over each step's tuples in lexicographic order, of theta for each
+    present tuple and 1 - theta for each absent one.  The worlds are walked
+    depth first, one plan step per level: ``walk(k, prefix)`` expands the
+    product of the steps before k over step k's tuples as a tree,
+    ``leaves = [x * (1 - p) ...] + [x * p ...]``, about two multiplications
+    per mask; a step of more than ``_CHUNK_BITS`` tuples expands its low
+    ``_CHUNK_BITS`` tuples once and multiplies in the others per chunk.  At
+    L each chunk of leaves is yielded; at any other step each leaf sets the
+    step's mask and column and is the prefix of the next level.  A theta
+    list is evaluated once for a root and otherwise right after the mask
+    of the step's last parent in plan order is set."""
     net, n = sampler.net, sampler.n
     plan = sampler._plan
     if not plan:
@@ -538,58 +558,61 @@ def _binomial(m: int, p: float) -> list[float]:
                        "their binomial coefficients exceed the float range" % m) from None
 
 
-def _representative(sampler: WorldSampler, pinned: list[int], pins: tuple[int, ...],
-                    counts: list[tuple[int, int]], steps: int) -> tuple[list[int], Structure]:
+def _representative(net: PlaNetwork, n: int, names: tuple[str, ...], pinned: list[int],
+                    pins: tuple[int, ...], counts: list[tuple[int, int]]
+                    ) -> tuple[list[int], Structure]:
     """The cell of each element of [n] in the representative world of a
     ``_count_walk`` state, and the structure of that world's relations of
-    the plan's first ``steps`` steps: the ``pinned`` elements are in their
-    ``pins`` cells and the others, ascending, fill the cells in the order
-    of ``counts``."""
+    the ``names``, the symbols of the cells' bits from bit 0 on: the
+    ``pinned`` elements are in their ``pins`` cells and the others,
+    ascending, fill the cells in the order of ``counts``."""
     at = dict(zip(pinned, pins))
     rest = itertools.chain.from_iterable(itertools.starmap(itertools.repeat, counts))
-    cells = [at[e] if e in at else next(rest) for e in range(1, sampler.n + 1)]
-    return cells, Structure(sampler.net.signature, sampler.n, {
-        sampler._plan[j].name: bytes([c >> j & 1 for c in cells]) for j in range(steps)})
+    cells = [at[e] if e in at else next(rest) for e in range(1, n + 1)]
+    return cells, Structure(net.signature, n, {
+        name: bytes([c >> j & 1 for c in cells]) for j, name in enumerate(names)})
 
 
-def _count_walk(sampler: WorldSampler, pinned: list[int], leaf: Callable) -> None:
+def _count_walk(net: PlaNetwork, n: int, pinned: list[int], leaf: Callable) -> None:
     """Calls ``leaf(pins, counts, probability)`` for every orbit of the
-    worlds of the sampler's network, whose symbols are all unary, under the
-    permutations of [n] that fix the ``pinned`` elements, ascending.
+    worlds at domain size n of the network, whose symbols are all unary,
+    under the permutations of [n] that fix the ``pinned`` elements,
+    ascending.
 
-    A cell is an element's truth values under the plan's steps, bit k for
-    step k.  An orbit is given by ``pins``, the pinned elements' cells, and
-    ``counts``, (cell, count) pairs of the other elements' occupied cells;
-    ``probability`` is the sum of its worlds' probabilities, and
-    ``_representative`` builds one of its worlds.
+    A cell is an element's truth values under the symbols in ``validate``'s
+    order, bit k for the k-th.  An orbit is given by ``pins``, the pinned
+    elements' cells, and ``counts``, (cell, count) pairs of the other
+    elements' occupied cells; ``probability`` is the sum of its worlds'
+    probabilities, and ``_representative`` builds one of its worlds.
 
-    The orbits are walked depth first, one plan step per level, as
-    ``_enumerate`` walks the worlds.  Step k splits each pair (c, m) into
-    r elements in the step's relation, cell c + 2^k, and m - r outside it,
-    with weight ``_binomial(m, theta)[r]``, and sends each pinned element
-    in or out with weight theta or 1 - theta; an orbit's probability is
-    the left fold of its weights in walk order.  All worlds of an orbit
-    are equally likely, and theta is the same at every element whose cell
-    has the same bits at the step's parents: it is evaluated once per such
-    key, at the first such element of the state's representative world,
-    and kept across states unless the formula aggregates over parents
-    (``_Step.cache`` is None)."""
-    net, plan = sampler.net, sampler._plan
-    position = {step.name: k for k, step in enumerate(plan)}
-    parent_bits = [sum(1 << position[p] for p in net.parents[step.name]) for step in plan]
-    memos = [None if step.cache is None else {} for step in plan]
+    The orbits are walked depth first, one symbol per level, in the order
+    of ``_enumerate``'s plan.  Symbol k splits each pair (c, m) into r
+    elements in its relation, cell c + 2^k, and m - r outside it, with
+    weight ``_binomial(m, theta)[r]``, and sends each pinned element in or
+    out with weight theta or 1 - theta; an orbit's probability is the left
+    fold of its weights in walk order.  All worlds of an orbit are equally
+    likely, and theta is the same at every element whose cell has the same
+    bits at the symbol's parents: it is evaluated once per such key, at the
+    first such element of the state's representative world, and kept
+    across states unless the formula aggregates over parents."""
+    order = _checked(net).strat.order
+    position = {name: k for k, name in enumerate(order)}
+    parent_bits = [sum(1 << position[p] for p in net.parents[name]) for name in order]
+    memos = [None if net.parents[name] and has_aggregation(net.theta[name]) else {}
+             for name in order]
     binomials = {}  # (m, theta) -> _binomial(m, theta)
 
     def walk(k, pins, counts, prefix):
-        step, bit, parents = plan[k], 1 << k, parent_bits[k]
+        name, bit, parents = order[k], 1 << k, parent_bits[k]
         # a formula that aggregates over parents is evaluated anew at every state
         thetas = {} if memos[k] is None else memos[k]
         cells = structure = None
         for c in itertools.chain((c for c, _ in counts), pins):
             if (c & parents) not in thetas:
                 if structure is None:
-                    cells, structure = _representative(sampler, pinned, pins, counts, k)
-                thetas[c & parents] = sampler._evaluate(structure, step, (cells.index(c) + 1,))
+                    cells, structure = _representative(net, n, order[:k], pinned, pins, counts)
+                thetas[c & parents] = _evaluate(structure, name, net.theta[name],
+                                                net.theta_variables(name), (cells.index(c) + 1,))
         # each choice is a part of the next state and its weight: a cell's
         # occupied halves, or a pinned element's cell
         choices = []
@@ -604,15 +627,15 @@ def _count_walk(sampler: WorldSampler, pinned: list[int], leaf: Callable) -> Non
                     for c in pins]
         # the next level is entered by a call, not through a chain of
         # generators, which would cost each orbit one resumption per level
-        descend = leaf if k + 1 == len(plan) else functools.partial(walk, k + 1)
+        descend = leaf if k + 1 == len(order) else functools.partial(walk, k + 1)
         for choice in itertools.product(*choices):
             parts, weights = zip(*choice)
             descend(parts[len(counts):], list(itertools.chain.from_iterable(parts[:len(counts)])),
                     functools.reduce(operator.mul, weights, prefix))
 
-    others = sampler.n - len(pinned)
+    others = n - len(pinned)
     start = ((0,) * len(pinned), [(0, others)] if others else [], 1.0)
-    (functools.partial(walk, 0) if plan else leaf)(*start)
+    (functools.partial(walk, 0) if order else leaf)(*start)
 
 
 def exact_event_probability(
@@ -627,33 +650,28 @@ def exact_event_probability(
     """Probability, under the exact world distribution, that the formula's
     value lands in the value set, by one of two walks chosen by the
     network's arities alone, so the result depends only on the network, n,
-    the formula, its assignment and the value set; the cap on the worlds is
-    checked first either way.  The registry resolves only the formula's
+    the formula, its assignment and the value set.  The cap on the worlds
+    is checked first, then that the formula fits the network's signature
+    (``check_signature``).  The registry resolves only the formula's
     aggregation nodes; the network's thetas are evaluated in
     ``DEFAULT_REGISTRY``.
 
     - When every symbol of the network is unary, ``_count_walk`` walks the
       orbits of the worlds under the permutations of [n] that fix the
-      elements assigned to the formula's free variables, not the worlds.
-      The formula's value is invariant under those permutations, since
-      every ``AggregationFunction`` is symmetric, a function of the
-      multiset of its arguments, as ``logic._eval_agg``'s grouping by key
-      already assumes.  It depends only on the symbols it reads, so whether
-      it lands in the set is memoised by the orbit's key: the assigned
-      elements' cells and the counts, both projected onto the read
-      symbols.  It is evaluated at the first orbit of each key, and the
-      probabilities of the orbits where it lands are added in walk order.
-      The walk covers the whole network whatever the formula reads, so two
-      formulas that land in the set at the same orbits give the same float.
+      elements assigned to the formula's free variables.  The formula's
+      value is the same on an orbit's worlds, since every
+      ``AggregationFunction`` is symmetric, and depends only on the
+      symbols it reads: whether it lands is memoised by the orbit's key,
+      the assigned elements' cells and the counts projected onto those
+      symbols, and the probabilities of the orbits where it lands are
+      added in walk order.
     - Otherwise ``_enumerate`` walks the worlds, and whether the value
       lands is memoised by the masks of the read symbols: one byte per
-      combination, indexed by the masks as one mixed-radix number, so never
-      more bytes than worlds.  A chunk of worlds reads its bytes as one
-      strided slice, the bytes of the plan's last symbol's consecutive
-      masks, or as one byte when the formula does not read that symbol; its
-      unset bytes are filled in mask order, the formula evaluated at the
-      first world of each combination, and its selected probabilities are
-      added one by one in world order with ``functools.reduce``.
+      combination, indexed by the masks as one mixed-radix number.  A
+      chunk of worlds reads its bytes as one strided slice (one byte when
+      the formula does not read the plan's last symbol), the formula is
+      evaluated at the first world of each combination, and the selected
+      probabilities are added in world order with ``functools.reduce``.
 
     Either total is capped at 1, which the rounding of the weights can
     carry a sure event past.  ``sum()`` would not do for either total: from
@@ -662,14 +680,16 @@ def exact_event_probability(
     if value_set is None:
         value_set = ValueSet.full()
     _check_world_cap(net, n, world_cap)
-    sampler = WorldSampler(net, n)
+    check_signature(phi, net.signature)
+    check_size(net.signature, n)
+    order = _checked(net).strat.order
     read = relation_symbols(phi)
     in_set = functools.partial(_in_value_set, phi, assignment, value_set, registry)
     assigned = {(assignment or {}).get(v) for v in free_vars(phi)}
     pinned = sorted(assigned & set(range(1, n + 1)))
     total = 0.0
     if all(arity == 1 for _, arity in net.signature.symbols):
-        read_bits = sum(1 << k for k, step in enumerate(sampler._plan) if step.name in read)
+        read_bits = sum(1 << k for k, name in enumerate(order) if name in read)
         hits = {}  # orbit key -> whether the value lands in the set
 
         def leaf(pins, counts, probability):
@@ -680,14 +700,15 @@ def exact_event_probability(
             key = tuple(c & read_bits for c in pins), tuple(sorted(projected.items()))
             hit = hits.get(key)
             if hit is None:
-                _, world = _representative(sampler, pinned, pins, counts, len(sampler._plan))
+                _, world = _representative(net, n, order, pinned, pins, counts)
                 (hit,) = in_set(world)
                 hits[key] = hit
             if hit:
                 total += probability
 
-        _count_walk(sampler, pinned, leaf)
+        _count_walk(net, n, pinned, leaf)
     else:
+        sampler = WorldSampler(net, n)
         strides = []
         combinations = 1
         for step in sampler._plan:
@@ -782,7 +803,9 @@ def mc_event_probability(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the event probability and the half-width of
     its 95% normal confidence interval (``mc_estimates``): it depends only
-    on the seed and ``samples``, not on ``workers``."""
+    on the seed and ``samples``, not on ``workers``.  The formula's atoms
+    must fit the network's signature (``check_signature``)."""
+    check_signature(phi, net.signature)
     if value_set is None:
         value_set = ValueSet.full()
     hit = functools.partial(_in_value_set, phi, assignment, value_set, registry)
@@ -842,17 +865,10 @@ def network_from_doc(doc: dict) -> PlaNetwork:
 
 
 def network_to_doc(net: PlaNetwork) -> dict:
-    return {
-        "relations": [
-            {
-                "name": name,
-                "arity": arity,
-                "parents": list(net.parents[name]),
-                "theta": formula_parser.format_formula(net.theta[name]),
-            }
-            for name, arity in net.signature.symbols
-        ]
-    }
+    return {"relations": [
+        {"name": name, "arity": arity, "parents": list(net.parents[name]),
+         "theta": formula_parser.format_formula(net.theta[name])}
+        for name, arity in net.signature.symbols]}
 
 
 def load_network(path: str) -> PlaNetwork:
@@ -861,17 +877,9 @@ def load_network(path: str) -> PlaNetwork:
 
 
 def structure_to_doc(structure: Structure) -> dict:
-    return {
-        "domain_size": structure.domain_size,
-        "relations": [
-            {
-                "name": name,
-                "arity": arity,
-                "tuples": [list(t) for t in structure.tuples(name)],
-            }
-            for name, arity in structure.signature.symbols
-        ],
-    }
+    return {"domain_size": structure.domain_size, "relations": [
+        {"name": name, "arity": arity, "tuples": [list(t) for t in structure.tuples(name)]}
+        for name, arity in structure.signature.symbols]}
 
 
 def structure_from_doc(doc: dict) -> Structure:

@@ -276,14 +276,14 @@ def reference_saturated(q_formula, node, xs, base_tuples, size, lower, upper, wo
     return (True,)
 
 
-def reference_alphas(net, xs, ys, p_eq, bodies, type_cap=DEFAULT_TYPE_CAP, *, block=None):
+def reference_alphas(net, xs, ys, p_eq, bodies, type_cap=DEFAULT_TYPE_CAP):
     """``eliminate.alphas`` over every slot of the signature: each row is a
     complete type over the parameters, and its extensions are the complete
     types of ``p_eq`` that restrict to it, each weighed by the network's
     full block.  Its table has the same shape, with every slot in the
     closure and every slot over the parameters in the base, so
     ``eliminate`` compiles with it in place of ``alphas``."""
-    block = _limit_blocks(net) if block is None else block
+    block = _limit_blocks(net)
     dim = dim_y(p_eq, xs, ys)
     if dim == 0:
         raise PlaError("degenerate aggregation (dimension 0) has no alpha table")

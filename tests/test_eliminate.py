@@ -99,6 +99,9 @@ PR_SIG = Signature.of(("P", 1), ("R", 1))
 
 # the module; the package's attribute of that name is the function
 COMPILER = sys.modules["pla.eliminate"]
+LOGIC = sys.modules["pla.logic"]
+NETWORK = sys.modules["pla.network"]
+stratify = NETWORK._stratify
 
 # networks whose thetas exercise each part of the limit-probability memo's
 # key: the equality pattern, the order of an atom's arguments, every atom
@@ -773,6 +776,63 @@ CLOSURE_CASES = list(dict.fromkeys(
        for _, argv, net_id, _, _ in GOLDEN if argv[0] == "eliminate"]))
 
 
+REPORT_CASES = list(dict.fromkeys(
+    [("pse", "am[E(x, y) : y : y != x]"), ("pse", "am[S(y) & E(y, x) : y : y != x]")]
+    + CLOSURE_CASES))
+
+
+class TestReportText:
+    """The report's output text is joined from its conjuncts' texts, and is
+    the text of the compiled formula."""
+
+    @pytest.mark.parametrize("net_id, text", REPORT_CASES,
+                             ids=["%s: %s" % case for case in REPORT_CASES])
+    def test_output_is_the_formula_text(self, net_id, text):
+        _, report = eliminate(network_from_doc(NETWORK_DOCS[net_id]), parse_formula(text))
+        assert report.to_dict()["output"] == format_formula(report.output.to_formula())
+
+    def test_a_sentence_is_one_bare_conjunct(self, pr_net):
+        # R's limit frequency is the same whatever P(x) is: one constant
+        bpf, report = eliminate(pr_net, parse_formula("am[R(y) : y : y != x]"))
+        (_, c), = bpf.conjuncts
+        assert report.to_dict()["output"] == "1.0 -> %r" % c == format_formula(bpf.to_formula())
+
+    def test_one_conjunct_over_a_variable_is_bare(self):
+        net = PlaNetwork(Signature(()), {}, {})
+        bpf, report = eliminate(net, parse_formula("x = x"))
+        assert bpf.variables == (X,) and len(bpf.conjuncts) == 1
+        assert report.to_dict()["output"] == "1.0 -> 1.0" == format_formula(bpf.to_formula())
+
+
+# every library entry point that takes a query checks it against the
+# network's signature as the CLI does: R is unary on P/R, and Q unknown
+SIGNATURE_ERRORS = {
+    "R(x, x)": r"^the formula uses R with arity 2, but R has arity 1$",
+    "Q(x)": r"^the formula uses Q with arity 1, but the signature has no symbol Q ",
+}
+SIGNATURE_CALLS = {
+    "eliminate": lambda net, phi: eliminate(net, phi),
+    "exact": lambda net, phi: exact_event_probability(net, 3, phi, {X: 1}),
+    "mc": lambda net, phi: mc_event_probability(net, 3, phi, {X: 1}, samples=10, seed=1),
+    "converge": lambda net, phi: convergence_experiment(
+        net, phi, n_grid=[3], samples=10, seed=1, value_set=ValueSet.full()),
+}
+
+
+class TestQuerySignature:
+    @pytest.mark.parametrize("text", SIGNATURE_ERRORS)
+    @pytest.mark.parametrize("call", SIGNATURE_CALLS)
+    def test_query_off_the_signature_is_refused(self, pr_net, call, text):
+        with pytest.raises(PlaError, match=SIGNATURE_ERRORS[text]):
+            SIGNATURE_CALLS[call](pr_net, parse_formula(text))
+
+    @pytest.mark.parametrize("call", SIGNATURE_CALLS)
+    def test_under_an_aggregation(self, pr_net, call):
+        # with R unary, R(y, y) would read no tuple and be false everywhere
+        with pytest.raises(PlaError, match=SIGNATURE_ERRORS["R(x, x)"]):
+            SIGNATURE_CALLS[call](pr_net, parse_formula("am[R(y, y) : y : y != x]"))
+
+
 class TestParentClosure:
     """Alpha tables over the parent closure of the bodies' slots against
     ``conftest.reference_alphas``, the tables over every slot."""
@@ -811,16 +871,40 @@ class TestParentClosure:
                 assert abs(c - d) <= 1e-12, (_type_text(t), c, d)
 
     def test_eliminate_validates_the_network_once(self, monkeypatch):
-        # one weigher serves both nodes of the formula
-        calls = []
-        monkeypatch.setattr(COMPILER, "validate",
-                            lambda net: calls.append(net) or validate(net))
+        # the network's first validate records its check; two compiles of
+        # two nodes each, a sampler, a type's limit and the diagnostic all
+        # read that record and check nothing again
+        passes = []
+        monkeypatch.setattr(NETWORK, "_stratify",
+                            lambda net: passes.append(net) or stratify(net))
         net = network_from_doc(PSE_DOC)
         phi = parse_formula(
             "!am[S(y) & E(y, x) : y : y != x] | wm(P(x); max[E(x, y) : y : y != x]; 0.25)")
-        _, report = eliminate(net, phi)
-        assert len(report.agg_nodes) == 2
-        assert calls == [net]
+        for _ in range(2):
+            _, report = eliminate(net, phi)
+            assert len(report.agg_nodes) == 2
+        WorldSampler(net, 3)
+        p = complete_type(net.signature, [X, Y], [[X], [Y]], [("E", (X, Y))])
+        limit_prob_type(net, p)
+        saturation_diagnostic(net, p, p.restrict([X]), delta=0.5, n=4, samples=3, seed=1)
+        assert passes == [net]
+
+    def test_each_theta_is_evaluated_once_per_key_across_calls(self, monkeypatch):
+        # the readers live as long as the network: weighing the same types
+        # again, by type or by block, evaluates no theta
+        net = network_from_doc(PEF_DOC)
+        types = _theta_key_types(net)
+        first = [limit_prob_type(net, p) for p in types]
+        eqs = list(dict.fromkeys(p.eq for p in types))
+        block = _limit_blocks(net)
+        leaves = [block(eq) for eq in eqs]
+        evaluations = []
+        evaluate = LOGIC.evaluate
+        monkeypatch.setattr(LOGIC, "evaluate",
+                            lambda *args: evaluations.append(1) or evaluate(*args))
+        assert [limit_prob_type(net, p) for p in types] == first
+        assert [_limit_blocks(net)(eq) for eq in eqs] == leaves
+        assert evaluations == []
 
 
 # aggregation nodes of dimension 0, alone and under a connective: the bound

@@ -1,9 +1,11 @@
 """Networks: validation, sampling, exact enumeration, event probabilities."""
 
 import concurrent.futures
+import dataclasses
 import itertools
 import math
 import os
+import pickle
 import random
 import tracemalloc
 
@@ -16,6 +18,7 @@ from pla import (
     Structure,
     ValueSet,
     Variable,
+    eliminate,
     evaluate,
     format_formula,
     parse_formula,
@@ -72,7 +75,7 @@ class TestValidate:
     def test_pr_ranks(self, pr_net):
         strat = validate(pr_net)
         assert strat.rank == {"P": 0, "R": 1}
-        assert strat.strata == [["P"], ["P", "R"]]
+        assert strat.strata == (("P",), ("P", "R"))
         assert strat.aggregation_free
 
     def test_remark_not_aggregation_free(self, remark_net):
@@ -127,6 +130,53 @@ class TestValidate:
         doc = network_to_doc(pr_net)
         again = network_from_doc(doc)
         assert network_to_doc(again) == doc
+
+
+class TestNetworkRecord:
+    """A network is immutable and checked once: its first successful
+    ``validate`` records the result on it for every later caller."""
+
+    def test_invalid_network_raises_on_every_call_and_records_nothing(self, monkeypatch):
+        passes = []
+        stratify = network._stratify
+        monkeypatch.setattr(network, "_stratify", lambda net: passes.append(1) or stratify(net))
+        net = PlaNetwork(Signature.of(("R", 1)), {"R": ("R",)}, {"R": Const(0.5)})
+        for call in (validate, lambda net: WorldSampler(net, 2), lambda net: sample(net, 2, 1)):
+            with pytest.raises(CycleDetected):
+                call(net)
+            assert net._record is None
+        assert len(passes) == 3
+
+    def test_validate_returns_the_recorded_stratification(self, pr_net):
+        assert pr_net._record is None  # loading checks nothing
+        strat = validate(pr_net)
+        assert validate(pr_net) is strat
+        WorldSampler(pr_net, 3)
+        assert validate(pr_net) is strat
+
+    def test_fields_cannot_be_rebound_or_written(self, pr_net):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pr_net.theta = {}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pr_net.signature = Signature(())
+        with pytest.raises(TypeError):
+            pr_net.theta["R"] = Const(0.5)
+        with pytest.raises(TypeError):
+            pr_net.parents["R"] = ()
+
+    def test_the_mappings_given_are_copied(self):
+        parents, theta = {"R": ()}, {"R": Const(0.5)}
+        net = PlaNetwork(Signature.of(("R", 1)), parents, theta)
+        parents["R"], theta["R"] = ("R",), Const(0.25)
+        assert net.parents == {"R": ()} and net.theta == {"R": Const(0.5)}
+
+    def test_pickle_after_eliminate_carries_no_record(self, pr_net):
+        phi = parse_formula("am[R(y) & P(x) : y : y != x]")
+        bpf, _ = eliminate(pr_net, phi)
+        assert pr_net._record is not None
+        copy = pickle.loads(pickle.dumps(pr_net))
+        assert copy == pr_net and copy._record is None
+        assert eliminate(copy, phi)[0] == bpf
 
 
 class TestSample:
