@@ -562,13 +562,14 @@ def _representative(net: PlaNetwork, n: int, names: tuple[str, ...], pinned: lis
                     pins: tuple[int, ...], counts: list[tuple[int, int]]
                     ) -> tuple[list[int], Structure]:
     """The cell of each element of [n] in the representative world of a
-    ``_count_walk`` state, and the structure of that world's relations of
-    the ``names``, the symbols of the cells' bits from bit 0 on: the
-    ``pinned`` elements are in their ``pins`` cells and the others,
-    ascending, fill the cells in the order of ``counts``."""
-    at = dict(zip(pinned, pins))
-    rest = itertools.chain.from_iterable(itertools.starmap(itertools.repeat, counts))
-    cells = [at[e] if e in at else next(rest) for e in range(1, n + 1)]
+    ``_count_walk`` or ``_lumped_probability`` state, and the structure of
+    that world's relations of the ``names``, the symbols of the cells' bits
+    from bit 0 on: the ``pinned`` elements, ascending, are in their
+    ``pins`` cells and the others, ascending, fill the cells in the order
+    of ``counts``."""
+    cells = list(itertools.chain.from_iterable(itertools.starmap(itertools.repeat, counts)))
+    for e, c in zip(pinned, pins):
+        cells.insert(e - 1, c)
     return cells, Structure(net.signature, n, {
         name: bytes([c >> j & 1 for c in cells]) for j, name in enumerate(names)})
 
@@ -638,6 +639,75 @@ def _count_walk(net: PlaNetwork, n: int, pinned: list[int], leaf: Callable) -> N
     (functools.partial(walk, 0) if order else leaf)(*start)
 
 
+def _lumped_probability(net: PlaNetwork, n: int, names: tuple[str, ...], read: tuple[str, ...],
+                        pinned: list[int], hit: Callable) -> float:
+    """The probability, correctly rounded, that ``hit`` holds at a world of
+    the network of unary symbols at domain size n, where ``hit`` reads only
+    the ``read`` symbols and no theta with parents among ``names``, those
+    symbols and their ancestors in plan order, aggregates.
+
+    Then every element's cell over ``names`` is drawn independently with
+    one law (counting-formula lifting, as in Milch et al., AAAI 2008):
+    theta reads only the element's own bits at its parents, or for a root
+    nothing but n.  It is evaluated once per symbol and such bits, at
+    element 1 of a world whose n elements all have those bits.  Summed over
+    the unread symbols, the law gives each cell j over the read symbols,
+    bit i for the i-th, probability Q[j] / D: every theta is a dyadic
+    rational (``float.as_integer_ratio``), so the Q[j] are ints over one
+    power of two D.  A state puts
+    each ``pinned`` element in a cell with Q[j] > 0 and counts the other
+    elements per such cell; it weighs the multinomial coefficient of the
+    counts times Q[j] to the power of the elements in cell j, for every j.
+    ``hit`` is called once per state, at ``_representative``'s world, and
+    the weights of the hit states are summed as ints and divided by D ** n,
+    which int division rounds correctly."""
+    position = {name: k for k, name in enumerate(names)}
+    law, denominator = [1], 1  # the cells' probabilities are law[c] / denominator
+    for k, name in enumerate(names):
+        parents = sum(1 << position[p] for p in net.parents[name])
+        thetas = {}
+        for c in range(len(law)):
+            if c & parents not in thetas:
+                _, structure = _representative(net, n, names[:k], [], (), [(c, n)])
+                thetas[c & parents] = _evaluate(structure, name, net.theta[name],
+                                                net.theta_variables(name), (1,)).as_integer_ratio()
+        scale = max(b for _, b in thetas.values())  # powers of two: a multiple of the others
+        ones = [a * (scale // b) for a, b in (thetas[c & parents] for c in range(len(law)))]
+        law = ([p * (scale - one) for p, one in zip(law, ones)]
+               + [p * one for p, one in zip(law, ones)])
+        denominator *= scale
+    weights = [0] * (1 << len(read))
+    for c, p in enumerate(law):
+        weights[sum(1 << i for i, name in enumerate(read) if c >> position[name] & 1)] += p
+    cells = [j for j, weight in enumerate(weights) if weight]
+    others = n - len(pinned)
+    # the last cell's weight to the power 0 to n - k, by running products
+    powers = list(itertools.accumulate(itertools.repeat(weights[cells[-1]], others),
+                                       operator.mul, initial=1))
+
+    def weigh(pins, j, m, counts):
+        # the summed weights of the hit states that put m elements into
+        # cells[j:]: the next occupied cell is chosen, and its weight's
+        # powers are taken by Horner's rule, so that every product but the
+        # last cell's powers has a small factor; depth is at most m + 1
+        if not m or j + 1 == len(cells):
+            world = _representative(net, n, read, pinned, pins,
+                                    counts + [(cells[j], m)] if m else counts)[1]
+            return powers[m] if hit(world) else 0
+        total = weigh(pins, len(cells) - 1, m, counts)
+        for i in range(j, len(cells) - 1):
+            part = 0
+            for c in range(m, 0, -1):
+                part = (part * weights[cells[i]]
+                        + math.comb(m, c) * weigh(pins, i + 1, m - c, counts + [(cells[i], c)]))
+            total += part * weights[cells[i]]
+        return total
+
+    hits = sum(math.prod(weights[j] for j in pins) * weigh(pins, 0, others, [])
+               for pins in itertools.product(cells, repeat=len(pinned)))
+    return hits / denominator ** n
+
+
 def exact_event_probability(
     net: PlaNetwork,
     n: int,
@@ -648,23 +718,24 @@ def exact_event_probability(
     registry=None,
 ) -> float:
     """Probability, under the exact world distribution, that the formula's
-    value lands in the value set, by one of two walks chosen by the
-    network's arities alone, so the result depends only on the network, n,
-    the formula, its assignment and the value set.  The cap on the worlds
-    is checked first, then that the formula fits the network's signature
-    (``check_signature``).  The registry resolves only the formula's
-    aggregation nodes; the network's thetas are evaluated in
-    ``DEFAULT_REGISTRY``.
+    value lands in the value set, by one of three routes.  The cap on the
+    worlds is checked first, then that the formula fits the network's
+    signature (``check_signature``).  The registry resolves only the
+    formula's aggregation nodes; the network's thetas are evaluated in
+    ``DEFAULT_REGISTRY``.  The formula's value is the same at worlds that a
+    permutation of [n] fixing the elements assigned to its free variables
+    maps onto each other, since every ``AggregationFunction`` is symmetric.
 
-    - When every symbol of the network is unary, ``_count_walk`` walks the
-      orbits of the worlds under the permutations of [n] that fix the
-      elements assigned to the formula's free variables.  The formula's
-      value is the same on an orbit's worlds, since every
-      ``AggregationFunction`` is symmetric, and depends only on the
-      symbols it reads: whether it lands is memoised by the orbit's key,
-      the assigned elements' cells and the counts projected onto those
-      symbols, and the probabilities of the orbits where it lands are
-      added in walk order.
+    - When every symbol is unary and no theta with parents among the read
+      symbols and their ancestors aggregates, ``_lumped_probability`` sums
+      the states of the read symbols' cells alone, in exact integers: the
+      result is the event's probability correctly rounded, so two formulas
+      that hold at the same worlds give the same float.
+    - When every symbol is unary otherwise, ``_count_walk`` walks the
+      orbits of the worlds under those permutations.  Whether the value
+      lands is memoised by the orbit's key, the assigned elements' cells
+      and the counts projected onto the read symbols, and the
+      probabilities of the orbits where it lands are added in walk order.
     - Otherwise ``_enumerate`` walks the worlds, and whether the value
       lands is memoised by the masks of the read symbols: one byte per
       combination, indexed by the masks as one mixed-radix number.  A
@@ -673,10 +744,10 @@ def exact_event_probability(
       evaluated at the first world of each combination, and the selected
       probabilities are added in world order with ``functools.reduce``.
 
-    Either total is capped at 1, which the rounding of the weights can
-    carry a sure event past.  ``sum()`` would not do for either total: from
-    Python 3.12 on it adds floats with compensation, so its result depends
-    on the Python version."""
+    The result is capped at 1, which the rounding of the weights of either
+    walk can carry a sure event past.  ``sum()`` would not do for either
+    walk's total: from Python 3.12 on it adds floats with compensation, so
+    its result depends on the Python version."""
     if value_set is None:
         value_set = ValueSet.full()
     _check_world_cap(net, n, world_cap)
@@ -688,7 +759,18 @@ def exact_event_probability(
     assigned = {(assignment or {}).get(v) for v in free_vars(phi)}
     pinned = sorted(assigned & set(range(1, n + 1)))
     total = 0.0
-    if all(arity == 1 for _, arity in net.signature.symbols):
+    unary = all(arity == 1 for _, arity in net.signature.symbols)
+    closure, stack = set(read), list(read)  # the read symbols and their ancestors
+    while stack:
+        fresh = set(net.parents[stack.pop()]) - closure
+        closure |= fresh
+        stack += fresh
+    names = tuple(name for name in order if name in closure)
+    if unary and not any(net.parents[name] and has_aggregation(net.theta[name])
+                         for name in names):
+        total = _lumped_probability(net, n, names, tuple(name for name in names if name in read),
+                                    pinned, lambda world: in_set(world)[0])
+    elif unary:
         read_bits = sum(1 << k for k, name in enumerate(order) if name in read)
         hits = {}  # orbit key -> whether the value lands in the set
 

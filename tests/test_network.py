@@ -8,6 +8,7 @@ import os
 import pickle
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -737,9 +738,18 @@ class TestCountWalk:
         assert 0.0 < exact_event_probability(pr_net, 9, phi, {X: 1}, ValueSet.parse("0.5:1")) < 1.0
 
     def test_sure_event_is_at_most_certain(self, pr_net):
-        # the binomial weights' rounding carries the orbits' total past 1
+        # the lumped sum divides exact ints, so a sure event is exactly 1;
+        # the rounding of the orbit walk's weights could carry it past 1
         phi = parse_formula("am[R(y) & P(y) : y : y != x]")
         assert exact_event_probability(pr_net, 9, phi, {X: 1}, ValueSet.full()) == 1.0
+
+    def test_sure_event_by_the_orbit_walk_is_at_most_certain(self):
+        # R's theta aggregates over P, so the orbit walk sums the orbits,
+        # and the rounding of its weights carries their total past 1
+        net = network_from_doc(NON_ROOT_AGGREGATION_DOC)
+        phi, value_set = parse_formula("am[R(y) & P(y) : y : y != x]"), ValueSet.full()
+        assert count_walk_probability(net, 5, phi, {X: 1}, value_set) > 1.0
+        assert exact_event_probability(net, 5, phi, {X: 1}, value_set) == 1.0
 
     # a wide chain at a small n has about one orbit per world, a short one
     # at a larger n far fewer; either way no world is enumerated
@@ -773,9 +783,10 @@ class TestCountWalk:
         (CHAIN_DOC, 4, "max[S(y) : y : y != x]", "max[S(y) & (P(y) | !P(y)) : y : y != x]"),
     ], ids=["pr", "chain"])
     def test_equivalent_queries_give_the_same_float(self, doc, n, formula, equivalent):
-        # the walk depends on the network alone, not on the symbols the
-        # query reads, so queries that hold at the same worlds sum the same
-        # orbits in the same order
+        # the lumped sum rounds the event's exact probability once, so
+        # queries that hold at the same worlds give the same float, though
+        # the second reads P and sums over four cells where the first sums
+        # over two
         net = network_from_doc(doc)
         p, q = (exact_event_probability(net, n, parse_formula(f), {X: 1}, ValueSet.point(1.0))
                 for f in (formula, equivalent))
@@ -790,11 +801,21 @@ class TestCountWalk:
                                     ValueSet.point(1.0), world_cap=2 ** n)
         assert abs(p - (1.0 - (1.0 - 1.0 / (n - 1)) ** n)) <= 1e-12
 
-    def test_binomials_past_the_float_range_are_refused(self, remark_net):
-        # C(1100, 550) is about 10^329, past the largest float
+    def test_binomials_past_the_float_range_are_refused(self):
+        # C(1100, 550) is about 10^329, past the largest float; R's theta
+        # aggregates over its parent, so R is summed by the orbit walk
+        net = network_from_doc(NON_ROOT_AGGREGATION_DOC)
         with pytest.raises(PlaError, match="cannot weigh 1100 elements in one cell"):
-            exact_event_probability(remark_net, 1100, parse_formula("max[R(x) : x : x = x]"), {},
-                                    ValueSet.point(1.0), world_cap=2 ** 1100)
+            exact_event_probability(net, 1100, parse_formula("max[R(x) : x : x = x]"), {},
+                                    ValueSet.point(1.0), world_cap=2 ** 2200)
+
+    def test_remark_closed_form_past_the_float_range(self, remark_net):
+        # the lumped sum weighs in ints, so 1100 elements in one cell are
+        # no limit; criterion 1's closed form as at n = 200
+        n = 1100
+        p = exact_event_probability(remark_net, n, parse_formula("max[R(x) : x : x = x]"), {},
+                                    ValueSet.point(1.0), world_cap=2 ** n)
+        assert abs(p - (1.0 - (1.0 - 1.0 / (n - 1)) ** n)) <= 1e-12
 
     @pytest.mark.parametrize("n", [4, 6, 8, 30])
     def test_pr_binomial_sum(self, pr_net, n):
@@ -807,6 +828,117 @@ class TestCountWalk:
         p = exact_event_probability(pr_net, n, parse_formula("am[R(y) : y : y != x]"), {X: 1},
                                     ValueSet.parse("0.5:1"), world_cap=2 ** (2 * n))
         assert abs(p - expected) <= 1e-12
+
+
+def count_walk_probability(net, n, phi, assignment, value_set):
+    """The event's probability by ``network._count_walk``, the orbit walk
+    over every symbol, with the query evaluated afresh at each orbit's
+    representative world."""
+    order = validate(net).order
+    pinned = sorted({assignment.get(v) for v in free_vars(phi)} - {None})
+    total = 0.0
+
+    def leaf(pins, counts, probability):
+        nonlocal total
+        _, world = network._representative(net, n, order, pinned, pins, counts)
+        if value_set.contains(evaluate(world, phi, assignment)):
+            total += probability
+
+    network._count_walk(net, n, pinned, leaf)
+    return total
+
+
+def refuse_count_walk(*args):
+    raise AssertionError("the orbit walk was taken")
+
+
+def is_unary(doc):
+    return all(relation["arity"] == 1 for relation in doc["relations"])
+
+
+LUMPED_CASES = [case for case in ENUMERATION_CASES if is_unary(ENUMERATION_NETWORKS[case[0]])]
+
+# two elements pinned: to cells over two read symbols, and over the read
+# R and Q of child-first, whose unread ancestor P is summed out
+TWO_PINNED_CASES = [
+    ("pr", 4, "am[R(y) & P(y) : y : y != x] | R(z)", "x=1,z=3", "0.5:1"),
+    ("child-first", 3, "wm(R(x); max[Q(y) : y : y != x]; R(z))", "x=2,z=3", "0.3:1"),
+    ("last-parent", 2, "max[A(y) & !A(x) : y : y != x] | B(z)", "x=2,z=1", "1"),
+]
+
+LUMPABLE_SEEDS = [seed for seed in range(30)
+                  if validate(random_unary_case(random.Random(seed))[0]).aggregation_free]
+
+
+class TestLumpedSum:
+    """On a network of unary symbols whose read symbols' ancestral closure
+    has no aggregating theta with parents, exact inference sums the read
+    symbols' cells alone; it agrees with the orbit walk over every symbol
+    and with the written-out enumeration."""
+
+    def check(self, net, n, phi, assignment, value_set, monkeypatch):
+        _, total = exact_by_definition(net, n, phi, assignment, value_set)
+        oracle = count_walk_probability(net, n, phi, assignment, value_set)
+        monkeypatch.setattr(network, "_count_walk", refuse_count_walk)
+        p = exact_event_probability(net, n, phi, assignment, value_set, world_cap=2 ** 20)
+        assert abs(p - oracle) <= 1e-12
+        assert abs(p - total) <= 1e-12
+
+    @pytest.mark.parametrize("net_id, n, formula, assign, values", LUMPED_CASES + TWO_PINNED_CASES,
+                             ids=case_ids(LUMPED_CASES + TWO_PINNED_CASES))
+    def test_matches_the_orbit_walk_and_the_enumeration(self, net_id, n, formula, assign, values,
+                                                        monkeypatch):
+        assignment = parse_assignment(assign)
+        self.check(network_from_doc(ENUMERATION_NETWORKS[net_id]), n, parse_formula(formula),
+                   assignment, ValueSet.parse(values), monkeypatch)
+
+    @pytest.mark.parametrize("seed", LUMPABLE_SEEDS)
+    def test_random_networks_match_the_orbit_walk(self, seed, monkeypatch):
+        self.check(*random_unary_case(random.Random(seed)), monkeypatch)
+
+    def test_random_networks_cover_both_routes(self):
+        assert 5 <= len(LUMPABLE_SEEDS) < 30
+
+    def test_pr_binomial_tail_at_n_200(self, pr_net, monkeypatch):
+        # R holds at each of the 199 elements other than x independently
+        # with probability q = 0.5 * 0.9 + 0.5 * 0.2; the mean lands in
+        # [0.5, 1] when at least 100 of them are in R
+        n, q = 200, Fraction(1, 2) * Fraction(9, 10) + Fraction(1, 2) * Fraction(2, 10)
+        tail = sum(math.comb(n - 1, k) * q ** k * (1 - q) ** (n - 1 - k)
+                   for k in range(n) if 2 * k >= n - 1)
+        monkeypatch.setattr(network, "_count_walk", refuse_count_walk)
+        p = exact_event_probability(pr_net, n, parse_formula("am[R(y) : y : y != x]"), {X: 1},
+                                    ValueSet.parse("0.5:1"), world_cap=2 ** (2 * n))
+        assert abs(p - float(tail)) <= 1e-12
+
+    # a query that reads every symbol of a chain sums over all its cells:
+    # 2^10 at n = 1, where a recursion through the empty cells would pass
+    # Python's default depth of 1000, and 2^6 per element at n = 2
+    @pytest.mark.parametrize("symbols, n, formula, assign", [
+        (10, 1, "max[%s : x : x = x]", ""),
+        (6, 2, "max[%s : y : y != x]", "x=1"),
+    ], ids=["10-symbols-n1", "6-symbols-n2"])
+    def test_queries_reading_every_symbol_of_a_chain(self, symbols, n, formula, assign,
+                                                     monkeypatch):
+        variable = formula.split(" : ")[1]
+        body = " & ".join("S%d(%s)" % (i, variable) for i in range(symbols))
+        self.check(chain_net(symbols), n, parse_formula(formula % body), parse_assignment(assign),
+                   ValueSet.parse("0.5:1"), monkeypatch)
+
+    @pytest.mark.parametrize("formula, walked", [("am[R(y) : y : y != x]", True),
+                                                 ("am[P(y) : y : y != x]", False)])
+    def test_aggregating_theta_in_the_closure_takes_the_orbit_walk(self, formula, walked,
+                                                                   monkeypatch):
+        # R's theta aggregates over its parent P: a query that reads R is
+        # summed by the orbit walk, one that reads only P by the lumped sum
+        net, calls = network_from_doc(NON_ROOT_AGGREGATION_DOC), []
+        count_walk = network._count_walk
+        monkeypatch.setattr(network, "_count_walk",
+                            lambda *args: calls.append(1) or count_walk(*args))
+        phi, value_set = parse_formula(formula), ValueSet.parse("0.3:1")
+        _, total = exact_by_definition(net, 3, phi, {X: 1}, value_set)
+        assert abs(exact_event_probability(net, 3, phi, {X: 1}, value_set) - total) <= 1e-12
+        assert bool(calls) is walked
 
 
 class TestEventProbabilities:
